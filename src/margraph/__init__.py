@@ -38,6 +38,7 @@ from .model import (
     HINGE_LOG_OFFSET,
     LossBreakdown,
     WeightVector,
+    batch_scorer,
     bm_log_likelihood,
     compile_scorer,
     joint_loss,
@@ -83,6 +84,7 @@ __all__ = [
     "LossBreakdown",
     "HINGE_LOG_OFFSET",
     "compile_scorer",
+    "batch_scorer",
     "node_margin",
     "margins",
     "joint_loss",

@@ -22,15 +22,9 @@ from .data import Dataset
 from .errors import DataError
 from .graphs import DIRECTED, GraphSpec
 from .inference import STATUS_OPTIMAL, BBConfig, bb_infer, exhaustive_infer
-from .model import WeightVector
+from .model import WeightVector, batch_scorer
 from .synth import SynthConfig, planted_model, sample_sbn
-from .training import (
-    TrainConfig,
-    _margin_matrix,
-    clique_feature_matrix,
-    mean_joint_loss,
-    train_lmsbn,
-)
+from .training import TrainConfig, mean_joint_loss, train_lmsbn
 
 __all__ = [
     "BenchRecord",
@@ -165,7 +159,8 @@ def run_k_sweep(
         fitted = train_lmsbn(train, graph, TrainConfig(lam=lam, shuffle_seed=seed)).weights
         rng = np.random.default_rng((seed, K, 3))
         raw = rng.normal(0.0, 1.0, graph.n_cliques)
-        mean_abs = float(np.abs(_margin_matrix(clique_feature_matrix(graph, test), graph, raw)).mean())
+        raw_scores = batch_scorer(graph, WeightVector(raw, lam=lam), test.X).scores(test.Y)
+        mean_abs = float(np.abs(raw_scores).mean())
         random_w = WeightVector(values=raw / mean_abs, lam=lam)
         config = BBConfig(cutoff=cutoff, max_states=max_states)
         trained_states = [

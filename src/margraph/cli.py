@@ -11,6 +11,7 @@ from .data import Dataset
 from .dataio import (
     ModelFile,
     load_model,
+    minmax_scale,
     parse_multilabel_svmlight,
     read_label_matrix,
     save_model,
@@ -106,12 +107,9 @@ def _fail(msg: str) -> int:
 
 def _cmd_train(args) -> int:
     dataset = parse_multilabel_svmlight(args.data)
-    scale = None
-    if args.scale:
-        lo = dataset.X.min(axis=0)
-        hi = dataset.X.max(axis=0)
-        scale = (lo, hi)
-        dataset = Dataset(_minmax(dataset.X, lo, hi), dataset.Y)
+    scale = (dataset.X.min(axis=0), dataset.X.max(axis=0)) if args.scale else None
+    if scale is not None:
+        dataset = Dataset(minmax_scale(dataset.X, *scale), dataset.Y)
     config = TrainConfig(
         lam=args.lam,
         eta0=args.eta0,
@@ -142,12 +140,6 @@ def _cmd_train(args) -> int:
     print(f"order: {' '.join(str(i) for i in strategy.order)}")
     print(f"wrote model to {args.out}")
     return 0
-
-
-def _minmax(X, lo, hi):
-    span = hi - lo
-    safe = np.where(span > 0, span, 1.0)
-    return np.where(span > 0, 2.0 * (X - lo) / safe - 1.0, 0.0)
 
 
 def _cmd_predict(args) -> int:

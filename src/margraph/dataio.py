@@ -19,6 +19,7 @@ from .model import WeightVector
 __all__ = [
     "MODEL_FORMAT_VERSION",
     "ModelFile",
+    "minmax_scale",
     "parse_multilabel_svmlight",
     "write_multilabel_svmlight",
     "format_model",
@@ -158,13 +159,14 @@ class ModelFile:
     scale: tuple[np.ndarray, np.ndarray] | None = None
 
     def apply_scale(self, X: np.ndarray) -> np.ndarray:
-        if self.scale is None:
-            return X
-        lo, hi = self.scale
-        span = hi - lo
-        safe = np.where(span > 0, span, 1.0)
-        scaled = 2.0 * (X - lo) / safe - 1.0
-        return np.where(span > 0, scaled, 0.0)
+        return X if self.scale is None else minmax_scale(X, *self.scale)
+
+
+def minmax_scale(X: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Map each feature's [lo, hi] onto [-1, 1]; constant features map to 0."""
+    span = hi - lo
+    safe = np.where(span > 0, span, 1.0)
+    return np.where(span > 0, 2.0 * (X - lo) / safe - 1.0, 0.0)
 
 
 def _fmt_floats(values) -> str:

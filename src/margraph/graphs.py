@@ -23,6 +23,7 @@ __all__ = [
     "UNDIRECTED",
     "Clique",
     "GraphSpec",
+    "ScoreLayout",
     "build_independent_graph",
     "build_chain_graph",
     "build_full_graph",
@@ -57,14 +58,22 @@ class Clique:
                 raise GraphError(f"negative input feature index: {d}")
             object.__setattr__(self, "input_feature", d)
 
-    def feature(self, x: np.ndarray, y: np.ndarray) -> float:
-        """Feature value: parity of the member labels times the input value."""
-        parity = 1.0
-        for k in self.outputs:
-            parity *= float(y[k])
-        if self.input_feature is not None:
-            parity *= float(x[self.input_feature])
-        return parity
+
+@dataclass(frozen=True)
+class ScoreLayout:
+    """Node i's score terms w_j * xa[column] * parity(partners), per graph.
+
+    ``column`` indexes xa = [1 | x] (0 for no input, d + 1 for input d).
+    ``feeds[i]`` lists (clique, column, partners) in ``contributing`` order;
+    the single-output ("unary") terms also come as three flat index arrays,
+    and ``coupled[i]`` holds node i's multi-output terms.
+    """
+
+    feeds: tuple[tuple[tuple[int, int, tuple[int, ...]], ...], ...]
+    coupled: tuple[tuple[tuple[int, int, tuple[int, ...]], ...], ...]
+    unary_clique: np.ndarray
+    unary_column: np.ndarray
+    unary_node: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -141,6 +150,22 @@ class GraphSpec:
                 for k in c.outputs:
                     feeds[k].append(j)
         return tuple(tuple(f) for f in feeds)
+
+    @cached_property
+    def layout(self) -> ScoreLayout:
+        """The per-node score terms, built once per graph."""
+        feeds = []
+        for i, js in enumerate(self.contributing):
+            terms = []
+            for j in js:
+                c = self.cliques[j]
+                column = 0 if c.input_feature is None else c.input_feature + 1
+                terms.append((j, column, tuple(k for k in c.outputs if k != i)))
+            feeds.append(tuple(terms))
+        unary = [(j, col, i) for i, f in enumerate(feeds) for j, col, partners in f if not partners]
+        clique, column, node = np.array(unary, dtype=np.intp).reshape(-1, 3).T.copy()
+        coupled = tuple(tuple(t for t in f if t[2]) for f in feeds)
+        return ScoreLayout(tuple(feeds), coupled, clique, column, node)
 
     @property
     def has_input_couplings(self) -> bool:

@@ -213,14 +213,6 @@ def exhaustive_infer(graph: GraphSpec, weights: WeightVector, x) -> InferenceRes
     return InferenceResult(signs_from_index(K, best_idx), best_obj, 1 << K, STATUS_OPTIMAL)
 
 
-def _total_loss(scorer: NodeScorer, y: np.ndarray) -> float:
-    total = 0.0
-    for node in scorer.order:
-        z = float(y[node]) * scorer.node_score(node, y)
-        total += max(0.0, 1.0 - z)
-    return total
-
-
 def icm_infer(
     graph: GraphSpec,
     weights: WeightVector,
@@ -243,13 +235,13 @@ def icm_infer(
     if not np.all(np.isin(y, (-1, 1))):
         raise DataError("initial labels must be +1/-1")
     scorer = compile_scorer(graph, weights, x)
-    current = _total_loss(scorer, y)
+    current = float(scorer.total_loss_column(y[None])[0])
     states = 0
     for _ in range(max_sweeps):
         moved = False
         for node in graph.order:
             y[node] = -y[node]
-            candidate = _total_loss(scorer, y)
+            candidate = float(scorer.total_loss_column(y[None])[0])
             states += 1
             if candidate < current:
                 current = candidate

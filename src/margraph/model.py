@@ -5,9 +5,12 @@ of weight * input value * parity of the OTHER member labels.  The margin of
 node i is z_i = y_i * s_i, and the joint hinge loss of an assignment is
 sum_i max(0, 1 - z_i).
 
-Scalar and vectorized evaluation paths below accumulate in the same term
-order so a branch-and-bound search and a brute-force enumeration produce
-bit-identical objectives.
+The score is defined once, by the graph's ``layout`` of per-node terms, and
+read two ways.  ``compile_scorer`` folds one input into a ``NodeScorer`` whose
+scalar and vectorized paths add terms in the same order, so a branch-and-bound
+search and a brute-force enumeration produce bit-identical objectives.
+``batch_scorer`` scores many inputs at full assignments (sampling, training
+losses, probes).
 """
 
 from __future__ import annotations
@@ -26,6 +29,8 @@ __all__ = [
     "LossBreakdown",
     "NodeScorer",
     "compile_scorer",
+    "BatchScorer",
+    "batch_scorer",
     "node_margin",
     "margins",
     "joint_loss",
@@ -142,35 +147,63 @@ class NodeScorer:
         return total
 
 
-def compile_scorer(graph: GraphSpec, weights: WeightVector, x: np.ndarray) -> NodeScorer:
-    """Fold one input vector into per-node score tables."""
+def _augmented(graph: GraphSpec, weights: WeightVector, X, ndim: int) -> np.ndarray:
+    """Validated inputs (one vector or an (n, D) matrix) as [1 | X]."""
     if len(weights) != graph.n_cliques:
         raise DataError(f"{len(weights)} weights for {graph.n_cliques} cliques")
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (graph.n_inputs,):
-        raise DataError(f"input shape {x.shape} does not match dimension {graph.n_inputs}")
-    if not np.all(np.isfinite(x)):
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != ndim or X.shape[-1] != graph.n_inputs:
+        raise DataError(f"input shape {X.shape} does not match dimension {graph.n_inputs}")
+    if not np.all(np.isfinite(X)):
         raise DataError("input contains non-finite values")
+    return np.concatenate((np.ones(X.shape[:-1] + (1,)), X), axis=-1)
+
+
+def compile_scorer(graph: GraphSpec, weights: WeightVector, x: np.ndarray) -> NodeScorer:
+    """Fold one input vector into per-node score tables."""
+    xa = _augmented(graph, weights, x, 1)
     w = weights.values
-    const = np.zeros(graph.n_outputs, dtype=np.float64)
-    terms: list[list[tuple[float, tuple[int, ...]]]] = [[] for _ in range(graph.n_outputs)]
-    for i in range(graph.n_outputs):
-        for j in graph.contributing[i]:
-            c = graph.cliques[j]
-            w_eff = float(w[j]) if c.input_feature is None else float(w[j] * x[c.input_feature])
-            others = tuple(k for k in c.outputs if k != i)
-            if others:
-                terms[i].append((w_eff, others))
-            else:
-                const[i] += w_eff
-    return NodeScorer(const=const, terms=tuple(tuple(t) for t in terms), order=graph.order)
+    layout = graph.layout
+    const = np.bincount(
+        layout.unary_node,
+        weights=w[layout.unary_clique] * xa[layout.unary_column],
+        minlength=graph.n_outputs,
+    )
+    terms = tuple(
+        tuple((float(w[j] * xa[col]), partners) for j, col, partners in node)
+        for node in layout.coupled
+    )
+    return NodeScorer(const=const, terms=terms, order=graph.order)
 
 
-def _required_nodes(graph: GraphSpec, i: int) -> set[int]:
-    needed = {i}
-    for j in graph.contributing[i]:
-        needed.update(graph.cliques[j].outputs)
-    return needed
+@dataclass(frozen=True)
+class BatchScorer:
+    """Node scores for a batch of inputs; column i adds node i's layout
+    terms one by one in ``contributing`` order, starting from zero."""
+
+    graph: GraphSpec
+    weights: WeightVector
+    Xa: np.ndarray
+
+    def column(self, i: int, Y: np.ndarray) -> np.ndarray:
+        """s_i for every row; only node i's partners in Y need be assigned."""
+        w = self.weights.values
+        s = np.zeros(self.Xa.shape[0], dtype=np.float64)
+        for j, col, partners in self.graph.layout.feeds[i]:
+            term = w[j] * self.Xa[:, col]
+            for k in partners:
+                term = term * Y[:, k]
+            s += term
+        return s
+
+    def scores(self, Y: np.ndarray) -> np.ndarray:
+        """(n, K) matrix of node scores s_i for each row of Y."""
+        return np.stack([self.column(i, Y) for i in range(self.graph.n_outputs)], axis=1)
+
+
+def batch_scorer(graph: GraphSpec, weights: WeightVector, X: np.ndarray) -> BatchScorer:
+    """Bind the (n, D) inputs X for scoring against label matrices."""
+    return BatchScorer(graph, weights, _augmented(graph, weights, X, 2))
 
 
 def node_margin(graph: GraphSpec, weights: WeightVector, x, y, i: int) -> float:
@@ -182,7 +215,8 @@ def node_margin(graph: GraphSpec, weights: WeightVector, x, y, i: int) -> float:
         raise DataError(f"label shape {y.shape} does not match {graph.n_outputs} outputs")
     if not np.all(np.isin(y, (-1, 0, 1))):
         raise DataError("labels must be +1, -1, or 0 for unassigned")
-    missing = sorted(k for k in _required_nodes(graph, i) if y[k] == 0)
+    needed = {i}.union(*(partners for _, _, partners in graph.layout.feeds[i]))
+    missing = sorted(k for k in needed if y[k] == 0)
     if missing:
         raise DataError(f"margin of node {i} needs labels for nodes {missing}")
     scorer = compile_scorer(graph, weights, x)
@@ -196,11 +230,7 @@ def margins(graph: GraphSpec, weights: WeightVector, x, y) -> np.ndarray:
         raise DataError(f"label shape {y.shape} does not match {graph.n_outputs} outputs")
     if not np.all(np.isin(y, (-1, 1))):
         raise DataError("margins need a full +1/-1 assignment")
-    scorer = compile_scorer(graph, weights, x)
-    return np.array(
-        [float(y[i]) * scorer.node_score(i, y) for i in range(graph.n_outputs)],
-        dtype=np.float64,
-    )
+    return compile_scorer(graph, weights, x).margin_block(y[None])[0]
 
 
 def joint_loss(graph: GraphSpec, weights: WeightVector, instance: Instance) -> LossBreakdown:
@@ -255,10 +285,6 @@ def _check_enum_size(n_outputs: int, cap: int, what: str) -> None:
         raise CapabilityError(f"{what} supports at most {cap} outputs, got {n_outputs}")
 
 
-def _logsumexp(chunks_max: float, chunks_sum: float) -> float:
-    return chunks_max + math.log(chunks_sum)
-
-
 def bm_log_likelihood(graph: GraphSpec, weights: WeightVector, instance: Instance) -> float:
     """Exact log-likelihood under the pairwise energy model.
 
@@ -281,7 +307,7 @@ def bm_log_likelihood(graph: GraphSpec, weights: WeightVector, instance: Instanc
             acc *= math.exp(best - m) if best > -math.inf else 0.0
             best = m
         acc += float(np.exp(col - best).sum())
-    return half - _logsumexp(best, acc)
+    return half - (best + math.log(acc))
 
 
 def log_prob_table(graph: GraphSpec, weights: WeightVector, x) -> np.ndarray:

@@ -15,7 +15,8 @@ from .data import Dataset
 from .errors import DataError
 from .graphs import DIRECTED, build_independent_graph
 from .metrics import per_label_f_scores
-from .training import TrainConfig, clique_feature_matrix, train_lmsbn
+from .model import batch_scorer
+from .training import TrainConfig, train_lmsbn
 
 __all__ = ["OrderStrategy", "index_order", "fscore_order", "make_order_strategy"]
 
@@ -40,22 +41,14 @@ def probe_label_fscores(dataset: Dataset, config: TrainConfig | None = None) -> 
     """Training-set F-score of an independent linear classifier per label."""
     graph = build_independent_graph(dataset.n_outputs, dataset.n_inputs, DIRECTED)
     result = train_lmsbn(dataset, graph, config or TrainConfig())
-    F = clique_feature_matrix(graph, dataset)
-    preds = np.empty_like(dataset.Y)
-    for i in range(graph.n_outputs):
-        cols = list(graph.contributing[i])
-        margin = F[:, cols] @ result.weights.values[cols]
-        # margin = y * score, so the predicted sign is y where the margin is
-        # positive and -y where it is negative; score 0 predicts +1.
-        score = margin * dataset.Y[:, i]
-        preds[:, i] = np.where(score >= 0.0, 1, -1)
+    scores = batch_scorer(graph, result.weights, dataset.X).scores(dataset.Y)
+    preds = np.where(scores >= 0.0, 1, -1)  # score 0 predicts +1
     return per_label_f_scores(dataset.Y, preds)
 
 
 def fscore_order(dataset: Dataset, config: TrainConfig | None = None) -> tuple[int, ...]:
     """Labels sorted by descending probe F-score; ties by ascending index."""
-    scores = probe_label_fscores(dataset, config)
-    return tuple(sorted(range(dataset.n_outputs), key=lambda i: (-scores[i], i)))
+    return make_order_strategy("fscore", dataset, config).order
 
 
 def make_order_strategy(

@@ -22,7 +22,7 @@ from .graphs import (
     build_full_graph,
     build_independent_graph,
 )
-from .model import TABLE_MAX_OUTPUTS, WeightVector, log_prob_table, signs_of_indices
+from .model import TABLE_MAX_OUTPUTS, WeightVector, batch_scorer, log_prob_table, signs_of_indices
 
 __all__ = ["SynthConfig", "sample_sbn", "sample_bm", "planted_model"]
 
@@ -70,18 +70,9 @@ def sample_sbn(config: SynthConfig) -> Dataset:
     X = _draw_inputs(config, rng)
     n = config.n_instances
     Y = np.zeros((n, graph.n_outputs), dtype=np.int8)
-    w = config.weights.values
+    scorer = batch_scorer(graph, config.weights, X)
     for node in graph.order:
-        s = np.zeros(n, dtype=np.float64)
-        for j in graph.contributing[node]:
-            c = graph.cliques[j]
-            term = np.full(n, w[j])
-            if c.input_feature is not None:
-                term = term * X[:, c.input_feature]
-            for k in c.outputs:
-                if k != node:
-                    term = term * Y[:, k]
-            s += term
+        s = scorer.column(node, Y)
         # p(y=+1) = sigmoid(s), computed stably
         p = np.exp(-np.logaddexp(0.0, -s))
         Y[:, node] = np.where(rng.random(n) < p, 1, -1)

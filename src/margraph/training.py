@@ -27,7 +27,7 @@ import numpy as np
 from .data import Dataset
 from .errors import DataError, GraphError
 from .graphs import DIRECTED, UNDIRECTED, GraphSpec
-from .model import WeightVector
+from .model import WeightVector, batch_scorer
 
 __all__ = [
     "TrainConfig",
@@ -124,14 +124,29 @@ def clique_feature_matrix(graph: GraphSpec, dataset: Dataset) -> np.ndarray:
     return F
 
 
-def _stationarity_weights(F, groups, eta, alpha) -> np.ndarray:
-    """w_j = (1/eta_j) * sum over constraints touching clique j of alpha * f_j."""
-    w = np.zeros(F.shape[1], dtype=np.float64)
-    for g, cols in enumerate(groups):
-        if len(cols):
-            w[cols] += F[:, cols].T @ alpha[g]
+def _blocks(F: np.ndarray, groups) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per constraint group: its clique columns and C-contiguous F[:, cols]."""
+    cols_list = [np.asarray(cols, dtype=np.intp) for cols in groups]
+    return [(cols, np.ascontiguousarray(F[:, cols])) for cols in cols_list]
+
+
+def _box_objectives(blocks, eta, box, alpha) -> tuple[np.ndarray, float, float]:
+    """Weights implied by alpha, and the box-scaled primal and dual there.
+
+    Stationarity gives w_j = (1/eta_j) * sum over constraints touching clique
+    j of alpha * f_j; the primal is 0.5*sum eta w^2 + box * total hinge and
+    the dual is sum(alpha) - 0.5*sum eta w^2.
+    """
+    w = np.zeros(len(eta), dtype=np.float64)
+    for (cols, block), a in zip(blocks, alpha):
+        # BLAS sums in an order set by memory layout; a row-major block.T fixes it
+        w[cols] += block.T.copy() @ a
     w /= eta
-    return w
+    reg = 0.5 * float(eta @ (w * w))
+    hinge = 0.0
+    for cols, block in blocks:
+        hinge += float(np.maximum(0.0, 1.0 - block @ w[cols]).sum())
+    return w, reg + box * hinge, float(alpha.sum()) - reg
 
 
 def _solve_dual(F, groups, eta, box, rng, max_epochs, tol):
@@ -145,9 +160,10 @@ def _solve_dual(F, groups, eta, box, rng, max_epochs, tol):
     """
     N, n_w = F.shape
     G = len(groups)
-    cols_list = [np.asarray(cols, dtype=np.intp) for cols in groups]
+    blocks = _blocks(F, groups)
+    cols_list = [cols for cols, _ in blocks]
     identity = [len(c) == n_w and np.array_equal(c, np.arange(n_w)) for c in cols_list]
-    Fg = [np.ascontiguousarray(F[:, c]) for c in cols_list]
+    Fg = [block for _, block in blocks]
     Fg_over_eta = [Fg[g] / eta[cols_list[g]] for g in range(G)]
     # Curvature of the dual in coordinate (g, l); zero rows make it linear.
     q = [np.einsum("ij,ij->i", Fg[g], Fg_over_eta[g]) for g in range(G)]
@@ -194,13 +210,8 @@ def _solve_dual(F, groups, eta, box, rng, max_epochs, tol):
                     alpha[g, l] = na
         # Refresh w from the stationarity identity to shed update drift,
         # then check the duality gap at this alpha.
-        w = _stationarity_weights(F, cols_list, eta, alpha)
-        reg = 0.5 * float(eta @ (w * w))
-        hinge = 0.0
-        for g in range(G):
-            z = Fg[g] @ (w if identity[g] else w[cols_list[g]])
-            hinge += float(np.maximum(0.0, 1.0 - z).sum())
-        gap = (reg + box * hinge) - (float(alpha.sum()) - reg)
+        w, primal, dual = _box_objectives(blocks, eta, box, alpha)
+        gap = primal - dual
         if max_pg <= tol and gap <= tol:
             converged = True
             break
@@ -273,20 +284,9 @@ def train_lmbm(dataset: Dataset, graph: GraphSpec, config: TrainConfig | None = 
     return TrainResult(weights=weights, state=state, reports=(report,))
 
 
-def _margin_matrix(F: np.ndarray, graph: GraphSpec, w: np.ndarray) -> np.ndarray:
-    """(N, K) training margins z_il from the clique feature matrix."""
-    Z = np.zeros((F.shape[0], graph.n_outputs), dtype=np.float64)
-    for i in range(graph.n_outputs):
-        cols = list(graph.contributing[i])
-        if cols:
-            Z[:, i] = F[:, cols] @ w[cols]
-    return Z
-
-
 def mean_joint_loss(dataset: Dataset, graph: GraphSpec, weights: WeightVector) -> float:
     """Mean joint hinge loss at the observed labels."""
-    F = clique_feature_matrix(graph, dataset)
-    Z = _margin_matrix(F, graph, weights.values)
+    Z = dataset.Y * batch_scorer(graph, weights, dataset.X).scores(dataset.Y)
     return float(np.maximum(0.0, 1.0 - Z).sum()) / dataset.n_instances
 
 
@@ -301,44 +301,32 @@ def primal_objective(
     Regularization constants default to the ones stored with the weights;
     pass a config to evaluate under different ones.
     """
-    lam = config.lam if config is not None else weights.lam
-    eta0 = config.eta0 if config is not None else weights.eta0
-    F = clique_feature_matrix(graph, dataset)
-    Z = _margin_matrix(F, graph, weights.values)
-    mean_hinge = float(np.maximum(0.0, 1.0 - Z).sum()) / dataset.n_instances
-    eta = graph.regularizer_multipliers(eta0)
-    return mean_hinge + lam * float(eta @ (weights.values * weights.values))
+    scale = config if config is not None else weights
+    eta = graph.regularizer_multipliers(scale.eta0)
+    w = weights.values
+    return mean_joint_loss(dataset, graph, weights) + scale.lam * float(eta @ (w * w))
 
 
-def _scale_constants(state: DualState, config: TrainConfig | None) -> tuple[float, float]:
-    if config is not None:
-        return config.lam, config.eta0
-    return state.weights.lam, state.weights.eta0
+def _state_objectives(state: DualState, dataset: Dataset, config: TrainConfig | None):
+    """(weights, box primal, dual) at the state's alpha, as the solver computes them."""
+    scale = config if config is not None else state.weights
+    graph = state.graph
+    blocks = _blocks(clique_feature_matrix(graph, dataset), graph.contributing)
+    eta = graph.regularizer_multipliers(scale.eta0)
+    return _box_objectives(blocks, eta, _box_bound(scale.lam, dataset.n_instances), state.alpha)
 
 
 def box_primal_objective(
     state: DualState, dataset: Dataset, config: TrainConfig | None = None
 ) -> float:
-    """Primal value in the box scaling: 0.5*sum eta w^2 + C * total hinge."""
-    lam, eta0 = _scale_constants(state, config)
-    graph = state.graph
-    w = state.weights.values
-    F = clique_feature_matrix(graph, dataset)
-    Z = _margin_matrix(F, graph, w)
-    eta = graph.regularizer_multipliers(eta0)
-    box = _box_bound(lam, dataset.n_instances)
-    return 0.5 * float(eta @ (w * w)) + box * float(np.maximum(0.0, 1.0 - Z).sum())
+    """Primal value in the box scaling, 0.5*sum eta w^2 + C * total hinge, at
+    the weights the state's alpha implies (a trained state's own weights)."""
+    return _state_objectives(state, dataset, config)[1]
 
 
 def dual_objective(state: DualState, dataset: Dataset, config: TrainConfig | None = None) -> float:
     """Dual value sum(alpha) - 0.5*sum eta w(alpha)^2 at the state's alpha."""
-    lam, eta0 = _scale_constants(state, config)
-    graph = state.graph
-    F = clique_feature_matrix(graph, dataset)
-    eta = graph.regularizer_multipliers(eta0)
-    groups = [np.asarray(c, dtype=np.intp) for c in graph.contributing]
-    w = _stationarity_weights(F, groups, eta, state.alpha)
-    return float(state.alpha.sum()) - 0.5 * float(eta @ (w * w))
+    return _state_objectives(state, dataset, config)[2]
 
 
 def duality_gap(state: DualState, dataset: Dataset, config: TrainConfig | None = None) -> float:
@@ -348,15 +336,5 @@ def duality_gap(state: DualState, dataset: Dataset, config: TrainConfig | None =
     stationarity identity, so the gap is a pure function of alpha and is
     non-negative up to roundoff.
     """
-    lam, eta0 = _scale_constants(state, config)
-    graph = state.graph
-    F = clique_feature_matrix(graph, dataset)
-    eta = graph.regularizer_multipliers(eta0)
-    groups = [np.asarray(c, dtype=np.intp) for c in graph.contributing]
-    w = _stationarity_weights(F, groups, eta, state.alpha)
-    Z = _margin_matrix(F, graph, w)
-    box = _box_bound(lam, dataset.n_instances)
-    reg = 0.5 * float(eta @ (w * w))
-    primal = reg + box * float(np.maximum(0.0, 1.0 - Z).sum())
-    dual = float(state.alpha.sum()) - reg
+    _, primal, dual = _state_objectives(state, dataset, config)
     return primal - dual

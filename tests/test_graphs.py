@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import margraph as mg
-from margraph import Clique, GraphSpec
+from margraph import Clique, Dataset, GraphSpec
 from margraph.errors import GraphError
+from margraph.training import clique_feature_matrix
 
 
 def test_clique_sorts_and_dedupes_outputs():
@@ -31,11 +32,10 @@ def test_clique_rejects_negative_indices():
 
 
 def test_clique_feature_is_label_parity_times_input():
-    c = Clique((0, 2), 1)
-    x = np.array([5.0, 3.0])
-    assert c.feature(x, np.array([1, 1, 1])) == 3.0
-    assert c.feature(x, np.array([-1, 1, 1])) == -3.0
-    assert c.feature(x, np.array([-1, 1, -1])) == 3.0
+    graph = GraphSpec(3, 2, mg.DIRECTED, (0, 1, 2), (Clique((0, 2), 1),))
+    Y = np.array([[1, 1, 1], [-1, 1, 1], [-1, 1, -1]], dtype=np.int8)
+    dataset = Dataset(np.tile([5.0, 3.0], (3, 1)), Y)
+    assert clique_feature_matrix(graph, dataset)[:, 0].tolist() == [3.0, -3.0, 3.0]
 
 
 def test_flipping_one_member_negates_the_feature():
@@ -44,13 +44,13 @@ def test_flipping_one_member_negates_the_feature():
         n = int(rng.integers(1, 6))
         members = rng.choice(8, size=n, replace=False)
         c = Clique(tuple(int(k) for k in members))
+        graph = GraphSpec(8, 0, mg.DIRECTED, tuple(range(8)), (c,))
         y = np.where(rng.random(8) < 0.5, 1, -1)
-        x = np.zeros(0)
-        before = c.feature(x, y)
-        k = int(rng.choice(members))
         y2 = y.copy()
+        k = int(rng.choice(members))
         y2[k] = -y2[k]
-        assert c.feature(x, y2) == -before
+        F = clique_feature_matrix(graph, Dataset(np.zeros((2, 0)), np.stack([y, y2])))
+        assert F[1, 0] == -F[0, 0]
 
 
 def test_graph_requires_order_permutation():

@@ -116,6 +116,58 @@ def test_vectorized_scorer_matches_scalar_loop():
             assert totals[l] == lb.total
 
 
+def arbitrary_graph(rng, kind):
+    """Random cliques of one to three members, some tied to an input, in a
+    random order: shapes the graph builders never produce."""
+    K = int(rng.integers(1, 7))
+    D = int(rng.integers(0, 4))
+    cliques = {}
+    for _ in range(int(rng.integers(1, 4 * K + 1))):
+        members = rng.choice(K, size=int(rng.integers(1, min(K, 3) + 1)), replace=False)
+        feature = int(rng.integers(D)) if D and rng.random() < 0.5 else None
+        c = Clique(tuple(int(k) for k in members), feature)
+        cliques[(c.outputs, c.input_feature)] = c
+    order = tuple(int(i) for i in rng.permutation(K))
+    return GraphSpec(K, D, kind, order, tuple(cliques.values()))
+
+
+def reference_scorer(graph, weights, x):
+    """One clique at a time: the per-node tables compile_scorer must reproduce."""
+    w = weights.values
+    const = np.zeros(graph.n_outputs)
+    terms = [[] for _ in range(graph.n_outputs)]
+    for i in range(graph.n_outputs):
+        for j in graph.contributing[i]:
+            c = graph.cliques[j]
+            w_eff = float(w[j]) if c.input_feature is None else float(w[j] * x[c.input_feature])
+            others = tuple(k for k in c.outputs if k != i)
+            if others:
+                terms[i].append((w_eff, others))
+            else:
+                const[i] += w_eff
+    return const, tuple(tuple(t) for t in terms)
+
+
+def test_compiled_scores_match_the_per_clique_reference_on_arbitrary_graphs():
+    rng = np.random.default_rng(17)
+    for trial in range(300):
+        kind = mg.DIRECTED if trial % 2 == 0 else mg.UNDIRECTED
+        graph = arbitrary_graph(rng, kind)
+        weights = WeightVector(rng.normal(0.0, 1.0, graph.n_cliques), lam=1.0)
+        X = rng.standard_normal((4, graph.n_inputs))
+        Y = random_labels(rng, 4, graph.n_outputs)
+        batch = mg.batch_scorer(graph, weights, X).scores(Y)
+        for x, y, s in zip(X, Y, batch):
+            scorer = compile_scorer(graph, weights, x)
+            const, terms = reference_scorer(graph, weights, x)
+            assert scorer.const.tolist() == const.tolist()
+            assert scorer.terms == terms
+            assert np.abs(y * s - mg.margins(graph, weights, x, y)).max() <= 1e-12
+            if kind == mg.DIRECTED:
+                found = mg.bb_infer(graph, weights, x)
+                assert found.objective == mg.exhaustive_infer(graph, weights, x).objective
+
+
 def test_sbn_log_likelihood_values(two_node_model):
     graph, weights, x = two_node_model
     got = mg.sbn_log_likelihood(graph, weights, Instance(x, np.array([1, 1], dtype=np.int8)))
