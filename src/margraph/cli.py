@@ -126,8 +126,15 @@ def _cmd_train(args) -> int:
     for r in result.reports:
         who = "joint" if r.node is None else f"node {r.node}"
         print(
-            f"{who}: epochs={r.epochs} gap={r.gap:.3e} "
+            f"{who}: epochs={r.epochs} steps={r.steps} gap={r.gap:.3e} rel_gap={r.rel_gap:.3e} "
             f"max_pg={r.max_projected_gradient:.3e} converged={r.converged}"
+        )
+    capped = [r for r in result.reports if not r.converged]
+    if capped:
+        print(
+            f"margraph: warning: {len(capped)} of {len(result.reports)} solves hit the epoch cap "
+            f"(largest gap {max(r.gap for r in capped):.3e})",
+            file=sys.stderr,
         )
     model = ModelFile(
         graph=graph,

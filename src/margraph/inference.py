@@ -160,7 +160,9 @@ def bb_infer(graph: GraphSpec, weights: WeightVector, x, config: BBConfig | None
     assignment has loss under the cutoff, the greedy all-left assignment is
     returned (status no_solution_under_S_fallback), or the search retries
     with a doubled cutoff when escalation is on.  If the state budget runs
-    out first, the best assignment seen so far is returned.
+    out first, including a pass that spends exactly the states left before an
+    escalated retry, the best assignment seen so far (or the greedy one) is
+    returned with status budget_exceeded.
     """
     if graph.kind != DIRECTED:
         raise GraphError("branch-and-bound needs a directed graph")
@@ -174,7 +176,9 @@ def bb_infer(graph: GraphSpec, weights: WeightVector, x, config: BBConfig | None
         if config.max_states is not None:
             remaining = config.max_states - total_states
             if remaining <= 0:
-                break
+                # an escalated retry with no states left: the budget ran out
+                y, obj = _greedy_descent(scorer, order)
+                return InferenceResult(y, obj, total_states, STATUS_BUDGET)
         incumbent, obj, states, hit_budget = _search(scorer, order, cutoff, remaining)
         total_states += states
         if incumbent is not None and not hit_budget:

@@ -1,5 +1,6 @@
 """End-to-end command-line workflows."""
 
+import re
 import subprocess
 import sys
 
@@ -39,6 +40,38 @@ def test_training_reports_and_order_are_printed(workdir, capsys):
     out = capsys.readouterr().out
     assert "node 0:" in out and "converged=True" in out
     assert "order: 0 1 2 3" in out
+
+
+def test_report_lines_carry_steps_and_relative_gap(workdir, capsys):
+    assert main([
+        "train", "--model", "lmsbn", "--graph", "chain",
+        "--data", str(workdir / "data.sv"), "--out", str(workdir / "fields.model"),
+    ]) == 0
+    captured = capsys.readouterr()
+    reports = [line for line in captured.out.splitlines() if line.startswith("node ")]
+    assert len(reports) == 4
+    for line in reports:
+        fields = dict(kv.split("=") for kv in line.split(": ", 1)[1].split())
+        assert int(fields["steps"]) >= int(fields["epochs"]) >= 1
+        assert float(fields["rel_gap"]) >= 0.0
+    assert "warning" not in captured.err
+
+
+def test_epoch_cap_warns_on_stderr_and_still_succeeds(workdir, capsys):
+    assert main([
+        "train", "--model", "lmsbn", "--graph", "chain", "--epochs", "1", "--tol", "1e-12",
+        "--data", str(workdir / "data.sv"), "--out", str(workdir / "capped.model"),
+    ]) == 0
+    captured = capsys.readouterr()
+    assert "converged=False" in captured.out
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert re.fullmatch(
+        r"margraph: warning: 4 of 4 solves hit the epoch cap \(largest gap \S+\)", lines[0]
+    )
+    largest = float(lines[0].rsplit(" ", 1)[1].rstrip(")"))
+    assert largest > 1e-12
+    assert load_model(workdir / "capped.model").epochs == 1
 
 
 def test_predictions_file_is_well_formed(workdir):

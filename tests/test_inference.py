@@ -67,6 +67,17 @@ def test_exhausted_state_budget_reports_budget_status():
     assert res.objective == 3.0  # greedy completion still answers
 
 
+def test_budget_used_up_exactly_by_a_pass_before_escalating_reports_budget_status():
+    # under cutoff 2 the first pass takes exactly 2 states (one per root
+    # branch) and finds nothing; the doubled-cutoff retry has no states left
+    graph, weights, x = zero_model(3)
+    res = bb_infer(graph, weights, x, BBConfig(cutoff=2, max_states=2, escalate=True))
+    assert res.status == STATUS_BUDGET
+    assert res.states_visited == 2
+    assert res.labels.tolist() == [1, 1, 1]
+    assert res.objective == 3.0
+
+
 def test_exhaustive_breaks_ties_towards_positive_labels():
     graph, weights, x = zero_model(3)
     res = exhaustive_infer(graph, weights, x)

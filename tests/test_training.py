@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import margraph as mg
 from margraph import Clique, Dataset, GraphSpec, TrainConfig, WeightVector
@@ -16,6 +18,24 @@ from margraph.training import (
 )
 
 from _helpers import random_dataset, random_labels
+
+
+def all_alpha_max_projected_gradient(graph, dataset, state, config):
+    """Largest |projected gradient| over every dual variable, from scratch."""
+    F = clique_feature_matrix(graph, dataset)
+    w = state.weights.values
+    box = 1.0 / (config.lam * dataset.n_instances)
+    largest = 0.0
+    for i, cols in enumerate(graph.contributing):
+        cols = list(cols)
+        if not cols:
+            continue
+        grad = F[:, cols] @ w[cols] - 1.0
+        a = state.alpha[i]
+        pg = np.where(a <= 0.0, np.minimum(grad, 0.0),
+                      np.where(a >= box, np.maximum(grad, 0.0), grad))
+        largest = max(largest, float(np.abs(pg).max()))
+    return largest
 
 
 def one_node_bias_problem():
@@ -220,3 +240,43 @@ def test_feature_matrix_columns_are_clique_features():
                       np.array([[1, 1], [-1, 1]], dtype=np.int8))
     F = clique_feature_matrix(graph, dataset)
     assert F.tolist() == [[2.0, 1.0], [-3.0, -1.0]]
+
+
+def test_shrinking_engages_and_still_certifies_the_full_problem():
+    rng = np.random.default_rng(0)
+    N = 400
+    graph = mg.build_full_graph(4, 3, mg.DIRECTED)
+    dataset = random_dataset(rng, N, 4, 3)
+    config = TrainConfig(lam=0.01)
+    result = mg.train_lmsbn(dataset, graph, config)
+    assert result.converged
+    # each node problem has N constraints; fewer visits than epochs * N
+    # means epochs ran over a shrunken active set
+    assert sum(r.steps for r in result.reports) < sum(r.epochs for r in result.reports) * N
+    assert duality_gap(result.state, dataset, config) <= config.tolerance
+    assert all_alpha_max_projected_gradient(graph, dataset, result.state, config) <= config.tolerance
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(
+    directed=st.booleans(),
+    K=st.integers(1, 4),
+    D=st.integers(0, 3),
+    N=st.integers(2, 30),
+    lam=st.floats(0.02, 1.0),
+    seed=st.integers(0, 2**16),
+)
+def test_converged_solves_certify_gap_and_projected_gradient(directed, K, D, N, lam, seed):
+    rng = np.random.default_rng(seed)
+    kind = mg.DIRECTED if directed else mg.UNDIRECTED
+    graph = mg.build_full_graph(K, D, kind)
+    dataset = random_dataset(rng, N, K, D)
+    config = TrainConfig(lam=lam, max_epochs=20000, shuffle_seed=seed)
+    result = (mg.train_lmsbn if directed else mg.train_lmbm)(dataset, graph, config)
+    assert result.converged
+    # each solve certifies its own gap; a directed model's gap is the sum
+    # over its independent node problems
+    gap = duality_gap(result.state, dataset, config)
+    assert abs(gap - result.gap) <= 1e-9
+    assert all(r.gap <= config.tolerance for r in result.reports)
+    assert all_alpha_max_projected_gradient(graph, dataset, result.state, config) <= config.tolerance
