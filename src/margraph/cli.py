@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 
 import numpy as np
 
@@ -171,7 +172,9 @@ def _cmd_predict(args) -> int:
         for l in range(len(dataset)):
             results.append(icm_infer(graph, model.weights, X[l], y0, max_sweeps=args.max_sweeps))
     write_predictions(args.out, results)
-    print(f"wrote {len(results)} predictions to {args.out}")
+    statuses = " ".join(f"{s}={n}" for s, n in Counter(r.status for r in results).items())
+    states = sum(r.states_visited for r in results)
+    print(f"wrote {len(results)} predictions to {args.out} (states={states} {statuses})")
     return 0
 
 

@@ -6,6 +6,7 @@ to the exact double, so save/load/save cycles are byte-identical.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -92,7 +93,7 @@ def parse_multilabel_svmlight(path, n_outputs: int | None = None, n_inputs: int 
                     raise DataError(f"{path}:{ln}: feature ids are 1-based, got {idx}")
                 if n_inputs is not None and idx > n_inputs:
                     raise DataError(f"{path}:{ln}: feature {idx} exceeds input count {n_inputs}")
-                if not np.isfinite(val):
+                if not math.isfinite(val):
                     raise DataError(f"{path}:{ln}: non-finite feature value {val_s!r}")
                 if idx in feats:
                     raise DataError(f"{path}:{ln}: duplicate feature index {idx}")

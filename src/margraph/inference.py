@@ -8,6 +8,11 @@ prefix whose partial sum already reaches the current upper bound.  Since
 every opposite-label step costs at least 1, an initial upper bound of S
 confines the search to prefixes with fewer than S such steps.
 
+The search computes each node score itself, on plain Python lists and
+floats, from the tables of ``compile_scorer``; it is the only scalar score
+in the package.  The greedy fallback, the locally best label at every node,
+is the search's first all-left dive and not a separate routine.
+
 The search and the exhaustive oracle accumulate losses with the same
 floating-point operations in the same order, so their objectives agree
 bit-for-bit, never merely within a tolerance.
@@ -15,6 +20,7 @@ bit-for-bit, never merely within a tolerance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,77 +86,78 @@ class InferenceResult:
     status: str
 
 
-def _greedy_descent(scorer: NodeScorer, order: tuple[int, ...]) -> tuple[np.ndarray, float]:
-    """Take the locally best branch at every node; never prunes."""
-    y = np.zeros(scorer.n_outputs, dtype=np.int8)
-    total = 0.0
-    for node in order:
-        s = scorer.node_score(node, y)
-        y[node] = 1 if s >= 0.0 else -1
-        a = s if s >= 0.0 else -s
-        total += max(0.0, 1.0 - a)
-    return y, total
-
-
 def _search(scorer: NodeScorer, order: tuple[int, ...], cutoff: float, budget):
-    """One depth-first pass.  Returns (incumbent or None, objective, states, hit_budget)."""
+    """One depth-first pass.  Returns (incumbent or None, objective, states, hit_budget).
+
+    This is the one place the scalar node score is computed: entering
+    position p adds node order[p]'s terms to its constant on plain Python
+    lists and floats, in the same order as ``NodeScorer.score_column``.
+    With an infinite cutoff and a budget of K states the pass is the greedy
+    all-left dive and nothing more, which is the fallback ``bb_infer``
+    returns.
+    """
     K = scorer.n_outputs
-    y = np.zeros(K, dtype=np.int8)
-    partial = np.zeros(K + 1, dtype=np.float64)
-    left_label = np.zeros(K, dtype=np.int8)
-    left_cost = np.zeros(K, dtype=np.float64)
-    right_cost = np.zeros(K, dtype=np.float64)
-    tried = np.zeros(K, dtype=np.int8)
+    const = scorer.const.tolist()
+    terms = [scorer.terms[node] for node in order]
+    y = [0] * K
+    partial = [0.0] * (K + 1)
+    left_label = [0] * K
+    left_cost = [0.0] * K
+    right_cost = [0.0] * K
+    tried = [0] * K
     upper = float(cutoff)
     incumbent = None
     incumbent_obj = 0.0
     states = 0
-    node_score = scorer.node_score
-
-    def enter(p: int) -> None:
-        node = order[p]
-        s = node_score(node, y)
-        a = s if s >= 0.0 else -s
-        left_label[p] = 1 if s >= 0.0 else -1
-        left_cost[p] = max(0.0, 1.0 - a)
+    p = 0
+    while True:
+        # enter position p: score its node given the labels above it
+        s = const[order[p]]
+        for w_eff, others in terms[p]:
+            parity = 1
+            for k in others:
+                if y[k] < 0:
+                    parity = -parity
+            s += w_eff if parity > 0 else -w_eff
+        if s >= 0.0:
+            left_label[p] = 1
+            a = s
+        else:
+            left_label[p] = -1
+            a = -s
+        c = 1.0 - a
+        left_cost[p] = c if c > 0.0 else 0.0
         right_cost[p] = 1.0 + a
         tried[p] = 0
-
-    enter(0)
-    p = 0
-    hit_budget = False
-    while True:
-        t = tried[p]
-        if t == 2:
-            if p == 0:
+        # take the next untried branch, backtracking past exhausted positions
+        while True:
+            t = tried[p]
+            if t == 2:
+                if p == 0:
+                    return incumbent, incumbent_obj, states, False
+                p -= 1
+                continue
+            tried[p] = t + 1
+            if t == 0:
+                label = left_label[p]
+                total = partial[p] + left_cost[p]
+            else:
+                label = -left_label[p]
+                total = partial[p] + right_cost[p]
+            if total >= upper:
+                continue
+            if budget is not None and states >= budget:
+                return incumbent, incumbent_obj, states, True
+            states += 1
+            y[order[p]] = label
+            if p < K - 1:
                 break
-            p -= 1
-            continue
-        tried[p] = t + 1
-        if t == 0:
-            label = left_label[p]
-            cost = left_cost[p]
-        else:
-            label = -left_label[p]
-            cost = right_cost[p]
-        total = partial[p] + cost
-        if total >= upper:
-            continue
-        if budget is not None and states >= budget:
-            hit_budget = True
-            break
-        states += 1
-        y[order[p]] = label
-        if p == K - 1:
             # complete assignment strictly under the current bound
             upper = total
-            incumbent = y.copy()
+            incumbent = np.array(y, dtype=np.int8)
             incumbent_obj = total
-            continue
         p += 1
         partial[p] = total
-        enter(p)
-    return incumbent, incumbent_obj, states, hit_budget
 
 
 def bb_infer(graph: GraphSpec, weights: WeightVector, x, config: BBConfig | None = None) -> InferenceResult:
@@ -171,28 +178,28 @@ def bb_infer(graph: GraphSpec, weights: WeightVector, x, config: BBConfig | None
     order = graph.order
     cutoff = float(config.cutoff)
     total_states = 0
+    status = STATUS_FALLBACK
     for _ in range(_ESCALATE_CAP + 1):
         remaining = None
         if config.max_states is not None:
             remaining = config.max_states - total_states
             if remaining <= 0:
                 # an escalated retry with no states left: the budget ran out
-                y, obj = _greedy_descent(scorer, order)
-                return InferenceResult(y, obj, total_states, STATUS_BUDGET)
+                status = STATUS_BUDGET
+                break
         incumbent, obj, states, hit_budget = _search(scorer, order, cutoff, remaining)
         total_states += states
-        if incumbent is not None and not hit_budget:
-            return InferenceResult(incumbent, obj, total_states, STATUS_OPTIMAL)
+        if incumbent is not None:
+            return InferenceResult(incumbent, obj, total_states, STATUS_BUDGET if hit_budget else STATUS_OPTIMAL)
         if hit_budget:
-            if incumbent is None:
-                y, obj = _greedy_descent(scorer, order)
-                return InferenceResult(y, obj, total_states, STATUS_BUDGET)
-            return InferenceResult(incumbent, obj, total_states, STATUS_BUDGET)
+            status = STATUS_BUDGET
+            break
         if not config.escalate:
             break
         cutoff *= 2.0
-    y, obj = _greedy_descent(scorer, order)
-    return InferenceResult(y, obj, total_states, STATUS_FALLBACK)
+    # the greedy fallback: with no bound and K states, the first all-left dive
+    y, obj, _, _ = _search(scorer, order, math.inf, graph.n_outputs)
+    return InferenceResult(y, obj, total_states, status)
 
 
 def exhaustive_infer(graph: GraphSpec, weights: WeightVector, x) -> InferenceResult:

@@ -6,9 +6,10 @@ node i is z_i = y_i * s_i, and the joint hinge loss of an assignment is
 sum_i max(0, 1 - z_i).
 
 The score is defined once, by the graph's ``layout`` of per-node terms, and
-read two ways.  ``compile_scorer`` folds one input into a ``NodeScorer`` whose
-scalar and vectorized paths add terms in the same order, so a branch-and-bound
-search and a brute-force enumeration produce bit-identical objectives.
+read two ways.  ``compile_scorer`` folds one input into a ``NodeScorer``: its
+vectorized columns, and the scalar score the branch-and-bound search computes
+from the same tables, add terms in the same order, so a search and a
+brute-force enumeration produce bit-identical objectives.
 ``batch_scorer`` scores many inputs at full assignments (sampling, training
 losses, probes).
 """
@@ -109,17 +110,6 @@ class NodeScorer:
     def n_outputs(self) -> int:
         return len(self.const)
 
-    def node_score(self, i: int, y: np.ndarray) -> float:
-        """s_i given the labels of the other members of node i's cliques."""
-        s = float(self.const[i])
-        for w_eff, others in self.terms[i]:
-            parity = 1
-            for k in others:
-                if y[k] < 0:
-                    parity = -parity
-            s += w_eff if parity > 0 else -w_eff
-        return s
-
     def score_column(self, i: int, Y: np.ndarray) -> np.ndarray:
         """s_i for every row of the (n, K) sign matrix Y."""
         col = np.full(Y.shape[0], self.const[i], dtype=np.float64)
@@ -219,8 +209,8 @@ def node_margin(graph: GraphSpec, weights: WeightVector, x, y, i: int) -> float:
     missing = sorted(k for k in needed if y[k] == 0)
     if missing:
         raise DataError(f"margin of node {i} needs labels for nodes {missing}")
-    scorer = compile_scorer(graph, weights, x)
-    return float(y[i]) * scorer.node_score(i, y)
+    s_i = compile_scorer(graph, weights, x).score_column(i, y[None])[0]
+    return float(y[i]) * float(s_i)
 
 
 def margins(graph: GraphSpec, weights: WeightVector, x, y) -> np.ndarray:

@@ -82,6 +82,23 @@ def test_predictions_file_is_well_formed(workdir):
     assert set(statuses) == {"proven_optimal"}
 
 
+def test_predict_summary_totals_states_and_statuses(workdir, capsys):
+    out = workdir / "preds_tight.txt"
+    assert main([
+        "predict", "--model-file", str(workdir / "sbn.model"), "--data", str(workdir / "data.sv"),
+        "--infer", "bb", "--S", "1", "--max-states", "3", "--out", str(out),
+    ]) == 0
+    line = capsys.readouterr().out.strip()
+    m = re.fullmatch(rf"wrote 60 predictions to {re.escape(str(out))} \((.*)\)", line)
+    assert m
+    fields = dict(kv.split("=") for kv in m.group(1).split())
+    _, _, states, statuses = read_predictions(out)
+    assert int(fields.pop("states")) == int(states.sum())
+    # the tight cutoff and budget leave some instances unsolved
+    assert len(fields) >= 2
+    assert {k: int(v) for k, v in fields.items()} == {s: statuses.count(s) for s in set(statuses)}
+
+
 def test_exhaustive_inference_gives_identical_predictions(workdir):
     assert main([
         "predict", "--model-file", str(workdir / "sbn.model"),

@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import margraph as mg
 from margraph import BBConfig, Clique, GraphSpec, Instance, WeightVector
 from margraph.bench import branch_budget
 from margraph.errors import CapabilityError, DataError, GraphError
 from margraph.inference import (
+    _ESCALATE_CAP,
     STATUS_BUDGET,
     STATUS_FALLBACK,
     STATUS_LOCAL,
@@ -16,8 +19,9 @@ from margraph.inference import (
     exhaustive_infer,
     icm_infer,
 )
+from margraph.model import compile_scorer
 
-from _helpers import random_labels, random_model
+from _helpers import BUILDERS, random_labels, random_model
 
 
 @pytest.fixture
@@ -202,3 +206,164 @@ def test_bb_handles_single_node_graphs():
     assert res.labels.tolist() == [1]
     assert res.objective == 1.0
     assert res.states_visited == 1
+
+
+# ---------------------------------------------------------------------------
+# Slow reference: the search on NumPy arrays with a separate scalar node score
+# and a separate greedy descent, kept to pin the list-based search to it.
+
+
+def reference_node_score(scorer, i, y):
+    s = float(scorer.const[i])
+    for w_eff, others in scorer.terms[i]:
+        parity = 1
+        for k in others:
+            if y[k] < 0:
+                parity = -parity
+        s += w_eff if parity > 0 else -w_eff
+    return s
+
+
+def reference_greedy_descent(scorer, order):
+    y = np.zeros(scorer.n_outputs, dtype=np.int8)
+    total = 0.0
+    for node in order:
+        s = reference_node_score(scorer, node, y)
+        y[node] = 1 if s >= 0.0 else -1
+        a = s if s >= 0.0 else -s
+        total += max(0.0, 1.0 - a)
+    return y, total
+
+
+def reference_search(scorer, order, cutoff, budget):
+    K = scorer.n_outputs
+    y = np.zeros(K, dtype=np.int8)
+    partial = np.zeros(K + 1, dtype=np.float64)
+    left_label = np.zeros(K, dtype=np.int8)
+    left_cost = np.zeros(K, dtype=np.float64)
+    right_cost = np.zeros(K, dtype=np.float64)
+    tried = np.zeros(K, dtype=np.int8)
+    upper = float(cutoff)
+    incumbent = None
+    incumbent_obj = 0.0
+    states = 0
+
+    def enter(p):
+        s = reference_node_score(scorer, order[p], y)
+        a = s if s >= 0.0 else -s
+        left_label[p] = 1 if s >= 0.0 else -1
+        left_cost[p] = max(0.0, 1.0 - a)
+        right_cost[p] = 1.0 + a
+        tried[p] = 0
+
+    enter(0)
+    p = 0
+    hit_budget = False
+    while True:
+        t = tried[p]
+        if t == 2:
+            if p == 0:
+                break
+            p -= 1
+            continue
+        tried[p] = t + 1
+        if t == 0:
+            label, cost = left_label[p], left_cost[p]
+        else:
+            label, cost = -left_label[p], right_cost[p]
+        total = partial[p] + cost
+        if total >= upper:
+            continue
+        if budget is not None and states >= budget:
+            hit_budget = True
+            break
+        states += 1
+        y[order[p]] = label
+        if p == K - 1:
+            upper = total
+            incumbent = y.copy()
+            incumbent_obj = total
+            continue
+        p += 1
+        partial[p] = total
+        enter(p)
+    return incumbent, incumbent_obj, states, hit_budget
+
+
+def reference_bb_infer(graph, weights, x, config):
+    scorer = compile_scorer(graph, weights, x)
+    order = graph.order
+    cutoff = float(config.cutoff)
+    total_states = 0
+    for _ in range(_ESCALATE_CAP + 1):
+        remaining = None
+        if config.max_states is not None:
+            remaining = config.max_states - total_states
+            if remaining <= 0:
+                y, obj = reference_greedy_descent(scorer, order)
+                return y, obj, total_states, STATUS_BUDGET
+        incumbent, obj, states, hit_budget = reference_search(scorer, order, cutoff, remaining)
+        total_states += states
+        if incumbent is not None and not hit_budget:
+            return incumbent, obj, total_states, STATUS_OPTIMAL
+        if hit_budget:
+            if incumbent is None:
+                y, obj = reference_greedy_descent(scorer, order)
+                return y, obj, total_states, STATUS_BUDGET
+            return incumbent, obj, total_states, STATUS_BUDGET
+        if not config.escalate:
+            break
+        cutoff *= 2.0
+    y, obj = reference_greedy_descent(scorer, order)
+    return y, obj, total_states, STATUS_FALLBACK
+
+
+def coupled_directed_graph(rng, topology, K, D):
+    """A chain or full graph in a random order, plus input-coupled cliques of
+    two to four members (at least one of three or more once K >= 3)."""
+    base = BUILDERS[topology](K, D, mg.DIRECTED, order=tuple(int(i) for i in rng.permutation(K)))
+    cliques = {(c.outputs, c.input_feature): c for c in base.cliques}
+    for n in range(int(rng.integers(1, K + 1)) if K >= 2 else 0):
+        size = 3 if n == 0 and K >= 3 else int(rng.integers(2, min(K, 4) + 1))
+        members = tuple(int(k) for k in rng.choice(K, size=size, replace=False))
+        feature = int(rng.integers(D)) if D and rng.random() < 0.7 else None
+        c = Clique(members, feature)
+        cliques.setdefault((c.outputs, c.input_feature), c)
+    return GraphSpec(K, D, mg.DIRECTED, base.order, tuple(cliques.values()))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(
+    topology=st.sampled_from(["chain", "full"]),
+    K=st.integers(1, 8),
+    D=st.integers(0, 3),
+    scale=st.sampled_from([0.3, 1.0, 3.0]),
+    zeroed=st.sampled_from([0.0, 0.5, 1.0]),
+    seed=st.integers(0, 2**16),
+)
+def test_search_matches_the_array_reference_on_coupled_graphs(topology, K, D, scale, zeroed, seed):
+    rng = np.random.default_rng(seed)
+    graph = coupled_directed_graph(rng, topology, K, D)
+    # zeroed weights make exact score ties, which go to the +1 label
+    w = rng.normal(0.0, scale, graph.n_cliques)
+    weights = WeightVector(np.where(rng.random(graph.n_cliques) < zeroed, 0.0, w), lam=1.0)
+    x = rng.standard_normal(D)
+    optimum = exhaustive_infer(graph, weights, x).objective
+    # cutoffs below the optimum force the fallback (or escalation); at the
+    # optimum nothing lies strictly under the bound
+    for cutoff in sorted({1.0, max(1.0, 0.5 * optimum), max(1.0, optimum), max(1.0, optimum + 0.5), 1e9}):
+        for escalate in (False, True):
+            unlimited = reference_bb_infer(graph, weights, x, BBConfig(cutoff, None, escalate))
+            for max_states in sorted({1, max(1, unlimited[2])}) + [None]:
+                config = BBConfig(cutoff=cutoff, max_states=max_states, escalate=escalate)
+                labels, objective, states, status = reference_bb_infer(graph, weights, x, config)
+                got = bb_infer(graph, weights, x, config)
+                assert got.labels.dtype == np.int8
+                assert got.labels.tolist() == labels.tolist()
+                assert got.objective == objective
+                assert got.states_visited == states
+                assert got.status == status
+    scorer = compile_scorer(graph, weights, x)
+    y = random_labels(rng, 1, K)[0]
+    for i in range(K):
+        assert mg.node_margin(graph, weights, x, y, i) == float(y[i]) * reference_node_score(scorer, i, y)

@@ -257,6 +257,21 @@ def test_shrinking_engages_and_still_certifies_the_full_problem():
     assert all_alpha_max_projected_gradient(graph, dataset, result.state, config) <= config.tolerance
 
 
+def test_tolerance_certifies_each_directed_solve_not_the_summed_model_gap():
+    # a case where every node solve converges to tol while the model's
+    # duality gap, the sum of the node gaps, lies above tol (but within K * tol)
+    K = 4
+    graph = mg.build_full_graph(K, 1, mg.DIRECTED)
+    dataset = random_dataset(np.random.default_rng(0), 25, K, 1)
+    config = TrainConfig(lam=0.0625)
+    result = mg.train_lmsbn(dataset, graph, config)
+    assert result.converged and all(r.converged for r in result.reports)
+    assert all(r.gap <= config.tolerance for r in result.reports)
+    assert result.gap == sum(r.gap for r in result.reports)
+    assert abs(duality_gap(result.state, dataset, config) - result.gap) <= 1e-12
+    assert config.tolerance < result.gap <= K * config.tolerance
+
+
 @settings(derandomize=True, deadline=None, max_examples=100)
 @given(
     directed=st.booleans(),
