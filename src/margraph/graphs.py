@@ -168,7 +168,12 @@ class GraphSpec:
         return ScoreLayout(tuple(feeds), coupled, clique, column, node)
 
     @property
-    def has_input_couplings(self) -> bool:
+    def reads_inputs(self) -> bool:
+        """True when some clique, unary or not, multiplies in an input value.
+
+        When false, every node score, and so every likelihood table, is the
+        same for all inputs.
+        """
         return any(c.input_feature is not None for c in self.cliques)
 
     def regularizer_multipliers(self, eta0: float) -> np.ndarray:

@@ -12,6 +12,21 @@ from the same tables, add terms in the same order, so a search and a
 brute-force enumeration produce bit-identical objectives.
 ``batch_scorer`` scores many inputs at full assignments (sampling, training
 losses, probes).
+
+Undirected tables (``log_prob_table``, the partition sum of
+``bm_log_likelihood``, ``synth.sample_bm``) read the same layout as a sum
+over clique parities.  Node i's term (j, col, partners) is
+w_j * xa[col] * parity(partners), and y_i * parity(partners) is the parity of
+the set S = {i} | partners, so the energy is
+
+    E(y) = (1/2) sum_i z_i(y) = sum_S coef_S(x) * parity_S(y),
+    coef_S(x) = (1/2) sum of w_j * xa[col] over the terms with set S,
+
+one matmul of the (rows, sets) coefficients with a (sets, assignments)
+parity matrix.  That matrix covers only the low bits of the assignment
+index; each chunk of higher bits flips the sign of every coefficient by the
+parity of the set's labels on those bits, so memory stays bounded for every
+K.
 """
 
 from __future__ import annotations
@@ -53,6 +68,9 @@ __all__ = [
 ENUM_MAX_OUTPUTS = 25
 TABLE_MAX_OUTPUTS = 20
 _CHUNK = 1 << 16
+# The undirected parity matrix holds at most this many entries (4 MB of
+# float64); larger assignment spaces are walked in chunks of low bits.
+_PARITY_ENTRIES = 1 << 19
 
 # Offset that turns the hinge loss into an upper bound on logistic loss:
 # log(1 + e^-z) <= max(0, 1 - z) + log(e + 1/e) for every real z.
@@ -275,28 +293,79 @@ def _check_enum_size(n_outputs: int, cap: int, what: str) -> None:
         raise CapabilityError(f"{what} supports at most {cap} outputs, got {n_outputs}")
 
 
+class _ParityEnergy:
+    """Undirected energies sum_S coef_S(x) * parity_S(y), a chunk at a time.
+
+    Built once per (graph, weights): ``M`` maps xa = [1 | x] to the
+    coefficients of the distinct clique output sets, ``P`` holds their
+    parities over the low ``bits`` of the assignment index, and
+    ``flip[s, b]`` is -1 when set s holds the label at index bit b.  The
+    chunk of assignments start .. start + 2^bits - 1 is then
+    (coef * sign) @ P, where sign multiplies the flips of start's high bits.
+    """
+
+    def __init__(self, graph: GraphSpec, weights: WeightVector) -> None:
+        K = graph.n_outputs
+        w = weights.values
+        sets: dict[int, int] = {}  # index bit mask of an output set -> its column
+        terms = []
+        for i, node in enumerate(graph.layout.feeds):
+            for j, col, partners in node:
+                mask = sum(1 << (K - 1 - k) for k in (i, *partners))
+                terms.append((col, sets.setdefault(mask, len(sets)), j))
+        self.M = np.zeros((graph.n_inputs + 1, len(sets)))
+        for col, s, j in terms:
+            self.M[col, s] += 0.5 * w[j]
+        masks = np.array(list(sets), dtype=np.int64)
+        self.flip = np.where((masks[:, None] >> np.arange(K)) & 1, -1.0, 1.0)
+        self.bits = min(K, max(0, (_PARITY_ENTRIES // max(len(sets), 1)).bit_length() - 1))
+        # Doubling: setting index bit b multiplies every set's parity by flip[:, b].
+        self.P = np.empty((len(sets), 1 << self.bits))
+        self.P[:, 0] = 1.0
+        for b in range(self.bits):
+            np.multiply(self.P[:, : 1 << b], self.flip[:, b : b + 1], out=self.P[:, 1 << b : 2 << b])
+        self.graph = graph
+        self.weights = weights
+
+    def chunks(self, X: np.ndarray):
+        """Yield (start, E): E[r, a] is the energy of row r of the (n, D)
+        inputs X at assignment start + a."""
+        coef = _augmented(self.graph, self.weights, X, 2) @ self.M
+        K = self.graph.n_outputs
+        for start in range(0, 1 << K, 1 << self.bits):
+            high = [b for b in range(self.bits, K) if start >> b & 1]
+            yield start, (coef * self.flip[:, high].prod(axis=1)) @ self.P
+
+    def log_probs(self, X: np.ndarray) -> np.ndarray:
+        """(n, 2^K) normalized log-probabilities, indexed like assignment_signs."""
+        table = np.empty((len(X), 1 << self.graph.n_outputs))
+        for start, E in self.chunks(X):
+            table[:, start : start + E.shape[1]] = E
+        m = table.max(axis=1, keepdims=True)
+        shifted = table - m
+        table -= m + np.log(np.exp(shifted, out=shifted).sum(axis=1, keepdims=True))
+        return table
+
+
 def bm_log_likelihood(graph: GraphSpec, weights: WeightVector, instance: Instance) -> float:
     """Exact log-likelihood under the pairwise energy model.
 
     log p(y|x) = (1/2) sum_i z_i(y) - log sum_y' exp((1/2) sum_i z_i(y')),
-    with the partition sum enumerated over all 2^K assignments.
+    with the partition sum streamed over all 2^K assignments in parity
+    chunks (see the module docstring).
     """
     if graph.kind != UNDIRECTED:
         raise GraphError("energy-model likelihood needs an undirected graph")
     _check_enum_size(graph.n_outputs, ENUM_MAX_OUTPUTS, "exact likelihood")
-    scorer = compile_scorer(graph, weights, instance.x)
     half = 0.5 * float(margins(graph, weights, instance.x, instance.y).sum())
-    K = graph.n_outputs
     best = -math.inf
     acc = 0.0
-    for start in range(0, 1 << K, _CHUNK):
-        Y = assignment_signs(K, start, min(start + _CHUNK, 1 << K))
-        col = 0.5 * scorer.margin_block(Y).sum(axis=1)
-        m = float(col.max())
+    for _, E in _ParityEnergy(graph, weights).chunks(np.asarray(instance.x)[None]):
+        m = float(E.max())
         if m > best:
             acc *= math.exp(best - m) if best > -math.inf else 0.0
             best = m
-        acc += float(np.exp(col - best).sum())
+        acc += float(np.exp(E - best).sum())
     return half - (best + math.log(acc))
 
 
@@ -305,22 +374,18 @@ def log_prob_table(graph: GraphSpec, weights: WeightVector, x) -> np.ndarray:
 
     Directed graphs return the sum of per-node log-sigmoids, which is
     normalized by construction; undirected graphs are normalized explicitly
-    via the enumerated partition sum.
+    over their parity-chunk energies (see the module docstring).
     """
     _check_enum_size(graph.n_outputs, TABLE_MAX_OUTPUTS, "probability table")
+    if graph.kind == UNDIRECTED:
+        return _ParityEnergy(graph, weights).log_probs(np.asarray(x)[None])[0]
     scorer = compile_scorer(graph, weights, x)
     K = graph.n_outputs
     table = np.empty(1 << K, dtype=np.float64)
     for start in range(0, 1 << K, _CHUNK):
         stop = min(start + _CHUNK, 1 << K)
         Z = scorer.margin_block(assignment_signs(K, start, stop))
-        if graph.kind == DIRECTED:
-            table[start:stop] = -np.logaddexp(0.0, -Z).sum(axis=1)
-        else:
-            table[start:stop] = 0.5 * Z.sum(axis=1)
-    if graph.kind == UNDIRECTED:
-        m = float(table.max())
-        table -= m + math.log(float(np.exp(table - m).sum()))
+        table[start:stop] = -np.logaddexp(0.0, -Z).sum(axis=1)
     return table
 
 

@@ -1,9 +1,13 @@
 """Synthetic data sampled exactly from planted models.
 
 Directed models are sampled ancestrally along the node order; undirected
-models by enumerating the full conditional table per input.  Both are exact
-(no MCMC), so empirical frequencies can be tested against the model's own
-likelihood.
+models by inverting the cumulative 2^K table of each input.  Those tables
+come from the energy identity E(y) = (1/2) sum_i z_i(y) = sum_S coef_S(x) *
+parity_S(y) over clique output sets S: one matmul per block of inputs, over
+a parity matrix that covers the low bits of the assignment index, with
+higher chunks flipping coefficient signs (see ``margraph.model``).  Both
+samplers are exact (no MCMC), so empirical frequencies can be tested against
+the model's own likelihood.
 """
 
 from __future__ import annotations
@@ -22,12 +26,13 @@ from .graphs import (
     build_full_graph,
     build_independent_graph,
 )
-from .model import TABLE_MAX_OUTPUTS, WeightVector, batch_scorer, log_prob_table, signs_of_indices
+from .model import TABLE_MAX_OUTPUTS, WeightVector, _ParityEnergy, batch_scorer, signs_of_indices
 
 __all__ = ["SynthConfig", "sample_sbn", "sample_bm", "planted_model"]
 
 INPUT_NORMAL = "normal"
 INPUT_NONE = "none"
+_BLOCK_ENTRIES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -80,7 +85,14 @@ def sample_sbn(config: SynthConfig) -> Dataset:
 
 
 def sample_bm(config: SynthConfig) -> Dataset:
-    """Exact sampling by enumerating the conditional table for each input."""
+    """Exact sampling from the normalized 2^K table of each input.
+
+    Inputs go through the parity matmul of ``model._ParityEnergy`` in blocks
+    of rows whose tables hold at most 2^15 entries (8 rows at K = 12, one
+    row from K = 15 on), so time is O(n * sets * 2^K) and memory stays near
+    one table, 8 MB at K = 20.  When no clique reads an input, one table
+    serves every row.
+    """
     graph = config.graph
     if graph.kind != UNDIRECTED:
         raise GraphError("table sampling needs an undirected graph")
@@ -92,16 +104,18 @@ def sample_bm(config: SynthConfig) -> Dataset:
     X = _draw_inputs(config, rng)
     n = config.n_instances
     u = rng.random(n)
-    size = 1 << graph.n_outputs
-    indices = np.empty(n, dtype=np.int64)
-    if graph.has_input_couplings:
-        for l in range(n):
-            cum = np.cumsum(np.exp(log_prob_table(graph, config.weights, X[l])))
-            indices[l] = min(int(np.searchsorted(cum, u[l], side="right")), size - 1)
+    energy = _ParityEnergy(graph, config.weights)
+    if graph.reads_inputs:
+        block = max(1, _BLOCK_ENTRIES >> graph.n_outputs)
+        indices = np.empty(n, dtype=np.int64)
+        for r in range(0, n, block):
+            cum = np.cumsum(np.exp(energy.log_probs(X[r : r + block])), axis=1)
+            # searchsorted(side="right") of each row's u in its own table
+            indices[r : r + block] = (cum <= u[r : r + block, None]).sum(axis=1)
     else:
-        # the table does not depend on x, so build it once
-        cum = np.cumsum(np.exp(log_prob_table(graph, config.weights, X[0])))
-        indices = np.minimum(np.searchsorted(cum, u, side="right"), size - 1)
+        cum = np.cumsum(np.exp(energy.log_probs(X[:1])[0]))
+        indices = np.searchsorted(cum, u, side="right")
+    indices = np.minimum(indices, (1 << graph.n_outputs) - 1)
     return Dataset(X, signs_of_indices(graph.n_outputs, indices))
 
 

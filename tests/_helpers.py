@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 import margraph as mg
+from margraph.model import assignment_signs, compile_scorer
 
 BUILDERS = {
     "independent": mg.build_independent_graph,
@@ -34,3 +37,32 @@ def random_dataset(rng, n_instances, n_outputs, n_inputs):
         rng.standard_normal((n_instances, n_inputs)),
         random_labels(rng, n_instances, n_outputs),
     )
+
+
+def coupled_graph(rng, topology, K, D, kind):
+    """A chain or full graph in a random order, plus input-coupled cliques of
+    two to four members (at least one of three or more once K >= 3)."""
+    base = BUILDERS[topology](K, D, kind, order=tuple(int(i) for i in rng.permutation(K)))
+    cliques = {(c.outputs, c.input_feature): c for c in base.cliques}
+    for n in range(int(rng.integers(1, K + 1)) if K >= 2 else 0):
+        size = 3 if n == 0 and K >= 3 else int(rng.integers(2, min(K, 4) + 1))
+        members = tuple(int(k) for k in rng.choice(K, size=size, replace=False))
+        feature = int(rng.integers(D)) if D and rng.random() < 0.7 else None
+        c = mg.Clique(members, feature)
+        cliques.setdefault((c.outputs, c.input_feature), c)
+    return mg.GraphSpec(K, D, kind, base.order, tuple(cliques.values()))
+
+
+def reference_energies(graph, weights, x):
+    """Undirected energies (1/2) sum_i z_i of every assignment, from the
+    per-row margin_block of one compiled input."""
+    K = graph.n_outputs
+    Z = compile_scorer(graph, weights, x).margin_block(assignment_signs(K, 0, 1 << K))
+    return 0.5 * Z.sum(axis=1)
+
+
+def reference_log_table(graph, weights, x):
+    """reference_energies normalized over all assignments."""
+    table = reference_energies(graph, weights, x)
+    m = float(table.max())
+    return table - (m + math.log(float(np.exp(table - m).sum())))

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import margraph as mg
 from margraph import BBConfig, Dataset, WeightVector
@@ -116,6 +119,36 @@ def test_dataset_write_parse_write_is_byte_identical(tmp_path):
     assert np.array_equal(parsed.X, ds.X) and np.array_equal(parsed.Y, ds.Y)
     write_multilabel_svmlight(parsed, second)
     assert first.read_bytes() == second.read_bytes()
+
+
+FEATURE_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 0.1, -math.pi, 1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308),  # zeros and subnormals
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(
+    data=st.data(),
+    n=st.integers(1, 6),
+    K=st.integers(1, 5),
+    D=st.sampled_from([0, 1, 3, 8, 300]),
+)
+def test_svmlight_write_then_parse_round_trips(tmp_path_factory, data, n, K, D):
+    # the fill value repeats across a row, so D=300 writes wide rows
+    X = data.draw(arrays(np.float64, (n, D), elements=FEATURE_VALUES, fill=FEATURE_VALUES))
+    Y = data.draw(arrays(np.int8, (n, K), elements=st.sampled_from([-1, 1])))
+    ds = Dataset(X, Y)
+    path = tmp_path_factory.getbasetemp() / "roundtrip.sv"
+    if ((Y == -1).all(axis=1) & (X == 0.0).all(axis=1)).any():
+        with pytest.raises(DataError, match="blank line"):
+            write_multilabel_svmlight(ds, path)
+        return
+    write_multilabel_svmlight(ds, path)
+    parsed = parse_multilabel_svmlight(path, n_outputs=K, n_inputs=D)
+    # -0.0 is a zero, which the sparse format leaves out, so it reads back as 0.0
+    assert np.array_equal(parsed.X, X) and np.array_equal(parsed.Y, Y)
 
 
 def test_writer_rejects_unrepresentable_instance(tmp_path):

@@ -21,7 +21,7 @@ from margraph.inference import (
 )
 from margraph.model import compile_scorer
 
-from _helpers import BUILDERS, random_labels, random_model
+from _helpers import coupled_graph, random_labels, random_model
 
 
 @pytest.fixture
@@ -318,20 +318,6 @@ def reference_bb_infer(graph, weights, x, config):
     return y, obj, total_states, STATUS_FALLBACK
 
 
-def coupled_directed_graph(rng, topology, K, D):
-    """A chain or full graph in a random order, plus input-coupled cliques of
-    two to four members (at least one of three or more once K >= 3)."""
-    base = BUILDERS[topology](K, D, mg.DIRECTED, order=tuple(int(i) for i in rng.permutation(K)))
-    cliques = {(c.outputs, c.input_feature): c for c in base.cliques}
-    for n in range(int(rng.integers(1, K + 1)) if K >= 2 else 0):
-        size = 3 if n == 0 and K >= 3 else int(rng.integers(2, min(K, 4) + 1))
-        members = tuple(int(k) for k in rng.choice(K, size=size, replace=False))
-        feature = int(rng.integers(D)) if D and rng.random() < 0.7 else None
-        c = Clique(members, feature)
-        cliques.setdefault((c.outputs, c.input_feature), c)
-    return GraphSpec(K, D, mg.DIRECTED, base.order, tuple(cliques.values()))
-
-
 @settings(derandomize=True, deadline=None, max_examples=150)
 @given(
     topology=st.sampled_from(["chain", "full"]),
@@ -343,7 +329,7 @@ def coupled_directed_graph(rng, topology, K, D):
 )
 def test_search_matches_the_array_reference_on_coupled_graphs(topology, K, D, scale, zeroed, seed):
     rng = np.random.default_rng(seed)
-    graph = coupled_directed_graph(rng, topology, K, D)
+    graph = coupled_graph(rng, topology, K, D, mg.DIRECTED)
     # zeroed weights make exact score ties, which go to the +1 label
     w = rng.normal(0.0, scale, graph.n_cliques)
     weights = WeightVector(np.where(rng.random(graph.n_cliques) < zeroed, 0.0, w), lam=1.0)

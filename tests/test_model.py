@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import margraph as mg
+from margraph import model
 from margraph import Clique, GraphSpec, Instance, WeightVector
 from margraph.errors import CapabilityError, DataError, GraphError
 from margraph.model import (
@@ -17,7 +20,7 @@ from margraph.model import (
     surrogate_bound_check,
 )
 
-from _helpers import random_labels, random_model
+from _helpers import coupled_graph, random_labels, random_model, reference_energies, reference_log_table
 
 
 @pytest.fixture
@@ -237,6 +240,38 @@ def test_likelihoods_normalize_over_all_assignments():
             table = log_prob_table(graph, weights, x)
             total = np.exp(table).sum()
             assert abs(total - 1.0) <= 1e-9
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(
+    topology=st.sampled_from(["chain", "full"]),
+    K=st.integers(1, 7),
+    D=st.integers(0, 3),
+    rows=st.integers(1, 4),
+    parity_entries=st.sampled_from([1, 16, 256, model._PARITY_ENTRIES]),
+    seed=st.integers(0, 2**16),
+)
+def test_parity_energies_match_the_per_row_margin_reference(topology, K, D, rows, parity_entries, seed):
+    rng = np.random.default_rng(seed)
+    graph = coupled_graph(rng, topology, K, D, mg.UNDIRECTED)
+    weights = WeightVector(rng.normal(0.0, 1.0, graph.n_cliques), lam=1.0)
+    X = rng.standard_normal((rows, D))
+    with pytest.MonkeyPatch.context() as mp:
+        # small parity matrices split the assignments into sign-flipped chunks
+        mp.setattr(model, "_PARITY_ENTRIES", parity_entries)
+        energy = model._ParityEnergy(graph, weights)
+        if parity_entries == 1:
+            assert energy.bits == 0
+        chunks = list(energy.chunks(X))
+        assert [start for start, _ in chunks] == list(range(0, 1 << K, 1 << energy.bits))
+        energies = np.concatenate([E for _, E in chunks], axis=1)
+        tables = [log_prob_table(graph, weights, x) for x in X]
+        y = random_labels(rng, 1, K)[0]
+        likelihood = mg.bm_log_likelihood(graph, weights, Instance(X[0], y))
+    for x, E, table in zip(X, energies, tables):
+        assert np.abs(E - reference_energies(graph, weights, x)).max() <= 1e-12
+        assert np.abs(table - reference_log_table(graph, weights, x)).max() <= 1e-12
+    assert abs(likelihood - reference_log_table(graph, weights, X[0])[index_from_signs(y)]) <= 1e-12
 
 
 def test_index_sign_conversions_roundtrip():

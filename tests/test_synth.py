@@ -1,16 +1,22 @@
 """Planted-model samplers: determinism and agreement with exact likelihoods."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import margraph as mg
+from margraph import model, synth
 from margraph import Clique, GraphSpec, SynthConfig, WeightVector
 from margraph.errors import CapabilityError, DataError, GraphError
-from margraph.model import index_from_signs, log_prob_table
+from margraph.model import TABLE_MAX_OUTPUTS, index_from_signs, log_prob_table, signs_of_indices
 from margraph.synth import planted_model, sample_bm, sample_sbn
 from margraph.training import mean_joint_loss
+
+from _helpers import coupled_graph, reference_log_table
 
 
 def single_edge_graph():
@@ -140,3 +146,68 @@ def test_synth_validation_errors():
         sample_bm(SynthConfig(big, WeightVector(np.zeros(big.n_cliques), lam=1.0), 5))
     with pytest.raises(DataError):
         planted_model(3, 0, kind=mg.DIRECTED, topology="ring")
+
+
+def reference_sample_bm(config):
+    """One table per row from the per-row margin reference, inverted at u."""
+    graph = config.graph
+    rng = np.random.default_rng(config.seed)
+    n, D = config.n_instances, graph.n_inputs
+    X = rng.standard_normal((n, D)) if config.input_model == "normal" and D else np.zeros((n, D))
+    u = rng.random(n)
+    indices = []
+    for x, u_row in zip(X, u):
+        cum = np.cumsum(np.exp(reference_log_table(graph, config.weights, x)))
+        indices.append(min(int(np.searchsorted(cum, u_row, side="right")), len(cum) - 1))
+    return signs_of_indices(graph.n_outputs, indices)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    topology=st.sampled_from(["chain", "full"]),
+    K=st.integers(1, 6),
+    D=st.integers(0, 3),
+    n=st.integers(1, 40),
+    block_entries=st.sampled_from([1, 64, synth._BLOCK_ENTRIES]),
+    parity_entries=st.sampled_from([4, model._PARITY_ENTRIES]),
+    seed=st.integers(0, 2**16),
+)
+def test_block_sampler_matches_a_per_row_reference(topology, K, D, n, block_entries, parity_entries, seed):
+    rng = np.random.default_rng(seed)
+    graph = coupled_graph(rng, topology, K, D, mg.UNDIRECTED)
+    weights = WeightVector(rng.normal(0.0, 1.0, graph.n_cliques), lam=1.0)
+    config = SynthConfig(graph, weights, n, seed=seed, input_model="normal" if D else "none")
+    with pytest.MonkeyPatch.context() as mp:
+        # small blocks end on a partial block; small parity matrices chunk
+        mp.setattr(synth, "_BLOCK_ENTRIES", block_entries)
+        mp.setattr(model, "_PARITY_ENTRIES", parity_entries)
+        data = sample_bm(config)
+    assert data.Y.tolist() == reference_sample_bm(config).tolist()
+
+
+def traced_peak_mb(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("n_inputs", [0, 1])
+def test_table_sampling_memory_at_the_largest_k(n_inputs):
+    # the per-row table sampler peaked at 48.5 MB (no inputs) and 56.5 MB
+    # (one input) here
+    graph = mg.build_independent_graph(TABLE_MAX_OUTPUTS, n_inputs, mg.UNDIRECTED)
+    weights = WeightVector(np.random.default_rng(0).normal(0.0, 1.0, graph.n_cliques), lam=1.0)
+    peak = traced_peak_mb(lambda: sample_bm(SynthConfig(graph, weights, 3, seed=1)))
+    assert peak <= 64.0
+
+
+def test_table_sampling_memory_on_a_k12_full_graph():
+    # the shape of the benchmark's undirected workload; the per-row sampler
+    # peaked at 1.6 MB here
+    graph, weights = planted_model(12, 4, kind=mg.UNDIRECTED, topology="full", seed=1003,
+                                   bias_scale=1.5, input_scale=1.5, edge_scale=1.5)
+    peak = traced_peak_mb(lambda: sample_bm(SynthConfig(graph, weights, 800, seed=(201, 2))))
+    assert peak < 8.0
