@@ -84,14 +84,23 @@ def sample_sbn(config: SynthConfig) -> Dataset:
     return Dataset(X, Y)
 
 
+def _cumulative_tables(energy: _ParityEnergy, X: np.ndarray) -> np.ndarray:
+    """Each input row's cumulative probability table, built in place on the
+    log table that ``log_probs`` returns, so no second 2^K array is made."""
+    cum = energy.log_probs(X)
+    np.exp(cum, out=cum)
+    return np.cumsum(cum, axis=1, out=cum)
+
+
 def sample_bm(config: SynthConfig) -> Dataset:
     """Exact sampling from the normalized 2^K table of each input.
 
     Inputs go through the parity matmul of ``model._ParityEnergy`` in blocks
     of rows whose tables hold at most 2^15 entries (8 rows at K = 12, one
     row from K = 15 on), so time is O(n * sets * 2^K) and memory stays near
-    one table, 8 MB at K = 20.  When no clique reads an input, one table
-    serves every row.
+    two tables, 8 MB each at K = 20: the block's log table, which becomes its
+    cumulative table in place, and the shifted copy ``log_probs`` normalises
+    with.  When no clique reads an input, one table serves every row.
     """
     graph = config.graph
     if graph.kind != UNDIRECTED:
@@ -109,12 +118,12 @@ def sample_bm(config: SynthConfig) -> Dataset:
         block = max(1, _BLOCK_ENTRIES >> graph.n_outputs)
         indices = np.empty(n, dtype=np.int64)
         for r in range(0, n, block):
-            cum = np.cumsum(np.exp(energy.log_probs(X[r : r + block])), axis=1)
+            cum = _cumulative_tables(energy, X[r : r + block])
             # searchsorted(side="right") of each row's u in its own table
             indices[r : r + block] = (cum <= u[r : r + block, None]).sum(axis=1)
+            del cum  # freed before the next block's tables are built
     else:
-        cum = np.cumsum(np.exp(energy.log_probs(X[:1])[0]))
-        indices = np.searchsorted(cum, u, side="right")
+        indices = np.searchsorted(_cumulative_tables(energy, X[:1])[0], u, side="right")
     indices = np.minimum(indices, (1 << graph.n_outputs) - 1)
     return Dataset(X, signs_of_indices(graph.n_outputs, indices))
 

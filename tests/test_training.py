@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import margraph as mg
-from margraph import Clique, Dataset, GraphSpec, TrainConfig, WeightVector
+from margraph import Clique, Dataset, GraphSpec, TrainConfig, WeightVector, training
 from margraph.errors import DataError, GraphError
 from margraph.training import (
     box_primal_objective,
@@ -17,7 +17,7 @@ from margraph.training import (
     primal_objective,
 )
 
-from _helpers import random_dataset, random_labels
+from _helpers import coupled_graph, random_dataset, random_labels
 
 
 def all_alpha_max_projected_gradient(graph, dataset, state, config):
@@ -179,6 +179,75 @@ def test_dual_objective_is_monotone_and_below_primal_across_epochs():
         assert dual <= primal + 1e-12
         values.append(dual)
     assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
+
+
+@pytest.mark.parametrize("kind", [mg.DIRECTED, mg.UNDIRECTED])
+@pytest.mark.parametrize("n_inputs", [1, 16])
+def test_dual_rises_and_gap_stays_non_negative_at_every_epoch_cap(kind, n_inputs):
+    # one input gives node rows of 2 to 7 columns, sixteen give rows of 17 to
+    # 23, so both step forms of the solver run; a loose tolerance makes
+    # epochs below it restore the full set mid-solve, a tight one never does
+    rng = np.random.default_rng(17 + n_inputs)
+    train = mg.train_lmsbn if kind == mg.DIRECTED else mg.train_lmbm
+    for trial in range(4):
+        K = int(rng.integers(2, 5))
+        graph = coupled_graph(rng, ("chain", "full")[trial % 2], K, n_inputs, kind)
+        dataset = random_dataset(rng, int(rng.integers(5, 25)), K, n_inputs)
+        settings_ = dict(lam=float(rng.uniform(0.02, 0.5)), eta0=float(rng.uniform(0.0, 1.0)),
+                         tolerance=(1e-3, 1e-12)[trial // 2], shuffle_seed=trial)
+        previous = -np.inf
+        for epochs in range(1, 13):
+            config = TrainConfig(max_epochs=epochs, **settings_)
+            state = train(dataset, graph, config).state
+            dual = dual_objective(state, dataset, config)
+            assert dual >= previous - 1e-12
+            assert box_primal_objective(state, dataset, config) - dual >= -1e-12
+            previous = dual
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(
+    directed=st.booleans(),
+    topology=st.sampled_from(["chain", "full"]),
+    K=st.integers(1, 5),
+    D=st.integers(0, 3),
+    N=st.integers(2, 30),
+    lam=st.floats(0.02, 1.0),
+    eta0=st.sampled_from([0.0, 0.5]),
+    max_epochs=st.integers(1, 300),
+    seed=st.integers(0, 2**16),
+)
+def test_narrow_and_wide_steps_agree(directed, topology, K, D, N, lam, eta0, max_epochs, seed):
+    # the same problem with every group forced onto NumPy rows (cut-off 0)
+    # and onto Python floats (a cut-off above any width)
+    rng = np.random.default_rng(seed)
+    kind = mg.DIRECTED if directed else mg.UNDIRECTED
+    graph = coupled_graph(rng, topology, K, D, kind)
+    dataset = random_dataset(rng, N, K, D)
+    config = TrainConfig(lam=lam, eta0=eta0, max_epochs=max_epochs, shuffle_seed=seed)
+    train = mg.train_lmsbn if directed else mg.train_lmbm
+    results = []
+    for cut_off in (0, 1 << 30):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(training, "_NARROW_WIDTH", cut_off)
+            results.append(train(dataset, graph, config))
+    wide, narrow = results
+    assert [(r.steps, r.epochs, r.converged) for r in wide.reports] == [
+        (r.steps, r.epochs, r.converged) for r in narrow.reports
+    ]
+    assert np.abs(wide.weights.values - narrow.weights.values).max() <= 1e-12
+
+
+def test_converged_solve_computes_the_full_projected_gradient_once(monkeypatch):
+    # the stop test's value at the final weights is the one reported
+    calls = []
+    full_pg = training._max_projected_gradient
+    monkeypatch.setattr(training, "_max_projected_gradient",
+                        lambda *args: calls.append(1) or full_pg(*args))
+    graph, dataset = one_node_bias_problem()
+    result = mg.train_lmsbn(dataset, graph, TrainConfig(lam=1.0))
+    assert result.converged and len(calls) == 1
+    assert result.reports[0].max_projected_gradient <= TrainConfig().tolerance
 
 
 def test_primal_objective_at_zero_weights_is_output_count():
