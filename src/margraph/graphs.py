@@ -32,6 +32,10 @@ __all__ = [
 DIRECTED = "directed"
 UNDIRECTED = "undirected"
 
+# Labels on the lowest bits of the assignment index that exhaustive
+# enumeration reads as one contiguous axis (sizes 4 to 10 measured alike).
+_LOW_BITS = 8
+
 
 @dataclass(frozen=True)
 class Clique:
@@ -166,6 +170,21 @@ class GraphSpec:
         clique, column, node = np.array(unary, dtype=np.intp).reshape(-1, 3).T.copy()
         coupled = tuple(tuple(t for t in f if t[2]) for f in feeds)
         return ScoreLayout(tuple(feeds), coupled, clique, column, node)
+
+    @cached_property
+    def low_signs(self) -> np.ndarray:
+        """Signs of the last L = min(K, 8) labels over the low L index bits.
+
+        Row r belongs to label K - L + r, and entry a is its sign in the
+        assignment whose index ends in the L bits of a: +1 where label k's
+        bit (K - 1 - k) is 0, as in ``model.signs_of_indices``.  The (L, 2^L)
+        float64 block is read-only.
+        """
+        L = min(self.n_outputs, _LOW_BITS)
+        bits = (np.arange(1 << L) >> np.arange(L - 1, -1, -1)[:, None]) & 1
+        signs = 1.0 - 2.0 * bits
+        signs.flags.writeable = False
+        return signs
 
     @property
     def reads_inputs(self) -> bool:

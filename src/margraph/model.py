@@ -118,6 +118,16 @@ class NodeScorer:
     where const folds in all cliques whose parity part is empty once the
     node itself is removed (biases and input couplings).  Term order follows
     clique order, which keeps scalar and vectorized sums bit-identical.
+
+    Every score is computed by one loop, ``_score``, over per-label sign
+    operands: ±1 scalars or arrays that broadcast together.  The matrix
+    methods pass the columns of an (n, K) sign matrix Y.  Exhaustive
+    enumeration passes a label grid instead: a ±1 scalar for each label fixed
+    across a chunk of assignments, a length-2 axis for each middle label, and
+    one axis over the low index bits (``GraphSpec.low_signs``).  There s_i
+    spans only the axes of the partners added so far, and each term is still
+    one addition of ±w_eff in term order, so every entry gets the same
+    floating-point operations as the matching row of Y.
     """
 
     const: np.ndarray
@@ -128,31 +138,36 @@ class NodeScorer:
     def n_outputs(self) -> int:
         return len(self.const)
 
+    def _score(self, i: int, signs):
+        """s_i, broadcast over the sign operands of node i's partners."""
+        s = self.const[i]
+        for w_eff, others in self.terms[i]:
+            term = w_eff
+            for k in others:
+                term = term * signs[k]
+            s = s + term
+        return s
+
+    def _add_losses(self, signs, total: np.ndarray) -> np.ndarray:
+        """Add each node's hinge loss max(0, 1 - y_i * s_i) to total in graph order."""
+        for i in self.order:
+            total += np.maximum(0.0, 1.0 - signs[i] * self._score(i, signs))
+        return total
+
     def score_column(self, i: int, Y: np.ndarray) -> np.ndarray:
         """s_i for every row of the (n, K) sign matrix Y."""
-        col = np.full(Y.shape[0], self.const[i], dtype=np.float64)
-        for w_eff, others in self.terms[i]:
-            if len(others) == 1:
-                parity = Y[:, others[0]]
-            else:
-                parity = np.prod(Y[:, others], axis=1, dtype=np.int8)
-            col += w_eff * parity
-        return col
+        return np.full(Y.shape[0], self._score(i, Y.T), dtype=np.float64)
 
     def margin_block(self, Y: np.ndarray) -> np.ndarray:
         """(n, K) matrix of margins z_i = y_i * s_i for each row of Y."""
         Z = np.empty((Y.shape[0], self.n_outputs), dtype=np.float64)
         for i in range(self.n_outputs):
-            Z[:, i] = Y[:, i] * self.score_column(i, Y)
+            Z[:, i] = Y[:, i] * self._score(i, Y.T)
         return Z
 
     def total_loss_column(self, Y: np.ndarray) -> np.ndarray:
         """Joint hinge loss per row, accumulated node by node in graph order."""
-        total = np.zeros(Y.shape[0], dtype=np.float64)
-        for i in self.order:
-            z = Y[:, i] * self.score_column(i, Y)
-            total += np.maximum(0.0, 1.0 - z)
-        return total
+        return self._add_losses(Y.T, np.zeros(Y.shape[0], dtype=np.float64))
 
 
 def _augmented(graph: GraphSpec, weights: WeightVector, X, ndim: int) -> np.ndarray:

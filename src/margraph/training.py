@@ -186,9 +186,12 @@ def _max_projected_gradient(blocks, w, alpha, box) -> float:
     return largest
 
 
-def _basic_index(cols: np.ndarray):
-    """A slice for a contiguous run of columns, so w[...] is a view; else cols."""
+def _basic_index(cols: np.ndarray, n_w: int):
+    """None when the columns are all of w, which a step then reads and updates
+    itself; a slice for another contiguous run, so w[...] is a view; else cols."""
     if len(cols) and np.all(np.diff(cols) == 1):
+        if cols[0] == 0 and len(cols) == n_w:
+            return None
         return slice(int(cols[0]), int(cols[-1]) + 1)
     return cols
 
@@ -206,7 +209,9 @@ def _solve_dual(blocks, eta, box, rng, max_epochs, tol, node=None):
     ``_NARROW_WIDTH`` columns wide, rows, update rows, columns and w are
     Python lists and a step is two plain loops of float arithmetic, which
     beats NumPy's per-call overhead on short rows; wider solves step on NumPy
-    rows, indexing w through a slice where a group's columns are contiguous.
+    rows.  A wide group spanning all of w, like a directed node's only group,
+    reads and updates w itself; another contiguous group indexes it through a
+    slice, and the rest through their column arrays.
 
     Shrinking (Hsieh et al., ICML 2008, as in LIBLINEAR): a constraint is
     dropped from the active set when its alpha sits at 0 with a gradient
@@ -253,7 +258,7 @@ def _solve_dual(blocks, eta, box, rng, max_epochs, tol, node=None):
     else:
         rows = [r for b in Fg for r in b]
         updates = [r for b in Fg_over_eta for r in b]
-        group_cols = [_basic_index(cols) for cols, _ in blocks]
+        group_cols = [_basic_index(cols, n_w) for cols, _ in blocks]
         w = np.zeros(n_w, dtype=np.float64)
     row_cols = [c for c in group_cols for _ in range(N)]
     alpha = [0.0] * (G * N)
@@ -278,7 +283,7 @@ def _solve_dual(blocks, eta, box, rng, max_epochs, tol, node=None):
                     grad += f * w[j]
                 grad -= 1.0
             else:
-                grad = float(dot(rows[t], w[cols])) - 1.0
+                grad = float(dot(rows[t], w if cols is None else w[cols])) - 1.0
             a = alpha[t]
             if a <= 0.0:
                 if grad > shrink_hi:
@@ -310,6 +315,8 @@ def _solve_dual(blocks, eta, box, rng, max_epochs, tol, node=None):
                     if narrow:
                         for u, j in zip(updates[t], cols):
                             w[j] += step * u
+                    elif cols is None:
+                        w += step * updates[t]
                     else:
                         w[cols] += step * updates[t]
                     alpha[t] = na

@@ -53,6 +53,12 @@ def coupled_graph(rng, topology, K, D, kind):
     return mg.GraphSpec(K, D, kind, base.order, tuple(cliques.values()))
 
 
+def reference_losses(scorer, K, start, stop):
+    """Joint losses of assignments start..stop-1 from the per-row sign matrix,
+    the path exhaustive enumeration took before its label grid."""
+    return scorer.total_loss_column(assignment_signs(K, start, stop))
+
+
 def reference_energies(graph, weights, x):
     """Undirected energies (1/2) sum_i z_i of every assignment, from the
     per-row margin_block of one compiled input."""

@@ -23,7 +23,15 @@ from margraph.dataio import (
     write_predictions,
 )
 from margraph.errors import DataError, ModelFormatError
-from margraph.inference import bb_infer
+from margraph.inference import (
+    STATUS_BUDGET,
+    STATUS_FALLBACK,
+    STATUS_LOCAL,
+    STATUS_OPTIMAL,
+    InferenceResult,
+    bb_infer,
+)
+from margraph.model import signs_from_index
 
 from _helpers import random_dataset
 
@@ -261,6 +269,29 @@ def test_prediction_roundtrip(tmp_path):
     first = path.read_text().splitlines()[0]
     assert first.split()[:3] == [f"{v:+d}" for v in results[0].labels]
     assert "loss=" in first and "states=" in first and "status=" in first
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(data=st.data(), K=st.integers(1, 30))
+def test_prediction_write_then_read_round_trips(tmp_path_factory, data, K):
+    losses = st.one_of(
+        st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+        st.sampled_from([0.0, 5e-324, 1.5e-310, 2.2250738585072014e-308, 1e300]),
+    )
+    statuses = st.sampled_from([STATUS_OPTIMAL, STATUS_BUDGET, STATUS_FALLBACK, STATUS_LOCAL])
+    rows = data.draw(
+        st.lists(st.tuples(st.integers(0, 2**K - 1), losses, st.integers(0, 2**40), statuses), min_size=1, max_size=6)
+    )
+    results = [InferenceResult(signs_from_index(K, idx), obj, states, status) for idx, obj, states, status in rows]
+    path = tmp_path_factory.getbasetemp() / "round-trip.pred"
+    write_predictions(path, results)
+    Y, got_losses, got_states, got_statuses = read_predictions(path)
+    assert Y.dtype == np.int8
+    assert Y.tolist() == [r.labels.tolist() for r in results]
+    expected = np.array([r.objective for r in results], dtype=np.float64)
+    assert got_losses.view(np.int64).tolist() == expected.view(np.int64).tolist()
+    assert got_states.tolist() == [r.states_visited for r in results]
+    assert got_statuses == [r.status for r in results]
 
 
 def test_read_predictions_validation(tmp_path):
