@@ -126,12 +126,10 @@ def write_multilabel_svmlight(dataset: Dataset, path) -> None:
     """
     lines = []
     for r in range(dataset.n_instances):
-        labels = ",".join(str(k + 1) for k in range(dataset.n_outputs) if dataset.Y[r, k] == 1)
-        feats = [
-            f"{d + 1}:{float(dataset.X[r, d])!r}"
-            for d in range(dataset.n_inputs)
-            if dataset.X[r, d] != 0.0
-        ]
+        # one row at a time as Python scalars: no per-element NumPy indexing,
+        # and no whole-matrix list alive at once
+        labels = ",".join(str(k + 1) for k, v in enumerate(dataset.Y[r].tolist()) if v == 1)
+        feats = [f"{d + 1}:{v!r}" for d, v in enumerate(dataset.X[r].tolist()) if v != 0.0]
         if not labels and not feats:
             raise DataError(
                 f"instance {r} has no positive labels and no nonzero features; "

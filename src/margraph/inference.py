@@ -8,10 +8,22 @@ prefix whose partial sum already reaches the current upper bound.  Since
 every opposite-label step costs at least 1, an initial upper bound of S
 confines the search to prefixes with fewer than S such steps.
 
+It also prunes on the cost still to come.  Whatever its partners' labels,
+node i's |s_i| is at most M_i = |const_i| + sum |w_eff| over its terms, so
+it costs at least max(0, 1 - M_i).  M_i is summed in the score's term
+order, so monotone rounding keeps this bound at or below the float cost
+itself.  A prefix is pruned when its partial sum plus the bounds of the
+nodes after it reaches upper * (1 + 4 K 2^-52); the relative slack covers
+the bound being summed in a different order from the leaf total, so no leaf
+strictly under the upper bound is ever cut.  The search only prunes more:
+labels, objectives and statuses are those of the search without the bound,
+and only the state counts fall.
+
 The search computes each node score itself, on plain Python lists and
-floats, from the tables of ``compile_scorer``; it is the only scalar score
-in the package.  The greedy fallback, the locally best label at every node,
-is the search's first all-left dive and not a separate routine.
+floats, from the tables of ``compile_scorer``.  The greedy fallback, the
+locally best label at every node, is the search's first all-left dive and
+not a separate routine.  ICM rescores single nodes with the same scalar
+loop (``_node_loss``), kept apart so the search's hot loop stays inline.
 
 The exhaustive oracle scores up to 2^16 assignments at a time on a
 broadcast label grid instead of a (2^K, K) sign matrix: labels on the high
@@ -95,16 +107,27 @@ class InferenceResult:
 def _search(scorer: NodeScorer, order: tuple[int, ...], cutoff: float, budget):
     """One depth-first pass.  Returns (incumbent or None, objective, states, hit_budget).
 
-    This is the one place the scalar node score is computed: entering
-    position p adds node order[p]'s terms to its constant on plain Python
-    lists and floats, in the same order as ``NodeScorer.score_column``.
-    With an infinite cutoff and a budget of K states the pass is the greedy
-    all-left dive and nothing more, which is the fallback ``bb_infer``
-    returns.
+    Entering position p adds node order[p]'s terms to its constant on plain
+    Python lists and floats, in the same order as ``NodeScorer.score_column``.
+    A branch is pruned when its partial sum reaches the upper bound, or when
+    that sum plus ``suffix[p + 1]``, the static lower bound on the nodes
+    after p, reaches the upper bound times the rounding slack (see the
+    module docstring); both limits drop with each new incumbent.  With an
+    infinite cutoff and a budget of K states the pass is the greedy all-left
+    dive and nothing more, which is the fallback ``bb_infer`` returns.
     """
     K = scorer.n_outputs
     const = scorer.const.tolist()
     terms = [scorer.terms[node] for node in order]
+    # suffix[p] = sum over positions q >= p of max(0, 1 - M_q), where M_q
+    # bounds |s| of node order[q] whatever its partners' labels
+    suffix = [0.0] * (K + 1)
+    for p in range(K - 1, -1, -1):
+        m = abs(const[order[p]])
+        for w_eff, _ in terms[p]:
+            m += abs(w_eff)
+        suffix[p] = suffix[p + 1] + (1.0 - m if m < 1.0 else 0.0)
+    slack = 1.0 + 4 * K * 2.0**-52
     y = [0] * K
     partial = [0.0] * (K + 1)
     left_label = [0] * K
@@ -112,6 +135,7 @@ def _search(scorer: NodeScorer, order: tuple[int, ...], cutoff: float, budget):
     right_cost = [0.0] * K
     tried = [0] * K
     upper = float(cutoff)
+    limit = upper * slack
     incumbent = None
     incumbent_obj = 0.0
     states = 0
@@ -150,7 +174,7 @@ def _search(scorer: NodeScorer, order: tuple[int, ...], cutoff: float, budget):
             else:
                 label = -left_label[p]
                 total = partial[p] + right_cost[p]
-            if total >= upper:
+            if total >= upper or total + suffix[p + 1] >= limit:
                 continue
             if budget is not None and states >= budget:
                 return incumbent, incumbent_obj, states, True
@@ -160,6 +184,7 @@ def _search(scorer: NodeScorer, order: tuple[int, ...], cutoff: float, budget):
                 break
             # complete assignment strictly under the current bound
             upper = total
+            limit = upper * slack
             incumbent = np.array(y, dtype=np.int8)
             incumbent_obj = total
         p += 1
@@ -169,7 +194,11 @@ def _search(scorer: NodeScorer, order: tuple[int, ...], cutoff: float, budget):
 def bb_infer(graph: GraphSpec, weights: WeightVector, x, config: BBConfig | None = None) -> InferenceResult:
     """Branch-and-bound minimizer of the joint hinge loss for directed graphs.
 
-    With a large enough cutoff the result is the exact minimizer.  If no
+    With a large enough cutoff the result is the exact minimizer.  The
+    lower bound on the cost still to come only prunes prefixes that cannot
+    hold an assignment strictly under the upper bound, so it lowers
+    ``states_visited`` and changes no label, objective or status; the
+    ``branch_budget`` and ``1 - loss/S`` bounds hold as before.  If no
     assignment has loss under the cutoff, the greedy all-left assignment is
     returned (status no_solution_under_S_fallback), or the search retries
     with a doubled cutoff when escalation is on.  If the state budget runs
@@ -258,6 +287,20 @@ def exhaustive_infer(graph: GraphSpec, weights: WeightVector, x) -> InferenceRes
     return InferenceResult(signs_from_index(K, best_idx), best_obj, 1 << K, STATUS_OPTIMAL)
 
 
+def _node_loss(const: list, terms, y: list, i: int) -> float:
+    """Node i's hinge loss max(0, 1 - y_i * s_i) on Python floats, s_i summed
+    term by term as in the search and ``NodeScorer.total_loss_column``."""
+    s = const[i]
+    for w_eff, others in terms[i]:
+        parity = 1
+        for k in others:
+            if y[k] < 0:
+                parity = -parity
+        s += w_eff if parity > 0 else -w_eff
+    c = 1.0 - s if y[i] > 0 else 1.0 + s
+    return c if c > 0.0 else 0.0
+
+
 def icm_infer(
     graph: GraphSpec,
     weights: WeightVector,
@@ -271,6 +314,11 @@ def icm_infer(
     Converging proves optimality only in the one-node case; otherwise the
     result is a single-flip local optimum.  states_visited counts candidate
     evaluations.
+
+    Per-node losses are kept as Python floats.  A flip rescores only the
+    flipped node and the nodes that read its label, then re-sums the K
+    losses from 0.0 in graph order, so every candidate's loss has the same
+    bits as ``total_loss_column`` on the flipped assignment.
     """
     if max_sweeps < 1:
         raise DataError(f"need at least one sweep, got {max_sweeps}")
@@ -280,20 +328,41 @@ def icm_infer(
     if not np.all(np.isin(y, (-1, 1))):
         raise DataError("initial labels must be +1/-1")
     scorer = compile_scorer(graph, weights, x)
-    current = float(scorer.total_loss_column(y[None])[0])
+    K = graph.n_outputs
+    order = graph.order
+    const = scorer.const.tolist()
+    terms = scorer.terms
+    # readers[k]: node k, then every node with k among its partners
+    readers = [[k] for k in range(K)]
+    for i, feeds in enumerate(graph.layout.feeds):
+        for k in sorted({k for _, _, partners in feeds for k in partners}):
+            readers[k].append(i)
+    labels = y.tolist()
+    losses = [_node_loss(const, terms, labels, i) for i in range(K)]
+    current = 0.0
+    for i in order:
+        current += losses[i]
     states = 0
+    status = STATUS_BUDGET
     for _ in range(max_sweeps):
         moved = False
-        for node in graph.order:
-            y[node] = -y[node]
-            candidate = float(scorer.total_loss_column(y[None])[0])
+        for node in order:
+            labels[node] = -labels[node]
+            saved = [losses[i] for i in readers[node]]
+            for i in readers[node]:
+                losses[i] = _node_loss(const, terms, labels, i)
+            candidate = 0.0
+            for i in order:
+                candidate += losses[i]
             states += 1
             if candidate < current:
                 current = candidate
                 moved = True
             else:
-                y[node] = -y[node]
+                labels[node] = -labels[node]
+                for i, loss in zip(readers[node], saved):
+                    losses[i] = loss
         if not moved:
-            status = STATUS_OPTIMAL if graph.n_outputs == 1 else STATUS_LOCAL
-            return InferenceResult(y, current, states, status)
-    return InferenceResult(y, current, states, STATUS_BUDGET)
+            status = STATUS_OPTIMAL if K == 1 else STATUS_LOCAL
+            break
+    return InferenceResult(np.array(labels, dtype=np.int8), current, states, status)

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import numpy as np
 
 import margraph as mg
+from margraph.errors import DataError
+from margraph.inference import STATUS_BUDGET, STATUS_LOCAL, STATUS_OPTIMAL
 from margraph.model import assignment_signs, compile_scorer
 
 BUILDERS = {
@@ -72,3 +75,47 @@ def reference_log_table(graph, weights, x):
     table = reference_energies(graph, weights, x)
     m = float(table.max())
     return table - (m + math.log(float(np.exp(table - m).sum())))
+
+
+def reference_write_svmlight(dataset, path):
+    """The svmlight writer as it was before it read rows through ``tolist``:
+    one NumPy index per label and per feature."""
+    lines = []
+    for r in range(dataset.n_instances):
+        labels = ",".join(str(k + 1) for k in range(dataset.n_outputs) if dataset.Y[r, k] == 1)
+        feats = [
+            f"{d + 1}:{float(dataset.X[r, d])!r}"
+            for d in range(dataset.n_inputs)
+            if dataset.X[r, d] != 0.0
+        ]
+        if not labels and not feats:
+            raise DataError(
+                f"instance {r} has no positive labels and no nonzero features; "
+                "it would serialize to a blank line"
+            )
+        lines.append((labels + " " + " ".join(feats)).strip() if labels else " " + " ".join(feats))
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def reference_icm(graph, weights, x, y0, max_sweeps):
+    """ICM as it was before it rescored only the flipped node's dependents:
+    every candidate is rescored in full through ``total_loss_column`` on a
+    one-row matrix.  Returns (labels, objective, states, status)."""
+    y = np.array(y0, dtype=np.int8).copy()
+    scorer = compile_scorer(graph, weights, x)
+    current = float(scorer.total_loss_column(y[None])[0])
+    states = 0
+    for _ in range(max_sweeps):
+        moved = False
+        for node in graph.order:
+            y[node] = -y[node]
+            candidate = float(scorer.total_loss_column(y[None])[0])
+            states += 1
+            if candidate < current:
+                current = candidate
+                moved = True
+            else:
+                y[node] = -y[node]
+        if not moved:
+            return y, current, states, STATUS_OPTIMAL if graph.n_outputs == 1 else STATUS_LOCAL
+    return y, current, states, STATUS_BUDGET

@@ -33,7 +33,7 @@ from margraph.inference import (
 )
 from margraph.model import signs_from_index
 
-from _helpers import random_dataset
+from _helpers import random_dataset, reference_write_svmlight
 
 
 def write(tmp_path, text, name="data.sv"):
@@ -157,6 +157,31 @@ def test_svmlight_write_then_parse_round_trips(tmp_path_factory, data, n, K, D):
     parsed = parse_multilabel_svmlight(path, n_outputs=K, n_inputs=D)
     # -0.0 is a zero, which the sparse format leaves out, so it reads back as 0.0
     assert np.array_equal(parsed.X, X) and np.array_equal(parsed.Y, Y)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(
+    data=st.data(),
+    n=st.integers(1, 6),
+    K=st.integers(1, 5),
+    D=st.sampled_from([0, 1, 3, 8, 300]),
+)
+def test_svmlight_writer_matches_the_indexing_reference(tmp_path_factory, data, n, K, D):
+    # -0.0 and subnormals in X, rows with no positive label, and blank rows
+    X = data.draw(arrays(np.float64, (n, D), elements=FEATURE_VALUES, fill=FEATURE_VALUES))
+    Y = data.draw(arrays(np.int8, (n, K), elements=st.sampled_from([-1, 1])))
+    ds = Dataset(X, Y)
+    got = tmp_path_factory.getbasetemp() / "got.sv"
+    expected = tmp_path_factory.getbasetemp() / "expected.sv"
+    try:
+        reference_write_svmlight(ds, expected)
+    except DataError as err:
+        with pytest.raises(DataError) as got_err:
+            write_multilabel_svmlight(ds, got)
+        assert str(got_err.value) == str(err)
+        return
+    write_multilabel_svmlight(ds, got)
+    assert got.read_bytes() == expected.read_bytes()
 
 
 def test_writer_rejects_unrepresentable_instance(tmp_path):

@@ -24,7 +24,7 @@ from margraph.inference import (
 )
 from margraph.model import compile_scorer, signs_from_index
 
-from _helpers import coupled_graph, random_labels, random_model, reference_losses
+from _helpers import coupled_graph, random_labels, random_model, reference_icm, reference_losses
 
 
 @pytest.fixture
@@ -75,14 +75,37 @@ def test_exhausted_state_budget_reports_budget_status():
 
 
 def test_budget_used_up_exactly_by_a_pass_before_escalating_reports_budget_status():
-    # under cutoff 2 the first pass takes exactly 2 states (one per root
-    # branch) and finds nothing; the doubled-cutoff retry has no states left
-    graph, weights, x = zero_model(3)
-    res = bb_infer(graph, weights, x, BBConfig(cutoff=2, max_states=2, escalate=True))
+    # node 1 is scored 0.5 + 0.5 * y_0 and node 2 0.5 * y_0 - 0.5 * y_1, so
+    # both have static bound max(0, 1 - 0.5 - 0.5) = 0 yet every completion
+    # of a root label costs at least 1.  Under cutoff 2 the pass takes both
+    # root labels and (+1, +1), 3 states, and ends without an incumbent and
+    # without touching the budget: every other branch reaches 2 exactly.
+    graph = GraphSpec(3, 0, mg.DIRECTED, (0, 1, 2),
+                      (Clique((0,)), Clique((1,)), Clique((0, 1)), Clique((0, 2)), Clique((1, 2))))
+    weights = WeightVector(np.array([0.0, 0.5, 0.5, 0.5, -0.5]), lam=1.0)
+    x = np.zeros(0)
+    single = bb_infer(graph, weights, x, BBConfig(cutoff=2, max_states=3))
+    assert single.status == STATUS_FALLBACK
+    assert single.states_visited == 3
+    # the doubled-cutoff retry has no states left
+    res = bb_infer(graph, weights, x, BBConfig(cutoff=2, max_states=3, escalate=True))
     assert res.status == STATUS_BUDGET
-    assert res.states_visited == 2
+    assert res.states_visited == 3
     assert res.labels.tolist() == [1, 1, 1]
-    assert res.objective == 3.0
+    assert res.objective == 2.0
+
+
+def test_suffix_bound_slack_absorbs_rounding_of_the_bound():
+    # nodes 1 and 2 cost 2^-53 each: the leaf's sequential total
+    # 1 + 2^-53 + 2^-53 rounds to 1.0, under the cutoff 1 + 2^-52, but the
+    # root prefix plus the suffix bound, 1 + fl(2^-53 + 2^-53), equals the
+    # cutoff; only the relative slack keeps the root from being pruned
+    graph = mg.build_independent_graph(3, 0, mg.DIRECTED)
+    weights = WeightVector(np.array([0.0, 1 - 2**-53, 1 - 2**-53]), lam=1.0)
+    res = bb_infer(graph, weights, np.zeros(0), BBConfig(cutoff=1 + 2**-52))
+    assert res.status == STATUS_OPTIMAL
+    assert res.objective == 1.0
+    assert res.labels.tolist() == [1, 1, 1]
 
 
 def test_exhaustive_breaks_ties_towards_positive_labels():
@@ -202,6 +225,33 @@ def test_icm_input_validation():
         icm_infer(graph, weights, x, np.array([1, 1], dtype=np.int8), max_sweeps=0)
 
 
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(
+    kind=st.sampled_from([mg.DIRECTED, mg.UNDIRECTED]),
+    topology=st.sampled_from(["chain", "full"]),
+    K=st.integers(1, 8),
+    D=st.integers(0, 3),
+    zeroed=st.sampled_from([0.0, 0.5, 1.0]),
+    max_sweeps=st.integers(1, 3),
+    seed=st.integers(0, 2**16),
+)
+def test_icm_matches_the_full_rescoring_reference(kind, topology, K, D, zeroed, max_sweeps, seed):
+    rng = np.random.default_rng(seed)
+    graph = coupled_graph(rng, topology, K, D, kind)
+    # zeroed weights make exact ties, which a strict-improvement flip must refuse
+    w = rng.normal(0.0, 1.0, graph.n_cliques)
+    weights = WeightVector(np.where(rng.random(graph.n_cliques) < zeroed, 0.0, w), lam=1.0)
+    x = rng.standard_normal(D)
+    y0 = random_labels(rng, 1, K)[0]
+    labels, objective, states, status = reference_icm(graph, weights, x, y0, max_sweeps)
+    got = icm_infer(graph, weights, x, y0, max_sweeps=max_sweeps)
+    assert got.labels.dtype == np.int8
+    assert got.labels.tolist() == labels.tolist()
+    assert got.objective == objective
+    assert got.states_visited == states
+    assert got.status == status
+
+
 def test_bb_handles_single_node_graphs():
     graph, weights, x = zero_model(1)
     res = bb_infer(graph, weights, x, BBConfig(cutoff=2))
@@ -238,8 +288,24 @@ def reference_greedy_descent(scorer, order):
     return y, total
 
 
-def reference_search(scorer, order, cutoff, budget):
+def reference_suffix(scorer, order):
+    """suffix[p] = sum over q >= p of max(0, 1 - M_q), M_q = |const| plus the
+    |w_eff| of node order[q]'s terms, summed in term order."""
     K = scorer.n_outputs
+    suffix = [0.0] * (K + 1)
+    for p in range(K - 1, -1, -1):
+        m = abs(float(scorer.const[order[p]]))
+        for w_eff, _ in scorer.terms[order[p]]:
+            m += abs(w_eff)
+        suffix[p] = suffix[p + 1] + max(0.0, 1.0 - m)
+    return suffix
+
+
+def reference_search(scorer, order, cutoff, budget, bound=True):
+    """With bound=False, the search before it pruned on the cost still to come."""
+    K = scorer.n_outputs
+    suffix = reference_suffix(scorer, order) if bound else [0.0] * (K + 1)
+    slack = 1.0 + 4 * K * 2.0**-52
     y = np.zeros(K, dtype=np.int8)
     partial = np.zeros(K + 1, dtype=np.float64)
     left_label = np.zeros(K, dtype=np.int8)
@@ -275,7 +341,7 @@ def reference_search(scorer, order, cutoff, budget):
         else:
             label, cost = -left_label[p], right_cost[p]
         total = partial[p] + cost
-        if total >= upper:
+        if total >= upper or (bound and total + suffix[p + 1] >= upper * slack):
             continue
         if budget is not None and states >= budget:
             hit_budget = True
@@ -293,7 +359,7 @@ def reference_search(scorer, order, cutoff, budget):
     return incumbent, incumbent_obj, states, hit_budget
 
 
-def reference_bb_infer(graph, weights, x, config):
+def reference_bb_infer(graph, weights, x, config, bound=True):
     scorer = compile_scorer(graph, weights, x)
     order = graph.order
     cutoff = float(config.cutoff)
@@ -305,7 +371,7 @@ def reference_bb_infer(graph, weights, x, config):
             if remaining <= 0:
                 y, obj = reference_greedy_descent(scorer, order)
                 return y, obj, total_states, STATUS_BUDGET
-        incumbent, obj, states, hit_budget = reference_search(scorer, order, cutoff, remaining)
+        incumbent, obj, states, hit_budget = reference_search(scorer, order, cutoff, remaining, bound)
         total_states += states
         if incumbent is not None and not hit_budget:
             return incumbent, obj, total_states, STATUS_OPTIMAL
@@ -352,6 +418,13 @@ def test_search_matches_the_array_reference_on_coupled_graphs(topology, K, D, sc
                 assert got.objective == objective
                 assert got.states_visited == states
                 assert got.status == status
+                if max_states is None:
+                    # the bound only prunes: same answer as the prune-free search
+                    labels, objective, states, status = reference_bb_infer(graph, weights, x, config, bound=False)
+                    assert got.labels.tolist() == labels.tolist()
+                    assert got.objective == objective
+                    assert got.status == status
+                    assert got.states_visited <= states
     scorer = compile_scorer(graph, weights, x)
     y = random_labels(rng, 1, K)[0]
     for i in range(K):
