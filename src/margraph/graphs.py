@@ -6,6 +6,9 @@ parity) times the attached input value, or times 1 when no input is attached.
 A graph fixes the label count, the input dimension, a total order over the
 labels, and whether cliques contribute to every member's score (undirected)
 or only to the member that comes last in the order (directed).
+
+Graphs say nothing of how the 2^K label assignments are numbered or walked;
+the label grid that enumerates them lives in ``margraph.model``.
 """
 
 from __future__ import annotations
@@ -31,10 +34,6 @@ __all__ = [
 
 DIRECTED = "directed"
 UNDIRECTED = "undirected"
-
-# Labels on the lowest bits of the assignment index that exhaustive
-# enumeration reads as one contiguous axis (sizes 4 to 10 measured alike).
-_LOW_BITS = 8
 
 
 @dataclass(frozen=True)
@@ -170,21 +169,6 @@ class GraphSpec:
         clique, column, node = np.array(unary, dtype=np.intp).reshape(-1, 3).T.copy()
         coupled = tuple(tuple(t for t in f if t[2]) for f in feeds)
         return ScoreLayout(tuple(feeds), coupled, clique, column, node)
-
-    @cached_property
-    def low_signs(self) -> np.ndarray:
-        """Signs of the last L = min(K, 8) labels over the low L index bits.
-
-        Row r belongs to label K - L + r, and entry a is its sign in the
-        assignment whose index ends in the L bits of a: +1 where label k's
-        bit (K - 1 - k) is 0, as in ``model.signs_of_indices``.  The (L, 2^L)
-        float64 block is read-only.
-        """
-        L = min(self.n_outputs, _LOW_BITS)
-        bits = (np.arange(1 << L) >> np.arange(L - 1, -1, -1)[:, None]) & 1
-        signs = 1.0 - 2.0 * bits
-        signs.flags.writeable = False
-        return signs
 
     @property
     def reads_inputs(self) -> bool:

@@ -25,12 +25,9 @@ locally best label at every node, is the search's first all-left dive and
 not a separate routine.  ICM rescores single nodes with the same scalar
 loop (``_node_loss``), kept apart so the search's hot loop stays inline.
 
-The exhaustive oracle scores up to 2^16 assignments at a time on a
-broadcast label grid instead of a (2^K, K) sign matrix: labels on the high
-bits of the assignment index are ±1 scalars across the chunk, the middle
-labels are length-2 axes, and the lowest 8 labels share one 256-long axis.
-Each node score grows term by term over only the axes of the partners added
-so far, and the grid's C-order flattening is the enumeration order.
+The exhaustive oracle takes the joint losses of all 2^K assignments, in
+index order, from the label grid of ``NodeScorer.grid_sums``; how an index
+maps to labels is ``margraph.model``'s business alone.
 
 The search and the exhaustive oracle accumulate losses with the same
 floating-point operations in the same order, so their objectives agree
@@ -44,12 +41,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapabilityError, DataError, GraphError
+from .errors import DataError, GraphError
 from .graphs import DIRECTED, GraphSpec
 from .model import (
     ENUM_MAX_OUTPUTS,
     NodeScorer,
     WeightVector,
+    _check_enum_size,
     compile_scorer,
     signs_from_index,
 )
@@ -71,7 +69,6 @@ STATUS_BUDGET = "budget_exceeded"
 STATUS_FALLBACK = "no_solution_under_S_fallback"
 STATUS_LOCAL = "local_optimum"
 
-_ENUM_CHUNK = 1 << 16
 _ESCALATE_CAP = 60
 
 
@@ -237,49 +234,20 @@ def bb_infer(graph: GraphSpec, weights: WeightVector, x, config: BBConfig | None
     return InferenceResult(y, obj, total_states, status)
 
 
-def _chunk_losses(graph: GraphSpec, scorer: NodeScorer):
-    """Yield (start, totals): the joint loss of assignments start, start + 1, ...
-
-    Each chunk covers the 2^b assignments that share their K - b high index
-    bits, b = min(K, log2 _ENUM_CHUNK), and is scored on a label grid rather
-    than a sign matrix.  A label on a high bit is a ±1 scalar for the whole
-    chunk, each middle label a length-2 axis (+1 first), and the lowest
-    labels, at most 8, share one axis read from ``graph.low_signs``.  The
-    grid's C-order flattening walks the chunk in index order.
-    """
-    K = graph.n_outputs
-    bits = min(K, _ENUM_CHUNK.bit_length() - 1)
-    low = graph.low_signs
-    n_low = min(bits, len(low))
-    n_mid = bits - n_low
-    signs = [1.0] * K
-    for a in range(n_mid):
-        signs[K - bits + a] = np.array([1.0, -1.0]).reshape((2,) + (1,) * (n_mid - a))
-    for r in range(n_low):
-        signs[K - n_low + r] = low[len(low) - n_low + r, : 1 << n_low]
-    shape = (2,) * n_mid + (1 << n_low,)
-    for start in range(0, 1 << K, 1 << bits):
-        for k in range(K - bits):
-            signs[k] = -1.0 if start >> (K - 1 - k) & 1 else 1.0
-        yield start, scorer._add_losses(signs, np.zeros(shape)).reshape(-1)
-
-
 def exhaustive_infer(graph: GraphSpec, weights: WeightVector, x) -> InferenceResult:
     """Enumerate all assignments and return the first minimizer.
 
     Enumeration order is lexicographic with +1 before -1, so ties go to the
     assignment whose first differing label is +1.  Assignments are scored a
     chunk of at most 2^16 at a time on a broadcast label grid (see
-    ``_chunk_losses``), so time grows as K * terms * 2^K and memory stays a
-    few chunk-sized arrays for every K.
+    ``NodeScorer.grid_sums``), so time grows as K * terms * 2^K and memory
+    stays a few chunk-sized arrays for every K.
     """
     K = graph.n_outputs
-    if K > ENUM_MAX_OUTPUTS:
-        raise CapabilityError(f"exhaustive search supports at most {ENUM_MAX_OUTPUTS} outputs, got {K}")
-    scorer = compile_scorer(graph, weights, x)
+    _check_enum_size(K, ENUM_MAX_OUTPUTS, "exhaustive search")
     best_obj = np.inf
     best_idx = 0
-    for start, totals in _chunk_losses(graph, scorer):
+    for start, totals in compile_scorer(graph, weights, x).grid_sums():
         i = int(np.argmin(totals))
         if totals[i] < best_obj:
             best_obj = float(totals[i])

@@ -13,6 +13,12 @@ brute-force enumeration produce bit-identical objectives.
 ``batch_scorer`` scores many inputs at full assignments (sampling, training
 losses, probes).
 
+Only this module maps assignment indices to labels (``signs_of_indices``).
+``NodeScorer.grid_sums`` walks all 2^K assignments in index order, up to
+2^16 at a time on a broadcast label grid, and sums one per-node term in
+graph order: the hinge loss for ``inference.exhaustive_infer``, the
+log-sigmoid for the directed ``log_prob_table``.
+
 Undirected tables (``log_prob_table``, the partition sum of
 ``bm_log_likelihood``, ``synth.sample_bm``) read the same layout as a sum
 over clique parities.  Node i's term (j, col, partners) is
@@ -53,7 +59,6 @@ __all__ = [
     "sbn_log_likelihood",
     "bm_log_likelihood",
     "log_prob_table",
-    "assignment_signs",
     "signs_of_indices",
     "signs_from_index",
     "index_from_signs",
@@ -67,7 +72,13 @@ __all__ = [
 # materialized probability tables at 2^20 entries.
 ENUM_MAX_OUTPUTS = 25
 TABLE_MAX_OUTPUTS = 20
-_CHUNK = 1 << 16
+# The label grid scores at most this many assignments per chunk.
+_GRID_CHUNK = 1 << 16
+# The grid reads the labels on the lowest 8 index bits as one axis (sizes 4
+# to 10 measured alike): [r, a] is the sign of the label on bit 7 - r when
+# the index ends in a.  L < 8 low labels read the last L rows, 2^L columns.
+_LOW_SIGNS = 1.0 - 2.0 * ((np.arange(256) >> np.arange(7, -1, -1)[:, None]) & 1)
+_LOW_SIGNS.flags.writeable = False
 # The undirected parity matrix holds at most this many entries (4 MB of
 # float64); larger assignment spaces are walked in chunks of low bits.
 _PARITY_ENTRIES = 1 << 19
@@ -104,10 +115,15 @@ class WeightVector:
 
 @dataclass(frozen=True)
 class LossBreakdown:
-    """Per-node hinge losses and their total for one assignment."""
+    """Per-node hinge losses and their total, summed in graph order like
+    every search and enumeration objective, for one assignment."""
 
     per_node: np.ndarray
     total: float
+
+
+def _hinge(z):
+    return np.maximum(0.0, 1.0 - z)
 
 
 @dataclass(frozen=True)
@@ -121,13 +137,13 @@ class NodeScorer:
 
     Every score is computed by one loop, ``_score``, over per-label sign
     operands: ±1 scalars or arrays that broadcast together.  The matrix
-    methods pass the columns of an (n, K) sign matrix Y.  Exhaustive
-    enumeration passes a label grid instead: a ±1 scalar for each label fixed
-    across a chunk of assignments, a length-2 axis for each middle label, and
-    one axis over the low index bits (``GraphSpec.low_signs``).  There s_i
-    spans only the axes of the partners added so far, and each term is still
-    one addition of ±w_eff in term order, so every entry gets the same
-    floating-point operations as the matching row of Y.
+    methods pass the columns of an (n, K) sign matrix Y.  ``grid_sums``
+    passes a label grid instead: a ±1 scalar for each label fixed across a
+    chunk of assignments, a length-2 axis for each middle label, and one axis
+    over the low index bits (``_LOW_SIGNS``).  There s_i spans only the axes
+    of the partners added so far, and each term is still one addition of
+    ±w_eff in term order, so every entry gets the same floating-point
+    operations as the matching row of Y.
     """
 
     const: np.ndarray
@@ -148,11 +164,38 @@ class NodeScorer:
             s = s + term
         return s
 
-    def _add_losses(self, signs, total: np.ndarray) -> np.ndarray:
-        """Add each node's hinge loss max(0, 1 - y_i * s_i) to total in graph order."""
+    def _add_losses(self, signs, total: np.ndarray, per_node=_hinge) -> np.ndarray:
+        """Add each node's per_node(y_i * s_i), by default its hinge loss
+        max(0, 1 - y_i * s_i), to total in graph order."""
         for i in self.order:
-            total += np.maximum(0.0, 1.0 - signs[i] * self._score(i, signs))
+            total += per_node(signs[i] * self._score(i, signs))
         return total
+
+    def grid_sums(self, per_node=_hinge):
+        """Yield (start, totals): the sum over nodes of per_node(z_i) at
+        assignments start, start + 1, ..., by default their joint hinge loss.
+
+        Each chunk covers the 2^b assignments that share their K - b high
+        index bits, b = min(K, log2 _GRID_CHUNK).  A label on a high bit is a
+        ±1 scalar for the whole chunk, each middle label a length-2 axis (+1
+        first), and the lowest labels, at most 8, share one axis read from
+        ``_LOW_SIGNS``.  The grid's C-order flattening walks the chunk in
+        index order.
+        """
+        K = self.n_outputs
+        bits = min(K, _GRID_CHUNK.bit_length() - 1)
+        n_low = min(bits, len(_LOW_SIGNS))
+        n_mid = bits - n_low
+        signs = [1.0] * K
+        for a in range(n_mid):
+            signs[K - bits + a] = np.array([1.0, -1.0]).reshape((2,) + (1,) * (n_mid - a))
+        for r in range(n_low):
+            signs[K - n_low + r] = _LOW_SIGNS[len(_LOW_SIGNS) - n_low + r, : 1 << n_low]
+        shape = (2,) * n_mid + (1 << n_low,)
+        for start in range(0, 1 << K, 1 << bits):
+            for k in range(K - bits):
+                signs[k] = -1.0 if start >> (K - 1 - k) & 1 else 1.0
+            yield start, self._add_losses(signs, np.zeros(shape), per_node).reshape(-1)
 
     def score_column(self, i: int, Y: np.ndarray) -> np.ndarray:
         """s_i for every row of the (n, K) sign matrix Y."""
@@ -259,9 +302,9 @@ def margins(graph: GraphSpec, weights: WeightVector, x, y) -> np.ndarray:
 def joint_loss(graph: GraphSpec, weights: WeightVector, instance: Instance) -> LossBreakdown:
     """Per-node hinge losses max(0, 1 - z_i) and their sum."""
     z = margins(graph, weights, instance.x, instance.y)
-    per_node = np.maximum(0.0, 1.0 - z)
+    per_node = _hinge(z)
     total = 0.0
-    for i in range(graph.n_outputs):
+    for i in graph.order:
         total += per_node[i]
     per_node.flags.writeable = False
     return LossBreakdown(per_node=per_node, total=total)
@@ -287,13 +330,8 @@ def signs_of_indices(n_outputs: int, indices) -> np.ndarray:
     return (1 - 2 * bits).astype(np.int8)
 
 
-def assignment_signs(n_outputs: int, start: int, stop: int) -> np.ndarray:
-    """Rows start..stop-1 of the canonical sign-matrix enumeration."""
-    return signs_of_indices(n_outputs, np.arange(start, stop, dtype=np.int64))
-
-
 def signs_from_index(n_outputs: int, idx: int) -> np.ndarray:
-    return assignment_signs(n_outputs, idx, idx + 1)[0]
+    return signs_of_indices(n_outputs, [idx])[0]
 
 
 def index_from_signs(y: np.ndarray) -> int:
@@ -351,14 +389,32 @@ class _ParityEnergy:
             high = [b for b in range(self.bits, K) if start >> b & 1]
             yield start, (coef * self.flip[:, high].prod(axis=1)) @ self.P
 
-    def log_probs(self, X: np.ndarray) -> np.ndarray:
-        """(n, 2^K) normalized log-probabilities, indexed like assignment_signs."""
-        table = np.empty((len(X), 1 << self.graph.n_outputs))
+    def log_partition(self, X: np.ndarray, table: np.ndarray | None = None) -> np.ndarray:
+        """log sum over assignments of exp(E) for each row of the (n, D)
+        inputs X, streamed chunk by chunk; each chunk's energies are also
+        stored in ``table`` when one is given.
+
+        Each row keeps its running maximum m and sum of exp(E - m), rescaled
+        when a later chunk raises m, and ends at m + log(sum).  On a single
+        chunk that is the usual shifted log-sum-exp, operation for operation.
+        """
+        best = np.full(len(X), -np.inf)
+        acc = np.zeros(len(X))
         for start, E in self.chunks(X):
-            table[:, start : start + E.shape[1]] = E
-        m = table.max(axis=1, keepdims=True)
-        shifted = table - m
-        table -= m + np.log(np.exp(shifted, out=shifted).sum(axis=1, keepdims=True))
+            if table is not None:
+                table[:, start : start + E.shape[1]] = E
+            m = np.maximum(best, E.max(axis=1))
+            acc *= np.exp(best - m)
+            E -= m[:, None]
+            acc += np.exp(E, out=E).sum(axis=1)
+            best = m
+        return best + np.log(acc)
+
+    def log_probs(self, X: np.ndarray) -> np.ndarray:
+        """(n, 2^K) normalized log-probabilities, indexed like signs_of_indices."""
+        table = np.empty((len(X), 1 << self.graph.n_outputs))
+        log_z = self.log_partition(X, table)
+        table -= log_z[:, None]
         return table
 
 
@@ -373,34 +429,24 @@ def bm_log_likelihood(graph: GraphSpec, weights: WeightVector, instance: Instanc
         raise GraphError("energy-model likelihood needs an undirected graph")
     _check_enum_size(graph.n_outputs, ENUM_MAX_OUTPUTS, "exact likelihood")
     half = 0.5 * float(margins(graph, weights, instance.x, instance.y).sum())
-    best = -math.inf
-    acc = 0.0
-    for _, E in _ParityEnergy(graph, weights).chunks(np.asarray(instance.x)[None]):
-        m = float(E.max())
-        if m > best:
-            acc *= math.exp(best - m) if best > -math.inf else 0.0
-            best = m
-        acc += float(np.exp(E - best).sum())
-    return half - (best + math.log(acc))
+    return half - float(_ParityEnergy(graph, weights).log_partition(np.asarray(instance.x)[None])[0])
 
 
 def log_prob_table(graph: GraphSpec, weights: WeightVector, x) -> np.ndarray:
-    """Log-probability of every assignment, indexed like assignment_signs.
+    """Log-probability of every assignment, indexed like signs_of_indices.
 
-    Directed graphs return the sum of per-node log-sigmoids, which is
-    normalized by construction; undirected graphs are normalized explicitly
-    over their parity-chunk energies (see the module docstring).
+    Directed graphs return the sum of per-node log-sigmoids over the label
+    grid of ``NodeScorer.grid_sums``, normalized by construction; undirected
+    graphs are normalized explicitly over their parity-chunk energies (see
+    the module docstring).
     """
     _check_enum_size(graph.n_outputs, TABLE_MAX_OUTPUTS, "probability table")
     if graph.kind == UNDIRECTED:
         return _ParityEnergy(graph, weights).log_probs(np.asarray(x)[None])[0]
+    table = np.empty(1 << graph.n_outputs, dtype=np.float64)
     scorer = compile_scorer(graph, weights, x)
-    K = graph.n_outputs
-    table = np.empty(1 << K, dtype=np.float64)
-    for start in range(0, 1 << K, _CHUNK):
-        stop = min(start + _CHUNK, 1 << K)
-        Z = scorer.margin_block(assignment_signs(K, start, stop))
-        table[start:stop] = -np.logaddexp(0.0, -Z).sum(axis=1)
+    for start, totals in scorer.grid_sums(lambda z: -np.logaddexp(0.0, -z)):
+        table[start : start + len(totals)] = totals
     return table
 
 

@@ -98,9 +98,10 @@ def sample_bm(config: SynthConfig) -> Dataset:
     Inputs go through the parity matmul of ``model._ParityEnergy`` in blocks
     of rows whose tables hold at most 2^15 entries (8 rows at K = 12, one
     row from K = 15 on), so time is O(n * sets * 2^K) and memory stays near
-    two tables, 8 MB each at K = 20: the block's log table, which becomes its
-    cumulative table in place, and the shifted copy ``log_probs`` normalises
-    with.  When no clique reads an input, one table serves every row.
+    one table, 8 MB at K = 20: the block's log table, which ``log_probs``
+    normalises with a log-sum-exp streamed over the parity chunks and which
+    then becomes its cumulative table in place.  When no clique reads an
+    input, one table serves every row.
     """
     graph = config.graph
     if graph.kind != UNDIRECTED:

@@ -186,16 +186,6 @@ def _max_projected_gradient(blocks, w, alpha, box) -> float:
     return largest
 
 
-def _basic_index(cols: np.ndarray, n_w: int):
-    """None when the columns are all of w, which a step then reads and updates
-    itself; a slice for another contiguous run, so w[...] is a view; else cols."""
-    if len(cols) and np.all(np.diff(cols) == 1):
-        if cols[0] == 0 and len(cols) == n_w:
-            return None
-        return slice(int(cols[0]), int(cols[-1]) + 1)
-    return cols
-
-
 def _solve_dual(blocks, eta, box, rng, max_epochs, tol, node=None):
     """Coordinate descent over dual variables alpha[group, instance] in [0, box].
 
@@ -210,8 +200,8 @@ def _solve_dual(blocks, eta, box, rng, max_epochs, tol, node=None):
     Python lists and a step is two plain loops of float arithmetic, which
     beats NumPy's per-call overhead on short rows; wider solves step on NumPy
     rows.  A wide group spanning all of w, like a directed node's only group,
-    reads and updates w itself; another contiguous group indexes it through a
-    slice, and the rest through their column arrays.
+    reads and updates w itself; any other indexes it through its column
+    array.
 
     Shrinking (Hsieh et al., ICML 2008, as in LIBLINEAR): a constraint is
     dropped from the active set when its alpha sits at 0 with a gradient
@@ -258,7 +248,8 @@ def _solve_dual(blocks, eta, box, rng, max_epochs, tol, node=None):
     else:
         rows = [r for b in Fg for r in b]
         updates = [r for b in Fg_over_eta for r in b]
-        group_cols = [_basic_index(cols, n_w) for cols, _ in blocks]
+        # None marks a group spanning all of w, which steps read and update whole
+        group_cols = [None if np.array_equal(cols, np.arange(n_w)) else cols for cols, _ in blocks]
         w = np.zeros(n_w, dtype=np.float64)
     row_cols = [c for c in group_cols for _ in range(N)]
     alpha = [0.0] * (G * N)

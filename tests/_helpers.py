@@ -10,7 +10,7 @@ import numpy as np
 import margraph as mg
 from margraph.errors import DataError
 from margraph.inference import STATUS_BUDGET, STATUS_LOCAL, STATUS_OPTIMAL
-from margraph.model import assignment_signs, compile_scorer
+from margraph.model import compile_scorer, signs_of_indices
 
 BUILDERS = {
     "independent": mg.build_independent_graph,
@@ -54,6 +54,12 @@ def coupled_graph(rng, topology, K, D, kind):
         c = mg.Clique(members, feature)
         cliques.setdefault((c.outputs, c.input_feature), c)
     return mg.GraphSpec(K, D, kind, base.order, tuple(cliques.values()))
+
+
+def assignment_signs(n_outputs, start, stop):
+    """Rows start..stop-1 of the (2^K, K) sign matrix, the reference the
+    label grid of ``NodeScorer.grid_sums`` is checked against."""
+    return signs_of_indices(n_outputs, np.arange(start, stop, dtype=np.int64))
 
 
 def reference_losses(scorer, K, start, stop):

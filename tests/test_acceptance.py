@@ -18,10 +18,10 @@ import margraph as mg
 from margraph import BBConfig, Dataset, SynthConfig, TrainConfig, WeightVector
 from margraph.bench import branch_budget, run_k_sweep, run_s_sweep
 from margraph.dataio import ModelFile, load_model, parse_multilabel_svmlight, save_model
-from margraph.model import assignment_signs, compile_scorer, surrogate_bound_check
+from margraph.model import compile_scorer, surrogate_bound_check
 from margraph.training import clique_feature_matrix
 
-from _helpers import random_dataset, random_model
+from _helpers import assignment_signs, random_dataset, random_model
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from margraph.inference import (
 )
 from margraph.model import signs_from_index
 
-from _helpers import random_dataset, reference_write_svmlight
+from _helpers import coupled_graph, random_dataset, reference_write_svmlight
 
 
 def write(tmp_path, text, name="data.sv"):
@@ -228,6 +228,52 @@ def test_model_roundtrip_preserves_exact_doubles(tmp_path):
     assert loaded.weights.eta0 == model.weights.eta0
     assert loaded.epochs == model.epochs and loaded.gap == model.gap
     assert loaded.graph == model.graph
+
+
+def float_bits(values) -> list[int]:
+    return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
+
+
+# finite doubles, with the awkward ones drawn often (-0.0 first, which
+# hypothesis draws most)
+awkward_floats = st.one_of(
+    st.sampled_from([-0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e300, -1e300, 0.0]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(
+    kind=st.sampled_from([mg.DIRECTED, mg.UNDIRECTED]),
+    topology=st.sampled_from(["chain", "full"]),
+    K=st.integers(1, 6),
+    D=st.integers(0, 3),
+    seed=st.integers(0, 2**16),
+    lam=st.one_of(st.sampled_from([5e-324, 1e300]), st.floats(min_value=1e-300, max_value=1e300)),
+    eta0=st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 1e300]), st.floats(min_value=0.0, max_value=1e300)),
+    epochs=st.integers(0, 10**9),
+    gap=awkward_floats,
+    scaled=st.booleans(),
+    data=st.data(),
+)
+def test_model_format_parse_format_round_trips(kind, topology, K, D, seed, lam, eta0, epochs, gap, scaled, data):
+    graph = coupled_graph(np.random.default_rng(seed), topology, K, D, kind)
+    values = data.draw(st.lists(awkward_floats, min_size=graph.n_cliques, max_size=graph.n_cliques))
+    scale = None
+    if scaled:
+        scale = tuple(np.array(data.draw(st.lists(awkward_floats, min_size=D, max_size=D))) for _ in range(2))
+    model = ModelFile(graph, WeightVector(np.array(values), lam=lam, eta0=eta0), epochs, gap, scale)
+    text = format_model(model)
+    loaded = parse_model(text)
+    assert format_model(loaded).encode() == text.encode()
+    assert loaded.graph == graph
+    assert float_bits(loaded.weights.values) == float_bits(values)
+    assert float_bits([loaded.weights.lam, loaded.weights.eta0]) == float_bits([lam, eta0])
+    assert loaded.epochs == epochs and float_bits(loaded.gap) == float_bits(gap)
+    if scale is None:
+        assert loaded.scale is None
+    else:
+        assert [float_bits(v) for v in loaded.scale] == [float_bits(v) for v in scale]
 
 
 def test_loaded_model_predicts_identically(tmp_path):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import margraph as mg
-from margraph import BBConfig, Clique, GraphSpec, Instance, WeightVector, inference
+from margraph import BBConfig, Clique, GraphSpec, Instance, WeightVector, model
 from margraph.bench import branch_budget
 from margraph.errors import CapabilityError, DataError, GraphError
 from margraph.inference import (
@@ -17,7 +17,6 @@ from margraph.inference import (
     STATUS_FALLBACK,
     STATUS_LOCAL,
     STATUS_OPTIMAL,
-    _chunk_losses,
     bb_infer,
     exhaustive_infer,
     icm_infer,
@@ -456,9 +455,9 @@ def test_label_grid_matches_the_sign_matrix_reference(kind, topology, K, D, zero
     reference = reference_losses(scorer, K, 0, 1 << K)
     # small chunks put labels on high bits (scalars) and the argmin across chunks
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(inference, "_ENUM_CHUNK", 1 << chunk_bits)
+        mp.setattr(model, "_GRID_CHUNK", 1 << chunk_bits)
         starts = []
-        for start, totals in _chunk_losses(graph, scorer):
+        for start, totals in scorer.grid_sums():
             starts.append(start)
             expected = reference[start : start + len(totals)]
             assert totals.dtype == np.float64

@@ -1,6 +1,7 @@
 """Margins, joint hinge loss, exact likelihoods, and the surrogate bound."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from margraph import Clique, GraphSpec, Instance, WeightVector
 from margraph.errors import CapabilityError, DataError, GraphError
 from margraph.model import (
     HINGE_LOG_OFFSET,
+    TABLE_MAX_OUTPUTS,
     compile_scorer,
     index_from_signs,
     log_prob_table,
@@ -20,7 +22,14 @@ from margraph.model import (
     surrogate_bound_check,
 )
 
-from _helpers import coupled_graph, random_labels, random_model, reference_energies, reference_log_table
+from _helpers import (
+    assignment_signs,
+    coupled_graph,
+    random_labels,
+    random_model,
+    reference_energies,
+    reference_log_table,
+)
 
 
 @pytest.fixture
@@ -240,6 +249,64 @@ def test_likelihoods_normalize_over_all_assignments():
             table = log_prob_table(graph, weights, x)
             total = np.exp(table).sum()
             assert abs(total - 1.0) <= 1e-9
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(
+    topology=st.sampled_from(["chain", "full"]),
+    K=st.integers(1, 12),
+    D=st.integers(0, 3),
+    seed=st.integers(0, 2**16),
+)
+def test_directed_table_matches_the_sign_matrix_reference(topology, K, D, seed):
+    rng = np.random.default_rng(seed)
+    graph = coupled_graph(rng, topology, K, D, mg.DIRECTED)
+    weights = WeightVector(rng.normal(0.0, 1.0, graph.n_cliques), lam=1.0)
+    x = rng.standard_normal(D)
+    Z = compile_scorer(graph, weights, x).margin_block(assignment_signs(K, 0, 1 << K))
+    reference = -np.logaddexp(0.0, -Z).sum(axis=1)
+    table = log_prob_table(graph, weights, x)
+    assert table.dtype == np.float64
+    assert np.abs(table - reference).max() <= 1e-12
+
+
+def test_directed_table_memory_at_the_largest_k():
+    # the per-chunk (2^16, 20) sign matrix and its margins peaked at 48.5 MB
+    # here; the label grid peaks at 10.6 MB (the 8 MB table and a few
+    # 0.5 MB chunk arrays), bounded with 3.4 MB to spare
+    graph = mg.build_full_graph(TABLE_MAX_OUTPUTS, 1, mg.DIRECTED)
+    weights = WeightVector(np.random.default_rng(0).normal(0.0, 1.0, graph.n_cliques), lam=1.0)
+    tracemalloc.start()
+    try:
+        log_prob_table(graph, weights, np.array([0.5]))
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert peak <= 14.0
+
+
+def test_joint_loss_total_is_the_search_objective_in_any_order():
+    # the total sums per-node losses in graph order, as every search and
+    # enumeration does; summed in index order it differed from the search
+    # objective in the last bit on some of these graphs
+    rng = np.random.default_rng(11)
+    for _ in range(400):
+        K = int(rng.integers(2, 10))
+        D = int(rng.integers(0, 4))
+        graph = mg.build_full_graph(K, D, mg.DIRECTED, order=tuple(int(i) for i in rng.permutation(K)))
+        weights = WeightVector(rng.normal(0.0, 1.0, graph.n_cliques), lam=1.0)
+        x = rng.standard_normal(D)
+        found = mg.bb_infer(graph, weights, x)
+        truth = mg.exhaustive_infer(graph, weights, x)
+        assert mg.joint_loss(graph, weights, Instance(x, found.labels)).total == found.objective
+        assert mg.joint_loss(graph, weights, Instance(x, truth.labels)).total == truth.objective
+    for _ in range(100):
+        K = int(rng.integers(2, 9))
+        graph = coupled_graph(rng, "full", K, 2, mg.UNDIRECTED)
+        weights = WeightVector(rng.normal(0.0, 1.0, graph.n_cliques), lam=1.0)
+        x = rng.standard_normal(2)
+        truth = mg.exhaustive_infer(graph, weights, x)
+        assert mg.joint_loss(graph, weights, Instance(x, truth.labels)).total == truth.objective
 
 
 @settings(derandomize=True, deadline=None, max_examples=120)
