@@ -70,11 +70,11 @@ def branch_budget(n_outputs: int, cutoff: float) -> int:
     Every path to such an optimum takes fewer than cutoff opposite-label
     branches (each costs at least 1), so the search stays within the paths
     having at most ceil(cutoff)-1 of them: sum_{i<cutoff} C(K, i) paths of K
-    nodes each.
+    nodes each.  A cutoff above K, infinity included, allows all K * 2^K.
     """
-    if cutoff < 1:
+    if not (cutoff >= 1):
         raise DataError(f"cutoff must be at least 1, got {cutoff}")
-    top = min(math.ceil(cutoff) - 1, n_outputs)
+    top = n_outputs if cutoff > n_outputs else math.ceil(cutoff) - 1
     paths = sum(math.comb(n_outputs, i) for i in range(top + 1))
     return n_outputs * paths
 
@@ -159,8 +159,8 @@ def run_k_sweep(
         fitted = train_lmsbn(train, graph, TrainConfig(lam=lam, shuffle_seed=seed)).weights
         rng = np.random.default_rng((seed, K, 3))
         raw = rng.normal(0.0, 1.0, graph.n_cliques)
-        raw_scores = batch_scorer(graph, WeightVector(raw, lam=lam), test.X).scores(test.Y)
-        mean_abs = float(np.abs(raw_scores).mean())
+        raw_margins = batch_scorer(graph, WeightVector(raw, lam=lam), test.X).margin_block(test.Y)
+        mean_abs = float(np.abs(raw_margins).mean())
         random_w = WeightVector(values=raw / mean_abs, lam=lam)
         config = BBConfig(cutoff=cutoff, max_states=max_states)
         trained_states = [

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from collections import Counter
 
@@ -188,6 +189,15 @@ def _cmd_eval(args) -> int:
 def _cmd_bench(args) -> int:
     if bool(args.s_list) == bool(args.k_list):
         return _fail("bench needs exactly one of --S-list or --k-list")
+    option, convert = ("--S-list", float) if args.s_list else ("--k-list", int)
+    values = []
+    for token in filter(None, (args.s_list or args.k_list).split(",")):
+        try:
+            values.append(convert(token))
+            if math.isnan(values[-1]):
+                raise ValueError(token)
+        except ValueError:
+            return _fail(f"{option}: not a number: {token!r}")
     if args.s_list:
         if not args.model_file or not args.data:
             return _fail("--S-list bench needs --model-file and --data")
@@ -198,13 +208,11 @@ def _cmd_bench(args) -> int:
             args.data, n_outputs=model.graph.n_outputs, n_inputs=model.graph.n_inputs
         )
         dataset = Dataset(model.apply_scale(dataset.X), dataset.Y)
-        cutoffs = [float(t) for t in args.s_list.split(",") if t]
-        records = run_s_sweep(model.graph, model.weights, dataset, cutoffs, args.max_states)
+        records = run_s_sweep(model.graph, model.weights, dataset, values, args.max_states)
         csv = s_sweep_csv(records)
     else:
-        k_list = [int(t) for t in args.k_list.split(",") if t]
         records = run_k_sweep(
-            k_list,
+            values,
             n_train=args.n_train,
             n_test=args.n_test,
             lam=args.lam,

@@ -93,12 +93,3 @@ class Dataset:
     def subset(self, indices) -> "Dataset":
         idx = np.asarray(indices, dtype=np.intp)
         return Dataset(self.X[idx], self.Y[idx])
-
-    @staticmethod
-    def from_instances(instances) -> "Dataset":
-        instances = list(instances)
-        if not instances:
-            raise DataError("cannot build a dataset from zero instances")
-        X = np.stack([inst.x for inst in instances])
-        Y = np.stack([inst.y for inst in instances])
-        return Dataset(X, Y)

@@ -6,12 +6,11 @@ node i is z_i = y_i * s_i, and the joint hinge loss of an assignment is
 sum_i max(0, 1 - z_i).
 
 The score is defined once, by the graph's ``layout`` of per-node terms, and
-read two ways.  ``compile_scorer`` folds one input into a ``NodeScorer``: its
-vectorized columns, and the scalar score the branch-and-bound search computes
-from the same tables, add terms in the same order, so a search and a
-brute-force enumeration produce bit-identical objectives.
-``batch_scorer`` scores many inputs at full assignments (sampling, training
-losses, probes).
+summed by one loop, ``NodeScorer._score``.  ``compile_scorer`` folds one
+input into a ``NodeScorer`` whose columns and the search's scalar score add
+terms in the same order, so search and enumeration objectives agree to the
+bit; ``batch_scorer`` folds many inputs so that each row's scores have the
+bits of that row's ``compile_scorer`` (sampling, training losses, probes).
 
 Only this module maps assignment indices to labels (``signs_of_indices``).
 ``NodeScorer.grid_sums`` walks all 2^K assignments in index order, up to
@@ -51,7 +50,6 @@ __all__ = [
     "LossBreakdown",
     "NodeScorer",
     "compile_scorer",
-    "BatchScorer",
     "batch_scorer",
     "node_margin",
     "margins",
@@ -88,6 +86,13 @@ _PARITY_ENTRIES = 1 << 19
 HINGE_LOG_OFFSET = math.log(math.e + math.exp(-1.0))
 
 
+def _check_regularization(lam: float, eta0: float) -> None:
+    if not (0 < lam < math.inf):
+        raise DataError(f"regularization strength must be positive and finite, got {lam}")
+    if not (0 <= eta0 < math.inf):
+        raise DataError(f"regularizer boost must be non-negative and finite, got {eta0}")
+
+
 @dataclass(frozen=True)
 class WeightVector:
     """One weight per clique plus the regularization constants used to fit it."""
@@ -104,10 +109,7 @@ class WeightVector:
             raise DataError("weights contain non-finite values")
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
-        if not (self.lam > 0):
-            raise DataError(f"regularization strength must be positive, got {self.lam}")
-        if self.eta0 < 0:
-            raise DataError(f"regularizer boost must be non-negative, got {self.eta0}")
+        _check_regularization(self.lam, self.eta0)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -128,7 +130,9 @@ def _hinge(z):
 
 @dataclass(frozen=True)
 class NodeScorer:
-    """Per-node score tables for one fixed input vector.
+    """Per-node score tables for one input vector (const (K,), float w_eff)
+    or a batch of n (const (K, n), each w_eff an (n,) array, scored against
+    row r of Y for input r); ``grid_sums`` and the search take one input only.
 
     For node i, s_i = const[i] + sum over terms[i] of w_eff * parity(others),
     where const folds in all cliques whose parity part is empty once the
@@ -147,7 +151,7 @@ class NodeScorer:
     """
 
     const: np.ndarray
-    terms: tuple[tuple[tuple[float, tuple[int, ...]], ...], ...]
+    terms: tuple[tuple[tuple[float | np.ndarray, tuple[int, ...]], ...], ...]
     order: tuple[int, ...]
 
     @property
@@ -198,7 +202,7 @@ class NodeScorer:
             yield start, self._add_losses(signs, np.zeros(shape), per_node).reshape(-1)
 
     def score_column(self, i: int, Y: np.ndarray) -> np.ndarray:
-        """s_i for every row of the (n, K) sign matrix Y."""
+        """s_i for every row of Y; only node i's partners need be assigned."""
         return np.full(Y.shape[0], self._score(i, Y.T), dtype=np.float64)
 
     def margin_block(self, Y: np.ndarray) -> np.ndarray:
@@ -230,11 +234,12 @@ def compile_scorer(graph: GraphSpec, weights: WeightVector, x: np.ndarray) -> No
     xa = _augmented(graph, weights, x, 1)
     w = weights.values
     layout = graph.layout
+    # bincount returns int64 zeros when no clique is unary
     const = np.bincount(
         layout.unary_node,
         weights=w[layout.unary_clique] * xa[layout.unary_column],
         minlength=graph.n_outputs,
-    )
+    ).astype(np.float64, copy=False)
     terms = tuple(
         tuple((float(w[j] * xa[col]), partners) for j, col, partners in node)
         for node in layout.coupled
@@ -242,34 +247,23 @@ def compile_scorer(graph: GraphSpec, weights: WeightVector, x: np.ndarray) -> No
     return NodeScorer(const=const, terms=terms, order=graph.order)
 
 
-@dataclass(frozen=True)
-class BatchScorer:
-    """Node scores for a batch of inputs; column i adds node i's layout
-    terms one by one in ``contributing`` order, starting from zero."""
-
-    graph: GraphSpec
-    weights: WeightVector
-    Xa: np.ndarray
-
-    def column(self, i: int, Y: np.ndarray) -> np.ndarray:
-        """s_i for every row; only node i's partners in Y need be assigned."""
-        w = self.weights.values
-        s = np.zeros(self.Xa.shape[0], dtype=np.float64)
-        for j, col, partners in self.graph.layout.feeds[i]:
-            term = w[j] * self.Xa[:, col]
-            for k in partners:
-                term = term * Y[:, k]
-            s += term
-        return s
-
-    def scores(self, Y: np.ndarray) -> np.ndarray:
-        """(n, K) matrix of node scores s_i for each row of Y."""
-        return np.stack([self.column(i, Y) for i in range(self.graph.n_outputs)], axis=1)
-
-
-def batch_scorer(graph: GraphSpec, weights: WeightVector, X: np.ndarray) -> BatchScorer:
-    """Bind the (n, D) inputs X for scoring against label matrices."""
-    return BatchScorer(graph, weights, _augmented(graph, weights, X, 2))
+def batch_scorer(graph: GraphSpec, weights: WeightVector, X: np.ndarray) -> NodeScorer:
+    """Fold the (n, D) inputs X into batch tables, each entry summed as
+    ``compile_scorer`` sums it for one row (unary terms in layout order from
+    0.0, like its ``bincount``), so every row's scores have the same bits."""
+    Xa = _augmented(graph, weights, X, 2)
+    w = weights.values
+    layout = graph.layout
+    const = np.zeros((graph.n_outputs, len(Xa)))
+    rows = list(const)  # one view per node, not a fresh const[i] view per term
+    unary = zip(layout.unary_clique.tolist(), layout.unary_column.tolist(), layout.unary_node.tolist())
+    for j, col, i in unary:
+        rows[i] += w[j] * Xa[:, col]
+    terms = tuple(
+        tuple((w[j] * Xa[:, col], partners) for j, col, partners in node)
+        for node in layout.coupled
+    )
+    return NodeScorer(const=const, terms=terms, order=graph.order)
 
 
 def node_margin(graph: GraphSpec, weights: WeightVector, x, y, i: int) -> float:

@@ -41,7 +41,7 @@ def probe_label_fscores(dataset: Dataset, config: TrainConfig | None = None) -> 
     """Training-set F-score of an independent linear classifier per label."""
     graph = build_independent_graph(dataset.n_outputs, dataset.n_inputs, DIRECTED)
     result = train_lmsbn(dataset, graph, config or TrainConfig())
-    scores = batch_scorer(graph, result.weights, dataset.X).scores(dataset.Y)
+    scores = dataset.Y * batch_scorer(graph, result.weights, dataset.X).margin_block(dataset.Y)
     preds = np.where(scores >= 0.0, 1, -1)  # score 0 predicts +1
     return per_label_f_scores(dataset.Y, preds)
 

@@ -77,7 +77,7 @@ def sample_sbn(config: SynthConfig) -> Dataset:
     Y = np.zeros((n, graph.n_outputs), dtype=np.int8)
     scorer = batch_scorer(graph, config.weights, X)
     for node in graph.order:
-        s = scorer.column(node, Y)
+        s = scorer.score_column(node, Y)
         # p(y=+1) = sigmoid(s), computed stably
         p = np.exp(-np.logaddexp(0.0, -s))
         Y[:, node] = np.where(rng.random(n) < p, 1, -1)

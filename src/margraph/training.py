@@ -28,6 +28,7 @@ those that meet no projected gradient above the tolerance, and the last.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +36,7 @@ import numpy as np
 from .data import Dataset
 from .errors import DataError, GraphError
 from .graphs import DIRECTED, UNDIRECTED, GraphSpec
-from .model import WeightVector, batch_scorer
+from .model import WeightVector, _check_regularization, batch_scorer
 
 __all__ = [
     "TrainConfig",
@@ -64,10 +65,7 @@ class TrainConfig:
     shuffle_seed: int = 0
 
     def __post_init__(self) -> None:
-        if not (self.lam > 0):
-            raise DataError(f"regularization strength must be positive, got {self.lam}")
-        if self.eta0 < 0:
-            raise DataError(f"regularizer boost must be non-negative, got {self.eta0}")
+        _check_regularization(self.lam, self.eta0)
         if self.max_epochs < 1:
             raise DataError(f"need at least one epoch, got {self.max_epochs}")
         if not (self.tolerance > 0):
@@ -336,7 +334,10 @@ def _solve_dual(blocks, eta, box, rng, max_epochs, tol, node=None):
 
 
 def _box_bound(lam: float, n: int) -> float:
-    return 1.0 / (lam * n)
+    box = 1.0 / (lam * n)
+    if not (0 < box < math.inf):
+        raise DataError(f"box bound 1/(lambda*n) is {box} for lambda={lam}, n={n}; need a positive finite bound")
+    return box
 
 
 def train_lmsbn(dataset: Dataset, graph: GraphSpec, config: TrainConfig | None = None) -> TrainResult:
@@ -401,7 +402,7 @@ def train_lmbm(dataset: Dataset, graph: GraphSpec, config: TrainConfig | None = 
 
 def mean_joint_loss(dataset: Dataset, graph: GraphSpec, weights: WeightVector) -> float:
     """Mean joint hinge loss at the observed labels."""
-    Z = dataset.Y * batch_scorer(graph, weights, dataset.X).scores(dataset.Y)
+    Z = batch_scorer(graph, weights, dataset.X).margin_block(dataset.Y)
     return float(np.maximum(0.0, 1.0 - Z).sum()) / dataset.n_instances
 
 

@@ -1,8 +1,10 @@
 """End-to-end command-line workflows."""
 
 import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -215,6 +217,49 @@ def test_bench_needs_exactly_one_sweep(workdir, capsys):
     assert "exactly one" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("option, text, token", [
+    ("--k-list", "a", "a"),
+    ("--k-list", "3,1.5", "1.5"),
+    ("--S-list", "2,x", "x"),
+    ("--S-list", "nan", "nan"),
+])
+def test_bench_malformed_list_is_a_usage_error(workdir, capsys, option, text, token):
+    code = main([
+        "bench", option, text,
+        "--model-file", str(workdir / "sbn.model"), "--data", str(workdir / "data.sv"),
+    ])
+    assert code == 2
+    assert capsys.readouterr().err == f"margraph: {option}: not a number: {token!r}\n"
+
+
+@pytest.mark.parametrize("text", ["inf", "1e400"])
+def test_bench_infinite_cutoff_allows_the_full_tree(workdir, capsys, text):
+    assert main([
+        "bench", "--S-list", text,
+        "--model-file", str(workdir / "sbn.model"), "--data", str(workdir / "data.sv"),
+    ]) == 0
+    row = capsys.readouterr().out.splitlines()[1].split(",")
+    assert row[:3] == ["inf", "1.0", "1.0"]
+
+
+@pytest.mark.parametrize("model", ["lmsbn", "lmbm"])
+@pytest.mark.parametrize("option, value, words", [
+    ("--lambda", "inf", "regularization strength"),
+    ("--lambda", "1e308", "box bound"),
+    ("--eta0", "nan", "regularizer boost"),
+])
+def test_non_finite_regularization_fails_with_one_line(workdir, capsys, model, option, value, words):
+    out = workdir / f"bad-{model}.model"
+    code = main([
+        "train", "--model", model, option, value,
+        "--data", str(workdir / "data.sv"), "--out", str(out),
+    ])
+    assert code == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("margraph: error: ") and words in lines[0]
+    assert not out.exists()
+
+
 def test_missing_input_file_fails_cleanly(tmp_path, capsys):
     code = main([
         "train", "--model", "lmsbn", "--data", str(tmp_path / "nope.sv"),
@@ -250,3 +295,45 @@ def test_module_entry_point_runs_in_a_subprocess(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "wrote 5 instances" in proc.stdout
     assert (tmp_path / "s.sv").exists()
+
+
+# ---------------------------------------------------------------------------
+# README
+
+
+def _readme_blocks():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return re.findall(r"^```(\w*)\n(.*?)^```", text, flags=re.S | re.M)
+
+
+def _run_readme_shell(block, capsys):
+    """Run one README shell block in the current directory: margraph
+    commands through main, ``head``/``tail -n N src > dst`` as line slices.
+    Returns what the last command printed."""
+    out = ""
+    for line in block.replace("\\\n", " ").splitlines():
+        words = shlex.split(line)
+        if not words:
+            continue
+        capsys.readouterr()
+        if words[0] == "margraph":
+            assert main(words[1:]) == 0, line
+            out = capsys.readouterr().out
+        else:
+            cmd, flag, n, src, redirect, dst = words
+            assert cmd in ("head", "tail") and flag == "-n" and redirect == ">", line
+            lines = Path(src).read_text(encoding="utf-8").splitlines(keepends=True)
+            Path(dst).write_text("".join(lines[: int(n)] if cmd == "head" else lines[-int(n):]), encoding="utf-8")
+    return out
+
+
+def test_readme_command_line_quick_start_prints_what_the_readme_shows(tmp_path, monkeypatch, capsys):
+    # synth, the fscore probe, training, search, eval and the cutoff sweep's
+    # mean loss all feed the two outputs the README quotes
+    monkeypatch.chdir(tmp_path)
+    blocks = _readme_blocks()
+    quick_start, sweep = [body for lang, body in blocks if lang == "sh" and "margraph " in body]
+    metric_line = next(body for _, body in blocks if body.startswith("E="))
+    sweep_csv = next(body for _, body in blocks if body.startswith("S,"))
+    assert _run_readme_shell(quick_start, capsys) == metric_line
+    assert _run_readme_shell(sweep, capsys) == sweep_csv

@@ -1,5 +1,6 @@
 """Branch-and-bound search, exhaustive oracle, and the flip-descent baseline."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -178,6 +179,10 @@ def test_budget_formula_values():
     assert branch_budget(15, 2) == 15 * (1 + 15)
     assert branch_budget(3, 1e9) == 3 * 8        # full tree when S is huge
     assert branch_budget(4, 2.5) == 4 * (1 + 4 + 6)
+    assert branch_budget(4, math.inf) == 4 * 16
+    for bad in (0.5, -math.inf, math.nan):
+        with pytest.raises(DataError):
+            branch_budget(4, bad)
 
 
 def test_icm_keeps_the_global_optimum_fixed():

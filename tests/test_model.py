@@ -88,6 +88,9 @@ def test_weight_vector_validation():
         WeightVector(np.array([1.0]), lam=0.0)
     with pytest.raises(DataError):
         WeightVector(np.array([1.0]), lam=1.0, eta0=-1.0)
+    for lam, eta0 in ((np.inf, 0.0), (np.nan, 0.0), (1.0, np.inf), (1.0, np.nan)):
+        with pytest.raises(DataError, match="finite"):
+            WeightVector(np.array([1.0]), lam=lam, eta0=eta0)
     w = WeightVector(np.array([1.0, 2.0]), lam=0.5, eta0=0.25)
     with pytest.raises(ValueError):
         w.values[0] = 9.0  # read-only storage
@@ -168,16 +171,42 @@ def test_compiled_scores_match_the_per_clique_reference_on_arbitrary_graphs():
         weights = WeightVector(rng.normal(0.0, 1.0, graph.n_cliques), lam=1.0)
         X = rng.standard_normal((4, graph.n_inputs))
         Y = random_labels(rng, 4, graph.n_outputs)
-        batch = mg.batch_scorer(graph, weights, X).scores(Y)
-        for x, y, s in zip(X, Y, batch):
+        batch = mg.batch_scorer(graph, weights, X).margin_block(Y)
+        for x, y, z in zip(X, Y, batch):
             scorer = compile_scorer(graph, weights, x)
             const, terms = reference_scorer(graph, weights, x)
             assert scorer.const.tolist() == const.tolist()
             assert scorer.terms == terms
-            assert np.abs(y * s - mg.margins(graph, weights, x, y)).max() <= 1e-12
+            assert z.view(np.int64).tolist() == mg.margins(graph, weights, x, y).view(np.int64).tolist()
             if kind == mg.DIRECTED:
                 found = mg.bb_infer(graph, weights, x)
                 assert found.objective == mg.exhaustive_infer(graph, weights, x).objective
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(
+    topology=st.sampled_from(["chain", "full"]),
+    kind=st.sampled_from([mg.DIRECTED, mg.UNDIRECTED]),
+    K=st.integers(2, 7),
+    D=st.integers(0, 3),
+    rows=st.integers(1, 6),
+    seed=st.integers(0, 2**16),
+)
+def test_batch_margins_are_the_per_row_margins_bit_for_bit(topology, kind, K, D, rows, seed):
+    # coupled cliques come first, so a sum from 0.0 in clique order would
+    # add them before the unary constant; every row must still read the bits
+    # its own compiled scorer gives
+    rng = np.random.default_rng(seed)
+    base = coupled_graph(rng, topology, K, D, kind)
+    cliques = sorted(base.cliques, key=lambda c: len(c.outputs) == 1)
+    graph = GraphSpec(K, D, kind, base.order, tuple(cliques))
+    weights = WeightVector(rng.normal(0.0, 1.0, graph.n_cliques), lam=1.0)
+    X = rng.standard_normal((rows, D))
+    Y = random_labels(rng, rows, K)
+    batch = mg.batch_scorer(graph, weights, X).margin_block(Y)
+    for x, y, z in zip(X, Y, batch):
+        single = compile_scorer(graph, weights, x).margin_block(y[None])[0]
+        assert z.view(np.int64).tolist() == single.view(np.int64).tolist()
 
 
 def test_sbn_log_likelihood_values(two_node_model):

@@ -68,6 +68,22 @@ def test_train_config_validation():
         TrainConfig(tolerance=0.0)
     with pytest.raises(DataError):
         TrainConfig(max_epochs=0)
+    for field, value in (("lam", np.inf), ("lam", np.nan), ("eta0", np.inf), ("eta0", np.nan)):
+        with pytest.raises(DataError, match="finite"):
+            TrainConfig(**{field: value})
+
+
+@pytest.mark.parametrize("train", [mg.train_lmsbn, mg.train_lmbm])
+@pytest.mark.parametrize("lam", [1e308, 1e-320])
+def test_box_bound_must_be_positive_and_finite(train, lam):
+    # lambda * n overflows to inf (box 0), or 1/(lambda * n) does (box inf);
+    # at box 0 every dual stays 0 and the relative gap divides by a 0 primal
+    rng = np.random.default_rng(0)
+    dataset = random_dataset(rng, 30, 2, 1)
+    kind = mg.DIRECTED if train is mg.train_lmsbn else mg.UNDIRECTED
+    graph = mg.build_full_graph(2, 1, kind)
+    with pytest.raises(DataError, match="box bound"):
+        train(dataset, graph, TrainConfig(lam=lam))
 
 
 def test_kind_mismatch_is_rejected():
