@@ -14,7 +14,7 @@ Two experiments:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -36,10 +36,13 @@ __all__ = [
     "k_sweep_csv",
     "S_SWEEP_HEADER",
     "K_SWEEP_HEADER",
+    "K_SWEEP_MAX_STATES",
 ]
 
 S_SWEEP_HEADER = "S,fraction_optimal,bound,mean_states,max_states,mean_loss"
 K_SWEEP_HEADER = "K,trained_mean_states,random_mean_states,exhaustive_states"
+# The size sweep's default cap on search states per row.
+K_SWEEP_MAX_STATES = 200_000
 
 
 @dataclass(frozen=True)
@@ -123,77 +126,54 @@ def run_s_sweep(
 def run_k_sweep(
     k_list,
     *,
-    n_inputs: int = 3,
     n_train: int = 200,
     n_test: int = 30,
     lam: float = 0.01,
     seed: int = 0,
-    cutoff: float = 1e9,
-    max_states: int | None = 200_000,
-    bias_scale: float = 3.0,
-    input_scale: float = 0.5,
-    edge_scale: float = 1.0,
+    max_states: int | None = K_SWEEP_MAX_STATES,
 ) -> list[KSweepRecord]:
     """Mean branches taken vs label count, trained model vs random model.
 
-    Data comes from a planted directed chain; the trained model is fit on a
-    fresh sample from it.  The untrained comparison model draws clique
-    weights from N(0,1) and rescales them so its mean absolute node score
-    on the test data is 1: scores at the decision scale but unrelated to
-    the data, the regime where pruning has nothing to work with.
+    Data comes from a planted directed chain over 3 inputs, with bias,
+    input and edge weights drawn at scales 3.0, 0.5 and 1.0; the trained
+    model is fit on a fresh sample from it.  The untrained comparison model
+    draws clique weights from N(0,1) and rescales them so its mean absolute
+    node score on the test data is 1: scores at the decision scale but
+    unrelated to the data, the regime where pruning has nothing to work
+    with.  Both models are searched from ``BBConfig``'s default initial
+    bound, with at most ``max_states`` states per row (None for no cap).
     """
     records = []
     for K in k_list:
         graph, planted = planted_model(
-            K,
-            n_inputs,
-            kind=DIRECTED,
-            topology="chain",
-            seed=(seed, K, 0),
-            bias_scale=bias_scale,
-            input_scale=input_scale,
-            edge_scale=edge_scale,
+            K, 3, kind=DIRECTED, topology="chain", seed=(seed, K, 0),
+            bias_scale=3.0, input_scale=0.5, edge_scale=1.0,
         )
         train = sample_sbn(SynthConfig(graph, planted, n_train, seed=(seed, K, 1)))
         test = sample_sbn(SynthConfig(graph, planted, n_test, seed=(seed, K, 2)))
         fitted = train_lmsbn(train, graph, TrainConfig(lam=lam, shuffle_seed=seed)).weights
-        rng = np.random.default_rng((seed, K, 3))
-        raw = rng.normal(0.0, 1.0, graph.n_cliques)
+        raw = np.random.default_rng((seed, K, 3)).normal(0.0, 1.0, graph.n_cliques)
         raw_margins = batch_scorer(graph, WeightVector(raw, lam=lam), test.X).margin_block(test.Y)
         mean_abs = float(np.abs(raw_margins).mean())
         random_w = WeightVector(values=raw / mean_abs, lam=lam)
-        config = BBConfig(cutoff=cutoff, max_states=max_states)
-        trained_states = [
-            bb_infer(graph, fitted, x, config).states_visited for x in test.X
-        ]
-        random_states = [
-            bb_infer(graph, random_w, x, config).states_visited for x in test.X
-        ]
-        records.append(
-            KSweepRecord(
-                n_outputs=K,
-                trained_mean_states=float(np.mean(trained_states)),
-                random_mean_states=float(np.mean(random_states)),
-                exhaustive_states=1 << K,
-            )
+        config = BBConfig(max_states=max_states)
+        trained_mean, random_mean = (
+            float(np.mean([bb_infer(graph, w, x, config).states_visited for x in test.X]))
+            for w in (fitted, random_w)
         )
+        records.append(KSweepRecord(K, trained_mean, random_mean, exhaustive_states=1 << K))
     return records
 
 
-def s_sweep_csv(records) -> str:
-    lines = [S_SWEEP_HEADER]
-    for r in records:
-        lines.append(
-            f"{r.cutoff!r},{r.fraction_optimal!r},{r.bound!r},"
-            f"{r.mean_states!r},{r.max_states},{r.mean_loss!r}"
-        )
+def _csv(header: str, records) -> str:
+    """The header, then one line per record: the repr of each field in order."""
+    lines = [header] + [",".join(repr(v) for v in astuple(r)) for r in records]
     return "\n".join(lines) + "\n"
+
+
+def s_sweep_csv(records) -> str:
+    return _csv(S_SWEEP_HEADER, records)
 
 
 def k_sweep_csv(records) -> str:
-    lines = [K_SWEEP_HEADER]
-    for r in records:
-        lines.append(
-            f"{r.n_outputs},{r.trained_mean_states!r},{r.random_mean_states!r},{r.exhaustive_states}"
-        )
-    return "\n".join(lines) + "\n"
+    return _csv(K_SWEEP_HEADER, records)

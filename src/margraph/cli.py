@@ -21,27 +21,15 @@ from .dataio import (
     write_predictions,
 )
 from .errors import MargraphError
-from .graphs import (
-    DIRECTED,
-    UNDIRECTED,
-    build_chain_graph,
-    build_full_graph,
-    build_independent_graph,
-)
+from .graphs import DIRECTED, GRAPH_BUILDERS, UNDIRECTED
 from .inference import BBConfig, bb_infer, exhaustive_infer, icm_infer
 from .metrics import evaluate
 from .ordering import make_order_strategy
-from .bench import k_sweep_csv, run_k_sweep, run_s_sweep, s_sweep_csv
+from .bench import K_SWEEP_MAX_STATES, k_sweep_csv, run_k_sweep, run_s_sweep, s_sweep_csv
 from .synth import SynthConfig, planted_model, sample_bm, sample_sbn
 from .training import TrainConfig, train_lmbm, train_lmsbn
 
 __all__ = ["main", "build_parser"]
-
-_GRAPH_BUILDERS = {
-    "full": build_full_graph,
-    "chain": build_chain_graph,
-    "independent": build_independent_graph,
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -50,7 +38,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="fit a model on multi-label svmlight data")
     p.add_argument("--model", choices=["lmsbn", "lmbm"], required=True)
-    p.add_argument("--graph", choices=["full", "chain", "independent"], default="full")
+    p.add_argument("--graph", choices=list(GRAPH_BUILDERS), default="full")
     p.add_argument("--order", choices=["index", "fscore"], default="index")
     p.add_argument("--lambda", dest="lam", type=float, default=0.01)
     p.add_argument("--eta0", type=float, default=0.0)
@@ -89,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate data from a planted model")
     p.add_argument("--kind", choices=["sbn", "bm"], required=True)
-    p.add_argument("--graph", choices=["full", "chain", "independent"], default="chain")
+    p.add_argument("--graph", choices=list(GRAPH_BUILDERS), default="chain")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--d", type=int, default=3)
     p.add_argument("--n", type=int, required=True)
@@ -121,9 +109,7 @@ def _cmd_train(args) -> int:
     )
     strategy = make_order_strategy(args.order, dataset, config)
     kind = DIRECTED if args.model == "lmsbn" else UNDIRECTED
-    graph = _GRAPH_BUILDERS[args.graph](
-        dataset.n_outputs, dataset.n_inputs, kind, order=strategy.order
-    )
+    graph = GRAPH_BUILDERS[args.graph](dataset.n_outputs, dataset.n_inputs, kind, order=strategy.order)
     result = train_lmsbn(dataset, graph, config) if kind == DIRECTED else train_lmbm(dataset, graph, config)
     for r in result.reports:
         who = "joint" if r.node is None else f"node {r.node}"
@@ -217,7 +203,7 @@ def _cmd_bench(args) -> int:
             n_test=args.n_test,
             lam=args.lam,
             seed=args.seed,
-            max_states=args.max_states if args.max_states is not None else 200_000,
+            max_states=args.max_states if args.max_states is not None else K_SWEEP_MAX_STATES,
         )
         csv = k_sweep_csv(records)
     if args.out:

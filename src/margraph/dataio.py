@@ -107,8 +107,11 @@ def parse_multilabel_svmlight(path, n_outputs: int | None = None, n_inputs: int 
     if K < 1:
         raise DataError(f"{path}: no labels anywhere; pass an explicit label count")
     D = n_inputs if n_inputs is not None else max_feature
-    X = np.zeros((len(rows), D), dtype=np.float64)
-    Y = np.full((len(rows), K), -1, dtype=np.int8)
+    try:
+        X = np.zeros((len(rows), D), dtype=np.float64)
+        Y = np.full((len(rows), K), -1, dtype=np.int8)
+    except (ValueError, MemoryError) as exc:
+        raise DataError(f"{path}: cannot hold {len(rows)} rows of {K} labels and {D} features: {exc}") from None
     for r, (labels, feats) in enumerate(rows):
         for label in labels:
             Y[r, label - 1] = 1

@@ -30,6 +30,7 @@ __all__ = [
     "build_independent_graph",
     "build_chain_graph",
     "build_full_graph",
+    "GRAPH_BUILDERS",
 ]
 
 DIRECTED = "directed"
@@ -250,3 +251,11 @@ def build_full_graph(n_outputs: int, n_inputs: int, kind: str, order=None) -> Gr
         order=_default_order(n_outputs, order),
         cliques=tuple(cliques),
     )
+
+
+# Topology name -> builder, for everything that picks a graph by name.
+GRAPH_BUILDERS = {
+    "independent": build_independent_graph,
+    "chain": build_chain_graph,
+    "full": build_full_graph,
+}

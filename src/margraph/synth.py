@@ -1,13 +1,16 @@
 """Synthetic data sampled exactly from planted models.
 
-Directed models are sampled ancestrally along the node order; undirected
-models by inverting the cumulative 2^K table of each input.  Those tables
-come from the energy identity E(y) = (1/2) sum_i z_i(y) = sum_S coef_S(x) *
-parity_S(y) over clique output sets S: one matmul per block of inputs, over
-a parity matrix that covers the low bits of the assignment index, with
-higher chunks flipping coefficient signs (see ``margraph.model``).  Both
-samplers are exact (no MCMC), so empirical frequencies can be tested against
-the model's own likelihood.
+Each row's inputs are drawn i.i.d. standard normal from the config's seed
+(a graph with no inputs draws nothing, leaving the generator as it was);
+the labels are then sampled given the inputs.  Directed models are sampled
+ancestrally along the node order; undirected models by inverting the
+cumulative 2^K table of each input.  Those tables come from the energy
+identity E(y) = (1/2) sum_i z_i(y) = sum_S coef_S(x) * parity_S(y) over
+clique output sets S: one matmul per block of inputs, over a parity matrix
+that covers the low bits of the assignment index, with higher chunks
+flipping coefficient signs (see ``margraph.model``).  Both samplers are
+exact (no MCMC), so empirical frequencies can be tested against the model's
+own likelihood.
 """
 
 from __future__ import annotations
@@ -17,21 +20,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .errors import CapabilityError, DataError, GraphError
-from .graphs import (
-    DIRECTED,
-    UNDIRECTED,
-    GraphSpec,
-    build_chain_graph,
-    build_full_graph,
-    build_independent_graph,
+from .errors import DataError, GraphError
+from .graphs import DIRECTED, GRAPH_BUILDERS, UNDIRECTED, GraphSpec
+from .model import (
+    TABLE_MAX_OUTPUTS,
+    WeightVector,
+    _check_enum_size,
+    _ParityEnergy,
+    batch_scorer,
+    signs_of_indices,
 )
-from .model import TABLE_MAX_OUTPUTS, WeightVector, _ParityEnergy, batch_scorer, signs_of_indices
 
 __all__ = ["SynthConfig", "sample_sbn", "sample_bm", "planted_model"]
 
-INPUT_NORMAL = "normal"
-INPUT_NONE = "none"
 _BLOCK_ENTRIES = 1 << 15
 
 
@@ -43,26 +44,14 @@ class SynthConfig:
     weights: WeightVector
     n_instances: int
     seed: int = 0
-    input_model: str = INPUT_NORMAL
 
     def __post_init__(self) -> None:
         if self.n_instances < 1:
             raise DataError(f"need at least one instance, got {self.n_instances}")
-        if self.input_model not in (INPUT_NORMAL, INPUT_NONE):
-            raise DataError(f"unknown input model {self.input_model!r}")
-        if self.input_model == INPUT_NONE and self.graph.n_inputs != 0:
-            raise DataError("input model 'none' requires a graph with zero inputs")
         if len(self.weights) != self.graph.n_cliques:
             raise DataError(
                 f"{len(self.weights)} weights for {self.graph.n_cliques} cliques"
             )
-
-
-def _draw_inputs(config: SynthConfig, rng: np.random.Generator) -> np.ndarray:
-    n, d = config.n_instances, config.graph.n_inputs
-    if config.input_model == INPUT_NONE or d == 0:
-        return np.zeros((n, d), dtype=np.float64)
-    return rng.standard_normal((n, d))
 
 
 def sample_sbn(config: SynthConfig) -> Dataset:
@@ -72,8 +61,8 @@ def sample_sbn(config: SynthConfig) -> Dataset:
     if graph.kind != DIRECTED:
         raise GraphError("ancestral sampling needs a directed graph")
     rng = np.random.default_rng(config.seed)
-    X = _draw_inputs(config, rng)
     n = config.n_instances
+    X = rng.standard_normal((n, graph.n_inputs))
     Y = np.zeros((n, graph.n_outputs), dtype=np.int8)
     scorer = batch_scorer(graph, config.weights, X)
     for node in graph.order:
@@ -106,13 +95,10 @@ def sample_bm(config: SynthConfig) -> Dataset:
     graph = config.graph
     if graph.kind != UNDIRECTED:
         raise GraphError("table sampling needs an undirected graph")
-    if graph.n_outputs > TABLE_MAX_OUTPUTS:
-        raise CapabilityError(
-            f"exact sampling supports at most {TABLE_MAX_OUTPUTS} outputs, got {graph.n_outputs}"
-        )
+    _check_enum_size(graph.n_outputs, TABLE_MAX_OUTPUTS, "exact sampling")
     rng = np.random.default_rng(config.seed)
-    X = _draw_inputs(config, rng)
     n = config.n_instances
+    X = rng.standard_normal((n, graph.n_inputs))
     u = rng.random(n)
     energy = _ParityEnergy(graph, config.weights)
     if graph.reads_inputs:
@@ -139,30 +125,19 @@ def planted_model(
     bias_scale: float = 1.0,
     input_scale: float = 1.0,
     edge_scale: float = 1.0,
-    order=None,
 ) -> tuple[GraphSpec, WeightVector]:
-    """A random graph/weights pair for planted-model experiments.
+    """A random graph/weights pair, in index order, for planted-model experiments.
 
-    Unary bias weights, input-coupling weights, and edge weights are drawn
-    from centered normals with the given scales.
+    ``topology`` names a builder of ``GRAPH_BUILDERS``.  Unary bias weights,
+    input-coupling weights, and edge weights are drawn from centered normals
+    with the given scales.
     """
-    if topology == "chain":
-        graph = build_chain_graph(n_outputs, n_inputs, kind, order=order)
-    elif topology == "full":
-        graph = build_full_graph(n_outputs, n_inputs, kind, order=order)
-    elif topology == "independent":
-        graph = build_independent_graph(n_outputs, n_inputs, kind, order=order)
-    else:
+    if topology not in GRAPH_BUILDERS:
         raise DataError(f"unknown topology {topology!r}")
-    rng = np.random.default_rng(seed)
-    values = np.empty(graph.n_cliques, dtype=np.float64)
-    for j, c in enumerate(graph.cliques):
-        if len(c.outputs) >= 2:
-            scale = edge_scale
-        elif c.input_feature is not None:
-            scale = input_scale
-        else:
-            scale = bias_scale
-        values[j] = rng.normal(0.0, scale)
-    weights = WeightVector(values=values, lam=1.0, eta0=0.0)
-    return graph, weights
+    graph = GRAPH_BUILDERS[topology](n_outputs, n_inputs, kind)
+    scales = [
+        edge_scale if len(c.outputs) >= 2 else bias_scale if c.input_feature is None else input_scale
+        for c in graph.cliques
+    ]
+    values = np.random.default_rng(seed).normal(0.0, scales)
+    return graph, WeightVector(values=values, lam=1.0, eta0=0.0)

@@ -11,9 +11,12 @@ one constraint per (node, instance) pair, with feature row
 f_j = clique parity * input value.  Margins come out as z_il = w . f(:,il)
 because the parity includes the node's own label.
 
-Directed graphs decompose into one independent problem per node (cliques
-partition by owner); undirected graphs couple all nodes through shared
-weights and are solved jointly.  Both cases run the same coordinate-descent
+Both model kinds train through one loop of dual solves.  Directed graphs
+decompose into one independent solve per node over the cliques it owns
+(cliques partition by owner; a node that owns none still gets its solve,
+with every dual at the box); undirected graphs couple all nodes through
+shared weights and take one joint solve.  Each solve holds the features of
+its own constraint groups only, and runs the same coordinate-descent
 kernel: pick a constraint, compute the projected gradient, and move its dual
 variable to the exact 1-d optimum clipped to [0, C].  The kernel shrinks its
 active set (Hsieh et al., ICML 2008): constraints pinned at 0 or C with a
@@ -68,8 +71,8 @@ class TrainConfig:
         _check_regularization(self.lam, self.eta0)
         if self.max_epochs < 1:
             raise DataError(f"need at least one epoch, got {self.max_epochs}")
-        if not (self.tolerance > 0):
-            raise DataError(f"tolerance must be positive, got {self.tolerance}")
+        if not (0 < self.tolerance < math.inf):
+            raise DataError(f"tolerance must be positive and finite, got {self.tolerance}")
 
 
 @dataclass(frozen=True)
@@ -85,8 +88,8 @@ class SolveReport:
     gap: float
     max_projected_gradient: float
     converged: bool
-    steps: int = 0
-    rel_gap: float = 0.0
+    steps: int
+    rel_gap: float
 
 
 @dataclass(frozen=True)
@@ -96,7 +99,6 @@ class DualState:
     graph: GraphSpec
     alpha: np.ndarray
     weights: WeightVector
-    epoch: int
 
 
 @dataclass(frozen=True)
@@ -120,19 +122,21 @@ class TrainResult:
 
 def clique_feature_matrix(graph: GraphSpec, dataset: Dataset) -> np.ndarray:
     """(N, n_cliques) matrix of clique features at the true labels."""
+    return _features(graph, dataset, range(graph.n_cliques))
+
+
+def _features(graph: GraphSpec, dataset: Dataset, cliques) -> np.ndarray:
+    """(N, len(cliques)) C-contiguous features of the given cliques."""
     if dataset.n_outputs != graph.n_outputs or dataset.n_inputs != graph.n_inputs:
         raise DataError(
             f"dataset dims ({dataset.n_outputs} outputs, {dataset.n_inputs} inputs) "
             f"do not match graph ({graph.n_outputs}, {graph.n_inputs})"
         )
-    N = dataset.n_instances
-    F = np.empty((N, graph.n_cliques), dtype=np.float64)
-    for j, c in enumerate(graph.cliques):
+    F = np.empty((dataset.n_instances, len(cliques)), dtype=np.float64)
+    for k, j in enumerate(cliques):
+        c = graph.cliques[j]
         parity = np.prod(dataset.Y[:, list(c.outputs)], axis=1, dtype=np.int8)
-        if c.input_feature is None:
-            F[:, j] = parity
-        else:
-            F[:, j] = parity * dataset.X[:, c.input_feature]
+        F[:, k] = parity if c.input_feature is None else parity * dataset.X[:, c.input_feature]
     return F
 
 
@@ -149,10 +153,16 @@ _NARROW_WIDTH = 12
 _ROUNDOFF = 1e-12
 
 
-def _blocks(F: np.ndarray, groups) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per constraint group: its clique columns and C-contiguous F[:, cols]."""
-    cols_list = [np.asarray(cols, dtype=np.intp) for cols in groups]
-    return [(cols, np.ascontiguousarray(F[:, cols])) for cols in cols_list]
+def _blocks(graph: GraphSpec, dataset: Dataset, groups):
+    """The cliques that constraint groups touch, sorted, which index the
+    solve's weights; and per group, its columns among them with the features
+    of its cliques.  A solve holds only its own groups' features."""
+    cliques = sorted({j for g in groups for j in g})
+    local = {j: k for k, j in enumerate(cliques)}
+    blocks = [
+        (np.array([local[j] for j in g], dtype=np.intp), _features(graph, dataset, g)) for g in groups
+    ]
+    return cliques, blocks
 
 
 def _box_objectives(blocks, eta, box, alpha) -> tuple[np.ndarray, float, float]:
@@ -184,7 +194,7 @@ def _max_projected_gradient(blocks, w, alpha, box) -> float:
     return largest
 
 
-def _solve_dual(blocks, eta, box, rng, max_epochs, tol, node=None):
+def _solve_dual(blocks, eta, box, rng, max_epochs, tol, node):
     """Coordinate descent over dual variables alpha[group, instance] in [0, box].
 
     ``blocks`` are the constraint groups from ``_blocks``; ``eta`` has one
@@ -348,56 +358,41 @@ def train_lmsbn(dataset: Dataset, graph: GraphSpec, config: TrainConfig | None =
     """
     if graph.kind != DIRECTED:
         raise GraphError("this trainer needs a directed graph")
-    config = config or TrainConfig()
-    F = clique_feature_matrix(graph, dataset)
-    eta = graph.regularizer_multipliers(config.eta0)
-    box = _box_bound(config.lam, dataset.n_instances)
-    w = np.zeros(graph.n_cliques, dtype=np.float64)
-    alpha = np.zeros((graph.n_outputs, dataset.n_instances), dtype=np.float64)
-    reports = []
-    for i in range(graph.n_outputs):
-        cols = np.asarray(graph.contributing[i], dtype=np.intp)
-        if len(cols) == 0:
-            reports.append(SolveReport(i, 0, 0.0, 0.0, True, 0, 0.0))
-            continue
-        rng = np.random.default_rng((config.shuffle_seed, i))
-        wi, ai, report = _solve_dual(
-            _blocks(F[:, cols], [np.arange(len(cols))]),
-            eta[cols],
-            box,
-            rng,
-            config.max_epochs,
-            config.tolerance,
-            node=i,
-        )
-        w[cols] = wi
-        alpha[i] = ai[0]
-        reports.append(report)
-    weights = WeightVector(values=w, lam=config.lam, eta0=config.eta0)
-    state = DualState(graph, alpha, weights, max(r.epochs for r in reports))
-    return TrainResult(weights=weights, state=state, reports=tuple(reports))
+    return _train(dataset, graph, config or TrainConfig())
 
 
 def train_lmbm(dataset: Dataset, graph: GraphSpec, config: TrainConfig | None = None) -> TrainResult:
     """Fit an undirected graph: one joint problem over all (node, instance) pairs."""
     if graph.kind != UNDIRECTED:
         raise GraphError("this trainer needs an undirected graph")
-    config = config or TrainConfig()
-    blocks = _blocks(clique_feature_matrix(graph, dataset), graph.contributing)
+    return _train(dataset, graph, config or TrainConfig())
+
+
+def _train(dataset: Dataset, graph: GraphSpec, config: TrainConfig) -> TrainResult:
+    """One dual solve per directed node over the cliques it owns, or one
+    joint solve over every node of an undirected graph.
+
+    A solve's shuffle seed is (shuffle_seed, its first node): (seed, i) for
+    directed node i, (seed, 0) for the joint solve.
+    """
     eta = graph.regularizer_multipliers(config.eta0)
     box = _box_bound(config.lam, dataset.n_instances)
-    rng = np.random.default_rng((config.shuffle_seed, 0))
-    w, alpha, report = _solve_dual(
-        blocks,
-        eta,
-        box,
-        rng,
-        config.max_epochs,
-        config.tolerance,
-    )
+    K = graph.n_outputs
+    solves = [(i, [i]) for i in range(K)] if graph.kind == DIRECTED else [(None, list(range(K)))]
+    w = np.zeros(graph.n_cliques, dtype=np.float64)
+    alpha = np.zeros((K, dataset.n_instances), dtype=np.float64)
+    reports = []
+    for node, nodes in solves:
+        cliques, blocks = _blocks(graph, dataset, [graph.contributing[i] for i in nodes])
+        rng = np.random.default_rng((config.shuffle_seed, nodes[0]))
+        w_solve, alpha_solve, report = _solve_dual(
+            blocks, eta[cliques], box, rng, config.max_epochs, config.tolerance, node
+        )
+        w[cliques] = w_solve
+        alpha[nodes] = alpha_solve
+        reports.append(report)
     weights = WeightVector(values=w, lam=config.lam, eta0=config.eta0)
-    state = DualState(graph, alpha, weights, report.epochs)
-    return TrainResult(weights=weights, state=state, reports=(report,))
+    return TrainResult(weights=weights, state=DualState(graph, alpha, weights), reports=tuple(reports))
 
 
 def mean_joint_loss(dataset: Dataset, graph: GraphSpec, weights: WeightVector) -> float:
@@ -427,7 +422,7 @@ def _state_objectives(state: DualState, dataset: Dataset, config: TrainConfig | 
     """(weights, box primal, dual) at the state's alpha, as the solver computes them."""
     scale = config if config is not None else state.weights
     graph = state.graph
-    blocks = _blocks(clique_feature_matrix(graph, dataset), graph.contributing)
+    _, blocks = _blocks(graph, dataset, graph.contributing)
     eta = graph.regularizer_multipliers(scale.eta0)
     return _box_objectives(blocks, eta, _box_bound(scale.lam, dataset.n_instances), state.alpha)
 

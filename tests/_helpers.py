@@ -9,14 +9,11 @@ import numpy as np
 
 import margraph as mg
 from margraph.errors import DataError
+from margraph.graphs import GRAPH_BUILDERS
 from margraph.inference import STATUS_BUDGET, STATUS_LOCAL, STATUS_OPTIMAL
 from margraph.model import compile_scorer, signs_of_indices
 
-BUILDERS = {
-    "independent": mg.build_independent_graph,
-    "chain": mg.build_chain_graph,
-    "full": mg.build_full_graph,
-}
+BUILDERS = GRAPH_BUILDERS
 
 
 def random_model(rng, kind, max_outputs=10, max_inputs=5, min_outputs=1, scale=1.0):

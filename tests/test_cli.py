@@ -247,6 +247,7 @@ def test_bench_infinite_cutoff_allows_the_full_tree(workdir, capsys, text):
     ("--lambda", "inf", "regularization strength"),
     ("--lambda", "1e308", "box bound"),
     ("--eta0", "nan", "regularizer boost"),
+    ("--tol", "inf", "tolerance"),
 ])
 def test_non_finite_regularization_fails_with_one_line(workdir, capsys, model, option, value, words):
     out = workdir / f"bad-{model}.model"
@@ -267,6 +268,19 @@ def test_missing_input_file_fails_cleanly(tmp_path, capsys):
     ])
     assert code == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["1 100000000000000000000:1.0", "100000000000000000000 1:1.0"])
+def test_an_id_too_large_for_an_array_fails_with_one_line(tmp_path, capsys, line):
+    # NumPy rejects the dimension before allocating anything
+    bad = tmp_path / "huge.sv"
+    bad.write_text(line + "\n")
+    code = main([
+        "train", "--model", "lmsbn", "--data", str(bad), "--out", str(tmp_path / "m.model"),
+    ])
+    assert code == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("margraph: error: ") and "cannot hold" in lines[0]
 
 
 def test_corrupt_data_file_fails_cleanly(tmp_path, capsys):

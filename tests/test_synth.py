@@ -12,6 +12,7 @@ import margraph as mg
 from margraph import model, synth
 from margraph import Clique, GraphSpec, SynthConfig, WeightVector
 from margraph.errors import CapabilityError, DataError, GraphError
+from margraph.graphs import GRAPH_BUILDERS
 from margraph.model import TABLE_MAX_OUTPUTS, index_from_signs, log_prob_table, signs_of_indices
 from margraph.synth import planted_model, sample_bm, sample_sbn
 from margraph.training import mean_joint_loss
@@ -34,15 +35,28 @@ def test_same_seed_reproduces_the_dataset_bit_for_bit():
     b = sample_sbn(SynthConfig(graph, weights, 50, seed=20))
     assert np.array_equal(a.X, b.X) and np.array_equal(a.Y, b.Y)
     gu, wu = planted_model(3, 0, kind=mg.UNDIRECTED, topology="full", seed=8)
-    c = sample_bm(SynthConfig(gu, wu, 50, seed=21, input_model="none"))
-    d = sample_bm(SynthConfig(gu, wu, 50, seed=21, input_model="none"))
+    c = sample_bm(SynthConfig(gu, wu, 50, seed=21))
+    d = sample_bm(SynthConfig(gu, wu, 50, seed=21))
     assert np.array_equal(c.X, d.X) and np.array_equal(c.Y, d.Y)
+
+
+def test_a_graph_without_inputs_draws_nothing_for_them():
+    # the labels' uniforms are the seed's first draws, as when no input
+    # draw was made for a zero-input graph
+    graph = single_edge_graph()
+    weights = WeightVector(np.array([0.7]), lam=1.0)
+    u = np.random.default_rng(4).random(300)
+    cum = np.cumsum(np.exp(reference_log_table(graph, weights, np.zeros(0))))
+    expected = np.minimum(np.searchsorted(cum, u, side="right"), 3)
+    data = sample_bm(SynthConfig(graph, weights, 300, seed=4))
+    assert data.X.shape == (300, 0)
+    assert data.Y.tolist() == signs_of_indices(2, expected).tolist()
 
 
 def test_zero_weight_network_labels_are_unbiased_coins():
     graph = mg.build_independent_graph(2, 0, mg.DIRECTED)
     weights = WeightVector(np.zeros(graph.n_cliques), lam=1.0)
-    data = sample_sbn(SynthConfig(graph, weights, 10000, seed=1, input_model="none"))
+    data = sample_sbn(SynthConfig(graph, weights, 10000, seed=1))
     marginals = (data.Y == 1).mean(axis=0)
     assert np.abs(marginals - 0.5).max() <= 3 * math.sqrt(0.25 / 10000)
 
@@ -50,7 +64,7 @@ def test_zero_weight_network_labels_are_unbiased_coins():
 def test_single_node_bias_matches_sigmoid_probability():
     graph = GraphSpec(1, 0, mg.DIRECTED, (0,), (Clique((0,)),))
     weights = WeightVector(np.array([3.0]), lam=1.0)
-    data = sample_sbn(SynthConfig(graph, weights, 10000, seed=2, input_model="none"))
+    data = sample_sbn(SynthConfig(graph, weights, 10000, seed=2))
     p = 1.0 / (1.0 + math.exp(-3.0))
     assert abs((data.Y == 1).mean() - p) <= 3 * math.sqrt(p * (1 - p) / 10000)
 
@@ -59,7 +73,7 @@ def test_directed_sample_frequencies_match_exact_likelihood():
     rng = np.random.default_rng(8)
     graph = mg.build_chain_graph(3, 0, mg.DIRECTED)
     weights = WeightVector(rng.normal(0.0, 1.0, graph.n_cliques), lam=1.0)
-    data = sample_sbn(SynthConfig(graph, weights, 40000, seed=5, input_model="none"))
+    data = sample_sbn(SynthConfig(graph, weights, 40000, seed=5))
     freq = empirical_frequencies(data)
     probs = np.exp(log_prob_table(graph, weights, np.zeros(0)))
     tolerance = 4 * np.sqrt(probs * (1 - probs) / 40000) + 1e-4
@@ -71,7 +85,7 @@ def test_undirected_sample_frequencies_match_exact_likelihood():
     rng.normal(0.0, 1.0, 6)  # keep the draw aligned with the directed test
     graph = mg.build_full_graph(3, 0, mg.UNDIRECTED)
     weights = WeightVector(rng.normal(0.0, 1.0, graph.n_cliques), lam=1.0)
-    data = sample_bm(SynthConfig(graph, weights, 40000, seed=7, input_model="none"))
+    data = sample_bm(SynthConfig(graph, weights, 40000, seed=7))
     freq = empirical_frequencies(data)
     probs = np.exp(log_prob_table(graph, weights, np.zeros(0)))
     tolerance = 4 * np.sqrt(probs * (1 - probs) / 40000) + 1e-4
@@ -80,8 +94,7 @@ def test_undirected_sample_frequencies_match_exact_likelihood():
 
 def test_single_coupling_agreement_rate_matches_closed_form():
     weights = WeightVector(np.array([1.0]), lam=1.0)
-    data = sample_bm(SynthConfig(single_edge_graph(), weights, 10000, seed=6,
-                                 input_model="none"))
+    data = sample_bm(SynthConfig(single_edge_graph(), weights, 10000, seed=6))
     agreement = (data.Y[:, 0] == data.Y[:, 1]).mean()
     p = math.e / (math.e + math.exp(-1.0))
     assert abs(agreement - p) <= 3 * math.sqrt(p * (1 - p) / 10000)
@@ -89,8 +102,7 @@ def test_single_coupling_agreement_rate_matches_closed_form():
 
 def test_zero_coupling_is_uniform_over_assignments():
     weights = WeightVector(np.array([0.0]), lam=1.0)
-    data = sample_bm(SynthConfig(single_edge_graph(), weights, 20000, seed=9,
-                                 input_model="none"))
+    data = sample_bm(SynthConfig(single_edge_graph(), weights, 20000, seed=9))
     freq = empirical_frequencies(data)
     assert np.abs(freq - 0.25).max() <= 4 * math.sqrt(0.25 * 0.75 / 20000)
 
@@ -129,12 +141,6 @@ def test_synth_validation_errors():
     weights = WeightVector(np.array([1.0]), lam=1.0)
     with pytest.raises(DataError):
         SynthConfig(graph, weights, 0)
-    with pytest.raises(DataError):
-        SynthConfig(graph, weights, 5, input_model="bogus")
-    with_inputs = mg.build_independent_graph(2, 3, mg.UNDIRECTED)
-    w2 = WeightVector(np.zeros(with_inputs.n_cliques), lam=1.0)
-    with pytest.raises(DataError):
-        SynthConfig(with_inputs, w2, 5, input_model="none")
     directed_chain = mg.build_chain_graph(2, 0, mg.DIRECTED)
     with pytest.raises(GraphError):
         sample_bm(SynthConfig(directed_chain,
@@ -148,12 +154,20 @@ def test_synth_validation_errors():
         planted_model(3, 0, kind=mg.DIRECTED, topology="ring")
 
 
+def test_planted_model_builds_each_named_topology_and_rejects_others():
+    for name, build in GRAPH_BUILDERS.items():
+        graph, _ = planted_model(4, 2, kind=mg.UNDIRECTED, topology=name, seed=3)
+        assert graph == build(4, 2, mg.UNDIRECTED)
+    with pytest.raises(DataError, match="unknown topology 'star'"):
+        planted_model(4, 2, kind=mg.DIRECTED, topology="star")
+
+
 def reference_sample_bm(config):
     """One table per row from the per-row margin reference, inverted at u."""
     graph = config.graph
     rng = np.random.default_rng(config.seed)
     n, D = config.n_instances, graph.n_inputs
-    X = rng.standard_normal((n, D)) if config.input_model == "normal" and D else np.zeros((n, D))
+    X = rng.standard_normal((n, D))
     u = rng.random(n)
     indices = []
     for x, u_row in zip(X, u):
@@ -176,7 +190,7 @@ def test_block_sampler_matches_a_per_row_reference(topology, K, D, n, block_entr
     rng = np.random.default_rng(seed)
     graph = coupled_graph(rng, topology, K, D, mg.UNDIRECTED)
     weights = WeightVector(rng.normal(0.0, 1.0, graph.n_cliques), lam=1.0)
-    config = SynthConfig(graph, weights, n, seed=seed, input_model="normal" if D else "none")
+    config = SynthConfig(graph, weights, n, seed=seed)
     with pytest.MonkeyPatch.context() as mp:
         # small blocks end on a partial block; small parity matrices chunk
         mp.setattr(synth, "_BLOCK_ENTRIES", block_entries)

@@ -68,7 +68,8 @@ def test_train_config_validation():
         TrainConfig(tolerance=0.0)
     with pytest.raises(DataError):
         TrainConfig(max_epochs=0)
-    for field, value in (("lam", np.inf), ("lam", np.nan), ("eta0", np.inf), ("eta0", np.nan)):
+    for field, value in (("lam", np.inf), ("lam", np.nan), ("eta0", np.inf), ("eta0", np.nan),
+                         ("tolerance", np.inf), ("tolerance", np.nan)):
         with pytest.raises(DataError, match="finite"):
             TrainConfig(**{field: value})
 
@@ -102,6 +103,19 @@ def test_empty_and_mismatched_datasets_are_rejected():
     wrong = Dataset(np.zeros((2, 3)), np.ones((2, 2), dtype=np.int8))
     with pytest.raises(DataError):
         mg.train_lmsbn(wrong, graph, TrainConfig())
+
+
+def test_a_directed_node_that_owns_no_clique_reports_its_real_gap():
+    # node 0 owns no clique: its margins are 0 whatever the weights, so its
+    # duals sit at the box C and its hinge is N * C in both primal and dual
+    graph = GraphSpec(2, 0, mg.DIRECTED, (0, 1), (Clique((0, 1)),))
+    dataset = Dataset(np.zeros((50, 0)), random_labels(np.random.default_rng(4), 50, 2))
+    config = TrainConfig(lam=0.1)
+    result = mg.train_lmsbn(dataset, graph, config)
+    assert result.converged
+    assert abs(duality_gap(result.state, dataset, config) - result.gap) <= config.tolerance
+    assert np.all(result.state.alpha[0] == 1.0 / (config.lam * 50))
+    assert result.reports[0].epochs >= 1 and result.reports[0].steps >= 50
 
 
 def test_single_output_directed_and_undirected_agree_bit_for_bit():
