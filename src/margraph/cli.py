@@ -121,7 +121,7 @@ def _cmd_train(args) -> int:
     if capped:
         print(
             f"margraph: warning: {len(capped)} of {len(result.reports)} solves hit the epoch cap "
-            f"(largest gap {max(r.gap for r in capped):.3e})",
+            f"(largest gap {max(r.gap for r in capped):.3e}); raise --epochs to run longer",
             file=sys.stderr,
         )
     model = ModelFile(

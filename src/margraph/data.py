@@ -83,13 +83,6 @@ class Dataset:
     def __len__(self) -> int:
         return self.n_instances
 
-    def __getitem__(self, idx: int) -> Instance:
-        return Instance(self.X[idx], self.Y[idx])
-
-    def __iter__(self):
-        for i in range(self.n_instances):
-            yield self[i]
-
     def subset(self, indices) -> "Dataset":
         idx = np.asarray(indices, dtype=np.intp)
         return Dataset(self.X[idx], self.Y[idx])

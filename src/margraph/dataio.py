@@ -36,6 +36,16 @@ MODEL_FORMAT_VERSION = 1
 _MODEL_MAGIC = "margraph-model"
 
 
+def _numbered_lines(path: str):
+    """(line number, line) pairs of a text file; bytes that are not UTF-8
+    are a DataError naming the file, not a UnicodeDecodeError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            yield from enumerate(fh, start=1)
+    except UnicodeDecodeError:
+        raise DataError(f"{path}: not a UTF-8 text file") from None
+
+
 # ---------------------------------------------------------------------------
 # multi-label svmlight: "l1,l2,...  idx:val idx:val ..." with 1-based ids
 
@@ -68,39 +78,38 @@ def parse_multilabel_svmlight(path, n_outputs: int | None = None, n_inputs: int 
     rows: list[tuple[list[int], dict[int, float]]] = []
     max_label = 0
     max_feature = 0
-    with open(path, "r", encoding="utf-8") as fh:
-        for ln, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            tokens = line.split()
-            labels: list[int] = []
-            start = 0
-            if ":" not in tokens[0]:
-                labels = _parse_label_field(tokens[0], n_outputs, path, ln)
-                start = 1
-            feats: dict[int, float] = {}
-            for tok in tokens[start:]:
-                idx_s, _, val_s = tok.partition(":")
-                if not _:
-                    raise DataError(f"{path}:{ln}: expected idx:value, got {tok!r}")
-                try:
-                    idx = int(idx_s)
-                    val = float(val_s)
-                except ValueError:
-                    raise DataError(f"{path}:{ln}: bad feature token {tok!r}") from None
-                if idx < 1:
-                    raise DataError(f"{path}:{ln}: feature ids are 1-based, got {idx}")
-                if n_inputs is not None and idx > n_inputs:
-                    raise DataError(f"{path}:{ln}: feature {idx} exceeds input count {n_inputs}")
-                if not math.isfinite(val):
-                    raise DataError(f"{path}:{ln}: non-finite feature value {val_s!r}")
-                if idx in feats:
-                    raise DataError(f"{path}:{ln}: duplicate feature index {idx}")
-                feats[idx] = val
-            max_label = max(max_label, max(labels, default=0))
-            max_feature = max(max_feature, max(feats, default=0))
-            rows.append((labels, feats))
+    for ln, raw in _numbered_lines(path):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        tokens = line.split()
+        labels: list[int] = []
+        start = 0
+        if ":" not in tokens[0]:
+            labels = _parse_label_field(tokens[0], n_outputs, path, ln)
+            start = 1
+        feats: dict[int, float] = {}
+        for tok in tokens[start:]:
+            idx_s, _, val_s = tok.partition(":")
+            if not _:
+                raise DataError(f"{path}:{ln}: expected idx:value, got {tok!r}")
+            try:
+                idx = int(idx_s)
+                val = float(val_s)
+            except ValueError:
+                raise DataError(f"{path}:{ln}: bad feature token {tok!r}") from None
+            if idx < 1:
+                raise DataError(f"{path}:{ln}: feature ids are 1-based, got {idx}")
+            if n_inputs is not None and idx > n_inputs:
+                raise DataError(f"{path}:{ln}: feature {idx} exceeds input count {n_inputs}")
+            if not math.isfinite(val):
+                raise DataError(f"{path}:{ln}: non-finite feature value {val_s!r}")
+            if idx in feats:
+                raise DataError(f"{path}:{ln}: duplicate feature index {idx}")
+            feats[idx] = val
+        max_label = max(max_label, max(labels, default=0))
+        max_feature = max(max_feature, max(feats, default=0))
+        rows.append((labels, feats))
     if not rows:
         raise DataError(f"{path}: no data lines")
     K = n_outputs if n_outputs is not None else max_label
@@ -246,22 +255,27 @@ def parse_model(text: str) -> ModelFile:
             hi = np.array([float(t) for t in cur.take("scale_max").split()], dtype=np.float64)
             if lo.shape != (n_inputs,) or hi.shape != (n_inputs,):
                 raise cur.error("scale vectors do not match the input count")
+            if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+                raise cur.error("scale vectors must be finite")
             scale = (lo, hi)
             line = cur.next()
         head, _, rest = line.partition(" ")
         if head != "cliques":
             raise cur.error(f"expected 'cliques', got {head!r}")
         n_cliques = int(rest)
-        cliques = []
-        values = np.empty(n_cliques, dtype=np.float64)
-        for j in range(n_cliques):
+        if n_cliques < 0:
+            raise cur.error(f"negative clique count {n_cliques}")
+        # weights are collected line by line, so a count the file cannot
+        # back ends at "unexpected end of model file", not in an allocation
+        cliques, values = [], []
+        for _ in range(n_cliques):
             parts = cur.take("clique").split()
             if len(parts) != 3:
                 raise cur.error(f"clique line needs outputs, input, weight; got {parts!r}")
             outs = tuple(int(t) for t in parts[0].split(","))
             inp = None if parts[1] == "-" else int(parts[1])
             cliques.append(Clique(outs, inp))
-            values[j] = float(parts[2])
+            values.append(float(parts[2]))
         if cur.next() != "end":
             raise cur.error("missing 'end' sentinel (truncated file?)")
     except (ValueError, IndexError) as exc:
@@ -278,7 +292,11 @@ def save_model(model: ModelFile, path) -> None:
 
 
 def load_model(path) -> ModelFile:
-    return parse_model(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise ModelFormatError(f"{path}: not a UTF-8 text file") from None
+    return parse_model(text)
 
 
 # ---------------------------------------------------------------------------
@@ -299,23 +317,22 @@ def read_predictions(path):
     """Returns (label matrix, losses, states, statuses) from a prediction file."""
     path = str(path)
     rows, losses, states, statuses = [], [], [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        for ln, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            tokens = line.split()
-            if len(tokens) < 4:
-                raise DataError(f"{path}:{ln}: truncated prediction line")
-            try:
-                labels = [int(t) for t in tokens[:-3]]
-                fields = dict(t.split("=", 1) for t in tokens[-3:])
-                losses.append(float(fields["loss"]))
-                states.append(int(fields["states"]))
-                statuses.append(fields["status"])
-            except (ValueError, KeyError) as exc:
-                raise DataError(f"{path}:{ln}: {exc}") from None
-            rows.append(labels)
+    for ln, raw in _numbered_lines(path):
+        line = raw.strip()
+        if not line:
+            continue
+        tokens = line.split()
+        if len(tokens) < 4:
+            raise DataError(f"{path}:{ln}: truncated prediction line")
+        try:
+            labels = [int(t) for t in tokens[:-3]]
+            fields = dict(t.split("=", 1) for t in tokens[-3:])
+            losses.append(float(fields["loss"]))
+            states.append(int(fields["states"]))
+            statuses.append(fields["status"])
+        except (ValueError, KeyError) as exc:
+            raise DataError(f"{path}:{ln}: {exc}") from None
+        rows.append(labels)
     if not rows:
         raise DataError(f"{path}: no prediction lines")
     if len({len(r) for r in rows}) != 1:
@@ -329,11 +346,10 @@ def read_predictions(path):
 def read_label_matrix(path, n_outputs: int | None = None) -> np.ndarray:
     """Label matrix from either a prediction file or an svmlight data file."""
     path = str(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if line:
-                if "loss=" in line:
-                    return read_predictions(path)[0]
-                break
+    for _, raw in _numbered_lines(path):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            if "loss=" in line:
+                return read_predictions(path)[0]
+            break
     return parse_multilabel_svmlight(path, n_outputs=n_outputs).Y

@@ -68,7 +68,7 @@ class ScoreLayout:
     """Node i's score terms w_j * xa[column] * parity(partners), per graph.
 
     ``column`` indexes xa = [1 | x] (0 for no input, d + 1 for input d).
-    ``feeds[i]`` lists (clique, column, partners) in ``contributing`` order;
+    ``feeds[i]`` lists (clique, column, partners) in clique order;
     the single-output ("unary") terms also come as three flat index arrays,
     and ``coupled[i]`` holds node i's multi-output terms.
     """
@@ -104,7 +104,8 @@ class GraphSpec:
         if self.kind not in (DIRECTED, UNDIRECTED):
             raise GraphError(f"kind must be {DIRECTED!r} or {UNDIRECTED!r}, got {self.kind!r}")
         order = tuple(int(i) for i in self.order)
-        if sorted(order) != list(range(self.n_outputs)):
+        # the length first, so a huge declared count fails before range() is built
+        if len(order) != self.n_outputs or sorted(order) != list(range(self.n_outputs)):
             raise GraphError(f"order must be a permutation of 0..{self.n_outputs - 1}, got {order}")
         object.__setattr__(self, "order", order)
         cliques = tuple(self.cliques)
@@ -129,56 +130,29 @@ class GraphSpec:
         return len(self.cliques)
 
     @cached_property
-    def position(self) -> tuple[int, ...]:
-        """position[node] = index of the node within ``order``."""
-        pos = [0] * self.n_outputs
-        for p, node in enumerate(self.order):
-            pos[node] = p
-        return tuple(pos)
+    def layout(self) -> ScoreLayout:
+        """The per-node score terms, built once per graph.
 
-    @cached_property
-    def owners(self) -> tuple[int, ...]:
-        """owners[j] = the member of clique j that comes last in ``order``."""
-        pos = self.position
-        return tuple(max(c.outputs, key=lambda k: pos[k]) for c in self.cliques)
+        This is the one place that routes cliques: in clique order, a
+        directed clique feeds only its owner, the member that comes last in
+        ``order``, and an undirected clique feeds every member.
+        """
+        position = {node: p for p, node in enumerate(self.order)}
+        feeds: list[list] = [[] for _ in range(self.n_outputs)]
+        for j, c in enumerate(self.cliques):
+            column = 0 if c.input_feature is None else c.input_feature + 1
+            fed = (max(c.outputs, key=position.__getitem__),) if self.kind == DIRECTED else c.outputs
+            for i in fed:
+                feeds[i].append((j, column, tuple(k for k in c.outputs if k != i)))
+        unary = [(j, col, i) for i, f in enumerate(feeds) for j, col, partners in f if not partners]
+        clique, column, node = np.array(unary, dtype=np.intp).reshape(-1, 3).T.copy()
+        coupled = tuple(tuple(t for t in f if t[2]) for f in feeds)
+        return ScoreLayout(tuple(tuple(f) for f in feeds), coupled, clique, column, node)
 
     @cached_property
     def contributing(self) -> tuple[tuple[int, ...], ...]:
         """contributing[i] = indices of cliques that feed node i's score."""
-        feeds: list[list[int]] = [[] for _ in range(self.n_outputs)]
-        if self.kind == DIRECTED:
-            for j, owner in enumerate(self.owners):
-                feeds[owner].append(j)
-        else:
-            for j, c in enumerate(self.cliques):
-                for k in c.outputs:
-                    feeds[k].append(j)
-        return tuple(tuple(f) for f in feeds)
-
-    @cached_property
-    def layout(self) -> ScoreLayout:
-        """The per-node score terms, built once per graph."""
-        feeds = []
-        for i, js in enumerate(self.contributing):
-            terms = []
-            for j in js:
-                c = self.cliques[j]
-                column = 0 if c.input_feature is None else c.input_feature + 1
-                terms.append((j, column, tuple(k for k in c.outputs if k != i)))
-            feeds.append(tuple(terms))
-        unary = [(j, col, i) for i, f in enumerate(feeds) for j, col, partners in f if not partners]
-        clique, column, node = np.array(unary, dtype=np.intp).reshape(-1, 3).T.copy()
-        coupled = tuple(tuple(t for t in f if t[2]) for f in feeds)
-        return ScoreLayout(tuple(feeds), coupled, clique, column, node)
-
-    @property
-    def reads_inputs(self) -> bool:
-        """True when some clique, unary or not, multiplies in an input value.
-
-        When false, every node score, and so every likelihood table, is the
-        same for all inputs.
-        """
-        return any(c.input_feature is not None for c in self.cliques)
+        return tuple(tuple(j for j, _, _ in f) for f in self.layout.feeds)
 
     def regularizer_multipliers(self, eta0: float) -> np.ndarray:
         """Per-clique quadratic penalty multipliers.

@@ -15,6 +15,7 @@ own likelihood.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,7 +102,7 @@ def sample_bm(config: SynthConfig) -> Dataset:
     X = rng.standard_normal((n, graph.n_inputs))
     u = rng.random(n)
     energy = _ParityEnergy(graph, config.weights)
-    if graph.reads_inputs:
+    if any(c.input_feature is not None for c in graph.cliques):
         block = max(1, _BLOCK_ENTRIES >> graph.n_outputs)
         indices = np.empty(n, dtype=np.int64)
         for r in range(0, n, block):
@@ -130,10 +131,13 @@ def planted_model(
 
     ``topology`` names a builder of ``GRAPH_BUILDERS``.  Unary bias weights,
     input-coupling weights, and edge weights are drawn from centered normals
-    with the given scales.
+    with the given scales, each finite and non-negative (0 plants zeros).
     """
     if topology not in GRAPH_BUILDERS:
         raise DataError(f"unknown topology {topology!r}")
+    for name, scale in (("bias", bias_scale), ("input", input_scale), ("edge", edge_scale)):
+        if not (0 <= scale < math.inf):
+            raise DataError(f"{name} scale must be finite and non-negative, got {scale}")
     graph = GRAPH_BUILDERS[topology](n_outputs, n_inputs, kind)
     scales = [
         edge_scale if len(c.outputs) >= 2 else bias_scale if c.input_feature is None else input_scale

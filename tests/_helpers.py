@@ -53,6 +53,33 @@ def coupled_graph(rng, topology, K, D, kind):
     return mg.GraphSpec(K, D, kind, base.order, tuple(cliques.values()))
 
 
+def reference_routing(graph):
+    """(contributing, feeds, coupled, unary clique, column, node) derived as
+    before ``GraphSpec.layout`` routed cliques in one loop: node positions,
+    then each clique's owner, then per-node clique lists, then the terms."""
+    pos = [0] * graph.n_outputs
+    for p, node in enumerate(graph.order):
+        pos[node] = p
+    owners = [max(c.outputs, key=lambda k: pos[k]) for c in graph.cliques]
+    lists = [[] for _ in range(graph.n_outputs)]
+    for j, c in enumerate(graph.cliques):
+        for k in (owners[j],) if graph.kind == mg.DIRECTED else c.outputs:
+            lists[k].append(j)
+    contributing = tuple(tuple(f) for f in lists)
+    feeds = []
+    for i, js in enumerate(contributing):
+        terms = []
+        for j in js:
+            c = graph.cliques[j]
+            column = 0 if c.input_feature is None else c.input_feature + 1
+            terms.append((j, column, tuple(k for k in c.outputs if k != i)))
+        feeds.append(tuple(terms))
+    unary = [(j, col, i) for i, f in enumerate(feeds) for j, col, partners in f if not partners]
+    clique, column, node = np.array(unary, dtype=np.intp).reshape(-1, 3).T.copy()
+    coupled = tuple(tuple(t for t in f if t[2]) for f in feeds)
+    return contributing, tuple(feeds), coupled, clique, column, node
+
+
 def assignment_signs(n_outputs, start, stop):
     """Rows start..stop-1 of the (2^K, K) sign matrix, the reference the
     label grid of ``NodeScorer.grid_sums`` is checked against."""

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from margraph.cli import main
 from margraph.dataio import load_model, read_predictions
@@ -68,10 +70,13 @@ def test_epoch_cap_warns_on_stderr_and_still_succeeds(workdir, capsys):
     assert "converged=False" in captured.out
     lines = captured.err.splitlines()
     assert len(lines) == 1
-    assert re.fullmatch(
-        r"margraph: warning: 4 of 4 solves hit the epoch cap \(largest gap \S+\)", lines[0]
+    match = re.fullmatch(
+        r"margraph: warning: 4 of 4 solves hit the epoch cap \(largest gap (\S+)\); "
+        r"raise --epochs to run longer",
+        lines[0],
     )
-    largest = float(lines[0].rsplit(" ", 1)[1].rstrip(")"))
+    assert match
+    largest = float(match.group(1))
     assert largest > 1e-12
     assert load_model(workdir / "capped.model").epochs == 1
 
@@ -291,6 +296,122 @@ def test_corrupt_data_file_fails_cleanly(tmp_path, capsys):
     ])
     assert code == 1
     assert "expected idx:value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "predict", "eval"])
+def test_a_file_that_is_not_utf8_fails_with_one_line(workdir, tmp_path, capsys, command):
+    bad = tmp_path / "binary"
+    bad.write_bytes(b"\xff\xfe\n")
+    data, out = str(workdir / "data.sv"), str(tmp_path / "out")
+    argv = {
+        "train": ["train", "--model", "lmsbn", "--data", str(bad), "--out", out],
+        "predict": ["predict", "--model-file", str(bad), "--data", data, "--out", out],
+        "eval": ["eval", "--pred", str(bad), "--truth", data],
+    }[command]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"margraph: error: {bad}: not a UTF-8 text file\n"
+
+
+@pytest.mark.parametrize("field, words", [
+    ("cliques", "unexpected end of model file"),
+    ("outputs", "order must be a permutation"),
+])
+def test_a_count_the_model_file_cannot_back_fails_with_one_line(workdir, tmp_path, capsys, field, words):
+    text = (workdir / "sbn.model").read_text()
+    head, _, rest = text.partition(f"\n{field} ")
+    # the cliques count is cut off right after its line; the outputs count keeps the rest
+    tail = "\n" if field == "cliques" else rest[rest.index("\n"):]
+    bad = tmp_path / "huge.model"
+    bad.write_text(f"{head}\n{field} 99999999999999{tail}")
+    code = main([
+        "predict", "--model-file", str(bad), "--data", str(workdir / "data.sv"),
+        "--out", str(tmp_path / "p.txt"),
+    ])
+    assert code == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("margraph: error: ") and words in lines[0]
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--bias-scale", "-1"), ("--input-scale", "-0.5"), ("--edge-scale", "nan"),
+])
+def test_a_negative_or_non_finite_synth_scale_fails_with_one_line(tmp_path, capsys, option, value):
+    out = tmp_path / "s.sv"
+    code = main([
+        "synth", "--kind", "sbn", "--k", "3", "--n", "5", option, value, "--out", str(out),
+    ])
+    assert code == 1
+    lines = capsys.readouterr().err.splitlines()
+    name = option[2:].replace("-", " ")
+    assert lines == [f"margraph: error: {name} must be finite and non-negative, got {float(value)}"]
+    assert not out.exists()
+
+
+def test_bench_usage_errors_exit_2(workdir, tmp_path, capsys):
+    assert main(["bench", "--S-list", "1", "--data", str(workdir / "data.sv")]) == 2
+    assert "needs --model-file and --data" in capsys.readouterr().err
+    assert main([
+        "synth", "--kind", "bm", "--k", "3", "--d", "1", "--n", "10",
+        "--out", str(tmp_path / "d.sv"), "--model-out", str(tmp_path / "bm.model"),
+    ]) == 0
+    capsys.readouterr()
+    assert main([
+        "bench", "--S-list", "1", "--model-file", str(tmp_path / "bm.model"),
+        "--data", str(tmp_path / "d.sv"),
+    ]) == 2
+    assert "needs a directed model" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def fuzzdir(tmp_path_factory):
+    """Valid 3-label, 2-input data, model and prediction files to edit."""
+    d = tmp_path_factory.mktemp("fuzz")
+    assert main([
+        "synth", "--kind", "sbn", "--k", "3", "--d", "2", "--n", "8", "--seed", "4",
+        "--out", str(d / "data.sv"),
+    ]) == 0
+    assert main([
+        "train", "--model", "lmsbn", "--scale", "--data", str(d / "data.sv"),
+        "--out", str(d / "model"),
+    ]) == 0
+    assert main([
+        "predict", "--model-file", str(d / "model"), "--data", str(d / "data.sv"),
+        "--out", str(d / "preds"),
+    ]) == 0
+    return d
+
+
+# Digits can grow a declared count by at most three places, so no
+# dimension read from an edited file goes past a few thousand.
+_FUZZ_BYTES = b"0123456789\xff -.:,=e\n"
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(
+    data=st.data(),
+    target=st.sampled_from(["data.sv", "model", "preds"]),
+    infer=st.sampled_from(["bb", "exhaustive", "icm"]),
+)
+def test_edited_files_exit_0_1_or_2_and_never_raise(fuzzdir, data, target, infer):
+    content = bytearray((fuzzdir / target).read_bytes())
+    for _ in range(data.draw(st.integers(1, 3), label="edits")):
+        op = data.draw(st.sampled_from(["insert", "delete", "replace"]) if content else st.just("insert"))
+        at = data.draw(st.integers(0, len(content) - (op != "insert")), label="at")
+        byte = data.draw(st.sampled_from(_FUZZ_BYTES), label="byte")
+        if op == "insert":
+            content[at:at] = bytes([byte])
+        elif op == "delete":
+            del content[at]
+        else:
+            content[at] = byte
+    edited = fuzzdir / "edited"
+    edited.write_bytes(bytes(content))
+    path = {name: edited if name == target else fuzzdir / name for name in ("data.sv", "model", "preds")}
+    assert main([
+        "predict", "--model-file", str(path["model"]), "--data", str(path["data.sv"]),
+        "--infer", infer, "--out", str(fuzzdir / "out"),
+    ]) in (0, 1, 2)
+    assert main(["eval", "--pred", str(path["preds"]), "--truth", str(path["data.sv"])]) in (0, 1, 2)
 
 
 def test_unknown_arguments_exit_with_usage_error():

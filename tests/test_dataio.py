@@ -320,6 +320,42 @@ def test_model_parse_errors():
         parse_model(bad_weight)
 
 
+def _edited_model(old, new):
+    good = format_model(fitted_model((np.array([-1.0, 0.5]), np.array([2.0, 0.5]))))
+    assert old in good
+    return good.replace(old, new).encode()
+
+
+_NOT_UTF8 = b"\xff\xfe\n"
+
+
+@pytest.mark.parametrize("read, content, exc, message", [
+    (load_model, _edited_model("scale_min -1.0 0.5", "scale_min -1.0"), ModelFormatError,
+     "scale vectors do not match the input count"),
+    (load_model, _edited_model("scale_max 2.0", "scale_max nan"), ModelFormatError,
+     "scale vectors must be finite"),
+    (load_model, _edited_model("cliques 11", "clique 11"), ModelFormatError,
+     "expected 'cliques', got 'clique'"),
+    (load_model, _edited_model("clique 2 - 1e-17", "clique 2 1e-17"), ModelFormatError,
+     "clique line needs outputs, input, weight"),
+    (load_model, _edited_model("4.0\nend", "4.0\nfin"), ModelFormatError, "missing 'end' sentinel"),
+    (load_model, _edited_model("cliques 11", "cliques -1"), ModelFormatError, "negative clique count -1"),
+    (load_model, _edited_model("cliques 11", "cliques 99999999999999"), ModelFormatError,
+     "expected 'clique', got 'end'"),
+    (load_model, _edited_model("4.0\nend\n", "4.0\n"), ModelFormatError, "unexpected end of model file"),
+    (read_predictions, b"\n  \n", DataError, "no prediction lines"),
+    (load_model, _NOT_UTF8, ModelFormatError, "not a UTF-8 text file"),
+    (parse_multilabel_svmlight, _NOT_UTF8, DataError, "not a UTF-8 text file"),
+    (read_predictions, _NOT_UTF8, DataError, "not a UTF-8 text file"),
+    (read_label_matrix, _NOT_UTF8, DataError, "not a UTF-8 text file"),
+], ids=lambda v: "file" if isinstance(v, bytes) else None)
+def test_reader_errors_are_typed_and_name_the_fault(tmp_path, read, content, exc, message):
+    path = tmp_path / "file.txt"
+    path.write_bytes(content)
+    with pytest.raises(exc, match=message):
+        read(path)
+
+
 # ---------------------------------------------------------------------------
 # prediction files
 

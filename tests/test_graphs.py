@@ -8,6 +8,8 @@ from margraph import Clique, Dataset, GraphSpec
 from margraph.errors import GraphError
 from margraph.training import clique_feature_matrix
 
+from _helpers import BUILDERS, coupled_graph, reference_routing
+
 
 def test_clique_sorts_and_dedupes_outputs():
     c = Clique((3, 1, 3, 2))
@@ -60,6 +62,17 @@ def test_graph_requires_order_permutation():
         GraphSpec(2, 0, mg.DIRECTED, (0,), (Clique((0,)),))
 
 
+@pytest.mark.parametrize("args, message", [
+    ((0, 0, mg.DIRECTED, (), ()), "need at least one output"),
+    ((1, -1, mg.DIRECTED, (0,), ()), "negative input dimension"),
+    ((2, 0, mg.DIRECTED, (0, 1), (Clique((0,)), (0, 1))), "not a clique"),
+    ((99999999999999, 0, mg.DIRECTED, (0, 1), ()), "permutation"),
+])
+def test_graph_checks_name_the_fault(args, message):
+    with pytest.raises(GraphError, match=message):
+        GraphSpec(*args)
+
+
 def test_graph_rejects_bad_kind():
     with pytest.raises(GraphError):
         GraphSpec(1, 0, "sideways", (0,), (Clique((0,)),))
@@ -82,8 +95,8 @@ def test_directed_owner_is_latest_member_in_order():
         3, 0, mg.DIRECTED, (2, 0, 1),
         (Clique((0,)), Clique((0, 1)), Clique((0, 2)), Clique((1, 2))),
     )
-    # positions: node2 first, node0 second, node1 last
-    assert g.owners == (0, 1, 0, 1)
+    # positions: node2 first, node0 second, node1 last, so the owners of
+    # the four cliques are nodes 0, 1, 0, 1
     assert g.contributing == ((0, 2), (1, 3), ())
 
 
@@ -135,7 +148,24 @@ def test_chain_pairs_follow_the_given_order():
     assert pairs == [(0, 2), (0, 1)]
 
 
-def test_position_inverts_order():
-    g = mg.build_independent_graph(4, 0, mg.DIRECTED, order=(3, 1, 0, 2))
-    assert g.position == (2, 1, 3, 0)
-    assert [g.order[p] for p in g.position] == [0, 1, 2, 3]
+@pytest.mark.parametrize("kind", [mg.DIRECTED, mg.UNDIRECTED])
+def test_routing_matches_the_owner_chain_reference(kind):
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        K = int(rng.integers(1, 8))
+        D = int(rng.integers(0, 4))
+        topology = str(rng.choice(list(BUILDERS)))
+        if topology != "independent" and rng.random() < 0.5:
+            graph = coupled_graph(rng, topology, K, D, kind)
+        else:
+            order = tuple(int(i) for i in rng.permutation(K))
+            graph = BUILDERS[topology](K, D, kind, order=order)
+        contributing, feeds, coupled, *unary = reference_routing(graph)
+        layout = graph.layout
+        assert graph.contributing == contributing
+        assert layout.feeds == feeds
+        assert layout.coupled == coupled
+        got = (layout.unary_clique, layout.unary_column, layout.unary_node)
+        for a, b in zip(got, unary):
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b)

@@ -81,6 +81,18 @@ def test_node_margin_rejects_bad_index(two_node_model):
         mg.node_margin(graph, weights, x, np.array([1, 1], dtype=np.int8), 2)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda g, w, x: mg.margins(g, w, x, np.array([1, 1, 1])), "label shape"),
+    (lambda g, w, x: mg.margins(g, w, x, np.array([1, 0])), "full \\+1/-1 assignment"),
+    (lambda g, w, x: mg.node_margin(g, w, x, np.array([1]), 0), "label shape"),
+    (lambda g, w, x: mg.node_margin(g, w, x, np.array([1, 2]), 0), "0 for unassigned"),
+    (lambda g, w, x: WeightVector(np.ones((1, 2)), lam=1.0), "weights must be a vector"),
+])
+def test_label_and_weight_checks_name_the_fault(two_node_model, call, message):
+    with pytest.raises(DataError, match=message):
+        call(*two_node_model)
+
+
 def test_weight_vector_validation():
     with pytest.raises(DataError):
         WeightVector(np.array([np.nan]), lam=1.0)

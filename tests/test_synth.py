@@ -154,6 +154,17 @@ def test_synth_validation_errors():
         planted_model(3, 0, kind=mg.DIRECTED, topology="ring")
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: SynthConfig(single_edge_graph(), WeightVector(np.zeros(2), lam=1.0), 5), "2 weights for 1 cliques"),
+    (lambda: planted_model(3, 1, bias_scale=-1.0), "bias scale must be finite and non-negative"),
+    (lambda: planted_model(3, 1, input_scale=math.nan), "input scale must be finite and non-negative"),
+    (lambda: planted_model(3, 1, edge_scale=math.inf), "edge scale must be finite and non-negative"),
+])
+def test_synth_config_checks_name_the_fault(make, message):
+    with pytest.raises(DataError, match=message):
+        make()
+
+
 def test_planted_model_builds_each_named_topology_and_rejects_others():
     for name, build in GRAPH_BUILDERS.items():
         graph, _ = planted_model(4, 2, kind=mg.UNDIRECTED, topology=name, seed=3)
