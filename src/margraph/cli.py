@@ -137,27 +137,26 @@ def _cmd_train(args) -> int:
     return 0
 
 
+def _load(model_file, data):
+    """The saved model, and the data read with its (K, D) and scaled as in training."""
+    model = load_model(model_file)
+    dataset = parse_multilabel_svmlight(data, model.graph.n_outputs, model.graph.n_inputs)
+    return model, Dataset(model.apply_scale(dataset.X), dataset.Y)
+
+
 def _cmd_predict(args) -> int:
-    model = load_model(args.model_file)
-    graph = model.graph
-    dataset = parse_multilabel_svmlight(
-        args.data, n_outputs=graph.n_outputs, n_inputs=graph.n_inputs
-    )
-    X = model.apply_scale(dataset.X)
+    model, dataset = _load(args.model_file, args.data)
+    graph, weights = model.graph, model.weights
     if args.infer == "bb" and graph.kind != DIRECTED:
         return _fail("branch-and-bound inference needs a directed model; use --infer icm or exhaustive")
-    results = []
     if args.infer == "bb":
         config = BBConfig(cutoff=args.cutoff, max_states=args.max_states, escalate=args.escalate)
-        for l in range(len(dataset)):
-            results.append(bb_infer(graph, model.weights, X[l], config))
+        results = [bb_infer(graph, weights, x, config) for x in dataset.X]
     elif args.infer == "exhaustive":
-        for l in range(len(dataset)):
-            results.append(exhaustive_infer(graph, model.weights, X[l]))
+        results = [exhaustive_infer(graph, weights, x) for x in dataset.X]
     else:
         y0 = np.ones(graph.n_outputs, dtype=np.int8)
-        for l in range(len(dataset)):
-            results.append(icm_infer(graph, model.weights, X[l], y0, max_sweeps=args.max_sweeps))
+        results = [icm_infer(graph, weights, x, y0, max_sweeps=args.max_sweeps) for x in dataset.X]
     write_predictions(args.out, results)
     statuses = " ".join(f"{s}={n}" for s, n in Counter(r.status for r in results).items())
     states = sum(r.states_visited for r in results)
@@ -184,16 +183,14 @@ def _cmd_bench(args) -> int:
                 raise ValueError(token)
         except ValueError:
             return _fail(f"{option}: not a number: {token!r}")
+    if not values:
+        return _fail(f"{option}: no values given")
     if args.s_list:
         if not args.model_file or not args.data:
             return _fail("--S-list bench needs --model-file and --data")
-        model = load_model(args.model_file)
+        model, dataset = _load(args.model_file, args.data)
         if model.graph.kind != DIRECTED:
             return _fail("the cutoff sweep runs branch-and-bound, which needs a directed model")
-        dataset = parse_multilabel_svmlight(
-            args.data, n_outputs=model.graph.n_outputs, n_inputs=model.graph.n_inputs
-        )
-        dataset = Dataset(model.apply_scale(dataset.X), dataset.Y)
         records = run_s_sweep(model.graph, model.weights, dataset, values, args.max_states)
         csv = s_sweep_csv(records)
     else:
@@ -249,9 +246,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except MargraphError as exc:
-        print(f"margraph: error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (MargraphError, OSError) as exc:
         print(f"margraph: error: {exc}", file=sys.stderr)
         return 1

@@ -313,6 +313,10 @@ def write_predictions(path, results) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+# The key=value fields that end every prediction line, in this order.
+_FIELDS = (("loss", float), ("states", int), ("status", str))
+
+
 def read_predictions(path):
     """Returns (label matrix, losses, states, statuses) from a prediction file."""
     path = str(path)
@@ -325,14 +329,17 @@ def read_predictions(path):
         if len(tokens) < 4:
             raise DataError(f"{path}:{ln}: truncated prediction line")
         try:
-            labels = [int(t) for t in tokens[:-3]]
-            fields = dict(t.split("=", 1) for t in tokens[-3:])
-            losses.append(float(fields["loss"]))
-            states.append(int(fields["states"]))
-            statuses.append(fields["status"])
-        except (ValueError, KeyError) as exc:
+            rows.append([int(t) for t in tokens[:-3]])
+        except ValueError as exc:
             raise DataError(f"{path}:{ln}: {exc}") from None
-        rows.append(labels)
+        for token, (key, convert), out in zip(tokens[-3:], _FIELDS, (losses, states, statuses)):
+            name, eq, value = token.partition("=")
+            if name != key or not eq:
+                raise DataError(f"{path}:{ln}: missing {key}= field, got {token!r}")
+            try:
+                out.append(convert(value))
+            except ValueError:
+                raise DataError(f"{path}:{ln}: malformed {key}= field {token!r}") from None
     if not rows:
         raise DataError(f"{path}: no prediction lines")
     if len({len(r) for r in rows}) != 1:
@@ -349,7 +356,8 @@ def read_label_matrix(path, n_outputs: int | None = None) -> np.ndarray:
     for _, raw in _numbered_lines(path):
         line = raw.split("#", 1)[0].strip()
         if line:
-            if "loss=" in line:
+            # svmlight tokens never hold '=', every prediction line does
+            if "=" in line:
                 return read_predictions(path)[0]
             break
     return parse_multilabel_svmlight(path, n_outputs=n_outputs).Y

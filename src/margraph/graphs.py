@@ -177,54 +177,32 @@ def _default_order(n_outputs: int, order) -> tuple[int, ...]:
     return tuple(int(i) for i in order)
 
 
-def _unary_cliques(n_outputs: int, n_inputs: int) -> list[Clique]:
+def _build(n_outputs: int, n_inputs: int, kind: str, order, pairs) -> GraphSpec:
+    """Every node's bias clique, then each node's input cliques node by node,
+    then one clique per pair of nodes in ``pairs``."""
     cliques = [Clique((i,)) for i in range(n_outputs)]
-    for i in range(n_outputs):
-        for d in range(n_inputs):
-            cliques.append(Clique((i,), d))
-    return cliques
+    cliques += [Clique((i,), d) for i in range(n_outputs) for d in range(n_inputs)]
+    cliques += [Clique(pair) for pair in pairs]
+    return GraphSpec(n_outputs, n_inputs, kind, order, tuple(cliques))
 
 
 def build_independent_graph(
     n_outputs: int, n_inputs: int, kind: str = DIRECTED, order=None
 ) -> GraphSpec:
     """Graph with only per-node bias and input cliques, no label coupling."""
-    return GraphSpec(
-        n_outputs=n_outputs,
-        n_inputs=n_inputs,
-        kind=kind,
-        order=_default_order(n_outputs, order),
-        cliques=tuple(_unary_cliques(n_outputs, n_inputs)),
-    )
+    return _build(n_outputs, n_inputs, kind, _default_order(n_outputs, order), ())
 
 
 def build_chain_graph(n_outputs: int, n_inputs: int, kind: str, order=None) -> GraphSpec:
     """Unary cliques plus pair cliques linking consecutive nodes in the order."""
     order = _default_order(n_outputs, order)
-    cliques = _unary_cliques(n_outputs, n_inputs)
-    for p in range(n_outputs - 1):
-        cliques.append(Clique((order[p], order[p + 1])))
-    return GraphSpec(
-        n_outputs=n_outputs,
-        n_inputs=n_inputs,
-        kind=kind,
-        order=order,
-        cliques=tuple(cliques),
-    )
+    return _build(n_outputs, n_inputs, kind, order, zip(order, order[1:]))
 
 
 def build_full_graph(n_outputs: int, n_inputs: int, kind: str, order=None) -> GraphSpec:
     """Unary cliques plus one pair clique for every pair of nodes."""
-    cliques = _unary_cliques(n_outputs, n_inputs)
-    for i, j in combinations(range(n_outputs), 2):
-        cliques.append(Clique((i, j)))
-    return GraphSpec(
-        n_outputs=n_outputs,
-        n_inputs=n_inputs,
-        kind=kind,
-        order=_default_order(n_outputs, order),
-        cliques=tuple(cliques),
-    )
+    order = _default_order(n_outputs, order)
+    return _build(n_outputs, n_inputs, kind, order, combinations(range(n_outputs), 2))
 
 
 # Topology name -> builder, for everything that picks a graph by name.

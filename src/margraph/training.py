@@ -165,12 +165,16 @@ def _blocks(graph: GraphSpec, dataset: Dataset, groups):
     return cliques, blocks
 
 
-def _box_objectives(blocks, eta, box, alpha) -> tuple[np.ndarray, float, float]:
-    """Weights implied by alpha, and the box-scaled primal and dual there.
+def _box_objectives(blocks, eta, box, alpha) -> tuple[np.ndarray, float, float, float]:
+    """The certificate at alpha: the weights it implies, the box-scaled primal
+    and dual there, and the largest |projected gradient| over every dual
+    variable.
 
     Stationarity gives w_j = (1/eta_j) * sum over constraints touching clique
     j of alpha * f_j; the primal is 0.5*sum eta w^2 + box * total hinge and
-    the dual is sum(alpha) - 0.5*sum eta w^2.
+    the dual is sum(alpha) - 0.5*sum eta w^2.  Each group's margins w . f are
+    taken once and give both its hinge terms, 1 - margin, and its gradients,
+    margin - 1.
     """
     w = np.zeros(len(eta), dtype=np.float64)
     for (cols, block), a in zip(blocks, alpha):
@@ -178,20 +182,14 @@ def _box_objectives(blocks, eta, box, alpha) -> tuple[np.ndarray, float, float]:
         w[cols] += block.T.copy() @ a
     w /= eta
     reg = 0.5 * float(eta @ (w * w))
-    hinge = 0.0
-    for cols, block in blocks:
-        hinge += float(np.maximum(0.0, 1.0 - block @ w[cols]).sum())
-    return w, reg + box * hinge, float(alpha.sum()) - reg
-
-
-def _max_projected_gradient(blocks, w, alpha, box) -> float:
-    """Largest |projected gradient| over every dual variable at weights w."""
-    largest = 0.0
+    hinge = max_pg = 0.0
     for (cols, block), a in zip(blocks, alpha):
-        grad = block @ w[cols] - 1.0
+        margin = block @ w[cols]
+        hinge += float(np.maximum(0.0, 1.0 - margin).sum())
+        grad = margin - 1.0
         pg = np.where(a <= 0.0, np.minimum(grad, 0.0), np.where(a >= box, np.maximum(grad, 0.0), grad))
-        largest = max(largest, float(np.abs(pg).max()))
-    return largest
+        max_pg = max(max_pg, float(np.abs(pg).max()))
+    return w, reg + box * hinge, float(alpha.sum()) - reg, max_pg
 
 
 def _solve_dual(blocks, eta, box, rng, max_epochs, tol, node):
@@ -222,13 +220,15 @@ def _solve_dual(blocks, eta, box, rng, max_epochs, tol, node):
 
     Only an epoch that can certify or stop, one that met no projected
     gradient beyond tol or the last one, refreshes w from alpha through the
-    stationarity identity (shedding update drift) and computes the duality
-    gap there; other epochs carry the incrementally updated w into the next.
-    The solve terminates when an epoch that started on the full set meets no
-    projected gradient beyond tol and, at the refreshed weights, the duality
-    gap and every projected gradient over all of alpha are at most tol.
+    stationarity identity (shedding update drift) and takes the certificate
+    there from ``_box_objectives``: the duality gap and the largest projected
+    gradient over all of alpha.  Other epochs carry the incrementally updated
+    w into the next.  The solve terminates when an epoch that started on the
+    full set meets no projected gradient beyond tol and both halves of the
+    certificate are at most tol.
 
-    Returns (w, alpha, SolveReport) with the report filed under ``node``.
+    Returns (w, alpha, SolveReport) with the report filed under ``node``; the
+    report's gap and max_projected_gradient are the last certificate's.
     """
     n_w = len(eta)
     N = len(blocks[0][1])
@@ -326,20 +326,15 @@ def _solve_dual(blocks, eta, box, rng, max_epochs, tol, node):
             shrink_lo = pg_lo if pg_lo < -_ROUNDOFF else -np.inf
             continue
         alpha_gn = np.array(alpha).reshape(G, N)
-        w_refreshed, primal, dual = _box_objectives(blocks, eta, box, alpha_gn)
+        w_refreshed, primal, dual, pg_all = _box_objectives(blocks, eta, box, alpha_gn)
         gap = primal - dual
-        pg_all = None
         if max_pg <= tol:
-            if started_full and gap <= tol:
-                pg_all = _max_projected_gradient(blocks, w_refreshed, alpha_gn, box)
-                if pg_all <= tol:
-                    converged = True
-                    break
+            if started_full and gap <= tol and pg_all <= tol:
+                converged = True
+                break
             active = full_set
             shrink_hi, shrink_lo = np.inf, -np.inf
         w = w_refreshed.tolist() if narrow else w_refreshed
-    if pg_all is None:
-        pg_all = _max_projected_gradient(blocks, w_refreshed, alpha_gn, box)
     return w_refreshed, alpha_gn, SolveReport(node, epoch, gap, pg_all, converged, steps, gap / primal)
 
 
@@ -419,7 +414,7 @@ def primal_objective(
 
 
 def _state_objectives(state: DualState, dataset: Dataset, config: TrainConfig | None):
-    """(weights, box primal, dual) at the state's alpha, as the solver computes them."""
+    """The solver's certificate (weights, box primal, dual, max |pg|) at the state's alpha."""
     scale = config if config is not None else state.weights
     graph = state.graph
     _, blocks = _blocks(graph, dataset, graph.contributing)
@@ -447,5 +442,5 @@ def duality_gap(state: DualState, dataset: Dataset, config: TrainConfig | None =
     stationarity identity, so the gap is a pure function of alpha and is
     non-negative up to roundoff.
     """
-    _, primal, dual = _state_objectives(state, dataset, config)
+    _, primal, dual, _ = _state_objectives(state, dataset, config)
     return primal - dual

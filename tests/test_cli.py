@@ -177,6 +177,35 @@ def test_bench_cutoff_sweep_writes_csv(workdir):
     assert float(lines[3].split(",")[1]) == 1.0
 
 
+def test_bench_max_states_tightens_every_cutoffs_budget(workdir, capsys):
+    argv = ["bench", "--model-file", str(workdir / "sbn.model"), "--data", str(workdir / "data.sv"),
+            "--S-list", "1,8"]
+    assert main(argv) == 0
+    uncapped = [int(row.split(",")[4]) for row in capsys.readouterr().out.splitlines()[1:]]
+    assert main(argv + ["--max-states", "3"]) == 0
+    capped = [int(row.split(",")[4]) for row in capsys.readouterr().out.splitlines()[1:]]
+    # a full dive takes K = 4 states, so the cap of 3 binds at both cutoffs
+    assert min(uncapped) >= 4 and capped == [3, 3]
+
+
+def test_bench_cutoff_sweep_runs_beyond_the_exhaustive_limit(tmp_path, capsys):
+    # 30 labels: more than exhaustive enumeration takes, which the sweep no longer needs
+    assert main([
+        "synth", "--kind", "sbn", "--graph", "chain", "--k", "30", "--n", "20", "--seed", "0",
+        "--out", str(tmp_path / "d.sv"), "--model-out", str(tmp_path / "m.model"),
+    ]) == 0
+    capsys.readouterr()
+    assert main([
+        "bench", "--model-file", str(tmp_path / "m.model"), "--data", str(tmp_path / "d.sv"),
+        "--S-list", "1,2,4",
+    ]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "S,fraction_optimal,bound,mean_states,max_states,mean_loss"
+    rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+    assert [row[0] for row in rows] == [1.0, 2.0, 4.0]
+    assert all(row[1] >= row[2] for row in rows)
+
+
 def test_bench_size_sweep_writes_csv(workdir, capsys):
     assert main([
         "bench", "--k-list", "3,4", "--n-train", "20", "--n-test", "4", "--seed", "2",
@@ -235,6 +264,16 @@ def test_bench_malformed_list_is_a_usage_error(workdir, capsys, option, text, to
     ])
     assert code == 2
     assert capsys.readouterr().err == f"margraph: {option}: not a number: {token!r}\n"
+
+
+@pytest.mark.parametrize("option", ["--S-list", "--k-list"])
+def test_bench_list_with_no_values_is_a_usage_error(workdir, capsys, option):
+    code = main([
+        "bench", option, ",",
+        "--model-file", str(workdir / "sbn.model"), "--data", str(workdir / "data.sv"),
+    ])
+    assert code == 2
+    assert capsys.readouterr() == ("", f"margraph: {option}: no values given\n")
 
 
 @pytest.mark.parametrize("text", ["inf", "1e400"])

@@ -22,3 +22,12 @@ from margraph.errors import DataError
 def test_instance_and_dataset_checks_name_the_fault(make, message):
     with pytest.raises(DataError, match=message):
         make()
+
+
+def test_subset_takes_rows_in_the_given_order():
+    X = np.arange(8.0).reshape(4, 2)
+    Y = np.array([[1, -1], [-1, 1], [1, 1], [-1, -1]], dtype=np.int8)
+    part = Dataset(X, Y).subset([3, 1])
+    assert part.X.tolist() == [[6.0, 7.0], [2.0, 3.0]]
+    assert part.Y.tolist() == [[-1, -1], [-1, 1]]
+    assert part.Y.dtype == np.int8 and part.n_instances == 2

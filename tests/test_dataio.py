@@ -420,3 +420,34 @@ def test_read_label_matrix_sniffs_both_formats(tmp_path):
     assert read_label_matrix(data).tolist() == [[1, -1], [-1, 1]]
     preds = write(tmp_path, "+1 -1 loss=0.5 states=2 status=proven_optimal\n", "p.txt")
     assert read_label_matrix(preds).tolist() == [[1, -1]]
+
+
+_PREDICTION = "+1 -1 loss=0.5 states=2 status=proven_optimal"
+
+
+@pytest.mark.parametrize("edited, message", [
+    (_PREDICTION.replace("loss=", ""), "missing loss= field, got '0.5'"),
+    (_PREDICTION.replace("loss=", "loss"), "missing loss= field, got 'loss0.5'"),
+])
+def test_a_prediction_file_whose_first_line_lost_its_loss_key_is_still_read_as_one(tmp_path, edited, message):
+    # svmlight tokens never hold '=', so the file is sniffed as predictions
+    # and the damaged field is named, not parsed as svmlight features
+    path = write(tmp_path, f"{edited}\n{_PREDICTION}\n", "p.pred")
+    with pytest.raises(DataError, match=f"p.pred:1: {message}"):
+        read_label_matrix(path)
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("loss=0.5", "loss0.5", "missing loss= field, got 'loss0.5'"),
+    ("loss=0.5", "lost=0.5", "missing loss= field, got 'lost=0.5'"),
+    ("loss=0.5", "loss=x", "malformed loss= field 'loss=x'"),
+    ("states=2", "states2", "missing states= field, got 'states2'"),
+    ("states=2", "states=2.5", "malformed states= field 'states=2.5'"),
+    ("states=2", "states=", "malformed states= field 'states='"),
+    ("status=proven_optimal", "proven_optimal", "missing status= field, got 'proven_optimal'"),
+    ("loss=0.5 states=2", "states=2 loss=0.5", "missing loss= field, got 'states=2'"),
+])
+def test_read_predictions_names_a_missing_or_malformed_field(tmp_path, old, new, message):
+    path = write(tmp_path, f"{_PREDICTION}\n{_PREDICTION.replace(old, new)}\n", "p.pred")
+    with pytest.raises(DataError, match=f"p.pred:2: {message}$"):
+        read_predictions(path)

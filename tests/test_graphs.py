@@ -142,6 +142,31 @@ def test_builder_clique_counts():
     assert gf.n_cliques == K + K * D + K * (K - 1) // 2
 
 
+# K=3, D=2: each node's bias clique, then each node's input cliques node by
+# node, then the pair cliques
+_UNARY_3_2 = [
+    ((0,), None), ((1,), None), ((2,), None),
+    ((0,), 0), ((0,), 1), ((1,), 0), ((1,), 1), ((2,), 0), ((2,), 1),
+]
+
+
+@pytest.mark.parametrize("build, order, pairs", [
+    (mg.build_independent_graph, (0, 1, 2), []),
+    (mg.build_chain_graph, (1, 2, 0), [(1, 2), (0, 2)]),
+    (mg.build_full_graph, (2, 0, 1), [(0, 1), (0, 2), (1, 2)]),
+])
+@pytest.mark.parametrize("kind", [mg.DIRECTED, mg.UNDIRECTED])
+def test_builder_clique_lists(build, order, pairs, kind):
+    g = build(3, 2, kind, order=order)
+    assert (g.n_outputs, g.n_inputs, g.kind, g.order) == (3, 2, kind, order)
+    assert [(c.outputs, c.input_feature) for c in g.cliques] == _UNARY_3_2 + [(p, None) for p in pairs]
+
+
+def test_independent_graph_defaults_to_directed_in_index_order():
+    g = mg.build_independent_graph(2, 0)
+    assert (g.kind, g.order) == (mg.DIRECTED, (0, 1))
+
+
 def test_chain_pairs_follow_the_given_order():
     g = mg.build_chain_graph(3, 0, mg.DIRECTED, order=(2, 0, 1))
     pairs = [c.outputs for c in g.cliques if len(c.outputs) == 2]

@@ -268,16 +268,20 @@ def test_narrow_and_wide_steps_agree(directed, topology, K, D, N, lam, eta0, max
     assert np.abs(wide.weights.values - narrow.weights.values).max() <= 1e-12
 
 
-def test_converged_solve_computes_the_full_projected_gradient_once(monkeypatch):
-    # the stop test's value at the final weights is the one reported
-    calls = []
-    full_pg = training._max_projected_gradient
-    monkeypatch.setattr(training, "_max_projected_gradient",
-                        lambda *args: calls.append(1) or full_pg(*args))
-    graph, dataset = one_node_bias_problem()
-    result = mg.train_lmsbn(dataset, graph, TrainConfig(lam=1.0))
-    assert result.converged and len(calls) == 1
-    assert result.reports[0].max_projected_gradient <= TrainConfig().tolerance
+@pytest.mark.parametrize("kind", [mg.DIRECTED, mg.UNDIRECTED])
+def test_converged_solve_reports_the_all_alpha_projected_gradient(kind):
+    # the certificate's gradient half is the one over all of alpha, taken at
+    # the returned weights, not the last epoch's in-pass value
+    rng = np.random.default_rng(3)
+    graph = mg.build_chain_graph(3, 2, kind, order=(2, 0, 1))
+    dataset = random_dataset(rng, 30, 3, 2)
+    config = TrainConfig(lam=0.05)
+    result = (mg.train_lmsbn if kind == mg.DIRECTED else mg.train_lmbm)(dataset, graph, config)
+    assert result.converged
+    reported = max(r.max_projected_gradient for r in result.reports)
+    assert reported <= config.tolerance
+    recomputed = all_alpha_max_projected_gradient(graph, dataset, result.state, config)
+    assert abs(reported - recomputed) <= 1e-12
 
 
 def test_primal_objective_at_zero_weights_is_output_count():
