@@ -95,9 +95,11 @@ def run_s_sweep(
     max_states when given.  Each run is checked against the optimum from a
     search with no cap and no cutoff, which is exact at any K.  mean_loss is
     the model's mean joint hinge loss at the observed labels, the quantity
-    the guarantee is stated in.
+    the guarantee is stated in.  Every search keeps the static bound
+    (``cost_to_go=False``): the sweep measures the search the guarantee is
+    about.
     """
-    exact = BBConfig(cutoff=math.inf)
+    exact = BBConfig(cutoff=math.inf, cost_to_go=False)
     oracle = [bb_infer(graph, weights, x, exact).objective for x in dataset.X]
     mean_loss = mean_joint_loss(dataset, graph, weights)
     records = []
@@ -108,7 +110,8 @@ def run_s_sweep(
         hits = 0
         states = []
         for l in range(dataset.n_instances):
-            res = bb_infer(graph, weights, dataset.X[l], BBConfig(cutoff=cutoff, max_states=budget))
+            config = BBConfig(cutoff=cutoff, max_states=budget, cost_to_go=False)
+            res = bb_infer(graph, weights, dataset.X[l], config)
             states.append(res.states_visited)
             if res.status == STATUS_OPTIMAL and res.objective == oracle[l]:
                 hits += 1
@@ -144,7 +147,9 @@ def run_k_sweep(
     node score on the test data is 1: scores at the decision scale but
     unrelated to the data, the regime where pruning has nothing to work
     with.  Both models are searched from ``BBConfig``'s default initial
-    bound, with at most ``max_states`` states per row (None for no cap).
+    bound, with at most ``max_states`` states per row (None for no cap), on
+    the static bound alone (``cost_to_go=False``): exact cost-to-go tables
+    would make the random model cheap too and hide the contrast.
     """
     records = []
     for K in k_list:
@@ -159,7 +164,7 @@ def run_k_sweep(
         raw_margins = batch_scorer(graph, WeightVector(raw, lam=lam), test.X).margin_block(test.Y)
         mean_abs = float(np.abs(raw_margins).mean())
         random_w = WeightVector(values=raw / mean_abs, lam=lam)
-        config = BBConfig(max_states=max_states)
+        config = BBConfig(max_states=max_states, cost_to_go=False)
         trained_mean, random_mean = (
             float(np.mean([bb_infer(graph, w, x, config).states_visited for x in test.X]))
             for w in (fitted, random_w)

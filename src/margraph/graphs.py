@@ -8,7 +8,10 @@ labels, and whether cliques contribute to every member's score (undirected)
 or only to the member that comes last in the order (directed).
 
 Graphs say nothing of how the 2^K label assignments are numbered or walked;
-the label grid that enumerates them lives in ``margraph.model``.
+the label grid that enumerates them lives in ``margraph.model``.  A directed
+graph does number the few labellings of each position's frontier (the
+earlier labels that the rest of the order still reads), for the search's
+cost-to-go tables (``GraphSpec.frontier_codes``).
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ __all__ = [
     "Clique",
     "GraphSpec",
     "ScoreLayout",
+    "FrontierCodes",
     "build_independent_graph",
     "build_chain_graph",
     "build_full_graph",
@@ -70,7 +74,8 @@ class ScoreLayout:
     ``column`` indexes xa = [1 | x] (0 for no input, d + 1 for input d).
     ``feeds[i]`` lists (clique, column, partners) in clique order;
     the single-output ("unary") terms also come as three flat index arrays,
-    and ``coupled[i]`` holds node i's multi-output terms.
+    and ``coupled[i]`` holds node i's multi-output terms, whose cliques and
+    columns, node by node, are also two flat index arrays.
     """
 
     feeds: tuple[tuple[tuple[int, int, tuple[int, ...]], ...], ...]
@@ -78,6 +83,31 @@ class ScoreLayout:
     unary_clique: np.ndarray
     unary_column: np.ndarray
     unary_node: np.ndarray
+    coupled_clique: np.ndarray
+    coupled_column: np.ndarray
+
+
+@dataclass(frozen=True)
+class FrontierCodes:
+    """Entries for tables over the labellings of each position's frontier.
+
+    Position p's frontier F_p = ``frontiers[p]`` (see ``GraphSpec.frontiers``)
+    is labelled by a code f < 2^len(F_p) whose bit b is set when F_p[b] is
+    -1; entry e = offset[p] + f stands for that labelling, and entry
+    ``offset[K]`` for position K's empty frontier.  ``node[e]`` is order[p].
+    Row t of ``slot`` and ``sign`` gives that node's t-th coupled term: its
+    index among all coupled terms listed node by node (one past the last for
+    a node with fewer terms) and the parity of its partners under the
+    labelling (1.0 for a missing term).  ``step[2e + b]`` is twice the entry
+    of position p + 1 reached by labelling order[p] +1 (b = 0) or -1 (b = 1).
+    """
+
+    frontiers: tuple[tuple[int, ...], ...]
+    offset: tuple[int, ...]
+    node: np.ndarray
+    slot: np.ndarray
+    sign: np.ndarray
+    step: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -147,12 +177,64 @@ class GraphSpec:
         unary = [(j, col, i) for i, f in enumerate(feeds) for j, col, partners in f if not partners]
         clique, column, node = np.array(unary, dtype=np.intp).reshape(-1, 3).T.copy()
         coupled = tuple(tuple(t for t in f if t[2]) for f in feeds)
-        return ScoreLayout(tuple(tuple(f) for f in feeds), coupled, clique, column, node)
+        flat = np.array([t[:2] for f in coupled for t in f], dtype=np.intp).reshape(-1, 2).T.copy()
+        return ScoreLayout(tuple(tuple(f) for f in feeds), coupled, clique, column, node, *flat)
 
     @cached_property
     def contributing(self) -> tuple[tuple[int, ...], ...]:
         """contributing[i] = indices of cliques that feed node i's score."""
         return tuple(tuple(j for j, _, _ in f) for f in self.layout.feeds)
+
+    @cached_property
+    def frontiers(self) -> tuple[tuple[int, ...], ...]:
+        """frontiers[p] for p = 0..K: the nodes before position p in ``order``
+        that node order[p] or a later node reads, listed by position.
+
+        A search standing at position p needs exactly these labels to score
+        the rest of the order; frontiers[0] and frontiers[K] are empty.
+        """
+        position = {node: p for p, node in enumerate(self.order)}
+        reads: set[int] = set()
+        frontiers = [()] * (self.n_outputs + 1)
+        for p in range(self.n_outputs - 1, -1, -1):
+            reads.update(k for _, _, partners in self.layout.feeds[self.order[p]] for k in partners)
+            frontiers[p] = tuple(sorted((k for k in reads if position[k] < p), key=position.__getitem__))
+        return tuple(frontiers)
+
+    @cached_property
+    def frontier_codes(self) -> FrontierCodes:
+        """Every frontier labelling of a directed graph as a table entry.
+
+        Position p has 2^len(frontiers[p]) entries, so only a graph whose
+        frontiers are all narrow should ask for this.
+        """
+        if self.kind != DIRECTED:
+            raise GraphError("frontier codes need a directed graph")
+        K = self.n_outputs
+        frontiers = self.frontiers
+        coupled = self.layout.coupled
+        first = np.cumsum([0] + [len(terms) for terms in coupled]).tolist()
+        offset = np.cumsum([0] + [1 << len(f) for f in frontiers[:K]]).tolist()
+        n_entries = offset[K]
+        node = np.zeros(n_entries, dtype=np.intp)
+        slot = np.full((max(map(len, coupled)), n_entries), first[K], dtype=np.intp)
+        sign = np.ones(slot.shape)
+        step = [2 * n_entries] * (2 * n_entries)
+        for p, i in enumerate(self.order):
+            bit = {k: b for b, k in enumerate(frontiers[p])}
+            for f in range(1 << len(frontiers[p])):
+                e = offset[p] + f
+                node[e] = i
+                for t, (_, _, partners) in enumerate(coupled[i]):
+                    slot[t, e] = first[i] + t
+                    if sum(f >> bit[k] & 1 for k in partners) & 1:
+                        sign[t, e] = -1.0
+                for b in (0, 1):
+                    code = 0
+                    for c, k in enumerate(frontiers[p + 1]):
+                        code |= (b if k == i else f >> bit[k] & 1) << c
+                    step[2 * e + b] = 2 * (offset[p + 1] + code)
+        return FrontierCodes(frontiers, tuple(offset), node, slot, sign, tuple(step))
 
     def regularizer_multipliers(self, eta0: float) -> np.ndarray:
         """Per-clique quadratic penalty multipliers.

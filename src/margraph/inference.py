@@ -19,6 +19,28 @@ strictly under the upper bound is ever cut.  The search only prunes more:
 labels, objectives and statuses are those of the search without the bound,
 and only the state counts fall.
 
+A long search switches to the exact cost still to come (bucket elimination
+along the order, used as a search heuristic: Dechter 1999, Kask and
+Dechter 2001).  Position p's frontier (``GraphSpec.frontiers``) holds the
+earlier nodes that p or a later node reads; a backward DP tabulates h_p,
+the least cost of positions p.. for each labelling of that frontier, from
+the same per-node costs the search adds, and the search prunes on
+partial + h_{p+1} with the same slack.  Each h_p is at least the static
+bound (the same monotone rounding), and the optimum's backward sum stays
+within the slack of its forward one, so the first minimizer in search order
+is never cut and labels, objectives and statuses stay those of the static
+search, which visits every state the switched search visits.  The gate
+has fixed constants: tables exist only for graphs whose frontiers hold at
+most _TABLE_MAX_WIDTH labels, and a pass builds them, without restarting,
+once it has counted _TABLE_AFTER * K states; a bb_infer call builds them at
+most once, escalated retries included.  On the ``chain40`` benchmark (1500
+rows) they take mean states per row 1605 -> 154, the 99th percentile 17.2k
+-> 256 and the maximum 45,091 -> 360; a 6-label full graph (frontiers up
+to 5 wide) keeps the static bound.  ``BBConfig(cost_to_go=False)`` keeps
+the static bound throughout: the ``bench`` sweeps measure the search that
+the ``1 - loss/S`` guarantee and the trained-versus-random contrast are
+about, and exact tables make random models cheap too.
+
 The search computes each node score itself, on plain Python lists and
 floats, from the tables of ``compile_scorer``.  The greedy fallback, the
 locally best label at every node, is the search's first all-left dive and
@@ -36,13 +58,14 @@ bit-for-bit, never merely within a tolerance.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError, GraphError
-from .graphs import DIRECTED, GraphSpec
+from .graphs import DIRECTED, FrontierCodes, GraphSpec
 from .model import (
     ENUM_MAX_OUTPUTS,
     NodeScorer,
@@ -70,15 +93,22 @@ STATUS_FALLBACK = "no_solution_under_S_fallback"
 STATUS_LOCAL = "local_optimum"
 
 _ESCALATE_CAP = 60
+# Cost-to-go tables: only for graphs whose frontiers all hold at most
+# _TABLE_MAX_WIDTH labels, built once a pass has counted _TABLE_AFTER * K states.
+_TABLE_MAX_WIDTH = 4
+_TABLE_AFTER = 4
 
 
 @dataclass(frozen=True)
 class BBConfig:
-    """Search knobs: initial upper bound, state budget, escalation retry."""
+    """Search knobs: initial upper bound, state budget, escalation retry,
+    and whether a long search may switch to cost-to-go tables (off keeps the
+    static bound throughout, the search the paper analyses)."""
 
     cutoff: float = 1e9
     max_states: int | None = None
     escalate: bool = False
+    cost_to_go: bool = True
 
     def __post_init__(self) -> None:
         if not (self.cutoff >= 1.0):
@@ -101,33 +131,91 @@ class InferenceResult:
     status: str
 
 
-def _search(scorer: NodeScorer, order: tuple[int, ...], cutoff: float, budget):
-    """One depth-first pass.  Returns (incumbent or None, objective, states, hit_budget).
+def _cost_to_go(scorer: NodeScorer, codes: FrontierCodes) -> list[float]:
+    """h[2e]: the least cost of the positions from p on, given entry e's
+    labelling of position p's frontier (see ``GraphSpec.frontier_codes``).
+
+    A backward DP: h[2e] is the smaller over order[p]'s two labels of that
+    label's cost plus h at the entry it steps to, and position K's entry
+    holds 0.0.  Each node score adds ±w_eff to its constant in term order,
+    and each cost is the search's max(0, 1 - |s|) or 1 + |s|, so every
+    per-node cost has the bits the search gives it.
+    """
+    w = np.array([w_eff for node in scorer.terms for w_eff, _ in node] + [0.0])
+    s = scorer.const[codes.node]
+    for slot, sign in zip(codes.slot, codes.sign):
+        s = s + w[slot] * sign
+    a = np.abs(s)
+    near = np.maximum(1.0 - a, 0.0)
+    far = 1.0 + a
+    up = s >= 0.0
+    cost = np.stack((np.where(up, near, far), np.where(up, far, near)), axis=1).ravel().tolist()
+    step = codes.step
+    h = [0.0] * (len(cost) + 1)
+    for k in range(len(cost) - 2, -1, -2):
+        u = cost[k] + h[step[k]]
+        v = cost[k + 1] + h[step[k + 1]]
+        h[k] = u if u <= v else v
+    return h
+
+
+@functools.lru_cache(maxsize=None)
+def _static_steps(K: int) -> tuple[int, ...]:
+    """The width-0 table's steps: position p's one entry is entry p."""
+    return tuple(2 * (k // 2) + 2 for k in range(2 * K))
+
+
+def _search(scorer: NodeScorer, order: tuple[int, ...], cutoff: float, budget, graph=None, tables=None):
+    """One depth-first pass.  Returns (incumbent or None, objective, states,
+    hit_budget, tables).
 
     Entering position p adds node order[p]'s terms to its constant on plain
     Python lists and floats, in the same order as ``NodeScorer.score_column``.
     A branch is pruned when its partial sum reaches the upper bound, or when
-    that sum plus ``suffix[p + 1]``, the static lower bound on the nodes
+    that sum plus ``bound[key]``, a lower bound on the cost of the positions
     after p, reaches the upper bound times the rounding slack (see the
-    module docstring); both limits drop with each new incumbent.  With an
-    infinite cutoff and a budget of K states the pass is the greedy all-left
-    dive and nothing more, which is the fallback ``bb_infer`` returns.
+    module docstring); both limits drop with each new incumbent.
+
+    ``bound`` and ``step`` form one table: key = 2e + b for entry e and
+    order[p]'s label b (0 for +1, 1 for -1), and ``step[key]`` is the next
+    position's entry, doubled.  The static bound is the width-0 table, one
+    entry per position.  Given the ``graph`` and no ``tables``, a pass that
+    has counted _TABLE_AFTER * K states looks at the graph's frontiers once:
+    if none holds more than _TABLE_MAX_WIDTH labels, it builds cost-to-go
+    tables keyed by ``graph.frontier_codes``, re-keys the current path and
+    retakes the branch at hand, so it visits a subset of the static pass's
+    states.  ``tables`` (h from ``_cost_to_go``) returned by an earlier pass
+    are used from the start.  With an infinite cutoff, a budget of K states
+    and no graph the pass is the greedy all-left dive and nothing more,
+    which is the fallback ``bb_infer`` returns.
     """
     K = scorer.n_outputs
     const = scorer.const.tolist()
     terms = [scorer.terms[node] for node in order]
-    # suffix[p] = sum over positions q >= p of max(0, 1 - M_q), where M_q
-    # bounds |s| of node order[q] whatever its partners' labels
-    suffix = [0.0] * (K + 1)
-    for p in range(K - 1, -1, -1):
-        m = abs(const[order[p]])
-        for w_eff, _ in terms[p]:
-            m += abs(w_eff)
-        suffix[p] = suffix[p + 1] + (1.0 - m if m < 1.0 else 0.0)
+    check = math.inf if budget is None else budget
+    if tables is not None:
+        step = graph.frontier_codes.step
+        bound = [tables[k] for k in step]
+    else:
+        step = _static_steps(K)
+        # bound[2p], bound[2p + 1] = sum over positions q > p of
+        # max(0, 1 - M_q), where M_q bounds |s| of node order[q] whatever
+        # its partners' labels
+        bound = [0.0] * (2 * K)
+        rest = 0.0
+        for p in range(K - 1, 0, -1):
+            m = abs(const[order[p]])
+            for w_eff, _ in terms[p]:
+                m += abs(w_eff)
+            rest += 1.0 - m if m < 1.0 else 0.0
+            bound[2 * p - 2] = bound[2 * p - 1] = rest
+        if graph is not None:
+            check = min(check, _TABLE_AFTER * K)
     slack = 1.0 + 4 * K * 2.0**-52
     y = [0] * K
     partial = [0.0] * (K + 1)
     left_label = [0] * K
+    left_key = [0] * K
     left_cost = [0.0] * K
     right_cost = [0.0] * K
     tried = [0] * K
@@ -137,6 +225,7 @@ def _search(scorer: NodeScorer, order: tuple[int, ...], cutoff: float, budget):
     incumbent_obj = 0.0
     states = 0
     p = 0
+    base = 0
     while True:
         # enter position p: score its node given the labels above it
         s = const[order[p]]
@@ -148,9 +237,11 @@ def _search(scorer: NodeScorer, order: tuple[int, ...], cutoff: float, budget):
             s += w_eff if parity > 0 else -w_eff
         if s >= 0.0:
             left_label[p] = 1
+            left_key[p] = base
             a = s
         else:
             left_label[p] = -1
+            left_key[p] = base + 1
             a = -s
         c = 1.0 - a
         left_cost[p] = c if c > 0.0 else 0.0
@@ -161,20 +252,38 @@ def _search(scorer: NodeScorer, order: tuple[int, ...], cutoff: float, budget):
             t = tried[p]
             if t == 2:
                 if p == 0:
-                    return incumbent, incumbent_obj, states, False
+                    return incumbent, incumbent_obj, states, False, tables
                 p -= 1
                 continue
             tried[p] = t + 1
             if t == 0:
                 label = left_label[p]
                 total = partial[p] + left_cost[p]
+                key = left_key[p]
             else:
                 label = -left_label[p]
                 total = partial[p] + right_cost[p]
-            if total >= upper or total + suffix[p + 1] >= limit:
+                key = left_key[p] ^ 1
+            if total >= upper or total + bound[key] >= limit:
                 continue
-            if budget is not None and states >= budget:
-                return incumbent, incumbent_obj, states, True
+            if states >= check:
+                if budget is not None and states >= budget:
+                    return incumbent, incumbent_obj, states, True, tables
+                check = math.inf if budget is None else budget
+                if max(map(len, graph.frontiers)) <= _TABLE_MAX_WIDTH:
+                    # switch to cost-to-go tables and retake this branch
+                    codes = graph.frontier_codes
+                    tables = _cost_to_go(scorer, codes)
+                    step = codes.step
+                    bound = [tables[k] for k in step]
+                    for q in range(p + 1):
+                        f = 0
+                        for b, k in enumerate(codes.frontiers[q]):
+                            if y[k] < 0:
+                                f |= 1 << b
+                        left_key[q] = 2 * (codes.offset[q] + f) + (1 if left_label[q] < 0 else 0)
+                    tried[p] = t
+                    continue
             states += 1
             y[order[p]] = label
             if p < K - 1:
@@ -186,6 +295,7 @@ def _search(scorer: NodeScorer, order: tuple[int, ...], cutoff: float, budget):
             incumbent_obj = total
         p += 1
         partial[p] = total
+        base = step[key]
 
 
 def bb_infer(graph: GraphSpec, weights: WeightVector, x, config: BBConfig | None = None) -> InferenceResult:
@@ -195,7 +305,11 @@ def bb_infer(graph: GraphSpec, weights: WeightVector, x, config: BBConfig | None
     lower bound on the cost still to come only prunes prefixes that cannot
     hold an assignment strictly under the upper bound, so it lowers
     ``states_visited`` and changes no label, objective or status; the
-    ``branch_budget`` and ``1 - loss/S`` bounds hold as before.  If no
+    ``branch_budget`` and ``1 - loss/S`` bounds hold as before.  With
+    ``config.cost_to_go`` and a graph whose frontiers are all narrow, the
+    cost-to-go tables are built at most once per call, by the first pass
+    that runs long, and serve every later pass (see the module docstring).
+    If no
     assignment has loss under the cutoff, the greedy all-left assignment is
     returned (status no_solution_under_S_fallback), or the search retries
     with a doubled cutoff when escalation is on.  If the state budget runs
@@ -208,6 +322,7 @@ def bb_infer(graph: GraphSpec, weights: WeightVector, x, config: BBConfig | None
     config = config or BBConfig()
     scorer = compile_scorer(graph, weights, x)
     order = graph.order
+    tables = None
     cutoff = float(config.cutoff)
     total_states = 0
     status = STATUS_FALLBACK
@@ -219,7 +334,9 @@ def bb_infer(graph: GraphSpec, weights: WeightVector, x, config: BBConfig | None
                 # an escalated retry with no states left: the budget ran out
                 status = STATUS_BUDGET
                 break
-        incumbent, obj, states, hit_budget = _search(scorer, order, cutoff, remaining)
+        incumbent, obj, states, hit_budget, tables = _search(
+            scorer, order, cutoff, remaining, graph if config.cost_to_go else None, tables
+        )
         total_states += states
         if incumbent is not None:
             return InferenceResult(incumbent, obj, total_states, STATUS_BUDGET if hit_budget else STATUS_OPTIMAL)
@@ -230,7 +347,7 @@ def bb_infer(graph: GraphSpec, weights: WeightVector, x, config: BBConfig | None
             break
         cutoff *= 2.0
     # the greedy fallback: with no bound and K states, the first all-left dive
-    y, obj, _, _ = _search(scorer, order, math.inf, graph.n_outputs)
+    y, obj, _, _, _ = _search(scorer, order, math.inf, graph.n_outputs)
     return InferenceResult(y, obj, total_states, status)
 
 

@@ -77,6 +77,9 @@ _GRID_CHUNK = 1 << 16
 # the index ends in a.  L < 8 low labels read the last L rows, 2^L columns.
 _LOW_SIGNS = 1.0 - 2.0 * ((np.arange(256) >> np.arange(7, -1, -1)[:, None]) & 1)
 _LOW_SIGNS.flags.writeable = False
+# compile_scorer's limit on the sum over nodes of |const_i| + sum |w_eff|:
+# half the largest double, so no score, cost or joint loss can overflow.
+_SCORE_REACH = 2.0**1023
 # The undirected parity matrix holds at most this many entries (4 MB of
 # float64); larger assignment spaces are walked in chunks of low bits.
 _PARITY_ENTRIES = 1 << 19
@@ -230,20 +233,31 @@ def _augmented(graph: GraphSpec, weights: WeightVector, X, ndim: int) -> np.ndar
 
 
 def compile_scorer(graph: GraphSpec, weights: WeightVector, x: np.ndarray) -> NodeScorer:
-    """Fold one input vector into per-node score tables."""
+    """Fold one input vector into per-node score tables.
+
+    Raises DataError when the input makes the scores too large to sum:
+    node i's |s_i| is at most M_i = |const_i| + sum |w_eff| over its terms,
+    and every hinge cost is at most 1 + M_i, so while the sum of all M_i
+    stays under 2^1023 every score, cost and joint loss is finite.
+    """
     xa = _augmented(graph, weights, x, 1)
     w = weights.values
     layout = graph.layout
-    # bincount returns int64 zeros when no clique is unary
-    const = np.bincount(
-        layout.unary_node,
-        weights=w[layout.unary_clique] * xa[layout.unary_column],
-        minlength=graph.n_outputs,
-    ).astype(np.float64, copy=False)
-    terms = tuple(
-        tuple((float(w[j] * xa[col]), partners) for j, col, partners in node)
-        for node in layout.coupled
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        # bincount returns int64 zeros when no clique is unary
+        const = np.bincount(
+            layout.unary_node,
+            weights=w[layout.unary_clique] * xa[layout.unary_column],
+            minlength=graph.n_outputs,
+        ).astype(np.float64, copy=False)
+        coupled = w[layout.coupled_clique] * xa[layout.coupled_column]
+        reach = np.abs(const).sum() + np.abs(coupled).sum()
+    if not reach <= _SCORE_REACH:
+        raise DataError(
+            f"the input makes the scores overflow: |const| + sum |w_eff| summed over the nodes is {reach}"
+        )
+    values = iter(coupled.tolist())
+    terms = tuple(tuple((next(values), partners) for _, _, partners in node) for node in layout.coupled)
     return NodeScorer(const=const, terms=terms, order=graph.order)
 
 

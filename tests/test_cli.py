@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from margraph.cli import main
-from margraph.dataio import load_model, read_predictions
+from margraph import planted_model
+from margraph.dataio import ModelFile, load_model, read_predictions, save_model
 
 
 @pytest.fixture(scope="module")
@@ -371,6 +372,24 @@ def test_a_count_the_model_file_cannot_back_fails_with_one_line(workdir, tmp_pat
     assert len(lines) == 1 and lines[0].startswith("margraph: error: ") and words in lines[0]
 
 
+@pytest.mark.parametrize("infer", ["bb", "exhaustive"])
+def test_an_input_that_overflows_a_score_fails_with_one_line(tmp_path, capsys, infer):
+    graph, weights = planted_model(4, 2, topology="chain", seed=0, input_scale=5.0)
+    save_model(ModelFile(graph, weights), tmp_path / "m.model")
+    (tmp_path / "x.sv").write_text("1 1:1e308 2:-1e308\n")
+    out = tmp_path / "p.txt"
+    code = main([
+        "predict", "--model-file", str(tmp_path / "m.model"), "--data", str(tmp_path / "x.sv"),
+        "--infer", infer, "--out", str(out),
+    ])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("margraph: error: the input makes the scores overflow")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("option, value", [
     ("--bias-scale", "-1"), ("--input-scale", "-0.5"), ("--edge-scale", "nan"),
 ])
@@ -483,8 +502,8 @@ def _readme_blocks():
 def _run_readme_shell(block, capsys):
     """Run one README shell block in the current directory: margraph
     commands through main, ``head``/``tail -n N src > dst`` as line slices.
-    Returns what the last command printed."""
-    out = ""
+    Returns what each margraph command printed, as (stdout, stderr) pairs."""
+    printed = []
     for line in block.replace("\\\n", " ").splitlines():
         words = shlex.split(line)
         if not words:
@@ -492,22 +511,30 @@ def _run_readme_shell(block, capsys):
         capsys.readouterr()
         if words[0] == "margraph":
             assert main(words[1:]) == 0, line
-            out = capsys.readouterr().out
+            captured = capsys.readouterr()
+            printed.append((captured.out, captured.err))
         else:
             cmd, flag, n, src, redirect, dst = words
             assert cmd in ("head", "tail") and flag == "-n" and redirect == ">", line
             lines = Path(src).read_text(encoding="utf-8").splitlines(keepends=True)
             Path(dst).write_text("".join(lines[: int(n)] if cmd == "head" else lines[-int(n):]), encoding="utf-8")
-    return out
+    return printed
 
 
 def test_readme_command_line_quick_start_prints_what_the_readme_shows(tmp_path, monkeypatch, capsys):
     # synth, the fscore probe, training, search, eval and the cutoff sweep's
-    # mean loss all feed the two outputs the README quotes
+    # mean loss all feed the outputs the README quotes
     monkeypatch.chdir(tmp_path)
     blocks = _readme_blocks()
     quick_start, sweep = [body for lang, body in blocks if lang == "sh" and "margraph " in body]
+    summary_line = next(body for _, body in blocks if body.startswith("wrote "))
     metric_line = next(body for _, body in blocks if body.startswith("E="))
     sweep_csv = next(body for _, body in blocks if body.startswith("S,"))
-    assert _run_readme_shell(quick_start, capsys) == metric_line
-    assert _run_readme_shell(sweep, capsys) == sweep_csv
+    _, (_, train_err), (predicted, _), (evaluated, _) = _run_readme_shell(quick_start, capsys)
+    # training warns once, on stderr, about the one solve at the epoch cap
+    assert len(train_err.splitlines()) == 1
+    assert train_err.startswith("margraph: warning: 1 of 6 solves hit the epoch cap")
+    assert predicted == summary_line
+    assert evaluated == metric_line
+    [(swept, _)] = _run_readme_shell(sweep, capsys)
+    assert swept == sweep_csv

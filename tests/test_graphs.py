@@ -194,3 +194,26 @@ def test_routing_matches_the_owner_chain_reference(kind):
         for a, b in zip(got, unary):
             assert a.dtype == b.dtype
             assert np.array_equal(a, b)
+        # the coupled terms' cliques and columns, flat and node by node
+        assert layout.coupled_clique.dtype == layout.coupled_column.dtype == np.intp
+        assert layout.coupled_clique.tolist() == [j for terms in coupled for j, _, _ in terms]
+        assert layout.coupled_column.tolist() == [col for terms in coupled for _, col, _ in terms]
+
+
+def test_frontiers_hold_the_earlier_labels_the_rest_of_the_order_reads():
+    chain = mg.build_chain_graph(4, 1, mg.DIRECTED, order=(2, 0, 3, 1))
+    assert chain.frontiers == ((), (2,), (0,), (3,), ())
+    full = mg.build_full_graph(4, 0, mg.DIRECTED, order=(3, 1, 0, 2))
+    assert full.frontiers == ((), (3,), (3, 1), (3, 1, 0), ())
+    # a clique read only by the last node keeps node 0 live over node 1
+    skip = GraphSpec(3, 0, mg.DIRECTED, (0, 1, 2), (Clique((0,)), Clique((1,)), Clique((0, 2))))
+    assert skip.frontiers == ((), (0,), (0,), ())
+    codes = chain.frontier_codes
+    assert codes.offset == (0, 1, 3, 5, 7)
+    # node 0 at position 1 reads node 2, bit 0 of its frontier code
+    assert codes.node.tolist() == [2, 0, 0, 3, 3, 1, 1]
+    assert codes.sign.tolist() == [[1.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0]]
+    # labelling position 1's node 0 -1 steps to position 2's code 1
+    assert codes.step[2 * 1 + 1] == 2 * (3 + 1)
+    with pytest.raises(GraphError, match="directed"):
+        mg.build_chain_graph(3, 0, mg.UNDIRECTED).frontier_codes

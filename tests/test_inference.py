@@ -1,15 +1,16 @@
 """Branch-and-bound search, exhaustive oracle, and the flip-descent baseline."""
 
+import itertools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import margraph as mg
-from margraph import BBConfig, Clique, GraphSpec, Instance, WeightVector, model
+from margraph import BBConfig, Clique, GraphSpec, Instance, WeightVector, inference, model
 from margraph.bench import branch_budget
 from margraph.errors import CapabilityError, DataError, GraphError
 from margraph.inference import (
@@ -305,10 +306,51 @@ def reference_suffix(scorer, order):
     return suffix
 
 
-def reference_search(scorer, order, cutoff, budget, bound=True):
-    """With bound=False, the search before it pruned on the cost still to come."""
+def reference_frontiers(scorer, order):
+    """F_p for p = 0..K: the nodes before position p that position p or a
+    later one reads through a term, listed by position."""
+    K = len(order)
+    pos = {node: p for p, node in enumerate(order)}
+    frontiers = []
+    for p in range(K + 1):
+        read = {k for q in range(p, K) for _, others in scorer.terms[order[q]] for k in others}
+        frontiers.append(tuple(sorted((k for k in read if pos[k] < p), key=pos.get)))
+    return frontiers
+
+
+def reference_cost_to_go(scorer, order, frontiers):
+    """h[p][labels of F_p]: the least cost of positions p.. by a backward DP
+    over label tuples, each cost max(0, 1 - y * s) from the scalar score."""
+    K = len(order)
+    h = [{} for _ in range(K)] + [{(): 0.0}]
+    for p in range(K - 1, -1, -1):
+        node = order[p]
+        for labels in itertools.product((1, -1), repeat=len(frontiers[p])):
+            y = np.zeros(K, dtype=np.int8)
+            y[list(frontiers[p])] = labels
+            s = reference_node_score(scorer, node, y)
+            totals = []
+            for label in (1, -1):
+                y[node] = label
+                after = tuple(int(y[k]) for k in frontiers[p + 1])
+                totals.append(max(0.0, 1.0 - label * s) + h[p + 1][after])
+            h[p][labels] = min(totals)
+    return h
+
+
+def reference_search(scorer, order, cutoff, budget, bound="tables", h=None):
+    """One pass.  bound="tables": the static bound until the pass has
+    counted inference._TABLE_AFTER * K states, then (for frontiers at most
+    inference._TABLE_MAX_WIDTH wide) cost-to-go tables, retaking the branch
+    at hand; h from an earlier pass is used from the start.  "static": the
+    search before the tables, "none": before any bound on the cost to come.
+    Returns (incumbent, objective, states, hit_budget, h)."""
     K = scorer.n_outputs
-    suffix = reference_suffix(scorer, order) if bound else [0.0] * (K + 1)
+    suffix = reference_suffix(scorer, order) if bound != "none" else [0.0] * (K + 1)
+    frontiers = reference_frontiers(scorer, order)
+    switch = None
+    if bound == "tables" and h is None and max(map(len, frontiers)) <= inference._TABLE_MAX_WIDTH:
+        switch = inference._TABLE_AFTER * K
     slack = 1.0 + 4 * K * 2.0**-52
     y = np.zeros(K, dtype=np.int8)
     partial = np.zeros(K + 1, dtype=np.float64)
@@ -345,11 +387,20 @@ def reference_search(scorer, order, cutoff, budget, bound=True):
         else:
             label, cost = -left_label[p], right_cost[p]
         total = partial[p] + cost
-        if total >= upper or (bound and total + suffix[p + 1] >= upper * slack):
+        if h is None:
+            rest = suffix[p + 1]
+        else:
+            rest = h[p + 1][tuple(int(label) if k == order[p] else int(y[k]) for k in frontiers[p + 1])]
+        if total >= upper or (bound != "none" and total + rest >= upper * slack):
             continue
         if budget is not None and states >= budget:
             hit_budget = True
             break
+        if switch is not None and states >= switch:
+            h = reference_cost_to_go(scorer, order, frontiers)
+            switch = None
+            tried[p] = t
+            continue
         states += 1
         y[order[p]] = label
         if p == K - 1:
@@ -360,12 +411,15 @@ def reference_search(scorer, order, cutoff, budget, bound=True):
         p += 1
         partial[p] = total
         enter(p)
-    return incumbent, incumbent_obj, states, hit_budget
+    return incumbent, incumbent_obj, states, hit_budget, h
 
 
-def reference_bb_infer(graph, weights, x, config, bound=True):
+def reference_bb_infer(graph, weights, x, config, bound="tables"):
     scorer = compile_scorer(graph, weights, x)
     order = graph.order
+    if bound == "tables" and not config.cost_to_go:
+        bound = "static"
+    h = None
     cutoff = float(config.cutoff)
     total_states = 0
     for _ in range(_ESCALATE_CAP + 1):
@@ -375,7 +429,7 @@ def reference_bb_infer(graph, weights, x, config, bound=True):
             if remaining <= 0:
                 y, obj = reference_greedy_descent(scorer, order)
                 return y, obj, total_states, STATUS_BUDGET
-        incumbent, obj, states, hit_budget = reference_search(scorer, order, cutoff, remaining, bound)
+        incumbent, obj, states, hit_budget, h = reference_search(scorer, order, cutoff, remaining, bound, h)
         total_states += states
         if incumbent is not None and not hit_budget:
             return incumbent, obj, total_states, STATUS_OPTIMAL
@@ -391,6 +445,27 @@ def reference_bb_infer(graph, weights, x, config, bound=True):
     return y, obj, total_states, STATUS_FALLBACK
 
 
+def check_against_the_references(graph, weights, x, config):
+    """bb_infer against the reference with the same bound; without a state
+    budget, also against the static and the prune-free search, which take
+    every state it takes.  Returns bb_infer's result."""
+    got = bb_infer(graph, weights, x, config)
+    labels, objective, states, status = reference_bb_infer(graph, weights, x, config)
+    assert got.labels.dtype == np.int8
+    assert got.labels.tolist() == labels.tolist()
+    assert got.objective == objective
+    assert got.states_visited == states
+    assert got.status == status
+    if config.max_states is None:
+        for bound in ("static", "none"):
+            labels, objective, states, status = reference_bb_infer(graph, weights, x, config, bound)
+            assert got.labels.tolist() == labels.tolist()
+            assert got.objective == objective
+            assert got.status == status
+            assert got.states_visited <= states
+    return got
+
+
 @settings(derandomize=True, deadline=None, max_examples=150)
 @given(
     topology=st.sampled_from(["chain", "full"]),
@@ -398,9 +473,10 @@ def reference_bb_infer(graph, weights, x, config, bound=True):
     D=st.integers(0, 3),
     scale=st.sampled_from([0.3, 1.0, 3.0]),
     zeroed=st.sampled_from([0.0, 0.5, 1.0]),
+    after=st.sampled_from([0, inference._TABLE_AFTER]),
     seed=st.integers(0, 2**16),
 )
-def test_search_matches_the_array_reference_on_coupled_graphs(topology, K, D, scale, zeroed, seed):
+def test_search_matches_the_array_reference_on_coupled_graphs(topology, K, D, scale, zeroed, after, seed):
     rng = np.random.default_rng(seed)
     graph = coupled_graph(rng, topology, K, D, mg.DIRECTED)
     # zeroed weights make exact score ties, which go to the +1 label
@@ -410,29 +486,147 @@ def test_search_matches_the_array_reference_on_coupled_graphs(topology, K, D, sc
     optimum = exhaustive_infer(graph, weights, x).objective
     # cutoffs below the optimum force the fallback (or escalation); at the
     # optimum nothing lies strictly under the bound
-    for cutoff in sorted({1.0, max(1.0, 0.5 * optimum), max(1.0, optimum), max(1.0, optimum + 0.5), 1e9}):
-        for escalate in (False, True):
-            unlimited = reference_bb_infer(graph, weights, x, BBConfig(cutoff, None, escalate))
-            for max_states in sorted({1, max(1, unlimited[2])}) + [None]:
-                config = BBConfig(cutoff=cutoff, max_states=max_states, escalate=escalate)
-                labels, objective, states, status = reference_bb_infer(graph, weights, x, config)
-                got = bb_infer(graph, weights, x, config)
-                assert got.labels.dtype == np.int8
-                assert got.labels.tolist() == labels.tolist()
-                assert got.objective == objective
-                assert got.states_visited == states
-                assert got.status == status
-                if max_states is None:
-                    # the bound only prunes: same answer as the prune-free search
-                    labels, objective, states, status = reference_bb_infer(graph, weights, x, config, bound=False)
-                    assert got.labels.tolist() == labels.tolist()
-                    assert got.objective == objective
-                    assert got.status == status
-                    assert got.states_visited <= states
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(inference, "_TABLE_AFTER", after)
+        for cutoff in sorted({1.0, max(1.0, 0.5 * optimum), max(1.0, optimum), max(1.0, optimum + 0.5), 1e9}):
+            for escalate in (False, True):
+                unlimited = reference_bb_infer(graph, weights, x, BBConfig(cutoff, None, escalate))
+                for max_states in sorted({1, max(1, unlimited[2])}) + [None]:
+                    # the static search does not read the switch constant
+                    for cost_to_go in (True, False) if after else (True,):
+                        config = BBConfig(cutoff, max_states, escalate, cost_to_go)
+                        check_against_the_references(graph, weights, x, config)
     scorer = compile_scorer(graph, weights, x)
     y = random_labels(rng, 1, K)[0]
     for i in range(K):
         assert mg.node_margin(graph, weights, x, y, i) == float(y[i]) * reference_node_score(scorer, i, y)
+
+
+def narrow_graph(rng, topology, K, D):
+    """A directed chain in a random order, or one with extra coupled
+    cliques, whose frontiers are all within the tables' width cap (None if
+    the coupled draw is wider)."""
+    if topology == "chain":
+        graph = mg.build_chain_graph(K, D, mg.DIRECTED, order=tuple(int(i) for i in rng.permutation(K)))
+    else:
+        graph = coupled_graph(rng, "chain", K, D, mg.DIRECTED)
+    return graph if max(map(len, graph.frontiers)) <= inference._TABLE_MAX_WIDTH else None
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(
+    topology=st.sampled_from(["chain", "coupled"]),
+    K=st.integers(1, 16),
+    D=st.integers(0, 3),
+    scale=st.sampled_from([0.3, 1.0, 3.0]),
+    after=st.sampled_from([0, inference._TABLE_AFTER]),
+    seed=st.integers(0, 2**16),
+)
+def test_cost_to_go_tables_keep_every_answer_of_the_static_search(topology, K, D, scale, after, seed):
+    rng = np.random.default_rng(seed)
+    graph = narrow_graph(rng, topology, K if topology == "chain" else min(K, 8), D)
+    assume(graph is not None)
+    weights = WeightVector(rng.normal(0.0, scale, graph.n_cliques), lam=1.0)
+    x = rng.standard_normal(D)
+    exact = exhaustive_infer(graph, weights, x)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(inference, "_TABLE_AFTER", after)
+        for cutoff in (1.0, 2.0, 1e9):
+            for escalate in (False, True):
+                for max_states in (None, 3 * K):
+                    config = BBConfig(cutoff=cutoff, max_states=max_states, escalate=escalate)
+                    got = check_against_the_references(graph, weights, x, config)
+                    if max_states is None:
+                        static_config = BBConfig(cutoff, None, escalate, cost_to_go=False)
+                        static = bb_infer(graph, weights, x, static_config)
+                        assert got.labels.tolist() == static.labels.tolist()
+                        assert got.objective == static.objective
+                        assert got.status == static.status
+                        assert got.states_visited <= static.states_visited
+                    if got.status == STATUS_OPTIMAL:
+                        # continuous weights: the minimizer is unique
+                        assert got.labels.tolist() == exact.labels.tolist()
+                        assert got.objective == exact.objective
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    topology=st.sampled_from(["chain", "coupled"]),
+    K=st.integers(1, 10),
+    D=st.integers(0, 3),
+    zeroed=st.sampled_from([0.0, 0.5]),
+    seed=st.integers(0, 2**16),
+)
+def test_cost_to_go_tables_bound_the_static_suffix_and_the_optimum(topology, K, D, zeroed, seed):
+    rng = np.random.default_rng(seed)
+    graph = narrow_graph(rng, topology, K, D)
+    assume(graph is not None)
+    w = rng.normal(0.0, 1.0, graph.n_cliques)
+    weights = WeightVector(np.where(rng.random(graph.n_cliques) < zeroed, 0.0, w), lam=1.0)
+    x = rng.standard_normal(D)
+    scorer = compile_scorer(graph, weights, x)
+    codes = graph.frontier_codes
+    h = inference._cost_to_go(scorer, codes)
+    suffix = reference_suffix(scorer, graph.order)
+    frontiers = reference_frontiers(scorer, graph.order)
+    assert graph.frontiers == tuple(frontiers)
+    reference = reference_cost_to_go(scorer, graph.order, frontiers)
+    for p in range(K + 1):
+        for f in range(1 << len(frontiers[p])):
+            entry = h[2 * (codes.offset[p] + f)]
+            labels = tuple(-1 if f >> b & 1 else 1 for b in range(len(frontiers[p])))
+            # the same bits as the scalar DP, never below the static bound
+            assert entry == reference[p][labels]
+            assert entry >= suffix[p]
+    # the backward sum of the optimum is within the slack of its forward sum
+    optimum = exhaustive_infer(graph, weights, x).objective
+    slack = 1.0 + 4 * K * 2.0**-52
+    assert h[0] <= optimum * slack and optimum <= h[0] * slack
+
+
+def test_cost_to_go_slack_absorbs_the_backward_rounding(monkeypatch):
+    # a chain 0 -> 1 -> 2 whose best path costs 1, 2^-53 and 2^-53: the leaf's
+    # forward total 1 + 2^-53 + 2^-53 rounds to 1.0, under the cutoff
+    # 1 + 2^-52, but the root plus the table below it, 1 + (2^-53 + 2^-53),
+    # equals the cutoff.  The static bound sees only 2^-53 there (node 2's
+    # |const| + |w| is 2), so only the relative slack keeps the tables from
+    # cutting the optimum.
+    graph = mg.build_chain_graph(3, 0, mg.DIRECTED)
+    weights = WeightVector(np.array([0.0, 0.5 - 2**-54, 1.5, 0.5 - 2**-54, -(0.5 + 2**-53)]), lam=1.0)
+    x = np.zeros(0)
+    cutoff = 1 + 2**-52
+    scorer = compile_scorer(graph, weights, x)
+    h = inference._cost_to_go(scorer, graph.frontier_codes)
+    codes = graph.frontier_codes
+    below_root = h[codes.step[0]]  # position 1 after labelling node 0 +1
+    assert 1.0 + below_root == cutoff
+    assert 1.0 + reference_suffix(scorer, graph.order)[1] < cutoff
+    monkeypatch.setattr(inference, "_TABLE_AFTER", 0)
+    for config in (BBConfig(cutoff=cutoff), BBConfig(cutoff=cutoff, cost_to_go=False)):
+        res = bb_infer(graph, weights, x, config)
+        assert res.status == STATUS_OPTIMAL
+        assert res.objective == 1.0
+        assert res.labels.tolist() == [1, 1, 1]
+    assert exhaustive_infer(graph, weights, x).objective == 1.0
+
+
+def test_escalation_builds_the_tables_once_per_call(monkeypatch):
+    # static bounds of 0 and every completion of a root label costing at
+    # least 1 (see the budget test above): the pass under cutoff 2 builds
+    # the tables and finds nothing; the retry under cutoff 4 reuses them
+    graph = GraphSpec(3, 0, mg.DIRECTED, (0, 1, 2),
+                      (Clique((0,)), Clique((1,)), Clique((0, 1)), Clique((0, 2)), Clique((1, 2))))
+    weights = WeightVector(np.array([0.0, 0.5, 0.5, 0.5, -0.5]), lam=1.0)
+    builds, passes = [], []
+    build, search = inference._cost_to_go, inference._search
+    monkeypatch.setattr(inference, "_TABLE_AFTER", 0)
+    monkeypatch.setattr(inference, "_cost_to_go", lambda *a: builds.append(1) or build(*a))
+    monkeypatch.setattr(inference, "_search", lambda *a: passes.append(1) or search(*a))
+    res = bb_infer(graph, weights, np.zeros(0), BBConfig(cutoff=2, escalate=True))
+    assert res.status == STATUS_OPTIMAL and res.objective == 2.0
+    # two passes and the greedy dive is not run; one build
+    assert len(passes) == 2
+    assert len(builds) == 1
 
 
 # ---------------------------------------------------------------------------

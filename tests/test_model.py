@@ -118,6 +118,29 @@ def test_compile_scorer_validates_shapes(two_node_model):
         compile_scorer(graph, weights, np.array([np.inf]))
 
 
+def test_an_input_that_overflows_a_score_is_a_data_error():
+    # finite inputs whose products with the weights overflow: node 0's
+    # constant reads -inf.  No NumPy warning may escape (warnings are errors
+    # here), and every decoder stops with the same DataError instead of
+    # reporting a nan or inf loss.
+    graph, weights = mg.planted_model(4, 2, topology="chain", seed=0, input_scale=5.0)
+    x = np.array([1e308, -1e308])
+    with pytest.raises(DataError, match="scores overflow"):
+        compile_scorer(graph, weights, x)
+    for decode in (mg.bb_infer, mg.exhaustive_infer):
+        with pytest.raises(DataError, match="scores overflow"):
+            decode(graph, weights, x)
+    # a large input whose scores stay small enough to sum still compiles
+    assert np.isfinite(compile_scorer(graph, weights, np.array([1e300, -1e300])).const).all()
+    # every score finite, but two labels' costs near 1.5e308 would sum to
+    # inf in the exhaustive oracle: refused too
+    graph = mg.build_independent_graph(2, 1, mg.DIRECTED)
+    weights = WeightVector(np.array([0.0, 0.0, 1.0, 1.0]), lam=1.0)
+    with pytest.raises(DataError, match="scores overflow"):
+        compile_scorer(graph, weights, np.array([1.5e308]))
+    assert mg.exhaustive_infer(graph, weights, np.array([2.0**1021])).objective == 0.0
+
+
 def test_flipping_a_label_negates_its_own_margin():
     rng = np.random.default_rng(3)
     for _ in range(30):
