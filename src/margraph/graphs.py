@@ -39,6 +39,8 @@ __all__ = [
 
 DIRECTED = "directed"
 UNDIRECTED = "undirected"
+# frontier_codes numbers the labellings of frontiers at most this wide
+_FRONTIER_MAX_WIDTH = 4
 
 
 @dataclass(frozen=True)
@@ -91,9 +93,9 @@ class ScoreLayout:
 class FrontierCodes:
     """Entries for tables over the labellings of each position's frontier.
 
-    Position p's frontier F_p = ``frontiers[p]`` (see ``GraphSpec.frontiers``)
-    is labelled by a code f < 2^len(F_p) whose bit b is set when F_p[b] is
-    -1; entry e = offset[p] + f stands for that labelling, and entry
+    Position p's frontier F_p (see ``GraphSpec.frontiers``) is labelled by
+    a code f < 2^len(F_p) whose bit b is set when F_p[b] is -1; entry
+    e = offset[p] + f stands for that labelling, and entry
     ``offset[K]`` for position K's empty frontier.  ``node[e]`` is order[p].
     Row t of ``slot`` and ``sign`` gives that node's t-th coupled term: its
     index among all coupled terms listed node by node (one past the last for
@@ -102,7 +104,6 @@ class FrontierCodes:
     of position p + 1 reached by labelling order[p] +1 (b = 0) or -1 (b = 1).
     """
 
-    frontiers: tuple[tuple[int, ...], ...]
     offset: tuple[int, ...]
     node: np.ndarray
     slot: np.ndarray
@@ -202,16 +203,19 @@ class GraphSpec:
         return tuple(frontiers)
 
     @cached_property
-    def frontier_codes(self) -> FrontierCodes:
-        """Every frontier labelling of a directed graph as a table entry.
+    def frontier_codes(self) -> FrontierCodes | None:
+        """Every frontier labelling of a directed graph as a table entry, or
+        None when some frontier holds more than _FRONTIER_MAX_WIDTH labels.
 
-        Position p has 2^len(frontiers[p]) entries, so only a graph whose
-        frontiers are all narrow should ask for this.
+        Position p has 2^len(frontiers[p]) entries, so the cap keeps the
+        tables over them a few entries per position.
         """
         if self.kind != DIRECTED:
             raise GraphError("frontier codes need a directed graph")
         K = self.n_outputs
         frontiers = self.frontiers
+        if max(map(len, frontiers)) > _FRONTIER_MAX_WIDTH:
+            return None
         coupled = self.layout.coupled
         first = np.cumsum([0] + [len(terms) for terms in coupled]).tolist()
         offset = np.cumsum([0] + [1 << len(f) for f in frontiers[:K]]).tolist()
@@ -234,7 +238,7 @@ class GraphSpec:
                     for c, k in enumerate(frontiers[p + 1]):
                         code |= (b if k == i else f >> bit[k] & 1) << c
                     step[2 * e + b] = 2 * (offset[p + 1] + code)
-        return FrontierCodes(frontiers, tuple(offset), node, slot, sign, tuple(step))
+        return FrontierCodes(tuple(offset), node, slot, sign, tuple(step))
 
     def regularizer_multipliers(self, eta0: float) -> np.ndarray:
         """Per-clique quadratic penalty multipliers.

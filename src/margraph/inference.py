@@ -19,27 +19,24 @@ strictly under the upper bound is ever cut.  The search only prunes more:
 labels, objectives and statuses are those of the search without the bound,
 and only the state counts fall.
 
-A long search switches to the exact cost still to come (bucket elimination
-along the order, used as a search heuristic: Dechter 1999, Kask and
-Dechter 2001).  Position p's frontier (``GraphSpec.frontiers``) holds the
-earlier nodes that p or a later node reads; a backward DP tabulates h_p,
-the least cost of positions p.. for each labelling of that frontier, from
-the same per-node costs the search adds, and the search prunes on
-partial + h_{p+1} with the same slack.  Each h_p is at least the static
-bound (the same monotone rounding), and the optimum's backward sum stays
-within the slack of its forward one, so the first minimizer in search order
-is never cut and labels, objectives and statuses stay those of the static
-search, which visits every state the switched search visits.  The gate
-has fixed constants: tables exist only for graphs whose frontiers hold at
-most _TABLE_MAX_WIDTH labels, and a pass builds them, without restarting,
-once it has counted _TABLE_AFTER * K states; a bb_infer call builds them at
-most once, escalated retries included.  On the ``chain40`` benchmark (1500
-rows) they take mean states per row 1605 -> 154, the 99th percentile 17.2k
--> 256 and the maximum 45,091 -> 360; a 6-label full graph (frontiers up
-to 5 wide) keeps the static bound.  ``BBConfig(cost_to_go=False)`` keeps
-the static bound throughout: the ``bench`` sweeps measure the search that
-the ``1 - loss/S`` guarantee and the trained-versus-random contrast are
-about, and exact tables make random models cheap too.
+On a graph whose frontiers are narrow the search prunes on the exact cost
+still to come instead (bucket elimination along the order, used as a search
+heuristic: Dechter 1999, Kask and Dechter 2001).  Position p's frontier
+(``GraphSpec.frontiers``) holds the earlier nodes that p or a later node
+reads; a backward DP tabulates h_p, the least cost of positions p.. for
+each labelling of that frontier, from the same per-node costs the search
+adds, and the search prunes on partial + h_{p+1} with the same slack.  Each
+h_p is at least the static bound (the same monotone rounding), and the
+optimum's backward sum stays within the slack of its forward one, so the
+first minimizer in search order is never cut and labels, objectives and
+statuses stay those of the static search, which visits every state the
+tabled search visits.  ``bb_infer`` chooses once per call: tables, built
+before the first pass and kept by escalated retries, when
+``GraphSpec.frontier_codes`` exists (every frontier at most a few labels
+wide), the static bound otherwise.  ``BBConfig(cost_to_go=False)`` keeps
+the static bound: the ``bench`` sweeps measure the search that the
+``1 - loss/S`` guarantee and the trained-versus-random contrast are about,
+and exact tables make random models cheap too.
 
 The search computes each node score itself, on plain Python lists and
 floats, from the tables of ``compile_scorer``.  The greedy fallback, the
@@ -93,17 +90,13 @@ STATUS_FALLBACK = "no_solution_under_S_fallback"
 STATUS_LOCAL = "local_optimum"
 
 _ESCALATE_CAP = 60
-# Cost-to-go tables: only for graphs whose frontiers all hold at most
-# _TABLE_MAX_WIDTH labels, built once a pass has counted _TABLE_AFTER * K states.
-_TABLE_MAX_WIDTH = 4
-_TABLE_AFTER = 4
 
 
 @dataclass(frozen=True)
 class BBConfig:
     """Search knobs: initial upper bound, state budget, escalation retry,
-    and whether a long search may switch to cost-to-go tables (off keeps the
-    static bound throughout, the search the paper analyses)."""
+    and whether a graph with narrow frontiers is searched on cost-to-go
+    tables (off keeps the static bound, the search the paper analyses)."""
 
     cutoff: float = 1e9
     max_states: int | None = None
@@ -165,9 +158,9 @@ def _static_steps(K: int) -> tuple[int, ...]:
     return tuple(2 * (k // 2) + 2 for k in range(2 * K))
 
 
-def _search(scorer: NodeScorer, order: tuple[int, ...], cutoff: float, budget, graph=None, tables=None):
+def _search(scorer: NodeScorer, order: tuple[int, ...], cutoff: float, budget, table=None):
     """One depth-first pass.  Returns (incumbent or None, objective, states,
-    hit_budget, tables).
+    hit_budget).
 
     Entering position p adds node order[p]'s terms to its constant on plain
     Python lists and floats, in the same order as ``NodeScorer.score_column``.
@@ -178,24 +171,19 @@ def _search(scorer: NodeScorer, order: tuple[int, ...], cutoff: float, budget, g
 
     ``bound`` and ``step`` form one table: key = 2e + b for entry e and
     order[p]'s label b (0 for +1, 1 for -1), and ``step[key]`` is the next
-    position's entry, doubled.  The static bound is the width-0 table, one
-    entry per position.  Given the ``graph`` and no ``tables``, a pass that
-    has counted _TABLE_AFTER * K states looks at the graph's frontiers once:
-    if none holds more than _TABLE_MAX_WIDTH labels, it builds cost-to-go
-    tables keyed by ``graph.frontier_codes``, re-keys the current path and
-    retakes the branch at hand, so it visits a subset of the static pass's
-    states.  ``tables`` (h from ``_cost_to_go``) returned by an earlier pass
-    are used from the start.  With an infinite cutoff, a budget of K states
-    and no graph the pass is the greedy all-left dive and nothing more,
-    which is the fallback ``bb_infer`` returns.
+    position's entry, doubled.  ``table`` = (step, h) gives cost-to-go
+    tables keyed by ``GraphSpec.frontier_codes`` (h from ``_cost_to_go``);
+    without it the bound is the static one, the width-0 table with one entry
+    per position.  With an infinite cutoff and a budget of K states the pass
+    is the greedy all-left dive and nothing more, which is the fallback
+    ``bb_infer`` returns.
     """
     K = scorer.n_outputs
     const = scorer.const.tolist()
     terms = [scorer.terms[node] for node in order]
-    check = math.inf if budget is None else budget
-    if tables is not None:
-        step = graph.frontier_codes.step
-        bound = [tables[k] for k in step]
+    if table is not None:
+        step, h = table
+        bound = [h[k] for k in step]
     else:
         step = _static_steps(K)
         # bound[2p], bound[2p + 1] = sum over positions q > p of
@@ -209,8 +197,6 @@ def _search(scorer: NodeScorer, order: tuple[int, ...], cutoff: float, budget, g
                 m += abs(w_eff)
             rest += 1.0 - m if m < 1.0 else 0.0
             bound[2 * p - 2] = bound[2 * p - 1] = rest
-        if graph is not None:
-            check = min(check, _TABLE_AFTER * K)
     slack = 1.0 + 4 * K * 2.0**-52
     y = [0] * K
     partial = [0.0] * (K + 1)
@@ -252,7 +238,7 @@ def _search(scorer: NodeScorer, order: tuple[int, ...], cutoff: float, budget, g
             t = tried[p]
             if t == 2:
                 if p == 0:
-                    return incumbent, incumbent_obj, states, False, tables
+                    return incumbent, incumbent_obj, states, False
                 p -= 1
                 continue
             tried[p] = t + 1
@@ -266,24 +252,8 @@ def _search(scorer: NodeScorer, order: tuple[int, ...], cutoff: float, budget, g
                 key = left_key[p] ^ 1
             if total >= upper or total + bound[key] >= limit:
                 continue
-            if states >= check:
-                if budget is not None and states >= budget:
-                    return incumbent, incumbent_obj, states, True, tables
-                check = math.inf if budget is None else budget
-                if max(map(len, graph.frontiers)) <= _TABLE_MAX_WIDTH:
-                    # switch to cost-to-go tables and retake this branch
-                    codes = graph.frontier_codes
-                    tables = _cost_to_go(scorer, codes)
-                    step = codes.step
-                    bound = [tables[k] for k in step]
-                    for q in range(p + 1):
-                        f = 0
-                        for b, k in enumerate(codes.frontiers[q]):
-                            if y[k] < 0:
-                                f |= 1 << b
-                        left_key[q] = 2 * (codes.offset[q] + f) + (1 if left_label[q] < 0 else 0)
-                    tried[p] = t
-                    continue
+            if budget is not None and states >= budget:
+                return incumbent, incumbent_obj, states, True
             states += 1
             y[order[p]] = label
             if p < K - 1:
@@ -307,22 +277,22 @@ def bb_infer(graph: GraphSpec, weights: WeightVector, x, config: BBConfig | None
     ``states_visited`` and changes no label, objective or status; the
     ``branch_budget`` and ``1 - loss/S`` bounds hold as before.  With
     ``config.cost_to_go`` and a graph whose frontiers are all narrow, the
-    cost-to-go tables are built at most once per call, by the first pass
-    that runs long, and serve every later pass (see the module docstring).
-    If no
-    assignment has loss under the cutoff, the greedy all-left assignment is
-    returned (status no_solution_under_S_fallback), or the search retries
-    with a doubled cutoff when escalation is on.  If the state budget runs
-    out first, including a pass that spends exactly the states left before an
-    escalated retry, the best assignment seen so far (or the greedy one) is
-    returned with status budget_exceeded.
+    cost-to-go tables are built once, before the first pass, and serve every
+    pass (see the module docstring).  If no assignment has loss under the
+    cutoff, the greedy all-left assignment is returned (status
+    no_solution_under_S_fallback), or the search retries with a doubled
+    cutoff when escalation is on.  If the state budget runs out first,
+    including a pass that spends exactly the states left before an escalated
+    retry, the best assignment seen so far (or the greedy one) is returned
+    with status budget_exceeded.
     """
     if graph.kind != DIRECTED:
         raise GraphError("branch-and-bound needs a directed graph")
     config = config or BBConfig()
     scorer = compile_scorer(graph, weights, x)
     order = graph.order
-    tables = None
+    codes = graph.frontier_codes if config.cost_to_go else None
+    table = None if codes is None else (codes.step, _cost_to_go(scorer, codes))
     cutoff = float(config.cutoff)
     total_states = 0
     status = STATUS_FALLBACK
@@ -334,9 +304,7 @@ def bb_infer(graph: GraphSpec, weights: WeightVector, x, config: BBConfig | None
                 # an escalated retry with no states left: the budget ran out
                 status = STATUS_BUDGET
                 break
-        incumbent, obj, states, hit_budget, tables = _search(
-            scorer, order, cutoff, remaining, graph if config.cost_to_go else None, tables
-        )
+        incumbent, obj, states, hit_budget = _search(scorer, order, cutoff, remaining, table)
         total_states += states
         if incumbent is not None:
             return InferenceResult(incumbent, obj, total_states, STATUS_BUDGET if hit_budget else STATUS_OPTIMAL)
@@ -347,7 +315,7 @@ def bb_infer(graph: GraphSpec, weights: WeightVector, x, config: BBConfig | None
             break
         cutoff *= 2.0
     # the greedy fallback: with no bound and K states, the first all-left dive
-    y, obj, _, _, _ = _search(scorer, order, math.inf, graph.n_outputs)
+    y, obj, _, _ = _search(scorer, order, math.inf, graph.n_outputs)
     return InferenceResult(y, obj, total_states, status)
 
 

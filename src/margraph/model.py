@@ -243,20 +243,22 @@ def compile_scorer(graph: GraphSpec, weights: WeightVector, x: np.ndarray) -> No
     xa = _augmented(graph, weights, x, 1)
     w = weights.values
     layout = graph.layout
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
         # bincount returns int64 zeros when no clique is unary
         const = np.bincount(
             layout.unary_node,
             weights=w[layout.unary_clique] * xa[layout.unary_column],
             minlength=graph.n_outputs,
         ).astype(np.float64, copy=False)
-        coupled = w[layout.coupled_clique] * xa[layout.coupled_column]
-        reach = np.abs(const).sum() + np.abs(coupled).sum()
+        coupled = (w[layout.coupled_clique] * xa[layout.coupled_column]).tolist()
+    # summed on Python floats: a handful of values, where NumPy's per-call
+    # cost would dominate
+    reach = sum(map(abs, const.tolist())) + sum(map(abs, coupled))
     if not reach <= _SCORE_REACH:
         raise DataError(
             f"the input makes the scores overflow: |const| + sum |w_eff| summed over the nodes is {reach}"
         )
-    values = iter(coupled.tolist())
+    values = iter(coupled)
     terms = tuple(tuple((next(values), partners) for _, _, partners in node) for node in layout.coupled)
     return NodeScorer(const=const, terms=terms, order=graph.order)
 

@@ -215,5 +215,8 @@ def test_frontiers_hold_the_earlier_labels_the_rest_of_the_order_reads():
     assert codes.sign.tolist() == [[1.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0]]
     # labelling position 1's node 0 -1 steps to position 2's code 1
     assert codes.step[2 * 1 + 1] == 2 * (3 + 1)
+    # frontiers wider than four labels get no codes
+    assert mg.build_full_graph(5, 0, mg.DIRECTED).frontier_codes is not None
+    assert mg.build_full_graph(6, 0, mg.DIRECTED).frontier_codes is None
     with pytest.raises(GraphError, match="directed"):
         mg.build_chain_graph(3, 0, mg.UNDIRECTED).frontier_codes

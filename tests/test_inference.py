@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import margraph as mg
-from margraph import BBConfig, Clique, GraphSpec, Instance, WeightVector, inference, model
+from margraph import BBConfig, Clique, GraphSpec, Instance, WeightVector, graphs, inference, model
 from margraph.bench import branch_budget
 from margraph.errors import CapabilityError, DataError, GraphError
 from margraph.inference import (
@@ -338,19 +338,13 @@ def reference_cost_to_go(scorer, order, frontiers):
     return h
 
 
-def reference_search(scorer, order, cutoff, budget, bound="tables", h=None):
-    """One pass.  bound="tables": the static bound until the pass has
-    counted inference._TABLE_AFTER * K states, then (for frontiers at most
-    inference._TABLE_MAX_WIDTH wide) cost-to-go tables, retaking the branch
-    at hand; h from an earlier pass is used from the start.  "static": the
-    search before the tables, "none": before any bound on the cost to come.
-    Returns (incumbent, objective, states, hit_budget, h)."""
+def reference_search(scorer, order, cutoff, budget, bound="static", h=None):
+    """One pass.  With h (from reference_cost_to_go) it prunes on the
+    cost-to-go tables; without, bound="static" is the search before the
+    tables and "none" the search before any bound on the cost to come."""
     K = scorer.n_outputs
     suffix = reference_suffix(scorer, order) if bound != "none" else [0.0] * (K + 1)
     frontiers = reference_frontiers(scorer, order)
-    switch = None
-    if bound == "tables" and h is None and max(map(len, frontiers)) <= inference._TABLE_MAX_WIDTH:
-        switch = inference._TABLE_AFTER * K
     slack = 1.0 + 4 * K * 2.0**-52
     y = np.zeros(K, dtype=np.int8)
     partial = np.zeros(K + 1, dtype=np.float64)
@@ -396,11 +390,6 @@ def reference_search(scorer, order, cutoff, budget, bound="tables", h=None):
         if budget is not None and states >= budget:
             hit_budget = True
             break
-        if switch is not None and states >= switch:
-            h = reference_cost_to_go(scorer, order, frontiers)
-            switch = None
-            tried[p] = t
-            continue
         states += 1
         y[order[p]] = label
         if p == K - 1:
@@ -411,15 +400,21 @@ def reference_search(scorer, order, cutoff, budget, bound="tables", h=None):
         p += 1
         partial[p] = total
         enter(p)
-    return incumbent, incumbent_obj, states, hit_budget, h
+    return incumbent, incumbent_obj, states, hit_budget
 
 
 def reference_bb_infer(graph, weights, x, config, bound="tables"):
+    """bound="tables": cost-to-go tables, built once before the first pass,
+    when config.cost_to_go and every frontier is within the width cap, and
+    the static bound otherwise; "static" or "none" as in reference_search."""
     scorer = compile_scorer(graph, weights, x)
     order = graph.order
-    if bound == "tables" and not config.cost_to_go:
-        bound = "static"
     h = None
+    if bound == "tables":
+        bound = "static"
+        frontiers = reference_frontiers(scorer, order)
+        if config.cost_to_go and max(map(len, frontiers)) <= graphs._FRONTIER_MAX_WIDTH:
+            h = reference_cost_to_go(scorer, order, frontiers)
     cutoff = float(config.cutoff)
     total_states = 0
     for _ in range(_ESCALATE_CAP + 1):
@@ -429,7 +424,7 @@ def reference_bb_infer(graph, weights, x, config, bound="tables"):
             if remaining <= 0:
                 y, obj = reference_greedy_descent(scorer, order)
                 return y, obj, total_states, STATUS_BUDGET
-        incumbent, obj, states, hit_budget, h = reference_search(scorer, order, cutoff, remaining, bound, h)
+        incumbent, obj, states, hit_budget = reference_search(scorer, order, cutoff, remaining, bound, h)
         total_states += states
         if incumbent is not None and not hit_budget:
             return incumbent, obj, total_states, STATUS_OPTIMAL
@@ -473,10 +468,9 @@ def check_against_the_references(graph, weights, x, config):
     D=st.integers(0, 3),
     scale=st.sampled_from([0.3, 1.0, 3.0]),
     zeroed=st.sampled_from([0.0, 0.5, 1.0]),
-    after=st.sampled_from([0, inference._TABLE_AFTER]),
     seed=st.integers(0, 2**16),
 )
-def test_search_matches_the_array_reference_on_coupled_graphs(topology, K, D, scale, zeroed, after, seed):
+def test_search_matches_the_array_reference_on_coupled_graphs(topology, K, D, scale, zeroed, seed):
     rng = np.random.default_rng(seed)
     graph = coupled_graph(rng, topology, K, D, mg.DIRECTED)
     # zeroed weights make exact score ties, which go to the +1 label
@@ -486,16 +480,13 @@ def test_search_matches_the_array_reference_on_coupled_graphs(topology, K, D, sc
     optimum = exhaustive_infer(graph, weights, x).objective
     # cutoffs below the optimum force the fallback (or escalation); at the
     # optimum nothing lies strictly under the bound
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(inference, "_TABLE_AFTER", after)
-        for cutoff in sorted({1.0, max(1.0, 0.5 * optimum), max(1.0, optimum), max(1.0, optimum + 0.5), 1e9}):
-            for escalate in (False, True):
-                unlimited = reference_bb_infer(graph, weights, x, BBConfig(cutoff, None, escalate))
-                for max_states in sorted({1, max(1, unlimited[2])}) + [None]:
-                    # the static search does not read the switch constant
-                    for cost_to_go in (True, False) if after else (True,):
-                        config = BBConfig(cutoff, max_states, escalate, cost_to_go)
-                        check_against_the_references(graph, weights, x, config)
+    for cutoff in sorted({1.0, max(1.0, 0.5 * optimum), max(1.0, optimum), max(1.0, optimum + 0.5), 1e9}):
+        for escalate in (False, True):
+            unlimited = reference_bb_infer(graph, weights, x, BBConfig(cutoff, None, escalate))
+            for max_states in sorted({1, max(1, unlimited[2])}) + [None]:
+                for cost_to_go in (True, False):
+                    config = BBConfig(cutoff, max_states, escalate, cost_to_go)
+                    check_against_the_references(graph, weights, x, config)
     scorer = compile_scorer(graph, weights, x)
     y = random_labels(rng, 1, K)[0]
     for i in range(K):
@@ -510,7 +501,7 @@ def narrow_graph(rng, topology, K, D):
         graph = mg.build_chain_graph(K, D, mg.DIRECTED, order=tuple(int(i) for i in rng.permutation(K)))
     else:
         graph = coupled_graph(rng, "chain", K, D, mg.DIRECTED)
-    return graph if max(map(len, graph.frontiers)) <= inference._TABLE_MAX_WIDTH else None
+    return graph if graph.frontier_codes is not None else None
 
 
 @settings(derandomize=True, deadline=None, max_examples=80)
@@ -519,34 +510,31 @@ def narrow_graph(rng, topology, K, D):
     K=st.integers(1, 16),
     D=st.integers(0, 3),
     scale=st.sampled_from([0.3, 1.0, 3.0]),
-    after=st.sampled_from([0, inference._TABLE_AFTER]),
     seed=st.integers(0, 2**16),
 )
-def test_cost_to_go_tables_keep_every_answer_of_the_static_search(topology, K, D, scale, after, seed):
+def test_cost_to_go_tables_keep_every_answer_of_the_static_search(topology, K, D, scale, seed):
     rng = np.random.default_rng(seed)
     graph = narrow_graph(rng, topology, K if topology == "chain" else min(K, 8), D)
     assume(graph is not None)
     weights = WeightVector(rng.normal(0.0, scale, graph.n_cliques), lam=1.0)
     x = rng.standard_normal(D)
     exact = exhaustive_infer(graph, weights, x)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(inference, "_TABLE_AFTER", after)
-        for cutoff in (1.0, 2.0, 1e9):
-            for escalate in (False, True):
-                for max_states in (None, 3 * K):
-                    config = BBConfig(cutoff=cutoff, max_states=max_states, escalate=escalate)
-                    got = check_against_the_references(graph, weights, x, config)
-                    if max_states is None:
-                        static_config = BBConfig(cutoff, None, escalate, cost_to_go=False)
-                        static = bb_infer(graph, weights, x, static_config)
-                        assert got.labels.tolist() == static.labels.tolist()
-                        assert got.objective == static.objective
-                        assert got.status == static.status
-                        assert got.states_visited <= static.states_visited
-                    if got.status == STATUS_OPTIMAL:
-                        # continuous weights: the minimizer is unique
-                        assert got.labels.tolist() == exact.labels.tolist()
-                        assert got.objective == exact.objective
+    for cutoff in (1.0, 2.0, 1e9):
+        for escalate in (False, True):
+            for max_states in (None, 3 * K):
+                config = BBConfig(cutoff=cutoff, max_states=max_states, escalate=escalate)
+                got = check_against_the_references(graph, weights, x, config)
+                if max_states is None:
+                    static_config = BBConfig(cutoff, None, escalate, cost_to_go=False)
+                    static = bb_infer(graph, weights, x, static_config)
+                    assert got.labels.tolist() == static.labels.tolist()
+                    assert got.objective == static.objective
+                    assert got.status == static.status
+                    assert got.states_visited <= static.states_visited
+                if got.status == STATUS_OPTIMAL:
+                    # continuous weights: the minimizer is unique
+                    assert got.labels.tolist() == exact.labels.tolist()
+                    assert got.objective == exact.objective
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
@@ -584,7 +572,7 @@ def test_cost_to_go_tables_bound_the_static_suffix_and_the_optimum(topology, K, 
     assert h[0] <= optimum * slack and optimum <= h[0] * slack
 
 
-def test_cost_to_go_slack_absorbs_the_backward_rounding(monkeypatch):
+def test_cost_to_go_slack_absorbs_the_backward_rounding():
     # a chain 0 -> 1 -> 2 whose best path costs 1, 2^-53 and 2^-53: the leaf's
     # forward total 1 + 2^-53 + 2^-53 rounds to 1.0, under the cutoff
     # 1 + 2^-52, but the root plus the table below it, 1 + (2^-53 + 2^-53),
@@ -601,7 +589,6 @@ def test_cost_to_go_slack_absorbs_the_backward_rounding(monkeypatch):
     below_root = h[codes.step[0]]  # position 1 after labelling node 0 +1
     assert 1.0 + below_root == cutoff
     assert 1.0 + reference_suffix(scorer, graph.order)[1] < cutoff
-    monkeypatch.setattr(inference, "_TABLE_AFTER", 0)
     for config in (BBConfig(cutoff=cutoff), BBConfig(cutoff=cutoff, cost_to_go=False)):
         res = bb_infer(graph, weights, x, config)
         assert res.status == STATUS_OPTIMAL
@@ -612,14 +599,14 @@ def test_cost_to_go_slack_absorbs_the_backward_rounding(monkeypatch):
 
 def test_escalation_builds_the_tables_once_per_call(monkeypatch):
     # static bounds of 0 and every completion of a root label costing at
-    # least 1 (see the budget test above): the pass under cutoff 2 builds
-    # the tables and finds nothing; the retry under cutoff 4 reuses them
+    # least 1 (see the budget test above): the tables are built before the
+    # pass under cutoff 2, which finds nothing; the retry under cutoff 4
+    # reuses them
     graph = GraphSpec(3, 0, mg.DIRECTED, (0, 1, 2),
                       (Clique((0,)), Clique((1,)), Clique((0, 1)), Clique((0, 2)), Clique((1, 2))))
     weights = WeightVector(np.array([0.0, 0.5, 0.5, 0.5, -0.5]), lam=1.0)
     builds, passes = [], []
     build, search = inference._cost_to_go, inference._search
-    monkeypatch.setattr(inference, "_TABLE_AFTER", 0)
     monkeypatch.setattr(inference, "_cost_to_go", lambda *a: builds.append(1) or build(*a))
     monkeypatch.setattr(inference, "_search", lambda *a: passes.append(1) or search(*a))
     res = bb_infer(graph, weights, np.zeros(0), BBConfig(cutoff=2, escalate=True))
