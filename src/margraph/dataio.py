@@ -2,12 +2,22 @@
 
 All floats are written with repr(), the shortest decimal that round-trips
 to the exact double, so save/load/save cycles are byte-identical.
+
+The svmlight reader works a line at a time: it splits a line once,
+converts its labels, ids and values with ``map``, skips ``int()`` when
+the ids read "1".."n" in order (a row that leaves out no zero), and checks
+ranges, finiteness and duplicates once per line.  That is the only way a
+line is accepted.  A line it refuses is read again one token at a time
+(``_line_fault``) only to word the error, naming the first fault in token
+order; that reading never accepts a line.  The matrices are then filled by
+one indexed assignment each.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -50,19 +60,39 @@ def _numbered_lines(path: str):
 # multi-label svmlight: "l1,l2,...  idx:val idx:val ..." with 1-based ids
 
 
-def _parse_label_field(field: str, n_outputs, path: str, ln: int) -> list[int]:
-    ids = []
-    for piece in field.split(","):
+def _line_fault(path: str, ln: int, tokens: list[str], start: int, n_outputs, n_inputs) -> DataError:
+    """The error of a line that ``parse_multilabel_svmlight`` refused,
+    worded by reading the line one label and one token at a time.  This
+    never accepts a line: one it finds no fault in is an internal error."""
+    for piece in tokens[0].split(",") if start else ():
         try:
             label = int(piece)
         except ValueError:
-            raise DataError(f"{path}:{ln}: bad label {piece!r}") from None
+            return DataError(f"{path}:{ln}: bad label {piece!r}")
         if label < 1:
-            raise DataError(f"{path}:{ln}: label ids are 1-based, got {label}")
+            return DataError(f"{path}:{ln}: label ids are 1-based, got {label}")
         if n_outputs is not None and label > n_outputs:
-            raise DataError(f"{path}:{ln}: label {label} exceeds label count {n_outputs}")
-        ids.append(label)
-    return ids
+            return DataError(f"{path}:{ln}: label {label} exceeds label count {n_outputs}")
+    seen: set[int] = set()
+    for tok in tokens[start:]:
+        idx_s, colon, val_s = tok.partition(":")
+        if not colon:
+            return DataError(f"{path}:{ln}: expected idx:value, got {tok!r}")
+        try:
+            idx = int(idx_s)
+            val = float(val_s)
+        except ValueError:
+            return DataError(f"{path}:{ln}: bad feature token {tok!r}")
+        if idx < 1:
+            return DataError(f"{path}:{ln}: feature ids are 1-based, got {idx}")
+        if n_inputs is not None and idx > n_inputs:
+            return DataError(f"{path}:{ln}: feature {idx} exceeds input count {n_inputs}")
+        if not math.isfinite(val):
+            return DataError(f"{path}:{ln}: non-finite feature value {val_s!r}")
+        if idx in seen:
+            return DataError(f"{path}:{ln}: duplicate feature index {idx}")
+        seen.add(idx)
+    raise RuntimeError(f"{path}:{ln}: svmlight line refused without a fault")
 
 
 def parse_multilabel_svmlight(path, n_outputs: int | None = None, n_inputs: int | None = None) -> Dataset:
@@ -75,7 +105,12 @@ def parse_multilabel_svmlight(path, n_outputs: int | None = None, n_inputs: int 
     from the file's maxima unless given.
     """
     path = str(path)
-    rows: list[tuple[list[int], dict[int, float]]] = []
+    labels: list[int] = []  # every row's label ids, row after row
+    label_counts: list[int] = []
+    ids: list[int] = []  # every row's feature ids, row after row
+    values: list[float] = []
+    feature_counts: list[int] = []
+    counting: tuple[str, ...] = ()  # "1", "2", ...: the ids of a row that leaves out no zero
     max_label = 0
     max_feature = 0
     for ln, raw in _numbered_lines(path):
@@ -83,49 +118,56 @@ def parse_multilabel_svmlight(path, n_outputs: int | None = None, n_inputs: int 
         if not line:
             continue
         tokens = line.split()
-        labels: list[int] = []
-        start = 0
-        if ":" not in tokens[0]:
-            labels = _parse_label_field(tokens[0], n_outputs, path, ln)
-            start = 1
-        feats: dict[int, float] = {}
-        for tok in tokens[start:]:
-            idx_s, _, val_s = tok.partition(":")
-            if not _:
-                raise DataError(f"{path}:{ln}: expected idx:value, got {tok!r}")
-            try:
-                idx = int(idx_s)
-                val = float(val_s)
-            except ValueError:
-                raise DataError(f"{path}:{ln}: bad feature token {tok!r}") from None
-            if idx < 1:
-                raise DataError(f"{path}:{ln}: feature ids are 1-based, got {idx}")
-            if n_inputs is not None and idx > n_inputs:
-                raise DataError(f"{path}:{ln}: feature {idx} exceeds input count {n_inputs}")
-            if not math.isfinite(val):
-                raise DataError(f"{path}:{ln}: non-finite feature value {val_s!r}")
-            if idx in feats:
-                raise DataError(f"{path}:{ln}: duplicate feature index {idx}")
-            feats[idx] = val
-        max_label = max(max_label, max(labels, default=0))
-        max_feature = max(max_feature, max(feats, default=0))
-        rows.append((labels, feats))
-    if not rows:
+        start = 0 if ":" in tokens[0] else 1
+        n = len(tokens) - start
+        row_values: list[float] = []
+        row_ids = range(1, n + 1)
+        sparse = False
+        try:
+            row_labels = list(map(int, tokens[0].split(","))) if start else []
+            if n:
+                heads, _, tails = zip(*map(str.partition, tokens[start:], repeat(":")))
+                row_values = list(map(float, tails))
+                if len(counting) < n:
+                    counting = tuple(map(str, range(1, 2 * n + 1)))
+                sparse = heads != counting[:n]
+                if sparse:
+                    row_ids = list(map(int, heads))
+        except ValueError:
+            raise _line_fault(path, ln, tokens, start, n_outputs, n_inputs) from None
+        top_label = max(row_labels, default=0)
+        top_feature = max(row_ids) if sparse else n
+        if (
+            (row_labels and min(row_labels) < 1)
+            or (n_outputs is not None and top_label > n_outputs)
+            or (sparse and (min(row_ids) < 1 or len(set(row_ids)) != n))
+            or (n_inputs is not None and top_feature > n_inputs)
+            # a finite sum has finite terms; an infinite one may only have overflowed
+            or not (math.isfinite(sum(row_values)) or all(map(math.isfinite, row_values)))
+        ):
+            raise _line_fault(path, ln, tokens, start, n_outputs, n_inputs)
+        labels += row_labels
+        label_counts.append(len(row_labels))
+        ids += row_ids
+        values += row_values
+        feature_counts.append(n)
+        max_label = max(max_label, top_label)
+        max_feature = max(max_feature, top_feature)
+    if not feature_counts:
         raise DataError(f"{path}: no data lines")
+    n_rows = len(feature_counts)
     K = n_outputs if n_outputs is not None else max_label
     if K < 1:
         raise DataError(f"{path}: no labels anywhere; pass an explicit label count")
     D = n_inputs if n_inputs is not None else max_feature
     try:
-        X = np.zeros((len(rows), D), dtype=np.float64)
-        Y = np.full((len(rows), K), -1, dtype=np.int8)
+        X = np.zeros((n_rows, D), dtype=np.float64)
+        Y = np.full((n_rows, K), -1, dtype=np.int8)
     except (ValueError, MemoryError) as exc:
-        raise DataError(f"{path}: cannot hold {len(rows)} rows of {K} labels and {D} features: {exc}") from None
-    for r, (labels, feats) in enumerate(rows):
-        for label in labels:
-            Y[r, label - 1] = 1
-        for idx, val in feats.items():
-            X[r, idx - 1] = val
+        raise DataError(f"{path}: cannot hold {n_rows} rows of {K} labels and {D} features: {exc}") from None
+    rows = np.arange(n_rows)
+    Y[np.repeat(rows, label_counts), np.array(labels, dtype=np.intp) - 1] = 1
+    X[np.repeat(rows, feature_counts), np.array(ids, dtype=np.intp) - 1] = values
     return Dataset(X, Y)
 
 
@@ -247,7 +289,11 @@ def parse_model(text: str) -> ModelFile:
         lam = float(cur.take("lambda"))
         eta0 = float(cur.take("eta0"))
         epochs = int(cur.take("epochs"))
+        if epochs < 0:
+            raise cur.error(f"negative epoch count {epochs}")
         gap = float(cur.take("gap"))
+        if not math.isfinite(gap):
+            raise cur.error(f"non-finite gap {gap!r}")
         scale = None
         line = cur.next()
         if line.startswith("scale_min "):
@@ -267,15 +313,19 @@ def parse_model(text: str) -> ModelFile:
             raise cur.error(f"negative clique count {n_cliques}")
         # weights are collected line by line, so a count the file cannot
         # back ends at "unexpected end of model file", not in an allocation
+        first = cur.pos
         cliques, values = [], []
-        for _ in range(n_cliques):
-            parts = cur.take("clique").split()
+        # cur.pos follows the loop, so every error names the clique's line
+        for cur.pos, line in enumerate(cur.lines[first : first + n_cliques], first + 1):
+            head, _, rest = line.partition(" ")
+            if head != "clique":
+                raise cur.error(f"expected 'clique', got {head!r}")
+            parts = rest.split()
             if len(parts) != 3:
                 raise cur.error(f"clique line needs outputs, input, weight; got {parts!r}")
-            outs = tuple(int(t) for t in parts[0].split(","))
-            inp = None if parts[1] == "-" else int(parts[1])
-            cliques.append(Clique(outs, inp))
-            values.append(float(parts[2]))
+            outs, inp, weight = parts
+            cliques.append(Clique(tuple(map(int, outs.split(","))), None if inp == "-" else int(inp)))
+            values.append(float(weight))
         if cur.next() != "end":
             raise cur.error("missing 'end' sentinel (truncated file?)")
     except (ValueError, IndexError) as exc:

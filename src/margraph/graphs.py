@@ -56,10 +56,12 @@ class Clique:
     input_feature: int | None = None
 
     def __post_init__(self) -> None:
-        outs = tuple(sorted(set(int(k) for k in self.outputs)))
+        outs = tuple(map(int, self.outputs))
+        if len(outs) != 1:
+            outs = tuple(sorted(set(outs)))
         if not outs:
             raise GraphError("a clique needs at least one output variable")
-        if any(k < 0 for k in outs):
+        if outs[0] < 0:
             raise GraphError(f"negative output index in clique: {outs}")
         object.__setattr__(self, "outputs", outs)
         if self.input_feature is not None:
@@ -172,6 +174,10 @@ class GraphSpec:
         feeds: list[list] = [[] for _ in range(self.n_outputs)]
         for j, c in enumerate(self.cliques):
             column = 0 if c.input_feature is None else c.input_feature + 1
+            if len(c.outputs) == 1:
+                # a single-output clique feeds its one member, either kind
+                feeds[c.outputs[0]].append((j, column, ()))
+                continue
             fed = (max(c.outputs, key=position.__getitem__),) if self.kind == DIRECTED else c.outputs
             for i in fed:
                 feeds[i].append((j, column, tuple(k for k in c.outputs if k != i)))

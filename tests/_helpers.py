@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 
 import margraph as mg
-from margraph.errors import DataError
+from margraph.dataio import MODEL_FORMAT_VERSION, ModelFile, _numbered_lines
+from margraph.errors import DataError, ModelFormatError
 from margraph.graphs import GRAPH_BUILDERS
 from margraph.inference import STATUS_BUDGET, STATUS_LOCAL, STATUS_OPTIMAL
 from margraph.model import compile_scorer, signs_of_indices
@@ -149,3 +150,154 @@ def reference_icm(graph, weights, x, y0, max_sweeps):
         if not moved:
             return y, current, states, STATUS_OPTIMAL if graph.n_outputs == 1 else STATUS_LOCAL
     return y, current, states, STATUS_BUDGET
+
+
+def _reference_label_field(field, n_outputs, path, ln):
+    ids = []
+    for piece in field.split(","):
+        try:
+            label = int(piece)
+        except ValueError:
+            raise DataError(f"{path}:{ln}: bad label {piece!r}") from None
+        if label < 1:
+            raise DataError(f"{path}:{ln}: label ids are 1-based, got {label}")
+        if n_outputs is not None and label > n_outputs:
+            raise DataError(f"{path}:{ln}: label {label} exceeds label count {n_outputs}")
+        ids.append(label)
+    return ids
+
+
+def reference_parse_svmlight(path, n_outputs=None, n_inputs=None):
+    """The svmlight reader as it was before it read a line at a time: one
+    label and one idx:value token at a time, each checked as it is read,
+    and one NumPy index per label and per feature."""
+    path = str(path)
+    rows = []
+    max_label = 0
+    max_feature = 0
+    for ln, raw in _numbered_lines(path):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        tokens = line.split()
+        labels = []
+        start = 0
+        if ":" not in tokens[0]:
+            labels = _reference_label_field(tokens[0], n_outputs, path, ln)
+            start = 1
+        feats = {}
+        for tok in tokens[start:]:
+            idx_s, _, val_s = tok.partition(":")
+            if not _:
+                raise DataError(f"{path}:{ln}: expected idx:value, got {tok!r}")
+            try:
+                idx = int(idx_s)
+                val = float(val_s)
+            except ValueError:
+                raise DataError(f"{path}:{ln}: bad feature token {tok!r}") from None
+            if idx < 1:
+                raise DataError(f"{path}:{ln}: feature ids are 1-based, got {idx}")
+            if n_inputs is not None and idx > n_inputs:
+                raise DataError(f"{path}:{ln}: feature {idx} exceeds input count {n_inputs}")
+            if not math.isfinite(val):
+                raise DataError(f"{path}:{ln}: non-finite feature value {val_s!r}")
+            if idx in feats:
+                raise DataError(f"{path}:{ln}: duplicate feature index {idx}")
+            feats[idx] = val
+        max_label = max(max_label, max(labels, default=0))
+        max_feature = max(max_feature, max(feats, default=0))
+        rows.append((labels, feats))
+    if not rows:
+        raise DataError(f"{path}: no data lines")
+    K = n_outputs if n_outputs is not None else max_label
+    if K < 1:
+        raise DataError(f"{path}: no labels anywhere; pass an explicit label count")
+    D = n_inputs if n_inputs is not None else max_feature
+    try:
+        X = np.zeros((len(rows), D), dtype=np.float64)
+        Y = np.full((len(rows), K), -1, dtype=np.int8)
+    except (ValueError, MemoryError) as exc:
+        raise DataError(f"{path}: cannot hold {len(rows)} rows of {K} labels and {D} features: {exc}") from None
+    for r, (labels, feats) in enumerate(rows):
+        for label in labels:
+            Y[r, label - 1] = 1
+        for idx, val in feats.items():
+            X[r, idx - 1] = val
+    return mg.Dataset(X, Y)
+
+
+class _ReferenceCursor:
+    def __init__(self, text):
+        self.lines = text.splitlines()
+        self.pos = 0
+
+    def next(self):
+        if self.pos >= len(self.lines):
+            raise ModelFormatError(f"line {self.pos + 1}: unexpected end of model file")
+        line = self.lines[self.pos]
+        self.pos += 1
+        return line
+
+    def take(self, key):
+        line = self.next()
+        head, _, rest = line.partition(" ")
+        if head != key:
+            raise ModelFormatError(f"line {self.pos}: expected {key!r}, got {head!r}")
+        return rest
+
+    def error(self, msg):
+        return ModelFormatError(f"line {self.pos}: {msg}")
+
+
+def reference_parse_model(text):
+    """The model reader as it was before it read the clique lines in one
+    loop: a cursor ``take`` and a ``Clique`` per line, and no check of the
+    epoch count or the gap."""
+    cur = _ReferenceCursor(text)
+    magic = cur.next().split()
+    if len(magic) != 2 or magic[0] != "margraph-model":
+        raise ModelFormatError("not a model file (bad magic line)")
+    if magic[1] != str(MODEL_FORMAT_VERSION):
+        raise ModelFormatError(f"unsupported model format version {magic[1]!r}")
+    try:
+        kind = cur.take("kind")
+        n_outputs = int(cur.take("outputs"))
+        n_inputs = int(cur.take("inputs"))
+        order = tuple(int(t) for t in cur.take("order").split())
+        lam = float(cur.take("lambda"))
+        eta0 = float(cur.take("eta0"))
+        epochs = int(cur.take("epochs"))
+        gap = float(cur.take("gap"))
+        scale = None
+        line = cur.next()
+        if line.startswith("scale_min "):
+            lo = np.array([float(t) for t in line.split()[1:]], dtype=np.float64)
+            hi = np.array([float(t) for t in cur.take("scale_max").split()], dtype=np.float64)
+            if lo.shape != (n_inputs,) or hi.shape != (n_inputs,):
+                raise cur.error("scale vectors do not match the input count")
+            if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+                raise cur.error("scale vectors must be finite")
+            scale = (lo, hi)
+            line = cur.next()
+        head, _, rest = line.partition(" ")
+        if head != "cliques":
+            raise cur.error(f"expected 'cliques', got {head!r}")
+        n_cliques = int(rest)
+        if n_cliques < 0:
+            raise cur.error(f"negative clique count {n_cliques}")
+        cliques, values = [], []
+        for _ in range(n_cliques):
+            parts = cur.take("clique").split()
+            if len(parts) != 3:
+                raise cur.error(f"clique line needs outputs, input, weight; got {parts!r}")
+            outs = tuple(int(t) for t in parts[0].split(","))
+            inp = None if parts[1] == "-" else int(parts[1])
+            cliques.append(mg.Clique(outs, inp))
+            values.append(float(parts[2]))
+        if cur.next() != "end":
+            raise cur.error("missing 'end' sentinel (truncated file?)")
+    except (ValueError, IndexError) as exc:
+        raise ModelFormatError(f"line {cur.pos}: {exc}") from None
+    graph = mg.GraphSpec(n_outputs=n_outputs, n_inputs=n_inputs, kind=kind, order=order, cliques=tuple(cliques))
+    weights = mg.WeightVector(values=values, lam=lam, eta0=eta0)
+    return ModelFile(graph=graph, weights=weights, epochs=epochs, gap=gap, scale=scale)

@@ -1,6 +1,7 @@
 """File formats: svmlight-style data, model files, prediction files."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from margraph.dataio import (
     write_multilabel_svmlight,
     write_predictions,
 )
-from margraph.errors import DataError, ModelFormatError
+from margraph.errors import DataError, MargraphError, ModelFormatError
 from margraph.inference import (
     STATUS_BUDGET,
     STATUS_FALLBACK,
@@ -33,7 +34,13 @@ from margraph.inference import (
 )
 from margraph.model import signs_from_index
 
-from _helpers import coupled_graph, random_dataset, reference_write_svmlight
+from _helpers import (
+    coupled_graph,
+    random_dataset,
+    reference_parse_model,
+    reference_parse_svmlight,
+    reference_write_svmlight,
+)
 
 
 def write(tmp_path, text, name="data.sv"):
@@ -343,6 +350,9 @@ _NOT_UTF8 = b"\xff\xfe\n"
     (load_model, _edited_model("cliques 11", "cliques 99999999999999"), ModelFormatError,
      "expected 'clique', got 'end'"),
     (load_model, _edited_model("4.0\nend\n", "4.0\n"), ModelFormatError, "unexpected end of model file"),
+    (load_model, _edited_model("epochs 12", "epochs -3"), ModelFormatError, "line 8: negative epoch count -3"),
+    (load_model, _edited_model("gap 3.25e-05", "gap nan"), ModelFormatError, "line 9: non-finite gap nan"),
+    (load_model, _edited_model("gap 3.25e-05", "gap -inf"), ModelFormatError, "line 9: non-finite gap -inf"),
     (read_predictions, b"\n  \n", DataError, "no prediction lines"),
     (load_model, _NOT_UTF8, ModelFormatError, "not a UTF-8 text file"),
     (parse_multilabel_svmlight, _NOT_UTF8, DataError, "not a UTF-8 text file"),
@@ -354,6 +364,110 @@ def test_reader_errors_are_typed_and_name_the_fault(tmp_path, read, content, exc
     path.write_bytes(content)
     with pytest.raises(exc, match=message):
         read(path)
+
+
+# ---------------------------------------------------------------------------
+# the readers against their one-token-at-a-time references
+
+# digits and the bytes the readers split on, convert or skip
+_EDIT_BYTES = b"0123456789\xff -+.:,#=e\n\t"
+
+# dense rows (ids 1..n in order; 1e308 + 1e308 overflows a row's sum),
+# sparse rows (ids out of order, with gaps, and one edit from a duplicate),
+# comments, blank lines, an empty label field and a row of labels alone
+_SVMLIGHT_TEXTS = (
+    "1,3 1:0.5 2:-1 3:1e308 4:1e308\n2 1:3 2:-0.0 3:7 4:5e-324\n",
+    "# header\n2 3:1.5 1:2\n\n1,2 12:0.25 2:1 21:3 # note\n   \n3 2:1e-300\n",
+    " 1:3 2:4 3:1 4:2\n1 1:1 3:-2.5\n1,2,3\n",
+)
+
+
+def _undirected_model_text():
+    graph = coupled_graph(np.random.default_rng(0), "full", 3, 2, mg.UNDIRECTED)
+    weights = WeightVector(np.linspace(-1.0, 1.0, graph.n_cliques), lam=0.5, eta0=1.0)
+    return format_model(ModelFile(graph, weights, epochs=7, gap=-2.5e-17))
+
+
+# a short text, whose edits often land on the epoch and gap lines
+_MODEL_TEXTS = (
+    format_model(fitted_model((np.array([-1.0, 0.5]), np.array([2.0, 0.5])))),
+    _undirected_model_text(),
+    format_model(ModelFile(mg.build_independent_graph(1, 0), WeightVector([0.5], lam=1.0), epochs=7, gap=1e300)),
+)
+
+
+def _edited(data, content: bytes) -> bytes:
+    """content after 1-3 byte inserts, deletes or replaces."""
+    content = bytearray(content)
+    for _ in range(data.draw(st.integers(1, 3), label="edits")):
+        op = data.draw(st.sampled_from(["insert", "delete", "replace"]) if content else st.just("insert"))
+        # drawn from a range, so every position is as likely as the first
+        at = data.draw(st.sampled_from(range(len(content) + (op == "insert"))), label="at")
+        byte = data.draw(st.sampled_from(_EDIT_BYTES), label="byte")
+        if op == "insert":
+            content[at:at] = bytes([byte])
+        elif op == "delete":
+            del content[at]
+        else:
+            content[at] = byte
+    return bytes(content)
+
+
+def _outcome(read, *args):
+    """What read(*args) returns, or the package error it raises."""
+    try:
+        return read(*args)
+    except MargraphError as exc:
+        return exc
+
+
+def _reference_model_outcome(text):
+    """reference_parse_model's outcome, with the epoch and gap checks it
+    lacks applied wherever it read those lines (8 and 9) without a fault."""
+    expected = _outcome(reference_parse_model, text)
+    read_ok = math.inf
+    if isinstance(expected, ModelFormatError):
+        fault = re.match(r"line (\d+): ", str(expected))
+        read_ok = int(fault.group(1)) - 1 if fault else 0
+    lines = text.splitlines()
+    if read_ok >= 8 and (epochs := int(lines[7].partition(" ")[2])) < 0:
+        return ModelFormatError(f"line 8: negative epoch count {epochs}")
+    if read_ok >= 9 and not math.isfinite(gap := float(lines[8].partition(" ")[2])):
+        return ModelFormatError(f"line 9: non-finite gap {gap!r}")
+    return expected
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(
+    data=st.data(),
+    text=st.sampled_from(_SVMLIGHT_TEXTS),
+    counts=st.sampled_from([(None, None), (3, 4), (2, 3)]),
+)
+def test_svmlight_reader_matches_the_token_reference_on_edited_files(tmp_path_factory, data, text, counts):
+    path = tmp_path_factory.getbasetemp() / "edited.sv"
+    path.write_bytes(_edited(data, text.encode()))
+    expected = _outcome(reference_parse_svmlight, path, *counts)
+    got = _outcome(parse_multilabel_svmlight, path, *counts)
+    if isinstance(expected, Dataset):
+        assert isinstance(got, Dataset), got
+        for a, b in ((got.X, expected.X), (got.Y, expected.Y)):
+            assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+        assert float_bits(got.X.ravel()) == float_bits(expected.X.ravel())  # -0.0 stays -0.0
+    else:
+        assert (type(got), str(got)) == (type(expected), str(expected))
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(data=st.data(), text=st.sampled_from(_MODEL_TEXTS))
+def test_model_reader_matches_the_cursor_reference_on_edited_files(data, text):
+    edited = _edited(data, text.encode()).decode("utf-8", errors="replace")
+    expected = _reference_model_outcome(edited)
+    got = _outcome(parse_model, edited)
+    if isinstance(expected, ModelFile):
+        assert isinstance(got, ModelFile), got
+        assert format_model(got) == format_model(expected)
+    else:
+        assert (type(got), str(got)) == (type(expected), str(expected))
 
 
 # ---------------------------------------------------------------------------
