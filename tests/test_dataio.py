@@ -388,11 +388,14 @@ def _undirected_model_text():
     return format_model(ModelFile(graph, weights, epochs=7, gap=-2.5e-17))
 
 
-# a short text, whose edits often land on the epoch and gap lines
+# the last is short, and its gap is the largest double, so that many of
+# its edits make the gap overflow to inf
 _MODEL_TEXTS = (
     format_model(fitted_model((np.array([-1.0, 0.5]), np.array([2.0, 0.5])))),
     _undirected_model_text(),
-    format_model(ModelFile(mg.build_independent_graph(1, 0), WeightVector([0.5], lam=1.0), epochs=7, gap=1e300)),
+    format_model(
+        ModelFile(mg.build_independent_graph(1, 0), WeightVector([0.5], lam=1.0), epochs=7, gap=1.7976931348623157e308)
+    ),
 )
 
 
