@@ -17,6 +17,7 @@ from .graphs import (
     DIRECTED,
     UNDIRECTED,
     Clique,
+    Cliques,
     GraphSpec,
     build_chain_graph,
     build_full_graph,
@@ -76,6 +77,7 @@ __all__ = [
     "DIRECTED",
     "UNDIRECTED",
     "Clique",
+    "Cliques",
     "GraphSpec",
     "build_independent_graph",
     "build_chain_graph",

@@ -32,61 +32,73 @@ from .training import TrainConfig, train_lmbm, train_lmsbn
 __all__ = ["main", "build_parser"]
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser; given a ``command``, only that subcommand's.
+
+    A one-command parser parses that command's arguments, and words its
+    usage errors, byte for byte as the full parser does: its usage line
+    still lists every command.
+    """
     parser = argparse.ArgumentParser(prog="margraph", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
+    names = "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=names if command else None)
 
-    p = sub.add_parser("train", help="fit a model on multi-label svmlight data")
-    p.add_argument("--model", choices=["lmsbn", "lmbm"], required=True)
-    p.add_argument("--graph", choices=list(GRAPH_BUILDERS), default="full")
-    p.add_argument("--order", choices=["index", "fscore"], default="index")
-    p.add_argument("--lambda", dest="lam", type=float, default=0.01)
-    p.add_argument("--eta0", type=float, default=0.0)
-    p.add_argument("--epochs", type=int, default=1000)
-    p.add_argument("--tol", type=float, default=1e-4)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--scale", action="store_true", help="min-max scale features to [-1,1]")
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
+    if command in (None, "train"):
+        p = sub.add_parser("train", help="fit a model on multi-label svmlight data")
+        p.add_argument("--model", choices=["lmsbn", "lmbm"], required=True)
+        p.add_argument("--graph", choices=list(GRAPH_BUILDERS), default="full")
+        p.add_argument("--order", choices=["index", "fscore"], default="index")
+        p.add_argument("--lambda", dest="lam", type=float, default=0.01)
+        p.add_argument("--eta0", type=float, default=0.0)
+        p.add_argument("--epochs", type=int, default=1000)
+        p.add_argument("--tol", type=float, default=1e-4)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--scale", action="store_true", help="min-max scale features to [-1,1]")
+        p.add_argument("--data", required=True)
+        p.add_argument("--out", required=True)
 
-    p = sub.add_parser("predict", help="predict labels with a saved model")
-    p.add_argument("--model-file", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--infer", choices=["bb", "exhaustive", "icm"], default="bb")
-    p.add_argument("--S", dest="cutoff", type=float, default=1e9)
-    p.add_argument("--max-states", type=int, default=None)
-    p.add_argument("--escalate", action="store_true")
-    p.add_argument("--max-sweeps", type=int, default=100)
-    p.add_argument("--out", required=True)
+    if command in (None, "predict"):
+        p = sub.add_parser("predict", help="predict labels with a saved model")
+        p.add_argument("--model-file", required=True)
+        p.add_argument("--data", required=True)
+        p.add_argument("--infer", choices=["bb", "exhaustive", "icm"], default="bb")
+        p.add_argument("--S", dest="cutoff", type=float, default=1e9)
+        p.add_argument("--max-states", type=int, default=None)
+        p.add_argument("--escalate", action="store_true")
+        p.add_argument("--max-sweeps", type=int, default=100)
+        p.add_argument("--out", required=True)
 
-    p = sub.add_parser("eval", help="score predictions against truth labels")
-    p.add_argument("--pred", required=True)
-    p.add_argument("--truth", required=True)
+    if command in (None, "eval"):
+        p = sub.add_parser("eval", help="score predictions against truth labels")
+        p.add_argument("--pred", required=True)
+        p.add_argument("--truth", required=True)
 
-    p = sub.add_parser("bench", help="cutoff sweep or size sweep for the search")
-    p.add_argument("--model-file")
-    p.add_argument("--data")
-    p.add_argument("--S-list", dest="s_list")
-    p.add_argument("--k-list", dest="k_list")
-    p.add_argument("--max-states", type=int, default=None)
-    p.add_argument("--n-train", type=int, default=200)
-    p.add_argument("--n-test", type=int, default=30)
-    p.add_argument("--lambda", dest="lam", type=float, default=0.01)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out")
+    if command in (None, "bench"):
+        p = sub.add_parser("bench", help="cutoff sweep or size sweep for the search")
+        p.add_argument("--model-file")
+        p.add_argument("--data")
+        p.add_argument("--S-list", dest="s_list")
+        p.add_argument("--k-list", dest="k_list")
+        p.add_argument("--max-states", type=int, default=None)
+        p.add_argument("--n-train", type=int, default=200)
+        p.add_argument("--n-test", type=int, default=30)
+        p.add_argument("--lambda", dest="lam", type=float, default=0.01)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--out")
 
-    p = sub.add_parser("synth", help="generate data from a planted model")
-    p.add_argument("--kind", choices=["sbn", "bm"], required=True)
-    p.add_argument("--graph", choices=list(GRAPH_BUILDERS), default="chain")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--d", type=int, default=3)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--bias-scale", type=float, default=1.5)
-    p.add_argument("--input-scale", type=float, default=1.5)
-    p.add_argument("--edge-scale", type=float, default=1.5)
-    p.add_argument("--out", required=True)
-    p.add_argument("--model-out")
+    if command in (None, "synth"):
+        p = sub.add_parser("synth", help="generate data from a planted model")
+        p.add_argument("--kind", choices=["sbn", "bm"], required=True)
+        p.add_argument("--graph", choices=list(GRAPH_BUILDERS), default="chain")
+        p.add_argument("--k", type=int, required=True)
+        p.add_argument("--d", type=int, default=3)
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--bias-scale", type=float, default=1.5)
+        p.add_argument("--input-scale", type=float, default=1.5)
+        p.add_argument("--edge-scale", type=float, default=1.5)
+        p.add_argument("--out", required=True)
+        p.add_argument("--model-out")
     return parser
 
 
@@ -243,7 +255,9 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the full parser only when it is needed: no command, an unknown one, or -h
+    args = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except (MargraphError, OSError) as exc:

@@ -23,8 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from .data import Dataset
-from .errors import DataError, ModelFormatError
-from .graphs import Clique, GraphSpec
+from .errors import DataError, GraphError, MargraphError, ModelFormatError
+from .graphs import Cliques, GraphSpec
 from .model import WeightVector
 
 __all__ = [
@@ -243,10 +243,11 @@ def format_model(model: ModelFile) -> str:
         lines.append("scale_min " + _fmt_floats(model.scale[0]))
         lines.append("scale_max " + _fmt_floats(model.scale[1]))
     lines.append(f"cliques {g.n_cliques}")
-    for c, w in zip(g.cliques, model.weights.values):
-        outs = ",".join(str(k) for k in c.outputs)
-        inp = "-" if c.input_feature is None else str(c.input_feature)
-        lines.append(f"clique {outs} {inp} {float(w)!r}")
+    members = list(map(str, g.cliques.members.tolist()))
+    indptr = g.cliques.indptr.tolist()
+    for j, (d, w) in enumerate(zip(g.cliques.inputs.tolist(), model.weights.values)):
+        outs = ",".join(members[indptr[j] : indptr[j + 1]])
+        lines.append(f"clique {outs} {'-' if d < 0 else d} {float(w)!r}")
     lines.append("end")
     return "\n".join(lines) + "\n"
 
@@ -272,6 +273,57 @@ class _Cursor:
 
     def error(self, msg: str) -> ModelFormatError:
         return ModelFormatError(f"line {self.pos}: {msg}")
+
+
+def _read_cliques(cur: _Cursor, block: list[str]) -> tuple[Cliques, list[float]]:
+    """The cliques and weights of the clique lines that follow the line at
+    ``cur.pos``, read as one block: split once, converted with ``map``, and
+    checked as arrays (``Cliques``).  That is the only way a block is
+    accepted.  A refused block is read again one line at a time only to
+    word its first fault, in line order (``_clique_fault``)."""
+    text = "\n".join(block)
+    tokens = text.split()
+    n = len(block)
+    # n lines that each start "clique ", in 4n tokens: a line of any other
+    # length would put some line's "clique" in an outputs, input or weight
+    # slot below, which no conversion accepts
+    if ("\n" + text).count("\nclique ") != n or len(tokens) != 4 * n:
+        raise _clique_fault(cur, block)
+    outs, inputs, weights = tokens[1::4], tokens[2::4], tokens[3::4]
+    try:
+        members = list(map(int, ",".join(outs).split(","))) if n else []
+        inputs = [None if d == "-" else int(d) for d in inputs]
+        values = list(map(float, weights))
+    except ValueError:
+        raise _clique_fault(cur, block) from None
+    sizes = [o.count(",") + 1 for o in outs]
+    return Cliques(sizes, members, inputs), values
+
+
+def _clique_fault(cur: _Cursor, block: list[str]) -> MargraphError:
+    """The first fault of a clique block that ``_read_cliques`` refused, in
+    line order: a line's tokens, then its clique's own faults (the one
+    ``Cliques`` check, run on that clique alone), then its weight.  This
+    never accepts a block: one it finds no fault in is an internal error."""
+    first = cur.pos
+    for cur.pos, line in enumerate(block, first + 1):
+        head, _, rest = line.partition(" ")
+        if head != "clique":
+            return cur.error(f"expected 'clique', got {head!r}")
+        parts = rest.split()
+        if len(parts) != 3:
+            return cur.error(f"clique line needs outputs, input, weight; got {parts!r}")
+        outs, inp, weight = parts
+        try:
+            members = list(map(int, outs.split(",")))
+            d = None if inp == "-" else int(inp)
+            Cliques([len(members)], members, [d])
+            float(weight)
+        except ValueError as exc:
+            return cur.error(str(exc))
+        except GraphError as exc:
+            return exc
+    raise RuntimeError(f"line {first + 1}: clique block refused without a fault")
 
 
 def parse_model(text: str) -> ModelFile:
@@ -311,28 +363,16 @@ def parse_model(text: str) -> ModelFile:
         n_cliques = int(rest)
         if n_cliques < 0:
             raise cur.error(f"negative clique count {n_cliques}")
-        # weights are collected line by line, so a count the file cannot
-        # back ends at "unexpected end of model file", not in an allocation
-        first = cur.pos
-        cliques, values = [], []
-        # cur.pos follows the loop, so every error names the clique's line
-        for cur.pos, line in enumerate(cur.lines[first : first + n_cliques], first + 1):
-            head, _, rest = line.partition(" ")
-            if head != "clique":
-                raise cur.error(f"expected 'clique', got {head!r}")
-            parts = rest.split()
-            if len(parts) != 3:
-                raise cur.error(f"clique line needs outputs, input, weight; got {parts!r}")
-            outs, inp, weight = parts
-            cliques.append(Clique(tuple(map(int, outs.split(","))), None if inp == "-" else int(inp)))
-            values.append(float(weight))
+        # a count the file cannot back ends at "unexpected end of model
+        # file", not in an allocation
+        block = cur.lines[cur.pos : cur.pos + n_cliques]
+        cliques, values = _read_cliques(cur, block)
+        cur.pos += len(block)
         if cur.next() != "end":
             raise cur.error("missing 'end' sentinel (truncated file?)")
     except (ValueError, IndexError) as exc:
         raise ModelFormatError(f"line {cur.pos}: {exc}") from None
-    graph = GraphSpec(
-        n_outputs=n_outputs, n_inputs=n_inputs, kind=kind, order=order, cliques=tuple(cliques)
-    )
+    graph = GraphSpec(n_outputs=n_outputs, n_inputs=n_inputs, kind=kind, order=order, cliques=cliques)
     weights = WeightVector(values=values, lam=lam, eta0=eta0)
     return ModelFile(graph=graph, weights=weights, epochs=epochs, gap=gap, scale=scale)
 

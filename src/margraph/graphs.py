@@ -7,6 +7,20 @@ A graph fixes the label count, the input dimension, a total order over the
 labels, and whether cliques contribute to every member's score (undirected)
 or only to the member that comes last in the order (directed).
 
+A graph holds its cliques in one flat form, ``Cliques``: every clique's
+members in one array delimited by ``indptr`` (CSR), and one input index per
+clique, -1 for none.  That form is built and checked once, with NumPy, and
+is canonical from then on (each clique's members sorted and duplicate-free);
+``GraphSpec`` then checks the dimensions and order, and the cliques against
+them.  Nothing else checks a clique: ``Clique`` is only the value of one
+clique, for writing a graph by hand or reading one back, and the model
+reader and the builders hand their lists straight to ``Cliques``.
+
+An index (a count, an order entry, a member or an input) is an ``int``
+(``bool`` included) or a NumPy integer or bool scalar.  Anything else, a
+float such as ``1.0`` among them, is a GraphError that names it, never
+truncated.
+
 Graphs say nothing of how the 2^K label assignments are numbered or walked;
 the label grid that enumerates them lives in ``margraph.model``.  A directed
 graph does number the few labellings of each position's frontier (the
@@ -16,9 +30,10 @@ cost-to-go tables (``GraphSpec.frontier_codes``).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations, compress, repeat
 
 import numpy as np
 
@@ -28,6 +43,7 @@ __all__ = [
     "DIRECTED",
     "UNDIRECTED",
     "Clique",
+    "Cliques",
     "GraphSpec",
     "ScoreLayout",
     "FrontierCodes",
@@ -41,34 +57,136 @@ DIRECTED = "directed"
 UNDIRECTED = "undirected"
 # frontier_codes numbers the labellings of frontiers at most this wide
 _FRONTIER_MAX_WIDTH = 4
+_INTEGER = (int, np.integer, np.bool_)
+
+
+def _index(value, what: str) -> int:
+    """value as a Python int, or a GraphError naming it."""
+    if not isinstance(value, _INTEGER):
+        raise GraphError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _indices(values, what: str) -> np.ndarray:
+    """A list of indices as an intp array, or as an object array when some
+    do not fit one (such an index is out of range for any graph); a value
+    that is not an integer is a GraphError naming it."""
+    arr = np.array(values)
+    if arr.ndim == 1 and arr.dtype.kind in "biu":
+        out = arr.astype(np.intp)
+        if arr.dtype.kind != "u" or (out >= 0).all():
+            return out
+    for v in values:
+        _index(v, what)
+    return np.array(values, dtype=object) if len(values) else np.zeros(0, dtype=np.intp)
 
 
 @dataclass(frozen=True)
 class Clique:
-    """A group of output variables with an optional input coupling.
+    """One clique as a value: its output variables, and the index of the
+    input coordinate multiplied into its feature, or None for a pure
+    label-parity feature.
 
-    ``outputs`` is stored sorted and duplicate-free.  ``input_feature`` is
-    the index of the input coordinate multiplied into the feature, or None
-    for a pure label-parity feature.
+    A Clique is not checked on its own.  A graph checks and canonicalises
+    its cliques, and the cliques read back from one have sorted,
+    duplicate-free ``outputs``.
     """
 
     outputs: tuple[int, ...]
     input_feature: int | None = None
 
-    def __post_init__(self) -> None:
-        outs = tuple(map(int, self.outputs))
-        if len(outs) != 1:
-            outs = tuple(sorted(set(outs)))
-        if not outs:
-            raise GraphError("a clique needs at least one output variable")
-        if outs[0] < 0:
-            raise GraphError(f"negative output index in clique: {outs}")
-        object.__setattr__(self, "outputs", outs)
-        if self.input_feature is not None:
-            d = int(self.input_feature)
-            if d < 0:
-                raise GraphError(f"negative input feature index: {d}")
-            object.__setattr__(self, "input_feature", d)
+
+class Cliques:
+    """A graph's cliques in one flat form, checked once, when built.
+
+    Clique j's members are ``members[indptr[j]:indptr[j + 1]]``, sorted and
+    duplicate-free, and ``inputs[j]`` is its input coordinate, -1 for none.
+    The arrays are read-only and intp (object only when some index does not
+    fit one, which no graph accepts).  Indexing and iterating give
+    ``Clique`` values, and two forms are equal when their arrays are.
+
+    Built from ``sizes`` (each clique's member count), every clique's
+    members in a row, and one input per clique (None for none).  The first
+    clique, in clique order, with no member, a negative member or a
+    negative input is refused with that fault; ranges and duplicates are
+    checked by the graph (``GraphSpec``), against its dimensions.
+    """
+
+    __slots__ = ("indptr", "members", "inputs")
+
+    def __init__(self, sizes, members, inputs) -> None:
+        sizes = np.asarray(sizes, dtype=np.intp).reshape(-1)
+        members = _indices(members, "clique member")
+        given = list(map(operator.is_not, inputs, repeat(None)))
+        features = _indices(list(compress(inputs, given)), "clique input feature")
+        given = np.array(given, dtype=bool).reshape(-1)
+        n = len(given)
+        inputs = np.full(n, -1, dtype=features.dtype)
+        inputs[given] = features
+        indptr = np.zeros(n + 1, dtype=np.intp)
+        np.cumsum(sizes, out=indptr[1:])
+        clique_of = np.repeat(np.arange(n), sizes)
+        fault = (sizes < 1) | (given & (inputs < 0))
+        fault[clique_of[members < 0]] = True
+        if fault.any():
+            j = int(np.argmax(fault))
+            outs = tuple(sorted(set(map(int, members[indptr[j] : indptr[j + 1]].tolist()))))
+            if not outs:
+                raise GraphError("a clique needs at least one output variable")
+            if outs[0] < 0:
+                raise GraphError(f"negative output index in clique: {outs}")
+            raise GraphError(f"negative input feature index: {int(inputs[j])}")
+        # builders and saved models give every clique's members already
+        # strictly increasing, and those are kept as given
+        rising = members[1:] > members[:-1]
+        rising[indptr[1:-1] - 1] = True
+        if not rising.all():
+            members = members[np.lexsort((members, clique_of))]
+            keep = np.ones(len(members), dtype=bool)
+            keep[1:] = members[1:] != members[:-1]
+            keep[indptr[:-1]] = True
+            members = members[keep]
+            indptr[1:] = np.cumsum(keep)[indptr[1:] - 1]
+        self.indptr, self.members, self.inputs = indptr, members, inputs
+        for arr in (self.indptr, self.members, self.inputs):
+            arr.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.inputs)
+
+    def __getitem__(self, j) -> Clique:
+        j = range(len(self))[j]
+        d = int(self.inputs[j])
+        return Clique(tuple(self.members[self.indptr[j] : self.indptr[j + 1]].tolist()), None if d < 0 else d)
+
+    def __iter__(self):
+        members, indptr = self.members.tolist(), self.indptr.tolist()
+        for j, d in enumerate(self.inputs.tolist()):
+            yield Clique(tuple(members[indptr[j] : indptr[j + 1]]), None if d < 0 else d)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Cliques):
+            return NotImplemented
+        return all(map(np.array_equal, self._arrays(), other._arrays()))
+
+    def __hash__(self) -> int:
+        return hash(tuple(a.tobytes() for a in self._arrays()))
+
+    def __repr__(self) -> str:
+        return f"Cliques({list(self)!r})"
+
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return self.indptr, self.members, self.inputs
+
+
+def _cliques_of(values) -> Cliques:
+    """The flat form of a sequence of ``Clique`` values."""
+    values = tuple(values)
+    bad = next((c for c in values if not isinstance(c, Clique)), None)
+    if bad is not None:
+        raise GraphError(f"not a clique: {bad!r}")
+    outputs = [tuple(c.outputs) for c in values]
+    return Cliques(list(map(len, outputs)), list(chain.from_iterable(outputs)), [c.input_feature for c in values])
 
 
 @dataclass(frozen=True)
@@ -121,42 +239,60 @@ class GraphSpec:
     graph each clique contributes only to the score of its owner, the member
     that appears last in ``order``; in an undirected graph it contributes to
     every member's score.
+
+    ``cliques`` is the flat ``Cliques`` form; a sequence of ``Clique``
+    values is converted to it.  The check runs in the order a reader meets
+    the faults: a clique's own faults (when its form is built), then the
+    dimensions, kind and order, then the first clique whose largest member
+    or input is out of range or whose (members, input) repeats an earlier
+    clique's.
     """
 
     n_outputs: int
     n_inputs: int
     kind: str
     order: tuple[int, ...]
-    cliques: tuple[Clique, ...]
+    cliques: Cliques
 
     def __post_init__(self) -> None:
-        if self.n_outputs < 1:
-            raise GraphError(f"need at least one output, got {self.n_outputs}")
-        if self.n_inputs < 0:
-            raise GraphError(f"negative input dimension: {self.n_inputs}")
+        cliques = self.cliques if isinstance(self.cliques, Cliques) else _cliques_of(self.cliques)
+        n_outputs = _index(self.n_outputs, "output count")
+        if n_outputs < 1:
+            raise GraphError(f"need at least one output, got {n_outputs}")
+        n_inputs = _index(self.n_inputs, "input dimension")
+        if n_inputs < 0:
+            raise GraphError(f"negative input dimension: {n_inputs}")
         if self.kind not in (DIRECTED, UNDIRECTED):
             raise GraphError(f"kind must be {DIRECTED!r} or {UNDIRECTED!r}, got {self.kind!r}")
-        order = tuple(int(i) for i in self.order)
+        order = tuple(_index(i, "order entry") for i in self.order)
         # the length first, so a huge declared count fails before range() is built
-        if len(order) != self.n_outputs or sorted(order) != list(range(self.n_outputs)):
-            raise GraphError(f"order must be a permutation of 0..{self.n_outputs - 1}, got {order}")
-        object.__setattr__(self, "order", order)
-        cliques = tuple(self.cliques)
-        object.__setattr__(self, "cliques", cliques)
-        seen: set[tuple] = set()
-        for c in cliques:
-            if not isinstance(c, Clique):
-                raise GraphError(f"not a clique: {c!r}")
-            if c.outputs[-1] >= self.n_outputs:
-                raise GraphError(f"clique {c.outputs} exceeds output count {self.n_outputs}")
-            if c.input_feature is not None and c.input_feature >= self.n_inputs:
-                raise GraphError(
-                    f"clique input feature {c.input_feature} exceeds input dimension {self.n_inputs}"
-                )
-            key = (c.outputs, c.input_feature)
-            if key in seen:
-                raise GraphError(f"duplicate clique: outputs={c.outputs} input={c.input_feature}")
-            seen.add(key)
+        if len(order) != n_outputs or sorted(order) != list(range(n_outputs)):
+            raise GraphError(f"order must be a permutation of 0..{n_outputs - 1}, got {order}")
+        for name, value in (("n_outputs", n_outputs), ("n_inputs", n_inputs), ("order", order), ("cliques", cliques)):
+            object.__setattr__(self, name, value)
+        indptr, members, inputs = cliques.indptr, cliques.members, cliques.inputs
+        n = len(cliques)
+        out = (members[indptr[1:] - 1] >= n_outputs) | (inputs >= n_inputs)
+        # duplicates among the cliques before the first one out of range:
+        # equal rows (size, input, members padded with -1) sort next to each
+        # other, and the sort is stable, so the later of two is the repeat
+        n_in = int(np.argmax(out)) if out.any() else n
+        sizes = np.diff(indptr[: n_in + 1])
+        rows = np.full((n_in, 2 + int(sizes.max(initial=0))), -1, dtype=np.intp)
+        rows[:, 0], rows[:, 1] = sizes, inputs[:n_in]
+        clique_of = np.repeat(np.arange(n_in), sizes)
+        rows[clique_of, 2 + np.arange(len(clique_of)) - indptr[clique_of]] = members[: len(clique_of)]
+        key = np.lexsort(rows.T[::-1])
+        repeats = key[1:][(rows[key[1:]] == rows[key[:-1]]).all(axis=1)]
+        j = int(repeats.min(initial=n_in))
+        if j == n:
+            return
+        c = cliques[j]
+        if j < n_in:
+            raise GraphError(f"duplicate clique: outputs={c.outputs} input={c.input_feature}")
+        if c.outputs[-1] >= n_outputs:
+            raise GraphError(f"clique {c.outputs} exceeds output count {n_outputs}")
+        raise GraphError(f"clique input feature {c.input_feature} exceeds input dimension {n_inputs}")
 
     @property
     def n_cliques(self) -> int:
@@ -168,24 +304,33 @@ class GraphSpec:
 
         This is the one place that routes cliques: in clique order, a
         directed clique feeds only its owner, the member that comes last in
-        ``order``, and an undirected clique feeds every member.
+        ``order``, and an undirected clique feeds every member.  Single-output
+        cliques, nearly all of a wide graph's, are routed by NumPy.
         """
-        position = {node: p for p, node in enumerate(self.order)}
-        feeds: list[list] = [[] for _ in range(self.n_outputs)]
-        for j, c in enumerate(self.cliques):
-            column = 0 if c.input_feature is None else c.input_feature + 1
-            if len(c.outputs) == 1:
-                # a single-output clique feeds its one member, either kind
-                feeds[c.outputs[0]].append((j, column, ()))
-                continue
-            fed = (max(c.outputs, key=position.__getitem__),) if self.kind == DIRECTED else c.outputs
+        K = self.n_outputs
+        indptr, members, column = self.cliques.indptr, self.cliques.members, self.cliques.inputs + 1
+        sizes = np.diff(indptr)
+        unary = np.flatnonzero(sizes == 1)
+        node = members[indptr[unary]]
+        by_node = np.argsort(node, kind="stable")
+        unary, node = unary[by_node], node[by_node]
+        singles = list(zip(unary.tolist(), column[unary].tolist(), repeat(())))
+        ends = np.cumsum(np.bincount(node, minlength=K)).tolist()
+        feeds = [singles[a:b] for a, b in zip([0] + ends, ends)]
+        coupled: list[list] = [[] for _ in range(K)]
+        position = {i: p for p, i in enumerate(self.order)}
+        for j in np.flatnonzero(sizes > 1).tolist():
+            outs = members[indptr[j] : indptr[j + 1]].tolist()
+            fed = (max(outs, key=position.__getitem__),) if self.kind == DIRECTED else outs
             for i in fed:
-                feeds[i].append((j, column, tuple(k for k in c.outputs if k != i)))
-        unary = [(j, col, i) for i, f in enumerate(feeds) for j, col, partners in f if not partners]
-        clique, column, node = np.array(unary, dtype=np.intp).reshape(-1, 3).T.copy()
-        coupled = tuple(tuple(t for t in f if t[2]) for f in feeds)
+                coupled[i].append((j, int(column[j]), tuple(k for k in outs if k != i)))
+        for i, terms in enumerate(coupled):
+            if terms:
+                feeds[i] = sorted(feeds[i] + terms)  # clique order; a node's cliques differ
         flat = np.array([t[:2] for f in coupled for t in f], dtype=np.intp).reshape(-1, 2).T.copy()
-        return ScoreLayout(tuple(tuple(f) for f in feeds), coupled, clique, column, node, *flat)
+        return ScoreLayout(
+            tuple(map(tuple, feeds)), tuple(map(tuple, coupled)), unary, column[unary], node, *flat
+        )
 
     @cached_property
     def contributing(self) -> tuple[tuple[int, ...], ...]:
@@ -257,25 +402,26 @@ class GraphSpec:
             raise GraphError(f"negative regularizer boost: {eta0}")
         mult = np.ones(self.n_cliques, dtype=np.float64)
         if self.kind == UNDIRECTED:
-            for j, c in enumerate(self.cliques):
-                if len(c.outputs) >= 2:
-                    mult[j] = 1.0 + eta0
+            mult[np.diff(self.cliques.indptr) >= 2] = 1.0 + eta0
         return mult
 
 
-def _default_order(n_outputs: int, order) -> tuple[int, ...]:
-    if order is None:
-        return tuple(range(n_outputs))
-    return tuple(int(i) for i in order)
+def _default_order(n_outputs, order) -> tuple:
+    n_outputs = _index(n_outputs, "output count")
+    return tuple(range(n_outputs)) if order is None else tuple(order)
 
 
 def _build(n_outputs: int, n_inputs: int, kind: str, order, pairs) -> GraphSpec:
     """Every node's bias clique, then each node's input cliques node by node,
     then one clique per pair of nodes in ``pairs``."""
-    cliques = [Clique((i,)) for i in range(n_outputs)]
-    cliques += [Clique((i,), d) for i in range(n_outputs) for d in range(n_inputs)]
-    cliques += [Clique(pair) for pair in pairs]
-    return GraphSpec(n_outputs, n_inputs, kind, order, tuple(cliques))
+    # a negative count builds no cliques; the graph refuses it
+    K, D = max(int(n_outputs), 0), max(_index(n_inputs, "input dimension"), 0)
+    pairs = list(chain.from_iterable(pairs))
+    n_pairs = len(pairs) // 2
+    members = list(range(K)) + [i for i in range(K) for _ in range(D)] + pairs
+    inputs = [None] * K + list(range(D)) * K + [None] * n_pairs
+    cliques = Cliques([1] * (K + K * D) + [2] * n_pairs, members, inputs)
+    return GraphSpec(n_outputs, n_inputs, kind, order, cliques)
 
 
 def build_independent_graph(

@@ -102,7 +102,7 @@ def sample_bm(config: SynthConfig) -> Dataset:
     X = rng.standard_normal((n, graph.n_inputs))
     u = rng.random(n)
     energy = _ParityEnergy(graph, config.weights)
-    if any(c.input_feature is not None for c in graph.cliques):
+    if (graph.cliques.inputs >= 0).any():
         block = max(1, _BLOCK_ENTRIES >> graph.n_outputs)
         indices = np.empty(n, dtype=np.int64)
         for r in range(0, n, block):
@@ -139,9 +139,10 @@ def planted_model(
         if not (0 <= scale < math.inf):
             raise DataError(f"{name} scale must be finite and non-negative, got {scale}")
     graph = GRAPH_BUILDERS[topology](n_outputs, n_inputs, kind)
-    scales = [
-        edge_scale if len(c.outputs) >= 2 else bias_scale if c.input_feature is None else input_scale
-        for c in graph.cliques
-    ]
+    scales = np.where(
+        np.diff(graph.cliques.indptr) >= 2,
+        edge_scale,
+        np.where(graph.cliques.inputs < 0, bias_scale, input_scale),
+    )
     values = np.random.default_rng(seed).normal(0.0, scales)
     return graph, WeightVector(values=values, lam=1.0, eta0=0.0)

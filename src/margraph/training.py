@@ -133,20 +133,20 @@ def _features(graph: GraphSpec, dataset: Dataset, cliques) -> np.ndarray:
             f"do not match graph ({graph.n_outputs}, {graph.n_inputs})"
         )
     F = np.empty((dataset.n_instances, len(cliques)), dtype=np.float64)
-    # node -> (columns, inputs) of its single-output input cliques, whose
-    # features y_i * x_d come from one product per node
-    single: dict[int, tuple[list[int], list[int]]] = {}
-    for k, j in enumerate(cliques):
-        c = graph.cliques[j]
-        if len(c.outputs) == 1 and c.input_feature is not None:
-            columns, inputs = single.setdefault(c.outputs[0], ([], []))
-            columns.append(k)
-            inputs.append(c.input_feature)
-            continue
-        parity = np.prod(dataset.Y[:, list(c.outputs)], axis=1, dtype=np.int8)
-        F[:, k] = parity if c.input_feature is None else parity * dataset.X[:, c.input_feature]
-    for i, (columns, inputs) in single.items():
-        F[:, columns] = dataset.Y[:, i : i + 1] * dataset.X[:, inputs]
+    cliques = np.array(cliques, dtype=np.intp).reshape(-1)
+    start = graph.cliques.indptr[cliques]
+    ends = graph.cliques.indptr[cliques + 1]
+    inputs = graph.cliques.inputs[cliques]
+    node = graph.cliques.members[start]
+    # single-output input cliques: their features y_i * x_d come from one
+    # product per node
+    single = (ends - start == 1) & (inputs >= 0)
+    for i in np.unique(node[single]).tolist():
+        columns = np.flatnonzero(single & (node == i))
+        F[:, columns] = dataset.Y[:, i : i + 1] * dataset.X[:, inputs[columns]]
+    for k in np.flatnonzero(~single).tolist():
+        parity = np.prod(dataset.Y[:, graph.cliques.members[start[k] : ends[k]]], axis=1, dtype=np.int8)
+        F[:, k] = parity if inputs[k] < 0 else parity * dataset.X[:, inputs[k]]
     return F
 
 

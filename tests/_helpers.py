@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 import margraph as mg
 from margraph.dataio import MODEL_FORMAT_VERSION, ModelFile, _numbered_lines
-from margraph.errors import DataError, ModelFormatError
+from margraph.errors import DataError, GraphError, ModelFormatError
 from margraph.graphs import GRAPH_BUILDERS
 from margraph.inference import STATUS_BUDGET, STATUS_LOCAL, STATUS_OPTIMAL
 from margraph.model import compile_scorer, signs_of_indices
@@ -47,7 +48,7 @@ def coupled_graph(rng, topology, K, D, kind):
     cliques = {(c.outputs, c.input_feature): c for c in base.cliques}
     for n in range(int(rng.integers(1, K + 1)) if K >= 2 else 0):
         size = 3 if n == 0 and K >= 3 else int(rng.integers(2, min(K, 4) + 1))
-        members = tuple(int(k) for k in rng.choice(K, size=size, replace=False))
+        members = tuple(sorted(int(k) for k in rng.choice(K, size=size, replace=False)))
         feature = int(rng.integers(D)) if D and rng.random() < 0.7 else None
         c = mg.Clique(members, feature)
         cliques.setdefault((c.outputs, c.input_feature), c)
@@ -226,6 +227,57 @@ def reference_parse_svmlight(path, n_outputs=None, n_inputs=None):
     return mg.Dataset(X, Y)
 
 
+@dataclass(frozen=True)
+class ReferenceClique:
+    """``Clique`` as it was when each clique checked and canonicalised
+    itself on construction."""
+
+    outputs: tuple
+    input_feature: int | None = None
+
+    def __post_init__(self):
+        outs = tuple(map(int, self.outputs))
+        if len(outs) != 1:
+            outs = tuple(sorted(set(outs)))
+        if not outs:
+            raise GraphError("a clique needs at least one output variable")
+        if outs[0] < 0:
+            raise GraphError(f"negative output index in clique: {outs}")
+        object.__setattr__(self, "outputs", outs)
+        if self.input_feature is not None:
+            d = int(self.input_feature)
+            if d < 0:
+                raise GraphError(f"negative input feature index: {d}")
+            object.__setattr__(self, "input_feature", d)
+
+
+def reference_graph_check(n_outputs, n_inputs, kind, order, cliques):
+    """The graph check as it was before cliques were arrays: the
+    dimensions, kind and order, then each ``ReferenceClique`` in turn (its
+    largest member, its input, then a repeat of an earlier one).  Returns
+    the order and the cliques as (outputs, input) pairs."""
+    if n_outputs < 1:
+        raise GraphError(f"need at least one output, got {n_outputs}")
+    if n_inputs < 0:
+        raise GraphError(f"negative input dimension: {n_inputs}")
+    if kind not in (mg.DIRECTED, mg.UNDIRECTED):
+        raise GraphError(f"kind must be {mg.DIRECTED!r} or {mg.UNDIRECTED!r}, got {kind!r}")
+    order = tuple(int(i) for i in order)
+    if len(order) != n_outputs or sorted(order) != list(range(n_outputs)):
+        raise GraphError(f"order must be a permutation of 0..{n_outputs - 1}, got {order}")
+    seen = set()
+    for c in cliques:
+        if c.outputs[-1] >= n_outputs:
+            raise GraphError(f"clique {c.outputs} exceeds output count {n_outputs}")
+        if c.input_feature is not None and c.input_feature >= n_inputs:
+            raise GraphError(f"clique input feature {c.input_feature} exceeds input dimension {n_inputs}")
+        key = (c.outputs, c.input_feature)
+        if key in seen:
+            raise GraphError(f"duplicate clique: outputs={c.outputs} input={c.input_feature}")
+        seen.add(key)
+    return order, [(c.outputs, c.input_feature) for c in cliques]
+
+
 class _ReferenceCursor:
     def __init__(self, text):
         self.lines = text.splitlines()
@@ -251,8 +303,9 @@ class _ReferenceCursor:
 
 def reference_parse_model(text):
     """The model reader as it was before it read the clique lines in one
-    loop: a cursor ``take`` and a ``Clique`` per line, and no check of the
-    epoch count or the gap."""
+    loop: a cursor ``take`` and a self-checking clique per line, the graph
+    check one clique at a time, and no check of the epoch count or the
+    gap."""
     cur = _ReferenceCursor(text)
     magic = cur.next().split()
     if len(magic) != 2 or magic[0] != "margraph-model":
@@ -292,12 +345,13 @@ def reference_parse_model(text):
                 raise cur.error(f"clique line needs outputs, input, weight; got {parts!r}")
             outs = tuple(int(t) for t in parts[0].split(","))
             inp = None if parts[1] == "-" else int(parts[1])
-            cliques.append(mg.Clique(outs, inp))
+            cliques.append(ReferenceClique(outs, inp))
             values.append(float(parts[2]))
         if cur.next() != "end":
             raise cur.error("missing 'end' sentinel (truncated file?)")
     except (ValueError, IndexError) as exc:
         raise ModelFormatError(f"line {cur.pos}: {exc}") from None
-    graph = mg.GraphSpec(n_outputs=n_outputs, n_inputs=n_inputs, kind=kind, order=order, cliques=tuple(cliques))
+    order, pairs = reference_graph_check(n_outputs, n_inputs, kind, order, cliques)
+    graph = mg.GraphSpec(n_outputs, n_inputs, kind, order, [mg.Clique(*pair) for pair in pairs])
     weights = mg.WeightVector(values=values, lam=lam, eta0=eta0)
     return ModelFile(graph=graph, weights=weights, epochs=epochs, gap=gap, scale=scale)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from margraph.cli import main
+from margraph.cli import build_parser, main
 from margraph import planted_model
 from margraph.dataio import ModelFile, load_model, read_predictions, save_model
 
@@ -454,7 +454,8 @@ def test_edited_files_exit_0_1_or_2_and_never_raise(fuzzdir, data, target, infer
     content = bytearray((fuzzdir / target).read_bytes())
     for _ in range(data.draw(st.integers(1, 3), label="edits")):
         op = data.draw(st.sampled_from(["insert", "delete", "replace"]) if content else st.just("insert"))
-        at = data.draw(st.integers(0, len(content) - (op != "insert")), label="at")
+        # drawn from a range, so every position is as likely as the first
+        at = data.draw(st.sampled_from(range(len(content) + (op == "insert"))), label="at")
         byte = data.draw(st.sampled_from(_FUZZ_BYTES), label="byte")
         if op == "insert":
             content[at:at] = bytes([byte])
@@ -476,6 +477,27 @@ def test_unknown_arguments_exit_with_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["train", "--model", "lmsbn", "--bogus"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    # unrecognized arguments are worded by the top-level parser, whose usage
+    # line lists every command
+    ["train", "--model", "lmsbn", "--data", "d", "--out", "o", "--bogus"],
+    ["train", "--model", "svm", "--data", "d", "--out", "o"],
+    ["predict", "--model-file", "m", "--data", "d", "--out", "o", "extra"],
+    ["predict", "-h"],
+    ["eval", "--pred", "p"],
+    ["bench", "--max-states", "many"],
+    ["synth", "--help"],
+])
+def test_a_one_command_parser_words_usage_and_help_as_the_full_one_does(capsys, argv):
+    # main builds only the named command's parser
+    seen = []
+    for parser in (build_parser(), build_parser(argv[0])):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(argv)
+        seen.append((exc.value.code, capsys.readouterr()))
+    assert seen[0] == seen[1]
 
 
 def test_module_entry_point_runs_in_a_subprocess(tmp_path):

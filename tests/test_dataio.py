@@ -23,7 +23,7 @@ from margraph.dataio import (
     write_multilabel_svmlight,
     write_predictions,
 )
-from margraph.errors import DataError, MargraphError, ModelFormatError
+from margraph.errors import DataError, GraphError, MargraphError, ModelFormatError
 from margraph.inference import (
     STATUS_BUDGET,
     STATUS_FALLBACK,
@@ -350,6 +350,19 @@ _NOT_UTF8 = b"\xff\xfe\n"
     (load_model, _edited_model("cliques 11", "cliques 99999999999999"), ModelFormatError,
      "expected 'clique', got 'end'"),
     (load_model, _edited_model("4.0\nend\n", "4.0\n"), ModelFormatError, "unexpected end of model file"),
+    (load_model, _edited_model("4.0\nend", "4.0 5\nend"), ModelFormatError,
+     r"line 23: clique line needs outputs, input, weight; got \['0,1', '-', '4.0', '5'\]"),
+    (load_model, _edited_model("- 4.0\nend", "4.0\nend"), ModelFormatError,
+     r"line 23: clique line needs outputs, input, weight; got \['0,1', '4.0'\]"),
+    (load_model, _edited_model(" 0,2 - 3.0", "\t0,2 - 3.0"), ModelFormatError,
+     r"line 22: expected 'clique', got 'clique\\t0,2'"),
+    (load_model, _edited_model("clique 0,2", " clique 0,2"), ModelFormatError, "line 22: expected 'clique', got ''"),
+    # a clique's own fault on an earlier line comes before a later line's bad token, and after an earlier one's
+    (load_model, _edited_model("clique 0 - 0.1\nclique 1 - -2.5", "clique 2,-1,2 - 0.1\nclique 1 - x"), GraphError,
+     r"^negative output index in clique: \(-1, 2\)$"),
+    (load_model, _edited_model("clique 0 1 0.3", "clique 0 -1 0.3"), GraphError, "^negative input feature index: -1$"),
+    (load_model, _edited_model("clique 0 - 0.1\nclique 1 - -2.5", "clique 0 - x\nclique -1 - -2.5"), ModelFormatError,
+     "line 13: could not convert string to float: 'x'"),
     (load_model, _edited_model("epochs 12", "epochs -3"), ModelFormatError, "line 8: negative epoch count -3"),
     (load_model, _edited_model("gap 3.25e-05", "gap nan"), ModelFormatError, "line 9: non-finite gap nan"),
     (load_model, _edited_model("gap 3.25e-05", "gap -inf"), ModelFormatError, "line 9: non-finite gap -inf"),

@@ -1,36 +1,45 @@
 """Graph construction, clique validation, ownership, and regularizer rules."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import margraph as mg
 from margraph import Clique, Dataset, GraphSpec
 from margraph.errors import GraphError
 from margraph.training import clique_feature_matrix
 
-from _helpers import BUILDERS, coupled_graph, reference_routing
+from _helpers import BUILDERS, ReferenceClique, coupled_graph, reference_graph_check, reference_routing
+
+
+def _one_clique_graph(*clique):
+    return GraphSpec(4, 5, mg.DIRECTED, (0, 1, 2, 3), (Clique(*clique),))
 
 
 def test_clique_sorts_and_dedupes_outputs():
-    c = Clique((3, 1, 3, 2))
+    c = _one_clique_graph((3, 1, 3, 2)).cliques[0]
     assert c.outputs == (1, 2, 3)
     assert c.input_feature is None
 
 
 def test_clique_keeps_input_feature():
     assert Clique((0,), 4).input_feature == 4
+    assert _one_clique_graph((0,), 4).cliques[0].input_feature == 4
 
 
 def test_clique_rejects_empty_outputs():
     with pytest.raises(GraphError):
-        Clique(())
+        _one_clique_graph(())
 
 
 def test_clique_rejects_negative_indices():
     with pytest.raises(GraphError):
-        Clique((-1, 2))
+        _one_clique_graph((-1, 2))
     with pytest.raises(GraphError):
-        Clique((0,), -2)
+        _one_clique_graph((0,), -2)
 
 
 def test_clique_feature_is_label_parity_times_input():
@@ -71,6 +80,25 @@ def test_graph_requires_order_permutation():
 def test_graph_checks_name_the_fault(args, message):
     with pytest.raises(GraphError, match=message):
         GraphSpec(*args)
+
+
+@pytest.mark.parametrize("build, value", [
+    (lambda: GraphSpec(2, 0, mg.DIRECTED, (0, 1), (Clique((0.7, 1.2)),)), "0.7"),
+    (lambda: GraphSpec(2, 1, mg.DIRECTED, (0.2, 1.9), (Clique((0,)),)), "0.2"),
+    (lambda: GraphSpec(2.5, 0, mg.DIRECTED, (0, 1), ()), "2.5"),
+    (lambda: mg.build_chain_graph(3, 1.0, mg.DIRECTED), "1.0"),
+], ids=["clique-member", "order-entry", "output-count", "builder-input-dimension"])
+def test_a_non_integer_index_is_refused_not_truncated(build, value):
+    with pytest.raises(GraphError, match=rf"must be an integer, got {value}$"):
+        build()
+
+
+def test_integer_numpy_scalars_and_bools_are_indices():
+    g = GraphSpec(np.int64(2), True, mg.DIRECTED, np.array([1, 0]), (Clique((np.int32(1), False), np.int8(0)),))
+    assert (g.n_outputs, g.n_inputs, g.order) == (2, 1, (1, 0))
+    assert all(type(v) is int for v in (g.n_outputs, g.n_inputs, *g.order))
+    assert list(g.cliques) == [Clique((0, 1), 0)]
+    assert mg.build_full_graph(np.int64(3), np.int64(1), mg.DIRECTED) == mg.build_full_graph(3, 1, mg.DIRECTED)
 
 
 def test_graph_rejects_bad_kind():
@@ -220,3 +248,47 @@ def test_frontiers_hold_the_earlier_labels_the_rest_of_the_order_reads():
     assert mg.build_full_graph(6, 0, mg.DIRECTED).frontier_codes is None
     with pytest.raises(GraphError, match="directed"):
         mg.build_chain_graph(3, 0, mg.UNDIRECTED).frontier_codes
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(
+    data=st.data(),
+    K=st.integers(1, 5),
+    D=st.integers(0, 3),
+    kind=st.sampled_from([mg.DIRECTED, mg.UNDIRECTED]),
+    faults=st.sampled_from(["none", "members", "inputs", "both"]),
+)
+def test_graph_check_matches_the_per_clique_reference(data, K, D, kind, faults):
+    """Random clique lists, with unsorted and repeated members, members and
+    inputs out of range on either side, and cliques repeated in another
+    member order: the array check accepts what the per-clique reference
+    accepts, with the same canonical cliques and layout, and refuses the
+    rest with the same error."""
+    member = st.integers(-2, K + 1) if faults in ("members", "both") else st.integers(0, K - 1)
+    feature = st.integers(-2, D + 1) if faults in ("inputs", "both") else st.integers(0, max(D - 1, 0))
+    feature = st.none() if D == 0 and faults in ("none", "members") else st.one_of(st.none(), feature)
+    drawn = data.draw(st.lists(st.tuples(st.lists(member, min_size=1, max_size=4), feature), max_size=8))
+    if data.draw(st.sampled_from([False] * 9 + [True]), label="one in ten has an empty clique"):
+        drawn.insert(data.draw(st.integers(0, len(drawn)), label="empty at"), ([], None))
+    for _ in range(data.draw(st.integers(0, 2), label="repeats") if drawn else 0):
+        members, d = data.draw(st.sampled_from(drawn), label="repeated")
+        drawn.append((data.draw(st.permutations(members), label="reordered"), d))
+    order = tuple(data.draw(st.permutations(range(K)), label="order"))
+    try:
+        expected = reference_graph_check(K, D, kind, order, [ReferenceClique(tuple(m), d) for m, d in drawn])
+    except GraphError as exc:
+        expected = exc
+    try:
+        graph = GraphSpec(K, D, kind, order, [Clique(tuple(m), d) for m, d in drawn])
+    except GraphError as exc:
+        assert isinstance(expected, GraphError), exc
+        assert str(exc) == str(expected)
+        return
+    assert not isinstance(expected, GraphError), expected
+    assert [(c.outputs, c.input_feature) for c in graph.cliques] == expected[1]
+    reference = SimpleNamespace(n_outputs=K, kind=kind, order=order, cliques=[ReferenceClique(*c) for c in expected[1]])
+    contributing, feeds, coupled, *unary = reference_routing(reference)
+    assert (graph.contributing, graph.layout.feeds, graph.layout.coupled) == (contributing, feeds, coupled)
+    got = (graph.layout.unary_clique, graph.layout.unary_column, graph.layout.unary_node)
+    for a, b in zip(got, unary):
+        assert a.dtype == b.dtype and np.array_equal(a, b)

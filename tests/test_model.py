@@ -175,7 +175,7 @@ def arbitrary_graph(rng, kind):
     for _ in range(int(rng.integers(1, 4 * K + 1))):
         members = rng.choice(K, size=int(rng.integers(1, min(K, 3) + 1)), replace=False)
         feature = int(rng.integers(D)) if D and rng.random() < 0.5 else None
-        c = Clique(tuple(int(k) for k in members), feature)
+        c = Clique(tuple(sorted(int(k) for k in members)), feature)
         cliques[(c.outputs, c.input_feature)] = c
     order = tuple(int(i) for i in rng.permutation(K))
     return GraphSpec(K, D, kind, order, tuple(cliques.values()))
