@@ -120,9 +120,14 @@ def _cmd_train(args) -> int:
         shuffle_seed=args.seed,
     )
     strategy = make_order_strategy(args.order, dataset, config)
+    probe = strategy.probe
+    for r in probe.reports if probe else ():
+        print(f"probe node {r.node}: epochs={r.epochs} steps={r.steps} gap={r.gap:.3e} converged={r.converged}")
     kind = DIRECTED if args.model == "lmsbn" else UNDIRECTED
     graph = GRAPH_BUILDERS[args.graph](dataset.n_outputs, dataset.n_inputs, kind, order=strategy.order)
-    result = train_lmsbn(dataset, graph, config) if kind == DIRECTED else train_lmbm(dataset, graph, config)
+    trainer = train_lmsbn if kind == DIRECTED else train_lmbm
+    # the probe's duals are feasible for every full problem over the same data: start there
+    result = trainer(dataset, graph, config, start=probe.state if probe else None)
     for r in result.reports:
         who = "joint" if r.node is None else f"node {r.node}"
         print(

@@ -203,6 +203,7 @@ class ModelFile:
 
     ``scale`` optionally carries per-feature (min, max) vectors used to map
     inputs to [-1, 1] at training time; prediction applies the same map.
+    The weights hold one value per clique of the graph.
     """
 
     graph: GraphSpec
@@ -210,6 +211,10 @@ class ModelFile:
     epochs: int = 0
     gap: float = 0.0
     scale: tuple[np.ndarray, np.ndarray] | None = None
+
+    def __post_init__(self) -> None:
+        if len(self.weights) != self.graph.n_cliques:
+            raise DataError(f"{len(self.weights)} weights for {self.graph.n_cliques} cliques")
 
     def apply_scale(self, X: np.ndarray) -> np.ndarray:
         return X if self.scale is None else minmax_scale(X, *self.scale)

@@ -27,6 +27,13 @@ chain's nodes) steps on Python lists of floats; wider ones step on NumPy rows.
 The weights are updated incrementally at each step and refreshed from alpha
 through the stationarity identity only on epochs that can certify or stop:
 those that meet no projected gradient above the tolerance, and the last.
+
+A solve starts from zero duals, or from given ones (``start=``, a
+``DualState``) and the weights they imply.  Any duals in [0, C] are
+feasible, so the terminal duals of another problem over the same (node,
+instance) constraints and box are a start, as the ordering probe's are for
+the full directed problem (warm start: Hsieh et al., ICML 2008; Chu,
+Zhuang and Lin, KDD 2015).
 """
 
 from __future__ import annotations
@@ -94,7 +101,8 @@ class SolveReport:
 
 @dataclass(frozen=True)
 class DualState:
-    """Terminal dual variables alpha[node, instance] with the fitted weights."""
+    """Terminal dual variables alpha[node, instance] with the fitted weights;
+    a training run over the same data and lambda can start from them."""
 
     graph: GraphSpec
     alpha: np.ndarray
@@ -175,22 +183,27 @@ def _blocks(graph: GraphSpec, dataset: Dataset, groups):
     return cliques, blocks
 
 
-def _box_objectives(blocks, eta, box, alpha) -> tuple[np.ndarray, float, float, float]:
-    """The certificate at alpha: the weights it implies, the box-scaled primal
-    and dual there, and the largest |projected gradient| over every dual
-    variable.
-
-    Stationarity gives w_j = (1/eta_j) * sum over constraints touching clique
-    j of alpha * f_j; the primal is 0.5*sum eta w^2 + box * total hinge and
-    the dual is sum(alpha) - 0.5*sum eta w^2.  Each group's margins w . f are
-    taken once and give both its hinge terms, 1 - margin, and its gradients,
-    margin - 1.
-    """
+def _stationary_weights(blocks, eta, alpha) -> np.ndarray:
+    """The weights alpha implies through the stationarity identity:
+    w_j = (1/eta_j) * sum over constraints touching clique j of alpha * f_j."""
     w = np.zeros(len(eta), dtype=np.float64)
     for (cols, block), a in zip(blocks, alpha):
         # BLAS sums in an order set by memory layout; a row-major block.T fixes it
         w[cols] += block.T.copy() @ a
     w /= eta
+    return w
+
+
+def _box_objectives(blocks, eta, box, alpha) -> tuple[np.ndarray, float, float, float]:
+    """The certificate at alpha: the weights it implies
+    (``_stationary_weights``), the box-scaled primal and dual there, and the
+    largest |projected gradient| over every dual variable.
+
+    The primal is 0.5*sum eta w^2 + box * total hinge and the dual is
+    sum(alpha) - 0.5*sum eta w^2.  Each group's margins w . f are taken once
+    and give both its hinge terms, 1 - margin, and its gradients, margin - 1.
+    """
+    w = _stationary_weights(blocks, eta, alpha)
     reg = 0.5 * float(eta @ (w * w))
     hinge = max_pg = 0.0
     for (cols, block), a in zip(blocks, alpha):
@@ -202,11 +215,13 @@ def _box_objectives(blocks, eta, box, alpha) -> tuple[np.ndarray, float, float, 
     return w, reg + box * hinge, float(alpha.sum()) - reg, max_pg
 
 
-def _solve_dual(blocks, eta, box, rng, max_epochs, tol, node):
+def _solve_dual(blocks, eta, box, rng, max_epochs, tol, node, start):
     """Coordinate descent over dual variables alpha[group, instance] in [0, box].
 
     ``blocks`` are the constraint groups from ``_blocks``; ``eta`` has one
-    entry per weight.
+    entry per weight.  The solve starts from the duals ``start`` (G, N), each
+    in [0, box], and from the weights they imply (``_stationary_weights``);
+    a cold start is all zeros, whose weights are exactly zero.
 
     Each step moves one alpha to the exact optimum of the dual restricted to
     that coordinate and adds the change times the row's 1/eta-scaled copy to
@@ -241,8 +256,7 @@ def _solve_dual(blocks, eta, box, rng, max_epochs, tol, node):
     report's gap and max_projected_gradient are the last certificate's.
     """
     n_w = len(eta)
-    N = len(blocks[0][1])
-    G = len(blocks)
+    G, N = start.shape
     Fg = [block for _, block in blocks]
     # Row l of Fg[g] scaled by 1/eta: the change in w per unit of alpha[g, l]
     # (the block itself where eta is 1, as x / 1.0 == x).
@@ -258,19 +272,19 @@ def _solve_dual(blocks, eta, box, rng, max_epochs, tol, node):
     # Python lists of floats, a wide one as NumPy row views and an index
     # into a NumPy w.
     narrow = max(len(cols) for cols, _ in blocks) <= _NARROW_WIDTH
+    w = _stationary_weights(blocks, eta, start)
     if narrow:
         rows = [r for b in Fg for r in b.tolist()]
         updates = [r for b in Fg_over_eta for r in b.tolist()]
         group_cols = [cols.tolist() for cols, _ in blocks]
-        w = [0.0] * n_w
+        w = w.tolist()
     else:
         rows = [r for b in Fg for r in b]
         updates = [r for b in Fg_over_eta for r in b]
         # None marks a group spanning all of w, which steps read and update whole
         group_cols = [None if np.array_equal(cols, np.arange(n_w)) else cols for cols, _ in blocks]
-        w = np.zeros(n_w, dtype=np.float64)
     row_cols = [c for c in group_cols for _ in range(N)]
-    alpha = [0.0] * (G * N)
+    alpha = start.ravel().tolist()
     full_set = np.arange(G * N)
     active = full_set
     shrink_hi, shrink_lo = np.inf, -np.inf
@@ -355,43 +369,81 @@ def _box_bound(lam: float, n: int) -> float:
     return box
 
 
-def train_lmsbn(dataset: Dataset, graph: GraphSpec, config: TrainConfig | None = None) -> TrainResult:
+def train_lmsbn(
+    dataset: Dataset,
+    graph: GraphSpec,
+    config: TrainConfig | None = None,
+    start: DualState | None = None,
+) -> TrainResult:
     """Fit a directed graph: one independent margin problem per node.
 
     Node i's problem sees only the cliques it owns, with the remaining
-    labels fixed to their observed values.
+    labels fixed to their observed values.  ``start`` optionally gives the
+    duals to start from (see ``_train``).
     """
     if graph.kind != DIRECTED:
         raise GraphError("this trainer needs a directed graph")
-    return _train(dataset, graph, config or TrainConfig())
+    return _train(dataset, graph, config or TrainConfig(), start)
 
 
-def train_lmbm(dataset: Dataset, graph: GraphSpec, config: TrainConfig | None = None) -> TrainResult:
-    """Fit an undirected graph: one joint problem over all (node, instance) pairs."""
+def train_lmbm(
+    dataset: Dataset,
+    graph: GraphSpec,
+    config: TrainConfig | None = None,
+    start: DualState | None = None,
+) -> TrainResult:
+    """Fit an undirected graph: one joint problem over all (node, instance)
+    pairs, optionally started from the duals of ``start`` (see ``_train``)."""
     if graph.kind != UNDIRECTED:
         raise GraphError("this trainer needs an undirected graph")
-    return _train(dataset, graph, config or TrainConfig())
+    return _train(dataset, graph, config or TrainConfig(), start)
 
 
-def _train(dataset: Dataset, graph: GraphSpec, config: TrainConfig) -> TrainResult:
+def _start_alpha(start: DualState | None, shape: tuple[int, int], box: float) -> np.ndarray:
+    """The duals a training run starts from: zeros without a start, else the
+    start's alpha, which must be a finite (K, N) array inside [0, box]."""
+    if start is None:
+        return np.zeros(shape, dtype=np.float64)
+    try:
+        alpha = np.array(start.alpha, dtype=np.float64)  # a copy: training writes into it
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"starting duals are not a numeric array: {exc}") from None
+    if alpha.shape != shape:
+        raise DataError(f"starting duals have shape {alpha.shape}, need (outputs, instances) = {shape}")
+    if not np.all(np.isfinite(alpha)):
+        raise DataError("starting duals contain non-finite values")
+    if not (alpha.min() >= 0.0 and alpha.max() <= box):
+        raise DataError(
+            f"starting duals span [{alpha.min()!r}, {alpha.max()!r}], outside the box [0, {box!r}] "
+            "(trained at another lambda or instance count?)"
+        )
+    return alpha
+
+
+def _train(dataset: Dataset, graph: GraphSpec, config: TrainConfig, start: DualState | None) -> TrainResult:
     """One dual solve per directed node over the cliques it owns, or one
     joint solve over every node of an undirected graph.
 
     A solve's shuffle seed is (shuffle_seed, its first node): (seed, i) for
-    directed node i, (seed, 0) for the joint solve.
+    directed node i, (seed, 0) for the joint solve.  Every solve starts from
+    the duals of its nodes in ``start.alpha`` (K, N), or from zero without a
+    start.  Any duals in the box [0, 1/(lam*N)] are feasible for every
+    problem over the same (node, instance) constraints, such as those of a
+    directed probe over the same data at the same lambda, whatever cliques
+    each node owns.
     """
     eta = graph.regularizer_multipliers(config.eta0)
     box = _box_bound(config.lam, dataset.n_instances)
     K = graph.n_outputs
     solves = [(i, [i]) for i in range(K)] if graph.kind == DIRECTED else [(None, list(range(K)))]
     w = np.zeros(graph.n_cliques, dtype=np.float64)
-    alpha = np.zeros((K, dataset.n_instances), dtype=np.float64)
+    alpha = _start_alpha(start, (K, dataset.n_instances), box)
     reports = []
     for node, nodes in solves:
         cliques, blocks = _blocks(graph, dataset, [graph.contributing[i] for i in nodes])
         rng = np.random.default_rng((config.shuffle_seed, nodes[0]))
         w_solve, alpha_solve, report = _solve_dual(
-            blocks, eta[cliques], box, rng, config.max_epochs, config.tolerance, node
+            blocks, eta[cliques], box, rng, config.max_epochs, config.tolerance, node, alpha[nodes]
         )
         w[cliques] = w_solve
         alpha[nodes] = alpha_solve

@@ -82,6 +82,41 @@ def test_epoch_cap_warns_on_stderr_and_still_succeeds(workdir, capsys):
     assert load_model(workdir / "capped.model").epochs == 1
 
 
+def test_fscore_training_reports_the_probe_and_starts_from_its_duals(workdir, capsys):
+    argv = ["train", "--model", "lmsbn", "--graph", "full", "--order", "fscore", "--lambda", "0.05",
+            "--seed", "1", "--data", str(workdir / "data.sv"), "--out"]
+    printed = []
+    for name in ("warm-a.model", "warm-b.model"):
+        assert main(argv + [str(workdir / name)]) == 0
+        printed.append(capsys.readouterr().out.replace(name, "M").splitlines())
+    assert (workdir / "warm-a.model").read_bytes() == (workdir / "warm-b.model").read_bytes()
+    assert printed[0] == printed[1]
+    lines = printed[0]
+    order_at = next(k for k, line in enumerate(lines) if line.startswith("order: "))
+    probes = [line for line in lines[:order_at] if line.startswith("probe ")]
+    assert len(probes) == 4
+    for i, line in enumerate(probes):
+        assert re.fullmatch(rf"probe node {i}: epochs=\d+ steps=\d+ gap=\S+ converged=True", line)
+    # the first node in order owns only its unary cliques: its full problem
+    # is its probe problem, which the probe's duals already solve
+    first = lines[order_at].split()[1]
+    [report] = [line for line in lines if line.startswith(f"node {first}: ")]
+    assert " epochs=1 " in report and report.endswith(" converged=True")
+
+
+def test_a_probe_solve_at_the_epoch_cap_is_reported(workdir, capsys):
+    assert main([
+        "train", "--model", "lmsbn", "--graph", "chain", "--order", "fscore", "--epochs", "1",
+        "--tol", "1e-12", "--data", str(workdir / "data.sv"), "--out", str(workdir / "capped-probe.model"),
+    ]) == 0
+    captured = capsys.readouterr()
+    probes = [line for line in captured.out.splitlines() if line.startswith("probe node ")]
+    assert len(probes) == 4
+    assert all(" epochs=1 " in line and line.endswith(" converged=False") for line in probes)
+    # the warning counts the model's solves, as before
+    assert captured.err.startswith("margraph: warning: 4 of 4 solves hit the epoch cap")
+
+
 def test_predictions_file_is_well_formed(workdir):
     Y, losses, states, statuses = read_predictions(workdir / "preds.txt")
     assert Y.shape == (60, 4)

@@ -310,6 +310,16 @@ def test_apply_scale_maps_training_range_to_unit_interval():
     assert scaled.tolist() == [[-1.0, 0.0], [1.0, 0.0], [0.0, 0.0]]
 
 
+@pytest.mark.parametrize("n_weights", [0, 2, 7, 9])
+def test_a_model_needs_one_weight_per_clique(n_weights):
+    # format_model would write "cliques 8" and then n_weights clique lines,
+    # a file parse_model refuses
+    graph = mg.build_chain_graph(3, 1, mg.DIRECTED)
+    assert graph.n_cliques == 8
+    with pytest.raises(DataError, match=f"^{n_weights} weights for 8 cliques$"):
+        ModelFile(graph, WeightVector(np.full(n_weights, 0.5), lam=1.0))
+
+
 def test_model_parse_errors():
     with pytest.raises(ModelFormatError, match="bad magic"):
         parse_model("something else\n")

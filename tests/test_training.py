@@ -398,3 +398,130 @@ def test_converged_solves_certify_gap_and_projected_gradient(directed, K, D, N, 
     assert abs(gap - result.gap) <= 1e-9
     assert all(r.gap <= config.tolerance for r in result.reports)
     assert all_alpha_max_projected_gradient(graph, dataset, result.state, config) <= config.tolerance
+
+
+# ---------------------------------------------------------------------------
+# starting duals
+
+
+def stationary_weights(graph, dataset, alpha, eta0):
+    """w = (1/eta) * sum over (node, instance) of alpha * clique features."""
+    F = clique_feature_matrix(graph, dataset)
+    w = np.zeros(graph.n_cliques)
+    for i, cols in enumerate(graph.contributing):
+        cols = list(cols)
+        if cols:
+            w[cols] += F[:, cols].T @ alpha[i]
+    return w / graph.regularizer_multipliers(eta0)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(
+    directed=st.booleans(),
+    K=st.integers(1, 5),
+    D=st.integers(0, 3),
+    N=st.integers(2, 12),
+    lam=st.floats(0.05, 1.0),
+    eta0=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**16),
+)
+def test_a_solve_started_from_the_probe_duals_certifies_the_cold_optimum(directed, K, D, N, lam, eta0, seed):
+    # sizes as in test_criterion_05; the fscore probe's duals start the
+    # full problem in the probe's order
+    rng = np.random.default_rng(seed)
+    kind = mg.DIRECTED if directed else mg.UNDIRECTED
+    dataset = random_dataset(rng, N, K, D)
+    config = TrainConfig(lam=lam, eta0=eta0, tolerance=1e-5, shuffle_seed=seed)
+    strategy = mg.make_order_strategy("fscore", dataset, config)
+    probe_alpha = strategy.probe.state.alpha.copy()
+    graph = mg.build_full_graph(K, D, kind, order=strategy.order)
+    train = mg.train_lmsbn if directed else mg.train_lmbm
+    warm = train(dataset, graph, config, start=strategy.probe.state)
+    cold = train(dataset, graph, config)
+    assert np.array_equal(strategy.probe.state.alpha, probe_alpha)  # the start is not written to
+    assert warm.converged
+    alpha = warm.state.alpha
+    assert alpha.min() >= 0.0 and alpha.max() <= 1.0 / (lam * N)  # holds exactly
+    w_from_alpha = stationary_weights(graph, dataset, alpha, eta0)
+    assert np.abs(w_from_alpha - warm.weights.values).max() <= 1e-8
+    assert all(r.gap <= config.tolerance for r in warm.reports)
+    gap_warm = duality_gap(warm.state, dataset, config)
+    gap_cold = duality_gap(cold.state, dataset, config)
+    assert gap_warm <= len(warm.reports) * config.tolerance
+    # both primals lie within their own gap above the one optimum; the
+    # slack covers the rounding of the objectives, not of the solve
+    p_warm = box_primal_objective(warm.state, dataset, config)
+    p_cold = box_primal_objective(cold.state, dataset, config)
+    assert abs(p_warm - p_cold) <= gap_warm + gap_cold + 1e-12 * max(1.0, abs(p_cold))
+
+
+def test_the_first_node_in_fscore_order_ends_after_one_epoch():
+    # it owns only its own unary cliques, so its full problem is its probe
+    # problem, and the probe's converged duals certify it in one pass
+    rng = np.random.default_rng(5)
+    dataset = random_dataset(rng, 80, 4, 3)
+    config = TrainConfig(lam=0.05)
+    strategy = mg.make_order_strategy("fscore", dataset, config)
+    first = strategy.order[0]
+    assert strategy.probe.reports[first].converged
+    assert strategy.probe.reports[first].epochs > 1
+    graph = mg.build_full_graph(4, 3, mg.DIRECTED, order=strategy.order)
+    report = mg.train_lmsbn(dataset, graph, config, start=strategy.probe.state).reports[first]
+    assert (report.epochs, report.steps, report.converged) == (1, 80, True)
+
+
+@pytest.mark.parametrize("kind", [mg.DIRECTED, mg.UNDIRECTED])
+def test_a_start_at_zero_is_the_cold_start_bit_for_bit(kind):
+    rng = np.random.default_rng(9)
+    graph = mg.build_full_graph(3, 2, kind)
+    dataset = random_dataset(rng, 20, 3, 2)
+    config = TrainConfig(lam=0.1, eta0=0.5)
+    train = mg.train_lmsbn if kind == mg.DIRECTED else mg.train_lmbm
+    cold = train(dataset, graph, config)
+    zero = train(dataset, graph, config, start=mg.DualState(graph, np.zeros((3, 20)), cold.weights))
+    assert zero.reports == cold.reports
+    assert np.array_equal(zero.weights.values, cold.weights.values)
+    assert np.array_equal(zero.state.alpha, cold.state.alpha)
+
+
+def _probe_alpha_at(lam):
+    def alpha(dataset, box):
+        config = TrainConfig(lam=lam)
+        return mg.make_order_strategy("fscore", dataset, config).probe.state.alpha
+    return alpha
+
+
+def _alpha_with(value, where=(1, 2)):
+    def alpha(dataset, box):
+        a = np.full((dataset.n_outputs, dataset.n_instances), box / 2)
+        a[where] = value(box)
+        return a
+    return alpha
+
+
+@pytest.mark.parametrize("kind", [mg.DIRECTED, mg.UNDIRECTED])
+@pytest.mark.parametrize("make_alpha, message", [
+    (lambda dataset, box: np.zeros((2, 6)), r"shape \(2, 6\), need .* \(3, 6\)"),
+    (lambda dataset, box: np.zeros((3, 7)), r"shape \(3, 7\)"),
+    (lambda dataset, box: np.zeros((6, 3)), r"shape \(6, 3\)"),
+    (lambda dataset, box: np.zeros(18), r"shape \(18,\)"),
+    (lambda dataset, box: np.zeros((1, 3, 6)), r"shape \(1, 3, 6\)"),
+    (lambda dataset, box: [[0.0] * 6, [0.0] * 5, [0.0] * 6], "not a numeric array"),
+    (lambda dataset, box: np.full((3, 6), "x"), "not a numeric array"),
+    (_alpha_with(lambda box: np.nan), "non-finite"),
+    (_alpha_with(lambda box: np.inf), "non-finite"),
+    (_alpha_with(lambda box: -np.inf), "non-finite"),
+    (_alpha_with(lambda box: -5e-324), "outside the box"),
+    (_alpha_with(lambda box: np.nextafter(box, np.inf)), "outside the box"),
+    (_probe_alpha_at(0.05), "outside the box"),  # a probe at a tenth of the lambda
+])
+def test_starting_duals_that_cannot_start_a_solve_are_a_data_error(kind, make_alpha, message):
+    rng = np.random.default_rng(4)
+    graph = mg.build_full_graph(3, 2, kind)
+    dataset = random_dataset(rng, 6, 3, 2)
+    config = TrainConfig(lam=0.5)
+    alpha = make_alpha(dataset, 1.0 / (config.lam * 6))
+    start = mg.DualState(graph, alpha, WeightVector(np.zeros(graph.n_cliques), lam=0.5))
+    train = mg.train_lmsbn if kind == mg.DIRECTED else mg.train_lmbm
+    with pytest.raises(DataError, match=message):
+        train(dataset, graph, config, start=start)
