@@ -72,5 +72,6 @@ def make_order_strategy(
     if kind == "fscore":
         scores, probe = _probe(dataset, config)
         order = tuple(sorted(range(dataset.n_outputs), key=lambda i: (-scores[i], i)))
-        return OrderStrategy("fscore", order, tuple(float(s) for s in scores), probe)
+        fscores = tuple(float(s) for s in scores)
+        return OrderStrategy(kind="fscore", order=order, per_label_fscores=fscores, probe=probe)
     raise DataError(f"unknown order strategy {kind!r}")

@@ -61,6 +61,9 @@ def test_make_order_strategy_variants():
     fs = make_order_strategy("fscore", dataset)
     assert fs.kind == "fscore" and fs.order == (1, 2, 0)
     assert fs.per_label_fscores == (0.8, 0.9, 6 / 7)
+    # the probe's run rides along, outside comparisons
+    assert idx.probe is None and [r.node for r in fs.probe.reports] == [0, 1, 2]
+    assert fs == mg.OrderStrategy("fscore", (1, 2, 0), (0.8, 0.9, 6 / 7))
     with pytest.raises(DataError):
         make_order_strategy("alphabetical", dataset)
 
