@@ -284,7 +284,9 @@ def _solve_dual(blocks, eta, box, rng, max_epochs, tol, node, start):
         # None marks a group spanning all of w, which steps read and update whole
         group_cols = [None if np.array_equal(cols, np.arange(n_w)) else cols for cols, _ in blocks]
     row_cols = [c for c in group_cols for _ in range(N)]
-    alpha = start.ravel().tolist()
+    # zeros share one float object, as in a list built as [0.0] * n: distinct
+    # zero objects would cost memory and cache misses on every visit
+    alpha = [a or 0.0 for a in start.ravel().tolist()]
     full_set = np.arange(G * N)
     active = full_set
     shrink_hi, shrink_lo = np.inf, -np.inf
