@@ -485,16 +485,17 @@ def test_a_start_at_zero_is_the_cold_start_bit_for_bit(kind):
 
 
 def _probe_alpha_at(lam):
+    """The fscore probe's duals, trained at lam."""
     def alpha(dataset, box):
-        config = TrainConfig(lam=lam)
-        return mg.make_order_strategy("fscore", dataset, config).probe.state.alpha
+        return mg.make_order_strategy("fscore", dataset, TrainConfig(lam=lam)).probe.state.alpha
     return alpha
 
 
-def _alpha_with(value, where=(1, 2)):
+def _alpha_with(value):
+    """Duals inside the box but for one entry, value(box)."""
     def alpha(dataset, box):
         a = np.full((dataset.n_outputs, dataset.n_instances), box / 2)
-        a[where] = value(box)
+        a[1, 2] = value(box)
         return a
     return alpha
 
