@@ -25,6 +25,7 @@ import numpy as np
 from .data import Dataset
 from .errors import DataError, GraphError, MargraphError, ModelFormatError
 from .graphs import Cliques, GraphSpec
+from .inference import STATUS_BUDGET, STATUS_FALLBACK, STATUS_LOCAL, STATUS_OPTIMAL
 from .model import WeightVector
 
 __all__ = [
@@ -408,12 +409,18 @@ def write_predictions(path, results) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-# The key=value fields that end every prediction line, in this order.
+# The key=value fields that end every prediction line, in this order, and
+# the words a status may be.
 _FIELDS = (("loss", float), ("states", int), ("status", str))
+_STATUSES = (STATUS_OPTIMAL, STATUS_BUDGET, STATUS_FALLBACK, STATUS_LOCAL)
 
 
 def read_predictions(path):
-    """Returns (label matrix, losses, states, statuses) from a prediction file."""
+    """Returns (label matrix, losses, states, statuses) from a prediction file.
+
+    A loss that is negative or not finite, a negative state count and a
+    status other than the four words are DataErrors naming the line.
+    """
     path = str(path)
     rows, losses, states, statuses = [], [], [], []
     for ln, raw in _numbered_lines(path):
@@ -435,6 +442,12 @@ def read_predictions(path):
                 out.append(convert(value))
             except ValueError:
                 raise DataError(f"{path}:{ln}: malformed {key}= field {token!r}") from None
+        if not 0.0 <= losses[-1] < math.inf:
+            raise DataError(f"{path}:{ln}: loss= must be finite and non-negative, got {tokens[-3]!r}")
+        if states[-1] < 0:
+            raise DataError(f"{path}:{ln}: negative states= field {tokens[-2]!r}")
+        if statuses[-1] not in _STATUSES:
+            raise DataError(f"{path}:{ln}: unknown status {statuses[-1]!r}, expected one of {', '.join(_STATUSES)}")
     if not rows:
         raise DataError(f"{path}: no prediction lines")
     if len({len(r) for r in rows}) != 1:

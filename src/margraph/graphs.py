@@ -25,7 +25,9 @@ Graphs say nothing of how the 2^K label assignments are numbered or walked;
 the label grid that enumerates them lives in ``margraph.model``.  A directed
 graph does number the few labellings of each position's frontier (the
 earlier labels that the rest of the order still reads), for the search's
-cost-to-go tables (``GraphSpec.frontier_codes``).
+cost-to-go tables (``GraphSpec.frontier_codes``), and every graph lists the
+score terms that each label completes (``GraphSpec.closing``), for the
+exhaustive oracle's depth-first pass over the labels in index order.
 """
 
 from __future__ import annotations
@@ -390,6 +392,23 @@ class GraphSpec:
                         code |= (b if k == i else f >> bit[k] & 1) << c
                     step[2 * e + b] = 2 * (offset[p + 1] + code)
         return FrontierCodes(tuple(offset), node, slot, sign, tuple(step))
+
+    @cached_property
+    def closing(self) -> tuple[tuple[tuple[tuple[int, int], ...], tuple[int, ...]], ...]:
+        """closing[k] = (terms, nodes) for each label k, for a search that
+        sets the labels in index order.
+
+        ``terms`` lists (i, t), node by node, for node i's t-th coupled term
+        (``layout.coupled``) whose last partner in index order is k: setting
+        label k fixes that term's parity.  ``nodes`` holds k and the nodes of
+        those terms, ascending: the nodes whose margin bound setting label k
+        can change.
+        """
+        closed: list[list[tuple[int, int]]] = [[] for _ in range(self.n_outputs)]
+        for i, terms in enumerate(self.layout.coupled):
+            for t, (_, _, partners) in enumerate(terms):
+                closed[max(partners)].append((i, t))
+        return tuple((tuple(c), tuple(sorted({k, *(i for i, _ in c)}))) for k, c in enumerate(closed))
 
     def regularizer_multipliers(self, eta0: float) -> np.ndarray:
         """Per-clique quadratic penalty multipliers.

@@ -13,7 +13,7 @@ from margraph.dataio import MODEL_FORMAT_VERSION, ModelFile, _numbered_lines
 from margraph.errors import DataError, GraphError, ModelFormatError
 from margraph.graphs import GRAPH_BUILDERS
 from margraph.inference import STATUS_BUDGET, STATUS_LOCAL, STATUS_OPTIMAL
-from margraph.model import compile_scorer, signs_of_indices
+from margraph.model import compile_scorer, signs_from_index, signs_of_indices
 
 BUILDERS = GRAPH_BUILDERS
 
@@ -92,6 +92,20 @@ def reference_losses(scorer, K, start, stop):
     """Joint losses of assignments start..stop-1 from the per-row sign matrix,
     the path exhaustive enumeration took before its label grid."""
     return scorer.total_loss_column(assignment_signs(K, start, stop))
+
+
+def reference_exhaustive(graph, weights, x):
+    """(labels, objective) of the first minimizer in index order, from the
+    label grid's argmin over all 2^K assignments: ``exhaustive_infer`` as it
+    was before it stopped at the first zero-loss assignment."""
+    best_obj = np.inf
+    best_idx = 0
+    for start, totals in compile_scorer(graph, weights, x).grid_sums():
+        i = int(np.argmin(totals))
+        if totals[i] < best_obj:
+            best_obj = float(totals[i])
+            best_idx = start + i
+    return signs_from_index(graph.n_outputs, best_idx), best_obj
 
 
 def reference_energies(graph, weights, x):

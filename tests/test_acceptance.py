@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import margraph as mg
-from margraph import BBConfig, Dataset, SynthConfig, TrainConfig, WeightVector
+from margraph import BBConfig, Dataset, SynthConfig, TrainConfig, WeightVector, inference
 from margraph.bench import branch_budget, run_k_sweep, run_s_sweep
 from margraph.dataio import ModelFile, load_model, parse_multilabel_svmlight, save_model
 from margraph.model import compile_scorer, surrogate_bound_check
@@ -205,10 +205,23 @@ def test_criterion_08_trained_search_grows_slowly_random_search_does_not():
     assert last.random_mean_states >= 10.0 * last.trained_mean_states
     for record in records:
         assert record.exhaustive_states == 1 << record.n_outputs
-    # the enumeration count is real, not definitional
+    # the enumeration count is real, not definitional: a model whose optimum
+    # is above 0 reports the zero-loss pass's label settings plus all 256
+    # assignments, and a model whose first dive ends at a zero-loss
+    # assignment reports that dive alone
     graph, weights, x = random_model(np.random.default_rng(4), mg.DIRECTED,
                                      max_outputs=8, min_outputs=8)
-    assert mg.exhaustive_infer(graph, weights, x).states_visited == 256
+    above = mg.exhaustive_infer(graph, weights, x)
+    assert above.objective > 0.0
+    labels, passed = inference._zero_pass(compile_scorer(graph, weights, x), graph.closing, inference._pass_budget(8))
+    assert labels is None and 0 < passed <= inference._pass_budget(8)
+    assert above.states_visited == passed + 256
+    # the builders' first 8 cliques are the biases: at 100 every label is
+    # +1 at a margin above 1, whatever the other terms add
+    biased = mg.WeightVector(np.concatenate(([100.0] * 8, weights.values[8:])), lam=1.0)
+    zero = mg.exhaustive_infer(graph, biased, x)
+    assert zero.objective == 0.0 and zero.labels.tolist() == [1] * 8
+    assert zero.states_visited == 8 < 256
 
 
 # ---------------------------------------------------------------------------

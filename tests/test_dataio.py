@@ -377,6 +377,17 @@ _NOT_UTF8 = b"\xff\xfe\n"
     (load_model, _edited_model("gap 3.25e-05", "gap nan"), ModelFormatError, "line 9: non-finite gap nan"),
     (load_model, _edited_model("gap 3.25e-05", "gap -inf"), ModelFormatError, "line 9: non-finite gap -inf"),
     (read_predictions, b"\n  \n", DataError, "no prediction lines"),
+    (read_predictions, b"1 -1 loss=nan states=3 status=proven_optimal\n", DataError,
+     r"file\.txt:1: loss= must be finite and non-negative, got 'loss=nan'$"),
+    (read_predictions, b"1 loss=0.0 states=1 status=proven_optimal\n-1 loss=-0.5 states=1 status=proven_optimal\n",
+     DataError, r"file\.txt:2: loss= must be finite and non-negative, got 'loss=-0.5'$"),
+    (read_predictions, b"1 loss=inf states=1 status=proven_optimal\n", DataError,
+     r"file\.txt:1: loss= must be finite and non-negative, got 'loss=inf'$"),
+    (read_predictions, b"1 loss=1.0 states=-4 status=local_optimum\n", DataError,
+     r"file\.txt:1: negative states= field 'states=-4'$"),
+    (read_predictions, b"1 loss=1.0 states=4 status=optimal\n", DataError,
+     r"file\.txt:1: unknown status 'optimal', expected one of proven_optimal, budget_exceeded, "
+     r"no_solution_under_S_fallback, local_optimum$"),
     (load_model, _NOT_UTF8, ModelFormatError, "not a UTF-8 text file"),
     (parse_multilabel_svmlight, _NOT_UTF8, DataError, "not a UTF-8 text file"),
     (read_predictions, _NOT_UTF8, DataError, "not a UTF-8 text file"),
@@ -549,7 +560,7 @@ def test_read_predictions_validation(tmp_path):
     with pytest.raises(DataError):
         read_predictions(p2)
     p3 = write(tmp_path,
-               "+1 +1 loss=1.0 states=3 status=ok\n+1 loss=1.0 states=3 status=ok\n",
+               "+1 +1 loss=1.0 states=3 status=local_optimum\n+1 loss=1.0 states=3 status=local_optimum\n",
                "p3.txt")
     with pytest.raises(DataError, match="inconsistent label counts"):
         read_predictions(p3)

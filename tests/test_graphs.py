@@ -250,6 +250,33 @@ def test_frontiers_hold_the_earlier_labels_the_rest_of_the_order_reads():
         mg.build_chain_graph(3, 0, mg.UNDIRECTED).frontier_codes
 
 
+def test_closing_lists_each_coupled_term_under_its_last_partner():
+    # undirected: every clique feeds each of its members
+    graph = GraphSpec(4, 0, mg.UNDIRECTED, (3, 1, 0, 2),
+                      (Clique((0,)), Clique((1, 2)), Clique((0, 2)), Clique((0, 1, 3))))
+    coupled = graph.layout.coupled
+    assert [[partners for _, _, partners in terms] for terms in coupled] == [
+        [(2,), (1, 3)], [(2,), (0, 3)], [(1,), (0,)], [(0, 1)]]
+    # node 2's second term, partner 0, closes when label 0 is set; labels
+    # in index order, whatever the graph's order
+    assert graph.closing == (
+        (((2, 1),), (0, 2)),
+        (((2, 0), (3, 0)), (1, 2, 3)),
+        (((0, 0), (1, 0)), (0, 1, 2)),
+        (((0, 1), (1, 1)), (0, 1, 3)),
+    )
+    rng = np.random.default_rng(3)
+    for kind in (mg.DIRECTED, mg.UNDIRECTED):
+        for _ in range(20):
+            graph = coupled_graph(rng, "full", int(rng.integers(1, 8)), 1, kind)
+            seen = []
+            for k, (terms, nodes) in enumerate(graph.closing):
+                assert all(max(graph.layout.coupled[i][t][2]) == k for i, t in terms)
+                assert nodes == tuple(sorted({k, *(i for i, _ in terms)}))
+                seen += terms
+            assert sorted(seen) == [(i, t) for i, terms in enumerate(graph.layout.coupled) for t in range(len(terms))]
+
+
 @settings(derandomize=True, deadline=None, max_examples=400)
 @given(
     data=st.data(),

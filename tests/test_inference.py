@@ -25,7 +25,14 @@ from margraph.inference import (
 )
 from margraph.model import compile_scorer, signs_from_index
 
-from _helpers import coupled_graph, random_labels, random_model, reference_icm, reference_losses
+from _helpers import (
+    coupled_graph,
+    random_labels,
+    random_model,
+    reference_exhaustive,
+    reference_icm,
+    reference_losses,
+)
 
 
 @pytest.fixture
@@ -48,7 +55,8 @@ def test_search_finds_the_zero_loss_assignment(two_node_model):
     assert res.status == STATUS_OPTIMAL
     ex = exhaustive_infer(graph, weights, x)
     assert ex.labels.tolist() == [1, 1] and ex.objective == 0.0
-    assert ex.states_visited == 4
+    # the zero-loss pass finds it on its first dive, one state per label
+    assert ex.states_visited == 2
 
 
 def test_low_cutoff_returns_fallback_assignment():
@@ -114,7 +122,9 @@ def test_exhaustive_breaks_ties_towards_positive_labels():
     res = exhaustive_infer(graph, weights, x)
     assert res.labels.tolist() == [1, 1, 1]
     assert res.objective == 3.0
-    assert res.states_visited == 8
+    # no node can reach margin 1, so the zero-loss pass prunes both labels
+    # of label 0 and every assignment is enumerated
+    assert res.states_visited == 2 + 8
     assert res.status == STATUS_OPTIMAL
 
 
@@ -655,6 +665,83 @@ def test_label_grid_matches_the_sign_matrix_reference(kind, topology, K, D, zero
     assert got.objective == reference[first]
     if kind == mg.DIRECTED:
         assert bb_infer(graph, weights, x).objective == got.objective
+
+
+# ---------------------------------------------------------------------------
+# The zero-loss pass against the grid argmin.
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(
+    kind=st.sampled_from([mg.DIRECTED, mg.UNDIRECTED]),
+    topology=st.sampled_from(["chain", "full"]),
+    K=st.sampled_from(range(1, 12)),
+    D=st.integers(0, 3),
+    zeroed=st.sampled_from([0.0, 0.3, 0.7]),
+    scale=st.sampled_from([0.5, 1.0, 2.0, 5.0, 10.0]),
+    tilt=st.sampled_from([0.0, 2.0, 5.0]),
+    seed=st.integers(0, 2**16),
+)
+def test_exhaustive_matches_the_grid_argmin_reference(kind, topology, K, D, zeroed, scale, tilt, seed):
+    rng = np.random.default_rng(seed)
+    graph = coupled_graph(rng, topology, K, D, kind)
+    # zeroed weights make exact ties; tilted biases (the builders' first K
+    # cliques) plant a zero-loss assignment, so that about half the rows
+    # stop in the pass and half are enumerated
+    w = rng.normal(0.0, scale, graph.n_cliques)
+    w = np.where(rng.random(graph.n_cliques) < zeroed, 0.0, w)
+    w[:K] += tilt * scale * np.where(rng.random(K) < 0.5, 1.0, -1.0)
+    weights = WeightVector(w, lam=1.0)
+    x = rng.standard_normal(D)
+    labels, objective = reference_exhaustive(graph, weights, x)
+    enumerated = []
+    grid_sums = model.NodeScorer.grid_sums
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model.NodeScorer, "grid_sums", lambda self: enumerated.append(1) or grid_sums(self))
+        got = exhaustive_infer(graph, weights, x)
+    assert got.labels.tolist() == labels.tolist()
+    assert got.objective == objective
+    assert got.status == STATUS_OPTIMAL
+    assert (got.states_visited > 1 << K) == bool(enumerated)
+    assert got.states_visited <= inference._pass_budget(K) + (len(enumerated) << K)
+    if not enumerated:
+        assert got.objective == 0.0
+
+
+def test_the_pass_keeps_a_zero_leaf_whose_margin_is_one_in_term_order():
+    # node 0 owns cliques (0, 2) and (0, 1), in that term order: its score
+    # at the first leaf, all +1, sums (0.2 + 0.1) + 0.7 == 1.0, a margin of
+    # exactly 1, but the pass adds the terms as their last partners are
+    # set, (0.2 + 0.7) + 0.1 < 1.0; only the slack keeps the leaf
+    graph = GraphSpec(3, 0, mg.DIRECTED, (1, 2, 0),
+                      (Clique((0,)), Clique((1,)), Clique((2,)), Clique((0, 2)), Clique((0, 1))))
+    weights = WeightVector(np.array([0.2, 2.0, 2.0, 0.1, 0.7]), lam=1.0)
+    assert (0.2 + 0.1) + 0.7 == 1.0 and (0.2 + 0.7) + 0.1 < 1.0
+    res = exhaustive_infer(graph, weights, np.zeros(0))
+    assert res.labels.tolist() == [1, 1, 1]
+    assert res.objective == 0.0
+    # found by the first dive, not by enumeration
+    assert res.states_visited == 3
+
+
+def test_the_pass_stops_at_its_budget_on_a_frustrated_graph():
+    # every pair coupled at -0.5: node i's margin is -0.5 y_i times the sum
+    # of the other labels, so a margin of 1 needs two more labels of the
+    # opposite sign among the others, which no split gives every node; yet
+    # the bounds prune little until deep in the tree (the unbounded pass
+    # sets 1342 labels).  With edges at -1 a balanced split has every margin
+    # exactly 1, and the pass finds it.
+    K = 12
+    graph = mg.build_full_graph(K, 0, mg.UNDIRECTED)
+    weights = WeightVector(np.where(np.diff(graph.cliques.indptr) == 2, -0.5, 0.0), lam=1.0)
+    res = exhaustive_infer(graph, weights, np.zeros(0))
+    budget = inference._pass_budget(K)
+    assert budget == 128
+    assert res.states_visited == budget + 4096
+    labels, objective = reference_exhaustive(graph, weights, np.zeros(0))
+    assert objective > 0.0
+    assert res.labels.tolist() == labels.tolist()
+    assert res.objective == objective
 
 
 @pytest.mark.parametrize("kind", [mg.DIRECTED, mg.UNDIRECTED])
