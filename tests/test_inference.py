@@ -122,7 +122,7 @@ def test_exhaustive_breaks_ties_towards_positive_labels():
     res = exhaustive_infer(graph, weights, x)
     assert res.labels.tolist() == [1, 1, 1]
     assert res.objective == 3.0
-    # no node can reach margin 1, so the zero-loss pass prunes both labels
+    # no node can reach margin 1, so the zero-loss pass prunes both values
     # of label 0 and every assignment is enumerated
     assert res.states_visited == 2 + 8
     assert res.status == STATUS_OPTIMAL
