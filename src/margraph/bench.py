@@ -22,7 +22,7 @@ from .data import Dataset
 from .errors import DataError
 from .graphs import DIRECTED, GraphSpec
 from .inference import STATUS_OPTIMAL, BBConfig, bb_infer
-from .model import WeightVector, batch_scorer
+from .model import WeightVector, _check_seed, batch_scorer
 from .synth import SynthConfig, planted_model, sample_sbn
 from .training import TrainConfig, mean_joint_loss, train_lmsbn
 
@@ -151,6 +151,7 @@ def run_k_sweep(
     the static bound alone (``cost_to_go=False``): exact cost-to-go tables
     would make the random model cheap too and hide the contrast.
     """
+    _check_seed(seed)
     records = []
     for K in k_list:
         graph, planted = planted_model(

@@ -96,6 +96,13 @@ def _check_regularization(lam: float, eta0: float) -> None:
         raise DataError(f"regularizer boost must be non-negative and finite, got {eta0}")
 
 
+def _check_seed(seed) -> None:
+    """Refuse a negative seed, alone or in a tuple, before NumPy's generators
+    would raise on it."""
+    if any(part < 0 for part in (seed if isinstance(seed, tuple) else (seed,))):
+        raise DataError(f"seed must be non-negative, got {seed!r}")
+
+
 @dataclass(frozen=True)
 class WeightVector:
     """One weight per clique plus the regularization constants used to fit it."""

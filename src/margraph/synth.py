@@ -27,6 +27,7 @@ from .model import (
     TABLE_MAX_OUTPUTS,
     WeightVector,
     _check_enum_size,
+    _check_seed,
     _ParityEnergy,
     batch_scorer,
     signs_of_indices,
@@ -49,6 +50,7 @@ class SynthConfig:
     def __post_init__(self) -> None:
         if self.n_instances < 1:
             raise DataError(f"need at least one instance, got {self.n_instances}")
+        _check_seed(self.seed)
         if len(self.weights) != self.graph.n_cliques:
             raise DataError(
                 f"{len(self.weights)} weights for {self.graph.n_cliques} cliques"
@@ -135,6 +137,7 @@ def planted_model(
     """
     if topology not in GRAPH_BUILDERS:
         raise DataError(f"unknown topology {topology!r}")
+    _check_seed(seed)
     for name, scale in (("bias", bias_scale), ("input", input_scale), ("edge", edge_scale)):
         if not (0 <= scale < math.inf):
             raise DataError(f"{name} scale must be finite and non-negative, got {scale}")

@@ -21,12 +21,18 @@ kernel: pick a constraint, compute the projected gradient, and move its dual
 variable to the exact 1-d optimum clipped to [0, C].  The kernel shrinks its
 active set (Hsieh et al., ICML 2008): constraints pinned at 0 or C with a
 gradient outside the previous epoch's band are skipped until the band closes,
-and convergence is only certified on the full set.  A solve whose constraint
-groups are all narrow (at most ``_NARROW_WIDTH`` columns, like a directed
-chain's nodes) steps on Python lists of floats; wider ones step on NumPy rows.
-The weights are updated incrementally at each step and refreshed from alpha
-through the stationarity identity only on epochs that can certify or stop:
-those that meet no projected gradient above the tolerance, and the last.
+and convergence is only certified on the full set.  A step takes one of three
+forms, chosen once per solve.  A solve whose constraint groups are all narrow
+(at most ``_NARROW_WIDTH`` columns, like a directed chain's nodes) steps on
+Python lists of floats, and a wider one on NumPy rows; both update the weights
+incrementally at each step and refresh them from alpha through the
+stationarity identity only on epochs that can certify or stop: those that
+meet no projected gradient above the tolerance, and the last.  A wide solve
+of one constraint group (every directed node solve wider than the cut-off)
+whose Gram matrix Q = F F^T / eta holds at most ``_GRAM_ENTRIES`` entries
+steps in the dual instead: a step's gradient is one dot of a row of Q with
+alpha, (Q alpha)_t - 1, and a move writes alpha alone, so no weights are kept
+between certificates.
 
 A solve starts from zero duals, or from given ones (``start=``, a
 ``DualState``) and the weights they imply.  Any duals in [0, C] are
@@ -46,7 +52,7 @@ import numpy as np
 from .data import Dataset
 from .errors import DataError, GraphError
 from .graphs import DIRECTED, UNDIRECTED, GraphSpec
-from .model import WeightVector, _check_regularization, batch_scorer
+from .model import WeightVector, _check_regularization, _check_seed, batch_scorer
 
 __all__ = [
     "TrainConfig",
@@ -76,6 +82,7 @@ class TrainConfig:
 
     def __post_init__(self) -> None:
         _check_regularization(self.lam, self.eta0)
+        _check_seed(self.shuffle_seed)
         if self.max_epochs < 1:
             raise DataError(f"need at least one epoch, got {self.max_epochs}")
         if not (0 < self.tolerance < math.inf):
@@ -164,6 +171,15 @@ def _features(graph: GraphSpec, dataset: Dataset, cliques) -> np.ndarray:
 _NARROW_WIDTH = 12
 
 
+# Largest Gram matrix, in entries (16 MiB of float64, N <= 1448 rows), that a
+# wide single-group solve builds to step in the dual.  A moving step there is
+# one dot of an N-wide row of Q, where a row step is a dot and a weight update
+# on a D-wide row: the six node solves of a D = 294 probe took 0.54, 0.60 and
+# 0.51 of the row form's CPU time at N = 200, 600 and 1211 (Q of 0.3, 2.9 and
+# 11.7 MB), with BLAS on one thread.
+_GRAM_ENTRIES = 1 << 21
+
+
 # Projected gradients within this of 0 are roundoff, as at a free variable
 # already at its optimum, and leave a shrink threshold off as an exact 0 does:
 # otherwise shrinking would turn on or off with the last bit of a dot product,
@@ -220,19 +236,30 @@ def _solve_dual(blocks, eta, box, rng, max_epochs, tol, node, start):
 
     ``blocks`` are the constraint groups from ``_blocks``; ``eta`` has one
     entry per weight.  The solve starts from the duals ``start`` (G, N), each
-    in [0, box], and from the weights they imply (``_stationary_weights``);
-    a cold start is all zeros, whose weights are exactly zero.
+    in [0, box]; a cold start is all zeros.
 
     Each step moves one alpha to the exact optimum of the dual restricted to
-    that coordinate and adds the change times the row's 1/eta-scaled copy to
-    w; the dual objective never decreases.  An epoch visits every *active*
-    constraint once in a fresh random order.  When every group is at most
-    ``_NARROW_WIDTH`` columns wide, rows, update rows, columns and w are
-    Python lists and a step is two plain loops of float arithmetic, which
-    beats NumPy's per-call overhead on short rows; wider solves step on NumPy
-    rows.  A wide group spanning all of w, like a directed node's only group,
-    reads and updates w itself; any other indexes it through its column
-    array.
+    that coordinate; the dual objective never decreases.  An epoch visits
+    every *active* constraint once in a fresh random order.  The gradient of
+    coordinate t is (Q alpha)_t - 1 with Q = F F^T / eta, and a step reads it
+    in one of three forms, chosen once per solve:
+
+    - narrow, when every group is at most ``_NARROW_WIDTH`` columns wide:
+      rows, update rows, columns and w are Python lists, the gradient is
+      f_t . w and a move adds the change times the row's 1/eta-scaled copy
+      to w, each a plain loop of float arithmetic, which beats NumPy's
+      per-call overhead on short rows;
+    - rows, for any other solve: the same on NumPy rows.  A group spanning
+      all of w reads and updates w itself; any other indexes it through its
+      column array;
+    - dual, for a wide solve of one group (a directed node's) whose Q holds
+      at most ``_GRAM_ENTRIES`` entries: Q is built once, from the block as
+      it is, the gradient is one dot of row t of Q with alpha as a NumPy
+      vector, and a move writes alpha[t] alone.
+
+    The row forms start from the weights the start implies
+    (``_stationary_weights``; zero for a cold start) and carry them between
+    certificates; the dual form keeps no weights.
 
     Shrinking (Hsieh et al., ICML 2008, as in LIBLINEAR): a constraint is
     dropped from the active set when its alpha sits at 0 with a gradient
@@ -244,13 +271,13 @@ def _solve_dual(blocks, eta, box, rng, max_epochs, tol, node, start):
     is at most tol, every constraint is restored and the thresholds reset.
 
     Only an epoch that can certify or stop, one that met no projected
-    gradient beyond tol or the last one, refreshes w from alpha through the
-    stationarity identity (shedding update drift) and takes the certificate
-    there from ``_box_objectives``: the duality gap and the largest projected
-    gradient over all of alpha.  Other epochs carry the incrementally updated
-    w into the next.  The solve terminates when an epoch that started on the
-    full set meets no projected gradient beyond tol and both halves of the
-    certificate are at most tol.
+    gradient beyond tol or the last one, takes the certificate from
+    ``_box_objectives`` at the weights alpha implies: the duality gap and the
+    largest projected gradient over all of alpha.  The row forms continue
+    from those weights (shedding update drift); other epochs carry the
+    incrementally updated w into the next.  The solve terminates when an
+    epoch that started on the full set meets no projected gradient beyond
+    tol and both halves of the certificate are at most tol.
 
     Returns (w, alpha, SolveReport) with the report filed under ``node``; the
     report's gap and max_projected_gradient are the last certificate's.
@@ -267,26 +294,32 @@ def _solve_dual(blocks, eta, box, rng, max_epochs, tol, node, start):
     curvature = [
         q for g in range(G) for q in np.einsum("ij,ij->i", Fg[g], Fg_over_eta[g]).tolist()
     ]
+    # zeros share one float object, as in a list built as [0.0] * n: distinct
+    # zero objects would cost memory and cache misses on every visit.  Steps
+    # read alpha from this list; the dual form's dots read a NumPy copy.
+    alpha = [a or 0.0 for a in start.ravel().tolist()]
     # Per constraint t: its feature row, its update row and the columns of w
     # they touch, for this solve only.  A narrow solve holds them and w as
-    # Python lists of floats, a wide one as NumPy row views and an index
-    # into a NumPy w.
+    # Python lists of floats, a row solve as NumPy row views and an index
+    # into a NumPy w; a dual solve holds only the rows of Q.
     narrow = max(len(cols) for cols, _ in blocks) <= _NARROW_WIDTH
-    w = _stationary_weights(blocks, eta, start)
-    if narrow:
-        rows = [r for b in Fg for r in b.tolist()]
-        updates = [r for b in Fg_over_eta for r in b.tolist()]
-        group_cols = [cols.tolist() for cols, _ in blocks]
-        w = w.tolist()
+    gram = not narrow and G == 1 and N * N <= _GRAM_ENTRIES
+    if gram:
+        rows = list(Fg[0] @ Fg_over_eta[0].T)
+        alpha_vec = np.array(alpha)
     else:
-        rows = [r for b in Fg for r in b]
-        updates = [r for b in Fg_over_eta for r in b]
-        # None marks a group spanning all of w, which steps read and update whole
-        group_cols = [None if np.array_equal(cols, np.arange(n_w)) else cols for cols, _ in blocks]
-    row_cols = [c for c in group_cols for _ in range(N)]
-    # zeros share one float object, as in a list built as [0.0] * n: distinct
-    # zero objects would cost memory and cache misses on every visit
-    alpha = [a or 0.0 for a in start.ravel().tolist()]
+        w = _stationary_weights(blocks, eta, start)
+        if narrow:
+            rows = [r for b in Fg for r in b.tolist()]
+            updates = [r for b in Fg_over_eta for r in b.tolist()]
+            group_cols = [cols.tolist() for cols, _ in blocks]
+            w = w.tolist()
+        else:
+            rows = [r for b in Fg for r in b]
+            updates = [r for b in Fg_over_eta for r in b]
+            # None marks a group spanning all of w, which steps read and update whole
+            group_cols = [None if np.array_equal(cols, np.arange(n_w)) else cols for cols, _ in blocks]
+        row_cols = [c for c in group_cols for _ in range(N)]
     full_set = np.arange(G * N)
     active = full_set
     shrink_hi, shrink_lo = np.inf, -np.inf
@@ -301,13 +334,16 @@ def _solve_dual(blocks, eta, box, rng, max_epochs, tol, node, start):
         keep = kept.append
         pg_hi = pg_lo = 0.0
         for t in perm:
-            cols = row_cols[t]
-            if narrow:
+            if gram:
+                grad = float(dot(rows[t], alpha_vec)) - 1.0
+            elif narrow:
+                cols = row_cols[t]
                 grad = 0.0
                 for f, j in zip(rows[t], cols):
                     grad += f * w[j]
                 grad -= 1.0
             else:
+                cols = row_cols[t]
                 grad = float(dot(rows[t], w if cols is None else w[cols])) - 1.0
             a = alpha[t]
             if a <= 0.0:
@@ -337,7 +373,9 @@ def _solve_dual(blocks, eta, box, rng, max_epochs, tol, node, start):
                     na = box if grad < 0.0 else 0.0
                 if na != a:
                     step = na - a
-                    if narrow:
+                    if gram:
+                        alpha_vec[t] = na
+                    elif narrow:
                         for u, j in zip(updates[t], cols):
                             w[j] += step * u
                     elif cols is None:
@@ -360,7 +398,8 @@ def _solve_dual(blocks, eta, box, rng, max_epochs, tol, node, start):
                 break
             active = full_set
             shrink_hi, shrink_lo = np.inf, -np.inf
-        w = w_refreshed.tolist() if narrow else w_refreshed
+        if not gram:
+            w = w_refreshed.tolist() if narrow else w_refreshed
     return w_refreshed, alpha_gn, SolveReport(node, epoch, gap, pg_all, converged, steps, gap / primal)
 
 

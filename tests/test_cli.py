@@ -341,6 +341,20 @@ def test_non_finite_regularization_fails_with_one_line(workdir, capsys, model, o
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["train", "--model", "lmsbn", "--data", "{data}", "--out", "{out}"],
+    ["synth", "--kind", "sbn", "--k", "3", "--n", "5", "--out", "{out}"],
+    ["bench", "--k-list", "3", "--n-train", "5", "--n-test", "2"],
+])
+def test_a_negative_seed_fails_with_one_line(workdir, tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    argv = [a.format(data=workdir / "data.sv", out=out) for a in argv]
+    assert main([*argv, "--seed", "-1"]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == ["margraph: error: seed must be non-negative, got -1"]
+    assert not out.exists()
+
+
 def test_missing_input_file_fails_cleanly(tmp_path, capsys):
     code = main([
         "train", "--model", "lmsbn", "--data", str(tmp_path / "nope.sv"),

@@ -72,6 +72,8 @@ def test_train_config_validation():
                          ("tolerance", np.inf), ("tolerance", np.nan)):
         with pytest.raises(DataError, match="finite"):
             TrainConfig(**{field: value})
+    with pytest.raises(DataError, match="seed must be non-negative, got -1"):
+        TrainConfig(shuffle_seed=-1)
 
 
 @pytest.mark.parametrize("train", [mg.train_lmsbn, mg.train_lmbm])
@@ -248,24 +250,86 @@ def test_dual_rises_and_gap_stays_non_negative_at_every_epoch_cap(kind, n_inputs
     seed=st.integers(0, 2**16),
 )
 def test_narrow_and_wide_steps_agree(directed, topology, K, D, N, lam, eta0, max_epochs, seed):
-    # the same problem with every group forced onto NumPy rows (cut-off 0)
-    # and onto Python floats (a cut-off above any width)
+    # the same problem with every group forced onto NumPy rows (cut-off 0, no
+    # Gram matrix) and onto Python floats (a cut-off above any width)
     rng = np.random.default_rng(seed)
     kind = mg.DIRECTED if directed else mg.UNDIRECTED
     graph = coupled_graph(rng, topology, K, D, kind)
     dataset = random_dataset(rng, N, K, D)
     config = TrainConfig(lam=lam, eta0=eta0, max_epochs=max_epochs, shuffle_seed=seed)
     train = mg.train_lmsbn if directed else mg.train_lmbm
+    wide, narrow = _train_in_forms(train, dataset, graph, config, None, [_FORMS["rows"], _FORMS["narrow"]])
+    _assert_same_solves(wide, narrow)
+
+
+# (_NARROW_WIDTH, _GRAM_ENTRIES) that force each step form of the solver on
+# any problem: Python floats, NumPy rows, and the dual form on a Gram matrix
+# (which takes only single-group solves; a joint solve of several groups
+# still steps on rows)
+_FORMS = {"narrow": (1 << 30, 0), "rows": (0, 0), "gram": (0, 1 << 30)}
+
+
+def _train_in_forms(train, dataset, graph, config, start, forms):
     results = []
-    for cut_off in (0, 1 << 30):
+    for narrow_width, gram_entries in forms:
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(training, "_NARROW_WIDTH", cut_off)
-            results.append(train(dataset, graph, config))
-    wide, narrow = results
-    assert [(r.steps, r.epochs, r.converged) for r in wide.reports] == [
-        (r.steps, r.epochs, r.converged) for r in narrow.reports
+            mp.setattr(training, "_NARROW_WIDTH", narrow_width)
+            mp.setattr(training, "_GRAM_ENTRIES", gram_entries)
+            results.append(train(dataset, graph, config, start=start))
+    return results
+
+
+def _assert_same_solves(a, b):
+    assert [(r.steps, r.epochs, r.converged) for r in a.reports] == [
+        (r.steps, r.epochs, r.converged) for r in b.reports
     ]
-    assert np.abs(wide.weights.values - narrow.weights.values).max() <= 1e-12
+    assert np.abs(a.weights.values - b.weights.values).max() <= 1e-12
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    topology=st.sampled_from(["chain", "full"]),
+    K=st.integers(1, 4),
+    D=st.integers(13, 20),
+    N=st.integers(2, 40),
+    lam=st.floats(0.02, 1.0),
+    max_epochs=st.integers(1, 300),
+    warm=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_the_three_step_forms_agree(topology, K, D, N, lam, max_epochs, warm, seed):
+    # directed node solves wider than the narrow cut-off, from zero duals or
+    # from the fscore probe's, each forced through every step form
+    rng = np.random.default_rng(seed)
+    graph = coupled_graph(rng, topology, K, D, mg.DIRECTED)
+    dataset = random_dataset(rng, N, K, D)
+    config = TrainConfig(lam=lam, max_epochs=max_epochs, shuffle_seed=seed)
+    start = mg.make_order_strategy("fscore", dataset, config).probe.state if warm else None
+    narrow, rows, gram = _train_in_forms(mg.train_lmsbn, dataset, graph, config, start, _FORMS.values())
+    _assert_same_solves(rows, narrow)
+    _assert_same_solves(gram, narrow)
+
+
+def test_a_gram_matrix_over_the_limit_steps_on_rows():
+    # node solves of 20 rows at the default cut-off are wide (15 to 17
+    # columns); with the limit one entry below 20 * 20 each steps on rows,
+    # bit for bit, and at 20 * 20 in the dual form
+    rng = np.random.default_rng(23)
+    graph = mg.build_full_graph(3, 14, mg.DIRECTED)
+    dataset = random_dataset(rng, 20, 3, 14)
+    config = TrainConfig(lam=0.05, shuffle_seed=4)
+    width = training._NARROW_WIDTH
+    over, rows, at, gram = _train_in_forms(
+        mg.train_lmsbn, dataset, graph, config, None,
+        [(width, 20 * 20 - 1), _FORMS["rows"], (width, 20 * 20), _FORMS["gram"]],
+    )
+    for a, b in ((over, rows), (at, gram)):
+        assert a.reports == b.reports
+        assert np.array_equal(a.state.alpha, b.state.alpha)
+        assert np.array_equal(a.weights.values, b.weights.values)
+    _assert_same_solves(rows, gram)
+    # the two forms round differently, so the pairs above tell them apart
+    assert not np.array_equal(rows.state.alpha, gram.state.alpha)
 
 
 @pytest.mark.parametrize("kind", [mg.DIRECTED, mg.UNDIRECTED])
