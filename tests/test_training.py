@@ -237,6 +237,30 @@ def test_dual_rises_and_gap_stays_non_negative_at_every_epoch_cap(kind, n_inputs
             previous = dual
 
 
+# (_NARROW_WIDTH, _GRAM_ENTRIES) that force each step form of the solver on
+# any problem: Python floats, NumPy rows, and the dual form on a Gram matrix
+# (which takes only single-group solves; a joint solve of several groups
+# still steps on rows)
+_FORMS = {"narrow": (1 << 30, 0), "rows": (0, 0), "gram": (0, 1 << 30)}
+
+
+def _train_in_forms(train, dataset, graph, config, start, forms):
+    results = []
+    for narrow_width, gram_entries in forms:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(training, "_NARROW_WIDTH", narrow_width)
+            mp.setattr(training, "_GRAM_ENTRIES", gram_entries)
+            results.append(train(dataset, graph, config, start=start))
+    return results
+
+
+def _assert_same_solves(a, b):
+    assert [(r.steps, r.epochs, r.converged) for r in a.reports] == [
+        (r.steps, r.epochs, r.converged) for r in b.reports
+    ]
+    assert np.abs(a.weights.values - b.weights.values).max() <= 1e-12
+
+
 @settings(derandomize=True, deadline=None, max_examples=100)
 @given(
     directed=st.booleans(),
@@ -260,30 +284,6 @@ def test_narrow_and_wide_steps_agree(directed, topology, K, D, N, lam, eta0, max
     train = mg.train_lmsbn if directed else mg.train_lmbm
     wide, narrow = _train_in_forms(train, dataset, graph, config, None, [_FORMS["rows"], _FORMS["narrow"]])
     _assert_same_solves(wide, narrow)
-
-
-# (_NARROW_WIDTH, _GRAM_ENTRIES) that force each step form of the solver on
-# any problem: Python floats, NumPy rows, and the dual form on a Gram matrix
-# (which takes only single-group solves; a joint solve of several groups
-# still steps on rows)
-_FORMS = {"narrow": (1 << 30, 0), "rows": (0, 0), "gram": (0, 1 << 30)}
-
-
-def _train_in_forms(train, dataset, graph, config, start, forms):
-    results = []
-    for narrow_width, gram_entries in forms:
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(training, "_NARROW_WIDTH", narrow_width)
-            mp.setattr(training, "_GRAM_ENTRIES", gram_entries)
-            results.append(train(dataset, graph, config, start=start))
-    return results
-
-
-def _assert_same_solves(a, b):
-    assert [(r.steps, r.epochs, r.converged) for r in a.reports] == [
-        (r.steps, r.epochs, r.converged) for r in b.reports
-    ]
-    assert np.abs(a.weights.values - b.weights.values).max() <= 1e-12
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
