@@ -49,7 +49,7 @@ from .model import (
     sbn_log_likelihood,
     surrogate_bound_check,
 )
-from .ordering import OrderStrategy, fscore_order, index_order, make_order_strategy
+from .ordering import OrderStrategy, make_order_strategy
 from .synth import SynthConfig, planted_model, sample_bm, sample_sbn
 from .training import (
     DualState,
@@ -114,8 +114,6 @@ __all__ = [
     "exhaustive_infer",
     "icm_infer",
     "OrderStrategy",
-    "index_order",
-    "fscore_order",
     "make_order_strategy",
     "MetricReport",
     "evaluate",

@@ -20,9 +20,9 @@ import numpy as np
 
 from .data import Dataset
 from .errors import DataError
-from .graphs import DIRECTED, GraphSpec
+from .graphs import DIRECTED, GraphSpec, _output_count
 from .inference import STATUS_OPTIMAL, BBConfig, bb_infer
-from .model import WeightVector, _check_seed, batch_scorer
+from .model import WeightVector, _check_int, _check_seed, batch_scorer
 from .synth import SynthConfig, planted_model, sample_sbn
 from .training import TrainConfig, mean_joint_loss, train_lmsbn
 
@@ -152,6 +152,9 @@ def run_k_sweep(
     would make the random model cheap too and hide the contrast.
     """
     _check_seed(seed)
+    _check_int(n_train, "n_train")
+    _check_int(n_test, "n_test")
+    k_list = [_output_count(K) for K in k_list]  # K seeds its draws: check all, then train
     records = []
     for K in k_list:
         graph, planted = planted_model(

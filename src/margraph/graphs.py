@@ -69,6 +69,14 @@ def _index(value, what: str) -> int:
     return int(value)
 
 
+def _output_count(value) -> int:
+    """value as a label count, or a GraphError naming it."""
+    n_outputs = _index(value, "output count")
+    if n_outputs < 1:
+        raise GraphError(f"need at least one output, got {n_outputs}")
+    return n_outputs
+
+
 def _indices(values, what: str) -> np.ndarray:
     """A list of indices as an intp array, or as an object array when some
     do not fit one (such an index is out of range for any graph); a value
@@ -258,9 +266,7 @@ class GraphSpec:
 
     def __post_init__(self) -> None:
         cliques = self.cliques if isinstance(self.cliques, Cliques) else _cliques_of(self.cliques)
-        n_outputs = _index(self.n_outputs, "output count")
-        if n_outputs < 1:
-            raise GraphError(f"need at least one output, got {n_outputs}")
+        n_outputs = _output_count(self.n_outputs)
         n_inputs = _index(self.n_inputs, "input dimension")
         if n_inputs < 0:
             raise GraphError(f"negative input dimension: {n_inputs}")

@@ -94,6 +94,7 @@ from .model import (
     NodeScorer,
     WeightVector,
     _check_enum_size,
+    _check_int,
     compile_scorer,
     signs_from_index,
 )
@@ -132,8 +133,10 @@ class BBConfig:
     def __post_init__(self) -> None:
         if not (self.cutoff >= 1.0):
             raise DataError(f"cutoff must be at least 1, got {self.cutoff}")
-        if self.max_states is not None and self.max_states < 1:
-            raise DataError(f"state budget must be positive, got {self.max_states}")
+        if self.max_states is not None:
+            _check_int(self.max_states, "max_states")
+            if self.max_states < 1:
+                raise DataError(f"state budget must be positive, got {self.max_states}")
 
 
 @dataclass(frozen=True)
@@ -494,6 +497,7 @@ def icm_infer(
     losses from 0.0 in graph order, so every candidate's loss has the same
     bits as ``total_loss_column`` on the flipped assignment.
     """
+    _check_int(max_sweeps, "max_sweeps")
     if max_sweeps < 1:
         raise DataError(f"need at least one sweep, got {max_sweeps}")
     y = np.array(y0, dtype=np.int8).copy()

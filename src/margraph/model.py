@@ -96,11 +96,19 @@ def _check_regularization(lam: float, eta0: float) -> None:
         raise DataError(f"regularizer boost must be non-negative and finite, got {eta0}")
 
 
+def _check_int(value, what: str) -> None:
+    """Refuse what is not an int, a bool or a NumPy integer, naming it, before
+    range() or NumPy's generators raise a bare TypeError (on a NumPy bool too)."""
+    if not isinstance(value, (int, np.integer)):
+        raise DataError(f"{what} must be an integer, got {value!r}")
+
+
 def _check_seed(seed) -> None:
-    """Refuse a negative seed, alone or in a tuple, before NumPy's generators
-    would raise on it."""
-    if any(part < 0 for part in (seed if isinstance(seed, tuple) else (seed,))):
-        raise DataError(f"seed must be non-negative, got {seed!r}")
+    """Refuse a seed, alone or in a tuple, that is not a non-negative integer."""
+    for part in seed if isinstance(seed, tuple) else (seed,):
+        _check_int(part, "seed")
+        if part < 0:
+            raise DataError(f"seed must be non-negative, got {seed!r}")
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,11 @@
 """Label-order strategies for directed graphs.
 
 Either keep the natural index order, or sort labels by the training-set
-F-score of an independent per-label classifier so that easier labels come
-first (and are conditioned on by the harder ones).  The fscore strategy
-keeps that probe's training result: its terminal duals are a feasible start
-for every directed node's full problem over the same data and lambda.
+F-score of an independent per-label classifier (score 0 predicts +1; ties
+by ascending index) so that easier labels come first (and are conditioned
+on by the harder ones).  The fscore strategy keeps that probe's training
+result: its terminal duals are a feasible start for every directed node's
+full problem over the same data and lambda.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .metrics import per_label_f_scores
 from .model import batch_scorer
 from .training import TrainConfig, TrainResult, train_lmsbn
 
-__all__ = ["OrderStrategy", "index_order", "fscore_order", "make_order_strategy"]
+__all__ = ["OrderStrategy", "make_order_strategy"]
 
 
 @dataclass(frozen=True)
@@ -32,46 +33,22 @@ class OrderStrategy:
     from); it takes no part in comparisons.
     """
 
-    kind: str
     order: tuple[int, ...]
     per_label_fscores: tuple[float, ...] | None = None
     probe: TrainResult | None = field(default=None, compare=False, repr=False)
 
 
-def index_order(n_outputs: int) -> tuple[int, ...]:
-    """Identity permutation."""
-    if n_outputs < 1:
-        raise DataError(f"need at least one output, got {n_outputs}")
-    return tuple(range(n_outputs))
-
-
-def probe_label_fscores(dataset: Dataset, config: TrainConfig | None = None) -> np.ndarray:
-    """Training-set F-score of an independent linear classifier per label."""
-    return _probe(dataset, config)[0]
-
-
-def _probe(dataset: Dataset, config: TrainConfig | None) -> tuple[np.ndarray, TrainResult]:
-    """The per-label probe F-scores and the probe's training result."""
-    graph = build_independent_graph(dataset.n_outputs, dataset.n_inputs, DIRECTED)
-    result = train_lmsbn(dataset, graph, config or TrainConfig())
-    scores = dataset.Y * batch_scorer(graph, result.weights, dataset.X).margin_block(dataset.Y)
-    preds = np.where(scores >= 0.0, 1, -1)  # score 0 predicts +1
-    return per_label_f_scores(dataset.Y, preds), result
-
-
-def fscore_order(dataset: Dataset, config: TrainConfig | None = None) -> tuple[int, ...]:
-    """Labels sorted by descending probe F-score; ties by ascending index."""
-    return make_order_strategy("fscore", dataset, config).order
-
-
 def make_order_strategy(
     kind: str, dataset: Dataset, config: TrainConfig | None = None
 ) -> OrderStrategy:
+    """The ``"index"`` or the ``"fscore"`` order of the dataset's labels."""
     if kind == "index":
-        return OrderStrategy(kind="index", order=index_order(dataset.n_outputs))
-    if kind == "fscore":
-        scores, probe = _probe(dataset, config)
-        order = tuple(sorted(range(dataset.n_outputs), key=lambda i: (-scores[i], i)))
-        fscores = tuple(float(s) for s in scores)
-        return OrderStrategy(kind="fscore", order=order, per_label_fscores=fscores, probe=probe)
-    raise DataError(f"unknown order strategy {kind!r}")
+        return OrderStrategy(order=tuple(range(dataset.n_outputs)))
+    if kind != "fscore":
+        raise DataError(f"unknown order strategy {kind!r}")
+    graph = build_independent_graph(dataset.n_outputs, dataset.n_inputs, DIRECTED)
+    probe = train_lmsbn(dataset, graph, config or TrainConfig())
+    scores = dataset.Y * batch_scorer(graph, probe.weights, dataset.X).margin_block(dataset.Y)
+    fscores = per_label_f_scores(dataset.Y, np.where(scores >= 0.0, 1, -1))
+    order = tuple(sorted(range(dataset.n_outputs), key=lambda i: (-fscores[i], i)))
+    return OrderStrategy(order, tuple(float(s) for s in fscores), probe)

@@ -27,6 +27,7 @@ from .model import (
     TABLE_MAX_OUTPUTS,
     WeightVector,
     _check_enum_size,
+    _check_int,
     _check_seed,
     _ParityEnergy,
     batch_scorer,
@@ -48,6 +49,7 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        _check_int(self.n_instances, "n_instances")
         if self.n_instances < 1:
             raise DataError(f"need at least one instance, got {self.n_instances}")
         _check_seed(self.seed)

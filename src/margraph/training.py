@@ -52,7 +52,7 @@ import numpy as np
 from .data import Dataset
 from .errors import DataError, GraphError
 from .graphs import DIRECTED, UNDIRECTED, GraphSpec
-from .model import WeightVector, _check_regularization, _check_seed, batch_scorer
+from .model import WeightVector, _check_int, _check_regularization, _check_seed, batch_scorer
 
 __all__ = [
     "TrainConfig",
@@ -83,6 +83,7 @@ class TrainConfig:
     def __post_init__(self) -> None:
         _check_regularization(self.lam, self.eta0)
         _check_seed(self.shuffle_seed)
+        _check_int(self.max_epochs, "max_epochs")
         if self.max_epochs < 1:
             raise DataError(f"need at least one epoch, got {self.max_epochs}")
         if not (0 < self.tolerance < math.inf):

@@ -252,6 +252,15 @@ def test_bench_size_sweep_writes_csv(workdir, capsys):
     assert [row.split(",")[-1] for row in lines[1:]] == ["8", "16"]
 
 
+@pytest.mark.parametrize("k_list", ["-1", "3,-1", "3,0"])
+def test_bench_size_sweep_checks_every_k_before_training(capsys, monkeypatch, k_list):
+    # K goes into the planted model's seed tuple, so it is checked as a size first
+    monkeypatch.setattr("margraph.bench.train_lmsbn", None)  # nothing may train
+    assert main(["bench", "--k-list", k_list, "--n-train", "5", "--n-test", "2"]) == 1
+    bad = k_list.split(",")[-1]
+    assert capsys.readouterr() == ("", f"margraph: error: need at least one output, got {bad}\n")
+
+
 def test_synth_is_deterministic(tmp_path):
     for name in ("one.sv", "two.sv"):
         assert main([

@@ -133,6 +133,8 @@ def test_bb_config_validation():
         BBConfig(cutoff=0.5)
     with pytest.raises(DataError):
         BBConfig(max_states=0)
+    with pytest.raises(DataError, match=r"max_states must be an integer, got 2\.5$"):
+        BBConfig(max_states=2.5)
 
 
 def test_bb_rejects_undirected_graphs():
@@ -238,6 +240,10 @@ def test_icm_input_validation():
         icm_infer(graph, weights, x, np.array([1], dtype=np.int8))
     with pytest.raises(DataError):
         icm_infer(graph, weights, x, np.array([1, 1], dtype=np.int8), max_sweeps=0)
+    with pytest.raises(DataError, match=r"max_sweeps must be an integer, got 2\.5$"):
+        icm_infer(graph, weights, x, np.array([1, 1], dtype=np.int8), max_sweeps=2.5)
+    res = icm_infer(graph, weights, x, np.array([1, 1], dtype=np.int8), max_sweeps=np.int64(1))
+    assert res.labels.tolist() == [1, 1]
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)

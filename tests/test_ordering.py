@@ -6,12 +6,7 @@ import pytest
 import margraph as mg
 from margraph import Dataset
 from margraph.errors import DataError
-from margraph.ordering import (
-    fscore_order,
-    index_order,
-    make_order_strategy,
-    probe_label_fscores,
-)
+from margraph.ordering import make_order_strategy
 
 from _helpers import random_dataset
 
@@ -29,49 +24,56 @@ def dataset_with_positive_counts(counts, n_instances=132):
     return Dataset(np.zeros((n_instances, 0)), Y)
 
 
-def test_index_order_is_identity():
-    assert index_order(3) == (0, 1, 2)
-    assert index_order(1) == (0,)
-    with pytest.raises(DataError):
-        index_order(0)
+def test_index_strategy_is_the_identity():
+    for counts in ([88, 108, 99], [88]):
+        strategy = make_order_strategy("index", dataset_with_positive_counts(counts))
+        assert strategy.order == tuple(range(len(counts)))
+        assert strategy.per_label_fscores is None and strategy.probe is None
 
 
 def test_probe_fscores_hit_exact_closed_forms():
     # positive fractions 2/3, 9/11, 3/4 of 132 give F = 0.8, 0.9, 6/7
     dataset = dataset_with_positive_counts([88, 108, 99])
-    scores = probe_label_fscores(dataset)
-    assert scores.tolist() == [0.8, 0.9, 6 / 7]
+    assert make_order_strategy("fscore", dataset).per_label_fscores == (0.8, 0.9, 6 / 7)
 
 
-def test_fscore_order_sorts_descending():
+def test_fscore_strategy_sorts_descending():
     dataset = dataset_with_positive_counts([88, 108, 99])
-    assert fscore_order(dataset) == (1, 2, 0)
+    assert make_order_strategy("fscore", dataset).order == (1, 2, 0)
 
 
-def test_fscore_order_breaks_ties_by_label_index():
-    assert fscore_order(dataset_with_positive_counts([88, 88, 88])) == (0, 1, 2)
-    assert fscore_order(dataset_with_positive_counts([108, 88, 108])) == (0, 2, 1)
+def test_fscore_strategy_breaks_ties_by_label_index():
+    for counts, order in (([88, 88, 88], (0, 1, 2)), ([108, 88, 108], (0, 2, 1))):
+        assert make_order_strategy("fscore", dataset_with_positive_counts(counts)).order == order
 
 
-def test_make_order_strategy_variants():
+def test_the_probe_rides_along_outside_comparisons():
     dataset = dataset_with_positive_counts([88, 108, 99])
-    idx = make_order_strategy("index", dataset)
-    assert idx.kind == "index" and idx.order == (0, 1, 2)
-    assert idx.per_label_fscores is None
-    fs = make_order_strategy("fscore", dataset)
-    assert fs.kind == "fscore" and fs.order == (1, 2, 0)
-    assert fs.per_label_fscores == (0.8, 0.9, 6 / 7)
-    # the probe's run rides along, outside comparisons
-    assert idx.probe is None and [r.node for r in fs.probe.reports] == [0, 1, 2]
-    assert fs == mg.OrderStrategy("fscore", (1, 2, 0), (0.8, 0.9, 6 / 7))
-    with pytest.raises(DataError):
-        make_order_strategy("alphabetical", dataset)
+    strategy = make_order_strategy("fscore", dataset)
+    assert [r.node for r in strategy.probe.reports] == [0, 1, 2]
+    assert strategy == mg.OrderStrategy((1, 2, 0), (0.8, 0.9, 6 / 7))
 
 
-def test_fscore_order_is_a_deterministic_permutation():
+def test_fscores_are_those_of_the_returned_probe():
+    rng = np.random.default_rng(5)
+    dataset = random_dataset(rng, 60, 4, 3)
+    strategy = make_order_strategy("fscore", dataset, mg.TrainConfig(lam=0.05))
+    graph = strategy.probe.state.graph
+    assert graph == mg.build_independent_graph(4, 3, mg.DIRECTED)
+    scores = dataset.Y * mg.batch_scorer(graph, strategy.probe.weights, dataset.X).margin_block(dataset.Y)
+    preds = np.where(scores >= 0.0, 1, -1)
+    assert strategy.per_label_fscores == tuple(mg.per_label_f_scores(dataset.Y, preds).tolist())
+
+
+def test_unknown_strategy_is_a_data_error():
+    with pytest.raises(DataError, match="unknown order strategy 'alphabetical'"):
+        make_order_strategy("alphabetical", dataset_with_positive_counts([88]))
+
+
+def test_fscore_strategy_is_a_deterministic_permutation():
     rng = np.random.default_rng(31)
     dataset = random_dataset(rng, 40, 5, 3)
-    first = fscore_order(dataset)
-    second = fscore_order(dataset)
+    first = make_order_strategy("fscore", dataset)
+    second = make_order_strategy("fscore", dataset)
     assert first == second
-    assert sorted(first) == [0, 1, 2, 3, 4]
+    assert sorted(first.order) == [0, 1, 2, 3, 4]

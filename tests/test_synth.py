@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import margraph as mg
 from margraph import model, synth
+from margraph.bench import run_k_sweep
 from margraph import Clique, GraphSpec, SynthConfig, WeightVector
 from margraph.errors import CapabilityError, DataError, GraphError
 from margraph.graphs import GRAPH_BUILDERS
@@ -162,6 +163,13 @@ def test_synth_validation_errors():
     (lambda: planted_model(3, 1, seed=-1), r"seed must be non-negative, got -1"),
     (lambda: planted_model(3, 1, seed=(5, 3, -1)), r"seed must be non-negative, got \(5, 3, -1\)"),
     (lambda: SynthConfig(*planted_model(3, 1), 5, seed=-2), "seed must be non-negative, got -2"),
+    (lambda: SynthConfig(*planted_model(3, 1), 2.5), r"n_instances must be an integer, got 2\.5$"),
+    (lambda: SynthConfig(*planted_model(3, 1), 5, seed=1.5), r"seed must be an integer, got 1\.5$"),
+    (lambda: planted_model(3, 1, seed=1.5), r"seed must be an integer, got 1\.5$"),
+    (lambda: planted_model(3, 1, seed=(5, 3.0, 1)), r"seed must be an integer, got 3\.0$"),
+    (lambda: run_k_sweep([3], seed=1.5), r"seed must be an integer, got 1\.5$"),
+    (lambda: run_k_sweep([3], n_train=2.5), r"n_train must be an integer, got 2\.5$"),
+    (lambda: run_k_sweep([3], n_test=2.5), r"n_test must be an integer, got 2\.5$"),
 ])
 def test_synth_config_checks_name_the_fault(make, message):
     with pytest.raises(DataError, match=message):

@@ -74,6 +74,17 @@ def test_train_config_validation():
             TrainConfig(**{field: value})
     with pytest.raises(DataError, match="seed must be non-negative, got -1"):
         TrainConfig(shuffle_seed=-1)
+    # a count or seed that is not an integer fails here, not later in range()
+    # or in NumPy's generator; a bool or a NumPy integer is one
+    with pytest.raises(DataError, match=r"max_epochs must be an integer, got 2\.5$"):
+        TrainConfig(max_epochs=2.5)
+    with pytest.raises(DataError, match=r"seed must be an integer, got 1\.5$"):
+        TrainConfig(shuffle_seed=1.5)
+    with pytest.raises(DataError, match=r"seed must be an integer, got np\.True_$"):
+        TrainConfig(shuffle_seed=np.True_)
+    config = TrainConfig(max_epochs=np.int64(2), shuffle_seed=True)
+    dataset = random_dataset(np.random.default_rng(1), 10, 2, 1)
+    assert mg.train_lmsbn(dataset, mg.build_independent_graph(2, 1), config).epochs <= 2
 
 
 @pytest.mark.parametrize("train", [mg.train_lmsbn, mg.train_lmbm])
