@@ -22,7 +22,7 @@ from .data import Dataset
 from .errors import DataError
 from .graphs import DIRECTED, GraphSpec, _output_count
 from .inference import STATUS_OPTIMAL, BBConfig, bb_infer
-from .model import WeightVector, _check_int, _check_seed, batch_scorer
+from .model import WeightVector, _check_int, _check_real, _check_regularization, _check_seed, batch_scorer
 from .synth import SynthConfig, planted_model, sample_sbn
 from .training import TrainConfig, mean_joint_loss, train_lmsbn
 
@@ -75,6 +75,7 @@ def branch_budget(n_outputs: int, cutoff: float) -> int:
     having at most ceil(cutoff)-1 of them: sum_{i<cutoff} C(K, i) paths of K
     nodes each.  A cutoff above K, infinity included, allows all K * 2^K.
     """
+    _check_real(cutoff, "cutoff")
     if not (cutoff >= 1):
         raise DataError(f"cutoff must be at least 1, got {cutoff}")
     top = n_outputs if cutoff > n_outputs else math.ceil(cutoff) - 1
@@ -154,6 +155,7 @@ def run_k_sweep(
     _check_seed(seed)
     _check_int(n_train, "n_train")
     _check_int(n_test, "n_test")
+    _check_regularization(lam, 0.0)
     k_list = [_output_count(K) for K in k_list]  # K seeds its draws: check all, then train
     records = []
     for K in k_list:

@@ -16,6 +16,10 @@ them.  Nothing else checks a clique: ``Clique`` is only the value of one
 clique, for writing a graph by hand or reading one back, and the model
 reader and the builders hand their lists straight to ``Cliques``.
 
+A graph routes its cliques to the node scores once, in ``GraphSpec.layout``,
+which holds each score term once: flat (clique, column) arrays, a node array
+for the single-output terms and per-node ``partners`` for the others.
+
 An index (a count, an order entry, a member or an input) is an ``int``
 (``bool`` included) or a NumPy integer or bool scalar.  Anything else, a
 float such as ``1.0`` among them, is a GraphError that names it, never
@@ -32,6 +36,7 @@ exhaustive oracle's depth-first pass over the labels in index order.
 
 from __future__ import annotations
 
+import numbers
 import operator
 from dataclasses import dataclass
 from functools import cached_property
@@ -201,17 +206,16 @@ def _cliques_of(values) -> Cliques:
 
 @dataclass(frozen=True)
 class ScoreLayout:
-    """Node i's score terms w_j * xa[column] * parity(partners), per graph.
+    """Node i's score terms w_j * xa[column] * parity(partners), each held
+    once, node by node and in clique order within a node.
 
     ``column`` indexes xa = [1 | x] (0 for no input, d + 1 for input d).
-    ``feeds[i]`` lists (clique, column, partners) in clique order;
-    the single-output ("unary") terms also come as three flat index arrays,
-    and ``coupled[i]`` holds node i's multi-output terms, whose cliques and
-    columns, node by node, are also two flat index arrays.
+    The single-output ("unary") terms are three flat arrays; the others'
+    cliques and columns are two flat arrays, and ``partners[i]`` holds the
+    partners of node i's ``len(partners[i])`` terms among them.
     """
 
-    feeds: tuple[tuple[tuple[int, int, tuple[int, ...]], ...], ...]
-    coupled: tuple[tuple[tuple[int, int, tuple[int, ...]], ...], ...]
+    partners: tuple[tuple[tuple[int, ...], ...], ...]
     unary_clique: np.ndarray
     unary_column: np.ndarray
     unary_node: np.ndarray
@@ -322,28 +326,27 @@ class GraphSpec:
         node = members[indptr[unary]]
         by_node = np.argsort(node, kind="stable")
         unary, node = unary[by_node], node[by_node]
-        singles = list(zip(unary.tolist(), column[unary].tolist(), repeat(())))
-        ends = np.cumsum(np.bincount(node, minlength=K)).tolist()
-        feeds = [singles[a:b] for a, b in zip([0] + ends, ends)]
         coupled: list[list] = [[] for _ in range(K)]
         position = {i: p for p, i in enumerate(self.order)}
         for j in np.flatnonzero(sizes > 1).tolist():
             outs = members[indptr[j] : indptr[j + 1]].tolist()
             fed = (max(outs, key=position.__getitem__),) if self.kind == DIRECTED else outs
             for i in fed:
-                coupled[i].append((j, int(column[j]), tuple(k for k in outs if k != i)))
-        for i, terms in enumerate(coupled):
-            if terms:
-                feeds[i] = sorted(feeds[i] + terms)  # clique order; a node's cliques differ
-        flat = np.array([t[:2] for f in coupled for t in f], dtype=np.intp).reshape(-1, 2).T.copy()
-        return ScoreLayout(
-            tuple(map(tuple, feeds)), tuple(map(tuple, coupled)), unary, column[unary], node, *flat
-        )
+                coupled[i].append((j, tuple(k for k in outs if k != i)))
+        clique = np.array([j for terms in coupled for j, _ in terms], dtype=np.intp)
+        partners = tuple(tuple(p for _, p in terms) for terms in coupled)
+        return ScoreLayout(partners, unary, column[unary], node, clique, column[clique])
 
     @cached_property
     def contributing(self) -> tuple[tuple[int, ...], ...]:
         """contributing[i] = indices of cliques that feed node i's score."""
-        return tuple(tuple(j for j, _, _ in f) for f in self.layout.feeds)
+        layout = self.layout
+        K = self.n_outputs
+        node = np.concatenate((layout.unary_node, np.repeat(np.arange(K), list(map(len, layout.partners)))))
+        clique = np.concatenate((layout.unary_clique, layout.coupled_clique))
+        clique = clique[np.lexsort((clique, node))].tolist()
+        ends = np.cumsum(np.bincount(node, minlength=K)).tolist()
+        return tuple(tuple(clique[a:b]) for a, b in zip([0] + ends, ends))
 
     @cached_property
     def frontiers(self) -> tuple[tuple[int, ...], ...]:
@@ -357,7 +360,7 @@ class GraphSpec:
         reads: set[int] = set()
         frontiers = [()] * (self.n_outputs + 1)
         for p in range(self.n_outputs - 1, -1, -1):
-            reads.update(k for _, _, partners in self.layout.feeds[self.order[p]] for k in partners)
+            reads.update(chain.from_iterable(self.layout.partners[self.order[p]]))
             frontiers[p] = tuple(sorted((k for k in reads if position[k] < p), key=position.__getitem__))
         return tuple(frontiers)
 
@@ -375,12 +378,12 @@ class GraphSpec:
         frontiers = self.frontiers
         if max(map(len, frontiers)) > _FRONTIER_MAX_WIDTH:
             return None
-        coupled = self.layout.coupled
-        first = np.cumsum([0] + [len(terms) for terms in coupled]).tolist()
+        partners = self.layout.partners
+        first = np.cumsum([0] + list(map(len, partners))).tolist()
         offset = np.cumsum([0] + [1 << len(f) for f in frontiers[:K]]).tolist()
         n_entries = offset[K]
         node = np.zeros(n_entries, dtype=np.intp)
-        slot = np.full((max(map(len, coupled)), n_entries), first[K], dtype=np.intp)
+        slot = np.full((max(map(len, partners)), n_entries), first[K], dtype=np.intp)
         sign = np.ones(slot.shape)
         step = [2 * n_entries] * (2 * n_entries)
         for p, i in enumerate(self.order):
@@ -388,9 +391,9 @@ class GraphSpec:
             for f in range(1 << len(frontiers[p])):
                 e = offset[p] + f
                 node[e] = i
-                for t, (_, _, partners) in enumerate(coupled[i]):
+                for t, others in enumerate(partners[i]):
                     slot[t, e] = first[i] + t
-                    if sum(f >> bit[k] & 1 for k in partners) & 1:
+                    if sum(f >> bit[k] & 1 for k in others) & 1:
                         sign[t, e] = -1.0
                 for b in (0, 1):
                     code = 0
@@ -405,14 +408,14 @@ class GraphSpec:
         sets the labels in index order.
 
         ``terms`` lists (i, t), node by node, for node i's t-th coupled term
-        (``layout.coupled``) whose last partner in index order is k: setting
-        label k fixes that term's parity.  ``nodes`` holds k and the nodes of
+        (partners ``layout.partners[i][t]``) whose last partner in index
+        order is k: setting label k fixes that term's parity.  ``nodes`` holds k and the nodes of
         those terms, ascending: the nodes whose margin bound setting label k
         can change.
         """
         closed: list[list[tuple[int, int]]] = [[] for _ in range(self.n_outputs)]
-        for i, terms in enumerate(self.layout.coupled):
-            for t, (_, _, partners) in enumerate(terms):
+        for i, terms in enumerate(self.layout.partners):
+            for t, partners in enumerate(terms):
                 closed[max(partners)].append((i, t))
         return tuple((tuple(c), tuple(sorted({k, *(i for i, _ in c)}))) for k, c in enumerate(closed))
 
@@ -423,8 +426,8 @@ class GraphSpec:
         extra ``eta0`` because they appear in several node scores; all other
         cliques get multiplier 1.
         """
-        if eta0 < 0:
-            raise GraphError(f"negative regularizer boost: {eta0}")
+        if not (isinstance(eta0, numbers.Real) and 0 <= eta0 < np.inf):
+            raise GraphError(f"regularizer boost must be non-negative and finite, got {eta0!r}")
         mult = np.ones(self.n_cliques, dtype=np.float64)
         if self.kind == UNDIRECTED:
             mult[np.diff(self.cliques.indptr) >= 2] = 1.0 + eta0

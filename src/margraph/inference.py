@@ -87,6 +87,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import as_sign_labels
 from .errors import DataError, GraphError
 from .graphs import DIRECTED, FrontierCodes, GraphSpec
 from .model import (
@@ -95,6 +96,7 @@ from .model import (
     WeightVector,
     _check_enum_size,
     _check_int,
+    _check_real,
     compile_scorer,
     signs_from_index,
 )
@@ -131,6 +133,7 @@ class BBConfig:
     cost_to_go: bool = True
 
     def __post_init__(self) -> None:
+        _check_real(self.cutoff, "cutoff")
         if not (self.cutoff >= 1.0):
             raise DataError(f"cutoff must be at least 1, got {self.cutoff}")
         if self.max_states is not None:
@@ -500,11 +503,9 @@ def icm_infer(
     _check_int(max_sweeps, "max_sweeps")
     if max_sweeps < 1:
         raise DataError(f"need at least one sweep, got {max_sweeps}")
-    y = np.array(y0, dtype=np.int8).copy()
+    y = as_sign_labels(y0)
     if y.shape != (graph.n_outputs,):
         raise DataError(f"initial labels shape {y.shape} does not match {graph.n_outputs} outputs")
-    if not np.all(np.isin(y, (-1, 1))):
-        raise DataError("initial labels must be +1/-1")
     scorer = compile_scorer(graph, weights, x)
     K = graph.n_outputs
     order = graph.order
@@ -512,8 +513,8 @@ def icm_infer(
     terms = scorer.terms
     # readers[k]: node k, then every node with k among its partners
     readers = [[k] for k in range(K)]
-    for i, feeds in enumerate(graph.layout.feeds):
-        for k in sorted({k for _, _, partners in feeds for k in partners}):
+    for i, partners in enumerate(graph.layout.partners):
+        for k in sorted(set().union(*partners)):
             readers[k].append(i)
     labels = y.tolist()
     losses = [_node_loss(const, terms, labels, i) for i in range(K)]

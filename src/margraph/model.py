@@ -19,10 +19,10 @@ graph order: the hinge loss for ``inference.exhaustive_infer``, the
 log-sigmoid for the directed ``log_prob_table``.
 
 Undirected tables (``log_prob_table``, the partition sum of
-``bm_log_likelihood``, ``synth.sample_bm``) read the same layout as a sum
-over clique parities.  Node i's term (j, col, partners) is
-w_j * xa[col] * parity(partners), and y_i * parity(partners) is the parity of
-the set S = {i} | partners, so the energy is
+``bm_log_likelihood``, ``synth.sample_bm``) read the same terms, node by node
+through ``contributing``, as a sum over clique parities.  Node i's term of
+clique j is w_j * xa[col] * parity(partners), and y_i * parity(partners) is
+the parity of the set S = {i} | partners, clique j's members, so the energy is
 
     E(y) = (1/2) sum_i z_i(y) = sum_S coef_S(x) * parity_S(y),
     coef_S(x) = (1/2) sum of w_j * xa[col] over the terms with set S,
@@ -37,6 +37,7 @@ K.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,8 +91,10 @@ HINGE_LOG_OFFSET = math.log(math.e + math.exp(-1.0))
 
 
 def _check_regularization(lam: float, eta0: float) -> None:
+    _check_real(lam, "regularization strength")
     if not (0 < lam < math.inf):
         raise DataError(f"regularization strength must be positive and finite, got {lam}")
+    _check_real(eta0, "regularizer boost")
     if not (0 <= eta0 < math.inf):
         raise DataError(f"regularizer boost must be non-negative and finite, got {eta0}")
 
@@ -101,6 +104,13 @@ def _check_int(value, what: str) -> None:
     range() or NumPy's generators raise a bare TypeError (on a NumPy bool too)."""
     if not isinstance(value, (int, np.integer)):
         raise DataError(f"{what} must be an integer, got {value!r}")
+
+
+def _check_real(value, what: str) -> None:
+    """Refuse what is not a ``numbers.Real`` (NumPy integers and floats are),
+    naming it, before a comparison raises a bare TypeError."""
+    if not isinstance(value, numbers.Real):
+        raise DataError(f"{what} must be a number, got {value!r}")
 
 
 def _check_seed(seed) -> None:
@@ -274,7 +284,7 @@ def compile_scorer(graph: GraphSpec, weights: WeightVector, x: np.ndarray) -> No
             f"the input makes the scores overflow: |const| + sum |w_eff| summed over the nodes is {reach}"
         )
     values = iter(coupled)
-    terms = tuple(tuple((next(values), partners) for _, _, partners in node) for node in layout.coupled)
+    terms = tuple(tuple((next(values), others) for others in node) for node in layout.partners)
     return NodeScorer(const=const, terms=terms, order=graph.order)
 
 
@@ -290,10 +300,8 @@ def batch_scorer(graph: GraphSpec, weights: WeightVector, X: np.ndarray) -> Node
     unary = zip(layout.unary_clique.tolist(), layout.unary_column.tolist(), layout.unary_node.tolist())
     for j, col, i in unary:
         rows[i] += w[j] * Xa[:, col]
-    terms = tuple(
-        tuple((w[j] * Xa[:, col], partners) for j, col, partners in node)
-        for node in layout.coupled
-    )
+    values = iter(w[layout.coupled_clique, None] * Xa.T[layout.coupled_column])
+    terms = tuple(tuple((next(values), others) for others in node) for node in layout.partners)
     return NodeScorer(const=const, terms=terms, order=graph.order)
 
 
@@ -306,7 +314,7 @@ def node_margin(graph: GraphSpec, weights: WeightVector, x, y, i: int) -> float:
         raise DataError(f"label shape {y.shape} does not match {graph.n_outputs} outputs")
     if not np.all(np.isin(y, (-1, 0, 1))):
         raise DataError("labels must be +1, -1, or 0 for unassigned")
-    needed = {i}.union(*(partners for _, _, partners in graph.layout.feeds[i]))
+    needed = {i}.union(*graph.layout.partners[i])
     missing = sorted(k for k in needed if y[k] == 0)
     if missing:
         raise DataError(f"margin of node {i} needs labels for nodes {missing}")
@@ -385,12 +393,14 @@ class _ParityEnergy:
     def __init__(self, graph: GraphSpec, weights: WeightVector) -> None:
         K = graph.n_outputs
         w = weights.values
+        members, indptr = graph.cliques.members.tolist(), graph.cliques.indptr.tolist()
+        column = (graph.cliques.inputs + 1).tolist()
         sets: dict[int, int] = {}  # index bit mask of an output set -> its column
         terms = []
-        for i, node in enumerate(graph.layout.feeds):
-            for j, col, partners in node:
-                mask = sum(1 << (K - 1 - k) for k in (i, *partners))
-                terms.append((col, sets.setdefault(mask, len(sets)), j))
+        for js in graph.contributing:
+            for j in js:
+                mask = sum(1 << (K - 1 - k) for k in members[indptr[j] : indptr[j + 1]])
+                terms.append((column[j], sets.setdefault(mask, len(sets)), j))
         self.M = np.zeros((graph.n_inputs + 1, len(sets)))
         for col, s, j in terms:
             self.M[col, s] += 0.5 * w[j]

@@ -28,6 +28,7 @@ from .model import (
     WeightVector,
     _check_enum_size,
     _check_int,
+    _check_real,
     _check_seed,
     _ParityEnergy,
     batch_scorer,
@@ -141,6 +142,7 @@ def planted_model(
         raise DataError(f"unknown topology {topology!r}")
     _check_seed(seed)
     for name, scale in (("bias", bias_scale), ("input", input_scale), ("edge", edge_scale)):
+        _check_real(scale, f"{name} scale")
         if not (0 <= scale < math.inf):
             raise DataError(f"{name} scale must be finite and non-negative, got {scale}")
     graph = GRAPH_BUILDERS[topology](n_outputs, n_inputs, kind)

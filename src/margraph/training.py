@@ -52,7 +52,7 @@ import numpy as np
 from .data import Dataset
 from .errors import DataError, GraphError
 from .graphs import DIRECTED, UNDIRECTED, GraphSpec
-from .model import WeightVector, _check_int, _check_regularization, _check_seed, batch_scorer
+from .model import WeightVector, _check_int, _check_real, _check_regularization, _check_seed, batch_scorer
 
 __all__ = [
     "TrainConfig",
@@ -86,6 +86,7 @@ class TrainConfig:
         _check_int(self.max_epochs, "max_epochs")
         if self.max_epochs < 1:
             raise DataError(f"need at least one epoch, got {self.max_epochs}")
+        _check_real(self.tolerance, "tolerance")
         if not (0 < self.tolerance < math.inf):
             raise DataError(f"tolerance must be positive and finite, got {self.tolerance}")
 

@@ -82,6 +82,20 @@ def reference_routing(graph):
     return contributing, tuple(feeds), coupled, clique, column, node
 
 
+def layout_terms(graph):
+    """(feeds, coupled) rebuilt from ``graph.layout``, in the form of
+    ``reference_routing``: node i's (clique, column, partners) terms in
+    clique order, and its coupled terms alone in layout order."""
+    layout = graph.layout
+    flat = zip(layout.coupled_clique.tolist(), layout.coupled_column.tolist())
+    coupled = tuple(tuple((*next(flat), others) for others in node) for node in layout.partners)
+    assert next(flat, None) is None
+    feeds = [list(terms) for terms in coupled]
+    for j, col, i in zip(layout.unary_clique.tolist(), layout.unary_column.tolist(), layout.unary_node.tolist()):
+        feeds[i].append((j, col, ()))
+    return tuple(tuple(sorted(f)) for f in feeds), coupled
+
+
 def assignment_signs(n_outputs, start, stop):
     """Rows start..stop-1 of the (2^K, K) sign matrix, the reference the
     label grid of ``NodeScorer.grid_sums`` is checked against."""

@@ -1,5 +1,6 @@
 """Graph construction, clique validation, ownership, and regularizer rules."""
 
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,7 +13,14 @@ from margraph import Clique, Dataset, GraphSpec
 from margraph.errors import GraphError
 from margraph.training import clique_feature_matrix
 
-from _helpers import BUILDERS, ReferenceClique, coupled_graph, reference_graph_check, reference_routing
+from _helpers import (
+    BUILDERS,
+    ReferenceClique,
+    coupled_graph,
+    layout_terms,
+    reference_graph_check,
+    reference_routing,
+)
 
 
 def _one_clique_graph(*clique):
@@ -158,6 +166,11 @@ def test_regularizer_multipliers_boost_undirected_pairs_only():
     assert gd.regularizer_multipliers(0.5).tolist() == [1.0] * gd.n_cliques
     with pytest.raises(GraphError):
         gu.regularizer_multipliers(-0.1)
+    full = mg.build_full_graph(3, 2, mg.UNDIRECTED)
+    for bad in (math.nan, math.inf, "1"):
+        with pytest.raises(GraphError, match=f"regularizer boost must be non-negative and finite, got {bad!r}$"):
+            full.regularizer_multipliers(bad)
+    assert full.regularizer_multipliers(np.float32(0.5)).tolist() == [1.0] * 9 + [1.5] * 3
 
 
 def test_builder_clique_counts():
@@ -216,8 +229,7 @@ def test_routing_matches_the_owner_chain_reference(kind):
         contributing, feeds, coupled, *unary = reference_routing(graph)
         layout = graph.layout
         assert graph.contributing == contributing
-        assert layout.feeds == feeds
-        assert layout.coupled == coupled
+        assert layout_terms(graph) == (feeds, coupled)
         got = (layout.unary_clique, layout.unary_column, layout.unary_node)
         for a, b in zip(got, unary):
             assert a.dtype == b.dtype
@@ -254,9 +266,7 @@ def test_closing_lists_each_coupled_term_under_its_last_partner():
     # undirected: every clique feeds each of its members
     graph = GraphSpec(4, 0, mg.UNDIRECTED, (3, 1, 0, 2),
                       (Clique((0,)), Clique((1, 2)), Clique((0, 2)), Clique((0, 1, 3))))
-    coupled = graph.layout.coupled
-    assert [[partners for _, _, partners in terms] for terms in coupled] == [
-        [(2,), (1, 3)], [(2,), (0, 3)], [(1,), (0,)], [(0, 1)]]
+    assert graph.layout.partners == (((2,), (1, 3)), ((2,), (0, 3)), ((1,), (0,)), ((0, 1),))
     # node 2's second term, partner 0, closes when label 0 is set; labels
     # in index order, whatever the graph's order
     assert graph.closing == (
@@ -271,10 +281,10 @@ def test_closing_lists_each_coupled_term_under_its_last_partner():
             graph = coupled_graph(rng, "full", int(rng.integers(1, 8)), 1, kind)
             seen = []
             for k, (terms, nodes) in enumerate(graph.closing):
-                assert all(max(graph.layout.coupled[i][t][2]) == k for i, t in terms)
+                assert all(max(graph.layout.partners[i][t]) == k for i, t in terms)
                 assert nodes == tuple(sorted({k, *(i for i, _ in terms)}))
                 seen += terms
-            assert sorted(seen) == [(i, t) for i, terms in enumerate(graph.layout.coupled) for t in range(len(terms))]
+            assert sorted(seen) == [(i, t) for i, terms in enumerate(graph.layout.partners) for t in range(len(terms))]
 
 
 @settings(derandomize=True, deadline=None, max_examples=400)
@@ -315,7 +325,7 @@ def test_graph_check_matches_the_per_clique_reference(data, K, D, kind, faults):
     assert [(c.outputs, c.input_feature) for c in graph.cliques] == expected[1]
     reference = SimpleNamespace(n_outputs=K, kind=kind, order=order, cliques=[ReferenceClique(*c) for c in expected[1]])
     contributing, feeds, coupled, *unary = reference_routing(reference)
-    assert (graph.contributing, graph.layout.feeds, graph.layout.coupled) == (contributing, feeds, coupled)
+    assert (graph.contributing, layout_terms(graph)) == (contributing, (feeds, coupled))
     got = (graph.layout.unary_clique, graph.layout.unary_column, graph.layout.unary_node)
     for a, b in zip(got, unary):
         assert a.dtype == b.dtype and np.array_equal(a, b)

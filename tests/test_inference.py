@@ -135,6 +135,9 @@ def test_bb_config_validation():
         BBConfig(max_states=0)
     with pytest.raises(DataError, match=r"max_states must be an integer, got 2\.5$"):
         BBConfig(max_states=2.5)
+    for bad in ("3", None):
+        with pytest.raises(DataError, match=f"cutoff must be a number, got {bad!r}$"):
+            BBConfig(cutoff=bad)
 
 
 def test_bb_rejects_undirected_graphs():
@@ -196,6 +199,8 @@ def test_budget_formula_values():
     for bad in (0.5, -math.inf, math.nan):
         with pytest.raises(DataError):
             branch_budget(4, bad)
+    with pytest.raises(DataError, match="cutoff must be a number, got None$"):
+        branch_budget(3, None)
 
 
 def test_icm_keeps_the_global_optimum_fixed():
@@ -244,6 +249,13 @@ def test_icm_input_validation():
         icm_infer(graph, weights, x, np.array([1, 1], dtype=np.int8), max_sweeps=2.5)
     res = icm_infer(graph, weights, x, np.array([1, 1], dtype=np.int8), max_sweeps=np.int64(1))
     assert res.labels.tolist() == [1, 1]
+    # labels are checked before the int8 cast, which would truncate, accept
+    # strings or overflow; exact 1.0 and -1.0 stay labels
+    for bad in ([1.7, -1.2], ["1", "-1"], [1, 300]):
+        with pytest.raises(DataError, match=r"labels must be \+1 or -1"):
+            icm_infer(graph, weights, x, bad)
+    res = icm_infer(graph, weights, x, [1.0, -1.0], max_sweeps=1)
+    assert res.labels.dtype == np.int8 and res.labels.tolist() == [1, -1]
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)

@@ -29,6 +29,7 @@ from _helpers import (
     random_model,
     reference_energies,
     reference_log_table,
+    reference_routing,
 )
 
 
@@ -103,7 +104,9 @@ def test_weight_vector_validation():
     for lam, eta0 in ((np.inf, 0.0), (np.nan, 0.0), (1.0, np.inf), (1.0, np.nan)):
         with pytest.raises(DataError, match="finite"):
             WeightVector(np.array([1.0]), lam=lam, eta0=eta0)
-    w = WeightVector(np.array([1.0, 2.0]), lam=0.5, eta0=0.25)
+    with pytest.raises(DataError, match="regularization strength must be a number, got '1'$"):
+        WeightVector(np.array([1.0]), lam="1")
+    w = WeightVector(np.array([1.0, 2.0]), lam=np.float32(0.5), eta0=np.int64(0))
     with pytest.raises(ValueError):
         w.values[0] = 9.0  # read-only storage
 
@@ -403,6 +406,71 @@ def test_parity_energies_match_the_per_row_margin_reference(topology, K, D, rows
         assert np.abs(E - reference_energies(graph, weights, x)).max() <= 1e-12
         assert np.abs(table - reference_log_table(graph, weights, x)).max() <= 1e-12
     assert abs(likelihood - reference_log_table(graph, weights, X[0])[index_from_signs(y)]) <= 1e-12
+
+
+def reference_parity_energy(graph, weights, bits):
+    """(M, flip, chunks) of the undirected parity energies with the output
+    sets numbered as they first occur in the per-node terms of
+    ``reference_routing``, node by node, and each coefficient summed in that
+    order: ``_ParityEnergy`` as it read those terms.  ``chunks(X)`` yields
+    each chunk's energies over 2^bits assignments."""
+    K = graph.n_outputs
+    _, feeds, *_ = reference_routing(graph)
+    sets = {}
+    terms = []
+    for i, node in enumerate(feeds):
+        for j, col, partners in node:
+            mask = sum(1 << (K - 1 - k) for k in (i, *partners))
+            terms.append((col, sets.setdefault(mask, len(sets)), j))
+    M = np.zeros((graph.n_inputs + 1, len(sets)))
+    for col, s, j in terms:
+        M[col, s] += 0.5 * weights.values[j]
+    masks = np.array(list(sets), dtype=np.int64)
+    flip = np.where((masks[:, None] >> np.arange(K)) & 1, -1.0, 1.0)
+    P = np.ones((len(sets), 1 << bits))
+    for b in range(bits):
+        P[:, 1 << b : 2 << b] = P[:, : 1 << b] * flip[:, b : b + 1]
+
+    def chunks(X):
+        coef = np.concatenate((np.ones((len(X), 1)), X), axis=1) @ M
+        for start in range(0, 1 << K, 1 << bits):
+            high = [b for b in range(bits, K) if start >> b & 1]
+            yield start, (coef * flip[:, high].prod(axis=1)) @ P
+
+    return M, flip, chunks
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(
+    topology=st.sampled_from(["independent", "chain", "full"]),
+    K=st.integers(1, 7),
+    D=st.integers(0, 3),
+    rows=st.integers(1, 4),
+    parity_entries=st.sampled_from([1, 16, 256, model._PARITY_ENTRIES]),
+    seed=st.integers(0, 2**16),
+)
+def test_parity_sets_keep_the_per_node_term_order(topology, K, D, rows, parity_entries, seed):
+    """The output sets, their coefficients and every chunk's energies have
+    the bits of the per-node term walk, so the tables ``sample_bm`` draws
+    from do not change with how the layout stores its terms."""
+    rng = np.random.default_rng(seed)
+    if topology == "independent":
+        graph = mg.build_independent_graph(K, D, mg.UNDIRECTED, order=tuple(int(i) for i in rng.permutation(K)))
+    else:
+        graph = coupled_graph(rng, topology, K, D, mg.UNDIRECTED)
+    weights = WeightVector(rng.normal(0.0, 1.0, graph.n_cliques), lam=1.0)
+    X = rng.standard_normal((rows, D))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model, "_PARITY_ENTRIES", parity_entries)
+        energy = model._ParityEnergy(graph, weights)
+    M, flip, chunks = reference_parity_energy(graph, weights, energy.bits)
+    assert energy.M.shape == M.shape and (energy.M == M).all()
+    assert energy.flip.shape == flip.shape and (energy.flip == flip).all()
+    got = list(energy.chunks(X))
+    expected = list(chunks(X))
+    assert [start for start, _ in got] == [start for start, _ in expected]
+    for (_, E), (_, R) in zip(got, expected):
+        assert E.shape == R.shape and (E == R).all()
 
 
 def test_index_sign_conversions_roundtrip():

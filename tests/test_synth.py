@@ -160,6 +160,7 @@ def test_synth_validation_errors():
     (lambda: planted_model(3, 1, bias_scale=-1.0), "bias scale must be finite and non-negative"),
     (lambda: planted_model(3, 1, input_scale=math.nan), "input scale must be finite and non-negative"),
     (lambda: planted_model(3, 1, edge_scale=math.inf), "edge scale must be finite and non-negative"),
+    (lambda: planted_model(3, 2, bias_scale="1"), "bias scale must be a number, got '1'$"),
     (lambda: planted_model(3, 1, seed=-1), r"seed must be non-negative, got -1"),
     (lambda: planted_model(3, 1, seed=(5, 3, -1)), r"seed must be non-negative, got \(5, 3, -1\)"),
     (lambda: SynthConfig(*planted_model(3, 1), 5, seed=-2), "seed must be non-negative, got -2"),
@@ -170,6 +171,7 @@ def test_synth_validation_errors():
     (lambda: run_k_sweep([3], seed=1.5), r"seed must be an integer, got 1\.5$"),
     (lambda: run_k_sweep([3], n_train=2.5), r"n_train must be an integer, got 2\.5$"),
     (lambda: run_k_sweep([3], n_test=2.5), r"n_test must be an integer, got 2\.5$"),
+    (lambda: run_k_sweep([3], lam="x"), "regularization strength must be a number, got 'x'$"),
 ])
 def test_synth_config_checks_name_the_fault(make, message):
     with pytest.raises(DataError, match=message):

@@ -82,6 +82,11 @@ def test_train_config_validation():
         TrainConfig(shuffle_seed=1.5)
     with pytest.raises(DataError, match=r"seed must be an integer, got np\.True_$"):
         TrainConfig(shuffle_seed=np.True_)
+    # a float knob that is not a number fails naming it, not in a comparison
+    for field, value, what in (("lam", None, "regularization strength"), ("eta0", "1", "regularizer boost"),
+                               ("tolerance", "a", "tolerance")):
+        with pytest.raises(DataError, match=f"{what} must be a number, got {value!r}$"):
+            TrainConfig(**{field: value})
     config = TrainConfig(max_epochs=np.int64(2), shuffle_seed=True)
     dataset = random_dataset(np.random.default_rng(1), 10, 2, 1)
     assert mg.train_lmsbn(dataset, mg.build_independent_graph(2, 1), config).epochs <= 2
