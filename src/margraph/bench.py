@@ -19,10 +19,9 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from .data import Dataset
-from .errors import DataError
 from .graphs import DIRECTED, GraphSpec, _output_count
-from .inference import STATUS_OPTIMAL, BBConfig, bb_infer
-from .model import WeightVector, _check_int, _check_real, _check_regularization, _check_seed, batch_scorer
+from .inference import STATUS_OPTIMAL, BBConfig, _check_cutoff, bb_infer
+from .model import WeightVector, _check_int, _check_regularization, _check_seed, batch_scorer
 from .synth import SynthConfig, planted_model, sample_sbn
 from .training import TrainConfig, mean_joint_loss, train_lmsbn
 
@@ -75,9 +74,7 @@ def branch_budget(n_outputs: int, cutoff: float) -> int:
     having at most ceil(cutoff)-1 of them: sum_{i<cutoff} C(K, i) paths of K
     nodes each.  A cutoff above K, infinity included, allows all K * 2^K.
     """
-    _check_real(cutoff, "cutoff")
-    if not (cutoff >= 1):
-        raise DataError(f"cutoff must be at least 1, got {cutoff}")
+    _check_cutoff(cutoff)
     top = n_outputs if cutoff > n_outputs else math.ceil(cutoff) - 1
     paths = sum(math.comb(n_outputs, i) for i in range(top + 1))
     return n_outputs * paths

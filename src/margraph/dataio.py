@@ -26,7 +26,7 @@ from .data import Dataset
 from .errors import DataError, GraphError, MargraphError, ModelFormatError
 from .graphs import Cliques, GraphSpec
 from .inference import STATUS_BUDGET, STATUS_FALLBACK, STATUS_LOCAL, STATUS_OPTIMAL
-from .model import WeightVector
+from .model import WeightVector, _check_weight_count
 
 __all__ = [
     "MODEL_FORMAT_VERSION",
@@ -214,8 +214,7 @@ class ModelFile:
     scale: tuple[np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self) -> None:
-        if len(self.weights) != self.graph.n_cliques:
-            raise DataError(f"{len(self.weights)} weights for {self.graph.n_cliques} cliques")
+        _check_weight_count(self.graph, self.weights)
 
     def apply_scale(self, X: np.ndarray) -> np.ndarray:
         return X if self.scale is None else minmax_scale(X, *self.scale)

@@ -36,7 +36,6 @@ exhaustive oracle's depth-first pass over the labels in index order.
 
 from __future__ import annotations
 
-import numbers
 import operator
 from dataclasses import dataclass
 from functools import cached_property
@@ -418,20 +417,6 @@ class GraphSpec:
             for t, partners in enumerate(terms):
                 closed[max(partners)].append((i, t))
         return tuple((tuple(c), tuple(sorted({k, *(i for i, _ in c)}))) for k, c in enumerate(closed))
-
-    def regularizer_multipliers(self, eta0: float) -> np.ndarray:
-        """Per-clique quadratic penalty multipliers.
-
-        Multi-output cliques of an undirected graph are penalized by an
-        extra ``eta0`` because they appear in several node scores; all other
-        cliques get multiplier 1.
-        """
-        if not (isinstance(eta0, numbers.Real) and 0 <= eta0 < np.inf):
-            raise GraphError(f"regularizer boost must be non-negative and finite, got {eta0!r}")
-        mult = np.ones(self.n_cliques, dtype=np.float64)
-        if self.kind == UNDIRECTED:
-            mult[np.diff(self.cliques.indptr) >= 2] = 1.0 + eta0
-        return mult
 
 
 def _default_order(n_outputs, order) -> tuple:

@@ -97,6 +97,7 @@ from .model import (
     _check_enum_size,
     _check_int,
     _check_real,
+    _label_vector,
     compile_scorer,
     signs_from_index,
 )
@@ -121,6 +122,13 @@ STATUS_LOCAL = "local_optimum"
 _ESCALATE_CAP = 60
 
 
+def _check_cutoff(cutoff) -> None:
+    """Refuse a search cutoff that is not a number of at least 1."""
+    _check_real(cutoff, "cutoff")
+    if not (cutoff >= 1.0):
+        raise DataError(f"cutoff must be at least 1, got {cutoff}")
+
+
 @dataclass(frozen=True)
 class BBConfig:
     """Search knobs: initial upper bound, state budget, escalation retry,
@@ -133,9 +141,7 @@ class BBConfig:
     cost_to_go: bool = True
 
     def __post_init__(self) -> None:
-        _check_real(self.cutoff, "cutoff")
-        if not (self.cutoff >= 1.0):
-            raise DataError(f"cutoff must be at least 1, got {self.cutoff}")
+        _check_cutoff(self.cutoff)
         if self.max_states is not None:
             _check_int(self.max_states, "max_states")
             if self.max_states < 1:
@@ -503,9 +509,7 @@ def icm_infer(
     _check_int(max_sweeps, "max_sweeps")
     if max_sweeps < 1:
         raise DataError(f"need at least one sweep, got {max_sweeps}")
-    y = as_sign_labels(y0)
-    if y.shape != (graph.n_outputs,):
-        raise DataError(f"initial labels shape {y.shape} does not match {graph.n_outputs} outputs")
+    y = as_sign_labels(_label_vector(graph, y0))
     scorer = compile_scorer(graph, weights, x)
     K = graph.n_outputs
     order = graph.order

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Instance
+from .data import Instance, as_sign_labels
 from .errors import CapabilityError, DataError, GraphError
 from .graphs import DIRECTED, UNDIRECTED, GraphSpec
 
@@ -245,10 +245,23 @@ class NodeScorer:
         return self._add_losses(Y.T, np.zeros(Y.shape[0], dtype=np.float64))
 
 
-def _augmented(graph: GraphSpec, weights: WeightVector, X, ndim: int) -> np.ndarray:
-    """Validated inputs (one vector or an (n, D) matrix) as [1 | X]."""
+def _check_weight_count(graph: GraphSpec, weights: WeightVector) -> None:
+    """Refuse weights that do not hold one value per clique of the graph."""
     if len(weights) != graph.n_cliques:
         raise DataError(f"{len(weights)} weights for {graph.n_cliques} cliques")
+
+
+def _label_vector(graph: GraphSpec, y) -> np.ndarray:
+    """y as an array of one label per output, or a DataError naming its shape."""
+    y = np.asarray(y)
+    if y.shape != (graph.n_outputs,):
+        raise DataError(f"label shape {y.shape} does not match {graph.n_outputs} outputs")
+    return y
+
+
+def _augmented(graph: GraphSpec, weights: WeightVector, X, ndim: int) -> np.ndarray:
+    """Validated inputs (one vector or an (n, D) matrix) as [1 | X]."""
+    _check_weight_count(graph, weights)
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != ndim or X.shape[-1] != graph.n_inputs:
         raise DataError(f"input shape {X.shape} does not match dimension {graph.n_inputs}")
@@ -309,9 +322,7 @@ def node_margin(graph: GraphSpec, weights: WeightVector, x, y, i: int) -> float:
     """Margin z_i = y_i * s_i; y may be partial with 0 meaning unassigned."""
     if not (0 <= i < graph.n_outputs):
         raise DataError(f"node index {i} out of range for {graph.n_outputs} outputs")
-    y = np.asarray(y)
-    if y.shape != (graph.n_outputs,):
-        raise DataError(f"label shape {y.shape} does not match {graph.n_outputs} outputs")
+    y = _label_vector(graph, y)
     if not np.all(np.isin(y, (-1, 0, 1))):
         raise DataError("labels must be +1, -1, or 0 for unassigned")
     needed = {i}.union(*graph.layout.partners[i])
@@ -323,12 +334,8 @@ def node_margin(graph: GraphSpec, weights: WeightVector, x, y, i: int) -> float:
 
 
 def margins(graph: GraphSpec, weights: WeightVector, x, y) -> np.ndarray:
-    """All node margins for a full assignment."""
-    y = np.asarray(y)
-    if y.shape != (graph.n_outputs,):
-        raise DataError(f"label shape {y.shape} does not match {graph.n_outputs} outputs")
-    if not np.all(np.isin(y, (-1, 1))):
-        raise DataError("margins need a full +1/-1 assignment")
+    """All node margins for a full +1/-1 assignment."""
+    y = as_sign_labels(_label_vector(graph, y))
     return compile_scorer(graph, weights, x).margin_block(y[None])[0]
 
 

@@ -30,6 +30,7 @@ from .model import (
     _check_int,
     _check_real,
     _check_seed,
+    _check_weight_count,
     _ParityEnergy,
     batch_scorer,
     signs_of_indices,
@@ -54,10 +55,7 @@ class SynthConfig:
         if self.n_instances < 1:
             raise DataError(f"need at least one instance, got {self.n_instances}")
         _check_seed(self.seed)
-        if len(self.weights) != self.graph.n_cliques:
-            raise DataError(
-                f"{len(self.weights)} weights for {self.graph.n_cliques} cliques"
-            )
+        _check_weight_count(self.graph, self.weights)
 
 
 def sample_sbn(config: SynthConfig) -> Dataset:

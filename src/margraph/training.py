@@ -2,12 +2,13 @@
 
 The training problem minimizes
 
-    (1/N) sum_l joint_loss(x_l, y_l) + lam * sum_j eta_j * w_j^2
+    (1/N) sum_l joint_loss(x_l, y_l) + (lam/2) * sum_j eta_j * w_j^2
 
 over clique weights w, where eta_j is 1 except for multi-output cliques of
-an undirected graph, which get 1 + eta0.  Rescaled by 1/(2*lam), this is a
-box-constrained SVM dual with per-constraint upper bound C = 1/(lam*N):
-one constraint per (node, instance) pair, with feature row
+an undirected graph, which get 1 + eta0 (``_regularizer_multipliers``).
+Rescaled by 1/lam, it is 0.5 * sum eta w^2 + C * sum_l joint_loss, an SVM
+primal whose dual is box-constrained, with per-constraint upper bound
+C = 1/(lam*N): one constraint per (node, instance) pair, with feature row
 f_j = clique parity * input value.  Margins come out as z_il = w . f(:,il)
 because the parity includes the node's own label.
 
@@ -189,6 +190,16 @@ _GRAM_ENTRIES = 1 << 21
 _ROUNDOFF = 1e-12
 
 
+def _regularizer_multipliers(graph: GraphSpec, eta0: float) -> np.ndarray:
+    """Per-clique penalty multipliers eta: 1 + eta0 for an undirected graph's
+    multi-output cliques, which appear in several node scores, and 1 for every
+    other clique.  eta0 comes checked, from ``TrainConfig`` or ``WeightVector``."""
+    eta = np.ones(graph.n_cliques, dtype=np.float64)
+    if graph.kind == UNDIRECTED:
+        eta[np.diff(graph.cliques.indptr) >= 2] = 1.0 + eta0
+    return eta
+
+
 def _blocks(graph: GraphSpec, dataset: Dataset, groups):
     """The cliques that constraint groups touch, sorted, which index the
     solve's weights; and per group, its columns among them with the features
@@ -251,9 +262,8 @@ def _solve_dual(blocks, eta, box, rng, max_epochs, tol, node, start):
       f_t . w and a move adds the change times the row's 1/eta-scaled copy
       to w, each a plain loop of float arithmetic, which beats NumPy's
       per-call overhead on short rows;
-    - rows, for any other solve: the same on NumPy rows.  A group spanning
-      all of w reads and updates w itself; any other indexes it through its
-      column array;
+    - rows, for any other solve: the same on NumPy rows, each indexing w
+      through its group's column array;
     - dual, for a wide solve of one group (a directed node's) whose Q holds
       at most ``_GRAM_ENTRIES`` entries: Q is built once, from the block as
       it is, the gradient is one dot of row t of Q with alpha as a NumPy
@@ -284,7 +294,6 @@ def _solve_dual(blocks, eta, box, rng, max_epochs, tol, node, start):
     Returns (w, alpha, SolveReport) with the report filed under ``node``; the
     report's gap and max_projected_gradient are the last certificate's.
     """
-    n_w = len(eta)
     G, N = start.shape
     Fg = [block for _, block in blocks]
     # Row l of Fg[g] scaled by 1/eta: the change in w per unit of alpha[g, l]
@@ -319,8 +328,7 @@ def _solve_dual(blocks, eta, box, rng, max_epochs, tol, node, start):
         else:
             rows = [r for b in Fg for r in b]
             updates = [r for b in Fg_over_eta for r in b]
-            # None marks a group spanning all of w, which steps read and update whole
-            group_cols = [None if np.array_equal(cols, np.arange(n_w)) else cols for cols, _ in blocks]
+            group_cols = [cols for cols, _ in blocks]
         row_cols = [c for c in group_cols for _ in range(N)]
     full_set = np.arange(G * N)
     active = full_set
@@ -346,7 +354,7 @@ def _solve_dual(blocks, eta, box, rng, max_epochs, tol, node, start):
                 grad -= 1.0
             else:
                 cols = row_cols[t]
-                grad = float(dot(rows[t], w if cols is None else w[cols])) - 1.0
+                grad = float(dot(rows[t], w[cols])) - 1.0
             a = alpha[t]
             if a <= 0.0:
                 if grad > shrink_hi:
@@ -380,8 +388,6 @@ def _solve_dual(blocks, eta, box, rng, max_epochs, tol, node, start):
                     elif narrow:
                         for u, j in zip(updates[t], cols):
                             w[j] += step * u
-                    elif cols is None:
-                        w += step * updates[t]
                     else:
                         w[cols] += step * updates[t]
                     alpha[t] = na
@@ -475,7 +481,7 @@ def _train(dataset: Dataset, graph: GraphSpec, config: TrainConfig, start: DualS
     directed probe over the same data at the same lambda, whatever cliques
     each node owns.
     """
-    eta = graph.regularizer_multipliers(config.eta0)
+    eta = _regularizer_multipliers(graph, config.eta0)
     box = _box_bound(config.lam, dataset.n_instances)
     K = graph.n_outputs
     solves = [(i, [i]) for i in range(K)] if graph.kind == DIRECTED else [(None, list(range(K)))]
@@ -507,13 +513,15 @@ def primal_objective(
     weights: WeightVector,
     config: TrainConfig | None = None,
 ) -> float:
-    """Mean joint hinge loss plus the weighted quadratic penalty.
+    """Mean joint hinge loss plus lam * sum eta w^2: the penalty weighs twice
+    its lam/2 in the objective training minimizes, so trained weights need not
+    minimize this one.
 
     Regularization constants default to the ones stored with the weights;
     pass a config to evaluate under different ones.
     """
     scale = config if config is not None else weights
-    eta = graph.regularizer_multipliers(scale.eta0)
+    eta = _regularizer_multipliers(graph, scale.eta0)
     w = weights.values
     return mean_joint_loss(dataset, graph, weights) + scale.lam * float(eta @ (w * w))
 
@@ -523,7 +531,7 @@ def _state_objectives(state: DualState, dataset: Dataset, config: TrainConfig | 
     scale = config if config is not None else state.weights
     graph = state.graph
     _, blocks = _blocks(graph, dataset, graph.contributing)
-    eta = graph.regularizer_multipliers(scale.eta0)
+    eta = _regularizer_multipliers(graph, scale.eta0)
     return _box_objectives(blocks, eta, _box_bound(scale.lam, dataset.n_instances), state.alpha)
 
 

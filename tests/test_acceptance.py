@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import margraph as mg
-from margraph import BBConfig, Dataset, SynthConfig, TrainConfig, WeightVector, inference
+from margraph import BBConfig, Dataset, SynthConfig, TrainConfig, WeightVector, inference, training
 from margraph.bench import branch_budget, run_k_sweep, run_s_sweep
 from margraph.dataio import ModelFile, load_model, parse_multilabel_svmlight, save_model
 from margraph.model import compile_scorer, surrogate_bound_check
@@ -156,7 +156,7 @@ def test_criterion_05_solver_gap_box_stationarity_and_closed_forms():
         alpha = result.state.alpha
         assert alpha.min() >= 0.0 and alpha.max() <= box  # holds exactly
         F = clique_feature_matrix(graph, dataset)
-        eta = graph.regularizer_multipliers(config.eta0)
+        eta = training._regularizer_multipliers(graph, config.eta0)
         w_from_alpha = np.zeros(graph.n_cliques)
         for i in range(n_outputs):
             cols = list(graph.contributing[i])

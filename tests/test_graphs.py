@@ -1,6 +1,5 @@
-"""Graph construction, clique validation, ownership, and regularizer rules."""
+"""Graph construction, clique validation, and ownership."""
 
-import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -155,22 +154,6 @@ def test_directed_every_clique_feeds_exactly_one_node():
             for j in feeds:
                 counts[j] += 1
         assert counts == [1] * g.n_cliques
-
-
-def test_regularizer_multipliers_boost_undirected_pairs_only():
-    gu = mg.build_chain_graph(3, 1, mg.UNDIRECTED)
-    mult = gu.regularizer_multipliers(0.5)
-    expect = [1.5 if len(c.outputs) >= 2 else 1.0 for c in gu.cliques]
-    assert mult.tolist() == expect
-    gd = mg.build_chain_graph(3, 1, mg.DIRECTED)
-    assert gd.regularizer_multipliers(0.5).tolist() == [1.0] * gd.n_cliques
-    with pytest.raises(GraphError):
-        gu.regularizer_multipliers(-0.1)
-    full = mg.build_full_graph(3, 2, mg.UNDIRECTED)
-    for bad in (math.nan, math.inf, "1"):
-        with pytest.raises(GraphError, match=f"regularizer boost must be non-negative and finite, got {bad!r}$"):
-            full.regularizer_multipliers(bad)
-    assert full.regularizer_multipliers(np.float32(0.5)).tolist() == [1.0] * 9 + [1.5] * 3
 
 
 def test_builder_clique_counts():

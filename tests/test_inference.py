@@ -129,15 +129,18 @@ def test_exhaustive_breaks_ties_towards_positive_labels():
 
 
 def test_bb_config_validation():
-    with pytest.raises(DataError):
-        BBConfig(cutoff=0.5)
+    # one cutoff rule, for the search's config and for the budget formula
+    for check in (lambda S: BBConfig(cutoff=S), lambda S: branch_budget(4, S)):
+        for bad in (0.5, 0, -math.inf, math.nan):
+            with pytest.raises(DataError, match=f"^cutoff must be at least 1, got {bad}$"):
+                check(bad)
+        for bad in ("3", None):
+            with pytest.raises(DataError, match=f"^cutoff must be a number, got {bad!r}$"):
+                check(bad)
     with pytest.raises(DataError):
         BBConfig(max_states=0)
     with pytest.raises(DataError, match=r"max_states must be an integer, got 2\.5$"):
         BBConfig(max_states=2.5)
-    for bad in ("3", None):
-        with pytest.raises(DataError, match=f"cutoff must be a number, got {bad!r}$"):
-            BBConfig(cutoff=bad)
 
 
 def test_bb_rejects_undirected_graphs():
@@ -196,11 +199,6 @@ def test_budget_formula_values():
     assert branch_budget(3, 1e9) == 3 * 8        # full tree when S is huge
     assert branch_budget(4, 2.5) == 4 * (1 + 4 + 6)
     assert branch_budget(4, math.inf) == 4 * 16
-    for bad in (0.5, -math.inf, math.nan):
-        with pytest.raises(DataError):
-            branch_budget(4, bad)
-    with pytest.raises(DataError, match="cutoff must be a number, got None$"):
-        branch_budget(3, None)
 
 
 def test_icm_keeps_the_global_optimum_fixed():

@@ -84,10 +84,18 @@ def test_node_margin_rejects_bad_index(two_node_model):
 
 @pytest.mark.parametrize("call, message", [
     (lambda g, w, x: mg.margins(g, w, x, np.array([1, 1, 1])), "label shape"),
-    (lambda g, w, x: mg.margins(g, w, x, np.array([1, 0])), "full \\+1/-1 assignment"),
     (lambda g, w, x: mg.node_margin(g, w, x, np.array([1]), 0), "label shape"),
+    # one label-shape rule, checked before any value rule
+    (lambda g, w, x: mg.margins(g, w, x, np.array([1, 0, 1])), r"^label shape \(3,\) does not match 2 outputs$"),
+    (lambda g, w, x: mg.icm_infer(g, w, x, np.array([[1, 0]])), r"^label shape \(1, 2\) does not match 2 outputs$"),
+    # margins takes the +1/-1 rule of as_sign_labels; node_margin also allows 0
+    (lambda g, w, x: mg.margins(g, w, x, np.array([1, 0])), r"^labels must be \+1 or -1, found values \[0, 1\]$"),
     (lambda g, w, x: mg.node_margin(g, w, x, np.array([1, 2]), 0), "0 for unassigned"),
     (lambda g, w, x: WeightVector(np.ones((1, 2)), lam=1.0), "weights must be a vector"),
+    # the weight-count rule that ModelFile and SynthConfig share (their own
+    # tests in test_dataio and test_synth) also guards scoring
+    (lambda g, w, x: compile_scorer(g, WeightVector(np.ones(3), lam=1.0), x), "^3 weights for 2 cliques$"),
+    (lambda g, w, x: mg.batch_scorer(g, WeightVector(np.ones(1), lam=1.0), x[None]), "^1 weights for 2 cliques$"),
 ])
 def test_label_and_weight_checks_name_the_fault(two_node_model, call, message):
     with pytest.raises(DataError, match=message):

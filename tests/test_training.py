@@ -51,6 +51,29 @@ def test_single_positive_instance_closed_form_box_one():
     assert result.converged
     assert result.weights.values[0] == pytest.approx(1.0, abs=1e-6)
     assert result.state.alpha.ravel()[0] == pytest.approx(1.0, abs=1e-6)
+    # max(0, 1 - w) + (lam/2) w^2 is least at w = 1; primal_objective weighs
+    # the penalty by lam, twice that, and reads less at w = 0.5
+    assert primal_objective(dataset, graph, WeightVector([1.0], lam=1.0)) == 1.0
+    assert primal_objective(dataset, graph, WeightVector([0.5], lam=1.0)) == 0.75
+
+
+@pytest.mark.parametrize("kind", [mg.DIRECTED, mg.UNDIRECTED])
+def test_training_minimizes_mean_hinge_plus_half_lambda_penalty(kind):
+    graph, planted = mg.planted_model(4, 3, kind=kind, topology="full", seed=1)
+    sample = mg.sample_sbn if kind == mg.DIRECTED else mg.sample_bm
+    dataset = sample(mg.SynthConfig(graph, planted, 150, seed=2))
+    config = TrainConfig(lam=0.05, eta0=0.5, tolerance=1e-5, max_epochs=5000)
+    train = mg.train_lmsbn if kind == mg.DIRECTED else mg.train_lmbm
+    result = train(dataset, graph, config)
+    assert result.converged
+    eta = training._regularizer_multipliers(graph, config.eta0)
+
+    def objective(scale):
+        w = scale * result.weights.values
+        hinge = mean_joint_loss(dataset, graph, WeightVector(w, lam=config.lam))
+        return hinge + 0.5 * config.lam * float(eta @ (w * w))
+
+    assert objective(0.9) > objective(1.0) < objective(1.1)
 
 
 def test_single_positive_instance_closed_form_box_half():
@@ -204,7 +227,7 @@ def test_random_problem_battery_gap_box_stationarity():
         assert alpha.min() >= 0.0 and alpha.max() <= box
         # the maintained weights satisfy stationarity against alpha exactly
         F = clique_feature_matrix(graph, dataset)
-        eta = graph.regularizer_multipliers(config.eta0)
+        eta = training._regularizer_multipliers(graph, config.eta0)
         w_from_alpha = np.zeros(graph.n_cliques)
         for i in range(K):
             cols = list(graph.contributing[i])
@@ -372,6 +395,17 @@ def test_primal_objective_at_zero_weights_is_output_count():
     assert primal_objective(dataset, graph, weights) == 4.0
 
 
+def test_regularizer_multipliers_boost_undirected_pairs_only():
+    gu = mg.build_chain_graph(3, 1, mg.UNDIRECTED)
+    mult = training._regularizer_multipliers(gu, 0.5)
+    expect = [1.5 if len(c.outputs) >= 2 else 1.0 for c in gu.cliques]
+    assert mult.tolist() == expect
+    gd = mg.build_chain_graph(3, 1, mg.DIRECTED)
+    assert training._regularizer_multipliers(gd, 0.5).tolist() == [1.0] * gd.n_cliques
+    full = mg.build_full_graph(3, 2, mg.UNDIRECTED)
+    assert training._regularizer_multipliers(full, np.float32(0.5)).tolist() == [1.0] * 9 + [1.5] * 3
+
+
 def test_eta0_increases_the_undirected_penalty_only():
     graph = mg.build_chain_graph(2, 0, mg.UNDIRECTED)
     values = np.ones(graph.n_cliques)
@@ -492,7 +526,7 @@ def stationary_weights(graph, dataset, alpha, eta0):
         cols = list(cols)
         if cols:
             w[cols] += F[:, cols].T @ alpha[i]
-    return w / graph.regularizer_multipliers(eta0)
+    return w / training._regularizer_multipliers(graph, eta0)
 
 
 @settings(derandomize=True, deadline=None, max_examples=100)
