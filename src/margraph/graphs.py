@@ -27,11 +27,12 @@ truncated.
 
 Graphs say nothing of how the 2^K label assignments are numbered or walked;
 the label grid that enumerates them lives in ``margraph.model``.  A directed
-graph does number the few labellings of each position's frontier (the
-earlier labels that the rest of the order still reads), for the search's
-cost-to-go tables (``GraphSpec.frontier_codes``), and every graph lists the
-score terms that each label completes (``GraphSpec.closing``), for the
-exhaustive oracle's depth-first pass over the labels in index order.
+graph does find each position's frontier (the earlier labels that the rest
+of the order still reads) and number its few labellings, in one place, for
+the search's cost-to-go tables (``GraphSpec.frontier_codes``), and every
+graph lists the score terms that each label completes
+(``GraphSpec.closing``), for the exhaustive oracle's depth-first pass over
+the labels in index order.
 """
 
 from __future__ import annotations
@@ -226,10 +227,10 @@ class ScoreLayout:
 class FrontierCodes:
     """Entries for tables over the labellings of each position's frontier.
 
-    Position p's frontier F_p (see ``GraphSpec.frontiers``) is labelled by
-    a code f < 2^len(F_p) whose bit b is set when F_p[b] is -1; entry
-    e = offset[p] + f stands for that labelling, and entry
-    ``offset[K]`` for position K's empty frontier.  ``node[e]`` is order[p].
+    Position p's frontier F_p (see ``GraphSpec.frontier_codes``) is labelled
+    by a code f < 2^len(F_p) whose bit b is set when F_p[b] is -1.  Entries
+    run by position, then by code, the last one for position K's empty
+    frontier; ``node[e]`` is order[p] for position p's entries e.
     Row t of ``slot`` and ``sign`` gives that node's t-th coupled term: its
     index among all coupled terms listed node by node (one past the last for
     a node with fewer terms) and the parity of its partners under the
@@ -237,7 +238,6 @@ class FrontierCodes:
     of position p + 1 reached by labelling order[p] +1 (b = 0) or -1 (b = 1).
     """
 
-    offset: tuple[int, ...]
     node: np.ndarray
     slot: np.ndarray
     sign: np.ndarray
@@ -348,36 +348,29 @@ class GraphSpec:
         return tuple(tuple(clique[a:b]) for a, b in zip([0] + ends, ends))
 
     @cached_property
-    def frontiers(self) -> tuple[tuple[int, ...], ...]:
-        """frontiers[p] for p = 0..K: the nodes before position p in ``order``
-        that node order[p] or a later node reads, listed by position.
-
-        A search standing at position p needs exactly these labels to score
-        the rest of the order; frontiers[0] and frontiers[K] are empty.
-        """
-        position = {node: p for p, node in enumerate(self.order)}
-        reads: set[int] = set()
-        frontiers = [()] * (self.n_outputs + 1)
-        for p in range(self.n_outputs - 1, -1, -1):
-            reads.update(chain.from_iterable(self.layout.partners[self.order[p]]))
-            frontiers[p] = tuple(sorted((k for k in reads if position[k] < p), key=position.__getitem__))
-        return tuple(frontiers)
-
-    @cached_property
     def frontier_codes(self) -> FrontierCodes | None:
         """Every frontier labelling of a directed graph as a table entry, or
         None when some frontier holds more than _FRONTIER_MAX_WIDTH labels.
 
-        Position p has 2^len(frontiers[p]) entries, so the cap keeps the
-        tables over them a few entries per position.
+        Position p's frontier F_p, for p = 0..K, lists by position the nodes
+        before p in ``order`` that node order[p] or a later node reads: a
+        search standing at position p needs exactly these labels to score
+        the rest of the order, and F_0 and F_K are empty.  Position p has
+        2^len(F_p) entries, so the cap keeps the tables over them a few
+        entries per position.
         """
         if self.kind != DIRECTED:
             raise GraphError("frontier codes need a directed graph")
         K = self.n_outputs
-        frontiers = self.frontiers
+        partners = self.layout.partners
+        position = {node: p for p, node in enumerate(self.order)}
+        reads: set[int] = set()
+        frontiers = [()] * (K + 1)
+        for p in range(K - 1, -1, -1):
+            reads.update(chain.from_iterable(partners[self.order[p]]))
+            frontiers[p] = tuple(sorted((k for k in reads if position[k] < p), key=position.__getitem__))
         if max(map(len, frontiers)) > _FRONTIER_MAX_WIDTH:
             return None
-        partners = self.layout.partners
         first = np.cumsum([0] + list(map(len, partners))).tolist()
         offset = np.cumsum([0] + [1 << len(f) for f in frontiers[:K]]).tolist()
         n_entries = offset[K]
@@ -399,7 +392,7 @@ class GraphSpec:
                     for c, k in enumerate(frontiers[p + 1]):
                         code |= (b if k == i else f >> bit[k] & 1) << c
                     step[2 * e + b] = 2 * (offset[p + 1] + code)
-        return FrontierCodes(tuple(offset), node, slot, sign, tuple(step))
+        return FrontierCodes(node, slot, sign, tuple(step))
 
     @cached_property
     def closing(self) -> tuple[tuple[tuple[tuple[int, int], ...], tuple[int, ...]], ...]:

@@ -22,21 +22,23 @@ and only the state counts fall.
 On a graph whose frontiers are narrow the search prunes on the exact cost
 still to come instead (bucket elimination along the order, used as a search
 heuristic: Dechter 1999, Kask and Dechter 2001).  Position p's frontier
-(``GraphSpec.frontiers``) holds the earlier nodes that p or a later node
-reads; a backward DP tabulates h_p, the least cost of positions p.. for
-each labelling of that frontier, from the same per-node costs the search
-adds, and the search prunes on partial + h_{p+1} with the same slack.  Each
-h_p is at least the static bound (the same monotone rounding), and the
-optimum's backward sum stays within the slack of its forward one, so the
-first minimizer in search order is never cut and labels, objectives and
-statuses stay those of the static search, which visits every state the
-tabled search visits.  ``bb_infer`` chooses once per call: tables, built
-before the first pass and kept by escalated retries, when
+holds the earlier nodes that p or a later node reads; a backward DP
+tabulates h_p, the least cost of positions p.. for each labelling of that
+frontier, from the same per-node costs the search adds, and the search
+prunes on partial + h_{p+1} with the same slack.  Each h_p is at least the
+static bound (the same monotone rounding), and the optimum's backward sum
+stays within the slack of its forward one, so the first minimizer in
+search order is never cut and labels, objectives and statuses stay those
+of the static search, which visits every state the tabled search visits.
+``bb_infer`` builds one bound table per instance, before the first pass,
+and every pass reads it, escalated retries and the greedy fallback
+included: the cost-to-go table (``_cost_to_go``) when
 ``GraphSpec.frontier_codes`` exists (every frontier at most a few labels
-wide), the static bound otherwise.  ``BBConfig(cost_to_go=False)`` keeps
-the static bound: the ``bench`` sweeps measure the search that the
-``1 - loss/S`` guarantee and the trained-versus-random contrast are about,
-and exact tables make random models cheap too.
+wide), the static bound's width-0 table (``_static_table``) otherwise.
+``BBConfig(cost_to_go=False)`` keeps the static bound: the ``bench`` sweeps
+measure the search that the ``1 - loss/S`` guarantee and the
+trained-versus-random contrast are about, and exact tables make random
+models cheap too.
 
 The search computes each node score itself, on plain Python lists and
 floats, from the tables of ``compile_scorer``.  The greedy fallback, the
@@ -81,7 +83,6 @@ bit-for-bit, never merely within a tolerance.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -192,13 +193,26 @@ def _cost_to_go(scorer: NodeScorer, codes: FrontierCodes) -> list[float]:
     return h
 
 
-@functools.lru_cache(maxsize=None)
-def _static_steps(K: int) -> tuple[int, ...]:
-    """The width-0 table's steps: position p's one entry is entry p."""
-    return tuple(2 * (k // 2) + 2 for k in range(2 * K))
+def _static_table(scorer: NodeScorer) -> tuple[list[int], list[float]]:
+    """The width-0 table (step, bound): position p's one entry is entry p,
+    and bound[2p] = bound[2p + 1] is the sum over positions q > p of
+    max(0, 1 - M_q), where M_q bounds |s| of node order[q] whatever its
+    partners' labels (see the module docstring)."""
+    K = scorer.n_outputs
+    const = scorer.const.tolist()
+    bound = [0.0] * (2 * K)
+    rest = 0.0
+    for p in range(K - 1, 0, -1):
+        node = scorer.order[p]
+        m = abs(const[node])
+        for w_eff, _ in scorer.terms[node]:
+            m += abs(w_eff)
+        rest += 1.0 - m if m < 1.0 else 0.0
+        bound[2 * p - 2] = bound[2 * p - 1] = rest
+    return [2 * p + 2 for p in range(K) for _ in (0, 1)], bound
 
 
-def _search(scorer: NodeScorer, order: tuple[int, ...], cutoff: float, budget, table=None):
+def _search(scorer: NodeScorer, cutoff: float, budget, table):
     """One depth-first pass.  Returns (incumbent or None, objective, states,
     hit_budget).
 
@@ -209,34 +223,18 @@ def _search(scorer: NodeScorer, order: tuple[int, ...], cutoff: float, budget, t
     after p, reaches the upper bound times the rounding slack (see the
     module docstring); both limits drop with each new incumbent.
 
-    ``bound`` and ``step`` form one table: key = 2e + b for entry e and
-    order[p]'s label b (0 for +1, 1 for -1), and ``step[key]`` is the next
-    position's entry, doubled.  ``table`` = (step, h) gives cost-to-go
-    tables keyed by ``GraphSpec.frontier_codes`` (h from ``_cost_to_go``);
-    without it the bound is the static one, the width-0 table with one entry
-    per position.  With an infinite cutoff and a budget of K states the pass
-    is the greedy all-left dive and nothing more, which is the fallback
-    ``bb_infer`` returns.
+    ``table`` = (step, bound), built by ``bb_infer`` once per instance:
+    key = 2e + b for entry e and order[p]'s label b (0 for +1, 1 for -1),
+    and ``step[key]`` is the next position's entry, doubled.  With an
+    infinite cutoff and a budget of K states the pass is the greedy
+    all-left dive and nothing more, which is the fallback ``bb_infer``
+    returns.
     """
     K = scorer.n_outputs
+    order = scorer.order
     const = scorer.const.tolist()
     terms = [scorer.terms[node] for node in order]
-    if table is not None:
-        step, h = table
-        bound = [h[k] for k in step]
-    else:
-        step = _static_steps(K)
-        # bound[2p], bound[2p + 1] = sum over positions q > p of
-        # max(0, 1 - M_q), where M_q bounds |s| of node order[q] whatever
-        # its partners' labels
-        bound = [0.0] * (2 * K)
-        rest = 0.0
-        for p in range(K - 1, 0, -1):
-            m = abs(const[order[p]])
-            for w_eff, _ in terms[p]:
-                m += abs(w_eff)
-            rest += 1.0 - m if m < 1.0 else 0.0
-            bound[2 * p - 2] = bound[2 * p - 1] = rest
+    step, bound = table
     slack = 1.0 + 4 * K * 2.0**-52
     y = [0] * K
     partial = [0.0] * (K + 1)
@@ -315,24 +313,26 @@ def bb_infer(graph: GraphSpec, weights: WeightVector, x, config: BBConfig | None
     lower bound on the cost still to come only prunes prefixes that cannot
     hold an assignment strictly under the upper bound, so it lowers
     ``states_visited`` and changes no label, objective or status; the
-    ``branch_budget`` and ``1 - loss/S`` bounds hold as before.  With
-    ``config.cost_to_go`` and a graph whose frontiers are all narrow, the
-    cost-to-go tables are built once, before the first pass, and serve every
-    pass (see the module docstring).  If no assignment has loss under the
-    cutoff, the greedy all-left assignment is returned (status
-    no_solution_under_S_fallback), or the search retries with a doubled
-    cutoff when escalation is on.  If the state budget runs out first,
-    including a pass that spends exactly the states left before an escalated
-    retry, the best assignment seen so far (or the greedy one) is returned
-    with status budget_exceeded.
+    ``branch_budget`` and ``1 - loss/S`` bounds hold as before.  The bound's
+    table is built once, before the first pass, and serves every pass, the
+    greedy fallback included (see the module docstring).  If no assignment
+    has loss under the cutoff, the greedy all-left assignment is returned
+    (status no_solution_under_S_fallback), or the search retries with a
+    doubled cutoff when escalation is on.  If the state budget runs out
+    first, including a pass that spends exactly the states left before an
+    escalated retry, the best assignment seen so far (or the greedy one) is
+    returned with status budget_exceeded.
     """
     if graph.kind != DIRECTED:
         raise GraphError("branch-and-bound needs a directed graph")
     config = config or BBConfig()
     scorer = compile_scorer(graph, weights, x)
-    order = graph.order
     codes = graph.frontier_codes if config.cost_to_go else None
-    table = None if codes is None else (codes.step, _cost_to_go(scorer, codes))
+    if codes is None:
+        table = _static_table(scorer)
+    else:
+        h = _cost_to_go(scorer, codes)
+        table = codes.step, [h[k] for k in codes.step]
     cutoff = float(config.cutoff)
     total_states = 0
     status = STATUS_FALLBACK
@@ -344,7 +344,7 @@ def bb_infer(graph: GraphSpec, weights: WeightVector, x, config: BBConfig | None
                 # an escalated retry with no states left: the budget ran out
                 status = STATUS_BUDGET
                 break
-        incumbent, obj, states, hit_budget = _search(scorer, order, cutoff, remaining, table)
+        incumbent, obj, states, hit_budget = _search(scorer, cutoff, remaining, table)
         total_states += states
         if incumbent is not None:
             return InferenceResult(incumbent, obj, total_states, STATUS_BUDGET if hit_budget else STATUS_OPTIMAL)
@@ -354,8 +354,8 @@ def bb_infer(graph: GraphSpec, weights: WeightVector, x, config: BBConfig | None
         if not config.escalate:
             break
         cutoff *= 2.0
-    # the greedy fallback: with no bound and K states, the first all-left dive
-    y, obj, _, _ = _search(scorer, order, math.inf, graph.n_outputs)
+    # the greedy fallback: with no cutoff and K states, the first all-left dive
+    y, obj, _, _ = _search(scorer, math.inf, graph.n_outputs, table)
     return InferenceResult(y, obj, total_states, status)
 
 

@@ -320,6 +320,8 @@ def batch_scorer(graph: GraphSpec, weights: WeightVector, X: np.ndarray) -> Node
 
 def node_margin(graph: GraphSpec, weights: WeightVector, x, y, i: int) -> float:
     """Margin z_i = y_i * s_i; y may be partial with 0 meaning unassigned."""
+    _check_int(i, "node index")
+    i = int(i)
     if not (0 <= i < graph.n_outputs):
         raise DataError(f"node index {i} out of range for {graph.n_outputs} outputs")
     y = _label_vector(graph, y)

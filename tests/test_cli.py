@@ -618,3 +618,16 @@ def test_readme_command_line_quick_start_prints_what_the_readme_shows(tmp_path, 
     assert evaluated == metric_line
     [(swept, _)] = _run_readme_shell(sweep, capsys)
     assert swept == sweep_csv
+
+
+def test_readme_python_quick_start_runs_and_prints_what_the_readme_shows(tmp_path, monkeypatch, capsys):
+    # both Python blocks in order, in one namespace, as one session runs them
+    monkeypatch.chdir(tmp_path)
+    fit, by_hand = [body for lang, body in _readme_blocks() if lang == "python"]
+    namespace: dict = {}
+    exec(compile(fit, "README.md", "exec"), namespace)
+    capsys.readouterr()
+    exec(compile(by_hand, "README.md", "exec"), namespace)
+    [shown] = [line.split("  # ", 1)[1] for line in by_hand.splitlines() if line.startswith("print(graph.cliques[1])")]
+    assert shown == "Clique(outputs=(0, 2), input_feature=None)"
+    assert capsys.readouterr().out == shown + "\n"

@@ -223,16 +223,43 @@ def test_routing_matches_the_owner_chain_reference(kind):
         assert layout.coupled_column.tolist() == [col for terms in coupled for _, col, _ in terms]
 
 
+def expected_codes(graph, frontiers):
+    """node, sign (padded with 1.0, one row per entry) and step of
+    ``frontier_codes`` from the expected frontiers F_0..F_K: entries run by
+    position, then by code, bit b of the code set when F_p[b] is -1."""
+    offset = np.cumsum([0] + [1 << len(f) for f in frontiers]).tolist()
+    partners = graph.layout.partners
+    width = max(map(len, partners))
+    node, sign, step = [], [], []
+    for p, i in enumerate(graph.order):
+        for f in range(1 << len(frontiers[p])):
+            y = {k: -1 if f >> b & 1 else 1 for b, k in enumerate(frontiers[p])}
+            node.append(i)
+            parities = [float(np.prod([y[k] for k in others])) for others in partners[i]]
+            sign.append(parities + [1.0] * (width - len(parities)))
+            for label in (1, -1):
+                y[i] = label
+                code = sum(1 << c for c, k in enumerate(frontiers[p + 1]) if y[k] < 0)
+                step.append(2 * (offset[p + 1] + code))
+    return node, sign, tuple(step)
+
+
 def test_frontiers_hold_the_earlier_labels_the_rest_of_the_order_reads():
     chain = mg.build_chain_graph(4, 1, mg.DIRECTED, order=(2, 0, 3, 1))
-    assert chain.frontiers == ((), (2,), (0,), (3,), ())
     full = mg.build_full_graph(4, 0, mg.DIRECTED, order=(3, 1, 0, 2))
-    assert full.frontiers == ((), (3,), (3, 1), (3, 1, 0), ())
     # a clique read only by the last node keeps node 0 live over node 1
     skip = GraphSpec(3, 0, mg.DIRECTED, (0, 1, 2), (Clique((0,)), Clique((1,)), Clique((0, 2))))
-    assert skip.frontiers == ((), (0,), (0,), ())
+    for graph, frontiers in (
+        (chain, ((), (2,), (0,), (3,), ())),
+        (full, ((), (3,), (3, 1), (3, 1, 0), ())),
+        (skip, ((), (0,), (0,), ())),
+    ):
+        codes = graph.frontier_codes
+        node, sign, step = expected_codes(graph, frontiers)
+        assert codes.node.tolist() == node
+        assert codes.sign.T.tolist() == sign
+        assert codes.step == step
     codes = chain.frontier_codes
-    assert codes.offset == (0, 1, 3, 5, 7)
     # node 0 at position 1 reads node 2, bit 0 of its frontier code
     assert codes.node.tolist() == [2, 0, 0, 3, 3, 1, 1]
     assert codes.sign.tolist() == [[1.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0]]

@@ -583,11 +583,14 @@ def test_cost_to_go_tables_bound_the_static_suffix_and_the_optimum(topology, K, 
     h = inference._cost_to_go(scorer, codes)
     suffix = reference_suffix(scorer, graph.order)
     frontiers = reference_frontiers(scorer, graph.order)
-    assert graph.frontiers == tuple(frontiers)
+    # entries run by position, then by frontier code, so a wrong frontier
+    # shifts the numbering of every later entry
+    offset = np.cumsum([0] + [1 << len(f) for f in frontiers]).tolist()
+    assert len(codes.node) == offset[K]
     reference = reference_cost_to_go(scorer, graph.order, frontiers)
     for p in range(K + 1):
         for f in range(1 << len(frontiers[p])):
-            entry = h[2 * (codes.offset[p] + f)]
+            entry = h[2 * (offset[p] + f)]
             labels = tuple(-1 if f >> b & 1 else 1 for b in range(len(frontiers[p])))
             # the same bits as the scalar DP, never below the static bound
             assert entry == reference[p][labels]
@@ -623,23 +626,44 @@ def test_cost_to_go_slack_absorbs_the_backward_rounding():
     assert exhaustive_infer(graph, weights, x).objective == 1.0
 
 
-def test_escalation_builds_the_tables_once_per_call(monkeypatch):
+@pytest.mark.parametrize("cost_to_go", [True, False])
+@pytest.mark.parametrize("escalate, status", [(True, STATUS_OPTIMAL), (False, STATUS_FALLBACK)])
+def test_escalation_builds_the_tables_once_per_call(monkeypatch, cost_to_go, escalate, status):
     # static bounds of 0 and every completion of a root label costing at
-    # least 1 (see the budget test above): the tables are built before the
-    # pass under cutoff 2, which finds nothing; the retry under cutoff 4
-    # reuses them
+    # least 1 (see the budget test above): the table is built before the
+    # pass under cutoff 2, which finds nothing; the retry under cutoff 4,
+    # or without escalation the greedy fallback, reads the same table
     graph = GraphSpec(3, 0, mg.DIRECTED, (0, 1, 2),
                       (Clique((0,)), Clique((1,)), Clique((0, 1)), Clique((0, 2)), Clique((1, 2))))
     weights = WeightVector(np.array([0.0, 0.5, 0.5, 0.5, -0.5]), lam=1.0)
-    builds, passes = [], []
-    build, search = inference._cost_to_go, inference._search
-    monkeypatch.setattr(inference, "_cost_to_go", lambda *a: builds.append(1) or build(*a))
-    monkeypatch.setattr(inference, "_search", lambda *a: passes.append(1) or search(*a))
-    res = bb_infer(graph, weights, np.zeros(0), BBConfig(cutoff=2, escalate=True))
-    assert res.status == STATUS_OPTIMAL and res.objective == 2.0
-    # two passes and the greedy dive is not run; one build
-    assert len(passes) == 2
-    assert len(builds) == 1
+    built = {"_cost_to_go": [], "_static_table": []}
+    tables = []
+
+    def counted(name):
+        helper = getattr(inference, name)
+        return lambda *a: built[name].append(helper(*a)) or built[name][-1]
+
+    for name in built:
+        monkeypatch.setattr(inference, name, counted(name))
+    search = inference._search
+    monkeypatch.setattr(inference, "_search", lambda *a: tables.append(a[3]) or search(*a))
+    config = BBConfig(cutoff=2, escalate=escalate, cost_to_go=cost_to_go)
+    res = bb_infer(graph, weights, np.zeros(0), config)
+    assert res.status == status
+    if escalate:
+        assert res.objective == 2.0
+    else:
+        y, obj = reference_greedy_descent(compile_scorer(graph, weights, np.zeros(0)), graph.order)
+        assert res.labels.tolist() == y.tolist() and res.objective == obj
+    # two passes, or one pass and the greedy dive; one build, read by both
+    assert len(tables) == 2 and tables[0] is tables[1]
+    assert len(built["_cost_to_go"]) == int(cost_to_go)
+    assert len(built["_static_table"]) == int(not cost_to_go)
+    if cost_to_go:
+        [h] = built["_cost_to_go"]
+        assert tables[0] == (graph.frontier_codes.step, [h[k] for k in graph.frontier_codes.step])
+    else:
+        assert tables[0] is built["_static_table"][0]
 
 
 # ---------------------------------------------------------------------------

@@ -78,8 +78,14 @@ def test_node_margin_requires_assigned_parents(two_node_model):
 
 def test_node_margin_rejects_bad_index(two_node_model):
     graph, weights, x = two_node_model
+    y = np.array([1, 1], dtype=np.int8)
     with pytest.raises(DataError):
-        mg.node_margin(graph, weights, x, np.array([1, 1], dtype=np.int8), 2)
+        mg.node_margin(graph, weights, x, y, 2)
+    for i in (0.5, "0", None):
+        with pytest.raises(DataError, match="node index must be an integer"):
+            mg.node_margin(graph, weights, x, y, i)
+    # a bool is an integer: True is node 1
+    assert mg.node_margin(graph, weights, x, y, True) == mg.node_margin(graph, weights, x, y, 1) == 1.0
 
 
 @pytest.mark.parametrize("call, message", [
