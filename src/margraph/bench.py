@@ -97,9 +97,9 @@ def run_s_sweep(
     (``cost_to_go=False``): the sweep measures the search the guarantee is
     about.
     """
+    mean_loss = mean_joint_loss(dataset, graph, weights)
     exact = BBConfig(cutoff=math.inf, cost_to_go=False)
     oracle = [bb_infer(graph, weights, x, exact).objective for x in dataset.X]
-    mean_loss = mean_joint_loss(dataset, graph, weights)
     records = []
     for cutoff in cutoffs:
         budget = branch_budget(graph.n_outputs, cutoff)

@@ -84,5 +84,14 @@ class Dataset:
         return self.n_instances
 
     def subset(self, indices) -> "Dataset":
-        idx = np.asarray(indices, dtype=np.intp)
+        """The rows at ``indices``, in that order; each must be an integer
+        in [0, N), so a boolean mask, a float or a negative index is refused."""
+        idx = np.asarray(indices)
+        if idx.size == 0:
+            raise DataError("a subset needs at least one row")
+        if idx.ndim != 1 or idx.dtype.kind not in "iu":
+            raise DataError(f"subset indices must be a list of integers, got {idx.dtype} of shape {idx.shape}")
+        bad = idx[(idx < 0) | (idx >= self.n_instances)]
+        if bad.size:
+            raise DataError(f"subset index {bad[0]} is out of range for {self.n_instances} rows")
         return Dataset(self.X[idx], self.Y[idx])

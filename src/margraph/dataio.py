@@ -26,7 +26,7 @@ from .data import Dataset
 from .errors import DataError, GraphError, MargraphError, ModelFormatError
 from .graphs import Cliques, GraphSpec
 from .inference import STATUS_BUDGET, STATUS_FALLBACK, STATUS_LOCAL, STATUS_OPTIMAL
-from .model import WeightVector, _check_weight_count
+from .model import WeightVector, _check_int, _check_weight_count
 
 __all__ = [
     "MODEL_FORMAT_VERSION",
@@ -103,8 +103,14 @@ def parse_multilabel_svmlight(path, n_outputs: int | None = None, n_inputs: int 
     listed are +1, the rest -1; an empty list means all -1), followed by
     whitespace-separated 1-based idx:value feature pairs.  Blank lines are
     skipped and '#' starts a comment.  Label and feature counts are taken
-    from the file's maxima unless given.
+    from the file's maxima unless given; a given count must be an integer,
+    at least 1 for labels and at least 0 for inputs.
     """
+    for count, least, what in ((n_outputs, 1, "label count"), (n_inputs, 0, "input count")):
+        if count is not None:
+            _check_int(count, what)
+            if count < least:
+                raise DataError(f"{what} must be at least {least}, got {count}")
     path = str(path)
     labels: list[int] = []  # every row's label ids, row after row
     label_counts: list[int] = []

@@ -151,17 +151,12 @@ class Cliques:
             if outs[0] < 0:
                 raise GraphError(f"negative output index in clique: {outs}")
             raise GraphError(f"negative input feature index: {int(inputs[j])}")
-        # builders and saved models give every clique's members already
-        # strictly increasing, and those are kept as given
-        rising = members[1:] > members[:-1]
-        rising[indptr[1:-1] - 1] = True
-        if not rising.all():
-            members = members[np.lexsort((members, clique_of))]
-            keep = np.ones(len(members), dtype=bool)
-            keep[1:] = members[1:] != members[:-1]
-            keep[indptr[:-1]] = True
-            members = members[keep]
-            indptr[1:] = np.cumsum(keep)[indptr[1:] - 1]
+        members = members[np.lexsort((members, clique_of))]
+        keep = np.ones(len(members), dtype=bool)
+        keep[1:] = members[1:] != members[:-1]
+        keep[indptr[:-1]] = True
+        members = members[keep]
+        indptr[1:] = np.cumsum(keep)[indptr[1:] - 1]
         self.indptr, self.members, self.inputs = indptr, members, inputs
         for arr in (self.indptr, self.members, self.inputs):
             arr.flags.writeable = False

@@ -100,7 +100,7 @@ from .model import (
     _check_real,
     _label_vector,
     compile_scorer,
-    signs_from_index,
+    signs_of_indices,
 )
 
 __all__ = [
@@ -319,9 +319,9 @@ def bb_infer(graph: GraphSpec, weights: WeightVector, x, config: BBConfig | None
     has loss under the cutoff, the greedy all-left assignment is returned
     (status no_solution_under_S_fallback), or the search retries with a
     doubled cutoff when escalation is on.  If the state budget runs out
-    first, including a pass that spends exactly the states left before an
-    escalated retry, the best assignment seen so far (or the greedy one) is
-    returned with status budget_exceeded.
+    first, the best assignment seen so far (or the greedy one) is returned
+    with status budget_exceeded; a retry with no states left runs out at
+    the first branch, which the smaller cutoff already took.
     """
     if graph.kind != DIRECTED:
         raise GraphError("branch-and-bound needs a directed graph")
@@ -335,28 +335,18 @@ def bb_infer(graph: GraphSpec, weights: WeightVector, x, config: BBConfig | None
         table = codes.step, [h[k] for k in codes.step]
     cutoff = float(config.cutoff)
     total_states = 0
-    status = STATUS_FALLBACK
     for _ in range(_ESCALATE_CAP + 1):
-        remaining = None
-        if config.max_states is not None:
-            remaining = config.max_states - total_states
-            if remaining <= 0:
-                # an escalated retry with no states left: the budget ran out
-                status = STATUS_BUDGET
-                break
+        remaining = None if config.max_states is None else config.max_states - total_states
         incumbent, obj, states, hit_budget = _search(scorer, cutoff, remaining, table)
         total_states += states
         if incumbent is not None:
             return InferenceResult(incumbent, obj, total_states, STATUS_BUDGET if hit_budget else STATUS_OPTIMAL)
-        if hit_budget:
-            status = STATUS_BUDGET
-            break
-        if not config.escalate:
+        if hit_budget or not config.escalate:
             break
         cutoff *= 2.0
     # the greedy fallback: with no cutoff and K states, the first all-left dive
     y, obj, _, _ = _search(scorer, math.inf, graph.n_outputs, table)
-    return InferenceResult(y, obj, total_states, status)
+    return InferenceResult(y, obj, total_states, STATUS_BUDGET if hit_budget else STATUS_FALLBACK)
 
 
 def _pass_budget(K: int) -> int:
@@ -470,7 +460,7 @@ def exhaustive_infer(graph: GraphSpec, weights: WeightVector, x) -> InferenceRes
         if totals[i] < best_obj:
             best_obj = float(totals[i])
             best_idx = start + i
-    return InferenceResult(signs_from_index(K, best_idx), best_obj, states + (1 << K), STATUS_OPTIMAL)
+    return InferenceResult(signs_of_indices(K, [best_idx])[0], best_obj, states + (1 << K), STATUS_OPTIMAL)
 
 
 def _node_loss(const: list, terms, y: list, i: int) -> float:

@@ -59,7 +59,6 @@ __all__ = [
     "bm_log_likelihood",
     "log_prob_table",
     "signs_of_indices",
-    "signs_from_index",
     "index_from_signs",
     "surrogate_bound_check",
     "HINGE_LOG_OFFSET",
@@ -370,10 +369,6 @@ def signs_of_indices(n_outputs: int, indices) -> np.ndarray:
     shifts = np.array([n_outputs - 1 - k for k in range(n_outputs)], dtype=np.int64)
     bits = (idx[:, None] >> shifts[None, :]) & 1
     return (1 - 2 * bits).astype(np.int8)
-
-
-def signs_from_index(n_outputs: int, idx: int) -> np.ndarray:
-    return signs_of_indices(n_outputs, [idx])[0]
 
 
 def index_from_signs(y: np.ndarray) -> int:

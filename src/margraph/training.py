@@ -143,13 +143,18 @@ def clique_feature_matrix(graph: GraphSpec, dataset: Dataset) -> np.ndarray:
     return _features(graph, dataset, range(graph.n_cliques))
 
 
-def _features(graph: GraphSpec, dataset: Dataset, cliques) -> np.ndarray:
-    """(N, len(cliques)) C-contiguous features of the given cliques."""
+def _check_dims(graph: GraphSpec, dataset: Dataset) -> None:
+    """A DataError unless the dataset's label and input counts are the graph's."""
     if dataset.n_outputs != graph.n_outputs or dataset.n_inputs != graph.n_inputs:
         raise DataError(
             f"dataset dims ({dataset.n_outputs} outputs, {dataset.n_inputs} inputs) "
             f"do not match graph ({graph.n_outputs}, {graph.n_inputs})"
         )
+
+
+def _features(graph: GraphSpec, dataset: Dataset, cliques) -> np.ndarray:
+    """(N, len(cliques)) C-contiguous features of the given cliques."""
+    _check_dims(graph, dataset)
     F = np.empty((dataset.n_instances, len(cliques)), dtype=np.float64)
     cliques = np.array(cliques, dtype=np.intp).reshape(-1)
     start = graph.cliques.indptr[cliques]
@@ -503,6 +508,7 @@ def _train(dataset: Dataset, graph: GraphSpec, config: TrainConfig, start: DualS
 
 def mean_joint_loss(dataset: Dataset, graph: GraphSpec, weights: WeightVector) -> float:
     """Mean joint hinge loss at the observed labels."""
+    _check_dims(graph, dataset)
     Z = batch_scorer(graph, weights, dataset.X).margin_block(dataset.Y)
     return float(np.maximum(0.0, 1.0 - Z).sum()) / dataset.n_instances
 

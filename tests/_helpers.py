@@ -13,7 +13,7 @@ from margraph.dataio import MODEL_FORMAT_VERSION, ModelFile, _numbered_lines
 from margraph.errors import DataError, GraphError, ModelFormatError
 from margraph.graphs import GRAPH_BUILDERS
 from margraph.inference import STATUS_BUDGET, STATUS_LOCAL, STATUS_OPTIMAL
-from margraph.model import compile_scorer, signs_from_index, signs_of_indices
+from margraph.model import compile_scorer, signs_of_indices
 
 BUILDERS = GRAPH_BUILDERS
 
@@ -119,7 +119,7 @@ def reference_exhaustive(graph, weights, x):
         if totals[i] < best_obj:
             best_obj = float(totals[i])
             best_idx = start + i
-    return signs_from_index(graph.n_outputs, best_idx), best_obj
+    return signs_of_indices(graph.n_outputs, [best_idx])[0], best_obj
 
 
 def reference_energies(graph, weights, x):

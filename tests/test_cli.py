@@ -570,6 +570,16 @@ def test_module_entry_point_runs_in_a_subprocess(tmp_path):
     assert (tmp_path / "s.sv").exists()
 
 
+@pytest.mark.parametrize("argv, code, stream, words", [
+    (["--help"], 0, "stdout", "usage: margraph"),
+    (["predict"], 2, "stderr", "the following arguments are required"),
+])
+def test_module_entry_point_exits_with_the_command_line_status(argv, code, stream, words):
+    proc = subprocess.run([sys.executable, "-m", "margraph", *argv], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == code, proc.stderr
+    assert words in getattr(proc, stream)
+
+
 # ---------------------------------------------------------------------------
 # README
 

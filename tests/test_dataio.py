@@ -32,7 +32,7 @@ from margraph.inference import (
     InferenceResult,
     bb_infer,
 )
-from margraph.model import signs_from_index
+from margraph.model import signs_of_indices
 
 from _helpers import (
     coupled_graph,
@@ -107,6 +107,23 @@ def test_fixed_counts_are_enforced(tmp_path):
     p2 = write(tmp_path, "1 9:1.0\n")
     with pytest.raises(DataError, match="exceeds input count"):
         parse_multilabel_svmlight(p2, n_inputs=8)
+
+
+@pytest.mark.parametrize("counts, message", [
+    ({"n_outputs": 2.5}, "label count must be an integer, got 2.5"),
+    ({"n_outputs": "2"}, "label count must be an integer, got '2'"),
+    ({"n_outputs": 0}, "label count must be at least 1, got 0"),
+    ({"n_inputs": -1}, "input count must be at least 0, got -1"),
+    ({"n_inputs": 1.0}, "input count must be an integer, got 1.0"),
+])
+def test_given_counts_are_checked_before_the_file_is_read(tmp_path, counts, message):
+    p = write(tmp_path, "1 1:1.0\n")
+    for path in (p, tmp_path / "missing.sv"):
+        with pytest.raises(DataError, match=message):
+            parse_multilabel_svmlight(path, **counts)
+    if "n_outputs" in counts:
+        with pytest.raises(DataError, match=message):
+            read_label_matrix(p, **counts)
 
 
 def test_empty_file_and_no_labels_are_rejected(tmp_path):
@@ -540,7 +557,7 @@ def test_prediction_write_then_read_round_trips(tmp_path_factory, data, K):
     rows = data.draw(
         st.lists(st.tuples(st.integers(0, 2**K - 1), losses, st.integers(0, 2**40), statuses), min_size=1, max_size=6)
     )
-    results = [InferenceResult(signs_from_index(K, idx), obj, states, status) for idx, obj, states, status in rows]
+    results = [InferenceResult(signs_of_indices(K, [idx])[0], obj, states, status) for idx, obj, states, status in rows]
     path = tmp_path_factory.getbasetemp() / "round-trip.pred"
     write_predictions(path, results)
     Y, got_losses, got_states, got_statuses = read_predictions(path)

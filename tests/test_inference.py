@@ -23,7 +23,7 @@ from margraph.inference import (
     exhaustive_infer,
     icm_infer,
 )
-from margraph.model import compile_scorer, signs_from_index
+from margraph.model import compile_scorer, signs_of_indices
 
 from _helpers import (
     coupled_graph,
@@ -701,7 +701,7 @@ def test_label_grid_matches_the_sign_matrix_reference(kind, topology, K, D, zero
         assert starts == list(range(0, 1 << K, 1 << min(K, chunk_bits)))
         got = exhaustive_infer(graph, weights, x)
     first = int(np.argmin(reference))
-    assert got.labels.tolist() == signs_from_index(K, first).tolist()
+    assert got.labels.tolist() == signs_of_indices(K, [first])[0].tolist()
     assert got.objective == reference[first]
     if kind == mg.DIRECTED:
         assert bb_infer(graph, weights, x).objective == got.objective

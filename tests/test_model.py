@@ -18,7 +18,7 @@ from margraph.model import (
     compile_scorer,
     index_from_signs,
     log_prob_table,
-    signs_from_index,
+    signs_of_indices,
     surrogate_bound_check,
 )
 
@@ -311,7 +311,7 @@ def test_log_prob_table_matches_instance_likelihoods():
             table = log_prob_table(graph, weights, x)
             assert table.shape == (1 << graph.n_outputs,)
             for idx in range(table.shape[0]):
-                y = signs_from_index(graph.n_outputs, idx)
+                y = signs_of_indices(graph.n_outputs, [idx])[0]
                 assert table[idx] == pytest.approx(ll(graph, weights, Instance(x, y)), abs=1e-9)
 
 
@@ -490,11 +490,11 @@ def test_parity_sets_keep_the_per_node_term_order(topology, K, D, rows, parity_e
 def test_index_sign_conversions_roundtrip():
     for K in (1, 3, 6):
         for idx in range(1 << K):
-            y = signs_from_index(K, idx)
+            y = signs_of_indices(K, [idx])[0]
             assert set(np.unique(y)) <= {-1, 1}
             assert index_from_signs(y) == idx
     # index 0 is the all-positive assignment (ties prefer +1)
-    assert signs_from_index(3, 0).tolist() == [1, 1, 1]
+    assert signs_of_indices(3, [0])[0].tolist() == [1, 1, 1]
 
 
 def test_surrogate_bound_check_values():

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import margraph as mg
-from margraph import Clique, Dataset, GraphSpec, TrainConfig, WeightVector, training
+from margraph import Clique, Dataset, GraphSpec, TrainConfig, WeightVector, bench, training
+from margraph.bench import run_s_sweep
 from margraph.errors import DataError, GraphError
 from margraph.training import (
     box_primal_objective,
@@ -385,6 +386,26 @@ def test_converged_solve_reports_the_all_alpha_projected_gradient(kind):
     assert reported <= config.tolerance
     recomputed = all_alpha_max_projected_gradient(graph, dataset, result.state, config)
     assert abs(reported - recomputed) <= 1e-12
+
+
+@pytest.mark.parametrize("n_outputs, n_inputs", [(3, 2), (1, 2), (2, 3)])
+@pytest.mark.parametrize("measure", [
+    mean_joint_loss,
+    primal_objective,
+    lambda dataset, graph, weights: run_s_sweep(graph, weights, dataset, [1.0]),
+    lambda dataset, graph, weights: mg.train_lmsbn(dataset, graph, TrainConfig()),
+], ids=["mean_joint_loss", "primal_objective", "run_s_sweep", "train"])
+def test_a_dataset_of_other_dims_than_the_graph_is_refused(monkeypatch, measure, n_outputs, n_inputs):
+    def no_search(*args):
+        raise AssertionError("searched before checking the dataset")
+
+    monkeypatch.setattr(bench, "bb_infer", no_search)
+    graph = mg.build_chain_graph(2, 2, mg.DIRECTED)
+    dataset = random_dataset(np.random.default_rng(3), 4, n_outputs, n_inputs)
+    weights = WeightVector(np.ones(graph.n_cliques), lam=1.0)
+    with pytest.raises(DataError, match=f"dataset dims \\({n_outputs} outputs, {n_inputs} inputs\\) "
+                       "do not match graph \\(2, 2\\)"):
+        measure(dataset, graph, weights)
 
 
 def test_primal_objective_at_zero_weights_is_output_count():
