@@ -21,7 +21,7 @@ import numpy as np
 from .data import Dataset
 from .graphs import DIRECTED, GraphSpec, _output_count
 from .inference import STATUS_OPTIMAL, BBConfig, _check_cutoff, bb_infer
-from .model import WeightVector, _check_int, _check_regularization, _check_seed, batch_scorer
+from .model import WeightVector, _check_int, batch_scorer
 from .synth import SynthConfig, planted_model, sample_sbn
 from .training import TrainConfig, mean_joint_loss, train_lmsbn
 
@@ -95,28 +95,29 @@ def run_s_sweep(
     the model's mean joint hinge loss at the observed labels, the quantity
     the guarantee is stated in.  Every search keeps the static bound
     (``cost_to_go=False``): the sweep measures the search the guarantee is
-    about.
+    about.  Every cutoff and budget is checked before the first search.
     """
-    mean_loss = mean_joint_loss(dataset, graph, weights)
+    cap = BBConfig(max_states=max_states).max_states or math.inf  # BBConfig checks the cap
+    configs = [
+        BBConfig(cutoff=S, max_states=min(branch_budget(graph.n_outputs, S), cap), cost_to_go=False)
+        for S in cutoffs
+    ]
     exact = BBConfig(cutoff=math.inf, cost_to_go=False)
+    mean_loss = mean_joint_loss(dataset, graph, weights)
     oracle = [bb_infer(graph, weights, x, exact).objective for x in dataset.X]
     records = []
-    for cutoff in cutoffs:
-        budget = branch_budget(graph.n_outputs, cutoff)
-        if max_states is not None:
-            budget = min(budget, max_states)
+    for config in configs:
         hits = 0
         states = []
         for l in range(dataset.n_instances):
-            config = BBConfig(cutoff=cutoff, max_states=budget, cost_to_go=False)
             res = bb_infer(graph, weights, dataset.X[l], config)
             states.append(res.states_visited)
             if res.status == STATUS_OPTIMAL and res.objective == oracle[l]:
                 hits += 1
-        bound = min(1.0, max(0.0, 1.0 - mean_loss / cutoff))
+        bound = min(1.0, max(0.0, 1.0 - mean_loss / config.cutoff))
         records.append(
             BenchRecord(
-                cutoff=float(cutoff),
+                cutoff=float(config.cutoff),
                 fraction_optimal=hits / dataset.n_instances,
                 bound=bound,
                 mean_states=float(np.mean(states)),
@@ -149,11 +150,11 @@ def run_k_sweep(
     the static bound alone (``cost_to_go=False``): exact cost-to-go tables
     would make the random model cheap too and hide the contrast.
     """
-    _check_seed(seed)
-    _check_int(n_train, "n_train")
-    _check_int(n_test, "n_test")
-    _check_regularization(lam, 0.0)
+    _check_int(n_train, "n_train", 1)
+    _check_int(n_test, "n_test", 1)
     k_list = [_output_count(K) for K in k_list]  # K seeds its draws: check all, then train
+    train_config = TrainConfig(lam=lam, shuffle_seed=seed)
+    config = BBConfig(max_states=max_states, cost_to_go=False)
     records = []
     for K in k_list:
         graph, planted = planted_model(
@@ -162,12 +163,11 @@ def run_k_sweep(
         )
         train = sample_sbn(SynthConfig(graph, planted, n_train, seed=(seed, K, 1)))
         test = sample_sbn(SynthConfig(graph, planted, n_test, seed=(seed, K, 2)))
-        fitted = train_lmsbn(train, graph, TrainConfig(lam=lam, shuffle_seed=seed)).weights
+        fitted = train_lmsbn(train, graph, train_config).weights
         raw = np.random.default_rng((seed, K, 3)).normal(0.0, 1.0, graph.n_cliques)
         raw_margins = batch_scorer(graph, WeightVector(raw, lam=lam), test.X).margin_block(test.Y)
         mean_abs = float(np.abs(raw_margins).mean())
         random_w = WeightVector(values=raw / mean_abs, lam=lam)
-        config = BBConfig(max_states=max_states, cost_to_go=False)
         trained_mean, random_mean = (
             float(np.mean([bb_infer(graph, w, x, config).states_visited for x in test.X]))
             for w in (fitted, random_w)

@@ -15,10 +15,13 @@ __all__ = ["Instance", "Dataset", "as_sign_labels"]
 
 
 def as_sign_labels(y) -> np.ndarray:
-    """Validate and return a label array with entries in {+1, -1} as int8."""
+    """Validate and return a label array with entries in {+1, -1} as int8.
+    A boolean array is refused: True and False are not signs."""
     arr = np.asarray(y)
     if arr.size == 0:
         raise DataError("empty label array")
+    if arr.dtype == bool:
+        raise DataError("labels must be +1 or -1, got a boolean array")
     vals = np.unique(arr)
     if not np.all(np.isin(vals, (-1, 1))):
         raise DataError(f"labels must be +1 or -1, found values {vals.tolist()}")

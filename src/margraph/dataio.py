@@ -22,11 +22,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, as_sign_labels
 from .errors import DataError, GraphError, MargraphError, ModelFormatError
 from .graphs import Cliques, GraphSpec
 from .inference import STATUS_BUDGET, STATUS_FALLBACK, STATUS_LOCAL, STATUS_OPTIMAL
-from .model import WeightVector, _check_int, _check_weight_count
+from .model import WeightVector, _check_int, _check_real, _check_weight_count
 
 __all__ = [
     "MODEL_FORMAT_VERSION",
@@ -108,9 +108,7 @@ def parse_multilabel_svmlight(path, n_outputs: int | None = None, n_inputs: int 
     """
     for count, least, what in ((n_outputs, 1, "label count"), (n_inputs, 0, "input count")):
         if count is not None:
-            _check_int(count, what)
-            if count < least:
-                raise DataError(f"{what} must be at least {least}, got {count}")
+            _check_int(count, what, least)
     path = str(path)
     labels: list[int] = []  # every row's label ids, row after row
     label_counts: list[int] = []
@@ -210,7 +208,10 @@ class ModelFile:
 
     ``scale`` optionally carries per-feature (min, max) vectors used to map
     inputs to [-1, 1] at training time; prediction applies the same map.
-    The weights hold one value per clique of the graph.
+    The weights hold one value per clique of the graph.  Every field is
+    checked by the rule the model reader applies to its line, and held as
+    the reader returns it: epochs an int, the gap a float and the scale two
+    float64 vectors, so whatever is built here saves and loads back.
     """
 
     graph: GraphSpec
@@ -221,9 +222,43 @@ class ModelFile:
 
     def __post_init__(self) -> None:
         _check_weight_count(self.graph, self.weights)
+        object.__setattr__(self, "epochs", _model_epochs(self.epochs))
+        object.__setattr__(self, "gap", _model_gap(self.gap))
+        if self.scale is not None:
+            object.__setattr__(self, "scale", _model_scale(self.scale, self.graph.n_inputs))
 
     def apply_scale(self, X: np.ndarray) -> np.ndarray:
         return X if self.scale is None else minmax_scale(X, *self.scale)
+
+
+def _model_epochs(epochs) -> int:
+    _check_int(epochs, "epoch count")
+    if epochs < 0:
+        raise DataError(f"negative epoch count {epochs}")
+    return int(epochs)
+
+
+def _model_gap(gap) -> float:
+    _check_real(gap, "gap")
+    if not math.isfinite(gap):
+        raise DataError(f"non-finite gap {gap!r}")
+    return float(gap)
+
+
+def _model_scale(scale, n_inputs: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (min, max) vectors as float64, one entry per input, finite, and
+    with no minimum above its maximum."""
+    try:
+        lo, hi = (np.array(v, dtype=np.float64) for v in scale)
+    except (TypeError, ValueError):
+        raise DataError(f"scale must be a (min, max) pair of vectors, got {scale!r}") from None
+    if lo.shape != (n_inputs,) or hi.shape != (n_inputs,):
+        raise DataError("scale vectors do not match the input count")
+    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+        raise DataError("scale vectors must be finite")
+    if (lo > hi).any():
+        raise DataError(f"scale_min exceeds scale_max at input {int(np.argmax(lo > hi))}")
+    return lo, hi
 
 
 def minmax_scale(X: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -351,22 +386,14 @@ def parse_model(text: str) -> ModelFile:
         order = tuple(int(t) for t in cur.take("order").split())
         lam = float(cur.take("lambda"))
         eta0 = float(cur.take("eta0"))
-        epochs = int(cur.take("epochs"))
-        if epochs < 0:
-            raise cur.error(f"negative epoch count {epochs}")
-        gap = float(cur.take("gap"))
-        if not math.isfinite(gap):
-            raise cur.error(f"non-finite gap {gap!r}")
+        epochs = _model_epochs(int(cur.take("epochs")))
+        gap = _model_gap(float(cur.take("gap")))
         scale = None
         line = cur.next()
         if line.startswith("scale_min "):
-            lo = np.array([float(t) for t in line.split()[1:]], dtype=np.float64)
-            hi = np.array([float(t) for t in cur.take("scale_max").split()], dtype=np.float64)
-            if lo.shape != (n_inputs,) or hi.shape != (n_inputs,):
-                raise cur.error("scale vectors do not match the input count")
-            if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
-                raise cur.error("scale vectors must be finite")
-            scale = (lo, hi)
+            lo = [float(t) for t in line.split()[1:]]
+            hi = [float(t) for t in cur.take("scale_max").split()]
+            scale = _model_scale((lo, hi), n_inputs)
             line = cur.next()
         head, _, rest = line.partition(" ")
         if head != "cliques":
@@ -381,7 +408,7 @@ def parse_model(text: str) -> ModelFile:
         cur.pos += len(block)
         if cur.next() != "end":
             raise cur.error("missing 'end' sentinel (truncated file?)")
-    except (ValueError, IndexError) as exc:
+    except (ValueError, IndexError, DataError) as exc:
         raise ModelFormatError(f"line {cur.pos}: {exc}") from None
     graph = GraphSpec(n_outputs=n_outputs, n_inputs=n_inputs, kind=kind, order=order, cliques=cliques)
     weights = WeightVector(values=values, lam=lam, eta0=eta0)
@@ -457,9 +484,11 @@ def read_predictions(path):
         raise DataError(f"{path}: no prediction lines")
     if len({len(r) for r in rows}) != 1:
         raise DataError(f"{path}: inconsistent label counts across lines")
-    if any(v not in (-1, 1) for r in rows for v in r):
-        raise DataError(f"{path}: prediction labels must be +1 or -1")
-    Y = np.array(rows, dtype=np.int8)
+    try:
+        # as objects, a label too wide for int64 is refused by its value
+        Y = as_sign_labels(np.array(rows, dtype=object))
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
     return Y, np.array(losses), np.array(states, dtype=np.int64), statuses
 
 

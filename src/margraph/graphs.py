@@ -169,11 +169,6 @@ class Cliques:
         d = int(self.inputs[j])
         return Clique(tuple(self.members[self.indptr[j] : self.indptr[j + 1]].tolist()), None if d < 0 else d)
 
-    def __iter__(self):
-        members, indptr = self.members.tolist(), self.indptr.tolist()
-        for j, d in enumerate(self.inputs.tolist()):
-            yield Clique(tuple(members[indptr[j] : indptr[j + 1]]), None if d < 0 else d)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Cliques):
             return NotImplemented

@@ -144,9 +144,7 @@ class BBConfig:
     def __post_init__(self) -> None:
         _check_cutoff(self.cutoff)
         if self.max_states is not None:
-            _check_int(self.max_states, "max_states")
-            if self.max_states < 1:
-                raise DataError(f"state budget must be positive, got {self.max_states}")
+            _check_int(self.max_states, "max_states", 1)
 
 
 @dataclass(frozen=True)
@@ -496,9 +494,7 @@ def icm_infer(
     losses from 0.0 in graph order, so every candidate's loss has the same
     bits as ``total_loss_column`` on the flipped assignment.
     """
-    _check_int(max_sweeps, "max_sweeps")
-    if max_sweeps < 1:
-        raise DataError(f"need at least one sweep, got {max_sweeps}")
+    _check_int(max_sweeps, "max_sweeps", 1)
     y = as_sign_labels(_label_vector(graph, y0))
     scorer = compile_scorer(graph, weights, x)
     K = graph.n_outputs

@@ -98,11 +98,14 @@ def _check_regularization(lam: float, eta0: float) -> None:
         raise DataError(f"regularizer boost must be non-negative and finite, got {eta0}")
 
 
-def _check_int(value, what: str) -> None:
-    """Refuse what is not an int, a bool or a NumPy integer, naming it, before
-    range() or NumPy's generators raise a bare TypeError (on a NumPy bool too)."""
+def _check_int(value, what: str, least: int | None = None) -> None:
+    """Refuse what is not an int, a bool or a NumPy integer, or is below
+    ``least`` when given, naming it, before range() or NumPy's generators
+    raise a bare TypeError (on a NumPy bool too)."""
     if not isinstance(value, (int, np.integer)):
         raise DataError(f"{what} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise DataError(f"{what} must be at least {least}, got {value}")
 
 
 def _check_real(value, what: str) -> None:
@@ -324,7 +327,7 @@ def node_margin(graph: GraphSpec, weights: WeightVector, x, y, i: int) -> float:
     if not (0 <= i < graph.n_outputs):
         raise DataError(f"node index {i} out of range for {graph.n_outputs} outputs")
     y = _label_vector(graph, y)
-    if not np.all(np.isin(y, (-1, 0, 1))):
+    if y.dtype == bool or not np.all(np.isin(y, (-1, 0, 1))):
         raise DataError("labels must be +1, -1, or 0 for unassigned")
     needed = {i}.union(*graph.layout.partners[i])
     missing = sorted(k for k in needed if y[k] == 0)

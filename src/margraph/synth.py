@@ -51,9 +51,7 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        _check_int(self.n_instances, "n_instances")
-        if self.n_instances < 1:
-            raise DataError(f"need at least one instance, got {self.n_instances}")
+        _check_int(self.n_instances, "n_instances", 1)
         _check_seed(self.seed)
         _check_weight_count(self.graph, self.weights)
 

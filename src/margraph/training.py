@@ -84,9 +84,7 @@ class TrainConfig:
     def __post_init__(self) -> None:
         _check_regularization(self.lam, self.eta0)
         _check_seed(self.shuffle_seed)
-        _check_int(self.max_epochs, "max_epochs")
-        if self.max_epochs < 1:
-            raise DataError(f"need at least one epoch, got {self.max_epochs}")
+        _check_int(self.max_epochs, "max_epochs", 1)
         _check_real(self.tolerance, "tolerance")
         if not (0 < self.tolerance < math.inf):
             raise DataError(f"tolerance must be positive and finite, got {self.tolerance}")

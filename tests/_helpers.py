@@ -333,7 +333,7 @@ def reference_parse_model(text):
     """The model reader as it was before it read the clique lines in one
     loop: a cursor ``take`` and a self-checking clique per line, the graph
     check one clique at a time, and no check of the epoch count or the
-    gap."""
+    gap.  Like the reader, it refuses a scale_min above its scale_max."""
     cur = _ReferenceCursor(text)
     magic = cur.next().split()
     if len(magic) != 2 or magic[0] != "margraph-model":
@@ -358,6 +358,8 @@ def reference_parse_model(text):
                 raise cur.error("scale vectors do not match the input count")
             if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
                 raise cur.error("scale vectors must be finite")
+            if (lo > hi).any():
+                raise cur.error(f"scale_min exceeds scale_max at input {int(np.argmax(lo > hi))}")
             scale = (lo, hi)
             line = cur.next()
         head, _, rest = line.partition(" ")

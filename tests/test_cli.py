@@ -261,6 +261,23 @@ def test_bench_size_sweep_checks_every_k_before_training(capsys, monkeypatch, k_
     assert capsys.readouterr() == ("", f"margraph: error: need at least one output, got {bad}\n")
 
 
+def _never(*args, **kwargs):
+    raise AssertionError("the sweep ran before its knobs were checked")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--k-list", "4", "--max-states", "0"], "max_states must be at least 1, got 0"),
+    (["--S-list", "1,0.5"], "cutoff must be at least 1, got 0.5"),
+    (["--S-list", "1,2", "--max-states", "0"], "max_states must be at least 1, got 0"),
+])
+def test_bench_refuses_a_bad_knob_before_it_trains_or_searches(workdir, capsys, monkeypatch, argv, message):
+    for name in ("train_lmsbn", "bb_infer", "mean_joint_loss"):
+        monkeypatch.setattr(f"margraph.bench.{name}", _never)
+    data = ["--model-file", str(workdir / "sbn.model"), "--data", str(workdir / "data.sv")]
+    assert main(["bench", *argv, *(data if "--S-list" in argv else [])]) == 1
+    assert capsys.readouterr() == ("", f"margraph: error: {message}\n")
+
+
 def test_synth_is_deterministic(tmp_path):
     for name in ("one.sv", "two.sv"):
         assert main([

@@ -16,6 +16,8 @@ def _three_rows():
     (lambda: Instance([np.nan], [1]), "input contains non-finite"),
     (lambda: Instance([0.0], []), "empty label array"),
     (lambda: Instance([0.0], [1, 0]), "labels must be \\+1 or -1"),
+    (lambda: Instance([0.0], [True]), r"^labels must be \+1 or -1, got a boolean array$"),
+    (lambda: Dataset(np.zeros((2, 1)), np.ones((2, 1), bool)), r"^labels must be \+1 or -1, got a boolean array$"),
     (lambda: Instance([0.0], [[1, -1]]), "labels must be a vector"),
     (lambda: Dataset(np.zeros(3), np.ones((3, 1))), "X must be 2-d"),
     (lambda: Dataset([[np.inf]], [[1]]), "X contains non-finite"),

@@ -2,6 +2,7 @@
 
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -285,7 +286,8 @@ def test_model_format_parse_format_round_trips(kind, topology, K, D, seed, lam, 
     values = data.draw(st.lists(awkward_floats, min_size=graph.n_cliques, max_size=graph.n_cliques))
     scale = None
     if scaled:
-        scale = tuple(np.array(data.draw(st.lists(awkward_floats, min_size=D, max_size=D))) for _ in range(2))
+        lo, hi = (np.array(data.draw(st.lists(awkward_floats, min_size=D, max_size=D))) for _ in range(2))
+        scale = (np.minimum(lo, hi), np.maximum(lo, hi))  # a model refuses a minimum above its maximum
     model = ModelFile(graph, WeightVector(np.array(values), lam=lam, eta0=eta0), epochs, gap, scale)
     text = format_model(model)
     loaded = parse_model(text)
@@ -335,6 +337,33 @@ def test_a_model_needs_one_weight_per_clique(n_weights):
     assert graph.n_cliques == 8
     with pytest.raises(DataError, match=f"^{n_weights} weights for 8 cliques$"):
         ModelFile(graph, WeightVector(np.full(n_weights, 0.5), lam=1.0))
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"epochs": -1}, "negative epoch count -1"),
+    ({"epochs": 1.5}, r"epoch count must be an integer, got 1\.5"),
+    ({"gap": math.nan}, "non-finite gap nan"),
+    ({"gap": "0"}, "gap must be a number, got '0'"),
+    ({"scale": ([0.0], [1.0])}, "scale vectors do not match the input count"),
+    ({"scale": ([0.0, math.inf], [1.0, 1.0])}, "scale vectors must be finite"),
+    ({"scale": ([0.0, 2.0], [1.0, 1.0])}, "scale_min exceeds scale_max at input 1"),
+    ({"scale": ([0.0, 0.0],)}, r"scale must be a \(min, max\) pair of vectors, got \(\[0\.0, 0\.0\],\)"),
+])
+def test_a_model_refuses_what_its_file_could_not_load(fields, message):
+    # each of these used to be saved, then refused by load_model or by apply_scale
+    with pytest.raises(DataError, match=f"^{message}$"):
+        replace(fitted_model(), **fields)
+
+
+def test_a_model_holds_its_fields_as_the_reader_returns_them(tmp_path):
+    model = replace(fitted_model(), epochs=True, gap=np.float32(0.5), scale=([0.0, 0.0], [1.0, 4.0]))
+    assert type(model.epochs) is int and model.epochs == 1
+    assert type(model.gap) is float and model.gap == 0.5
+    for v in model.scale:
+        assert v.dtype == np.float64 and v.shape == (2,)
+    assert model.apply_scale(np.array([[0.5, 3.0]])).tolist() == [[0.0, 0.5]]
+    save_model(model, tmp_path / "m.model")
+    assert format_model(load_model(tmp_path / "m.model")) == format_model(model)
 
 
 def test_model_parse_errors():
@@ -393,6 +422,8 @@ _NOT_UTF8 = b"\xff\xfe\n"
     (load_model, _edited_model("epochs 12", "epochs -3"), ModelFormatError, "line 8: negative epoch count -3"),
     (load_model, _edited_model("gap 3.25e-05", "gap nan"), ModelFormatError, "line 9: non-finite gap nan"),
     (load_model, _edited_model("gap 3.25e-05", "gap -inf"), ModelFormatError, "line 9: non-finite gap -inf"),
+    (load_model, _edited_model("scale_min -1.0 0.5", "scale_min -1.0 0.75"), ModelFormatError,
+     "^line 11: scale_min exceeds scale_max at input 1$"),
     (read_predictions, b"\n  \n", DataError, "no prediction lines"),
     (read_predictions, b"1 -1 loss=nan states=3 status=proven_optimal\n", DataError,
      r"file\.txt:1: loss= must be finite and non-negative, got 'loss=nan'$"),
@@ -400,6 +431,8 @@ _NOT_UTF8 = b"\xff\xfe\n"
      DataError, r"file\.txt:2: loss= must be finite and non-negative, got 'loss=-0.5'$"),
     (read_predictions, b"1 loss=inf states=1 status=proven_optimal\n", DataError,
      r"file\.txt:1: loss= must be finite and non-negative, got 'loss=inf'$"),
+    (read_predictions, b"1 -1 loss=0.0 states=1 status=proven_optimal\n2 0 loss=0.0 states=1 status=proven_optimal\n",
+     DataError, r"file\.txt: labels must be \+1 or -1, found values \[-1, 0, 1, 2\]$"),
     (read_predictions, b"1 loss=1.0 states=-4 status=local_optimum\n", DataError,
      r"file\.txt:1: negative states= field 'states=-4'$"),
     (read_predictions, b"1 loss=1.0 states=4 status=optimal\n", DataError,

@@ -186,6 +186,19 @@ def test_builder_clique_lists(build, order, pairs, kind):
     assert [(c.outputs, c.input_feature) for c in g.cliques] == _UNARY_3_2 + [(p, None) for p in pairs]
 
 
+def test_equal_graphs_hash_equal_and_their_cliques_print_as_values():
+    g = mg.build_chain_graph(2, 1, mg.DIRECTED)
+    same = GraphSpec(2, 1, mg.DIRECTED, (0, 1), list(g.cliques))
+    other = mg.build_chain_graph(2, 1, mg.DIRECTED, order=(1, 0))
+    assert same == g and hash(same) == hash(g) and hash(same.cliques) == hash(g.cliques)
+    assert {g: "chain"}[same] == "chain" and other not in {g: "chain"}
+    assert repr(g.cliques) == (
+        "Cliques([Clique(outputs=(0,), input_feature=None), Clique(outputs=(1,), input_feature=None), "
+        "Clique(outputs=(0,), input_feature=0), Clique(outputs=(1,), input_feature=0), "
+        "Clique(outputs=(0, 1), input_feature=None)])"
+    )
+
+
 def test_independent_graph_defaults_to_directed_in_index_order():
     g = mg.build_independent_graph(2, 0)
     assert (g.kind, g.order) == (mg.DIRECTED, (0, 1))

@@ -95,6 +95,9 @@ def test_shape_and_value_validation():
         evaluate([[1, 0]], [[1, 1]])
     with pytest.raises(DataError):
         evaluate([1, -1], [1, -1])
+    # all True is no more a sign matrix than a mix of True and False
+    with pytest.raises(DataError, match="boolean array"):
+        evaluate([[True, True]], [[True, True]])
 
 
 def test_format_line_uses_full_precision():

@@ -97,6 +97,9 @@ def test_node_margin_rejects_bad_index(two_node_model):
     # margins takes the +1/-1 rule of as_sign_labels; node_margin also allows 0
     (lambda g, w, x: mg.margins(g, w, x, np.array([1, 0])), r"^labels must be \+1 or -1, found values \[0, 1\]$"),
     (lambda g, w, x: mg.node_margin(g, w, x, np.array([1, 2]), 0), "0 for unassigned"),
+    # True and False are not signs, nor is True alone
+    (lambda g, w, x: mg.margins(g, w, x, np.array([True, True])), r"^labels must be \+1 or -1, got a boolean array$"),
+    (lambda g, w, x: mg.node_margin(g, w, x, np.array([True, False]), 0), r"^labels must be \+1, -1, or 0 for"),
     (lambda g, w, x: WeightVector(np.ones((1, 2)), lam=1.0), "weights must be a vector"),
     # the weight-count rule that ModelFile and SynthConfig share (their own
     # tests in test_dataio and test_synth) also guards scoring
