@@ -1,8 +1,9 @@
 """Large-margin graphical models for binary multi-label prediction.
 
 Train directed (per-node decomposed) or undirected (jointly coupled) models
-with hinge loss, run exact branch-and-bound MAP inference with a provable
-state budget, and evaluate with the standard multi-label measures.
+with hinge loss, run exact branch-and-bound MAP inference on both (with a
+provable state budget on directed ones), and evaluate with the standard
+multi-label measures.
 """
 
 from .data import Dataset, Instance
@@ -26,13 +27,11 @@ from .graphs import (
 from .inference import (
     STATUS_BUDGET,
     STATUS_FALLBACK,
-    STATUS_LOCAL,
     STATUS_OPTIMAL,
     BBConfig,
     InferenceResult,
     bb_infer,
     exhaustive_infer,
-    icm_infer,
 )
 from .metrics import MetricReport, evaluate, per_label_f_scores
 from .model import (
@@ -109,10 +108,8 @@ __all__ = [
     "STATUS_OPTIMAL",
     "STATUS_BUDGET",
     "STATUS_FALLBACK",
-    "STATUS_LOCAL",
     "bb_infer",
     "exhaustive_infer",
-    "icm_infer",
     "OrderStrategy",
     "make_order_strategy",
     "MetricReport",

@@ -19,6 +19,7 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from .data import Dataset
+from .errors import GraphError
 from .graphs import DIRECTED, GraphSpec, _output_count
 from .inference import STATUS_OPTIMAL, BBConfig, _check_cutoff, bb_infer
 from .model import WeightVector, _check_int, batch_scorer
@@ -95,13 +96,19 @@ def run_s_sweep(
     the model's mean joint hinge loss at the observed labels, the quantity
     the guarantee is stated in.  Every search keeps the static bound
     (``cost_to_go=False``): the sweep measures the search the guarantee is
-    about.  Every cutoff and budget is checked before the first search.
+    about, and an undirected graph, where neither bound holds, is a
+    GraphError.  Every check comes before the first search, and an empty
+    ``cutoffs`` does no work.
     """
+    if graph.kind != DIRECTED:
+        raise GraphError("the cutoff sweep needs a directed graph")
     cap = BBConfig(max_states=max_states).max_states or math.inf  # BBConfig checks the cap
     configs = [
         BBConfig(cutoff=S, max_states=min(branch_budget(graph.n_outputs, S), cap), cost_to_go=False)
         for S in cutoffs
     ]
+    if not configs:
+        return []
     exact = BBConfig(cutoff=math.inf, cost_to_go=False)
     mean_loss = mean_joint_loss(dataset, graph, weights)
     oracle = [bb_infer(graph, weights, x, exact).objective for x in dataset.X]

@@ -7,8 +7,6 @@ import math
 import sys
 from collections import Counter
 
-import numpy as np
-
 from .data import Dataset
 from .dataio import (
     ModelFile,
@@ -22,7 +20,7 @@ from .dataio import (
 )
 from .errors import MargraphError
 from .graphs import DIRECTED, GRAPH_BUILDERS, UNDIRECTED
-from .inference import BBConfig, bb_infer, exhaustive_infer, icm_infer
+from .inference import BBConfig, bb_infer, exhaustive_infer
 from .metrics import evaluate
 from .ordering import make_order_strategy
 from .bench import K_SWEEP_MAX_STATES, k_sweep_csv, run_k_sweep, run_s_sweep, s_sweep_csv
@@ -61,11 +59,10 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p = sub.add_parser("predict", help="predict labels with a saved model")
         p.add_argument("--model-file", required=True)
         p.add_argument("--data", required=True)
-        p.add_argument("--infer", choices=["bb", "exhaustive", "icm"], default="bb")
+        p.add_argument("--infer", choices=["bb", "exhaustive"], default="bb")
         p.add_argument("--S", dest="cutoff", type=float, default=1e9)
         p.add_argument("--max-states", type=int, default=None)
         p.add_argument("--escalate", action="store_true")
-        p.add_argument("--max-sweeps", type=int, default=100)
         p.add_argument("--out", required=True)
 
     if command in (None, "eval"):
@@ -164,16 +161,11 @@ def _load(model_file, data):
 def _cmd_predict(args) -> int:
     model, dataset = _load(args.model_file, args.data)
     graph, weights = model.graph, model.weights
-    if args.infer == "bb" and graph.kind != DIRECTED:
-        return _fail("branch-and-bound inference needs a directed model; use --infer icm or exhaustive")
     if args.infer == "bb":
         config = BBConfig(cutoff=args.cutoff, max_states=args.max_states, escalate=args.escalate)
         results = [bb_infer(graph, weights, x, config) for x in dataset.X]
-    elif args.infer == "exhaustive":
-        results = [exhaustive_infer(graph, weights, x) for x in dataset.X]
     else:
-        y0 = np.ones(graph.n_outputs, dtype=np.int8)
-        results = [icm_infer(graph, weights, x, y0, max_sweeps=args.max_sweeps) for x in dataset.X]
+        results = [exhaustive_infer(graph, weights, x) for x in dataset.X]
     write_predictions(args.out, results)
     statuses = " ".join(f"{s}={n}" for s, n in Counter(r.status for r in results).items())
     states = sum(r.states_visited for r in results)

@@ -25,7 +25,7 @@ import numpy as np
 from .data import Dataset, as_sign_labels
 from .errors import DataError, GraphError, MargraphError, ModelFormatError
 from .graphs import Cliques, GraphSpec
-from .inference import STATUS_BUDGET, STATUS_FALLBACK, STATUS_LOCAL, STATUS_OPTIMAL
+from .inference import STATUS_BUDGET, STATUS_FALLBACK, STATUS_OPTIMAL
 from .model import WeightVector, _check_int, _check_real, _check_weight_count
 
 __all__ = [
@@ -442,9 +442,10 @@ def write_predictions(path, results) -> None:
 
 
 # The key=value fields that end every prediction line, in this order, and
-# the words a status may be.
+# the words a status may be: the three that decoders write, and
+# local_optimum, which earlier versions wrote for a local search.
 _FIELDS = (("loss", float), ("states", int), ("status", str))
-_STATUSES = (STATUS_OPTIMAL, STATUS_BUDGET, STATUS_FALLBACK, STATUS_LOCAL)
+_STATUSES = (STATUS_OPTIMAL, STATUS_BUDGET, STATUS_FALLBACK, "local_optimum")
 
 
 def read_predictions(path):

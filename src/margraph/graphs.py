@@ -31,8 +31,9 @@ graph does find each position's frontier (the earlier labels that the rest
 of the order still reads) and number its few labellings, in one place, for
 the search's cost-to-go tables (``GraphSpec.frontier_codes``), and every
 graph lists the score terms that each label completes
-(``GraphSpec.closing``), for the exhaustive oracle's depth-first pass over
-the labels in index order.
+(``GraphSpec.closing``), for the depth-first search over the labels in
+index order that decodes undirected graphs and opens the exhaustive
+oracle.
 """
 
 from __future__ import annotations
@@ -386,14 +387,14 @@ class GraphSpec:
 
     @cached_property
     def closing(self) -> tuple[tuple[tuple[tuple[int, int], ...], tuple[int, ...]], ...]:
-        """closing[k] = (terms, nodes) for each label k, for a search that
-        sets the labels in index order.
+        """closing[k] = (terms, nodes) for each label k, for the search that
+        sets the labels in index order (``inference._index_search``).
 
         ``terms`` lists (i, t), node by node, for node i's t-th coupled term
         (partners ``layout.partners[i][t]``) whose last partner in index
-        order is k: setting label k fixes that term's parity.  ``nodes`` holds k and the nodes of
-        those terms, ascending: the nodes whose margin bound setting label k
-        can change.
+        order is k: setting label k fixes that term's parity.  ``nodes`` holds
+        k and the nodes of those terms, ascending: the nodes whose loss bound
+        setting label k can change.
         """
         closed: list[list[tuple[int, int]]] = [[] for _ in range(self.n_outputs)]
         for i, terms in enumerate(self.layout.partners):

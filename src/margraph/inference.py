@@ -1,12 +1,13 @@
-"""MAP prediction: branch-and-bound, exhaustive oracle, and ICM baseline.
+"""MAP prediction: branch-and-bound for both model kinds, and the exhaustive
+oracle.  Both minimize the joint hinge loss sum_i max(0, 1 - z_i) over
+label assignments, exactly.
 
-All three minimize the joint hinge loss sum_i max(0, 1 - z_i) over label
-assignments.  The branch-and-bound search walks nodes in graph order,
-trying the locally best label first (cost max(0, 1 - |s_i|)) and the
-opposite label second (cost 1 + |s_i|, always at least 1), pruning any
-prefix whose partial sum already reaches the current upper bound.  Since
-every opposite-label step costs at least 1, an initial upper bound of S
-confines the search to prefixes with fewer than S such steps.
+On a directed graph the search walks nodes in graph order.  It tries the
+locally best label first (cost max(0, 1 - |s_i|)) and the opposite label
+second (cost 1 + |s_i|, always at least 1), pruning any prefix whose
+partial sum already reaches the current upper bound.  Since every opposite-label step costs at
+least 1, an initial upper bound of S confines the search to prefixes with
+fewer than S such steps.
 
 It also prunes on the cost still to come.  Whatever its partners' labels,
 node i's |s_i| is at most M_i = |const_i| + sum |w_eff| over its terms, so
@@ -40,43 +41,44 @@ measure the search that the ``1 - loss/S`` guarantee and the
 trained-versus-random contrast are about, and exact tables make random
 models cheap too.
 
-The search computes each node score itself, on plain Python lists and
-floats, from the tables of ``compile_scorer``.  The greedy fallback, the
-locally best label at every node, is the search's first all-left dive and
-not a separate routine.  ICM rescores single nodes with the same scalar
-loop (``_node_loss``), kept apart so the search's hot loop stays inline.
+Both searches compute each node score themselves, on plain Python lists
+and floats, from the tables of ``compile_scorer``.  The directed greedy
+fallback, the locally best label at every node, is the first all-left dive.
+
+On an undirected graph a node's score reads all its partners.  There
+``_index_search`` sets the labels in index order and bounds each node's
+loss from the labels set so far: with A_i = const_i plus the terms whose
+partners are all set (``GraphSpec.closing``), added as they close, and R_i
+the sum of |w_eff| over the other terms, node i's margin is at most
+y_i A_i + R_i (|A_i| + R_i while y_i is unset), so its loss is at least
+(1 - slack_i - R_i) - y_i A_i, with slack_i = 4 (n_i + 1) max(M_i, 1) 2^-52
+for its n_i terms.  The float margin, A_i and R_i, each a sum of at most
+2 n_i terms of magnitude at most M_i, are off by at most n_i, n_i and
+2 n_i times 2^-53 M_i; forming 1 - slack_i - R_i, the bound and the leaf's
+node loss rounds by at most 7 max(M_i, 1) 2^-53 more, under slack_i in
+all, so each bound is at most every completion's node loss.  A node keeps
+the largest bound met on its path.  A label is pruned when the bounds' sum
+reaches the limit upper / (1 - 4 K 2^-52), which covers the rounding of
+that sum, of the leaf's and of the division.  A leaf sums ``_node_loss`` in
+graph order, the bits of ``NodeScorer.grid_sums``, and a zero-loss leaf
+ends the search.
+``bb_infer`` tries each label's greedy sign (that of its A_k) first, and
+its fallback is that first dive.
 
 The exhaustive oracle returns the first minimizer in index order
 (``model.signs_of_indices``: label 0 on the high bit, +1 before -1).  A
-joint loss is never below 0, so the first assignment in that order whose
-loss is exactly 0.0 is that minimizer, labels and objective alike.  A
-depth-first pass looks for it first: it sets labels 0..K-1 in index order,
-+1 first, and stops at its first leaf whose node losses, each summed in term
-order as ``NodeScorer.grid_sums`` sums it, are all 0.0 (a sum of
-non-negative node losses is 0.0 exactly when each is).  It prunes a label
-when some node cannot reach margin 1 in any completion: with A_i = const_i
-plus the terms whose partners are all set (``GraphSpec.closing``), added as
-they close, and R_i the sum of |w_eff| over the other terms, node i's
-margin is at most y_i A_i + R_i, or |A_i| + R_i while y_i is unset.  The
-pass prunes when that bound falls below 1 - slack_i, with
-slack_i = 4 (n_i + 1) max(M_i, 1) 2^-52 for node i's n_i terms.  The leaf's
-float margin, A_i and R_i, each a sum of at most 2 n_i terms of magnitude
-at most M_i, differ from their exact values by at most n_i, n_i and
-2 n_i times 2^-53 M_i, and forming the limit 1 - slack_i - R_i rounds once
-more each way; together under (4 n_i + 2) 2^-53 max(M_i, 1), less than
-slack_i.  So a pruned label has no completion whose float margin at node i
-reaches 1, and no zero-loss leaf is ever cut.
-
-The pass sets at most ``_pass_budget(K)`` = max(2K, 2^K / 32) labels,
-counting pruned ones.  A pass label costs a few µs against under half a µs
-per enumerated assignment at K = 16, so a row that exhausts the budget
-takes about 1.4 times as long as enumeration alone; 2K lets one dive try
-both labels at every depth where 2^K / 32 would not.  A row whose pass ends
-without a zero-loss leaf is enumerated exactly as before: the joint losses
-of all 2^K assignments, in index order, from the label grid of
+joint loss is never below 0, so the first assignment in that order of loss
+exactly 0.0 is that minimizer.  The index-order search with +1 first and
+cutoff ``math.ulp(0.0)`` finds it, pruning a label once some node's margin
+cannot reach 1; this zero-loss pass sets at most ``_pass_budget(K)`` =
+max(2K, 2^K / 32) labels, counting pruned ones.  A pass label costs a few
+µs against under half a µs per enumerated assignment at K = 16, so a row
+that exhausts the budget takes about 1.4 times as long as enumeration
+alone; 2K lets one dive try both labels at every depth.  A row whose pass
+finds no zero-loss leaf is enumerated on the label grid of
 ``NodeScorer.grid_sums``.
 
-The search and the exhaustive oracle accumulate losses with the same
+The searches and the exhaustive oracle accumulate losses with the same
 floating-point operations in the same order, so their objectives agree
 bit-for-bit, never merely within a tolerance.
 """
@@ -88,8 +90,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import as_sign_labels
-from .errors import DataError, GraphError
+from .errors import DataError
 from .graphs import DIRECTED, FrontierCodes, GraphSpec
 from .model import (
     ENUM_MAX_OUTPUTS,
@@ -98,7 +99,6 @@ from .model import (
     _check_enum_size,
     _check_int,
     _check_real,
-    _label_vector,
     compile_scorer,
     signs_of_indices,
 )
@@ -107,18 +107,15 @@ __all__ = [
     "STATUS_OPTIMAL",
     "STATUS_BUDGET",
     "STATUS_FALLBACK",
-    "STATUS_LOCAL",
     "BBConfig",
     "InferenceResult",
     "bb_infer",
     "exhaustive_infer",
-    "icm_infer",
 ]
 
 STATUS_OPTIMAL = "proven_optimal"
 STATUS_BUDGET = "budget_exceeded"
 STATUS_FALLBACK = "no_solution_under_S_fallback"
-STATUS_LOCAL = "local_optimum"
 
 _ESCALATE_CAP = 60
 
@@ -133,8 +130,9 @@ def _check_cutoff(cutoff) -> None:
 @dataclass(frozen=True)
 class BBConfig:
     """Search knobs: initial upper bound, state budget, escalation retry,
-    and whether a graph with narrow frontiers is searched on cost-to-go
-    tables (off keeps the static bound, the search the paper analyses)."""
+    and whether a directed graph with narrow frontiers is searched on
+    cost-to-go tables (off keeps the static bound, the search the paper
+    analyses; an undirected graph has no such tables and ignores it)."""
 
     cutoff: float = 1e9
     max_states: int | None = None
@@ -151,10 +149,11 @@ class BBConfig:
 class InferenceResult:
     """Predicted labels with the achieved loss and search accounting.
 
-    ``objective`` is always the joint loss of ``labels``; ``states_visited``
-    counts label assignments made during search (branches taken), and for
-    ``exhaustive_infer`` the zero-loss pass's label settings, plus 2^K when
-    the row was enumerated.
+    ``objective`` is always the joint loss of ``labels``.  ``states_visited``
+    counts the branches taken by the directed search, the label settings of
+    the index-order search, pruned ones included (undirected ``bb_infer``),
+    and for ``exhaustive_infer`` the zero-loss pass's label settings, plus
+    2^K when the row was enumerated.
     """
 
     labels: np.ndarray
@@ -305,45 +304,47 @@ def _search(scorer: NodeScorer, cutoff: float, budget, table):
 
 
 def bb_infer(graph: GraphSpec, weights: WeightVector, x, config: BBConfig | None = None) -> InferenceResult:
-    """Branch-and-bound minimizer of the joint hinge loss for directed graphs.
+    """Branch-and-bound minimizer of the joint hinge loss.
 
-    With a large enough cutoff the result is the exact minimizer.  The
-    lower bound on the cost still to come only prunes prefixes that cannot
-    hold an assignment strictly under the upper bound, so it lowers
-    ``states_visited`` and changes no label, objective or status; the
-    ``branch_budget`` and ``1 - loss/S`` bounds hold as before.  The bound's
-    table is built once, before the first pass, and serves every pass, the
-    greedy fallback included (see the module docstring).  If no assignment
-    has loss under the cutoff, the greedy all-left assignment is returned
-    (status no_solution_under_S_fallback), or the search retries with a
-    doubled cutoff when escalation is on.  If the state budget runs out
-    first, the best assignment seen so far (or the greedy one) is returned
-    with status budget_exceeded; a retry with no states left runs out at
-    the first branch, which the smaller cutoff already took.
+    With a large enough cutoff the result is the exact minimizer.  A
+    directed graph is searched in graph order (``_search``), where the
+    ``branch_budget`` and ``1 - loss/S`` bounds hold, an undirected one in
+    index order (``_index_search``), where the cutoff is only a starting
+    bound; either way on a table built once, before the first pass, that
+    serves every pass (see the module docstring).  If no assignment has
+    loss under the cutoff, the greedy assignment (the first dive) is
+    returned (status no_solution_under_S_fallback), or the search retries
+    with a doubled cutoff when escalation is on.  If the state budget runs
+    out first, the best assignment seen so far (or the greedy one) is
+    returned with status budget_exceeded; a retry with no states left runs
+    out at the first branch, which the smaller cutoff already took.
     """
-    if graph.kind != DIRECTED:
-        raise GraphError("branch-and-bound needs a directed graph")
     config = config or BBConfig()
     scorer = compile_scorer(graph, weights, x)
-    codes = graph.frontier_codes if config.cost_to_go else None
-    if codes is None:
-        table = _static_table(scorer)
+    if graph.kind == DIRECTED:
+        search = _search
+        codes = graph.frontier_codes if config.cost_to_go else None
+        if codes is None:
+            table = _static_table(scorer)
+        else:
+            h = _cost_to_go(scorer, codes)
+            table = codes.step, [h[k] for k in codes.step]
     else:
-        h = _cost_to_go(scorer, codes)
-        table = codes.step, [h[k] for k in codes.step]
+        search = _index_search
+        table = _closing_table(scorer, graph.closing, greedy=True)
     cutoff = float(config.cutoff)
     total_states = 0
     for _ in range(_ESCALATE_CAP + 1):
         remaining = None if config.max_states is None else config.max_states - total_states
-        incumbent, obj, states, hit_budget = _search(scorer, cutoff, remaining, table)
+        incumbent, obj, states, hit_budget = search(scorer, cutoff, remaining, table)
         total_states += states
         if incumbent is not None:
             return InferenceResult(incumbent, obj, total_states, STATUS_BUDGET if hit_budget else STATUS_OPTIMAL)
         if hit_budget or not config.escalate:
             break
         cutoff *= 2.0
-    # the greedy fallback: with no cutoff and K states, the first all-left dive
-    y, obj, _, _ = _search(scorer, math.inf, graph.n_outputs, table)
+    # the greedy fallback: with no cutoff and K states, the first dive
+    y, obj, _, _ = search(scorer, math.inf, graph.n_outputs, table)
     return InferenceResult(y, obj, total_states, STATUS_BUDGET if hit_budget else STATUS_FALLBACK)
 
 
@@ -352,26 +353,21 @@ def _pass_budget(K: int) -> int:
     return max(2 * K, (1 << K) >> 5)
 
 
-def _zero_pass(scorer: NodeScorer, closing, budget: int):
-    """Depth-first search for the first assignment in index order whose
-    joint loss is exactly 0.0.  Returns (labels or None, states).
+def _closing_table(scorer: NodeScorer, closing, greedy: bool):
+    """The index-order search's table (const, steps, checks, greedy).
 
-    Labels are set in index order, +1 before -1, and ``states`` counts every
-    label set, pruned or not; the pass gives up when ``budget`` labels have
-    been set.  ``closing`` is ``GraphSpec.closing``.  Node i's margin bound
-    is y_i A_i + R_i (|A_i| + R_i while y_i is unset): A_i is const_i plus
-    the terms whose partners are all set, R_i the sum of |w_eff| over the
-    others.  A label is pruned when some node's bound falls below
-    1 - slack_i (see the module docstring); R_i depends only on how many
-    labels are set, so each label's limits 1 - slack_i - R_i are tabulated
-    once per row.
+    ``closing`` is ``GraphSpec.closing``.  steps[k] lists (i, w_eff,
+    partners) for each term that setting label k closes, and checks[k]
+    pairs each node whose bound that can change with the margin bound it
+    needs, 1 - slack_i - R_i, R_i summing |w_eff| over the terms still open
+    once label k is set (see the module docstring).  ``greedy`` tries the sign
+    of A_k first at label k, and +1 first otherwise.
     """
-    K = scorer.n_outputs
     const = scorer.const.tolist()
     terms = scorer.terms
     open_sum = []
     floor = []
-    for i in range(K):
+    for i in range(scorer.n_outputs):
         r = 0.0
         for w_eff, _ in terms[i]:
             r += abs(w_eff)
@@ -388,10 +384,38 @@ def _zero_pass(scorer: NodeScorer, closing, budget: int):
             step.append((i, w_eff, partners))
         steps.append(step)
         checks.append([(i, floor[i] - open_sum[i]) for i in nodes])
+    return const, steps, checks, greedy
+
+
+def _index_search(scorer: NodeScorer, cutoff: float, budget, table):
+    """One depth-first pass over the labels in index order.  Returns
+    (incumbent or None, objective, states, hit_budget).
+
+    ``table`` is ``_closing_table``'s.  Setting label k adds the terms it
+    closes to the A_i, then rechecks the bounds of the nodes in
+    ``checks[k]`` (see the module docstring); one bound reaching the limit
+    prunes at once, as their sum would.  ``states`` counts every label set,
+    pruned or not, up to ``budget``.  With an infinite cutoff and a budget
+    of K states the pass is the first dive and nothing more, which is the
+    fallback ``bb_infer`` returns.
+    """
+    K = scorer.n_outputs
+    order = scorer.order
+    terms = scorer.terms
+    const, steps, checks, greedy = table
+    scale = 1.0 - 4 * K * 2.0**-52
+    upper = float(cutoff)
+    limit = upper / scale
     y = [0] * K
-    # sums[k]: every A_i before label k is set
-    sums = [const] + [None] * K
+    # sums[k], bounds[k], totals[k]: every A_i, every node's loss bound and
+    # their sum, before label k is set
+    sums = [const] + [None] * (K - 1)
+    bounds = [[0.0] * K] + [None] * (K - 1)
+    totals = [0.0] * K
+    first = [-1 if greedy and const[0] < 0.0 else 1] + [1] * (K - 1)
     tried = [0] * K
+    incumbent = None
+    incumbent_obj = 0.0
     states = 0
     k = 0
     while True:
@@ -399,14 +423,14 @@ def _zero_pass(scorer: NodeScorer, closing, budget: int):
         if t == 2:
             y[k] = 0
             if k == 0:
-                return None, states
+                return incumbent, incumbent_obj, states, False
             k -= 1
             continue
-        if states >= budget:
-            return None, states
+        if budget is not None and states >= budget:
+            return incumbent, incumbent_obj, states, True
         states += 1
         tried[k] = t + 1
-        y[k] = 1 if t == 0 else -1
+        y[k] = first[k] if t == 0 else -y[k]
         a = sums[k][:]
         for i, w_eff, partners in steps[k]:
             parity = 1
@@ -414,21 +438,45 @@ def _zero_pass(scorer: NodeScorer, closing, budget: int):
                 if y[j] < 0:
                     parity = -parity
             a[i] += w_eff if parity > 0 else -w_eff
-        for i, limit in checks[k]:
+        lb = parent = bounds[k]
+        for i, need in checks[k]:
             v = a[i]
             if y[i] < 0 or (y[i] == 0 and v < 0.0):
                 v = -v
-            if v < limit:
-                break
+            if v < need:
+                d = need - v
+                if d >= limit:
+                    break
+                if d > lb[i]:
+                    if lb is parent:
+                        lb = lb[:]
+                    lb[i] = d
         else:
+            total = totals[k] if lb is parent else sum(lb)
+            if total >= limit:
+                continue
             if k < K - 1:
                 k += 1
                 sums[k] = a
+                bounds[k] = lb
+                totals[k] = total
                 tried[k] = 0
-            # a leaf: its joint loss, summed from nonnegative node losses, is
-            # exactly 0.0 when and only when every node loss is
-            elif all(_node_loss(const, terms, y, i) == 0.0 for i in range(K)):
-                return y, states
+                if greedy:
+                    first[k] = 1 if a[k] >= 0.0 else -1
+                continue
+            loss = 0.0
+            for i in order:
+                loss += _node_loss(const, terms, y, i)
+                if loss >= upper:
+                    break
+            else:
+                # a complete assignment strictly under the current bound
+                upper = loss
+                limit = upper / scale
+                incumbent = np.array(y, dtype=np.int8)
+                incumbent_obj = loss
+                if loss == 0.0:
+                    return incumbent, loss, states, False
 
 
 def exhaustive_infer(graph: GraphSpec, weights: WeightVector, x) -> InferenceResult:
@@ -436,21 +484,23 @@ def exhaustive_infer(graph: GraphSpec, weights: WeightVector, x) -> InferenceRes
     zero-loss assignment.
 
     Enumeration order is lexicographic with +1 before -1, so ties go to the
-    assignment whose first differing label is +1.  A depth-first pass in
-    that order (``_zero_pass``) first looks for an assignment of loss
-    exactly 0.0 within ``_pass_budget(K)`` label settings; the first it
-    finds is the first minimizer.  Otherwise every assignment is scored, a
-    chunk of at most 2^16 at a time on a broadcast label grid (see
-    ``NodeScorer.grid_sums``), so time grows as K * terms * 2^K and memory
-    stays a few chunk-sized arrays for every K.  ``states_visited`` is the
-    pass's label settings, plus 2^K when the row was enumerated.
+    assignment whose first differing label is +1.  The index-order search
+    in that order, with cutoff ``math.ulp(0.0)`` (the zero-loss pass),
+    first looks for an assignment of loss exactly 0.0 within
+    ``_pass_budget(K)`` label settings; the first it finds is the first
+    minimizer.  Otherwise every assignment is scored, a chunk of at most
+    2^16 at a time on a broadcast label grid (see ``NodeScorer.grid_sums``),
+    so time grows as K * terms * 2^K and memory stays a few chunk-sized
+    arrays for every K.  ``states_visited`` is the pass's label settings,
+    plus 2^K when the row was enumerated.
     """
     K = graph.n_outputs
     _check_enum_size(K, ENUM_MAX_OUTPUTS, "exhaustive search")
     scorer = compile_scorer(graph, weights, x)
-    labels, states = _zero_pass(scorer, graph.closing, _pass_budget(K))
+    table = _closing_table(scorer, graph.closing, greedy=False)
+    labels, obj, states, _ = _index_search(scorer, math.ulp(0.0), _pass_budget(K), table)
     if labels is not None:
-        return InferenceResult(np.array(labels, dtype=np.int8), 0.0, states, STATUS_OPTIMAL)
+        return InferenceResult(labels, obj, states, STATUS_OPTIMAL)
     best_obj = np.inf
     best_idx = 0
     for start, totals in scorer.grid_sums():
@@ -473,65 +523,3 @@ def _node_loss(const: list, terms, y: list, i: int) -> float:
         s += w_eff if parity > 0 else -w_eff
     c = 1.0 - s if y[i] > 0 else 1.0 + s
     return c if c > 0.0 else 0.0
-
-
-def icm_infer(
-    graph: GraphSpec,
-    weights: WeightVector,
-    x,
-    y0,
-    max_sweeps: int = 100,
-) -> InferenceResult:
-    """Iterated conditional modes: flip single labels while the loss drops.
-
-    Sweeps nodes in graph order; accepts a flip only on strict improvement.
-    Converging proves optimality only in the one-node case; otherwise the
-    result is a single-flip local optimum.  states_visited counts candidate
-    evaluations.
-
-    Per-node losses are kept as Python floats.  A flip rescores only the
-    flipped node and the nodes that read its label, then re-sums the K
-    losses from 0.0 in graph order, so every candidate's loss has the same
-    bits as ``total_loss_column`` on the flipped assignment.
-    """
-    _check_int(max_sweeps, "max_sweeps", 1)
-    y = as_sign_labels(_label_vector(graph, y0))
-    scorer = compile_scorer(graph, weights, x)
-    K = graph.n_outputs
-    order = graph.order
-    const = scorer.const.tolist()
-    terms = scorer.terms
-    # readers[k]: node k, then every node with k among its partners
-    readers = [[k] for k in range(K)]
-    for i, partners in enumerate(graph.layout.partners):
-        for k in sorted(set().union(*partners)):
-            readers[k].append(i)
-    labels = y.tolist()
-    losses = [_node_loss(const, terms, labels, i) for i in range(K)]
-    current = 0.0
-    for i in order:
-        current += losses[i]
-    states = 0
-    status = STATUS_BUDGET
-    for _ in range(max_sweeps):
-        moved = False
-        for node in order:
-            labels[node] = -labels[node]
-            saved = [losses[i] for i in readers[node]]
-            for i in readers[node]:
-                losses[i] = _node_loss(const, terms, labels, i)
-            candidate = 0.0
-            for i in order:
-                candidate += losses[i]
-            states += 1
-            if candidate < current:
-                current = candidate
-                moved = True
-            else:
-                labels[node] = -labels[node]
-                for i, loss in zip(readers[node], saved):
-                    losses[i] = loss
-        if not moved:
-            status = STATUS_OPTIMAL if K == 1 else STATUS_LOCAL
-            break
-    return InferenceResult(np.array(labels, dtype=np.int8), current, states, status)

@@ -12,7 +12,6 @@ import margraph as mg
 from margraph.dataio import MODEL_FORMAT_VERSION, ModelFile, _numbered_lines
 from margraph.errors import DataError, GraphError, ModelFormatError
 from margraph.graphs import GRAPH_BUILDERS
-from margraph.inference import STATUS_BUDGET, STATUS_LOCAL, STATUS_OPTIMAL
 from margraph.model import compile_scorer, signs_of_indices
 
 BUILDERS = GRAPH_BUILDERS
@@ -155,30 +154,6 @@ def reference_write_svmlight(dataset, path):
             )
         lines.append((labels + " " + " ".join(feats)).strip() if labels else " " + " ".join(feats))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def reference_icm(graph, weights, x, y0, max_sweeps):
-    """ICM as it was before it rescored only the flipped node's dependents:
-    every candidate is rescored in full through ``total_loss_column`` on a
-    one-row matrix.  Returns (labels, objective, states, status)."""
-    y = np.array(y0, dtype=np.int8).copy()
-    scorer = compile_scorer(graph, weights, x)
-    current = float(scorer.total_loss_column(y[None])[0])
-    states = 0
-    for _ in range(max_sweeps):
-        moved = False
-        for node in graph.order:
-            y[node] = -y[node]
-            candidate = float(scorer.total_loss_column(y[None])[0])
-            states += 1
-            if candidate < current:
-                current = candidate
-                moved = True
-            else:
-                y[node] = -y[node]
-        if not moved:
-            return y, current, states, STATUS_OPTIMAL if graph.n_outputs == 1 else STATUS_LOCAL
-    return y, current, states, STATUS_BUDGET
 
 
 def _reference_label_field(field, n_outputs, path, ln):

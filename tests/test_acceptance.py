@@ -213,7 +213,9 @@ def test_criterion_08_trained_search_grows_slowly_random_search_does_not():
                                      max_outputs=8, min_outputs=8)
     above = mg.exhaustive_infer(graph, weights, x)
     assert above.objective > 0.0
-    labels, passed = inference._zero_pass(compile_scorer(graph, weights, x), graph.closing, inference._pass_budget(8))
+    scorer = compile_scorer(graph, weights, x)
+    table = inference._closing_table(scorer, graph.closing, greedy=False)
+    labels, _, passed, _ = inference._index_search(scorer, math.ulp(0.0), inference._pass_budget(8), table)
     assert labels is None and 0 < passed <= inference._pass_budget(8)
     assert above.states_visited == passed + 256
     # the builders' first 8 cliques are the biases: at 100 every label is

@@ -154,15 +154,20 @@ def test_exhaustive_inference_gives_identical_predictions(workdir):
     assert np.array_equal(bb[1], ex[1])
 
 
-def test_icm_inference_runs(workdir):
+def test_bb_on_undirected_model_matches_exhaustive(tmp_path):
     assert main([
-        "predict", "--model-file", str(workdir / "sbn.model"),
-        "--data", str(workdir / "data.sv"),
-        "--infer", "icm", "--out", str(workdir / "preds_icm.txt"),
+        "synth", "--kind", "bm", "--k", "3", "--d", "1", "--n", "10", "--seed", "0",
+        "--out", str(tmp_path / "d.sv"), "--model-out", str(tmp_path / "bm.model"),
     ]) == 0
-    Y, _, _, statuses = read_predictions(workdir / "preds_icm.txt")
-    assert Y.shape == (60, 4)
-    assert set(statuses) <= {"local_optimum", "proven_optimal"}
+    for infer in ("bb", "exhaustive"):
+        assert main([
+            "predict", "--model-file", str(tmp_path / "bm.model"), "--data", str(tmp_path / "d.sv"),
+            "--infer", infer, "--out", str(tmp_path / f"{infer}.txt"),
+        ]) == 0
+    bb = read_predictions(tmp_path / "bb.txt")
+    ex = read_predictions(tmp_path / "exhaustive.txt")
+    assert np.array_equal(bb[1], ex[1])
+    assert set(bb[3]) == {"proven_optimal"}
 
 
 def test_eval_prints_metric_line(workdir, capsys):
@@ -289,19 +294,6 @@ def test_synth_is_deterministic(tmp_path):
 
 # ---------------------------------------------------------------------------
 # failure paths
-
-
-def test_bb_on_undirected_model_is_a_usage_error(tmp_path, capsys):
-    assert main([
-        "synth", "--kind", "bm", "--k", "3", "--d", "1", "--n", "10", "--seed", "0",
-        "--out", str(tmp_path / "d.sv"), "--model-out", str(tmp_path / "bm.model"),
-    ]) == 0
-    code = main([
-        "predict", "--model-file", str(tmp_path / "bm.model"), "--data", str(tmp_path / "d.sv"),
-        "--infer", "bb", "--out", str(tmp_path / "p.txt"),
-    ])
-    assert code == 2
-    assert "directed" in capsys.readouterr().err
 
 
 def test_bench_needs_exactly_one_sweep(workdir, capsys):
@@ -523,7 +515,7 @@ _FUZZ_BYTES = b"0123456789\xff -.:,=e\n"
 @given(
     data=st.data(),
     target=st.sampled_from(["data.sv", "model", "preds"]),
-    infer=st.sampled_from(["bb", "exhaustive", "icm"]),
+    infer=st.sampled_from(["bb", "exhaustive"]),
 )
 def test_edited_files_exit_0_1_or_2_and_never_raise(fuzzdir, data, target, infer):
     content = bytearray((fuzzdir / target).read_bytes())

@@ -28,7 +28,6 @@ from margraph.errors import DataError, GraphError, MargraphError, ModelFormatErr
 from margraph.inference import (
     STATUS_BUDGET,
     STATUS_FALLBACK,
-    STATUS_LOCAL,
     STATUS_OPTIMAL,
     InferenceResult,
     bb_infer,
@@ -586,7 +585,8 @@ def test_prediction_write_then_read_round_trips(tmp_path_factory, data, K):
         st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
         st.sampled_from([0.0, 5e-324, 1.5e-310, 2.2250738585072014e-308, 1e300]),
     )
-    statuses = st.sampled_from([STATUS_OPTIMAL, STATUS_BUDGET, STATUS_FALLBACK, STATUS_LOCAL])
+    # local_optimum: the status earlier versions wrote for a local search
+    statuses = st.sampled_from([STATUS_OPTIMAL, STATUS_BUDGET, STATUS_FALLBACK, "local_optimum"])
     rows = data.draw(
         st.lists(st.tuples(st.integers(0, 2**K - 1), losses, st.integers(0, 2**40), statuses), min_size=1, max_size=6)
     )

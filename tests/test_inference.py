@@ -1,4 +1,4 @@
-"""Branch-and-bound search, exhaustive oracle, and the flip-descent baseline."""
+"""Branch-and-bound search for both model kinds, and the exhaustive oracle."""
 
 import itertools
 import math
@@ -12,16 +12,14 @@ from hypothesis import strategies as st
 import margraph as mg
 from margraph import BBConfig, Clique, GraphSpec, Instance, WeightVector, graphs, inference, model
 from margraph.bench import branch_budget
-from margraph.errors import CapabilityError, DataError, GraphError
+from margraph.errors import CapabilityError, DataError
 from margraph.inference import (
     _ESCALATE_CAP,
     STATUS_BUDGET,
     STATUS_FALLBACK,
-    STATUS_LOCAL,
     STATUS_OPTIMAL,
     bb_infer,
     exhaustive_infer,
-    icm_infer,
 )
 from margraph.model import compile_scorer, signs_of_indices
 
@@ -30,7 +28,6 @@ from _helpers import (
     random_labels,
     random_model,
     reference_exhaustive,
-    reference_icm,
     reference_losses,
 )
 
@@ -143,11 +140,26 @@ def test_bb_config_validation():
         BBConfig(max_states=2.5)
 
 
-def test_bb_rejects_undirected_graphs():
-    graph = mg.build_chain_graph(3, 0, mg.UNDIRECTED)
-    weights = WeightVector(np.zeros(graph.n_cliques), lam=1.0)
-    with pytest.raises(GraphError):
-        bb_infer(graph, weights, np.zeros(0), BBConfig())
+def test_bb_searches_undirected_graphs():
+    # a frustrated triangle: every pair coupled at -1 with biases 0.5, 0.2
+    # and -0.3, so no assignment has every margin 1 (the optimum, (+1, +1,
+    # -1), costs 1.3); the index-order search proves the optimum that
+    # enumeration finds, and under cutoff 1 it returns its greedy dive:
+    # label 0 by its bias, label 1 by 0.2 - y_0 and label 2 by
+    # -0.3 - y_0 - y_1, each sign in turn
+    graph = mg.build_full_graph(3, 0, mg.UNDIRECTED)
+    weights = WeightVector(np.array([0.5, 0.2, -0.3, -1.0, -1.0, -1.0]), lam=1.0)
+    x = np.zeros(0)
+    ex = exhaustive_infer(graph, weights, x)
+    assert ex.labels.tolist() == [1, 1, -1]
+    res = bb_infer(graph, weights, x)
+    assert res.status == STATUS_OPTIMAL
+    assert res.objective == ex.objective
+    assert res.labels.tolist() == ex.labels.tolist()
+    low = bb_infer(graph, weights, x, BBConfig(cutoff=1))
+    assert low.status == STATUS_FALLBACK
+    assert low.labels.tolist() == [1, -1, -1]
+    assert low.objective == mg.joint_loss(graph, weights, Instance(x, low.labels)).total > ex.objective
 
 
 def test_exhaustive_rejects_oversized_graphs():
@@ -199,88 +211,6 @@ def test_budget_formula_values():
     assert branch_budget(3, 1e9) == 3 * 8        # full tree when S is huge
     assert branch_budget(4, 2.5) == 4 * (1 + 4 + 6)
     assert branch_budget(4, math.inf) == 4 * 16
-
-
-def test_icm_keeps_the_global_optimum_fixed():
-    rng = np.random.default_rng(21)
-    for _ in range(30):
-        graph, weights, x = random_model(rng, mg.UNDIRECTED, max_outputs=7)
-        ex = exhaustive_infer(graph, weights, x)
-        res = icm_infer(graph, weights, x, ex.labels)
-        assert np.array_equal(res.labels, ex.labels)
-        assert res.objective == ex.objective
-
-
-def test_icm_never_beats_the_exhaustive_optimum():
-    rng = np.random.default_rng(23)
-    for _ in range(50):
-        graph, weights, x = random_model(rng, mg.UNDIRECTED, max_outputs=8)
-        ex = exhaustive_infer(graph, weights, x)
-        y0 = random_labels(rng, 1, graph.n_outputs)[0]
-        res = icm_infer(graph, weights, x, y0)
-        assert res.objective >= ex.objective - 1e-12
-        lb = mg.joint_loss(graph, weights, Instance(x, res.labels))
-        assert abs(res.objective - lb.total) <= 1e-9
-
-
-def test_icm_statuses():
-    graph, weights, x = zero_model(3, mg.UNDIRECTED)
-    y0 = np.array([1, -1, 1], dtype=np.int8)
-    res = icm_infer(graph, weights, x, y0)
-    assert res.status == STATUS_LOCAL            # converged, several labels
-    assert res.labels.tolist() == y0.tolist()    # no strict improvement possible
-    assert res.objective == 3.0
-    g1, w1, x1 = zero_model(1, mg.UNDIRECTED)
-    res1 = icm_infer(g1, w1, x1, np.array([1], dtype=np.int8))
-    assert res1.status == STATUS_OPTIMAL         # single label: local is global
-
-
-def test_icm_input_validation():
-    graph, weights, x = zero_model(2, mg.UNDIRECTED)
-    with pytest.raises(DataError):
-        icm_infer(graph, weights, x, np.array([1, 0], dtype=np.int8))
-    with pytest.raises(DataError):
-        icm_infer(graph, weights, x, np.array([1], dtype=np.int8))
-    with pytest.raises(DataError):
-        icm_infer(graph, weights, x, np.array([1, 1], dtype=np.int8), max_sweeps=0)
-    with pytest.raises(DataError, match=r"max_sweeps must be an integer, got 2\.5$"):
-        icm_infer(graph, weights, x, np.array([1, 1], dtype=np.int8), max_sweeps=2.5)
-    res = icm_infer(graph, weights, x, np.array([1, 1], dtype=np.int8), max_sweeps=np.int64(1))
-    assert res.labels.tolist() == [1, 1]
-    # labels are checked before the int8 cast, which would truncate, accept
-    # strings or overflow; exact 1.0 and -1.0 stay labels
-    for bad in ([1.7, -1.2], ["1", "-1"], [1, 300]):
-        with pytest.raises(DataError, match=r"labels must be \+1 or -1"):
-            icm_infer(graph, weights, x, bad)
-    res = icm_infer(graph, weights, x, [1.0, -1.0], max_sweeps=1)
-    assert res.labels.dtype == np.int8 and res.labels.tolist() == [1, -1]
-
-
-@settings(derandomize=True, deadline=None, max_examples=150)
-@given(
-    kind=st.sampled_from([mg.DIRECTED, mg.UNDIRECTED]),
-    topology=st.sampled_from(["chain", "full"]),
-    K=st.integers(1, 8),
-    D=st.integers(0, 3),
-    zeroed=st.sampled_from([0.0, 0.5, 1.0]),
-    max_sweeps=st.integers(1, 3),
-    seed=st.integers(0, 2**16),
-)
-def test_icm_matches_the_full_rescoring_reference(kind, topology, K, D, zeroed, max_sweeps, seed):
-    rng = np.random.default_rng(seed)
-    graph = coupled_graph(rng, topology, K, D, kind)
-    # zeroed weights make exact ties, which a strict-improvement flip must refuse
-    w = rng.normal(0.0, 1.0, graph.n_cliques)
-    weights = WeightVector(np.where(rng.random(graph.n_cliques) < zeroed, 0.0, w), lam=1.0)
-    x = rng.standard_normal(D)
-    y0 = random_labels(rng, 1, K)[0]
-    labels, objective, states, status = reference_icm(graph, weights, x, y0, max_sweeps)
-    got = icm_infer(graph, weights, x, y0, max_sweeps=max_sweeps)
-    assert got.labels.dtype == np.int8
-    assert got.labels.tolist() == labels.tolist()
-    assert got.objective == objective
-    assert got.states_visited == states
-    assert got.status == status
 
 
 def test_bb_handles_single_node_graphs():
@@ -782,6 +712,65 @@ def test_the_pass_stops_at_its_budget_on_a_frustrated_graph():
     assert objective > 0.0
     assert res.labels.tolist() == labels.tolist()
     assert res.objective == objective
+
+
+# ---------------------------------------------------------------------------
+# The index-order search on undirected graphs against enumeration.
+
+
+def reference_greedy_dive(graph, scorer):
+    """The index-order search's first dive: label k takes the sign of A_k,
+    node k's constant plus its terms whose partners are all among labels
+    0..k-1, each added when its last partner is set (``GraphSpec.closing``),
+    +1 on a tie."""
+    a = scorer.const.tolist()
+    y = [0] * graph.n_outputs
+    for k, (closed, _) in enumerate(graph.closing):
+        y[k] = 1 if a[k] >= 0.0 else -1
+        for i, t in closed:
+            w_eff, partners = scorer.terms[i][t]
+            a[i] += w_eff * math.prod(y[j] for j in partners)
+    return y
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(
+    topology=st.sampled_from(["independent", "chain", "full"]),
+    K=st.integers(1, 10),
+    D=st.integers(0, 2),
+    zeroed=st.sampled_from([0.0, 0.5]),
+    cutoff=st.sampled_from([1.0, 2.0, 4.0, 1e9]),
+    escalate=st.booleans(),
+    max_states=st.sampled_from([None, 5, 50]),
+    seed=st.integers(0, 2**16),
+)
+def test_undirected_bb_matches_enumeration(topology, K, D, zeroed, cutoff, escalate, max_states, seed):
+    rng = np.random.default_rng(seed)
+    if topology == "independent":
+        graph = mg.build_independent_graph(K, D, mg.UNDIRECTED)
+    else:
+        graph = coupled_graph(rng, topology, K, D, mg.UNDIRECTED)
+    # coupled cliques at scale 3 frustrate the labels; zeroed weights make ties
+    sizes = np.diff(graph.cliques.indptr)
+    w = rng.normal(0.0, 1.0, graph.n_cliques) * np.where(sizes > 1, 3.0, 1.0)
+    weights = WeightVector(np.where(rng.random(graph.n_cliques) < zeroed, 0.0, w), lam=1.0)
+    x = rng.standard_normal(D)
+    scorer = compile_scorer(graph, weights, x)
+    losses = reference_losses(scorer, K, 0, 1 << K)
+    ex = exhaustive_infer(graph, weights, x)
+    res = bb_infer(graph, weights, x, BBConfig(cutoff=cutoff, escalate=escalate, max_states=max_states))
+    assert res.objective == mg.joint_loss(graph, weights, Instance(x, res.labels)).total
+    assert res.objective >= ex.objective
+    if max_states is not None:
+        assert res.states_visited <= max_states
+    if res.status == STATUS_OPTIMAL:
+        assert res.objective == ex.objective
+        if np.count_nonzero(losses == ex.objective) == 1:
+            assert res.labels.tolist() == ex.labels.tolist()
+    if res.status == STATUS_FALLBACK:
+        assert res.labels.tolist() == reference_greedy_dive(graph, scorer)
+    if escalate and max_states is None:
+        assert res.status == STATUS_OPTIMAL
 
 
 @pytest.mark.parametrize("kind", [mg.DIRECTED, mg.UNDIRECTED])

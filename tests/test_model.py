@@ -93,7 +93,6 @@ def test_node_margin_rejects_bad_index(two_node_model):
     (lambda g, w, x: mg.node_margin(g, w, x, np.array([1]), 0), "label shape"),
     # one label-shape rule, checked before any value rule
     (lambda g, w, x: mg.margins(g, w, x, np.array([1, 0, 1])), r"^label shape \(3,\) does not match 2 outputs$"),
-    (lambda g, w, x: mg.icm_infer(g, w, x, np.array([[1, 0]])), r"^label shape \(1, 2\) does not match 2 outputs$"),
     # margins takes the +1/-1 rule of as_sign_labels; node_margin also allows 0
     (lambda g, w, x: mg.margins(g, w, x, np.array([1, 0])), r"^labels must be \+1 or -1, found values \[0, 1\]$"),
     (lambda g, w, x: mg.node_margin(g, w, x, np.array([1, 2]), 0), "0 for unassigned"),
