@@ -773,6 +773,91 @@ def test_undirected_bb_matches_enumeration(topology, K, D, zeroed, cutoff, escal
         assert res.status == STATUS_OPTIMAL
 
 
+def test_undirected_low_cutoff_returns_the_greedy_dive_until_escalated():
+    graph, weights, x = zero_model(3, mg.UNDIRECTED)
+    # every assignment has loss 3, so nothing beats cutoff 2
+    res = bb_infer(graph, weights, x, BBConfig(cutoff=2))
+    assert res.status == STATUS_FALLBACK
+    assert res.labels.tolist() == [1, 1, 1]
+    assert res.objective == 3.0
+    # the retry under cutoff 4 takes the whole tree again: 2 + 4 + 8 labels
+    # per pass, as a leaf of loss 3 ties and never lowers the bound
+    res = bb_infer(graph, weights, x, BBConfig(cutoff=2, escalate=True))
+    assert res.status == STATUS_OPTIMAL
+    assert res.objective == 3.0
+    assert res.states_visited == 2 * 14
+    # one label: both values are tried, as loss 1 does not end the search
+    res = bb_infer(*zero_model(1, mg.UNDIRECTED), BBConfig(cutoff=2))
+    assert res.status == STATUS_OPTIMAL
+    assert res.labels.tolist() == [1]
+    assert res.objective == 1.0
+    assert res.states_visited == 2
+
+
+@pytest.mark.parametrize("max_states, states", [(3, 3), (2, 2)])
+def test_undirected_budget_keeps_the_best_leaf_seen(max_states, states):
+    # three states reach the first leaf, which is kept; two do not, and the
+    # greedy dive answers; both report the budget
+    graph, weights, x = zero_model(3, mg.UNDIRECTED)
+    res = bb_infer(graph, weights, x, BBConfig(cutoff=10, max_states=max_states))
+    assert res.status == STATUS_BUDGET
+    assert res.states_visited == states
+    assert res.labels.tolist() == [1, 1, 1]
+    assert res.objective == 3.0
+
+
+def test_undirected_search_ends_at_its_first_zero_loss_leaf():
+    # biases -2, 3, -2, 3: the greedy dive sets each label once and lands on
+    # loss 0; the exhaustive pass tries +1 first, which labels 0 and 2 prune
+    graph = mg.build_independent_graph(4, 0, mg.UNDIRECTED)
+    weights = WeightVector(np.array([-2.0, 3.0, -2.0, 3.0]), lam=1.0)
+    x = np.zeros(0)
+    res = bb_infer(graph, weights, x)
+    assert res.status == STATUS_OPTIMAL
+    assert res.labels.tolist() == [-1, 1, -1, 1]
+    assert res.objective == 0.0
+    assert res.states_visited == 4
+    ex = exhaustive_infer(graph, weights, x)
+    assert ex.labels.tolist() == [-1, 1, -1, 1]
+    assert ex.states_visited == 6
+
+
+def test_undirected_bb_ignores_cost_to_go():
+    rng = np.random.default_rng(29)
+    for _ in range(40):
+        graph, weights, x = random_model(rng, mg.UNDIRECTED, max_outputs=8, scale=2.0)
+        for cutoff, max_states in ((1.0, None), (2.0, 20), (1e9, None)):
+            on = bb_infer(graph, weights, x, BBConfig(cutoff=cutoff, max_states=max_states))
+            off = bb_infer(graph, weights, x, BBConfig(cutoff=cutoff, max_states=max_states, cost_to_go=False))
+            assert on.labels.tolist() == off.labels.tolist()
+            assert (on.objective, on.states_visited, on.status) == (off.objective, off.states_visited, off.status)
+
+
+@pytest.mark.parametrize("escalate, status", [(True, STATUS_OPTIMAL), (False, STATUS_FALLBACK)])
+def test_undirected_escalation_builds_the_table_once_per_call(monkeypatch, escalate, status):
+    # cutoff 2 finds nothing on the zero model (every loss is 3); the retry
+    # under cutoff 4, or without escalation the greedy dive, reads the table
+    # the first pass read, and no directed table is built
+    graph, weights, x = zero_model(3, mg.UNDIRECTED)
+    built = {"_closing_table": [], "_cost_to_go": [], "_static_table": []}
+    tables = []
+
+    def counted(name):
+        helper = getattr(inference, name)
+        return lambda *a, **kw: built[name].append(helper(*a, **kw)) or built[name][-1]
+
+    for name in built:
+        monkeypatch.setattr(inference, name, counted(name))
+    search = inference._index_search
+    monkeypatch.setattr(inference, "_index_search", lambda *a: tables.append(a[3]) or search(*a))
+    res = bb_infer(graph, weights, x, BBConfig(cutoff=2, escalate=escalate))
+    assert res.status == status
+    assert res.objective == 3.0
+    assert len(tables) == 2 and tables[0] is tables[1]
+    assert len(built["_closing_table"]) == 1 and tables[0] is built["_closing_table"][0]
+    assert built["_cost_to_go"] == [] and built["_static_table"] == []
+
+
 @pytest.mark.parametrize("kind", [mg.DIRECTED, mg.UNDIRECTED])
 def test_exhaustive_memory_is_bounded_per_chunk(kind):
     # 2^20 assignments in 16 chunks: the traced peak read 2.9 MB (directed)
