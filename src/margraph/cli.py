@@ -199,7 +199,7 @@ def _cmd_bench(args) -> int:
             return _fail("--S-list bench needs --model-file and --data")
         model, dataset = _load(args.model_file, args.data)
         if model.graph.kind != DIRECTED:
-            return _fail("the cutoff sweep runs branch-and-bound, which needs a directed model")
+            return _fail("the cutoff sweep's state budget and 1 - loss/S bound hold only for directed models")
         records = run_s_sweep(model.graph, model.weights, dataset, values, args.max_states)
         csv = s_sweep_csv(records)
     else:

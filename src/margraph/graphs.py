@@ -119,7 +119,8 @@ class Cliques:
     duplicate-free, and ``inputs[j]`` is its input coordinate, -1 for none.
     The arrays are read-only and intp (object only when some index does not
     fit one, which no graph accepts).  Indexing and iterating give
-    ``Clique`` values, and two forms are equal when their arrays are.
+    ``Clique`` values, a slice the list of them, and two forms are equal
+    when their arrays are.
 
     Built from ``sizes`` (each clique's member count), every clique's
     members in a row, and one input per clique (None for none).  The first
@@ -165,8 +166,10 @@ class Cliques:
     def __len__(self) -> int:
         return len(self.inputs)
 
-    def __getitem__(self, j) -> Clique:
+    def __getitem__(self, j) -> Clique | list[Clique]:
         j = range(len(self))[j]
+        if isinstance(j, range):
+            return list(map(self.__getitem__, j))
         d = int(self.inputs[j])
         return Clique(tuple(self.members[self.indptr[j] : self.indptr[j + 1]].tolist()), None if d < 0 else d)
 

@@ -31,11 +31,11 @@ static bound (the same monotone rounding), and the optimum's backward sum
 stays within the slack of its forward one, so the first minimizer in
 search order is never cut and labels, objectives and statuses stay those
 of the static search, which visits every state the tabled search visits.
-``bb_infer`` builds one bound table per instance, before the first pass,
-and every pass reads it, escalated retries and the greedy fallback
-included: the cost-to-go table (``_cost_to_go``) when
-``GraphSpec.frontier_codes`` exists (every frontier at most a few labels
-wide), the static bound's width-0 table (``_static_table``) otherwise.
+``bb_infer`` builds one bound table per instance, before its one pass,
+and the greedy fallback reads it too: the cost-to-go table
+(``_cost_to_go``) when ``GraphSpec.frontier_codes`` exists (every frontier
+at most a few labels wide), the static bound's width-0 table
+(``_static_table``) otherwise.
 ``BBConfig(cost_to_go=False)`` keeps the static bound: the ``bench`` sweeps
 measure the search that the ``1 - loss/S`` guarantee and the
 trained-versus-random contrast are about, and exact tables make random
@@ -117,8 +117,6 @@ STATUS_OPTIMAL = "proven_optimal"
 STATUS_BUDGET = "budget_exceeded"
 STATUS_FALLBACK = "no_solution_under_S_fallback"
 
-_ESCALATE_CAP = 60
-
 
 def _check_cutoff(cutoff) -> None:
     """Refuse a search cutoff that is not a number of at least 1."""
@@ -129,10 +127,11 @@ def _check_cutoff(cutoff) -> None:
 
 @dataclass(frozen=True)
 class BBConfig:
-    """Search knobs: initial upper bound, state budget, escalation retry,
-    and whether a directed graph with narrow frontiers is searched on
-    cost-to-go tables (off keeps the static bound, the search the paper
-    analyses; an undirected graph has no such tables and ignores it)."""
+    """Search knobs: initial upper bound, state budget, ``escalate`` (no
+    cutoff at all, the same search as ``cutoff=math.inf``), and whether a
+    directed graph with narrow frontiers is searched on cost-to-go tables
+    (off keeps the static bound, the search the paper analyses; an
+    undirected graph has no such tables and ignores it)."""
 
     cutoff: float = 1e9
     max_states: int | None = None
@@ -310,14 +309,12 @@ def bb_infer(graph: GraphSpec, weights: WeightVector, x, config: BBConfig | None
     directed graph is searched in graph order (``_search``), where the
     ``branch_budget`` and ``1 - loss/S`` bounds hold, an undirected one in
     index order (``_index_search``), where the cutoff is only a starting
-    bound; either way on a table built once, before the first pass, that
-    serves every pass (see the module docstring).  If no assignment has
-    loss under the cutoff, the greedy assignment (the first dive) is
-    returned (status no_solution_under_S_fallback), or the search retries
-    with a doubled cutoff when escalation is on.  If the state budget runs
-    out first, the best assignment seen so far (or the greedy one) is
-    returned with status budget_exceeded; a retry with no states left runs
-    out at the first branch, which the smaller cutoff already took.
+    bound; either way in one pass, on a table built once before it (see
+    the module docstring).  ``escalate`` searches with no cutoff.  If no
+    assignment has loss under the cutoff, the greedy assignment (the first
+    dive) is returned (status no_solution_under_S_fallback).  If the state
+    budget runs out first, the best assignment seen so far (or the greedy
+    one) is returned with status budget_exceeded.
     """
     config = config or BBConfig()
     scorer = compile_scorer(graph, weights, x)
@@ -332,20 +329,13 @@ def bb_infer(graph: GraphSpec, weights: WeightVector, x, config: BBConfig | None
     else:
         search = _index_search
         table = _closing_table(scorer, graph.closing, greedy=True)
-    cutoff = float(config.cutoff)
-    total_states = 0
-    for _ in range(_ESCALATE_CAP + 1):
-        remaining = None if config.max_states is None else config.max_states - total_states
-        incumbent, obj, states, hit_budget = search(scorer, cutoff, remaining, table)
-        total_states += states
-        if incumbent is not None:
-            return InferenceResult(incumbent, obj, total_states, STATUS_BUDGET if hit_budget else STATUS_OPTIMAL)
-        if hit_budget or not config.escalate:
-            break
-        cutoff *= 2.0
+    cutoff = math.inf if config.escalate else float(config.cutoff)
+    y, obj, states, hit_budget = search(scorer, cutoff, config.max_states, table)
+    if y is not None:
+        return InferenceResult(y, obj, states, STATUS_BUDGET if hit_budget else STATUS_OPTIMAL)
     # the greedy fallback: with no cutoff and K states, the first dive
     y, obj, _, _ = search(scorer, math.inf, graph.n_outputs, table)
-    return InferenceResult(y, obj, total_states, STATUS_BUDGET if hit_budget else STATUS_FALLBACK)
+    return InferenceResult(y, obj, states, STATUS_BUDGET if hit_budget else STATUS_FALLBACK)
 
 
 def _pass_budget(K: int) -> int:

@@ -1,5 +1,6 @@
 """End-to-end command-line workflows."""
 
+import argparse
 import re
 import shlex
 import subprocess
@@ -484,7 +485,7 @@ def test_bench_usage_errors_exit_2(workdir, tmp_path, capsys):
         "bench", "--S-list", "1", "--model-file", str(tmp_path / "bm.model"),
         "--data", str(tmp_path / "d.sv"),
     ]) == 2
-    assert "needs a directed model" in capsys.readouterr().err
+    assert "state budget and 1 - loss/S bound hold only for directed models" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")
@@ -593,9 +594,12 @@ def test_module_entry_point_exits_with_the_command_line_status(argv, code, strea
 # README
 
 
+def _readme():
+    return (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+
 def _readme_blocks():
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    return re.findall(r"^```(\w*)\n(.*?)^```", text, flags=re.S | re.M)
+    return re.findall(r"^```(\w*)\n(.*?)^```", _readme(), flags=re.S | re.M)
 
 
 def _run_readme_shell(block, capsys):
@@ -618,6 +622,13 @@ def _run_readme_shell(block, capsys):
             lines = Path(src).read_text(encoding="utf-8").splitlines(keepends=True)
             Path(dst).write_text("".join(lines[: int(n)] if cmd == "head" else lines[-int(n):]), encoding="utf-8")
     return printed
+
+
+def test_readme_command_reference_names_exactly_the_parser_flags():
+    section = _readme().split("\n## Command reference\n", 1)[1].split("\n## ", 1)[0]
+    [commands] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    defined = {flag for p in commands.choices.values() for a in p._actions for flag in a.option_strings}
+    assert set(re.findall(r"--[A-Za-z][A-Za-z0-9-]*", section)) == {f for f in defined if f.startswith("--")} - {"--help"}
 
 
 def test_readme_command_line_quick_start_prints_what_the_readme_shows(tmp_path, monkeypatch, capsys):

@@ -199,6 +199,14 @@ def test_equal_graphs_hash_equal_and_their_cliques_print_as_values():
     )
 
 
+def test_a_slice_of_cliques_is_the_list_of_their_values():
+    cliques = mg.build_chain_graph(3, 1, mg.DIRECTED).cliques
+    values = list(cliques)
+    for key in (slice(0, 2), slice(None), slice(None, None, -2), slice(4, 100), slice(5, 1)):
+        assert cliques[key] == values[key]
+    assert cliques[-1] == values[-1] == Clique((1, 2))
+
+
 def test_independent_graph_defaults_to_directed_in_index_order():
     g = mg.build_independent_graph(2, 0)
     assert (g.kind, g.order) == (mg.DIRECTED, (0, 1))

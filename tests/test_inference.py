@@ -1,5 +1,6 @@
 """Branch-and-bound search for both model kinds, and the exhaustive oracle."""
 
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -14,7 +15,6 @@ from margraph import BBConfig, Clique, GraphSpec, Instance, WeightVector, graphs
 from margraph.bench import branch_budget
 from margraph.errors import CapabilityError, DataError
 from margraph.inference import (
-    _ESCALATE_CAP,
     STATUS_BUDGET,
     STATUS_FALLBACK,
     STATUS_OPTIMAL,
@@ -65,11 +65,18 @@ def test_low_cutoff_returns_fallback_assignment():
     assert res.objective == 3.0
 
 
-def test_escalation_doubles_the_cutoff_until_a_solution_appears():
+def test_escalation_searches_once_with_no_cutoff():
     graph, weights, x = zero_model(3)
     res = bb_infer(graph, weights, x, BBConfig(cutoff=2, escalate=True))
     assert res.status == STATUS_OPTIMAL
     assert res.objective == 3.0
+    # the first dive takes 3 states to a leaf of loss 3; 4 more reach node 2
+    # by other paths, where every leaf ties that loss and is cut
+    assert res.states_visited == 7
+    unbounded = bb_infer(graph, weights, x, BBConfig(cutoff=math.inf))
+    assert res.labels.tolist() == unbounded.labels.tolist()
+    assert (res.objective, res.states_visited, res.status) == (
+        unbounded.objective, unbounded.states_visited, unbounded.status)
 
 
 def test_exhausted_state_budget_reports_budget_status():
@@ -80,7 +87,7 @@ def test_exhausted_state_budget_reports_budget_status():
     assert res.objective == 3.0  # greedy completion still answers
 
 
-def test_budget_used_up_exactly_by_a_pass_before_escalating_reports_budget_status():
+def test_escalation_spends_the_budget_in_one_pass_with_no_cutoff():
     # node 1 is scored 0.5 + 0.5 * y_0 and node 2 0.5 * y_0 - 0.5 * y_1, so
     # both have static bound max(0, 1 - 0.5 - 0.5) = 0 yet every completion
     # of a root label costs at least 1.  Under cutoff 2 the pass takes both
@@ -93,12 +100,14 @@ def test_budget_used_up_exactly_by_a_pass_before_escalating_reports_budget_statu
     single = bb_infer(graph, weights, x, BBConfig(cutoff=2, max_states=3))
     assert single.status == STATUS_FALLBACK
     assert single.states_visited == 3
-    # the doubled-cutoff retry has no states left
-    res = bb_infer(graph, weights, x, BBConfig(cutoff=2, max_states=3, escalate=True))
-    assert res.status == STATUS_BUDGET
-    assert res.states_visited == 3
-    assert res.labels.tolist() == [1, 1, 1]
-    assert res.objective == 2.0
+    # with no cutoff the first dive reaches (+1, +1, +1) at loss 2 in 3
+    # states, and the pass proves it optimal with one more
+    for max_states, status in ((3, STATUS_BUDGET), (4, STATUS_OPTIMAL)):
+        res = bb_infer(graph, weights, x, BBConfig(cutoff=2, max_states=max_states, escalate=True))
+        assert res.status == status
+        assert res.states_visited == max_states
+        assert res.labels.tolist() == [1, 1, 1]
+        assert res.objective == 2.0
 
 
 def test_suffix_bound_slack_absorbs_rounding_of_the_bound():
@@ -362,7 +371,14 @@ def reference_search(scorer, order, cutoff, budget, bound="static", h=None):
 def reference_bb_infer(graph, weights, x, config, bound="tables"):
     """bound="tables": cost-to-go tables, built once before the first pass,
     when config.cost_to_go and every frontier is within the width cap, and
-    the static bound otherwise; "static" or "none" as in reference_search."""
+    the static bound otherwise; "static" or "none" as in reference_search.
+
+    With ``escalate`` this is the loop escalation once ran: passes under S,
+    2S, 4S, ... (61 at most) until one finds a leaf.  The one pass with no
+    cutoff that replaced it returns the same labels, objective and status,
+    though not the same states, so the loop is their reference; it never
+    ran under a state budget here."""
+    assert not (config.escalate and config.max_states is not None)
     scorer = compile_scorer(graph, weights, x)
     order = graph.order
     h = None
@@ -373,22 +389,14 @@ def reference_bb_infer(graph, weights, x, config, bound="tables"):
             h = reference_cost_to_go(scorer, order, frontiers)
     cutoff = float(config.cutoff)
     total_states = 0
-    for _ in range(_ESCALATE_CAP + 1):
-        remaining = None
-        if config.max_states is not None:
-            remaining = config.max_states - total_states
-            if remaining <= 0:
-                y, obj = reference_greedy_descent(scorer, order)
-                return y, obj, total_states, STATUS_BUDGET
-        incumbent, obj, states, hit_budget = reference_search(scorer, order, cutoff, remaining, bound, h)
+    for _ in range(61):
+        incumbent, obj, states, hit_budget = reference_search(scorer, order, cutoff, config.max_states, bound, h)
         total_states += states
-        if incumbent is not None and not hit_budget:
-            return incumbent, obj, total_states, STATUS_OPTIMAL
+        if incumbent is not None:
+            return incumbent, obj, total_states, STATUS_BUDGET if hit_budget else STATUS_OPTIMAL
         if hit_budget:
-            if incumbent is None:
-                y, obj = reference_greedy_descent(scorer, order)
-                return y, obj, total_states, STATUS_BUDGET
-            return incumbent, obj, total_states, STATUS_BUDGET
+            y, obj = reference_greedy_descent(scorer, order)
+            return y, obj, total_states, STATUS_BUDGET
         if not config.escalate:
             break
         cutoff *= 2.0
@@ -396,24 +404,35 @@ def reference_bb_infer(graph, weights, x, config, bound="tables"):
     return y, obj, total_states, STATUS_FALLBACK
 
 
+def one_pass(config):
+    """The config of the one pass bb_infer runs: escalation drops the cutoff."""
+    return dataclasses.replace(config, cutoff=math.inf, escalate=False) if config.escalate else config
+
+
 def check_against_the_references(graph, weights, x, config):
-    """bb_infer against the reference with the same bound; without a state
-    budget, also against the static and the prune-free search, which take
-    every state it takes.  Returns bb_infer's result."""
+    """bb_infer against the reference with the same bound, escalation as one
+    pass with no cutoff; without a state budget, also against the static and
+    the prune-free search, which take every state it takes, and against the
+    reference's escalation loop.  Returns bb_infer's result."""
     got = bb_infer(graph, weights, x, config)
-    labels, objective, states, status = reference_bb_infer(graph, weights, x, config)
+    single = one_pass(config)
+    labels, objective, states, status = reference_bb_infer(graph, weights, x, single)
     assert got.labels.dtype == np.int8
     assert got.labels.tolist() == labels.tolist()
     assert got.objective == objective
     assert got.states_visited == states
     assert got.status == status
     if config.max_states is None:
-        for bound in ("static", "none"):
-            labels, objective, states, status = reference_bb_infer(graph, weights, x, config, bound)
+        references = [(single, "static"), (single, "none")]
+        if config.escalate:
+            references.append((config, "tables"))
+        for reference, bound in references:
+            labels, objective, states, status = reference_bb_infer(graph, weights, x, reference, bound)
             assert got.labels.tolist() == labels.tolist()
             assert got.objective == objective
             assert got.status == status
-            assert got.states_visited <= states
+            if reference is single:
+                assert got.states_visited <= states
     return got
 
 
@@ -434,11 +453,11 @@ def test_search_matches_the_array_reference_on_coupled_graphs(topology, K, D, sc
     weights = WeightVector(np.where(rng.random(graph.n_cliques) < zeroed, 0.0, w), lam=1.0)
     x = rng.standard_normal(D)
     optimum = exhaustive_infer(graph, weights, x).objective
-    # cutoffs below the optimum force the fallback (or escalation); at the
-    # optimum nothing lies strictly under the bound
+    # cutoffs below the optimum force the fallback (unless escalated); at
+    # the optimum nothing lies strictly under the bound
     for cutoff in sorted({1.0, max(1.0, 0.5 * optimum), max(1.0, optimum), max(1.0, optimum + 0.5), 1e9}):
         for escalate in (False, True):
-            unlimited = reference_bb_infer(graph, weights, x, BBConfig(cutoff, None, escalate))
+            unlimited = reference_bb_infer(graph, weights, x, one_pass(BBConfig(cutoff, None, escalate)))
             for max_states in sorted({1, max(1, unlimited[2])}) + [None]:
                 for cost_to_go in (True, False):
                     config = BBConfig(cutoff, max_states, escalate, cost_to_go)
@@ -557,12 +576,15 @@ def test_cost_to_go_slack_absorbs_the_backward_rounding():
 
 
 @pytest.mark.parametrize("cost_to_go", [True, False])
-@pytest.mark.parametrize("escalate, status", [(True, STATUS_OPTIMAL), (False, STATUS_FALLBACK)])
-def test_escalation_builds_the_tables_once_per_call(monkeypatch, cost_to_go, escalate, status):
+@pytest.mark.parametrize("escalate, cutoffs, status", [
+    (True, [math.inf], STATUS_OPTIMAL),
+    (False, [2.0, math.inf], STATUS_FALLBACK),
+])
+def test_bb_infer_builds_the_tables_once_per_call(monkeypatch, cost_to_go, escalate, cutoffs, status):
     # static bounds of 0 and every completion of a root label costing at
     # least 1 (see the budget test above): the table is built before the
-    # pass under cutoff 2, which finds nothing; the retry under cutoff 4,
-    # or without escalation the greedy fallback, reads the same table
+    # pass.  Under cutoff 2 the pass finds nothing and the greedy fallback
+    # reads the same table; escalated, the one pass has no cutoff.
     graph = GraphSpec(3, 0, mg.DIRECTED, (0, 1, 2),
                       (Clique((0,)), Clique((1,)), Clique((0, 1)), Clique((0, 2)), Clique((1, 2))))
     weights = WeightVector(np.array([0.0, 0.5, 0.5, 0.5, -0.5]), lam=1.0)
@@ -576,7 +598,8 @@ def test_escalation_builds_the_tables_once_per_call(monkeypatch, cost_to_go, esc
     for name in built:
         monkeypatch.setattr(inference, name, counted(name))
     search = inference._search
-    monkeypatch.setattr(inference, "_search", lambda *a: tables.append(a[3]) or search(*a))
+    passes = []
+    monkeypatch.setattr(inference, "_search", lambda *a: passes.append(a[1]) or tables.append(a[3]) or search(*a))
     config = BBConfig(cutoff=2, escalate=escalate, cost_to_go=cost_to_go)
     res = bb_infer(graph, weights, np.zeros(0), config)
     assert res.status == status
@@ -585,8 +608,9 @@ def test_escalation_builds_the_tables_once_per_call(monkeypatch, cost_to_go, esc
     else:
         y, obj = reference_greedy_descent(compile_scorer(graph, weights, np.zeros(0)), graph.order)
         assert res.labels.tolist() == y.tolist() and res.objective == obj
-    # two passes, or one pass and the greedy dive; one build, read by both
-    assert len(tables) == 2 and tables[0] is tables[1]
+    # one pass, or one pass and the greedy dive; one build, read by both
+    assert passes == cutoffs
+    assert all(table is tables[0] for table in tables)
     assert len(built["_cost_to_go"]) == int(cost_to_go)
     assert len(built["_static_table"]) == int(not cost_to_go)
     if cost_to_go:
@@ -773,19 +797,19 @@ def test_undirected_bb_matches_enumeration(topology, K, D, zeroed, cutoff, escal
         assert res.status == STATUS_OPTIMAL
 
 
-def test_undirected_low_cutoff_returns_the_greedy_dive_until_escalated():
+def test_undirected_low_cutoff_returns_the_greedy_dive_unless_escalated():
     graph, weights, x = zero_model(3, mg.UNDIRECTED)
     # every assignment has loss 3, so nothing beats cutoff 2
     res = bb_infer(graph, weights, x, BBConfig(cutoff=2))
     assert res.status == STATUS_FALLBACK
     assert res.labels.tolist() == [1, 1, 1]
     assert res.objective == 3.0
-    # the retry under cutoff 4 takes the whole tree again: 2 + 4 + 8 labels
-    # per pass, as a leaf of loss 3 ties and never lowers the bound
+    # the one pass with no cutoff takes the whole tree: 2 + 4 + 8 labels, as
+    # a leaf of loss 3 ties and never lowers the bound
     res = bb_infer(graph, weights, x, BBConfig(cutoff=2, escalate=True))
     assert res.status == STATUS_OPTIMAL
     assert res.objective == 3.0
-    assert res.states_visited == 2 * 14
+    assert res.states_visited == 14
     # one label: both values are tried, as loss 1 does not end the search
     res = bb_infer(*zero_model(1, mg.UNDIRECTED), BBConfig(cutoff=2))
     assert res.status == STATUS_OPTIMAL
@@ -833,11 +857,14 @@ def test_undirected_bb_ignores_cost_to_go():
             assert (on.objective, on.states_visited, on.status) == (off.objective, off.states_visited, off.status)
 
 
-@pytest.mark.parametrize("escalate, status", [(True, STATUS_OPTIMAL), (False, STATUS_FALLBACK)])
-def test_undirected_escalation_builds_the_table_once_per_call(monkeypatch, escalate, status):
-    # cutoff 2 finds nothing on the zero model (every loss is 3); the retry
-    # under cutoff 4, or without escalation the greedy dive, reads the table
-    # the first pass read, and no directed table is built
+@pytest.mark.parametrize("escalate, cutoffs, status", [
+    (True, [math.inf], STATUS_OPTIMAL),
+    (False, [2.0, math.inf], STATUS_FALLBACK),
+])
+def test_undirected_bb_builds_the_table_once_per_call(monkeypatch, escalate, cutoffs, status):
+    # cutoff 2 finds nothing on the zero model (every loss is 3), and the
+    # greedy dive reads the table the pass read; escalated, the one pass has
+    # no cutoff.  No directed table is built.
     graph, weights, x = zero_model(3, mg.UNDIRECTED)
     built = {"_closing_table": [], "_cost_to_go": [], "_static_table": []}
     tables = []
@@ -849,13 +876,52 @@ def test_undirected_escalation_builds_the_table_once_per_call(monkeypatch, escal
     for name in built:
         monkeypatch.setattr(inference, name, counted(name))
     search = inference._index_search
-    monkeypatch.setattr(inference, "_index_search", lambda *a: tables.append(a[3]) or search(*a))
+    passes = []
+    monkeypatch.setattr(inference, "_index_search", lambda *a: passes.append(a[1]) or tables.append(a[3]) or search(*a))
     res = bb_infer(graph, weights, x, BBConfig(cutoff=2, escalate=escalate))
     assert res.status == status
     assert res.objective == 3.0
-    assert len(tables) == 2 and tables[0] is tables[1]
+    assert passes == cutoffs
+    assert all(table is tables[0] for table in tables)
     assert len(built["_closing_table"]) == 1 and tables[0] is built["_closing_table"][0]
     assert built["_cost_to_go"] == [] and built["_static_table"] == []
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(
+    kind=st.sampled_from([mg.DIRECTED, mg.UNDIRECTED]),
+    topology=st.sampled_from(["independent", "chain", "full"]),
+    K=st.integers(1, 8),
+    D=st.integers(0, 3),
+    scale=st.sampled_from([0.5, 1.5, 3.0]),
+    cutoff=st.sampled_from([1.0, 2.0, 4.0]) | st.floats(1.0, 1e9),
+    cost_to_go=st.booleans(),
+    max_states=st.sampled_from([None, 1, 20]),
+    seed=st.integers(0, 2**16),
+)
+def test_escalation_is_one_pass_with_no_cutoff(kind, topology, K, D, scale, cutoff, cost_to_go, max_states, seed):
+    rng = np.random.default_rng(seed)
+    if topology == "independent":
+        graph = mg.build_independent_graph(K, D, kind)
+    else:
+        graph = coupled_graph(rng, topology, K, D, kind)
+    sizes = np.diff(graph.cliques.indptr)
+    weights = WeightVector(rng.normal(0.0, 1.0, graph.n_cliques) * np.where(sizes > 1, scale, 1.0), lam=1.0)
+    x = rng.standard_normal(D)
+    got = bb_infer(graph, weights, x, BBConfig(cutoff, max_states, True, cost_to_go))
+    unbounded = bb_infer(graph, weights, x, BBConfig(math.inf, max_states, False, cost_to_go))
+    assert got.labels.tolist() == unbounded.labels.tolist()
+    assert (got.objective, got.states_visited, got.status) == (
+        unbounded.objective, unbounded.states_visited, unbounded.status)
+    if max_states is None:
+        # the answers of the loop escalation once ran: passes under S, 2S,
+        # 4S, ... until one finds a leaf
+        res = bb_infer(graph, weights, x, BBConfig(cutoff, None, False, cost_to_go))
+        while res.status == STATUS_FALLBACK:
+            cutoff *= 2.0
+            res = bb_infer(graph, weights, x, BBConfig(cutoff, None, False, cost_to_go))
+        assert got.labels.tolist() == res.labels.tolist()
+        assert (got.objective, got.status) == (res.objective, STATUS_OPTIMAL)
 
 
 @pytest.mark.parametrize("kind", [mg.DIRECTED, mg.UNDIRECTED])
