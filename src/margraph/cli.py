@@ -119,7 +119,10 @@ def _cmd_train(args) -> int:
     strategy = make_order_strategy(args.order, dataset, config)
     probe = strategy.probe
     for r in probe.reports if probe else ():
-        print(f"probe node {r.node}: epochs={r.epochs} steps={r.steps} gap={r.gap:.3e} converged={r.converged}")
+        print(
+            f"probe node {r.node}: epochs={r.epochs} ip_iters={r.ip_iterations} steps={r.steps} "
+            f"gap={r.gap:.3e} converged={r.converged}"
+        )
     kind = DIRECTED if args.model == "lmsbn" else UNDIRECTED
     graph = GRAPH_BUILDERS[args.graph](dataset.n_outputs, dataset.n_inputs, kind, order=strategy.order)
     trainer = train_lmsbn if kind == DIRECTED else train_lmbm
@@ -128,8 +131,8 @@ def _cmd_train(args) -> int:
     for r in result.reports:
         who = "joint" if r.node is None else f"node {r.node}"
         print(
-            f"{who}: epochs={r.epochs} steps={r.steps} gap={r.gap:.3e} rel_gap={r.rel_gap:.3e} "
-            f"max_pg={r.max_projected_gradient:.3e} converged={r.converged}"
+            f"{who}: epochs={r.epochs} ip_iters={r.ip_iterations} steps={r.steps} gap={r.gap:.3e} "
+            f"rel_gap={r.rel_gap:.3e} max_pg={r.max_projected_gradient:.3e} converged={r.converged}"
         )
     capped = [r for r in result.reports if not r.converged]
     if capped:

@@ -1,4 +1,4 @@
-"""Hinge-loss training via dual coordinate descent.
+"""Hinge-loss training by dual interior-point and coordinate-descent solves.
 
 The training problem minimizes
 
@@ -17,23 +17,39 @@ decompose into one independent solve per node over the cliques it owns
 (cliques partition by owner; a node that owns none still gets its solve,
 with every dual at the box); undirected graphs couple all nodes through
 shared weights and take one joint solve.  Each solve holds the features of
-its own constraint groups only, and runs the same coordinate-descent
-kernel: pick a constraint, compute the projected gradient, and move its dual
-variable to the exact 1-d optimum clipped to [0, C].  The kernel shrinks its
-active set (Hsieh et al., ICML 2008): constraints pinned at 0 or C with a
-gradient outside the previous epoch's band are skipped until the band closes,
-and convergence is only certified on the full set.  A step takes one of three
-forms, chosen once per solve.  A solve whose constraint groups are all narrow
-(at most ``_NARROW_WIDTH`` columns, like a directed chain's nodes) steps on
-Python lists of floats, and a wider one on NumPy rows; both update the weights
-incrementally at each step and refresh them from alpha through the
-stationarity identity only on epochs that can certify or stop: those that
-meet no projected gradient above the tolerance, and the last.  A wide solve
-of one constraint group (every directed node solve wider than the cut-off)
-whose Gram matrix Q = F F^T / eta holds at most ``_GRAM_ENTRIES`` entries
-steps in the dual instead: a step's gradient is one dot of a row of Q with
-alpha, (Q alpha)_t - 1, and a move writes alpha alone, so no weights are kept
-between certificates.
+its own constraint groups only, and every solve is certified the same way:
+the duality gap and the largest projected gradient at the weights its duals
+imply (``_box_objectives``), both at most the tolerance.
+
+One rule routes each solve (``_takes_interior_point``).  A solve whose duals
+start at all zeros, and which would not step in the Gram form below, runs
+Mehrotra's predictor-corrector interior point (``_interior_point``), with
+one Cholesky factor of a d x d matrix per iteration for d weights.  All such
+solves of one call, the cold directed nodes or the joint solve, run as one
+stack in lockstep, each leaving it once it converges.  Its duals are then
+snapped onto the bounds they lie within 1e-6 * C of, and certified; only
+when they do not certify, or when a factor failed, does coordinate descent
+continue from them within the epochs left.  Each iteration counts as an
+epoch and as a visit to every dual of the solve.
+
+Coordinate descent runs every other solve: warm starts, such as a full
+directed model started from the ordering probe's duals, and Gram-form
+solves.  It picks a constraint, computes the projected gradient, and moves
+its dual variable to the exact 1-d optimum clipped to [0, C].  The kernel
+shrinks its active set (Hsieh et al., ICML 2008): constraints pinned at 0 or
+C with a gradient outside the previous epoch's band are skipped until the
+band closes, and convergence is only certified on the full set.  A step
+takes one of three forms, chosen once per solve.  A solve whose constraint
+groups are all narrow (at most ``_NARROW_WIDTH`` columns, like a directed
+chain's nodes) steps on Python lists of floats, and a wider one on NumPy
+rows; both update the weights incrementally at each step and refresh them
+from alpha through the stationarity identity only on epochs that can certify
+or stop: those that meet no projected gradient above the tolerance, and the
+last.  A wide solve of one constraint group (every directed node solve wider
+than the cut-off) whose Gram matrix Q = F F^T / eta holds at most
+``_GRAM_ENTRIES`` entries steps in the dual instead: a step's gradient is
+one dot of a row of Q with alpha, (Q alpha)_t - 1, and a move writes alpha
+alone, so no weights are kept between certificates.
 
 A solve starts from zero duals, or from given ones (``start=``, a
 ``DualState``) and the weights they imply.  Any duals in [0, C] are
@@ -46,7 +62,7 @@ Zhuang and Lin, KDD 2015).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -73,7 +89,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Knobs for the dual coordinate descent solver."""
+    """Knobs for the dual solvers; ``max_epochs`` caps each solve's
+    interior-point iterations and coordinate-descent epochs together."""
 
     lam: float = 0.01
     eta0: float = 0.0
@@ -94,8 +111,11 @@ class TrainConfig:
 class SolveReport:
     """Convergence record for one dual solve (one node, or None for joint).
 
-    ``steps`` counts the coordinate visits actually made, summed over
-    epochs; ``rel_gap`` is the gap divided by the box-scaled primal.
+    ``epochs`` counts interior-point iterations plus coordinate-descent
+    epochs, of which ``ip_iterations`` are the former (0 for a solve by
+    coordinate descent alone).  ``steps`` counts an iteration as a visit to
+    every dual variable, plus the coordinate visits actually made, summed
+    over epochs; ``rel_gap`` is the gap divided by the box-scaled primal.
     """
 
     node: int | None
@@ -105,6 +125,7 @@ class SolveReport:
     converged: bool
     steps: int
     rel_gap: float
+    ip_iterations: int = 0
 
 
 @dataclass(frozen=True)
@@ -252,7 +273,9 @@ def _solve_dual(blocks, eta, box, rng, max_epochs, tol, node, start):
 
     ``blocks`` are the constraint groups from ``_blocks``; ``eta`` has one
     entry per weight.  The solve starts from the duals ``start`` (G, N), each
-    in [0, box]; a cold start is all zeros.
+    in [0, box]; a cold start is all zeros.  ``_train`` calls it for warm
+    starts and Gram-form solves, and to continue from the snapped duals of
+    an interior-point solve that did not certify, with the epochs left.
 
     Each step moves one alpha to the exact optimum of the dual restricted to
     that coordinate; the dual objective never decreases.  An epoch visits
@@ -317,7 +340,7 @@ def _solve_dual(blocks, eta, box, rng, max_epochs, tol, node, start):
     # Python lists of floats, a row solve as NumPy row views and an index
     # into a NumPy w; a dual solve holds only the rows of Q.
     narrow = max(len(cols) for cols, _ in blocks) <= _NARROW_WIDTH
-    gram = not narrow and G == 1 and N * N <= _GRAM_ENTRIES
+    gram = _gram_form(blocks, N)
     if gram:
         rows = list(Fg[0] @ Fg_over_eta[0].T)
         alpha_vec = np.array(alpha)
@@ -414,6 +437,207 @@ def _solve_dual(blocks, eta, box, rng, max_epochs, tol, node, start):
     return w_refreshed, alpha_gn, SolveReport(node, epoch, gap, pg_all, converged, steps, gap / primal)
 
 
+def _gram_form(blocks, n: int) -> bool:
+    """Whether coordinate descent steps in the dual form: one constraint
+    group wider than ``_NARROW_WIDTH`` whose n x n Gram matrix holds at most
+    ``_GRAM_ENTRIES`` entries."""
+    return len(blocks) == 1 and len(blocks[0][0]) > _NARROW_WIDTH and n * n <= _GRAM_ENTRIES
+
+
+def _takes_interior_point(blocks, start: np.ndarray) -> bool:
+    """The routing rule: a solve whose duals start at all zeros and that
+    would not step in the Gram form runs the interior point first."""
+    return not start.any() and not _gram_form(blocks, start.shape[1])
+
+
+# A problem leaves the interior point once its mean complementarity product
+# mu (alpha times a gradient-scale multiplier) is below _IP_MU * box and its
+# residuals are within _IP_RESIDUAL (times the box for alpha + slack = box).
+# The Newton matrix spans about (box / mu)^2: one Scene-size node's factor
+# failed at mu = 2e-16 box, and a node at box = 93 stalled below mu = 1e-14
+# where the same mu at box = 0.17 certified.
+_IP_MU = 1e-14
+_IP_RESIDUAL = 1e-9
+# Fraction of the longest step to the boundary that an iteration takes.
+_IP_STEP = 0.995
+# Terminal duals within _SNAP * box of a bound are moved onto it.
+_SNAP = 1e-6
+# Rows per diagonal block of the triangular solves.
+_TRIANGLE_BLOCK = 128
+
+
+def _stacked(problems, eta, n: int):
+    """The interior point's constraint groups for a stack of problems
+    (``(cliques, blocks)`` pairs): per group, its columns among the solve's
+    and its features scaled by eta^(-1/2), with a leading axis over the
+    problems; and the number of columns.  One problem keeps its own groups.
+    Several, each of one group (directed nodes), share one group zero-padded
+    to the widest, each problem's features in its own columns."""
+    if len(problems) == 1:
+        [(cliques, blocks)] = problems
+        scale = 1.0 / np.sqrt(eta[cliques])
+        return [(cols, (block * scale[cols])[None]) for cols, block in blocks], max(1, len(cliques))
+    width = max(1, max(len(cliques) for cliques, _ in problems))
+    F = np.zeros((len(problems), n, width), dtype=np.float64)
+    for f, (cliques, [(cols, block)]) in zip(F, problems):
+        f[:, cols] = block * (1.0 / np.sqrt(eta[cliques]))[cols]
+    return [(np.arange(width), F)], width
+
+
+def _lift(blocks, alpha, width: int) -> np.ndarray:
+    """G^T alpha for each problem of a stack, (B, width), with G the stacked
+    features of ``_stacked`` and alpha (B, groups, N)."""
+    u = np.zeros((alpha.shape[0], width), dtype=np.float64)
+    for (cols, F), a in zip(blocks, alpha.transpose(1, 0, 2)):
+        u[:, cols] += np.matmul(a[:, None, :], F)[:, 0]
+    return u
+
+
+def _lower(blocks, u) -> np.ndarray:
+    """G u for each problem of a stack, (B, groups, N)."""
+    return np.stack([np.matmul(F, u[:, cols, None])[..., 0] for cols, F in blocks], axis=1)
+
+
+def _factor(M):
+    """Cholesky factors of a stack of matrices, and which ones failed (not
+    positive definite, or not finite)."""
+    try:
+        L = np.linalg.cholesky(M)
+    except np.linalg.LinAlgError:
+        L = np.full_like(M, np.nan)
+        for factor, m in zip(L, M):
+            try:
+                factor[...] = np.linalg.cholesky(m)
+            except np.linalg.LinAlgError:
+                pass
+    return L, ~np.isfinite(L).all(axis=(1, 2))
+
+
+def _triangular_solve(T, b, lower: bool):
+    """x with T x = b for each triangular T (B, d, d) of a stack, b (B, d).
+    NumPy has no triangular solve, so the rows are taken in blocks of
+    ``_TRIANGLE_BLOCK``: each block's right side less the solved part, then
+    an LU solve of its diagonal block, O(d^2) in all for d >> the block."""
+    d = T.shape[-1]
+    x = np.empty_like(b)
+    starts = range(0, d, _TRIANGLE_BLOCK)
+    for s in starts if lower else reversed(starts):
+        e = min(s + _TRIANGLE_BLOCK, d)
+        known = slice(0, s) if lower else slice(e, d)
+        rest = b[:, s:e] - np.matmul(T[:, s:e, known], x[:, known, None])[..., 0]
+        x[:, s:e] = np.linalg.solve(T[:, s:e, s:e], rest[..., None])[..., 0]
+    return x
+
+
+def _max_step(pairs) -> np.ndarray:
+    """Per problem, the largest t with x + t dx >= 0 for every (x, dx) with
+    x > 0: one over the largest -dx/x, or inf where none is positive."""
+    rate = np.max([(-dx / x).max(axis=(1, 2)) for x, dx in pairs], axis=0)
+    return np.divide(1.0, rate, out=np.full_like(rate, np.inf), where=rate > 0.0)
+
+
+def _newton(blocks, L, D, width: int, rhs) -> np.ndarray:
+    """d with (Q + diag D) d = rhs for each problem of a stack, Q = G G^T, by
+    Sherman-Morrison-Woodbury: d = (rhs - G y) / D, where L L^T y = G^T (rhs / D)
+    and L is the Cholesky factor of I + G^T D^(-1) G."""
+    t = _triangular_solve(L, _lift(blocks, rhs / D, width), lower=True)
+    y = _triangular_solve(L.transpose(0, 2, 1), t, lower=False)
+    return (rhs - _lower(blocks, y)) / D
+
+
+def _interior_point(blocks, width: int, box: float, max_iterations: int):
+    """Mehrotra's predictor-corrector (SIAM J. Optim. 1992) on each problem
+    of a stack: minimise 0.5 alpha^T Q alpha - 1^T alpha over 0 <= alpha <= box,
+    Q = G G^T, with ``blocks`` and ``width`` from ``_stacked``.
+
+    The variables are alpha, its upper slack s = box - alpha (its own
+    variable: box - alpha cancels near the box), and the multipliers z of
+    alpha >= 0 and v of s >= 0.  A Newton step solves (Q + D) d = r, with
+    D = z/alpha + v/s, by Sherman-Morrison-Woodbury through one Cholesky
+    factor of I + G^T D^(-1) G (Ferris and Munson, SIAM J. Optim. 2002),
+    assembled group by group; the predictor and the corrector share it.
+    It starts at the centre of the box with unit multipliers.  Each problem
+    takes its own step lengths and mu, and leaves the stack once mu is below
+    ``_IP_MU * box`` and its residuals are within ``_IP_RESIDUAL``; when its
+    factor fails; when its dual residual rises above ``_IP_RESIDUAL`` (a
+    step of length t scales it by 1 - t, so a rise is roundoff taking over);
+    or after ``max_iterations`` iterations.
+
+    Returns the duals (B, groups, N) in [0, box], each within ``_SNAP * box``
+    of a bound moved onto it, and each problem's iteration count.
+    """
+    B, N = blocks[0][1].shape[:2]
+    G = len(blocks)
+    pairs = 2 * G * N
+    # the centre of the box, with unit multipliers: every pair starts at
+    # the same product box/2 (gradients are margins less 1, of scale 1)
+    alpha = np.full((B, G, N), 0.5 * box)
+    slack = alpha.copy()
+    z = np.ones_like(alpha)
+    v = np.ones_like(alpha)
+    final = alpha.copy()
+    iterations = np.zeros(B, dtype=np.intp)
+    live = np.arange(B)
+    last_residual = np.inf
+    eye = np.eye(width)
+    with np.errstate(all="ignore"):  # a problem that breaks down leaves; its duals are certified
+        while True:
+            r_d = _lower(blocks, _lift(blocks, alpha, width)) - 1.0 - z + v
+            r_p = alpha + slack - box
+            mu = ((alpha * z).sum(axis=(1, 2)) + (slack * v).sum(axis=(1, 2))) / pairs
+            D = z / alpha + v / slack
+            M = np.repeat(eye[None], len(live), axis=0)
+            for (cols, F), d in zip(blocks, D.transpose(1, 0, 2)):
+                M[:, cols[:, None], cols] += np.matmul(F.transpose(0, 2, 1), F / d[:, :, None])
+            L, failed = _factor(M)
+            residual = np.abs(r_d).max(axis=(1, 2))
+            leave = (
+                failed
+                | (iterations[live] >= max_iterations)
+                | ((mu < _IP_MU * box) & (residual <= _IP_RESIDUAL)
+                   & (np.abs(r_p).max(axis=(1, 2)) <= _IP_RESIDUAL * box))
+                | ((residual > _IP_RESIDUAL) & (residual > last_residual))
+            )
+            if leave.any():
+                final[live[leave]] = alpha[leave]
+                keep = ~leave
+                live = live[keep]
+                if not live.size:
+                    break
+                blocks = [(cols, F[keep]) for cols, F in blocks]
+                alpha, slack, z, v, r_d, r_p, mu, D, L, residual = (
+                    x[keep] for x in (alpha, slack, z, v, r_d, r_p, mu, D, L, residual)
+                )
+            iterations[live] += 1
+            last_residual = residual
+
+            # predictor: the affine step towards mu = 0
+            da = _newton(blocks, L, D, width, -r_d - z + v - v * r_p / slack)
+            ds = -r_p - da
+            dz = -z - z * da / alpha
+            dv = -v - v * ds / slack
+            t = np.minimum(1.0, _max_step([(alpha, da), (slack, ds), (z, dz), (v, dv)]))[:, None, None]
+            mu_aff = (((alpha + t * da) * (z + t * dz)).sum(axis=(1, 2))
+                      + ((slack + t * ds) * (v + t * dv)).sum(axis=(1, 2))) / pairs
+            sigma_mu = ((mu_aff / mu) ** 3 * mu)[:, None, None]
+            # corrector: centre at sigma * mu and cancel the predictor's second-order term
+            r_az = alpha * z + da * dz - sigma_mu
+            r_sv = slack * v + ds * dv - sigma_mu
+            da = _newton(blocks, L, D, width, -r_d - r_az / alpha + (r_sv - v * r_p) / slack)
+            ds = -r_p - da
+            dz = -(r_az + z * da) / alpha
+            dv = -(r_sv + v * ds) / slack
+            t = np.minimum(1.0, _IP_STEP * _max_step([(alpha, da), (slack, ds), (z, dz), (v, dv)]))[:, None, None]
+            alpha = alpha + t * da
+            slack = slack + t * ds
+            z = z + t * dz
+            v = v + t * dv
+    final = np.clip(np.nan_to_num(final), 0.0, box)
+    final[final <= _SNAP * box] = 0.0
+    final[final >= box - _SNAP * box] = box
+    return final, iterations
+
+
 def _box_bound(lam: float, n: int) -> float:
     box = 1.0 / (lam * n)
     if not (0 < box < math.inf):
@@ -476,30 +700,59 @@ def _train(dataset: Dataset, graph: GraphSpec, config: TrainConfig, start: DualS
     """One dual solve per directed node over the cliques it owns, or one
     joint solve over every node of an undirected graph.
 
-    A solve's shuffle seed is (shuffle_seed, its first node): (seed, i) for
-    directed node i, (seed, 0) for the joint solve.  Every solve starts from
-    the duals of its nodes in ``start.alpha`` (K, N), or from zero without a
-    start.  Any duals in the box [0, 1/(lam*N)] are feasible for every
-    problem over the same (node, instance) constraints, such as those of a
-    directed probe over the same data at the same lambda, whatever cliques
-    each node owns.
+    Every solve starts from the duals of its nodes in ``start.alpha`` (K,
+    N), or from zero without a start.  Any duals in the box [0, 1/(lam*N)]
+    are feasible for every problem over the same (node, instance)
+    constraints, such as those of a directed probe over the same data at the
+    same lambda, whatever cliques each node owns.
+
+    The solves that ``_takes_interior_point`` picks run as one interior-point
+    stack; each is then certified at its snapped duals, or continued by
+    coordinate descent from them with the epochs left.  The others run
+    coordinate descent alone.  A coordinate-descent shuffle seed is
+    (shuffle_seed, the solve's first node): (seed, i) for directed node i,
+    (seed, 0) for the joint solve.
     """
     eta = _regularizer_multipliers(graph, config.eta0)
-    box = _box_bound(config.lam, dataset.n_instances)
+    n = dataset.n_instances
+    box = _box_bound(config.lam, n)
     K = graph.n_outputs
     solves = [(i, [i]) for i in range(K)] if graph.kind == DIRECTED else [(None, list(range(K)))]
     w = np.zeros(graph.n_cliques, dtype=np.float64)
-    alpha = _start_alpha(start, (K, dataset.n_instances), box)
-    reports = []
-    for node, nodes in solves:
-        cliques, blocks = _blocks(graph, dataset, [graph.contributing[i] for i in nodes])
+    alpha = _start_alpha(start, (K, n), box)
+    reports = [None] * len(solves)
+
+    def finish(k, cliques, blocks, max_epochs, start, done=0):
+        """Solve k from ``start`` by coordinate descent within max_epochs, after
+        ``done`` interior-point iterations; record its weights, duals and report."""
+        node, nodes = solves[k]
         rng = np.random.default_rng((config.shuffle_seed, nodes[0]))
-        w_solve, alpha_solve, report = _solve_dual(
-            blocks, eta[cliques], box, rng, config.max_epochs, config.tolerance, node, alpha[nodes]
+        w[cliques], alpha[nodes], report = _solve_dual(
+            blocks, eta[cliques], box, rng, max_epochs, config.tolerance, node, start
         )
-        w[cliques] = w_solve
-        alpha[nodes] = alpha_solve
-        reports.append(report)
+        reports[k] = replace(report, epochs=report.epochs + done, steps=report.steps + done * start.size,
+                             ip_iterations=done)
+
+    stack = []
+    for k, (node, nodes) in enumerate(solves):
+        cliques, blocks = _blocks(graph, dataset, [graph.contributing[i] for i in nodes])
+        if _takes_interior_point(blocks, alpha[nodes]):
+            stack.append((k, cliques, blocks))
+        else:
+            finish(k, cliques, blocks, config.max_epochs, alpha[nodes])
+    if stack:
+        ip_blocks, width = _stacked([(cliques, blocks) for _, cliques, blocks in stack], eta, n)
+        ip_alpha, ip_iterations = _interior_point(ip_blocks, width, box, config.max_epochs)
+        for (k, cliques, blocks), a, done in zip(stack, ip_alpha, ip_iterations.tolist()):
+            node, nodes = solves[k]
+            w_solve, primal, dual, max_pg = _box_objectives(blocks, eta[cliques], box, a)
+            gap = primal - dual
+            certified = gap <= config.tolerance and max_pg <= config.tolerance
+            if certified or done == config.max_epochs:
+                w[cliques], alpha[nodes] = w_solve, a
+                reports[k] = SolveReport(node, done, gap, max_pg, certified, done * a.size, gap / primal, done)
+            else:
+                finish(k, cliques, blocks, config.max_epochs - done, a, done)
     weights = WeightVector(values=w, lam=config.lam, eta0=config.eta0)
     return TrainResult(weights=weights, state=DualState(graph, alpha, weights), reports=tuple(reports))
 

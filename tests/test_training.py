@@ -238,7 +238,13 @@ def test_random_problem_battery_gap_box_stationarity():
         assert np.abs(w_from_alpha - result.weights.values).max() <= 1e-8
 
 
-def test_dual_objective_is_monotone_and_below_primal_across_epochs():
+@pytest.fixture
+def coordinate_descent(monkeypatch):
+    """Route every solve to coordinate descent alone, as a warm start does."""
+    monkeypatch.setattr(training, "_takes_interior_point", lambda blocks, start: False)
+
+
+def test_dual_objective_is_monotone_and_below_primal_across_epochs(coordinate_descent):
     rng = np.random.default_rng(11)
     graph = mg.build_chain_graph(3, 2, mg.UNDIRECTED)
     dataset = Dataset(rng.standard_normal((8, 2)), random_labels(rng, 8, 3))
@@ -255,7 +261,7 @@ def test_dual_objective_is_monotone_and_below_primal_across_epochs():
 
 @pytest.mark.parametrize("kind", [mg.DIRECTED, mg.UNDIRECTED])
 @pytest.mark.parametrize("n_inputs", [1, 16])
-def test_dual_rises_and_gap_stays_non_negative_at_every_epoch_cap(kind, n_inputs):
+def test_dual_rises_and_gap_stays_non_negative_at_every_epoch_cap(coordinate_descent, kind, n_inputs):
     # one input gives node rows of 2 to 7 columns, sixteen give rows of 17 to
     # 23, so both step forms of the solver run; a loose tolerance makes
     # epochs below it restore the full set mid-solve, a tight one never does
@@ -277,10 +283,10 @@ def test_dual_rises_and_gap_stays_non_negative_at_every_epoch_cap(kind, n_inputs
             previous = dual
 
 
-# (_NARROW_WIDTH, _GRAM_ENTRIES) that force each step form of the solver on
-# any problem: Python floats, NumPy rows, and the dual form on a Gram matrix
-# (which takes only single-group solves; a joint solve of several groups
-# still steps on rows)
+# (_NARROW_WIDTH, _GRAM_ENTRIES) that force each step form of coordinate
+# descent on any problem: Python floats, NumPy rows, and the dual form on a
+# Gram matrix (which takes only single-group solves; a joint solve of several
+# groups still steps on rows).  The forms run with the interior point off.
 _FORMS = {"narrow": (1 << 30, 0), "rows": (0, 0), "gram": (0, 1 << 30)}
 
 
@@ -290,6 +296,7 @@ def _train_in_forms(train, dataset, graph, config, start, forms):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(training, "_NARROW_WIDTH", narrow_width)
             mp.setattr(training, "_GRAM_ENTRIES", gram_entries)
+            mp.setattr(training, "_takes_interior_point", lambda blocks, start: False)
             results.append(train(dataset, graph, config, start=start))
     return results
 
@@ -480,7 +487,7 @@ def test_feature_matrix_columns_are_clique_features():
     assert F.tolist() == [[2.0, 1.0], [-3.0, -1.0]]
 
 
-def test_shrinking_engages_and_still_certifies_the_full_problem():
+def test_shrinking_engages_and_still_certifies_the_full_problem(coordinate_descent):
     rng = np.random.default_rng(0)
     N = 400
     graph = mg.build_full_graph(4, 3, mg.DIRECTED)
@@ -495,7 +502,7 @@ def test_shrinking_engages_and_still_certifies_the_full_problem():
     assert all_alpha_max_projected_gradient(graph, dataset, result.state, config) <= config.tolerance
 
 
-def test_tolerance_certifies_each_directed_solve_not_the_summed_model_gap():
+def test_tolerance_certifies_each_directed_solve_not_the_summed_model_gap(coordinate_descent):
     # a case where every node solve converges to tol while the model's
     # duality gap, the sum of the node gaps, lies above tol (but within K * tol)
     K = 4
