@@ -206,3 +206,18 @@ def test_the_blocked_triangular_solves_match_a_dense_solve(d):
     y = training._triangular_solve(L.transpose(0, 2, 1), forward, lower=False)
     assert np.allclose(np.einsum("bij,bj->bi", L, forward), b, rtol=0, atol=1e-10)
     assert np.allclose(y, np.linalg.solve(M, b[..., None])[..., 0], rtol=1e-10, atol=1e-12)
+
+
+def test_a_rising_dual_residual_ends_the_interior_point_at_a_large_box():
+    # at box C = 1/(1e-4 * 27) = 370, roundoff takes over the Newton steps
+    # near mu = 1e-13: the dual residual, which a step only shrinks, rises
+    # and the problem leaves the stack instead of stalling until the cap
+    graph = mg.build_full_graph(1, 2, mg.DIRECTED)
+    dataset = random_dataset(np.random.default_rng(20), 27, 1, 2)
+    config = TrainConfig(lam=1e-4, max_epochs=200)
+    [report] = mg.train_lmsbn(dataset, graph, config).reports
+    assert report.converged and 1 <= report.ip_iterations <= 20
+    with pytest.MonkeyPatch.context() as mp:
+        _coordinate_descent_only(mp)
+        [descent] = mg.train_lmsbn(dataset, graph, config).reports
+    assert not descent.converged  # coordinate descent alone is far from done at the cap
