@@ -340,7 +340,7 @@ def _solve_dual(blocks, eta, box, rng, max_epochs, tol, node, start):
     # Python lists of floats, a row solve as NumPy row views and an index
     # into a NumPy w; a dual solve holds only the rows of Q.
     narrow = max(len(cols) for cols, _ in blocks) <= _NARROW_WIDTH
-    gram = _gram_form(blocks, N)
+    gram = _gram_form([len(cols) for cols, _ in blocks], N)
     if gram:
         rows = list(Fg[0] @ Fg_over_eta[0].T)
         alpha_vec = np.array(alpha)
@@ -437,17 +437,17 @@ def _solve_dual(blocks, eta, box, rng, max_epochs, tol, node, start):
     return w_refreshed, alpha_gn, SolveReport(node, epoch, gap, pg_all, converged, steps, gap / primal)
 
 
-def _gram_form(blocks, n: int) -> bool:
-    """Whether coordinate descent steps in the dual form: one constraint
-    group wider than ``_NARROW_WIDTH`` whose n x n Gram matrix holds at most
-    ``_GRAM_ENTRIES`` entries."""
-    return len(blocks) == 1 and len(blocks[0][0]) > _NARROW_WIDTH and n * n <= _GRAM_ENTRIES
+def _gram_form(widths, n: int) -> bool:
+    """Whether coordinate descent steps in the dual form, given the widths
+    of a solve's constraint groups: one group wider than ``_NARROW_WIDTH``,
+    whose n x n Gram matrix holds at most ``_GRAM_ENTRIES`` entries."""
+    return len(widths) == 1 and widths[0] > _NARROW_WIDTH and n * n <= _GRAM_ENTRIES
 
 
-def _takes_interior_point(blocks, start: np.ndarray) -> bool:
+def _takes_interior_point(widths, start: np.ndarray) -> bool:
     """The routing rule: a solve whose duals start at all zeros and that
     would not step in the Gram form runs the interior point first."""
-    return not start.any() and not _gram_form(blocks, start.shape[1])
+    return not start.any() and not _gram_form(widths, start.shape[1])
 
 
 # A problem leaves the interior point once its mean complementarity product
@@ -464,6 +464,12 @@ _IP_STEP = 0.995
 _SNAP = 1e-6
 # Rows per diagonal block of the triangular solves.
 _TRIANGLE_BLOCK = 128
+# Most duals in one interior-point stack of several solves (64 KiB per array
+# of them), which bounds its memory: an iteration holds about twenty such
+# arrays.  As one stack, chain40's 40 x 600 duals raised its training's
+# traced peak from 1.3 to 5.1 MB and the benchmark's peak RSS from 42.1 to
+# 49.6 MB; in stacks of 10 nodes the peak is 1.5 MB, for ~10% more CPU time.
+_IP_STACK = 1 << 13
 
 
 def _stacked(problems, eta, n: int):
@@ -495,7 +501,10 @@ def _lift(blocks, alpha, width: int) -> np.ndarray:
 
 def _lower(blocks, u) -> np.ndarray:
     """G u for each problem of a stack, (B, groups, N)."""
-    return np.stack([np.matmul(F, u[:, cols, None])[..., 0] for cols, F in blocks], axis=1)
+    out = np.empty((len(u), len(blocks), blocks[0][1].shape[1]), dtype=np.float64)
+    for g, (cols, F) in enumerate(blocks):
+        np.matmul(F, u[:, cols, None], out=out[:, g, :, None])
+    return out
 
 
 def _factor(M):
@@ -545,6 +554,34 @@ def _newton(blocks, L, D, width: int, rhs) -> np.ndarray:
     return (rhs - _lower(blocks, y)) / D
 
 
+def _mehrotra_step(blocks, width: int, L, D, alpha, slack, z, v, r_d, r_p, mu, pairs: int) -> None:
+    """One predictor-corrector step of each problem of a stack, in place,
+    with the residuals r_d (dual) and r_p (alpha + slack - box), the mean
+    complementarity mu and the factor L of ``_interior_point``."""
+    # predictor: the affine step towards mu = 0
+    da = _newton(blocks, L, D, width, v - z - r_d - v * r_p / slack)
+    ds = -r_p - da
+    dz = -z - z * da / alpha
+    dv = -v - v * ds / slack
+    t = np.minimum(1.0, _max_step([(alpha, da), (slack, ds), (z, dz), (v, dv)]))[:, None, None]
+    mu_aff = (((alpha + t * da) * (z + t * dz)).sum(axis=(1, 2))
+              + ((slack + t * ds) * (v + t * dv)).sum(axis=(1, 2))) / pairs
+    sigma_mu = ((mu_aff / mu) ** 3 * mu)[:, None, None]
+    # corrector: centre at sigma * mu and cancel the predictor's second-order term
+    r_az = alpha * z + da * dz - sigma_mu
+    r_sv = slack * v + ds * dv - sigma_mu
+    del da, ds, dz, dv
+    da = _newton(blocks, L, D, width, (r_sv - v * r_p) / slack - r_d - r_az / alpha)
+    ds = -r_p - da
+    dz = -(r_az + z * da) / alpha
+    dv = -(r_sv + v * ds) / slack
+    t = np.minimum(1.0, _IP_STEP * _max_step([(alpha, da), (slack, ds), (z, dz), (v, dv)]))[:, None, None]
+    alpha += t * da
+    slack += t * ds
+    z += t * dz
+    v += t * dv
+
+
 def _interior_point(blocks, width: int, box: float, max_iterations: int):
     """Mehrotra's predictor-corrector (SIAM J. Optim. 1992) on each problem
     of a stack: minimise 0.5 alpha^T Q alpha - 1^T alpha over 0 <= alpha <= box,
@@ -561,7 +598,8 @@ def _interior_point(blocks, width: int, box: float, max_iterations: int):
     ``_IP_MU * box`` and its residuals are within ``_IP_RESIDUAL``; when its
     factor fails; when its dual residual rises above ``_IP_RESIDUAL`` (a
     step of length t scales it by 1 - t, so a rise is roundoff taking over);
-    or after ``max_iterations`` iterations.
+    or after ``max_iterations`` iterations.  A problem that leaves takes its
+    features out of ``blocks``.
 
     Returns the duals (B, groups, N) in [0, box], each within ``_SNAP * box``
     of a bound moved onto it, and each problem's iteration count.
@@ -575,13 +613,13 @@ def _interior_point(blocks, width: int, box: float, max_iterations: int):
     slack = alpha.copy()
     z = np.ones_like(alpha)
     v = np.ones_like(alpha)
-    final = alpha.copy()
+    final = np.empty_like(alpha)
     iterations = np.zeros(B, dtype=np.intp)
     live = np.arange(B)
-    last_residual = np.inf
+    last_residual = np.full(B, np.inf)
     eye = np.eye(width)
     with np.errstate(all="ignore"):  # a problem that breaks down leaves; its duals are certified
-        while True:
+        while live.size:
             r_d = _lower(blocks, _lift(blocks, alpha, width)) - 1.0 - z + v
             r_p = alpha + slack - box
             mu = ((alpha * z).sum(axis=(1, 2)) + (slack * v).sum(axis=(1, 2))) / pairs
@@ -599,39 +637,16 @@ def _interior_point(blocks, width: int, box: float, max_iterations: int):
                 | ((residual > _IP_RESIDUAL) & (residual > last_residual))
             )
             if leave.any():
+                # the rest take this iteration again, without the leavers
                 final[live[leave]] = alpha[leave]
                 keep = ~leave
                 live = live[keep]
-                if not live.size:
-                    break
-                blocks = [(cols, F[keep]) for cols, F in blocks]
-                alpha, slack, z, v, r_d, r_p, mu, D, L, residual = (
-                    x[keep] for x in (alpha, slack, z, v, r_d, r_p, mu, D, L, residual)
-                )
+                blocks[:] = [(cols, F[keep]) for cols, F in blocks]
+                alpha, slack, z, v, last_residual = (x[keep] for x in (alpha, slack, z, v, last_residual))
+                continue
             iterations[live] += 1
             last_residual = residual
-
-            # predictor: the affine step towards mu = 0
-            da = _newton(blocks, L, D, width, -r_d - z + v - v * r_p / slack)
-            ds = -r_p - da
-            dz = -z - z * da / alpha
-            dv = -v - v * ds / slack
-            t = np.minimum(1.0, _max_step([(alpha, da), (slack, ds), (z, dz), (v, dv)]))[:, None, None]
-            mu_aff = (((alpha + t * da) * (z + t * dz)).sum(axis=(1, 2))
-                      + ((slack + t * ds) * (v + t * dv)).sum(axis=(1, 2))) / pairs
-            sigma_mu = ((mu_aff / mu) ** 3 * mu)[:, None, None]
-            # corrector: centre at sigma * mu and cancel the predictor's second-order term
-            r_az = alpha * z + da * dz - sigma_mu
-            r_sv = slack * v + ds * dv - sigma_mu
-            da = _newton(blocks, L, D, width, -r_d - r_az / alpha + (r_sv - v * r_p) / slack)
-            ds = -r_p - da
-            dz = -(r_az + z * da) / alpha
-            dv = -(r_sv + v * ds) / slack
-            t = np.minimum(1.0, _IP_STEP * _max_step([(alpha, da), (slack, ds), (z, dz), (v, dv)]))[:, None, None]
-            alpha = alpha + t * da
-            slack = slack + t * ds
-            z = z + t * dz
-            v = v + t * dv
+            _mehrotra_step(blocks, width, L, D, alpha, slack, z, v, r_d, r_p, mu, pairs)
     final = np.clip(np.nan_to_num(final), 0.0, box)
     final[final <= _SNAP * box] = 0.0
     final[final >= box - _SNAP * box] = box
@@ -733,17 +748,21 @@ def _train(dataset: Dataset, graph: GraphSpec, config: TrainConfig, start: DualS
         reports[k] = replace(report, epochs=report.epochs + done, steps=report.steps + done * start.size,
                              ip_iterations=done)
 
-    stack = []
+    cold = []
     for k, (node, nodes) in enumerate(solves):
-        cliques, blocks = _blocks(graph, dataset, [graph.contributing[i] for i in nodes])
-        if _takes_interior_point(blocks, alpha[nodes]):
-            stack.append((k, cliques, blocks))
+        groups = [graph.contributing[i] for i in nodes]
+        if _takes_interior_point([len(g) for g in groups], alpha[nodes]):
+            cold.append(k)
         else:
-            finish(k, cliques, blocks, config.max_epochs, alpha[nodes])
-    if stack:
-        ip_blocks, width = _stacked([(cliques, blocks) for _, cliques, blocks in stack], eta, n)
-        ip_alpha, ip_iterations = _interior_point(ip_blocks, width, box, config.max_epochs)
-        for (k, cliques, blocks), a, done in zip(stack, ip_alpha, ip_iterations.tolist()):
+            finish(k, *_blocks(graph, dataset, groups), config.max_epochs, alpha[nodes])
+    # the cold solves in equal stacks of at most _IP_STACK duals, or one solve
+    per_stack = max(1, _IP_STACK // (n * len(solves[0][1])))
+    stacks = math.ceil(len(cold) / per_stack)
+    for j in range(stacks):
+        stack = cold[j * len(cold) // stacks : (j + 1) * len(cold) // stacks]
+        problems = [_blocks(graph, dataset, [graph.contributing[i] for i in solves[k][1]]) for k in stack]
+        ip_alpha, ip_iterations = _interior_point(*_stacked(problems, eta, n), box, config.max_epochs)
+        for k, (cliques, blocks), a, done in zip(stack, problems, ip_alpha, ip_iterations.tolist()):
             node, nodes = solves[k]
             w_solve, primal, dual, max_pg = _box_objectives(blocks, eta[cliques], box, a)
             gap = primal - dual

@@ -14,7 +14,7 @@ from _helpers import coupled_graph, random_dataset
 
 
 def _coordinate_descent_only(mp):
-    mp.setattr(training, "_takes_interior_point", lambda blocks, start: False)
+    mp.setattr(training, "_takes_interior_point", lambda widths, start: False)
 
 
 def _solve_duals(result, dataset, config):
@@ -86,10 +86,6 @@ def test_interior_point_and_coordinate_descent_certify_the_same_optimum(
         assert np.all(interior.state.alpha[graph.order[0]] == box)
 
 
-def _groups(widths, n):
-    return [(np.arange(w), np.zeros((n, w))) for w in widths]
-
-
 @pytest.mark.parametrize("widths, n, expected", [
     ([training._NARROW_WIDTH], 5000, True),        # narrow: steps on Python floats
     ([training._NARROW_WIDTH + 1], 1448, False),   # wide, Q of 1448^2 <= 2^21 entries: the Gram form
@@ -98,12 +94,11 @@ def _groups(widths, n):
     ([30, 30], 10, True),                          # a joint solve of two groups never takes the Gram form
 ])
 def test_a_cold_solve_takes_the_interior_point_unless_it_would_step_in_the_gram_form(widths, n, expected):
-    blocks = _groups(widths, n)
     start = np.zeros((len(widths), n))
-    assert training._takes_interior_point(blocks, start) is expected
+    assert training._takes_interior_point(widths, start) is expected
     # a start with any dual off zero is a warm start: coordinate descent alone
     start[-1, -1] = 1e-300
-    assert training._takes_interior_point(blocks, start) is False
+    assert training._takes_interior_point(widths, start) is False
 
 
 def test_the_routing_rule_is_the_gram_limit():
@@ -221,3 +216,28 @@ def test_a_rising_dual_residual_ends_the_interior_point_at_a_large_box():
         _coordinate_descent_only(mp)
         [descent] = mg.train_lmsbn(dataset, graph, config).reports
     assert not descent.converged  # coordinate descent alone is far from done at the cap
+
+
+def test_cold_directed_solves_run_in_equal_stacks_of_bounded_duals(monkeypatch):
+    # ten cold node solves of 100 duals under a bound of 350: at most three
+    # per stack, so four stacks, as equal as they can be
+    rng = np.random.default_rng(11)
+    graph = mg.build_chain_graph(10, 2, mg.DIRECTED)
+    dataset = random_dataset(rng, 100, 10, 2)
+    config = TrainConfig(lam=0.05, tolerance=1e-6)
+    one_stack = mg.train_lmsbn(dataset, graph, config)
+    sizes = []
+    solve = training._interior_point
+
+    def recording(blocks, width, box, max_iterations):
+        sizes.append(len(blocks[0][1]))
+        return solve(blocks, width, box, max_iterations)
+
+    monkeypatch.setattr(training, "_interior_point", recording)
+    monkeypatch.setattr(training, "_IP_STACK", 350)
+    stacked = mg.train_lmsbn(dataset, graph, config)
+    assert sizes == [2, 3, 2, 3]
+    assert stacked.converged and one_stack.converged
+    assert all(r.ip_iterations == r.epochs for r in stacked.reports)
+    for a, b in zip(_solve_duals(stacked, dataset, config), _solve_duals(one_stack, dataset, config)):
+        assert abs(a - b) <= 2 * config.tolerance

@@ -241,7 +241,7 @@ def test_random_problem_battery_gap_box_stationarity():
 @pytest.fixture
 def coordinate_descent(monkeypatch):
     """Route every solve to coordinate descent alone, as a warm start does."""
-    monkeypatch.setattr(training, "_takes_interior_point", lambda blocks, start: False)
+    monkeypatch.setattr(training, "_takes_interior_point", lambda widths, start: False)
 
 
 def test_dual_objective_is_monotone_and_below_primal_across_epochs(coordinate_descent):
@@ -296,7 +296,7 @@ def _train_in_forms(train, dataset, graph, config, start, forms):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(training, "_NARROW_WIDTH", narrow_width)
             mp.setattr(training, "_GRAM_ENTRIES", gram_entries)
-            mp.setattr(training, "_takes_interior_point", lambda blocks, start: False)
+            mp.setattr(training, "_takes_interior_point", lambda widths, start: False)
             results.append(train(dataset, graph, config, start=start))
     return results
 
