@@ -24,9 +24,9 @@ imply (``_box_objectives``), both at most the tolerance.
 One rule routes each solve (``_takes_interior_point``).  A solve whose duals
 start at all zeros, and which would not step in the Gram form below, runs
 Mehrotra's predictor-corrector interior point (``_interior_point``), with
-one Cholesky factor of a d x d matrix per iteration for d weights.  All such
-solves of one call, the cold directed nodes or the joint solve, run as one
-stack in lockstep, each leaving it once it converges.  Its duals are then
+one Cholesky factor of a d x d matrix per iteration for d weights.  The
+cold directed nodes of one call run in lockstep, in stacks of at most
+``_IP_STACK`` duals, each leaving its stack once it converges.  Its duals are then
 snapped onto the bounds they lie within 1e-6 * C of, and certified; only
 when they do not certify, or when a factor failed, does coordinate descent
 continue from them within the epochs left.  Each iteration counts as an
@@ -721,9 +721,10 @@ def _train(dataset: Dataset, graph: GraphSpec, config: TrainConfig, start: DualS
     constraints, such as those of a directed probe over the same data at the
     same lambda, whatever cliques each node owns.
 
-    The solves that ``_takes_interior_point`` picks run as one interior-point
-    stack; each is then certified at its snapped duals, or continued by
-    coordinate descent from them with the epochs left.  The others run
+    The solves that ``_takes_interior_point`` picks run in interior-point
+    stacks of at most ``_IP_STACK`` duals, or one solve; each is then
+    certified at its snapped duals, or continued by coordinate descent from
+    them with the epochs left.  The others run
     coordinate descent alone.  A coordinate-descent shuffle seed is
     (shuffle_seed, the solve's first node): (seed, i) for directed node i,
     (seed, 0) for the joint solve.
@@ -752,7 +753,7 @@ def _train(dataset: Dataset, graph: GraphSpec, config: TrainConfig, start: DualS
     for k, (node, nodes) in enumerate(solves):
         groups = [graph.contributing[i] for i in nodes]
         if _takes_interior_point([len(g) for g in groups], alpha[nodes]):
-            cold.append(k)
+            cold.append((k, groups))
         else:
             finish(k, *_blocks(graph, dataset, groups), config.max_epochs, alpha[nodes])
     # the cold solves in equal stacks of at most _IP_STACK duals, or one solve
@@ -760,9 +761,9 @@ def _train(dataset: Dataset, graph: GraphSpec, config: TrainConfig, start: DualS
     stacks = math.ceil(len(cold) / per_stack)
     for j in range(stacks):
         stack = cold[j * len(cold) // stacks : (j + 1) * len(cold) // stacks]
-        problems = [_blocks(graph, dataset, [graph.contributing[i] for i in solves[k][1]]) for k in stack]
+        problems = [_blocks(graph, dataset, groups) for _, groups in stack]
         ip_alpha, ip_iterations = _interior_point(*_stacked(problems, eta, n), box, config.max_epochs)
-        for k, (cliques, blocks), a, done in zip(stack, problems, ip_alpha, ip_iterations.tolist()):
+        for (k, _), (cliques, blocks), a, done in zip(stack, problems, ip_alpha, ip_iterations.tolist()):
             node, nodes = solves[k]
             w_solve, primal, dual, max_pg = _box_objectives(blocks, eta[cliques], box, a)
             gap = primal - dual
