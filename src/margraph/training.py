@@ -507,9 +507,14 @@ def _lower(blocks, u) -> np.ndarray:
     return out
 
 
-def _factor(M):
-    """Cholesky factors of a stack of matrices, and which ones failed (not
-    positive definite, or not finite)."""
+def _factor(blocks, D, width: int):
+    """Cholesky factors of I + G^T D^(-1) G for each problem of a stack,
+    assembled group by group, and which ones failed (not positive definite,
+    or not finite)."""
+    M = np.zeros((len(D), width, width), dtype=np.float64)
+    M[:, np.arange(width), np.arange(width)] = 1.0
+    for (cols, F), d in zip(blocks, D.transpose(1, 0, 2)):
+        M[:, cols[:, None], cols] += np.matmul(F.transpose(0, 2, 1), F / d[:, :, None])
     try:
         L = np.linalg.cholesky(M)
     except np.linalg.LinAlgError:
@@ -617,17 +622,13 @@ def _interior_point(blocks, width: int, box: float, max_iterations: int):
     iterations = np.zeros(B, dtype=np.intp)
     live = np.arange(B)
     last_residual = np.full(B, np.inf)
-    eye = np.eye(width)
     with np.errstate(all="ignore"):  # a problem that breaks down leaves; its duals are certified
         while live.size:
             r_d = _lower(blocks, _lift(blocks, alpha, width)) - 1.0 - z + v
             r_p = alpha + slack - box
             mu = ((alpha * z).sum(axis=(1, 2)) + (slack * v).sum(axis=(1, 2))) / pairs
             D = z / alpha + v / slack
-            M = np.repeat(eye[None], len(live), axis=0)
-            for (cols, F), d in zip(blocks, D.transpose(1, 0, 2)):
-                M[:, cols[:, None], cols] += np.matmul(F.transpose(0, 2, 1), F / d[:, :, None])
-            L, failed = _factor(M)
+            L, failed = _factor(blocks, D, width)
             residual = np.abs(r_d).max(axis=(1, 2))
             leave = (
                 failed
@@ -647,6 +648,7 @@ def _interior_point(blocks, width: int, box: float, max_iterations: int):
             iterations[live] += 1
             last_residual = residual
             _mehrotra_step(blocks, width, L, D, alpha, slack, z, v, r_d, r_p, mu, pairs)
+            del L  # d x d: the next factor need not meet this one
     final = np.clip(np.nan_to_num(final), 0.0, box)
     final[final <= _SNAP * box] = 0.0
     final[final >= box - _SNAP * box] = box

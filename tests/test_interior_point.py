@@ -167,8 +167,8 @@ def test_duals_that_do_not_certify_fall_back_to_coordinate_descent(monkeypatch, 
 
 
 def test_a_factor_that_fails_falls_back_to_coordinate_descent(monkeypatch):
-    def failing(M):
-        return np.full_like(M, np.nan), np.ones(len(M), dtype=bool)
+    def failing(blocks, D, width):
+        return np.full((len(D), width, width), np.nan), np.ones(len(D), dtype=bool)
 
     monkeypatch.setattr(training, "_factor", failing)
     rng = np.random.default_rng(9)
