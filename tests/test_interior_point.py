@@ -87,11 +87,11 @@ def test_interior_point_and_coordinate_descent_certify_the_same_optimum(
 
 
 @pytest.mark.parametrize("widths, n, expected", [
-    ([training._NARROW_WIDTH], 5000, True),        # narrow: steps on Python floats
-    ([training._NARROW_WIDTH + 1], 1448, False),   # wide, Q of 1448^2 <= 2^21 entries: the Gram form
-    ([training._NARROW_WIDTH + 1], 1449, True),    # wide, Q over the limit: steps on rows
-    ([0], 1, True),                                # a node that owns no clique
-    ([30, 30], 10, True),                          # a joint solve of two groups never takes the Gram form
+    ([12], 5000, True),      # narrow: coordinate descent would step on Python floats
+    ([13], 1448, False),     # wide, Q of 1448^2 <= 2^21 entries: the Gram form
+    ([13], 1449, True),      # wide, Q over the limit: steps on rows
+    ([0], 1, True),          # a node that owns no clique
+    ([30, 30], 10, True),    # a joint solve of two groups never takes the Gram form
 ])
 def test_a_cold_solve_takes_the_interior_point_unless_it_would_step_in_the_gram_form(widths, n, expected):
     start = np.zeros((len(widths), n))
@@ -99,11 +99,6 @@ def test_a_cold_solve_takes_the_interior_point_unless_it_would_step_in_the_gram_
     # a start with any dual off zero is a warm start: coordinate descent alone
     start[-1, -1] = 1e-300
     assert training._takes_interior_point(widths, start) is False
-
-
-def test_the_routing_rule_is_the_gram_limit():
-    assert training._GRAM_ENTRIES == 1 << 21 and 1448**2 <= 1 << 21 < 1449**2
-    assert training._NARROW_WIDTH == 12
 
 
 def test_each_node_of_a_directed_model_is_routed_by_its_own_start():
