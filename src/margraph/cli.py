@@ -120,7 +120,7 @@ def _cmd_train(args) -> int:
     probe = strategy.probe
     for r in probe.reports if probe else ():
         print(
-            f"probe node {r.node}: epochs={r.epochs} ip_iters={r.ip_iterations} steps={r.steps} "
+            f"probe node {r.node}: epochs={r.epochs} newton_iters={r.newton_iterations} steps={r.steps} "
             f"gap={r.gap:.3e} converged={r.converged}"
         )
     kind = DIRECTED if args.model == "lmsbn" else UNDIRECTED
@@ -131,7 +131,7 @@ def _cmd_train(args) -> int:
     for r in result.reports:
         who = "joint" if r.node is None else f"node {r.node}"
         print(
-            f"{who}: epochs={r.epochs} ip_iters={r.ip_iterations} steps={r.steps} gap={r.gap:.3e} "
+            f"{who}: epochs={r.epochs} newton_iters={r.newton_iterations} steps={r.steps} gap={r.gap:.3e} "
             f"rel_gap={r.rel_gap:.3e} max_pg={r.max_projected_gradient:.3e} converged={r.converged}"
         )
     capped = [r for r in result.reports if not r.converged]

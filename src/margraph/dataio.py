@@ -184,11 +184,12 @@ def write_multilabel_svmlight(dataset: Dataset, path) -> None:
     rejected.
     """
     lines = []
+    prefixes = [f"{d + 1}:" for d in range(dataset.n_inputs)]
     for r in range(dataset.n_instances):
         # one row at a time as Python scalars: no per-element NumPy indexing,
         # and no whole-matrix list alive at once
         labels = ",".join(str(k + 1) for k, v in enumerate(dataset.Y[r].tolist()) if v == 1)
-        feats = [f"{d + 1}:{v!r}" for d, v in enumerate(dataset.X[r].tolist()) if v != 0.0]
+        feats = [p + repr(v) for p, v in zip(prefixes, dataset.X[r].tolist()) if v != 0.0]
         if not labels and not feats:
             raise DataError(
                 f"instance {r} has no positive labels and no nonzero features; "

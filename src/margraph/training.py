@@ -1,4 +1,5 @@
-"""Hinge-loss training by dual interior-point and coordinate-descent solves.
+"""Hinge-loss training by dual active-set, interior-point and
+coordinate-descent solves.
 
 The training problem minimizes
 
@@ -21,35 +22,46 @@ its own constraint groups only, and every solve is certified the same way:
 the duality gap and the largest projected gradient at the weights its duals
 imply (``_box_objectives``), both at most the tolerance.
 
-One rule routes each solve (``_takes_interior_point``).  A solve whose duals
-start at all zeros, and which would not step in the Gram form below, runs
-Mehrotra's predictor-corrector interior point (``_interior_point``), with
-one Cholesky factor of a d x d matrix per iteration for d weights.  The
-cold directed nodes of one call run in lockstep, in stacks of at most
-``_IP_STACK`` duals, each leaving its stack once it converges.  Its duals are then
-snapped onto the bounds they lie within 1e-6 * C of, and certified; only
-when they do not certify, or when a factor failed, does coordinate descent
-continue from them within the epochs left.  Each iteration counts as an
-epoch and as a visit to every dual of the solve.
+One rule routes each solve to one of three methods (``_route``):
 
-Coordinate descent runs every other solve: warm starts, such as a full
-directed model started from the ordering probe's duals, and Gram-form
-solves.  It picks a constraint, computes the projected gradient, and moves
-its dual variable to the exact 1-d optimum clipped to [0, C].  The kernel
-shrinks its active set (Hsieh et al., ICML 2008): constraints pinned at 0 or
-C with a gradient outside the previous epoch's band are skipped until the
-band closes, and convergence is only certified on the full set.  A step
-takes one of three forms, chosen once per solve.  A solve whose constraint
-groups are all narrow (at most ``_NARROW_WIDTH`` columns, like a directed
-chain's nodes) steps on Python lists of floats, and a wider one on NumPy
-rows; both update the weights incrementally at each step and refresh them
-from alpha through the stationarity identity only on epochs that can certify
-or stop: those that meet no projected gradient above the tolerance, and the
-last.  A wide solve of one constraint group (every directed node solve wider
-than the cut-off) whose Gram matrix Q = F F^T / eta holds at most
-``_GRAM_ENTRIES`` entries steps in the dual instead: a step's gradient is
-one dot of a row of Q with alpha, (Q alpha)_t - 1, and a move writes alpha
-alone, so no weights are kept between certificates.
+- A solve that would step in the Gram form below, with no more rows N than
+  columns, runs the primal-dual active-set method (``_active_set``), cold
+  or warm: Newton steps on the N x N Gram matrix, each solving for the
+  duals it predicts free, until a predicted set repeats.
+- Any other solve whose duals start at all zeros, and which would not step
+  in the Gram form, runs Mehrotra's predictor-corrector interior point
+  (``_interior_point``), with one Cholesky factor of a d x d matrix per
+  iteration for d weights.  The cold directed nodes of one call run in
+  lockstep, in stacks of at most ``_IP_STACK`` duals, each leaving its
+  stack once it converges.  Its duals are then snapped onto the bounds they
+  lie within 1e-6 * C of.
+- Coordinate descent runs the rest: warm starts, such as a full directed
+  model started from the ordering probe's duals, that the active set does
+  not take, and Gram-form solves with more rows than columns.
+
+The duals of either Newton method are certified; only when they do not
+certify does coordinate descent continue, within the epochs left, from
+whichever of them and the solve's start has the higher dual objective.  A
+Newton iteration counts as an epoch and as a visit to every dual of the
+solve.
+
+Coordinate descent picks a constraint, computes the projected gradient,
+and moves its dual variable to the exact 1-d optimum clipped to [0, C].
+The kernel shrinks its active set (Hsieh et al., ICML 2008): constraints
+pinned at 0 or C with a gradient outside the previous epoch's band are
+skipped until the band closes, and convergence is only certified on the
+full set.  A step takes one of three forms, chosen once per solve.  A
+solve whose constraint groups are all narrow (at most ``_NARROW_WIDTH``
+columns, like a directed chain's nodes) steps on Python lists of floats,
+and a wider one on NumPy rows; both update the weights incrementally at
+each step and refresh them from alpha through the stationarity identity
+only on epochs that can certify or stop: those that meet no projected
+gradient above the tolerance, and the last.  A wide solve of one
+constraint group (every directed node solve wider than the cut-off) whose
+Gram matrix Q = F F^T / eta holds at most ``_GRAM_ENTRIES`` entries steps
+in the dual instead: a step's gradient is one dot of a row of Q with
+alpha, (Q alpha)_t - 1, and a move writes alpha alone, so no weights are
+kept between certificates.
 
 A solve starts from zero duals, or from given ones (``start=``, a
 ``DualState``) and the weights they imply.  Any duals in [0, C] are
@@ -90,7 +102,7 @@ __all__ = [
 @dataclass(frozen=True)
 class TrainConfig:
     """Knobs for the dual solvers; ``max_epochs`` caps each solve's
-    interior-point iterations and coordinate-descent epochs together."""
+    Newton iterations and coordinate-descent epochs together."""
 
     lam: float = 0.01
     eta0: float = 0.0
@@ -111,11 +123,12 @@ class TrainConfig:
 class SolveReport:
     """Convergence record for one dual solve (one node, or None for joint).
 
-    ``epochs`` counts interior-point iterations plus coordinate-descent
-    epochs, of which ``ip_iterations`` are the former (0 for a solve by
-    coordinate descent alone).  ``steps`` counts an iteration as a visit to
-    every dual variable, plus the coordinate visits actually made, summed
-    over epochs; ``rel_gap`` is the gap divided by the box-scaled primal.
+    ``epochs`` counts Newton iterations (active-set or interior-point)
+    plus coordinate-descent epochs, of which ``newton_iterations`` are the
+    former (0 for a solve by coordinate descent alone).  ``steps`` counts
+    an iteration as a visit to every dual variable, plus the coordinate
+    visits actually made, summed over epochs; ``rel_gap`` is the gap
+    divided by the box-scaled primal.
     """
 
     node: int | None
@@ -125,7 +138,7 @@ class SolveReport:
     converged: bool
     steps: int
     rel_gap: float
-    ip_iterations: int = 0
+    newton_iterations: int = 0
 
 
 @dataclass(frozen=True)
@@ -268,14 +281,21 @@ def _box_objectives(blocks, eta, box, alpha) -> tuple[np.ndarray, float, float, 
     return w, reg + box * hinge, float(alpha.sum()) - reg, max_pg
 
 
+def _over_eta(blocks, eta) -> list[np.ndarray]:
+    """Each group's features scaled by 1/eta: row l of group g is the change
+    in w per unit of alpha[g, l] (the block itself where eta is 1, as
+    x / 1.0 == x), and F (F / eta)^T is the group's Gram matrix."""
+    return [b if np.all(eta[c] == 1.0) else b / eta[c] for c, b in blocks]
+
+
 def _solve_dual(blocks, eta, box, rng, max_epochs, tol, node, start):
     """Coordinate descent over dual variables alpha[group, instance] in [0, box].
 
     ``blocks`` are the constraint groups from ``_blocks``; ``eta`` has one
     entry per weight.  The solve starts from the duals ``start`` (G, N), each
-    in [0, box]; a cold start is all zeros.  ``_train`` calls it for warm
-    starts and Gram-form solves, and to continue from the snapped duals of
-    an interior-point solve that did not certify, with the epochs left.
+    in [0, box]; a cold start is all zeros.  ``_train`` calls it for the
+    solves ``_route`` sends to coordinate descent, and to continue a Newton
+    solve whose duals did not certify, with the epochs left.
 
     Each step moves one alpha to the exact optimum of the dual restricted to
     that coordinate; the dual objective never decreases.  An epoch visits
@@ -322,9 +342,7 @@ def _solve_dual(blocks, eta, box, rng, max_epochs, tol, node, start):
     """
     G, N = start.shape
     Fg = [block for _, block in blocks]
-    # Row l of Fg[g] scaled by 1/eta: the change in w per unit of alpha[g, l]
-    # (the block itself where eta is 1, as x / 1.0 == x).
-    Fg_over_eta = [b if np.all(eta[c] == 1.0) else b / eta[c] for c, b in blocks]
+    Fg_over_eta = _over_eta(blocks, eta)
     # The dual's curvature in each coordinate (0 for a zero row, where it is
     # linear) and alpha, as flat Python floats indexed by t = g*N + l, which
     # keeps NumPy scalars out of the inner loop.
@@ -444,10 +462,69 @@ def _gram_form(widths, n: int) -> bool:
     return len(widths) == 1 and widths[0] > _NARROW_WIDTH and n * n <= _GRAM_ENTRIES
 
 
-def _takes_interior_point(widths, start: np.ndarray) -> bool:
-    """The routing rule: a solve whose duals start at all zeros and that
-    would not step in the Gram form runs the interior point first."""
-    return not start.any() and not _gram_form(widths, start.shape[1])
+def _route(widths, start: np.ndarray) -> str:
+    """The routing rule: which method a solve with constraint groups of these
+    widths, starting from the duals ``start`` (G, N), runs first.
+
+    - ``"active set"``: a Gram-form solve (``_gram_form``) with N no larger
+      than its width, cold or warm, whose N x N Gram matrix can then be
+      positive definite;
+    - ``"interior point"``: any other solve that starts at all zeros and
+      would not step in the Gram form;
+    - ``"coordinate descent"``: the rest, warm starts and Gram-form solves
+      with more rows than columns.
+    """
+    n = start.shape[1]
+    if _gram_form(widths, n):
+        return "active set" if n <= widths[0] else "coordinate descent"
+    return "coordinate descent" if start.any() else "interior point"
+
+
+def _active_set(Q: np.ndarray, box: float, start: np.ndarray, max_iterations: int):
+    """The primal-dual active-set method (Hintermueller, Ito and Kunisch,
+    SIAM J. Optim. 2002; for box bounds, Kunisch and Rendl, SIAM J. Optim.
+    2003) on min 0.5 alpha^T Q alpha - 1^T alpha over 0 <= alpha <= box,
+    from the duals ``start`` (N,).
+
+    An iteration predicts the bound sets from alpha - g/c, with gradient
+    g = Q alpha - 1 and c the mean of diag Q: a dual whose prediction is at
+    most 0 is pinned to 0, one at least the box to the box, and the free
+    duals F solve Q_FF alpha_F = 1 - box * Q_FU 1 (U the duals at the box),
+    by an LU solve (at N = 200 it takes half the time of NumPy's Cholesky
+    factor alone).  It stops when the predicted sets are the last
+    iteration's, where alpha meets the optimality conditions up to roundoff,
+    or an earlier one's (a cycle); when a solve fails or is not finite,
+    keeping the last iterate; or after ``max_iterations`` iterations.
+
+    Returns the last iterate clipped to the box and the number of
+    iterations, one per Newton solve.
+    """
+    c = float(np.trace(Q)) / len(Q)
+    alpha = start
+    seen = set()
+    iterations = 0
+    with np.errstate(all="ignore"):  # a breakdown keeps the last iterate, which is certified
+        while iterations < max_iterations:
+            guess = alpha - (Q @ alpha - 1.0) / c
+            upper = guess >= box
+            free = ~upper & (guess > 0.0)
+            sets = upper.tobytes() + free.tobytes()
+            if sets in seen:
+                break
+            seen.add(sets)
+            pinned = np.where(upper, box, 0.0)
+            if free.any():
+                rhs = 1.0 - (Q @ pinned)[free]
+                try:
+                    x = np.linalg.solve(Q[np.ix_(free, free)], rhs)
+                except np.linalg.LinAlgError:
+                    break
+                if not np.isfinite(x).all():
+                    break
+                pinned[free] = x
+            alpha = pinned
+            iterations += 1
+    return np.clip(alpha, 0.0, box), iterations
 
 
 # A problem leaves the interior point once its mean complementarity product
@@ -462,8 +539,11 @@ _IP_RESIDUAL = 1e-9
 _IP_STEP = 0.995
 # Terminal duals within _SNAP * box of a bound are moved onto it.
 _SNAP = 1e-6
-# Rows per diagonal block of the triangular solves.
-_TRIANGLE_BLOCK = 128
+# Rows per diagonal block of the triangular solves.  A forward and a back
+# solve took, at blocks of 16/32/64/128 rows (BLAS on one thread): d = 126
+# 0.29/0.22/0.24/0.39 ms, a stack of six d = 300 1.64/1.36/1.61/2.88 ms and
+# d = 1785 3.5/2.8/3.0/4.4 ms.
+_TRIANGLE_BLOCK = 32
 # Most duals in one interior-point stack of several solves (64 KiB per array
 # of them), which bounds its memory: an iteration holds about twenty such
 # arrays.  As one stack, chain40's 40 x 600 duals raised its training's
@@ -723,10 +803,11 @@ def _train(dataset: Dataset, graph: GraphSpec, config: TrainConfig, start: DualS
     constraints, such as those of a directed probe over the same data at the
     same lambda, whatever cliques each node owns.
 
-    The solves that ``_takes_interior_point`` picks run in interior-point
-    stacks of at most ``_IP_STACK`` duals, or one solve; each is then
-    certified at its snapped duals, or continued by coordinate descent from
-    them with the epochs left.  The others run
+    ``_route`` picks each solve's method.  Active-set solves run one at a
+    time, interior-point ones in stacks of at most ``_IP_STACK`` duals, or
+    one solve; either is then certified at its last duals, or continued by
+    coordinate descent with the epochs left, from those duals or the
+    start, whichever has the higher dual objective.  The others run
     coordinate descent alone.  A coordinate-descent shuffle seed is
     (shuffle_seed, the solve's first node): (seed, i) for directed node i,
     (seed, 0) for the joint solve.
@@ -742,22 +823,47 @@ def _train(dataset: Dataset, graph: GraphSpec, config: TrainConfig, start: DualS
 
     def finish(k, cliques, blocks, max_epochs, start, done=0):
         """Solve k from ``start`` by coordinate descent within max_epochs, after
-        ``done`` interior-point iterations; record its weights, duals and report."""
+        ``done`` Newton iterations; record its weights, duals and report."""
         node, nodes = solves[k]
         rng = np.random.default_rng((config.shuffle_seed, nodes[0]))
         w[cliques], alpha[nodes], report = _solve_dual(
             blocks, eta[cliques], box, rng, max_epochs, config.tolerance, node, start
         )
         reports[k] = replace(report, epochs=report.epochs + done, steps=report.steps + done * start.size,
-                             ip_iterations=done)
+                             newton_iterations=done)
+
+    def certify(k, cliques, blocks, a, done, start):
+        """Record solve k at the duals ``a`` that ``done`` Newton iterations
+        reached from ``start`` if they certify or spent the epochs; otherwise
+        continue by coordinate descent from whichever of ``a`` and ``start``
+        has the higher dual objective."""
+        node, nodes = solves[k]
+        w_solve, primal, dual, max_pg = _box_objectives(blocks, eta[cliques], box, a)
+        gap = primal - dual
+        certified = gap <= config.tolerance and max_pg <= config.tolerance
+        if certified or done == config.max_epochs:
+            w[cliques], alpha[nodes] = w_solve, a
+            reports[k] = SolveReport(node, done, gap, max_pg, certified, done * a.size, gap / primal, done)
+        else:
+            if start.any() and _box_objectives(blocks, eta[cliques], box, start)[2] > dual:
+                a = start
+            finish(k, cliques, blocks, config.max_epochs - done, a, done)
 
     cold = []
     for k, (node, nodes) in enumerate(solves):
         groups = [graph.contributing[i] for i in nodes]
-        if _takes_interior_point([len(g) for g in groups], alpha[nodes]):
+        path = _route([len(g) for g in groups], alpha[nodes])
+        if path == "interior point":
             cold.append((k, groups))
+            continue
+        cliques, blocks = _blocks(graph, dataset, groups)
+        if path == "active set":
+            [(_, F)] = blocks
+            Q = F @ _over_eta(blocks, eta[cliques])[0].T
+            a, done = _active_set(Q, box, alpha[nodes][0], config.max_epochs)
+            certify(k, cliques, blocks, a[None], done, alpha[nodes])
         else:
-            finish(k, *_blocks(graph, dataset, groups), config.max_epochs, alpha[nodes])
+            finish(k, cliques, blocks, config.max_epochs, alpha[nodes])
     # the cold solves in equal stacks of at most _IP_STACK duals, or one solve
     per_stack = max(1, _IP_STACK // (n * len(solves[0][1])))
     stacks = math.ceil(len(cold) / per_stack)
@@ -766,15 +872,7 @@ def _train(dataset: Dataset, graph: GraphSpec, config: TrainConfig, start: DualS
         problems = [_blocks(graph, dataset, groups) for _, groups in stack]
         ip_alpha, ip_iterations = _interior_point(*_stacked(problems, eta, n), box, config.max_epochs)
         for (k, _), (cliques, blocks), a, done in zip(stack, problems, ip_alpha, ip_iterations.tolist()):
-            node, nodes = solves[k]
-            w_solve, primal, dual, max_pg = _box_objectives(blocks, eta[cliques], box, a)
-            gap = primal - dual
-            certified = gap <= config.tolerance and max_pg <= config.tolerance
-            if certified or done == config.max_epochs:
-                w[cliques], alpha[nodes] = w_solve, a
-                reports[k] = SolveReport(node, done, gap, max_pg, certified, done * a.size, gap / primal, done)
-            else:
-                finish(k, cliques, blocks, config.max_epochs - done, a, done)
+            certify(k, cliques, blocks, a, done, alpha[solves[k][1]])
     weights = WeightVector(values=w, lam=config.lam, eta0=config.eta0)
     return TrainResult(weights=weights, state=DualState(graph, alpha, weights), reports=tuple(reports))
 

@@ -60,7 +60,7 @@ def test_report_lines_carry_steps_and_relative_gap(workdir, capsys):
         fields = dict(kv.split("=") for kv in line.split(": ", 1)[1].split())
         assert int(fields["steps"]) >= int(fields["epochs"]) >= 1
         # cold narrow node solves start by interior point; an iteration is an epoch
-        assert 1 <= int(fields["ip_iters"]) <= int(fields["epochs"])
+        assert 1 <= int(fields["newton_iters"]) <= int(fields["epochs"])
         assert float(fields["rel_gap"]) >= 0.0
     assert "warning" not in captured.err
 
@@ -100,14 +100,14 @@ def test_fscore_training_reports_the_probe_and_starts_from_its_duals(workdir, ca
     assert len(probes) == 4
     for i, line in enumerate(probes):
         # the probe's solves start cold: interior point alone, certified
-        match = re.fullmatch(rf"probe node {i}: epochs=(\d+) ip_iters=(\d+) steps=\d+ gap=\S+ converged=True", line)
+        match = re.fullmatch(rf"probe node {i}: epochs=(\d+) newton_iters=(\d+) steps=\d+ gap=\S+ converged=True", line)
         assert match and match.group(1) == match.group(2)
     # the first node in order owns only its unary cliques: its full problem
     # is its probe problem, which the probe's duals already solve; warm
     # solves run coordinate descent alone
     first = lines[order_at].split()[1]
     [report] = [line for line in lines if line.startswith(f"node {first}: ")]
-    assert " epochs=1 ip_iters=0 " in report and report.endswith(" converged=True")
+    assert " epochs=1 newton_iters=0 " in report and report.endswith(" converged=True")
 
 
 def test_a_probe_solve_at_the_epoch_cap_is_reported(workdir, capsys):

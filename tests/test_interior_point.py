@@ -14,7 +14,7 @@ from _helpers import coupled_graph, random_dataset
 
 
 def _coordinate_descent_only(mp):
-    mp.setattr(training, "_takes_interior_point", lambda widths, start: False)
+    mp.setattr(training, "_route", lambda widths, start: "coordinate descent")
 
 
 def _solve_duals(result, dataset, config):
@@ -72,8 +72,8 @@ def test_interior_point_and_coordinate_descent_certify_the_same_optimum(
         _coordinate_descent_only(mp)
         descent = train(dataset, graph, config)
     assert interior.converged and descent.converged
-    assert all(r.ip_iterations >= 1 for r in interior.reports)
-    assert all(r.ip_iterations == 0 for r in descent.reports)
+    assert all(r.newton_iterations >= 1 for r in interior.reports)
+    assert all(r.newton_iterations == 0 for r in descent.reports)
     box = 1.0 / (lam * N)
     for result in (interior, descent):
         alpha = result.state.alpha
@@ -86,19 +86,24 @@ def test_interior_point_and_coordinate_descent_certify_the_same_optimum(
         assert np.all(interior.state.alpha[graph.order[0]] == box)
 
 
-@pytest.mark.parametrize("widths, n, expected", [
-    ([12], 5000, True),      # narrow: coordinate descent would step on Python floats
-    ([13], 1448, False),     # wide, Q of 1448^2 <= 2^21 entries: the Gram form
-    ([13], 1449, True),      # wide, Q over the limit: steps on rows
-    ([0], 1, True),          # a node that owns no clique
-    ([30, 30], 10, True),    # a joint solve of two groups never takes the Gram form
+@pytest.mark.parametrize("widths, n, cold, warm", [
+    ([295], 200, "active set", "active set"),  # a scene-shaped Gram-form node: Q can be definite
+    ([295], 1211, "coordinate descent", "coordinate descent"),  # more rows than columns
+    ([13], 13, "active set", "active set"),  # the width boundary, N = width
+    ([13], 14, "coordinate descent", "coordinate descent"),  # N = width + 1
+    ([13], 1448, "coordinate descent", "coordinate descent"),  # Gram form, Q of 1448^2 <= 2^21 entries
+    ([13], 1449, "interior point", "coordinate descent"),  # Q over the limit: steps on rows
+    ([12], 5000, "interior point", "coordinate descent"),  # narrow: steps on Python floats
+    ([12], 12, "interior point", "coordinate descent"),  # narrow, N = width: no Gram form
+    ([0], 1, "interior point", "coordinate descent"),  # a node that owns no clique
+    ([30, 30], 10, "interior point", "coordinate descent"),  # two groups never take the Gram form
 ])
-def test_a_cold_solve_takes_the_interior_point_unless_it_would_step_in_the_gram_form(widths, n, expected):
+def test_each_solve_is_routed_by_its_widths_rows_and_start(widths, n, cold, warm):
     start = np.zeros((len(widths), n))
-    assert training._takes_interior_point(widths, start) is expected
-    # a start with any dual off zero is a warm start: coordinate descent alone
+    assert training._route(widths, start) == cold
+    # a start with any dual off zero is a warm start
     start[-1, -1] = 1e-300
-    assert training._takes_interior_point(widths, start) is False
+    assert training._route(widths, start) == warm
 
 
 def test_each_node_of_a_directed_model_is_routed_by_its_own_start():
@@ -112,8 +117,8 @@ def test_each_node_of_a_directed_model_is_routed_by_its_own_start():
     alpha[1] = 0.5 / (config.lam * 30)
     start = mg.DualState(graph, alpha, mg.WeightVector(np.zeros(graph.n_cliques), lam=config.lam))
     cold, warm = mg.train_lmsbn(dataset, graph, config, start=start).reports
-    assert cold.converged and cold.ip_iterations == cold.epochs >= 1 and cold.steps == 30 * cold.epochs
-    assert warm.converged and warm.ip_iterations == 0
+    assert cold.converged and cold.newton_iterations == cold.epochs >= 1 and cold.steps == 30 * cold.epochs
+    assert warm.converged and warm.newton_iterations == 0
 
 
 @pytest.mark.parametrize("kind", [mg.DIRECTED, mg.UNDIRECTED])
@@ -129,7 +134,7 @@ def test_a_fit_from_zero_steps_through_the_interior_point_alone(kind):
     result = (mg.train_lmsbn if kind == mg.DIRECTED else mg.train_lmbm)(dataset, graph, config)
     duals = N if kind == mg.DIRECTED else K * N
     for r in result.reports:
-        assert r.converged and 1 <= r.ip_iterations == r.epochs <= 40
+        assert r.converged and 1 <= r.newton_iterations == r.epochs <= 40
         assert r.steps == r.epochs * duals
     box = 1.0 / (config.lam * N)
     alpha = result.state.alpha
@@ -153,9 +158,9 @@ def test_duals_that_do_not_certify_fall_back_to_coordinate_descent(monkeypatch, 
     monkeypatch.setattr(training, "_SNAP", 0.25)
     result = train(dataset, graph, config)
     assert result.converged
-    assert all(1 <= r.ip_iterations < r.epochs <= config.max_epochs for r in result.reports)
+    assert all(1 <= r.newton_iterations < r.epochs <= config.max_epochs for r in result.reports)
     for r, e in zip(result.reports, exact.reports):
-        assert r.ip_iterations == e.ip_iterations and r.steps > e.steps
+        assert r.newton_iterations == e.newton_iterations and r.steps > e.steps
     assert abs(dual_objective(result.state, dataset, config) - dual_objective(exact.state, dataset, config)) <= (
         2 * config.tolerance * len(result.reports)
     )
@@ -172,7 +177,7 @@ def test_a_factor_that_fails_falls_back_to_coordinate_descent(monkeypatch):
     config = TrainConfig(lam=0.05)
     result = mg.train_lmsbn(dataset, graph, config)
     # the stack is left at the first factor, before any iteration
-    assert result.converged and all(r.ip_iterations == 0 and r.epochs >= 1 for r in result.reports)
+    assert result.converged and all(r.newton_iterations == 0 and r.epochs >= 1 for r in result.reports)
 
 
 def test_the_epoch_cap_counts_interior_point_iterations():
@@ -182,7 +187,7 @@ def test_the_epoch_cap_counts_interior_point_iterations():
     graph = mg.build_full_graph(3, 2, mg.UNDIRECTED)
     dataset = random_dataset(rng, 50, 3, 2)
     [report] = mg.train_lmbm(dataset, graph, TrainConfig(lam=0.05, max_epochs=3)).reports
-    assert (report.epochs, report.ip_iterations, report.steps, report.converged) == (3, 3, 3 * 150, False)
+    assert (report.epochs, report.newton_iterations, report.steps, report.converged) == (3, 3, 3 * 150, False)
 
 
 @pytest.mark.parametrize("d", [1, 5, training._TRIANGLE_BLOCK, 2 * training._TRIANGLE_BLOCK + 3])
@@ -206,7 +211,7 @@ def test_a_rising_dual_residual_ends_the_interior_point_at_a_large_box():
     dataset = random_dataset(np.random.default_rng(20), 27, 1, 2)
     config = TrainConfig(lam=1e-4, max_epochs=200)
     [report] = mg.train_lmsbn(dataset, graph, config).reports
-    assert report.converged and 1 <= report.ip_iterations <= 20
+    assert report.converged and 1 <= report.newton_iterations <= 20
     with pytest.MonkeyPatch.context() as mp:
         _coordinate_descent_only(mp)
         [descent] = mg.train_lmsbn(dataset, graph, config).reports
@@ -233,6 +238,6 @@ def test_cold_directed_solves_run_in_equal_stacks_of_bounded_duals(monkeypatch):
     stacked = mg.train_lmsbn(dataset, graph, config)
     assert sizes == [2, 3, 2, 3]
     assert stacked.converged and one_stack.converged
-    assert all(r.ip_iterations == r.epochs for r in stacked.reports)
+    assert all(r.newton_iterations == r.epochs for r in stacked.reports)
     for a, b in zip(_solve_duals(stacked, dataset, config), _solve_duals(one_stack, dataset, config)):
         assert abs(a - b) <= 2 * config.tolerance

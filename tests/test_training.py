@@ -241,7 +241,7 @@ def test_random_problem_battery_gap_box_stationarity():
 @pytest.fixture
 def coordinate_descent(monkeypatch):
     """Route every solve to coordinate descent alone, as a warm start does."""
-    monkeypatch.setattr(training, "_takes_interior_point", lambda widths, start: False)
+    monkeypatch.setattr(training, "_route", lambda widths, start: "coordinate descent")
 
 
 def test_dual_objective_is_monotone_and_below_primal_across_epochs(coordinate_descent):
@@ -286,7 +286,7 @@ def test_dual_rises_and_gap_stays_non_negative_at_every_epoch_cap(coordinate_des
 # (_NARROW_WIDTH, _GRAM_ENTRIES) that force each step form of coordinate
 # descent on any problem: Python floats, NumPy rows, and the dual form on a
 # Gram matrix (which takes only single-group solves; a joint solve of several
-# groups still steps on rows).  The forms run with the interior point off.
+# groups still steps on rows).  The forms run with the Newton methods off.
 _FORMS = {"narrow": (1 << 30, 0), "rows": (0, 0), "gram": (0, 1 << 30)}
 
 
@@ -296,7 +296,7 @@ def _train_in_forms(train, dataset, graph, config, start, forms):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(training, "_NARROW_WIDTH", narrow_width)
             mp.setattr(training, "_GRAM_ENTRIES", gram_entries)
-            mp.setattr(training, "_takes_interior_point", lambda widths, start: False)
+            mp.setattr(training, "_route", lambda widths, start: "coordinate descent")
             results.append(train(dataset, graph, config, start=start))
     return results
 
