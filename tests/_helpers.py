@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 
 import margraph as mg
+from margraph import training
 from margraph.dataio import MODEL_FORMAT_VERSION, ModelFile, _numbered_lines
 from margraph.errors import DataError, GraphError, ModelFormatError
 from margraph.graphs import GRAPH_BUILDERS
@@ -52,6 +53,25 @@ def coupled_graph(rng, topology, K, D, kind):
         c = mg.Clique(members, feature)
         cliques.setdefault((c.outputs, c.input_feature), c)
     return mg.GraphSpec(K, D, kind, base.order, tuple(cliques.values()))
+
+
+def coordinate_descent_only(mp):
+    """Route every solve of training to coordinate descent alone, through
+    a ``pytest.MonkeyPatch`` ``mp``."""
+    mp.setattr(training, "_route", lambda widths, start: "coordinate descent")
+
+
+def solve_duals(result, dataset, config):
+    """Each solve's dual objective: a directed node's over the cliques it
+    owns (eta is 1), or the joint solve's."""
+    state = result.state
+    if state.graph.kind == mg.UNDIRECTED:
+        return [training.dual_objective(state, dataset, config)]
+    w = result.weights.values
+    return [
+        float(state.alpha[i].sum()) - 0.5 * float(w[list(cols)] @ w[list(cols)])
+        for i, cols in enumerate(state.graph.contributing)
+    ]
 
 
 def reference_routing(graph):

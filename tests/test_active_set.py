@@ -11,21 +11,7 @@ from margraph import TrainConfig, training
 from margraph.graphs import GRAPH_BUILDERS
 from margraph.training import dual_objective
 
-from _helpers import random_dataset
-
-
-def _coordinate_descent_only(mp):
-    mp.setattr(training, "_route", lambda widths, start: "coordinate descent")
-
-
-def _node_duals(result, dataset):
-    """Each directed node's dual objective over the cliques it owns (eta is 1)."""
-    state = result.state
-    w = result.weights.values
-    return [
-        float(state.alpha[i].sum()) - 0.5 * float(w[list(cols)] @ w[list(cols)])
-        for i, cols in enumerate(state.graph.contributing)
-    ]
+from _helpers import coordinate_descent_only, random_dataset, solve_duals
 
 
 def _warm_start(rng, graph, n, lam):
@@ -68,7 +54,7 @@ def test_active_set_and_coordinate_descent_certify_the_same_optimum(
     start = _warm_start(rng, graph, N, lam) if warm else None
     active = mg.train_lmsbn(dataset, graph, config, start=start)
     with pytest.MonkeyPatch.context() as mp:
-        _coordinate_descent_only(mp)
+        coordinate_descent_only(mp)
         descent = mg.train_lmsbn(dataset, graph, config, start=start)
     assert active.converged and descent.converged
     assert all(r.newton_iterations == 0 for r in descent.reports)
@@ -78,7 +64,7 @@ def test_active_set_and_coordinate_descent_certify_the_same_optimum(
     box = 1.0 / (lam * N)
     alpha = active.state.alpha
     assert alpha.min() >= 0.0 and alpha.max() <= box
-    for a, b in zip(_node_duals(active, dataset), _node_duals(descent, dataset)):
+    for a, b in zip(solve_duals(active, dataset, config), solve_duals(descent, dataset, config)):
         assert abs(a - b) <= 2 * config.tolerance
 
 
@@ -123,7 +109,7 @@ def test_a_cycling_active_set_falls_back_to_coordinate_descent():
     [report] = mg.train_lmsbn(dataset, graph, config).reports
     assert report.converged and report.newton_iterations == iterations < report.epochs <= config.max_epochs
     with pytest.MonkeyPatch.context() as mp:
-        _coordinate_descent_only(mp)
+        coordinate_descent_only(mp)
         [descent] = mg.train_lmsbn(dataset, graph, config).reports
     assert descent.converged and descent.newton_iterations == 0
 

@@ -10,24 +10,7 @@ import margraph as mg
 from margraph import TrainConfig, training
 from margraph.training import duality_gap, dual_objective
 
-from _helpers import coupled_graph, random_dataset
-
-
-def _coordinate_descent_only(mp):
-    mp.setattr(training, "_route", lambda widths, start: "coordinate descent")
-
-
-def _solve_duals(result, dataset, config):
-    """Each solve's dual objective: a directed node's over the cliques it
-    owns (eta is 1), or the joint solve's."""
-    state = result.state
-    if state.graph.kind == mg.UNDIRECTED:
-        return [dual_objective(state, dataset, config)]
-    w = result.weights.values
-    return [
-        float(state.alpha[i].sum()) - 0.5 * float(w[list(cols)] @ w[list(cols)])
-        for i, cols in enumerate(state.graph.contributing)
-    ]
+from _helpers import coordinate_descent_only, coupled_graph, random_dataset, solve_duals
 
 
 def _without_first_node(graph):
@@ -69,7 +52,7 @@ def test_interior_point_and_coordinate_descent_certify_the_same_optimum(
     train = mg.train_lmsbn if directed else mg.train_lmbm
     interior = train(dataset, graph, config)
     with pytest.MonkeyPatch.context() as mp:
-        _coordinate_descent_only(mp)
+        coordinate_descent_only(mp)
         descent = train(dataset, graph, config)
     assert interior.converged and descent.converged
     assert all(r.newton_iterations >= 1 for r in interior.reports)
@@ -79,7 +62,7 @@ def test_interior_point_and_coordinate_descent_certify_the_same_optimum(
         alpha = result.state.alpha
         assert alpha.min() >= 0.0 and alpha.max() <= box
         assert abs(duality_gap(result.state, dataset, config) - result.gap) <= 1e-9 * max(1.0, box)
-    for a, b in zip(_solve_duals(interior, dataset, config), _solve_duals(descent, dataset, config)):
+    for a, b in zip(solve_duals(interior, dataset, config), solve_duals(descent, dataset, config)):
         assert abs(a - b) <= 2 * config.tolerance
     if orphan and directed:
         # the first node's margins are 0 whatever the weights: every dual at the box
@@ -213,7 +196,7 @@ def test_a_rising_dual_residual_ends_the_interior_point_at_a_large_box():
     [report] = mg.train_lmsbn(dataset, graph, config).reports
     assert report.converged and 1 <= report.newton_iterations <= 20
     with pytest.MonkeyPatch.context() as mp:
-        _coordinate_descent_only(mp)
+        coordinate_descent_only(mp)
         [descent] = mg.train_lmsbn(dataset, graph, config).reports
     assert not descent.converged  # coordinate descent alone is far from done at the cap
 
@@ -239,5 +222,5 @@ def test_cold_directed_solves_run_in_equal_stacks_of_bounded_duals(monkeypatch):
     assert sizes == [2, 3, 2, 3]
     assert stacked.converged and one_stack.converged
     assert all(r.newton_iterations == r.epochs for r in stacked.reports)
-    for a, b in zip(_solve_duals(stacked, dataset, config), _solve_duals(one_stack, dataset, config)):
+    for a, b in zip(solve_duals(stacked, dataset, config), solve_duals(one_stack, dataset, config)):
         assert abs(a - b) <= 2 * config.tolerance

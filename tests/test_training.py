@@ -18,7 +18,7 @@ from margraph.training import (
     primal_objective,
 )
 
-from _helpers import coupled_graph, random_dataset, random_labels
+from _helpers import coordinate_descent_only, coupled_graph, random_dataset, random_labels
 
 
 def all_alpha_max_projected_gradient(graph, dataset, state, config):
@@ -241,7 +241,7 @@ def test_random_problem_battery_gap_box_stationarity():
 @pytest.fixture
 def coordinate_descent(monkeypatch):
     """Route every solve to coordinate descent alone, as a warm start does."""
-    monkeypatch.setattr(training, "_route", lambda widths, start: "coordinate descent")
+    coordinate_descent_only(monkeypatch)
 
 
 def test_dual_objective_is_monotone_and_below_primal_across_epochs(coordinate_descent):
@@ -296,7 +296,7 @@ def _train_in_forms(train, dataset, graph, config, start, forms):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(training, "_NARROW_WIDTH", narrow_width)
             mp.setattr(training, "_GRAM_ENTRIES", gram_entries)
-            mp.setattr(training, "_route", lambda widths, start: "coordinate descent")
+            coordinate_descent_only(mp)
             results.append(train(dataset, graph, config, start=start))
     return results
 
