@@ -22,53 +22,44 @@ its own constraint groups only, and every solve is certified the same way:
 the duality gap and the largest projected gradient at the weights its duals
 imply (``_box_objectives``), both at most the tolerance.
 
-One rule routes each solve to one of three methods (``_route``):
+One rule routes each solve to one of two Newton methods (``_route``),
+whatever its start:
 
-- A solve that would step in the Gram form below, with no more rows N than
-  columns, runs the primal-dual active-set method (``_active_set``), cold
-  or warm: Newton steps on the N x N Gram matrix, each solving for the
-  duals it predicts free, until a predicted set repeats.
-- Any other solve whose duals start at all zeros, and which would not step
-  in the Gram form, runs Mehrotra's predictor-corrector interior point
-  (``_interior_point``), with one Cholesky factor of a d x d matrix per
-  iteration for d weights.  The cold directed nodes of one call run in
-  lockstep, in stacks of at most ``_IP_STACK`` duals, each leaving its
-  stack once it converges.  Its duals are then snapped onto the bounds they
-  lie within 1e-6 * C of.
-- Coordinate descent runs the rest: warm starts, such as a full directed
-  model started from the ordering probe's duals, that the active set does
-  not take, and Gram-form solves with more rows than columns.
+- A solve of one constraint group wider than ``_NARROW_WIDTH`` columns, with
+  no more rows N than columns, runs the primal-dual active-set method
+  (``_active_set``) from its start: Newton steps on the N x N Gram matrix
+  Q = F F^T / eta, each solving for the duals it predicts free, until a
+  predicted set repeats.  A warm run that does not certify runs once more,
+  from zero.
+- Every other solve runs Mehrotra's predictor-corrector interior point
+  (``_interior_point``) from the centre of the box, with one Cholesky factor
+  of a d x d matrix per iteration for d weights.  The directed nodes of one
+  call run in lockstep, in stacks of at most ``_IP_STACK`` duals, each
+  leaving its stack once it converges.  Its duals are then snapped onto the
+  bounds they lie within 1e-6 * C of.
 
-The duals of either Newton method are certified; only when they do not
-certify does coordinate descent continue, within the epochs left, from
-whichever of them and the solve's start has the higher dual objective.  A
-Newton iteration counts as an epoch and as a visit to every dual of the
-solve.
+The duals of either method are certified; only when they do not certify
+does coordinate descent continue, within the epochs left, from whichever of
+them and the solve's start has the higher dual objective.  A Newton
+iteration counts as an epoch and as a visit to every dual of the solve.
 
 Coordinate descent picks a constraint, computes the projected gradient,
 and moves its dual variable to the exact 1-d optimum clipped to [0, C].
 The kernel shrinks its active set (Hsieh et al., ICML 2008): constraints
 pinned at 0 or C with a gradient outside the previous epoch's band are
 skipped until the band closes, and convergence is only certified on the
-full set.  A step takes one of three forms, chosen once per solve.  A
-solve whose constraint groups are all narrow (at most ``_NARROW_WIDTH``
-columns, like a directed chain's nodes) steps on Python lists of floats,
-and a wider one on NumPy rows; both update the weights incrementally at
-each step and refresh them from alpha through the stationarity identity
-only on epochs that can certify or stop: those that meet no projected
-gradient above the tolerance, and the last.  A wide solve of one
-constraint group (every directed node solve wider than the cut-off) whose
-Gram matrix Q = F F^T / eta holds at most ``_GRAM_ENTRIES`` entries steps
-in the dual instead: a step's gradient is one dot of a row of Q with
-alpha, (Q alpha)_t - 1, and a move writes alpha alone, so no weights are
-kept between certificates.
+full set.  A step reads and updates the weights on the constraint's NumPy
+feature row, and the weights are refreshed from alpha through the
+stationarity identity only on epochs that can certify or stop: those that
+meet no projected gradient above the tolerance, and the last.
 
 A solve starts from zero duals, or from given ones (``start=``, a
-``DualState``) and the weights they imply.  Any duals in [0, C] are
-feasible, so the terminal duals of another problem over the same (node,
-instance) constraints and box are a start, as the ordering probe's are for
-the full directed problem (warm start: Hsieh et al., ICML 2008; Chu,
-Zhuang and Lin, KDD 2015).
+``DualState``), which the active set and coordinate descent use and the
+interior point does not.  Any duals in [0, C] are feasible, so the
+terminal duals of another problem over the same (node, instance)
+constraints and box are a start, as the ordering probe's are for the full
+directed problem (warm start: Hsieh et al., ICML 2008; Chu, Zhuang and
+Lin, KDD 2015).
 """
 
 from __future__ import annotations
@@ -125,10 +116,10 @@ class SolveReport:
 
     ``epochs`` counts Newton iterations (active-set or interior-point)
     plus coordinate-descent epochs, of which ``newton_iterations`` are the
-    former (0 for a solve by coordinate descent alone).  ``steps`` counts
-    an iteration as a visit to every dual variable, plus the coordinate
-    visits actually made, summed over epochs; ``rel_gap`` is the gap
-    divided by the box-scaled primal.
+    former (0 when the Newton method broke down before its first one).
+    ``steps`` counts an iteration as a visit to every dual variable, plus
+    the coordinate visits actually made, summed over epochs; ``rel_gap`` is
+    the gap divided by the box-scaled primal.
     """
 
     node: int | None
@@ -205,25 +196,21 @@ def _features(graph: GraphSpec, dataset: Dataset, cliques) -> np.ndarray:
     return F
 
 
-# Widest constraint group whose coordinate steps run on Python floats.  On
-# directed chains of 600 rows, a plain loop beat NumPy's per-call overhead by
-# 40% at width 5 and 17% at width 12, and lost by 10% at width 16.
+# Widest constraint group that never takes the active set.  A narrow node
+# with no more rows than columns is often singular (its +-1 parity columns or
+# its training rows repeat), and the active set's first LU solve then fails
+# on an exact zero pivot; the interior point certifies such nodes.
 _NARROW_WIDTH = 12
 
 
-# Largest Gram matrix, in entries (16 MiB of float64, N <= 1448 rows), that a
-# wide single-group solve builds to step in the dual.  A moving step there is
-# one dot of an N-wide row of Q, where a row step is a dot and a weight update
-# on a D-wide row: the six node solves of a D = 294 probe took 0.54, 0.60 and
-# 0.51 of the row form's CPU time at N = 200, 600 and 1211 (Q of 0.3, 2.9 and
-# 11.7 MB), with BLAS on one thread.
+# Largest Gram matrix, in entries (16 MiB of float64, N <= 1448 rows), that
+# the active set builds; a solve with a larger one takes the interior point.
 _GRAM_ENTRIES = 1 << 21
 
 
 # Projected gradients within this of 0 are roundoff, as at a free variable
 # already at its optimum, and leave a shrink threshold off as an exact 0 does:
-# otherwise shrinking would turn on or off with the last bit of a dot product,
-# which differs between the narrow loop and BLAS.
+# otherwise shrinking would turn on or off with the last bit of a dot product.
 _ROUNDOFF = 1e-12
 
 
@@ -293,31 +280,16 @@ def _solve_dual(blocks, eta, box, rng, max_epochs, tol, node, start):
 
     ``blocks`` are the constraint groups from ``_blocks``; ``eta`` has one
     entry per weight.  The solve starts from the duals ``start`` (G, N), each
-    in [0, box]; a cold start is all zeros.  ``_train`` calls it for the
-    solves ``_route`` sends to coordinate descent, and to continue a Newton
-    solve whose duals did not certify, with the epochs left.
+    in [0, box], and the weights they imply (``_stationary_weights``).
+    ``_train`` calls it only to continue a Newton solve whose duals did not
+    certify, with the epochs left.
 
     Each step moves one alpha to the exact optimum of the dual restricted to
     that coordinate; the dual objective never decreases.  An epoch visits
     every *active* constraint once in a fresh random order.  The gradient of
-    coordinate t is (Q alpha)_t - 1 with Q = F F^T / eta, and a step reads it
-    in one of three forms, chosen once per solve:
-
-    - narrow, when every group is at most ``_NARROW_WIDTH`` columns wide:
-      rows, update rows, columns and w are Python lists, the gradient is
-      f_t . w and a move adds the change times the row's 1/eta-scaled copy
-      to w, each a plain loop of float arithmetic, which beats NumPy's
-      per-call overhead on short rows;
-    - rows, for any other solve: the same on NumPy rows, each indexing w
-      through its group's column array;
-    - dual, for a wide solve of one group (a directed node's) whose Q holds
-      at most ``_GRAM_ENTRIES`` entries: Q is built once, from the block as
-      it is, the gradient is one dot of row t of Q with alpha as a NumPy
-      vector, and a move writes alpha[t] alone.
-
-    The row forms start from the weights the start implies
-    (``_stationary_weights``; zero for a cold start) and carry them between
-    certificates; the dual form keeps no weights.
+    coordinate t is f_t . w - 1, a dot of its NumPy feature row with the
+    weights it touches, and a move adds the change times the row's
+    1/eta-scaled copy to those weights.
 
     Shrinking (Hsieh et al., ICML 2008, as in LIBLINEAR): a constraint is
     dropped from the active set when its alpha sits at 0 with a gradient
@@ -331,7 +303,7 @@ def _solve_dual(blocks, eta, box, rng, max_epochs, tol, node, start):
     Only an epoch that can certify or stop, one that met no projected
     gradient beyond tol or the last one, takes the certificate from
     ``_box_objectives`` at the weights alpha implies: the duality gap and the
-    largest projected gradient over all of alpha.  The row forms continue
+    largest projected gradient over all of alpha.  The next epoch continues
     from those weights (shedding update drift); other epochs carry the
     incrementally updated w into the next.  The solve terminates when an
     epoch that started on the full set meets no projected gradient beyond
@@ -350,30 +322,14 @@ def _solve_dual(blocks, eta, box, rng, max_epochs, tol, node, start):
         q for g in range(G) for q in np.einsum("ij,ij->i", Fg[g], Fg_over_eta[g]).tolist()
     ]
     # zeros share one float object, as in a list built as [0.0] * n: distinct
-    # zero objects would cost memory and cache misses on every visit.  Steps
-    # read alpha from this list; the dual form's dots read a NumPy copy.
+    # zero objects would cost memory and cache misses on every visit
     alpha = [a or 0.0 for a in start.ravel().tolist()]
-    # Per constraint t: its feature row, its update row and the columns of w
-    # they touch, for this solve only.  A narrow solve holds them and w as
-    # Python lists of floats, a row solve as NumPy row views and an index
-    # into a NumPy w; a dual solve holds only the rows of Q.
-    narrow = max(len(cols) for cols, _ in blocks) <= _NARROW_WIDTH
-    gram = _gram_form([len(cols) for cols, _ in blocks], N)
-    if gram:
-        rows = list(Fg[0] @ Fg_over_eta[0].T)
-        alpha_vec = np.array(alpha)
-    else:
-        w = _stationary_weights(blocks, eta, start)
-        if narrow:
-            rows = [r for b in Fg for r in b.tolist()]
-            updates = [r for b in Fg_over_eta for r in b.tolist()]
-            group_cols = [cols.tolist() for cols, _ in blocks]
-            w = w.tolist()
-        else:
-            rows = [r for b in Fg for r in b]
-            updates = [r for b in Fg_over_eta for r in b]
-            group_cols = [cols for cols, _ in blocks]
-        row_cols = [c for c in group_cols for _ in range(N)]
+    # Per constraint t: its feature row and its update row, as NumPy row
+    # views, and the columns of w they touch
+    w = _stationary_weights(blocks, eta, start)
+    rows = [r for b in Fg for r in b]
+    updates = [r for b in Fg_over_eta for r in b]
+    row_cols = [cols for cols, _ in blocks for _ in range(N)]
     full_set = np.arange(G * N)
     active = full_set
     shrink_hi, shrink_lo = np.inf, -np.inf
@@ -388,17 +344,8 @@ def _solve_dual(blocks, eta, box, rng, max_epochs, tol, node, start):
         keep = kept.append
         pg_hi = pg_lo = 0.0
         for t in perm:
-            if gram:
-                grad = float(dot(rows[t], alpha_vec)) - 1.0
-            elif narrow:
-                cols = row_cols[t]
-                grad = 0.0
-                for f, j in zip(rows[t], cols):
-                    grad += f * w[j]
-                grad -= 1.0
-            else:
-                cols = row_cols[t]
-                grad = float(dot(rows[t], w[cols])) - 1.0
+            cols = row_cols[t]
+            grad = float(dot(rows[t], w[cols])) - 1.0
             a = alpha[t]
             if a <= 0.0:
                 if grad > shrink_hi:
@@ -426,14 +373,7 @@ def _solve_dual(blocks, eta, box, rng, max_epochs, tol, node, start):
                 else:
                     na = box if grad < 0.0 else 0.0
                 if na != a:
-                    step = na - a
-                    if gram:
-                        alpha_vec[t] = na
-                    elif narrow:
-                        for u, j in zip(updates[t], cols):
-                            w[j] += step * u
-                    else:
-                        w[cols] += step * updates[t]
+                    w[cols] += (na - a) * updates[t]
                     alpha[t] = na
         max_pg = pg_hi if pg_hi > -pg_lo else -pg_lo
         if max_pg > tol and epoch < max_epochs:
@@ -442,7 +382,7 @@ def _solve_dual(blocks, eta, box, rng, max_epochs, tol, node, start):
             shrink_lo = pg_lo if pg_lo < -_ROUNDOFF else -np.inf
             continue
         alpha_gn = np.array(alpha).reshape(G, N)
-        w_refreshed, primal, dual, pg_all = _box_objectives(blocks, eta, box, alpha_gn)
+        w, primal, dual, pg_all = _box_objectives(blocks, eta, box, alpha_gn)
         gap = primal - dual
         if max_pg <= tol:
             if started_full and gap <= tol and pg_all <= tol:
@@ -450,34 +390,21 @@ def _solve_dual(blocks, eta, box, rng, max_epochs, tol, node, start):
                 break
             active = full_set
             shrink_hi, shrink_lo = np.inf, -np.inf
-        if not gram:
-            w = w_refreshed.tolist() if narrow else w_refreshed
-    return w_refreshed, alpha_gn, SolveReport(node, epoch, gap, pg_all, converged, steps, gap / primal)
+    return w, alpha_gn, SolveReport(node, epoch, gap, pg_all, converged, steps, gap / primal)
 
 
-def _gram_form(widths, n: int) -> bool:
-    """Whether coordinate descent steps in the dual form, given the widths
-    of a solve's constraint groups: one group wider than ``_NARROW_WIDTH``,
-    whose n x n Gram matrix holds at most ``_GRAM_ENTRIES`` entries."""
-    return len(widths) == 1 and widths[0] > _NARROW_WIDTH and n * n <= _GRAM_ENTRIES
+def _route(widths, n: int) -> str:
+    """The routing rule: which Newton method a solve with constraint groups
+    of these widths over n training rows runs, whatever its start.
 
-
-def _route(widths, start: np.ndarray) -> str:
-    """The routing rule: which method a solve with constraint groups of these
-    widths, starting from the duals ``start`` (G, N), runs first.
-
-    - ``"active set"``: a Gram-form solve (``_gram_form``) with N no larger
-      than its width, cold or warm, whose N x N Gram matrix can then be
-      positive definite;
-    - ``"interior point"``: any other solve that starts at all zeros and
-      would not step in the Gram form;
-    - ``"coordinate descent"``: the rest, warm starts and Gram-form solves
-      with more rows than columns.
+    - ``"active set"``: a single group wider than ``_NARROW_WIDTH``, with n
+      no larger than its width and an n x n Gram matrix of at most
+      ``_GRAM_ENTRIES`` entries, which can then be positive definite;
+    - ``"interior point"``: every other solve.
     """
-    n = start.shape[1]
-    if _gram_form(widths, n):
-        return "active set" if n <= widths[0] else "coordinate descent"
-    return "coordinate descent" if start.any() else "interior point"
+    if len(widths) == 1 and _NARROW_WIDTH < widths[0] and n <= widths[0] and n * n <= _GRAM_ENTRIES:
+        return "active set"
+    return "interior point"
 
 
 def _active_set(Q: np.ndarray, box: float, start: np.ndarray, max_iterations: int):
@@ -803,14 +730,16 @@ def _train(dataset: Dataset, graph: GraphSpec, config: TrainConfig, start: DualS
     constraints, such as those of a directed probe over the same data at the
     same lambda, whatever cliques each node owns.
 
-    ``_route`` picks each solve's method.  Active-set solves run one at a
-    time, interior-point ones in stacks of at most ``_IP_STACK`` duals, or
-    one solve; either is then certified at its last duals, or continued by
-    coordinate descent with the epochs left, from those duals or the
-    start, whichever has the higher dual objective.  The others run
-    coordinate descent alone.  A coordinate-descent shuffle seed is
-    (shuffle_seed, the solve's first node): (seed, i) for directed node i,
-    (seed, 0) for the joint solve.
+    ``_route`` picks each solve's Newton method.  Active-set solves run one
+    at a time from their start; one that starts warm and does not certify
+    runs once more from zero, within the epochs left.  Interior-point solves
+    start at the centre of the box, in stacks of at most ``_IP_STACK``
+    duals, or one solve.  Either method's last duals are certified, or
+    continued by coordinate descent with the epochs left, from those duals
+    or the start, whichever has the higher dual objective: coordinate
+    descent runs only there.  Its shuffle seed is (shuffle_seed, the solve's
+    first node): (seed, i) for directed node i, (seed, 0) for the joint
+    solve.
     """
     eta = _regularizer_multipliers(graph, config.eta0)
     n = dataset.n_instances
@@ -821,22 +750,13 @@ def _train(dataset: Dataset, graph: GraphSpec, config: TrainConfig, start: DualS
     alpha = _start_alpha(start, (K, n), box)
     reports = [None] * len(solves)
 
-    def finish(k, cliques, blocks, max_epochs, start, done=0):
-        """Solve k from ``start`` by coordinate descent within max_epochs, after
-        ``done`` Newton iterations; record its weights, duals and report."""
-        node, nodes = solves[k]
-        rng = np.random.default_rng((config.shuffle_seed, nodes[0]))
-        w[cliques], alpha[nodes], report = _solve_dual(
-            blocks, eta[cliques], box, rng, max_epochs, config.tolerance, node, start
-        )
-        reports[k] = replace(report, epochs=report.epochs + done, steps=report.steps + done * start.size,
-                             newton_iterations=done)
-
-    def certify(k, cliques, blocks, a, done, start):
+    def certify(k, cliques, blocks, a, done, start, restart=None):
         """Record solve k at the duals ``a`` that ``done`` Newton iterations
-        reached from ``start`` if they certify or spent the epochs; otherwise
-        continue by coordinate descent from whichever of ``a`` and ``start``
-        has the higher dual objective."""
+        reached if they certify or spent the epochs.  Otherwise, given the
+        Gram matrix ``restart`` of a warm active-set solve, certify what the
+        active set reaches from zero with the epochs left; or continue by
+        coordinate descent from whichever of ``a`` and ``start`` has the
+        higher dual objective."""
         node, nodes = solves[k]
         w_solve, primal, dual, max_pg = _box_objectives(blocks, eta[cliques], box, a)
         gap = primal - dual
@@ -844,31 +764,36 @@ def _train(dataset: Dataset, graph: GraphSpec, config: TrainConfig, start: DualS
         if certified or done == config.max_epochs:
             w[cliques], alpha[nodes] = w_solve, a
             reports[k] = SolveReport(node, done, gap, max_pg, certified, done * a.size, gap / primal, done)
-        else:
-            if start.any() and _box_objectives(blocks, eta[cliques], box, start)[2] > dual:
-                a = start
-            finish(k, cliques, blocks, config.max_epochs - done, a, done)
+            return
+        if restart is not None:
+            more_a, more = _active_set(restart, box, np.zeros(n), config.max_epochs - done)
+            certify(k, cliques, blocks, more_a[None], done + more, start)
+            return
+        if start.any() and _box_objectives(blocks, eta[cliques], box, start)[2] > dual:
+            a = start
+        rng = np.random.default_rng((config.shuffle_seed, nodes[0]))
+        w[cliques], alpha[nodes], report = _solve_dual(
+            blocks, eta[cliques], box, rng, config.max_epochs - done, config.tolerance, node, a
+        )
+        reports[k] = replace(report, epochs=report.epochs + done, steps=report.steps + done * a.size,
+                             newton_iterations=done)
 
-    cold = []
+    interior = []
     for k, (node, nodes) in enumerate(solves):
         groups = [graph.contributing[i] for i in nodes]
-        path = _route([len(g) for g in groups], alpha[nodes])
-        if path == "interior point":
-            cold.append((k, groups))
+        if _route([len(g) for g in groups], n) == "interior point":
+            interior.append((k, groups))
             continue
         cliques, blocks = _blocks(graph, dataset, groups)
-        if path == "active set":
-            [(_, F)] = blocks
-            Q = F @ _over_eta(blocks, eta[cliques])[0].T
-            a, done = _active_set(Q, box, alpha[nodes][0], config.max_epochs)
-            certify(k, cliques, blocks, a[None], done, alpha[nodes])
-        else:
-            finish(k, cliques, blocks, config.max_epochs, alpha[nodes])
-    # the cold solves in equal stacks of at most _IP_STACK duals, or one solve
+        [(_, F)] = blocks
+        Q = F @ _over_eta(blocks, eta[cliques])[0].T
+        a, done = _active_set(Q, box, alpha[nodes][0], config.max_epochs)
+        certify(k, cliques, blocks, a[None], done, alpha[nodes], Q if alpha[nodes].any() else None)
+    # the interior-point solves in equal stacks of at most _IP_STACK duals, or one solve
     per_stack = max(1, _IP_STACK // (n * len(solves[0][1])))
-    stacks = math.ceil(len(cold) / per_stack)
+    stacks = math.ceil(len(interior) / per_stack)
     for j in range(stacks):
-        stack = cold[j * len(cold) // stacks : (j + 1) * len(cold) // stacks]
+        stack = interior[j * len(interior) // stacks : (j + 1) * len(interior) // stacks]
         problems = [_blocks(graph, dataset, groups) for _, groups in stack]
         ip_alpha, ip_iterations = _interior_point(*_stacked(problems, eta, n), box, config.max_epochs)
         for (k, _), (cliques, blocks), a, done in zip(stack, problems, ip_alpha, ip_iterations.tolist()):

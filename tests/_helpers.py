@@ -56,9 +56,19 @@ def coupled_graph(rng, topology, K, D, kind):
 
 
 def coordinate_descent_only(mp):
-    """Route every solve of training to coordinate descent alone, through
-    a ``pytest.MonkeyPatch`` ``mp``."""
-    mp.setattr(training, "_route", lambda widths, start: "coordinate descent")
+    """Make both Newton methods of training end after no iteration at zero
+    duals, which never certify, through a ``pytest.MonkeyPatch`` ``mp``: every
+    solve then runs coordinate descent alone, with all its epochs, from the
+    better of zero and its start."""
+    mp.setattr(training, "_active_set", lambda Q, box, start, max_iterations: (np.zeros(len(Q)), 0))
+    mp.setattr(
+        training,
+        "_interior_point",
+        lambda blocks, width, box, max_iterations: (
+            np.zeros((len(blocks[0][1]), len(blocks), blocks[0][1].shape[1])),
+            np.zeros(len(blocks[0][1]), dtype=np.intp),
+        ),
+    )
 
 
 def solve_duals(result, dataset, config):

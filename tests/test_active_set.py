@@ -1,5 +1,6 @@
-"""The active-set path of training: Gram-form solves with no more rows than
-columns, with coordinate descent as its reference and fallback."""
+"""The active-set path of training: single-group solves wider than the
+narrow cut-off with no more rows than columns, its restart from zero, and
+coordinate descent as its reference and fallback."""
 
 import numpy as np
 import pytest
@@ -49,7 +50,7 @@ def test_active_set_and_coordinate_descent_certify_the_same_optimum(
     if duplicate:
         dataset = mg.Dataset(dataset.X[np.r_[0, 0, 2:N]], dataset.Y[np.r_[0, 0, 2:N]])
     for cols in graph.contributing:
-        assert training._route([len(cols)], np.zeros((1, N))) == "active set"
+        assert training._route([len(cols)], N) == "active set"
     config = TrainConfig(lam=lam, tolerance=1e-6, max_epochs=100_000, shuffle_seed=seed)
     start = _warm_start(rng, graph, N, lam) if warm else None
     active = mg.train_lmsbn(dataset, graph, config, start=start)
@@ -116,10 +117,11 @@ def test_a_cycling_active_set_falls_back_to_coordinate_descent():
 
 def test_a_failed_newton_solve_falls_back_from_the_better_duals(monkeypatch):
     # start at a certified optimum and make every Newton solve return zeros
-    # for the free duals: the active set ends on a cycle at duals whose dual
-    # objective is below the start's, so coordinate descent continues from
-    # the start and certifies in one epoch; a solve that is not finite ends
-    # the active set before its first iteration
+    # for the free duals: the active set ends on a cycle, from the start and
+    # again from zero, at duals whose dual objective is below the start's, so
+    # coordinate descent continues from the start and certifies in one
+    # epoch; a solve that is not finite ends the active set before its
+    # first iteration
     rng = np.random.default_rng(5)
     D, N = 20, 15
     graph = mg.build_independent_graph(2, D, mg.DIRECTED)
@@ -145,3 +147,49 @@ def test_the_epoch_cap_counts_active_set_iterations():
     dataset, graph, _ = _cycling_problem()
     [report] = mg.train_lmsbn(dataset, graph, TrainConfig(lam=0.1, max_epochs=2)).reports
     assert (report.epochs, report.newton_iterations, report.steps, report.converged) == (2, 2, 2 * 20, False)
+
+
+def _random_label_problem():
+    """Scene-shaped rows whose labels carry no signal: 200 rows of 294
+    N(0, 0.01) inputs with uniform random labels, at lambda = 0.01; the
+    fscore probe over them, and the full graph in its order."""
+    rng = np.random.default_rng(3)
+    dataset = random_dataset(rng, 200, 6, 294)
+    dataset = mg.Dataset(dataset.X * 0.1, dataset.Y)
+    config = TrainConfig(lam=0.01)
+    strategy = mg.make_order_strategy("fscore", dataset, config)
+    return dataset, mg.build_full_graph(6, 294, mg.DIRECTED, order=strategy.order), config, strategy.probe
+
+
+def test_warm_solves_whose_labels_carry_no_signal_certify_by_the_active_set():
+    # from the probe's duals, five of the six full solves stop on a cycle;
+    # each restarts from zero and settles, so no solve runs coordinate descent
+    dataset, graph, config, probe = _random_label_problem()
+    full = mg.train_lmsbn(dataset, graph, config, start=probe.state)
+    for r in probe.reports + full.reports:
+        assert r.converged and 1 <= r.newton_iterations == r.epochs
+        assert r.steps == r.epochs * dataset.n_instances
+
+
+def test_a_warm_active_set_run_that_cycles_restarts_once_from_zero(monkeypatch):
+    # node 0 starts from its probe duals, on which the active set cycles,
+    # and the other nodes from zero: node 0 calls the active set twice, the
+    # second time from zero, and the others once
+    dataset, graph, config, probe = _random_label_problem()
+    alpha = np.zeros_like(probe.state.alpha)
+    alpha[0] = probe.state.alpha[0]
+    calls = []
+    active_set = training._active_set
+
+    def recording(Q, box, start, max_iterations):
+        alpha, iterations = active_set(Q, box, start, max_iterations)
+        calls.append((bool(start.any()), iterations, max_iterations))
+        return alpha, iterations
+
+    monkeypatch.setattr(training, "_active_set", recording)
+    result = mg.train_lmsbn(dataset, graph, config, start=mg.DualState(graph, alpha, probe.weights))
+    assert [warm for warm, _, _ in calls] == [True, False, False, False, False, False, False]
+    (_, cycled, _), (_, restarted, left) = calls[:2]
+    assert 1 <= cycled < config.max_epochs and left == config.max_epochs - cycled
+    report = result.reports[0]
+    assert report.converged and report.newton_iterations == report.epochs == cycled + restarted

@@ -102,12 +102,18 @@ def test_fscore_training_reports_the_probe_and_starts_from_its_duals(workdir, ca
         # the probe's solves start cold: interior point alone, certified
         match = re.fullmatch(rf"probe node {i}: epochs=(\d+) newton_iters=(\d+) steps=\d+ gap=\S+ converged=True", line)
         assert match and match.group(1) == match.group(2)
-    # the first node in order owns only its unary cliques: its full problem
-    # is its probe problem, which the probe's duals already solve; warm
-    # solves run coordinate descent alone
-    first = lines[order_at].split()[1]
-    [report] = [line for line in lines if line.startswith(f"node {first}: ")]
-    assert " epochs=1 newton_iters=0 " in report and report.endswith(" converged=True")
+    # the model's solves start from the probe's duals, but narrow solves
+    # take the interior point, which starts at the centre of the box: each
+    # certifies by it alone, and the first node in order, which owns only
+    # its unary cliques, solves its probe problem again in as many iterations
+    reports = [line for line in lines[:order_at] if line.startswith("node ")]
+    assert len(reports) == 4
+    for i, line in enumerate(reports):
+        match = re.fullmatch(rf"node {i}: epochs=(\d+) newton_iters=(\d+) steps=\d+ gap=\S+ rel_gap=\S+ max_pg=\S+ "
+                             "converged=True", line)
+        assert match and match.group(1) == match.group(2)
+    first = int(lines[order_at].split()[1])
+    assert reports[first].split()[2] == probes[first].split()[3]
 
 
 def test_a_probe_solve_at_the_epoch_cap_is_reported(workdir, capsys):
@@ -646,9 +652,8 @@ def test_readme_command_line_quick_start_prints_what_the_readme_shows(tmp_path, 
     metric_line = next(body for _, body in blocks if body.startswith("E="))
     sweep_csv = next(body for _, body in blocks if body.startswith("S,"))
     _, (_, train_err), (predicted, _), (evaluated, _) = _run_readme_shell(quick_start, capsys)
-    # training warns once, on stderr, about the one solve at the epoch cap
-    assert len(train_err.splitlines()) == 1
-    assert train_err.startswith("margraph: warning: 1 of 6 solves hit the epoch cap")
+    # every solve certifies, so training prints no warning
+    assert train_err == ""
     assert predicted == summary_line
     assert evaluated == metric_line
     [(swept, _)] = _run_readme_shell(sweep, capsys)

@@ -69,29 +69,26 @@ def test_interior_point_and_coordinate_descent_certify_the_same_optimum(
         assert np.all(interior.state.alpha[graph.order[0]] == box)
 
 
-@pytest.mark.parametrize("widths, n, cold, warm", [
-    ([295], 200, "active set", "active set"),  # a scene-shaped Gram-form node: Q can be definite
-    ([295], 1211, "coordinate descent", "coordinate descent"),  # more rows than columns
-    ([13], 13, "active set", "active set"),  # the width boundary, N = width
-    ([13], 14, "coordinate descent", "coordinate descent"),  # N = width + 1
-    ([13], 1448, "coordinate descent", "coordinate descent"),  # Gram form, Q of 1448^2 <= 2^21 entries
-    ([13], 1449, "interior point", "coordinate descent"),  # Q over the limit: steps on rows
-    ([12], 5000, "interior point", "coordinate descent"),  # narrow: steps on Python floats
-    ([12], 12, "interior point", "coordinate descent"),  # narrow, N = width: no Gram form
-    ([0], 1, "interior point", "coordinate descent"),  # a node that owns no clique
-    ([30, 30], 10, "interior point", "coordinate descent"),  # two groups never take the Gram form
+@pytest.mark.parametrize("widths, n, path", [
+    ([295], 200, "active set"),  # a scene-shaped node: Q can be definite
+    ([295], 1211, "interior point"),  # more rows than columns
+    ([13], 13, "active set"),  # the width boundary, N = width
+    ([13], 14, "interior point"),  # N = width + 1
+    ([13], 1448, "interior point"),  # more rows than columns, Q of 1448^2 <= 2^21 entries
+    ([1448], 1448, "active set"),  # N = width, Q of 1448^2 <= 2^21 entries
+    ([1449], 1449, "interior point"),  # N = width, but Q over the limit
+    ([12], 5000, "interior point"),  # narrow
+    ([12], 12, "interior point"),  # narrow, N = width: tiny nodes are often singular
+    ([0], 1, "interior point"),  # a node that owns no clique
+    ([30, 30], 10, "interior point"),  # two groups never take the active set
 ])
-def test_each_solve_is_routed_by_its_widths_rows_and_start(widths, n, cold, warm):
-    start = np.zeros((len(widths), n))
-    assert training._route(widths, start) == cold
-    # a start with any dual off zero is a warm start
-    start[-1, -1] = 1e-300
-    assert training._route(widths, start) == warm
+def test_each_solve_is_routed_by_its_widths_and_rows(widths, n, path):
+    assert training._route(widths, n) == path
 
 
-def test_each_node_of_a_directed_model_is_routed_by_its_own_start():
-    # node 0 starts cold and takes the interior point; node 1 starts from
-    # duals in the box and steps by coordinate descent alone
+def test_every_node_of_a_directed_model_takes_the_interior_point_from_any_start():
+    # node 0 starts cold and node 1 from duals in the box: both narrow
+    # solves take the interior point, which starts at the centre of the box
     rng = np.random.default_rng(2)
     graph = mg.build_full_graph(2, 2, mg.DIRECTED)
     dataset = random_dataset(rng, 30, 2, 2)
@@ -99,9 +96,27 @@ def test_each_node_of_a_directed_model_is_routed_by_its_own_start():
     alpha = np.zeros((2, 30))
     alpha[1] = 0.5 / (config.lam * 30)
     start = mg.DualState(graph, alpha, mg.WeightVector(np.zeros(graph.n_cliques), lam=config.lam))
-    cold, warm = mg.train_lmsbn(dataset, graph, config, start=start).reports
-    assert cold.converged and cold.newton_iterations == cold.epochs >= 1 and cold.steps == 30 * cold.epochs
-    assert warm.converged and warm.newton_iterations == 0
+    warm = mg.train_lmsbn(dataset, graph, config, start=start)
+    cold = mg.train_lmsbn(dataset, graph, config)
+    assert warm.reports == cold.reports
+    for r in warm.reports:
+        assert r.converged and r.newton_iterations == r.epochs >= 1 and r.steps == 30 * r.epochs
+
+
+def test_a_wide_node_with_more_rows_than_columns_takes_the_interior_point_cold_and_warm():
+    # full-graph nodes of 21 to 23 columns over 60 rows: too many rows for
+    # the active set, so each solve takes the interior point from any start
+    rng = np.random.default_rng(12)
+    graph = mg.build_full_graph(3, 20, mg.DIRECTED)
+    dataset = random_dataset(rng, 60, 3, 20)
+    config = TrainConfig(lam=0.05)
+    box = 1.0 / (config.lam * 60)
+    weights = mg.WeightVector(np.zeros(graph.n_cliques), lam=config.lam)
+    start = mg.DualState(graph, rng.uniform(0.0, box, (3, 60)), weights)
+    for result in (mg.train_lmsbn(dataset, graph, config), mg.train_lmsbn(dataset, graph, config, start=start)):
+        for r, cols in zip(result.reports, graph.contributing):
+            assert training._route([len(cols)], 60) == "interior point"
+            assert r.converged and 1 <= r.newton_iterations == r.epochs
 
 
 @pytest.mark.parametrize("kind", [mg.DIRECTED, mg.UNDIRECTED])

@@ -18,7 +18,7 @@ from margraph.training import (
     primal_objective,
 )
 
-from _helpers import coordinate_descent_only, coupled_graph, random_dataset, random_labels
+from _helpers import coordinate_descent_only, coupled_graph, random_dataset, random_labels, solve_duals
 
 
 def all_alpha_max_projected_gradient(graph, dataset, state, config):
@@ -240,7 +240,7 @@ def test_random_problem_battery_gap_box_stationarity():
 
 @pytest.fixture
 def coordinate_descent(monkeypatch):
-    """Route every solve to coordinate descent alone, as a warm start does."""
+    """Run every solve by coordinate descent alone, as a fallback would."""
     coordinate_descent_only(monkeypatch)
 
 
@@ -263,8 +263,8 @@ def test_dual_objective_is_monotone_and_below_primal_across_epochs(coordinate_de
 @pytest.mark.parametrize("n_inputs", [1, 16])
 def test_dual_rises_and_gap_stays_non_negative_at_every_epoch_cap(coordinate_descent, kind, n_inputs):
     # one input gives node rows of 2 to 7 columns, sixteen give rows of 17 to
-    # 23, so both step forms of the solver run; a loose tolerance makes
-    # epochs below it restore the full set mid-solve, a tight one never does
+    # 23; a loose tolerance makes epochs below it restore the full set
+    # mid-solve, a tight one never does
     rng = np.random.default_rng(17 + n_inputs)
     train = mg.train_lmsbn if kind == mg.DIRECTED else mg.train_lmbm
     for trial in range(4):
@@ -283,100 +283,38 @@ def test_dual_rises_and_gap_stays_non_negative_at_every_epoch_cap(coordinate_des
             previous = dual
 
 
-# (_NARROW_WIDTH, _GRAM_ENTRIES) that force each step form of coordinate
-# descent on any problem: Python floats, NumPy rows, and the dual form on a
-# Gram matrix (which takes only single-group solves; a joint solve of several
-# groups still steps on rows).  The forms run with the Newton methods off.
-_FORMS = {"narrow": (1 << 30, 0), "rows": (0, 0), "gram": (0, 1 << 30)}
-
-
-def _train_in_forms(train, dataset, graph, config, start, forms):
-    results = []
-    for narrow_width, gram_entries in forms:
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(training, "_NARROW_WIDTH", narrow_width)
-            mp.setattr(training, "_GRAM_ENTRIES", gram_entries)
-            coordinate_descent_only(mp)
-            results.append(train(dataset, graph, config, start=start))
-    return results
-
-
-def _assert_same_solves(a, b):
-    assert [(r.steps, r.epochs, r.converged) for r in a.reports] == [
-        (r.steps, r.epochs, r.converged) for r in b.reports
-    ]
-    assert np.abs(a.weights.values - b.weights.values).max() <= 1e-12
-
-
-@settings(derandomize=True, deadline=None, max_examples=100)
-@given(
-    directed=st.booleans(),
-    topology=st.sampled_from(["chain", "full"]),
-    K=st.integers(1, 5),
-    D=st.integers(0, 3),
-    N=st.integers(2, 30),
-    lam=st.floats(0.02, 1.0),
-    eta0=st.sampled_from([0.0, 0.5]),
-    max_epochs=st.integers(1, 300),
-    seed=st.integers(0, 2**16),
-)
-def test_narrow_and_wide_steps_agree(directed, topology, K, D, N, lam, eta0, max_epochs, seed):
-    # the same problem with every group forced onto NumPy rows (cut-off 0, no
-    # Gram matrix) and onto Python floats (a cut-off above any width)
-    rng = np.random.default_rng(seed)
-    kind = mg.DIRECTED if directed else mg.UNDIRECTED
-    graph = coupled_graph(rng, topology, K, D, kind)
-    dataset = random_dataset(rng, N, K, D)
-    config = TrainConfig(lam=lam, eta0=eta0, max_epochs=max_epochs, shuffle_seed=seed)
-    train = mg.train_lmsbn if directed else mg.train_lmbm
-    wide, narrow = _train_in_forms(train, dataset, graph, config, None, [_FORMS["rows"], _FORMS["narrow"]])
-    _assert_same_solves(wide, narrow)
-
-
-@settings(derandomize=True, deadline=None, max_examples=60)
-@given(
-    topology=st.sampled_from(["chain", "full"]),
-    K=st.integers(1, 4),
-    D=st.integers(13, 20),
-    N=st.integers(2, 40),
-    lam=st.floats(0.02, 1.0),
-    max_epochs=st.integers(1, 300),
-    warm=st.booleans(),
-    seed=st.integers(0, 2**16),
-)
-def test_the_three_step_forms_agree(topology, K, D, N, lam, max_epochs, warm, seed):
-    # directed node solves wider than the narrow cut-off, from zero duals or
-    # from the fscore probe's, each forced through every step form
-    rng = np.random.default_rng(seed)
-    graph = coupled_graph(rng, topology, K, D, mg.DIRECTED)
-    dataset = random_dataset(rng, N, K, D)
-    config = TrainConfig(lam=lam, max_epochs=max_epochs, shuffle_seed=seed)
-    start = mg.make_order_strategy("fscore", dataset, config).probe.state if warm else None
-    narrow, rows, gram = _train_in_forms(mg.train_lmsbn, dataset, graph, config, start, _FORMS.values())
-    _assert_same_solves(rows, narrow)
-    _assert_same_solves(gram, narrow)
-
-
-def test_a_gram_matrix_over_the_limit_steps_on_rows():
-    # node solves of 20 rows at the default cut-off are wide (15 to 17
-    # columns); with the limit one entry below 20 * 20 each steps on rows,
-    # bit for bit, and at 20 * 20 in the dual form
+def test_a_gram_matrix_over_the_limit_takes_the_interior_point(monkeypatch):
+    # node solves of 20 rows and 20 to 22 columns take the active set while
+    # their Gram matrices are within the limit; with the limit one entry
+    # below 20 * 20 they take the interior point, in one stack
     rng = np.random.default_rng(23)
-    graph = mg.build_full_graph(3, 14, mg.DIRECTED)
-    dataset = random_dataset(rng, 20, 3, 14)
-    config = TrainConfig(lam=0.05, shuffle_seed=4)
-    width = training._NARROW_WIDTH
-    over, rows, at, gram = _train_in_forms(
-        mg.train_lmsbn, dataset, graph, config, None,
-        [(width, 20 * 20 - 1), _FORMS["rows"], (width, 20 * 20), _FORMS["gram"]],
-    )
-    for a, b in ((over, rows), (at, gram)):
-        assert a.reports == b.reports
-        assert np.array_equal(a.state.alpha, b.state.alpha)
-        assert np.array_equal(a.weights.values, b.weights.values)
-    _assert_same_solves(rows, gram)
-    # the two forms round differently, so the pairs above tell them apart
-    assert not np.array_equal(rows.state.alpha, gram.state.alpha)
+    graph = mg.build_full_graph(3, 19, mg.DIRECTED)
+    dataset = random_dataset(rng, 20, 3, 19)
+    config = TrainConfig(lam=0.05, tolerance=1e-6)
+    calls = []
+    active_set, interior_point = training._active_set, training._interior_point
+
+    def recording_active_set(Q, box, start, max_iterations):
+        calls.append(("active set", len(Q)))
+        return active_set(Q, box, start, max_iterations)
+
+    def recording_interior_point(blocks, width, box, max_iterations):
+        calls.append(("interior point", len(blocks[0][1])))
+        return interior_point(blocks, width, box, max_iterations)
+
+    monkeypatch.setattr(training, "_active_set", recording_active_set)
+    monkeypatch.setattr(training, "_interior_point", recording_interior_point)
+    results = []
+    for entries in (20 * 20, 20 * 20 - 1):
+        calls.clear()
+        monkeypatch.setattr(training, "_GRAM_ENTRIES", entries)
+        results.append(mg.train_lmsbn(dataset, graph, config))
+        expected = [("active set", 20)] * 3 if entries == 20 * 20 else [("interior point", 3)]
+        assert calls == expected
+    at, over = results
+    assert at.converged and over.converged
+    for a, b in zip(solve_duals(at, dataset, config), solve_duals(over, dataset, config)):
+        assert abs(a - b) <= 2 * config.tolerance
 
 
 @pytest.mark.parametrize("kind", [mg.DIRECTED, mg.UNDIRECTED])
@@ -599,17 +537,18 @@ def test_a_solve_started_from_the_probe_duals_certifies_the_cold_optimum(directe
 
 def test_the_first_node_in_fscore_order_ends_after_one_epoch():
     # it owns only its own unary cliques, so its full problem is its probe
-    # problem, and the probe's converged duals certify it in one pass
+    # problem; both take the active set (14 rows, at least 16 columns), and
+    # from the probe's converged duals the first iteration settles
     rng = np.random.default_rng(5)
-    dataset = random_dataset(rng, 80, 4, 3)
+    dataset = random_dataset(rng, 14, 4, 15)
     config = TrainConfig(lam=0.05)
     strategy = mg.make_order_strategy("fscore", dataset, config)
     first = strategy.order[0]
     assert strategy.probe.reports[first].converged
     assert strategy.probe.reports[first].epochs > 1
-    graph = mg.build_full_graph(4, 3, mg.DIRECTED, order=strategy.order)
+    graph = mg.build_full_graph(4, 15, mg.DIRECTED, order=strategy.order)
     report = mg.train_lmsbn(dataset, graph, config, start=strategy.probe.state).reports[first]
-    assert (report.epochs, report.steps, report.converged) == (1, 80, True)
+    assert (report.epochs, report.newton_iterations, report.steps, report.converged) == (1, 1, 14, True)
 
 
 @pytest.mark.parametrize("kind", [mg.DIRECTED, mg.UNDIRECTED])
