@@ -60,9 +60,10 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p.add_argument("--model-file", required=True)
         p.add_argument("--data", required=True)
         p.add_argument("--infer", choices=["bb", "exhaustive"], default="bb")
-        p.add_argument("--S", dest="cutoff", type=float, default=1e9)
+        bound = p.add_mutually_exclusive_group()  # --escalate searches with no cutoff
+        bound.add_argument("--S", dest="cutoff", type=float, default=1e9)
+        bound.add_argument("--escalate", action="store_true")
         p.add_argument("--max-states", type=int, default=None)
-        p.add_argument("--escalate", action="store_true")
         p.add_argument("--out", required=True)
 
     if command in (None, "eval"):

@@ -3,11 +3,12 @@
 All floats are written with repr(), the shortest decimal that round-trips
 to the exact double, so save/load/save cycles are byte-identical.
 
-The svmlight reader works a line at a time: it splits a line once,
-converts its labels, ids and values with ``map``, skips ``int()`` when
-the ids read "1".."n" in order (a row that leaves out no zero), and checks
-ranges, finiteness and duplicates once per line.  That is the only way a
-line is accepted.  A line it refuses is read again one token at a time
+The svmlight reader works a line at a time: it splits a line once, colons
+read as spaces, checks its colons and spaces against the format's, converts
+its labels, ids and values with ``map``, skips ``int()`` when the ids read
+"1".."n" in order (a row that leaves out no zero), and checks ranges,
+finiteness and duplicates once per line.  That is the only way a line is
+accepted.  A line it refuses is read again one token at a time
 (``_line_fault``) only to word the error, naming the first fault in token
 order; that reading never accepts a line.  The matrices are then filled by
 one indexed assignment each.
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -61,10 +61,17 @@ def _numbered_lines(path: str):
 # multi-label svmlight: "l1,l2,...  idx:val idx:val ..." with 1-based ids
 
 
-def _line_fault(path: str, ln: int, tokens: list[str], start: int, n_outputs, n_inputs) -> DataError:
+# Every byte but a colon and ASCII whitespace: what an ASCII line keeps
+# without them is its separators, in order
+_NOT_SEPARATOR = bytes(b for b in range(256) if not (b < 128 and (b == ord(":") or chr(b).isspace())))
+
+
+def _line_fault(path: str, ln: int, line: str, n_outputs, n_inputs) -> DataError:
     """The error of a line that ``parse_multilabel_svmlight`` refused,
     worded by reading the line one label and one token at a time.  This
     never accepts a line: one it finds no fault in is an internal error."""
+    tokens = line.split()
+    start = 0 if ":" in tokens[0] else 1
     for piece in tokens[0].split(",") if start else ():
         try:
             label = int(piece)
@@ -115,31 +122,36 @@ def parse_multilabel_svmlight(path, n_outputs: int | None = None, n_inputs: int 
     ids: list[int] = []  # every row's feature ids, row after row
     values: list[float] = []
     feature_counts: list[int] = []
-    counting: tuple[str, ...] = ()  # "1", "2", ...: the ids of a row that leaves out no zero
+    counting: list[str] = []  # "1", "2", ...: the ids of a row that leaves out no zero
     max_label = 0
     max_feature = 0
     for ln, raw in _numbered_lines(path):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        tokens = line.split()
-        start = 0 if ":" in tokens[0] else 1
-        n = len(tokens) - start
-        row_values: list[float] = []
+        parts = line.replace(":", " ").split()
+        # n idx:value tokens, after a label field when the count is odd (start 1)
+        n, start = divmod(len(parts), 2)
+        # such a line's colons and spaces in order, " : :" or ": :" without a
+        # label field; a colon count alone would read "2:3 1" as labels 2
+        separators = (b" :" * n)[1 - start :]
+        if not (line.isascii() and line.encode().translate(None, _NOT_SEPARATOR) == separators):
+            # other whitespace reads as single spaces
+            if " ".join(line.split()).encode().translate(None, _NOT_SEPARATOR) != separators:
+                raise _line_fault(path, ln, line, n_outputs, n_inputs)
+        heads = parts[start::2]
         row_ids = range(1, n + 1)
         sparse = False
         try:
-            row_labels = list(map(int, tokens[0].split(","))) if start else []
-            if n:
-                heads, _, tails = zip(*map(str.partition, tokens[start:], repeat(":")))
-                row_values = list(map(float, tails))
-                if len(counting) < n:
-                    counting = tuple(map(str, range(1, 2 * n + 1)))
-                sparse = heads != counting[:n]
-                if sparse:
-                    row_ids = list(map(int, heads))
+            row_labels = list(map(int, parts[0].split(","))) if start else []
+            row_values = list(map(float, parts[start + 1 :: 2]))
+            if len(counting) < n:
+                counting = list(map(str, range(1, 2 * n + 1)))
+            sparse = heads != counting[:n]
+            if sparse:
+                row_ids = list(map(int, heads))
         except ValueError:
-            raise _line_fault(path, ln, tokens, start, n_outputs, n_inputs) from None
+            raise _line_fault(path, ln, line, n_outputs, n_inputs) from None
         top_label = max(row_labels, default=0)
         top_feature = max(row_ids) if sparse else n
         if (
@@ -150,7 +162,7 @@ def parse_multilabel_svmlight(path, n_outputs: int | None = None, n_inputs: int 
             # a finite sum has finite terms; an infinite one may only have overflowed
             or not (math.isfinite(sum(row_values)) or all(map(math.isfinite, row_values)))
         ):
-            raise _line_fault(path, ln, tokens, start, n_outputs, n_inputs)
+            raise _line_fault(path, ln, line, n_outputs, n_inputs)
         labels += row_labels
         label_counts.append(len(row_labels))
         ids += row_ids

@@ -7,11 +7,14 @@ The training problem minimizes
 
 over clique weights w, where eta_j is 1 except for multi-output cliques of
 an undirected graph, which get 1 + eta0 (``_regularizer_multipliers``).
-Rescaled by 1/lam, it is 0.5 * sum eta w^2 + C * sum_l joint_loss, an SVM
-primal whose dual is box-constrained, with per-constraint upper bound
+Rescaled by 1/lam, it is 0.5 * sum eta w^2 + C * sum_l joint_loss.  In
+v = eta^(1/2) * w, with each clique's features scaled by eta^(-1/2) once
+(``_blocks``), that is a plain SVM primal, 0.5 * |v|^2 + C * total hinge,
+whose dual is box-constrained, with per-constraint upper bound
 C = 1/(lam*N): one constraint per (node, instance) pair, with feature row
-f_j = clique parity * input value.  Margins come out as z_il = w . f(:,il)
-because the parity includes the node's own label.
+f_j = clique parity * input value * eta_j^(-1/2).  Margins come out as
+z_il = v . f(:,il) because the parity includes the node's own label.  Every
+solver and the certificate work on v; each solve maps it back once.
 
 Both model kinds train through one loop of dual solves.  Directed graphs
 decompose into one independent solve per node over the cliques it owns
@@ -28,7 +31,7 @@ whatever its start:
 - A solve of one constraint group wider than ``_NARROW_WIDTH`` columns, with
   no more rows N than columns, runs the primal-dual active-set method
   (``_active_set``) from its start: Newton steps on the N x N Gram matrix
-  Q = F F^T / eta, each solving for the duals it predicts free, until a
+  Q = F F^T, each solving for the duals it predicts free, until a
   predicted set repeats.  A warm run that does not certify runs once more,
   from zero.
 - Every other solve runs Mehrotra's predictor-corrector interior point
@@ -203,11 +206,6 @@ def _features(graph: GraphSpec, dataset: Dataset, cliques) -> np.ndarray:
 _NARROW_WIDTH = 12
 
 
-# Largest Gram matrix, in entries (16 MiB of float64, N <= 1448 rows), that
-# the active set builds; a solve with a larger one takes the interior point.
-_GRAM_ENTRIES = 1 << 21
-
-
 # Projected gradients within this of 0 are roundoff, as at a free variable
 # already at its optimum, and leave a shrink threshold off as an exact 0 does:
 # otherwise shrinking would turn on or off with the last bit of a dot product.
@@ -224,72 +222,67 @@ def _regularizer_multipliers(graph: GraphSpec, eta0: float) -> np.ndarray:
     return eta
 
 
-def _blocks(graph: GraphSpec, dataset: Dataset, groups):
+def _blocks(graph: GraphSpec, dataset: Dataset, groups, eta: np.ndarray):
     """The cliques that constraint groups touch, sorted, which index the
     solve's weights; and per group, its columns among them with the features
-    of its cliques.  A solve holds only its own groups' features."""
+    of its cliques times eta^(-1/2), one eta per clique of the graph (a group
+    whose eta is all 1 keeps them as built, as x * 1.0 == x)."""
     cliques = sorted({j for g in groups for j in g})
     local = {j: k for k, j in enumerate(cliques)}
-    blocks = [
-        (np.array([local[j] for j in g], dtype=np.intp), _features(graph, dataset, g)) for g in groups
-    ]
+    blocks = []
+    for g in groups:
+        F, scale = _features(graph, dataset, g), eta[list(g)]
+        if np.any(scale != 1.0):
+            F *= 1.0 / np.sqrt(scale)
+        blocks.append((np.array([local[j] for j in g], dtype=np.intp), F))
     return cliques, blocks
 
 
-def _stationary_weights(blocks, eta, alpha) -> np.ndarray:
+def _stationary_weights(blocks, alpha) -> np.ndarray:
     """The weights alpha implies through the stationarity identity:
-    w_j = (1/eta_j) * sum over constraints touching clique j of alpha * f_j."""
-    w = np.zeros(len(eta), dtype=np.float64)
+    v_j = sum over constraints touching clique j of alpha * f_j."""
+    # every column of a solve is some group's, so the largest sets the width
+    v = np.zeros(max((int(cols.max()) + 1 for cols, _ in blocks if cols.size), default=0))
     for (cols, block), a in zip(blocks, alpha):
         # BLAS sums in an order set by memory layout; a row-major block.T fixes it
-        w[cols] += block.T.copy() @ a
-    w /= eta
-    return w
+        v[cols] += block.T.copy() @ a
+    return v
 
 
-def _box_objectives(blocks, eta, box, alpha) -> tuple[np.ndarray, float, float, float]:
-    """The certificate at alpha: the weights it implies
+def _box_objectives(blocks, box, alpha) -> tuple[np.ndarray, float, float, float]:
+    """The certificate at alpha: the weights v it implies
     (``_stationary_weights``), the box-scaled primal and dual there, and the
     largest |projected gradient| over every dual variable.
 
-    The primal is 0.5*sum eta w^2 + box * total hinge and the dual is
-    sum(alpha) - 0.5*sum eta w^2.  Each group's margins w . f are taken once
+    The primal is 0.5*|v|^2 + box * total hinge and the dual is
+    sum(alpha) - 0.5*|v|^2.  Each group's margins v . f are taken once
     and give both its hinge terms, 1 - margin, and its gradients, margin - 1.
     """
-    w = _stationary_weights(blocks, eta, alpha)
-    reg = 0.5 * float(eta @ (w * w))
+    v = _stationary_weights(blocks, alpha)
+    reg = 0.5 * float(v @ v)
     hinge = max_pg = 0.0
     for (cols, block), a in zip(blocks, alpha):
-        margin = block @ w[cols]
+        margin = block @ v[cols]
         hinge += float(np.maximum(0.0, 1.0 - margin).sum())
         grad = margin - 1.0
         pg = np.where(a <= 0.0, np.minimum(grad, 0.0), np.where(a >= box, np.maximum(grad, 0.0), grad))
         max_pg = max(max_pg, float(np.abs(pg).max()))
-    return w, reg + box * hinge, float(alpha.sum()) - reg, max_pg
+    return v, reg + box * hinge, float(alpha.sum()) - reg, max_pg
 
 
-def _over_eta(blocks, eta) -> list[np.ndarray]:
-    """Each group's features scaled by 1/eta: row l of group g is the change
-    in w per unit of alpha[g, l] (the block itself where eta is 1, as
-    x / 1.0 == x), and F (F / eta)^T is the group's Gram matrix."""
-    return [b if np.all(eta[c] == 1.0) else b / eta[c] for c, b in blocks]
-
-
-def _solve_dual(blocks, eta, box, rng, max_epochs, tol, node, start):
+def _solve_dual(blocks, box, rng, max_epochs, tol, node, start):
     """Coordinate descent over dual variables alpha[group, instance] in [0, box].
 
-    ``blocks`` are the constraint groups from ``_blocks``; ``eta`` has one
-    entry per weight.  The solve starts from the duals ``start`` (G, N), each
-    in [0, box], and the weights they imply (``_stationary_weights``).
-    ``_train`` calls it only to continue a Newton solve whose duals did not
-    certify, with the epochs left.
+    ``blocks`` are the constraint groups from ``_blocks``.  The solve starts
+    from the duals ``start`` (G, N), each in [0, box], and the weights they
+    imply (``_stationary_weights``).  ``_train`` calls it only to continue a
+    Newton solve whose duals did not certify, with the epochs left.
 
     Each step moves one alpha to the exact optimum of the dual restricted to
     that coordinate; the dual objective never decreases.  An epoch visits
     every *active* constraint once in a fresh random order.  The gradient of
     coordinate t is f_t . w - 1, a dot of its NumPy feature row with the
-    weights it touches, and a move adds the change times the row's
-    1/eta-scaled copy to those weights.
+    weights it touches, to which a move adds the change times the row.
 
     Shrinking (Hsieh et al., ICML 2008, as in LIBLINEAR): a constraint is
     dropped from the active set when its alpha sits at 0 with a gradient
@@ -313,22 +306,16 @@ def _solve_dual(blocks, eta, box, rng, max_epochs, tol, node, start):
     report's gap and max_projected_gradient are the last certificate's.
     """
     G, N = start.shape
-    Fg = [block for _, block in blocks]
-    Fg_over_eta = _over_eta(blocks, eta)
     # The dual's curvature in each coordinate (0 for a zero row, where it is
     # linear) and alpha, as flat Python floats indexed by t = g*N + l, which
     # keeps NumPy scalars out of the inner loop.
-    curvature = [
-        q for g in range(G) for q in np.einsum("ij,ij->i", Fg[g], Fg_over_eta[g]).tolist()
-    ]
+    curvature = [q for _, b in blocks for q in np.einsum("ij,ij->i", b, b).tolist()]
     # zeros share one float object, as in a list built as [0.0] * n: distinct
     # zero objects would cost memory and cache misses on every visit
     alpha = [a or 0.0 for a in start.ravel().tolist()]
-    # Per constraint t: its feature row and its update row, as NumPy row
-    # views, and the columns of w they touch
-    w = _stationary_weights(blocks, eta, start)
-    rows = [r for b in Fg for r in b]
-    updates = [r for b in Fg_over_eta for r in b]
+    # Per constraint t: its feature row (a NumPy view) and the columns of w it touches
+    w = _stationary_weights(blocks, start)
+    rows = [r for _, b in blocks for r in b]
     row_cols = [cols for cols, _ in blocks for _ in range(N)]
     full_set = np.arange(G * N)
     active = full_set
@@ -373,7 +360,7 @@ def _solve_dual(blocks, eta, box, rng, max_epochs, tol, node, start):
                 else:
                     na = box if grad < 0.0 else 0.0
                 if na != a:
-                    w[cols] += (na - a) * updates[t]
+                    w[cols] += (na - a) * rows[t]
                     alpha[t] = na
         max_pg = pg_hi if pg_hi > -pg_lo else -pg_lo
         if max_pg > tol and epoch < max_epochs:
@@ -382,7 +369,7 @@ def _solve_dual(blocks, eta, box, rng, max_epochs, tol, node, start):
             shrink_lo = pg_lo if pg_lo < -_ROUNDOFF else -np.inf
             continue
         alpha_gn = np.array(alpha).reshape(G, N)
-        w, primal, dual, pg_all = _box_objectives(blocks, eta, box, alpha_gn)
+        w, primal, dual, pg_all = _box_objectives(blocks, box, alpha_gn)
         gap = primal - dual
         if max_pg <= tol:
             if started_full and gap <= tol and pg_all <= tol:
@@ -398,11 +385,11 @@ def _route(widths, n: int) -> str:
     of these widths over n training rows runs, whatever its start.
 
     - ``"active set"``: a single group wider than ``_NARROW_WIDTH``, with n
-      no larger than its width and an n x n Gram matrix of at most
-      ``_GRAM_ENTRIES`` entries, which can then be positive definite;
+      no larger than its width: its n x n Gram matrix can then be positive
+      definite, and is no larger than the interior point's matrices;
     - ``"interior point"``: every other solve.
     """
-    if len(widths) == 1 and _NARROW_WIDTH < widths[0] and n <= widths[0] and n * n <= _GRAM_ENTRIES:
+    if len(widths) == 1 and _NARROW_WIDTH < widths[0] and n <= widths[0]:
         return "active set"
     return "interior point"
 
@@ -479,21 +466,20 @@ _TRIANGLE_BLOCK = 32
 _IP_STACK = 1 << 13
 
 
-def _stacked(problems, eta, n: int):
+def _stacked(problems, n: int):
     """The interior point's constraint groups for a stack of problems
     (``(cliques, blocks)`` pairs): per group, its columns among the solve's
-    and its features scaled by eta^(-1/2), with a leading axis over the
-    problems; and the number of columns.  One problem keeps its own groups.
-    Several, each of one group (directed nodes), share one group zero-padded
-    to the widest, each problem's features in its own columns."""
+    and its features, with a leading axis over the problems; and the number
+    of columns.  One problem keeps its own groups, as views.  Several, each
+    of one group (directed nodes), share one group zero-padded to the
+    widest, each problem's features in its own columns."""
     if len(problems) == 1:
         [(cliques, blocks)] = problems
-        scale = 1.0 / np.sqrt(eta[cliques])
-        return [(cols, (block * scale[cols])[None]) for cols, block in blocks], max(1, len(cliques))
+        return [(cols, block[None]) for cols, block in blocks], max(1, len(cliques))
     width = max(1, max(len(cliques) for cliques, _ in problems))
     F = np.zeros((len(problems), n, width), dtype=np.float64)
     for f, (cliques, [(cols, block)]) in zip(F, problems):
-        f[:, cols] = block * (1.0 / np.sqrt(eta[cliques]))[cols]
+        f[:, cols] = block
     return [(np.arange(width), F)], width
 
 
@@ -597,7 +583,8 @@ def _mehrotra_step(blocks, width: int, L, D, alpha, slack, z, v, r_d, r_p, mu, p
 def _interior_point(blocks, width: int, box: float, max_iterations: int):
     """Mehrotra's predictor-corrector (SIAM J. Optim. 1992) on each problem
     of a stack: minimise 0.5 alpha^T Q alpha - 1^T alpha over 0 <= alpha <= box,
-    Q = G G^T, with ``blocks`` and ``width`` from ``_stacked``.
+    Q = G G^T, G the features of ``_blocks`` as ``_stacked`` lays them out
+    (``blocks`` and ``width``): the same plain dual as every other solver's.
 
     The variables are alpha, its upper slack s = box - alpha (its own
     variable: box - alpha cancels near the box), and the multipliers z of
@@ -758,25 +745,23 @@ def _train(dataset: Dataset, graph: GraphSpec, config: TrainConfig, start: DualS
         coordinate descent from whichever of ``a`` and ``start`` has the
         higher dual objective."""
         node, nodes = solves[k]
-        w_solve, primal, dual, max_pg = _box_objectives(blocks, eta[cliques], box, a)
+        v, primal, dual, max_pg = _box_objectives(blocks, box, a)
         gap = primal - dual
         certified = gap <= config.tolerance and max_pg <= config.tolerance
         if certified or done == config.max_epochs:
-            w[cliques], alpha[nodes] = w_solve, a
-            reports[k] = SolveReport(node, done, gap, max_pg, certified, done * a.size, gap / primal, done)
-            return
-        if restart is not None:
+            report = SolveReport(node, done, gap, max_pg, certified, done * a.size, gap / primal, done)
+        elif restart is not None:
             more_a, more = _active_set(restart, box, np.zeros(n), config.max_epochs - done)
             certify(k, cliques, blocks, more_a[None], done + more, start)
             return
-        if start.any() and _box_objectives(blocks, eta[cliques], box, start)[2] > dual:
-            a = start
-        rng = np.random.default_rng((config.shuffle_seed, nodes[0]))
-        w[cliques], alpha[nodes], report = _solve_dual(
-            blocks, eta[cliques], box, rng, config.max_epochs - done, config.tolerance, node, a
-        )
-        reports[k] = replace(report, epochs=report.epochs + done, steps=report.steps + done * a.size,
+        else:
+            if start.any() and _box_objectives(blocks, box, start)[2] > dual:
+                a = start
+            rng = np.random.default_rng((config.shuffle_seed, nodes[0]))
+            v, a, report = _solve_dual(blocks, box, rng, config.max_epochs - done, config.tolerance, node, a)
+            report = replace(report, epochs=report.epochs + done, steps=report.steps + done * a.size,
                              newton_iterations=done)
+        w[cliques], alpha[nodes], reports[k] = v / np.sqrt(eta[cliques]), a, report  # v = eta^(1/2) w
 
     interior = []
     for k, (node, nodes) in enumerate(solves):
@@ -784,9 +769,9 @@ def _train(dataset: Dataset, graph: GraphSpec, config: TrainConfig, start: DualS
         if _route([len(g) for g in groups], n) == "interior point":
             interior.append((k, groups))
             continue
-        cliques, blocks = _blocks(graph, dataset, groups)
+        cliques, blocks = _blocks(graph, dataset, groups, eta)
         [(_, F)] = blocks
-        Q = F @ _over_eta(blocks, eta[cliques])[0].T
+        Q = F @ F.T
         a, done = _active_set(Q, box, alpha[nodes][0], config.max_epochs)
         certify(k, cliques, blocks, a[None], done, alpha[nodes], Q if alpha[nodes].any() else None)
     # the interior-point solves in equal stacks of at most _IP_STACK duals, or one solve
@@ -794,8 +779,8 @@ def _train(dataset: Dataset, graph: GraphSpec, config: TrainConfig, start: DualS
     stacks = math.ceil(len(interior) / per_stack)
     for j in range(stacks):
         stack = interior[j * len(interior) // stacks : (j + 1) * len(interior) // stacks]
-        problems = [_blocks(graph, dataset, groups) for _, groups in stack]
-        ip_alpha, ip_iterations = _interior_point(*_stacked(problems, eta, n), box, config.max_epochs)
+        problems = [_blocks(graph, dataset, groups, eta) for _, groups in stack]
+        ip_alpha, ip_iterations = _interior_point(*_stacked(problems, n), box, config.max_epochs)
         for (k, _), (cliques, blocks), a, done in zip(stack, problems, ip_alpha, ip_iterations.tolist()):
             certify(k, cliques, blocks, a, done, alpha[solves[k][1]])
     weights = WeightVector(values=w, lam=config.lam, eta0=config.eta0)
@@ -829,12 +814,11 @@ def primal_objective(
 
 
 def _state_objectives(state: DualState, dataset: Dataset, config: TrainConfig | None):
-    """The solver's certificate (weights, box primal, dual, max |pg|) at the state's alpha."""
+    """The solver's box primal and dual at the state's alpha."""
     scale = config if config is not None else state.weights
     graph = state.graph
-    _, blocks = _blocks(graph, dataset, graph.contributing)
-    eta = _regularizer_multipliers(graph, scale.eta0)
-    return _box_objectives(blocks, eta, _box_bound(scale.lam, dataset.n_instances), state.alpha)
+    _, blocks = _blocks(graph, dataset, graph.contributing, _regularizer_multipliers(graph, scale.eta0))
+    return _box_objectives(blocks, _box_bound(scale.lam, dataset.n_instances), state.alpha)[1:3]
 
 
 def box_primal_objective(
@@ -842,12 +826,12 @@ def box_primal_objective(
 ) -> float:
     """Primal value in the box scaling, 0.5*sum eta w^2 + C * total hinge, at
     the weights the state's alpha implies (a trained state's own weights)."""
-    return _state_objectives(state, dataset, config)[1]
+    return _state_objectives(state, dataset, config)[0]
 
 
 def dual_objective(state: DualState, dataset: Dataset, config: TrainConfig | None = None) -> float:
     """Dual value sum(alpha) - 0.5*sum eta w(alpha)^2 at the state's alpha."""
-    return _state_objectives(state, dataset, config)[2]
+    return _state_objectives(state, dataset, config)[1]
 
 
 def duality_gap(state: DualState, dataset: Dataset, config: TrainConfig | None = None) -> float:
@@ -857,5 +841,5 @@ def duality_gap(state: DualState, dataset: Dataset, config: TrainConfig | None =
     stationarity identity, so the gap is a pure function of alpha and is
     non-negative up to roundoff.
     """
-    _, primal, dual, _ = _state_objectives(state, dataset, config)
+    primal, dual = _state_objectives(state, dataset, config)
     return primal - dual

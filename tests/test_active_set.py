@@ -105,7 +105,7 @@ def test_a_cycling_active_set_falls_back_to_coordinate_descent():
     alpha, iterations = training._active_set(F @ F.T, box, np.zeros(N), config.max_epochs)
     assert (N, graph.n_cliques) == (20, 20) and 1 <= iterations < config.max_epochs
     # stopped on a repeated set, short of the cap, at duals that do not certify
-    _, _, _, max_pg = training._box_objectives([(np.arange(N), F)], np.ones(N), box, alpha[None])
+    _, _, _, max_pg = training._box_objectives([(np.arange(N), F)], box, alpha[None])
     assert max_pg > 0.1
     [report] = mg.train_lmsbn(dataset, graph, config).reports
     assert report.converged and report.newton_iterations == iterations < report.epochs <= config.max_epochs

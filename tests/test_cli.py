@@ -564,6 +564,7 @@ def test_unknown_arguments_exit_with_usage_error():
     ["train", "--model", "lmsbn", "--data", "d", "--out", "o", "--bogus"],
     ["train", "--model", "svm", "--data", "d", "--out", "o"],
     ["predict", "--model-file", "m", "--data", "d", "--out", "o", "extra"],
+    ["predict", "--model-file", "m", "--data", "d", "--out", "o", "--S", "3", "--escalate"],  # exclusive
     ["predict", "-h"],
     ["eval", "--pred", "p"],
     ["bench", "--max-states", "many"],

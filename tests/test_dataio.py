@@ -543,6 +543,29 @@ def test_svmlight_reader_matches_the_token_reference_on_edited_files(tmp_path_fa
         assert (type(got), str(got)) == (type(expected), str(expected))
 
 
+@pytest.mark.parametrize("line", [
+    "1:2:3",  # two colons in one token
+    "2:3 1",  # a colon in the label field, a token without one
+    "1 2 3:4:5",  # two colons in one token, a token without one
+    "3:4:5 2",
+    "1 3: 4",  # a colon beside whitespace
+    "1 3 :4",
+    "1\t1:3\t2:4",  # tabs and non-ASCII whitespace separate tokens
+    "1\xa01:3  2:4",
+    "1 1:\u0663",  # non-ASCII digits are numbers to int() and float()
+])
+def test_svmlight_reader_reads_the_separators_as_the_token_reference_does(tmp_path, line):
+    path = tmp_path / "line.sv"
+    path.write_text(line + "\n", encoding="utf-8")
+    expected = _outcome(reference_parse_svmlight, path)
+    got = _outcome(parse_multilabel_svmlight, path)
+    if isinstance(expected, Dataset):
+        assert isinstance(got, Dataset), got
+        assert np.array_equal(got.X, expected.X) and np.array_equal(got.Y, expected.Y)
+    else:
+        assert (type(got), str(got)) == (type(expected), str(expected))
+
+
 @settings(derandomize=True, deadline=None, max_examples=400)
 @given(data=st.data(), text=st.sampled_from(_MODEL_TEXTS))
 def test_model_reader_matches_the_cursor_reference_on_edited_files(data, text):

@@ -3,7 +3,7 @@ descent as its reference and fallback."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import margraph as mg
@@ -36,6 +36,9 @@ def _without_first_node(graph):
     eta0=st.sampled_from([0.0, 1.0]),
     seed=st.integers(0, 2**16),
 )
+# coordinate descent certifies this undirected full graph only with
+# shrinking: without it the gap is still 2e-3 after 100,000 epochs
+@example(directed=False, topology="full", orphan=False, K=4, D=2, N=20, lam=1e-3, eta0=0.0, seed=14561)
 def test_interior_point_and_coordinate_descent_certify_the_same_optimum(
     directed, topology, orphan, K, D, N, lam, eta0, seed
 ):
@@ -74,9 +77,9 @@ def test_interior_point_and_coordinate_descent_certify_the_same_optimum(
     ([295], 1211, "interior point"),  # more rows than columns
     ([13], 13, "active set"),  # the width boundary, N = width
     ([13], 14, "interior point"),  # N = width + 1
-    ([13], 1448, "interior point"),  # more rows than columns, Q of 1448^2 <= 2^21 entries
-    ([1448], 1448, "active set"),  # N = width, Q of 1448^2 <= 2^21 entries
-    ([1449], 1449, "interior point"),  # N = width, but Q over the limit
+    ([13], 1448, "interior point"),  # more rows than columns
+    ([1448], 1448, "active set"),  # N = width
+    ([1449], 1449, "active set"),  # N = width: Q is no larger than the interior point's matrices
     ([12], 5000, "interior point"),  # narrow
     ([12], 12, "interior point"),  # narrow, N = width: tiny nodes are often singular
     ([0], 1, "interior point"),  # a node that owns no clique

@@ -18,7 +18,7 @@ from margraph.training import (
     primal_objective,
 )
 
-from _helpers import coordinate_descent_only, coupled_graph, random_dataset, random_labels, solve_duals
+from _helpers import coordinate_descent_only, coupled_graph, random_dataset, random_labels
 
 
 def all_alpha_max_projected_gradient(graph, dataset, state, config):
@@ -281,40 +281,6 @@ def test_dual_rises_and_gap_stays_non_negative_at_every_epoch_cap(coordinate_des
             assert dual >= previous - 1e-12
             assert box_primal_objective(state, dataset, config) - dual >= -1e-12
             previous = dual
-
-
-def test_a_gram_matrix_over_the_limit_takes_the_interior_point(monkeypatch):
-    # node solves of 20 rows and 20 to 22 columns take the active set while
-    # their Gram matrices are within the limit; with the limit one entry
-    # below 20 * 20 they take the interior point, in one stack
-    rng = np.random.default_rng(23)
-    graph = mg.build_full_graph(3, 19, mg.DIRECTED)
-    dataset = random_dataset(rng, 20, 3, 19)
-    config = TrainConfig(lam=0.05, tolerance=1e-6)
-    calls = []
-    active_set, interior_point = training._active_set, training._interior_point
-
-    def recording_active_set(Q, box, start, max_iterations):
-        calls.append(("active set", len(Q)))
-        return active_set(Q, box, start, max_iterations)
-
-    def recording_interior_point(blocks, width, box, max_iterations):
-        calls.append(("interior point", len(blocks[0][1])))
-        return interior_point(blocks, width, box, max_iterations)
-
-    monkeypatch.setattr(training, "_active_set", recording_active_set)
-    monkeypatch.setattr(training, "_interior_point", recording_interior_point)
-    results = []
-    for entries in (20 * 20, 20 * 20 - 1):
-        calls.clear()
-        monkeypatch.setattr(training, "_GRAM_ENTRIES", entries)
-        results.append(mg.train_lmsbn(dataset, graph, config))
-        expected = [("active set", 20)] * 3 if entries == 20 * 20 else [("interior point", 3)]
-        assert calls == expected
-    at, over = results
-    assert at.converged and over.converged
-    for a, b in zip(solve_duals(at, dataset, config), solve_duals(over, dataset, config)):
-        assert abs(a - b) <= 2 * config.tolerance
 
 
 @pytest.mark.parametrize("kind", [mg.DIRECTED, mg.UNDIRECTED])
