@@ -25,26 +25,30 @@ its own constraint groups only, and every solve is certified the same way:
 the duality gap and the largest projected gradient at the weights its duals
 imply (``_box_objectives``), both at most the tolerance.
 
-One rule routes each solve to one of two Newton methods (``_route``),
-whatever its start:
+Every solve takes one order of methods, each only while the solve has not
+certified and epochs are left (``_train``):
 
-- A solve of one constraint group wider than ``_NARROW_WIDTH`` columns, with
-  no more rows N than columns, runs the primal-dual active-set method
-  (``_active_set``) from its start: Newton steps on the N x N Gram matrix
-  Q = F F^T, each solving for the duals it predicts free, until a
-  predicted set repeats.  A warm run that does not certify runs once more,
-  from zero.
-- Every other solve runs Mehrotra's predictor-corrector interior point
-  (``_interior_point``) from the centre of the box, with one Cholesky factor
-  of a d x d matrix per iteration for d weights.  The directed nodes of one
-  call run in lockstep, in stacks of at most ``_IP_STACK`` duals, each
-  leaving its stack once it converges.  Its duals are then snapped onto the
-  bounds they lie within 1e-6 * C of.
+1. A solve of one constraint group with no more rows N than columns
+   (``_route``) runs the primal-dual active-set method (``_active_set``)
+   from its start: Newton steps on the Gram matrix Q = F F^T, each solving
+   for the duals it predicts free, until a predicted set repeats.
+2. Every other solve, and one whose active set did not certify, runs
+   Mehrotra's predictor-corrector interior point (``_interior_point``) from
+   the centre of the box, with one Cholesky factor of a d x d matrix per
+   iteration for d weights.  The directed nodes of one call run in
+   lockstep, in stacks of at most ``_IP_STACK`` duals, each leaving its
+   stack once it converges.  Its duals are then snapped onto the bounds
+   they lie within 1e-6 * C of.
+3. Interior-point duals that do not certify start the active set again, a
+   crossover (Megiddo, ORSA J. Comput. 1991; Mehrotra and Ye, Math.
+   Programming 1993), with at most as many iterations as the solve has
+   spent; its duals are kept only if they certify.
+4. Only then does coordinate descent continue, within the epochs left,
+   from whichever of the interior point's duals and the solve's start has
+   the higher dual objective.
 
-The duals of either method are certified; only when they do not certify
-does coordinate descent continue, within the epochs left, from whichever of
-them and the solve's start has the higher dual objective.  A Newton
-iteration counts as an epoch and as a visit to every dual of the solve.
+A Newton iteration (steps 1-3) counts as an epoch and as a visit to every
+dual of the solve.
 
 Coordinate descent picks a constraint, computes the projected gradient,
 and moves its dual variable to the exact 1-d optimum clipped to [0, C].
@@ -57,8 +61,8 @@ stationarity identity only on epochs that can certify or stop: those that
 meet no projected gradient above the tolerance, and the last.
 
 A solve starts from zero duals, or from given ones (``start=``, a
-``DualState``), which the active set and coordinate descent use and the
-interior point does not.  Any duals in [0, C] are feasible, so the
+``DualState``), which the active set of step 1 and coordinate descent use
+and the interior point does not.  Any duals in [0, C] are feasible, so the
 terminal duals of another problem over the same (node, instance)
 constraints and box are a start, as the ordering probe's are for the full
 directed problem (warm start: Hsieh et al., ICML 2008; Chu, Zhuang and
@@ -117,9 +121,10 @@ class TrainConfig:
 class SolveReport:
     """Convergence record for one dual solve (one node, or None for joint).
 
-    ``epochs`` counts Newton iterations (active-set or interior-point)
-    plus coordinate-descent epochs, of which ``newton_iterations`` are the
-    former (0 when the Newton method broke down before its first one).
+    ``epochs`` counts Newton iterations (active-set, interior-point and
+    crossover) plus coordinate-descent epochs, of which
+    ``newton_iterations`` are the former (0 when every Newton method broke
+    down before its first one).
     ``steps`` counts an iteration as a visit to every dual variable, plus
     the coordinate visits actually made, summed over epochs; ``rel_gap`` is
     the gap divided by the box-scaled primal.
@@ -199,13 +204,6 @@ def _features(graph: GraphSpec, dataset: Dataset, cliques) -> np.ndarray:
     return F
 
 
-# Widest constraint group that never takes the active set.  A narrow node
-# with no more rows than columns is often singular (its +-1 parity columns or
-# its training rows repeat), and the active set's first LU solve then fails
-# on an exact zero pivot; the interior point certifies such nodes.
-_NARROW_WIDTH = 12
-
-
 # Projected gradients within this of 0 are roundoff, as at a free variable
 # already at its optimum, and leave a shrink threshold off as an exact 0 does:
 # otherwise shrinking would turn on or off with the last bit of a dot product.
@@ -238,11 +236,16 @@ def _blocks(graph: GraphSpec, dataset: Dataset, groups, eta: np.ndarray):
     return cliques, blocks
 
 
+def _width(blocks) -> int:
+    """The number of a solve's weights: every column of a solve is some
+    group's, so the largest sets it."""
+    return max((int(cols.max()) + 1 for cols, _ in blocks if cols.size), default=0)
+
+
 def _stationary_weights(blocks, alpha) -> np.ndarray:
     """The weights alpha implies through the stationarity identity:
     v_j = sum over constraints touching clique j of alpha * f_j."""
-    # every column of a solve is some group's, so the largest sets the width
-    v = np.zeros(max((int(cols.max()) + 1 for cols, _ in blocks if cols.size), default=0))
+    v = np.zeros(_width(blocks))
     for (cols, block), a in zip(blocks, alpha):
         # BLAS sums in an order set by memory layout; a row-major block.T fixes it
         v[cols] += block.T.copy() @ a
@@ -276,7 +279,7 @@ def _solve_dual(blocks, box, rng, max_epochs, tol, node, start):
     ``blocks`` are the constraint groups from ``_blocks``.  The solve starts
     from the duals ``start`` (G, N), each in [0, box], and the weights they
     imply (``_stationary_weights``).  ``_train`` calls it only to continue a
-    Newton solve whose duals did not certify, with the epochs left.
+    solve whose Newton methods did not certify, with the epochs left.
 
     Each step moves one alpha to the exact optimum of the dual restricted to
     that coordinate; the dual objective never decreases.  An epoch visits
@@ -382,55 +385,99 @@ def _solve_dual(blocks, box, rng, max_epochs, tol, node, start):
 
 def _route(widths, n: int) -> str:
     """The routing rule: which Newton method a solve with constraint groups
-    of these widths over n training rows runs, whatever its start.
+    of these widths over n training rows runs first, whatever its start.
 
-    - ``"active set"``: a single group wider than ``_NARROW_WIDTH``, with n
-      no larger than its width: its n x n Gram matrix can then be positive
-      definite, and is no larger than the interior point's matrices;
+    - ``"active set"``: a single group with n no larger than its width: its
+      n x n Gram matrix can then be positive definite, and is no larger than
+      the interior point's matrices;
     - ``"interior point"``: every other solve.
+
+    A solve whose active set does not certify goes on to the interior point.
     """
-    if len(widths) == 1 and _NARROW_WIDTH < widths[0] and n <= widths[0]:
+    if len(widths) == 1 and n <= widths[0]:
         return "active set"
     return "interior point"
 
 
-def _active_set(Q: np.ndarray, box: float, start: np.ndarray, max_iterations: int):
+def _rows(blocks, chosen: np.ndarray, width: int) -> np.ndarray:
+    """The feature rows that the (G, N) mask ``chosen`` picks, group by
+    group, each spread over the solve's ``width`` columns."""
+    A = np.zeros((int(chosen.sum()), width), dtype=np.float64)
+    end = 0
+    for (cols, F), rows in zip(blocks, chosen):
+        start, end = end, end + int(rows.sum())
+        A[start:end, cols] = F[rows]
+    return A
+
+
+def _active_set(blocks, box: float, start: np.ndarray, max_iterations: int):
     """The primal-dual active-set method (Hintermueller, Ito and Kunisch,
     SIAM J. Optim. 2002; for box bounds, Kunisch and Rendl, SIAM J. Optim.
     2003) on min 0.5 alpha^T Q alpha - 1^T alpha over 0 <= alpha <= box,
-    from the duals ``start`` (N,).
+    Q = F F^T for the features F of the constraint groups ``blocks`` of
+    ``_blocks``, from the duals ``start`` (G, N).
 
     An iteration predicts the bound sets from alpha - g/c, with gradient
     g = Q alpha - 1 and c the mean of diag Q: a dual whose prediction is at
     most 0 is pinned to 0, one at least the box to the box, and the free
-    duals F solve Q_FF alpha_F = 1 - box * Q_FU 1 (U the duals at the box),
-    by an LU solve (at N = 200 it takes half the time of NumPy's Cholesky
-    factor alone).  It stops when the predicted sets are the last
-    iteration's, where alpha meets the optimality conditions up to roundoff,
-    or an earlier one's (a cycle); when a solve fails or is not finite,
-    keeping the last iterate; or after ``max_iterations`` iterations.
+    duals (the set R) solve Q_RR alpha_R = 1 - box * Q_RU 1 (U the duals at
+    the box), by an LU solve (at N = 200 it takes half the time of NumPy's
+    Cholesky factor alone).  Where G * N is at most the solve's width it
+    forms Q once.  Otherwise it works in weight space: g is the margins at the
+    weights alpha implies (``_stationary_weights``) less 1, and Q_RR is
+    built from the free rows alone.
 
-    Returns the last iterate clipped to the box and the number of
+    It stops when the predicted sets are the last iteration's, where alpha
+    meets the optimality conditions up to roundoff, or an earlier one's (a
+    cycle); when more duals are free than the solve has weights (Q_RR is
+    then singular; stopping keeps its memory within width^2); when a solve
+    fails or is not finite, keeping the last iterate; or after
+    ``max_iterations`` iterations.
+
+    Returns the last iterate (G, N) clipped to the box and the number of
     iterations, one per Newton solve.
     """
-    c = float(np.trace(Q)) / len(Q)
+    G, N = start.shape
+    width = _width(blocks)
+    if G * N <= width:
+        A = _rows(blocks, np.ones((G, N), dtype=bool), width)
+        Q = A @ A.T
+        c = float(np.trace(Q)) / len(Q)
+
+        def margins(alpha):
+            return (Q @ alpha.ravel()).reshape(G, N)
+
+        def gram(free):
+            free = free.ravel()
+            return Q[np.ix_(free, free)]
+    else:
+        c = sum(float(np.einsum("ij,ij->", F, F)) for _, F in blocks) / (G * N)
+
+        def margins(alpha):
+            v = _stationary_weights(blocks, alpha)
+            return np.array([F @ v[cols] for cols, F in blocks])
+
+        def gram(free):
+            A = _rows(blocks, free, width)
+            return A @ A.T
+
     alpha = start
     seen = set()
     iterations = 0
     with np.errstate(all="ignore"):  # a breakdown keeps the last iterate, which is certified
         while iterations < max_iterations:
-            guess = alpha - (Q @ alpha - 1.0) / c
+            guess = alpha - (margins(alpha) - 1.0) / c
             upper = guess >= box
             free = ~upper & (guess > 0.0)
             sets = upper.tobytes() + free.tobytes()
-            if sets in seen:
+            if sets in seen or free.sum() > width:
                 break
             seen.add(sets)
             pinned = np.where(upper, box, 0.0)
             if free.any():
-                rhs = 1.0 - (Q @ pinned)[free]
+                rhs = 1.0 - margins(pinned)[free]
                 try:
-                    x = np.linalg.solve(Q[np.ix_(free, free)], rhs)
+                    x = np.linalg.solve(gram(free), rhs)
                 except np.linalg.LinAlgError:
                     break
                 if not np.isfinite(x).all():
@@ -580,7 +627,7 @@ def _mehrotra_step(blocks, width: int, L, D, alpha, slack, z, v, r_d, r_p, mu, p
     v += t * dv
 
 
-def _interior_point(blocks, width: int, box: float, max_iterations: int):
+def _interior_point(blocks, width: int, box: float, max_iterations: np.ndarray):
     """Mehrotra's predictor-corrector (SIAM J. Optim. 1992) on each problem
     of a stack: minimise 0.5 alpha^T Q alpha - 1^T alpha over 0 <= alpha <= box,
     Q = G G^T, G the features of ``_blocks`` as ``_stacked`` lays them out
@@ -597,8 +644,8 @@ def _interior_point(blocks, width: int, box: float, max_iterations: int):
     ``_IP_MU * box`` and its residuals are within ``_IP_RESIDUAL``; when its
     factor fails; when its dual residual rises above ``_IP_RESIDUAL`` (a
     step of length t scales it by 1 - t, so a rise is roundoff taking over);
-    or after ``max_iterations`` iterations.  A problem that leaves takes its
-    features out of ``blocks``.
+    or after its own cap of iterations, ``max_iterations`` (B,).  A problem
+    that leaves takes its features out of ``blocks``.
 
     Returns the duals (B, groups, N) in [0, box], each within ``_SNAP * box``
     of a bound moved onto it, and each problem's iteration count.
@@ -626,7 +673,7 @@ def _interior_point(blocks, width: int, box: float, max_iterations: int):
             residual = np.abs(r_d).max(axis=(1, 2))
             leave = (
                 failed
-                | (iterations[live] >= max_iterations)
+                | (iterations[live] >= max_iterations[live])
                 | ((mu < _IP_MU * box) & (residual <= _IP_RESIDUAL)
                    & (np.abs(r_p).max(axis=(1, 2)) <= _IP_RESIDUAL * box))
                 | ((residual > _IP_RESIDUAL) & (residual > last_residual))
@@ -717,16 +764,21 @@ def _train(dataset: Dataset, graph: GraphSpec, config: TrainConfig, start: DualS
     constraints, such as those of a directed probe over the same data at the
     same lambda, whatever cliques each node owns.
 
-    ``_route`` picks each solve's Newton method.  Active-set solves run one
-    at a time from their start; one that starts warm and does not certify
-    runs once more from zero, within the epochs left.  Interior-point solves
-    start at the centre of the box, in stacks of at most ``_IP_STACK``
-    duals, or one solve.  Either method's last duals are certified, or
-    continued by coordinate descent with the epochs left, from those duals
-    or the start, whichever has the higher dual objective: coordinate
-    descent runs only there.  Its shuffle seed is (shuffle_seed, the solve's
-    first node): (seed, i) for directed node i, (seed, 0) for the joint
-    solve.
+    Every solve takes one order, each step only while it has not certified
+    and epochs are left:
+
+    1. the active set from the solve's start, where ``_route`` sends it;
+    2. the interior point from the centre of the box, with the solve's
+       epochs left, in stacks of at most ``_IP_STACK`` duals, or one solve;
+    3. the active set from the interior point's duals, a crossover, with at
+       most as many iterations as the solve has spent; its duals are kept
+       only if they certify;
+    4. coordinate descent, with the epochs left, from the interior point's
+       duals or the start, whichever has the higher dual objective.  Its
+       shuffle seed is (shuffle_seed, the solve's first node): (seed, i) for
+       directed node i, (seed, 0) for the joint solve.
+
+    The iterations of steps 1-3 count as Newton iterations.
     """
     eta = _regularizer_multipliers(graph, config.eta0)
     n = dataset.n_instances
@@ -737,26 +789,32 @@ def _train(dataset: Dataset, graph: GraphSpec, config: TrainConfig, start: DualS
     alpha = _start_alpha(start, (K, n), box)
     reports = [None] * len(solves)
 
-    def certify(k, cliques, blocks, a, done, start, restart=None):
-        """Record solve k at the duals ``a`` that ``done`` Newton iterations
-        reached if they certify or spent the epochs.  Otherwise, given the
-        Gram matrix ``restart`` of a warm active-set solve, certify what the
-        active set reaches from zero with the epochs left; or continue by
-        coordinate descent from whichever of ``a`` and ``start`` has the
-        higher dual objective."""
-        node, nodes = solves[k]
+    def certificate(node, blocks, a, done):
+        """The weights ``a`` implies, its dual objective, and the report of a
+        solve that reached it in ``done`` Newton iterations."""
         v, primal, dual, max_pg = _box_objectives(blocks, box, a)
         gap = primal - dual
         certified = gap <= config.tolerance and max_pg <= config.tolerance
-        if certified or done == config.max_epochs:
-            report = SolveReport(node, done, gap, max_pg, certified, done * a.size, gap / primal, done)
-        elif restart is not None:
-            more_a, more = _active_set(restart, box, np.zeros(n), config.max_epochs - done)
-            certify(k, cliques, blocks, more_a[None], done + more, start)
-            return
-        else:
-            if start.any() and _box_objectives(blocks, box, start)[2] > dual:
-                a = start
+        return v, dual, SolveReport(node, done, gap, max_pg, certified, done * a.size, gap / primal, done)
+
+    def certify(k, cliques, blocks, a, done):
+        """Record solve k at the duals ``a`` that ``done`` Newton iterations
+        reached if they certify or spent the epochs.  Otherwise run the
+        crossover from them (step 3) and record its duals if they certify,
+        or else coordinate descent's (step 4)."""
+        node, nodes = solves[k]
+        v, dual, report = certificate(node, blocks, a, done)
+        if not report.converged and done < config.max_epochs:
+            crossed, more = _active_set(blocks, box, a, min(done, config.max_epochs - done))
+            done += more
+            crossed_v, _, crossed_report = certificate(node, blocks, crossed, done)
+            if crossed_report.converged:
+                v, a, report = crossed_v, crossed, crossed_report
+            else:
+                report = replace(report, epochs=done, steps=done * a.size, newton_iterations=done)
+        if not report.converged and done < config.max_epochs:
+            if alpha[nodes].any() and _box_objectives(blocks, box, alpha[nodes])[2] > dual:
+                a = alpha[nodes]
             rng = np.random.default_rng((config.shuffle_seed, nodes[0]))
             v, a, report = _solve_dual(blocks, box, rng, config.max_epochs - done, config.tolerance, node, a)
             report = replace(report, epochs=report.epochs + done, steps=report.steps + done * a.size,
@@ -766,23 +824,24 @@ def _train(dataset: Dataset, graph: GraphSpec, config: TrainConfig, start: DualS
     interior = []
     for k, (node, nodes) in enumerate(solves):
         groups = [graph.contributing[i] for i in nodes]
-        if _route([len(g) for g in groups], n) == "interior point":
-            interior.append((k, groups))
-            continue
-        cliques, blocks = _blocks(graph, dataset, groups, eta)
-        [(_, F)] = blocks
-        Q = F @ F.T
-        a, done = _active_set(Q, box, alpha[nodes][0], config.max_epochs)
-        certify(k, cliques, blocks, a[None], done, alpha[nodes], Q if alpha[nodes].any() else None)
+        done = 0
+        if _route([len(g) for g in groups], n) == "active set":
+            cliques, blocks = _blocks(graph, dataset, groups, eta)
+            a, done = _active_set(blocks, box, alpha[nodes], config.max_epochs)
+            if done == config.max_epochs or certificate(node, blocks, a, done)[2].converged:
+                certify(k, cliques, blocks, a, done)
+                continue
+        interior.append((k, groups, done))
     # the interior-point solves in equal stacks of at most _IP_STACK duals, or one solve
     per_stack = max(1, _IP_STACK // (n * len(solves[0][1])))
     stacks = math.ceil(len(interior) / per_stack)
     for j in range(stacks):
         stack = interior[j * len(interior) // stacks : (j + 1) * len(interior) // stacks]
-        problems = [_blocks(graph, dataset, groups, eta) for _, groups in stack]
-        ip_alpha, ip_iterations = _interior_point(*_stacked(problems, n), box, config.max_epochs)
-        for (k, _), (cliques, blocks), a, done in zip(stack, problems, ip_alpha, ip_iterations.tolist()):
-            certify(k, cliques, blocks, a, done, alpha[solves[k][1]])
+        problems = [_blocks(graph, dataset, groups, eta) for _, groups, _ in stack]
+        left = np.array([config.max_epochs - done for _, _, done in stack])
+        ip_alpha, ip_iterations = _interior_point(*_stacked(problems, n), box, left)
+        for (k, _, done), (cliques, blocks), a, more in zip(stack, problems, ip_alpha, ip_iterations.tolist()):
+            certify(k, cliques, blocks, a, done + more)
     weights = WeightVector(values=w, lam=config.lam, eta0=config.eta0)
     return TrainResult(weights=weights, state=DualState(graph, alpha, weights), reports=tuple(reports))
 

@@ -60,7 +60,7 @@ def coordinate_descent_only(mp):
     duals, which never certify, through a ``pytest.MonkeyPatch`` ``mp``: every
     solve then runs coordinate descent alone, with all its epochs, from the
     better of zero and its start."""
-    mp.setattr(training, "_active_set", lambda Q, box, start, max_iterations: (np.zeros(len(Q)), 0))
+    mp.setattr(training, "_active_set", lambda blocks, box, start, max_iterations: (np.zeros_like(start), 0))
     mp.setattr(
         training,
         "_interior_point",
@@ -69,6 +69,29 @@ def coordinate_descent_only(mp):
             np.zeros(len(blocks[0][1]), dtype=np.intp),
         ),
     )
+
+
+def record_newton_calls(mp):
+    """A list that records, through a ``pytest.MonkeyPatch`` ``mp``, each
+    call of training's active set, as ("active set", warm, iterations, cap),
+    and of its interior point, as ("interior point", caps, iterations), in
+    the order training makes them."""
+    calls = []
+    active_set, interior_point = training._active_set, training._interior_point
+
+    def recording_active_set(blocks, box, start, max_iterations):
+        alpha, iterations = active_set(blocks, box, start, max_iterations)
+        calls.append(("active set", bool(start.any()), iterations, max_iterations))
+        return alpha, iterations
+
+    def recording_interior_point(blocks, width, box, max_iterations):
+        alpha, iterations = interior_point(blocks, width, box, max_iterations)
+        calls.append(("interior point", max_iterations.tolist(), iterations.tolist()))
+        return alpha, iterations
+
+    mp.setattr(training, "_active_set", recording_active_set)
+    mp.setattr(training, "_interior_point", recording_interior_point)
+    return calls
 
 
 def solve_duals(result, dataset, config):

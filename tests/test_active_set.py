@@ -1,6 +1,6 @@
-"""The active-set path of training: single-group solves wider than the
-narrow cut-off with no more rows than columns, its restart from zero, and
-coordinate descent as its reference and fallback."""
+"""The active-set path of training: single-group solves with no more rows
+than columns, the interior point as its fallback, and coordinate descent as
+its reference and last resort."""
 
 import numpy as np
 import pytest
@@ -12,7 +12,7 @@ from margraph import TrainConfig, training
 from margraph.graphs import GRAPH_BUILDERS
 from margraph.training import dual_objective
 
-from _helpers import coordinate_descent_only, random_dataset, solve_duals
+from _helpers import coordinate_descent_only, random_dataset, record_newton_calls, solve_duals
 
 
 def _warm_start(rng, graph, n, lam):
@@ -42,7 +42,7 @@ def test_active_set_and_coordinate_descent_certify_the_same_optimum(
     # every node owns its bias and D input cliques, so each solve is one
     # group at least 13 wide; N <= that width routes it to the active set.
     # A duplicated training row makes Q singular: the active set may then
-    # not settle, and coordinate descent finishes the solve
+    # not settle, and a later method finishes the solve
     rng = np.random.default_rng(seed)
     graph = GRAPH_BUILDERS[topology](K, D, mg.DIRECTED, order=tuple(int(i) for i in rng.permutation(K)))
     N = max(2, D + 1 - rows_short)
@@ -97,18 +97,23 @@ def _cycling_problem():
     return dataset, mg.build_independent_graph(1, D, mg.DIRECTED), TrainConfig(lam=0.1, max_epochs=500)
 
 
-def test_a_cycling_active_set_falls_back_to_coordinate_descent():
+def test_a_cycling_active_set_falls_back_to_the_interior_point(monkeypatch):
     dataset, graph, config = _cycling_problem()
     N = dataset.n_instances
-    F = training.clique_feature_matrix(graph, dataset)
+    blocks = [(np.arange(N), training.clique_feature_matrix(graph, dataset))]
     box = 1.0 / (config.lam * N)
-    alpha, iterations = training._active_set(F @ F.T, box, np.zeros(N), config.max_epochs)
+    alpha, iterations = training._active_set(blocks, box, np.zeros((1, N)), config.max_epochs)
     assert (N, graph.n_cliques) == (20, 20) and 1 <= iterations < config.max_epochs
     # stopped on a repeated set, short of the cap, at duals that do not certify
-    _, _, _, max_pg = training._box_objectives([(np.arange(N), F)], box, alpha[None])
+    _, _, _, max_pg = training._box_objectives(blocks, box, alpha)
     assert max_pg > 0.1
+    # the interior point takes over with the epochs left, and certifies
+    calls = record_newton_calls(monkeypatch)
     [report] = mg.train_lmsbn(dataset, graph, config).reports
-    assert report.converged and report.newton_iterations == iterations < report.epochs <= config.max_epochs
+    [_, (_, caps, [more])] = calls
+    assert caps == [config.max_epochs - iterations]
+    assert report.converged and report.newton_iterations == report.epochs == iterations + more
+    monkeypatch.undo()
     with pytest.MonkeyPatch.context() as mp:
         coordinate_descent_only(mp)
         [descent] = mg.train_lmsbn(dataset, graph, config).reports
@@ -116,12 +121,14 @@ def test_a_cycling_active_set_falls_back_to_coordinate_descent():
 
 
 def test_a_failed_newton_solve_falls_back_from_the_better_duals(monkeypatch):
-    # start at a certified optimum and make every Newton solve return zeros
-    # for the free duals: the active set ends on a cycle, from the start and
-    # again from zero, at duals whose dual objective is below the start's, so
-    # coordinate descent continues from the start and certifies in one
-    # epoch; a solve that is not finite ends the active set before its
-    # first iteration
+    # start at a certified optimum and make every linear solve return zeros:
+    # the active set ends on a cycle, from the start and again as the
+    # crossover from the interior point's duals, whose dual objective is
+    # below the start's, so coordinate descent continues from the start and
+    # certifies in one epoch.  A solve that is not finite ends the active
+    # set before its first iteration, and the interior point after its
+    # first, whose step is not finite, so the crossover gets one iteration
+    # and ends before it
     rng = np.random.default_rng(5)
     D, N = 20, 15
     graph = mg.build_independent_graph(2, D, mg.DIRECTED)
@@ -138,7 +145,7 @@ def test_a_failed_newton_solve_falls_back_from_the_better_duals(monkeypatch):
     )
     monkeypatch.setattr(np.linalg, "solve", lambda a, b: np.full_like(b, np.nan))
     cold = mg.train_lmsbn(dataset, graph, config)
-    assert cold.converged and all(r.newton_iterations == 0 and r.epochs >= 1 for r in cold.reports)
+    assert cold.converged and all(r.newton_iterations == 1 < r.epochs for r in cold.reports)
 
 
 def test_the_epoch_cap_counts_active_set_iterations():
@@ -161,9 +168,10 @@ def _random_label_problem():
     return dataset, mg.build_full_graph(6, 294, mg.DIRECTED, order=strategy.order), config, strategy.probe
 
 
-def test_warm_solves_whose_labels_carry_no_signal_certify_by_the_active_set():
+def test_warm_solves_whose_labels_carry_no_signal_certify_by_newton_methods():
     # from the probe's duals, five of the six full solves stop on a cycle;
-    # each restarts from zero and settles, so no solve runs coordinate descent
+    # each goes on to the interior point (one of them then to the
+    # crossover) and certifies, so no solve runs coordinate descent
     dataset, graph, config, probe = _random_label_problem()
     full = mg.train_lmsbn(dataset, graph, config, start=probe.state)
     for r in probe.reports + full.reports:
@@ -171,25 +179,18 @@ def test_warm_solves_whose_labels_carry_no_signal_certify_by_the_active_set():
         assert r.steps == r.epochs * dataset.n_instances
 
 
-def test_a_warm_active_set_run_that_cycles_restarts_once_from_zero(monkeypatch):
+def test_a_warm_active_set_run_that_cycles_falls_back_to_the_interior_point(monkeypatch):
     # node 0 starts from its probe duals, on which the active set cycles,
-    # and the other nodes from zero: node 0 calls the active set twice, the
-    # second time from zero, and the others once
+    # and the other nodes from zero, where it certifies: node 0 alone goes
+    # on to the interior point, with the epochs left, and certifies there
     dataset, graph, config, probe = _random_label_problem()
     alpha = np.zeros_like(probe.state.alpha)
     alpha[0] = probe.state.alpha[0]
-    calls = []
-    active_set = training._active_set
-
-    def recording(Q, box, start, max_iterations):
-        alpha, iterations = active_set(Q, box, start, max_iterations)
-        calls.append((bool(start.any()), iterations, max_iterations))
-        return alpha, iterations
-
-    monkeypatch.setattr(training, "_active_set", recording)
+    calls = record_newton_calls(monkeypatch)
     result = mg.train_lmsbn(dataset, graph, config, start=mg.DualState(graph, alpha, probe.weights))
-    assert [warm for warm, _, _ in calls] == [True, False, False, False, False, False, False]
-    (_, cycled, _), (_, restarted, left) = calls[:2]
-    assert 1 <= cycled < config.max_epochs and left == config.max_epochs - cycled
+    assert [call[:2] for call in calls[:6]] == [("active set", True)] + [("active set", False)] * 5
+    [(_, _, cycled, _), *_, (method, caps, [more])] = calls
+    assert method == "interior point" and len(calls) == 7
+    assert 1 <= cycled < config.max_epochs and caps == [config.max_epochs - cycled]
     report = result.reports[0]
-    assert report.converged and report.newton_iterations == report.epochs == cycled + restarted
+    assert report.converged and report.newton_iterations == report.epochs == cycled + more

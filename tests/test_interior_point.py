@@ -1,5 +1,5 @@
-"""The interior-point path of training: which solves take it, and coordinate
-descent as its reference and fallback."""
+"""The interior-point path of training: which solves take it, the crossover
+from its duals, and coordinate descent as its reference and last resort."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,7 @@ import margraph as mg
 from margraph import TrainConfig, training
 from margraph.training import duality_gap, dual_objective
 
-from _helpers import coordinate_descent_only, coupled_graph, random_dataset, solve_duals
+from _helpers import coordinate_descent_only, coupled_graph, random_dataset, record_newton_calls, solve_duals
 
 
 def _without_first_node(graph):
@@ -81,7 +81,8 @@ def test_interior_point_and_coordinate_descent_certify_the_same_optimum(
     ([1448], 1448, "active set"),  # N = width
     ([1449], 1449, "active set"),  # N = width: Q is no larger than the interior point's matrices
     ([12], 5000, "interior point"),  # narrow
-    ([12], 12, "interior point"),  # narrow, N = width: tiny nodes are often singular
+    ([12], 12, "active set"),  # narrow, N = width: a singular one falls back to the interior point
+    ([1], 1, "active set"),  # one column over one row
     ([0], 1, "interior point"),  # a node that owns no clique
     ([30, 30], 10, "interior point"),  # two groups never take the active set
 ])
@@ -147,8 +148,10 @@ def test_a_fit_from_zero_steps_through_the_interior_point_alone(kind):
 @pytest.mark.parametrize("kind", [mg.DIRECTED, mg.UNDIRECTED])
 def test_duals_that_do_not_certify_fall_back_to_coordinate_descent(monkeypatch, kind):
     # a snap of a quarter box moves duals far from the optimum, so the
-    # certificate fails and coordinate descent continues from the snapped
-    # duals within the epochs left
+    # certificate fails; the crossover from the snapped duals, whose
+    # iterations count as Newton iterations, does not certify either, and
+    # coordinate descent continues from the snapped duals within the epochs
+    # left
     rng = np.random.default_rng(8)
     K, N = 3, 40
     graph = mg.build_chain_graph(K, 2, kind)
@@ -157,11 +160,16 @@ def test_duals_that_do_not_certify_fall_back_to_coordinate_descent(monkeypatch, 
     train = mg.train_lmsbn if kind == mg.DIRECTED else mg.train_lmbm
     exact = train(dataset, graph, config)
     monkeypatch.setattr(training, "_SNAP", 0.25)
+    calls = record_newton_calls(monkeypatch)
     result = train(dataset, graph, config)
     assert result.converged
-    assert all(1 <= r.newton_iterations < r.epochs <= config.max_epochs for r in result.reports)
-    for r, e in zip(result.reports, exact.reports):
-        assert r.newton_iterations == e.newton_iterations and r.steps > e.steps
+    [(method, _, iterations), *crossovers] = calls
+    assert method == "interior point" and iterations == [e.newton_iterations for e in exact.reports]
+    assert [(method, warm) for method, warm, _, _ in crossovers] == [("active set", True)] * len(exact.reports)
+    for r, e, (_, _, more, cap) in zip(result.reports, exact.reports, crossovers):
+        assert cap == e.newton_iterations
+        assert 1 <= r.newton_iterations == e.newton_iterations + more < r.epochs <= config.max_epochs
+        assert r.steps > e.steps
     assert abs(dual_objective(result.state, dataset, config) - dual_objective(exact.state, dataset, config)) <= (
         2 * config.tolerance * len(result.reports)
     )
@@ -242,3 +250,52 @@ def test_cold_directed_solves_run_in_equal_stacks_of_bounded_duals(monkeypatch):
     assert all(r.newton_iterations == r.epochs for r in stacked.reports)
     for a, b in zip(solve_duals(stacked, dataset, config), solve_duals(one_stack, dataset, config)):
         assert abs(a - b) <= 2 * config.tolerance
+
+
+def _census_generator(state, inc, uinteger):
+    """The PCG64 generator of ``tests/solve_census.py`` at the state it
+    reaches within one training's draw: after the family and the sizes,
+    before the graph."""
+    rng = np.random.default_rng()
+    rng.bit_generator.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": state, "inc": inc},
+        "has_uint32": 1,
+        "uinteger": uinteger,
+    }
+    return rng
+
+
+def test_a_small_lambda_joint_solve_certifies_by_newton_alone():
+    # the census's seed 1, draw 776: an undirected full graph of 6 labels
+    # over 18 inputs (x 0.1) and 17 rows at lambda 1.41e-4, eta0 1, whose
+    # interior-point duals do not certify; coordinate descent from them
+    # stopped at the cap, uncertified, where the crossover certifies them
+    rng = _census_generator(
+        122049099215725591330415584781661390509, 194290289479364712180083596243593368443, 4119403291
+    )
+    graph = coupled_graph(rng, "full", 6, 18, mg.UNDIRECTED)
+    dataset = random_dataset(rng, 17, 6, 18)
+    dataset = mg.Dataset(0.1 * dataset.X, dataset.Y)
+    config = TrainConfig(lam=0.00014101100613509002, eta0=1.0)
+    [report] = mg.train_lmbm(dataset, graph, config).reports
+    # as the census reads it: 8 interior-point iterations and 1 crossover one
+    assert report.converged and report.newton_iterations == report.epochs == 9
+
+
+def test_a_small_lambda_node_solve_certifies_by_newton_alone():
+    # the census's seed 3, draw 333: a directed independent graph of 5
+    # labels over 17 inputs (x 0.1) and 18 rows at lambda 1.55e-3; node 4's
+    # solve, which coordinate descent left uncertified at the cap,
+    # certifies by the Newton methods, as every other node's does
+    rng = _census_generator(
+        171000192288101505665601680448105414422, 222003063171874261427395693950637096479, 816295302
+    )
+    graph = coupled_graph(rng, "independent", 5, 17, mg.DIRECTED)
+    dataset = random_dataset(rng, 18, 5, 17)
+    dataset = mg.Dataset(0.1 * dataset.X, dataset.Y)
+    config = TrainConfig(lam=0.0015525493868549052)
+    reports = mg.train_lmsbn(dataset, graph, config).reports
+    # as the census reads them
+    assert all(r.converged and r.newton_iterations == r.epochs for r in reports)
+    assert [r.epochs for r in reports] == [7, 7, 15, 6, 14]
