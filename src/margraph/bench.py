@@ -22,7 +22,7 @@ from .data import Dataset
 from .errors import GraphError
 from .graphs import DIRECTED, GraphSpec, _output_count
 from .inference import STATUS_OPTIMAL, BBConfig, _check_cutoff, bb_infer
-from .model import WeightVector, _check_int, batch_scorer
+from .model import WeightVector, _check_int, _check_seed, batch_scorer
 from .synth import SynthConfig, planted_model, sample_sbn
 from .training import TrainConfig, mean_joint_loss, train_lmsbn
 
@@ -159,8 +159,9 @@ def run_k_sweep(
     """
     _check_int(n_train, "n_train", 1)
     _check_int(n_test, "n_test", 1)
+    _check_seed(seed)
     k_list = [_output_count(K) for K in k_list]  # K seeds its draws: check all, then train
-    train_config = TrainConfig(lam=lam, shuffle_seed=seed)
+    train_config = TrainConfig(lam=lam)
     config = BBConfig(max_states=max_states, cost_to_go=False)
     records = []
     for K in k_list:

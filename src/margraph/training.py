@@ -1,5 +1,4 @@
-"""Hinge-loss training by dual active-set, interior-point and
-coordinate-descent solves.
+"""Hinge-loss training by dual active-set and interior-point solves.
 
 The training problem minimizes
 
@@ -41,38 +40,26 @@ certified and epochs are left (``_train``):
    they lie within 1e-6 * C of.
 3. Interior-point duals that do not certify start the active set again, a
    crossover (Megiddo, ORSA J. Comput. 1991; Mehrotra and Ye, Math.
-   Programming 1993), with at most as many iterations as the solve has
-   spent; its duals are kept only if they certify.
-4. Only then does coordinate descent continue, within the epochs left,
-   from whichever of the interior point's duals and the solve's start has
-   the higher dual objective.
+   Programming 1993), with the epochs left.  It runs on proximal-point
+   subproblems (Rockafellar, SIAM J. Control Optim. 1976), whose free
+   systems are positive definite however many duals are free, and the
+   solve records the duals it ends on.
 
-A Newton iteration (steps 1-3) counts as an epoch and as a visit to every
-dual of the solve.
-
-Coordinate descent picks a constraint, computes the projected gradient,
-and moves its dual variable to the exact 1-d optimum clipped to [0, C].
-The kernel shrinks its active set (Hsieh et al., ICML 2008): constraints
-pinned at 0 or C with a gradient outside the previous epoch's band are
-skipped until the band closes, and convergence is only certified on the
-full set.  A step reads and updates the weights on the constraint's NumPy
-feature row, and the weights are refreshed from alpha through the
-stationarity identity only on epochs that can certify or stop: those that
-meet no projected gradient above the tolerance, and the last.
+Every Newton iteration counts as an epoch and as a visit to every dual of
+the solve.
 
 A solve starts from zero duals, or from given ones (``start=``, a
-``DualState``), which the active set of step 1 and coordinate descent use
-and the interior point does not.  Any duals in [0, C] are feasible, so the
-terminal duals of another problem over the same (node, instance)
-constraints and box are a start, as the ordering probe's are for the full
-directed problem (warm start: Hsieh et al., ICML 2008; Chu, Zhuang and
-Lin, KDD 2015).
+``DualState``), which the active set of step 1 uses and the interior point
+does not.  Any duals in [0, C] are feasible, so the terminal duals of
+another problem over the same (node, instance) constraints and box are a
+start, as the ordering probe's are for the full directed problem (warm
+start: Hsieh et al., ICML 2008; Chu, Zhuang and Lin, KDD 2015).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -99,8 +86,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Knobs for the dual solvers; ``max_epochs`` caps each solve's
-    Newton iterations and coordinate-descent epochs together."""
+    """Knobs for the dual solvers; ``max_epochs`` caps each solve's Newton
+    iterations.  ``shuffle_seed`` is checked but changes nothing: no solver
+    draws a random number."""
 
     lam: float = 0.01
     eta0: float = 0.0
@@ -122,12 +110,10 @@ class SolveReport:
     """Convergence record for one dual solve (one node, or None for joint).
 
     ``epochs`` counts Newton iterations (active-set, interior-point and
-    crossover) plus coordinate-descent epochs, of which
-    ``newton_iterations`` are the former (0 when every Newton method broke
-    down before its first one).
-    ``steps`` counts an iteration as a visit to every dual variable, plus
-    the coordinate visits actually made, summed over epochs; ``rel_gap`` is
-    the gap divided by the box-scaled primal.
+    crossover), and ``newton_iterations`` is the same count (0 when every
+    Newton method broke down before its first iteration).  ``steps`` is
+    the iterations times the solve's dual variables, an iteration being a
+    visit to each; ``rel_gap`` is the gap divided by the box-scaled primal.
     """
 
     node: int | None
@@ -204,12 +190,6 @@ def _features(graph: GraphSpec, dataset: Dataset, cliques) -> np.ndarray:
     return F
 
 
-# Projected gradients within this of 0 are roundoff, as at a free variable
-# already at its optimum, and leave a shrink threshold off as an exact 0 does:
-# otherwise shrinking would turn on or off with the last bit of a dot product.
-_ROUNDOFF = 1e-12
-
-
 def _regularizer_multipliers(graph: GraphSpec, eta0: float) -> np.ndarray:
     """Per-clique penalty multipliers eta: 1 + eta0 for an undirected graph's
     multi-output cliques, which appear in several node scores, and 1 for every
@@ -273,116 +253,6 @@ def _box_objectives(blocks, box, alpha) -> tuple[np.ndarray, float, float, float
     return v, reg + box * hinge, float(alpha.sum()) - reg, max_pg
 
 
-def _solve_dual(blocks, box, rng, max_epochs, tol, node, start):
-    """Coordinate descent over dual variables alpha[group, instance] in [0, box].
-
-    ``blocks`` are the constraint groups from ``_blocks``.  The solve starts
-    from the duals ``start`` (G, N), each in [0, box], and the weights they
-    imply (``_stationary_weights``).  ``_train`` calls it only to continue a
-    solve whose Newton methods did not certify, with the epochs left.
-
-    Each step moves one alpha to the exact optimum of the dual restricted to
-    that coordinate; the dual objective never decreases.  An epoch visits
-    every *active* constraint once in a fresh random order.  The gradient of
-    coordinate t is f_t . w - 1, a dot of its NumPy feature row with the
-    weights it touches, to which a move adds the change times the row.
-
-    Shrinking (Hsieh et al., ICML 2008, as in LIBLINEAR): a constraint is
-    dropped from the active set when its alpha sits at 0 with a gradient
-    above the previous epoch's largest projected gradient, or at the box
-    with a gradient below the previous epoch's smallest (thresholds are
-    infinite when that value has the wrong sign or is roundoff, within
-    ``_ROUNDOFF`` of 0).  A dropped constraint's projected gradient is
-    exactly 0.  Once the largest absolute projected gradient met in an epoch
-    is at most tol, every constraint is restored and the thresholds reset.
-
-    Only an epoch that can certify or stop, one that met no projected
-    gradient beyond tol or the last one, takes the certificate from
-    ``_box_objectives`` at the weights alpha implies: the duality gap and the
-    largest projected gradient over all of alpha.  The next epoch continues
-    from those weights (shedding update drift); other epochs carry the
-    incrementally updated w into the next.  The solve terminates when an
-    epoch that started on the full set meets no projected gradient beyond
-    tol and both halves of the certificate are at most tol.
-
-    Returns (w, alpha, SolveReport) with the report filed under ``node``; the
-    report's gap and max_projected_gradient are the last certificate's.
-    """
-    G, N = start.shape
-    # The dual's curvature in each coordinate (0 for a zero row, where it is
-    # linear) and alpha, as flat Python floats indexed by t = g*N + l, which
-    # keeps NumPy scalars out of the inner loop.
-    curvature = [q for _, b in blocks for q in np.einsum("ij,ij->i", b, b).tolist()]
-    # zeros share one float object, as in a list built as [0.0] * n: distinct
-    # zero objects would cost memory and cache misses on every visit
-    alpha = [a or 0.0 for a in start.ravel().tolist()]
-    # Per constraint t: its feature row (a NumPy view) and the columns of w it touches
-    w = _stationary_weights(blocks, start)
-    rows = [r for _, b in blocks for r in b]
-    row_cols = [cols for cols, _ in blocks for _ in range(N)]
-    full_set = np.arange(G * N)
-    active = full_set
-    shrink_hi, shrink_lo = np.inf, -np.inf
-    steps = 0
-    converged = False
-    dot = np.dot
-    for epoch in range(1, max_epochs + 1):
-        started_full = len(active) == len(full_set)
-        perm = rng.permutation(active).tolist()
-        steps += len(perm)
-        kept = []
-        keep = kept.append
-        pg_hi = pg_lo = 0.0
-        for t in perm:
-            cols = row_cols[t]
-            grad = float(dot(rows[t], w[cols])) - 1.0
-            a = alpha[t]
-            if a <= 0.0:
-                if grad > shrink_hi:
-                    continue
-                pg = grad if grad < 0.0 else 0.0
-            elif a >= box:
-                if grad < shrink_lo:
-                    continue
-                pg = grad if grad > 0.0 else 0.0
-            else:
-                pg = grad
-            keep(t)
-            if pg != 0.0:
-                if pg > pg_hi:
-                    pg_hi = pg
-                elif pg < pg_lo:
-                    pg_lo = pg
-                qa = curvature[t]
-                if qa > 0.0:
-                    na = a - grad / qa
-                    if na < 0.0:
-                        na = 0.0
-                    elif na > box:
-                        na = box
-                else:
-                    na = box if grad < 0.0 else 0.0
-                if na != a:
-                    w[cols] += (na - a) * rows[t]
-                    alpha[t] = na
-        max_pg = pg_hi if pg_hi > -pg_lo else -pg_lo
-        if max_pg > tol and epoch < max_epochs:
-            active = np.array(kept, dtype=np.intp)
-            shrink_hi = pg_hi if pg_hi > _ROUNDOFF else np.inf
-            shrink_lo = pg_lo if pg_lo < -_ROUNDOFF else -np.inf
-            continue
-        alpha_gn = np.array(alpha).reshape(G, N)
-        w, primal, dual, pg_all = _box_objectives(blocks, box, alpha_gn)
-        gap = primal - dual
-        if max_pg <= tol:
-            if started_full and gap <= tol and pg_all <= tol:
-                converged = True
-                break
-            active = full_set
-            shrink_hi, shrink_lo = np.inf, -np.inf
-    return w, alpha_gn, SolveReport(node, epoch, gap, pg_all, converged, steps, gap / primal)
-
-
 def _route(widths, n: int) -> str:
     """The routing rule: which Newton method a solve with constraint groups
     of these widths over n training rows runs first, whatever its start.
@@ -410,32 +280,62 @@ def _rows(blocks, chosen: np.ndarray, width: int) -> np.ndarray:
     return A
 
 
-def _active_set(blocks, box: float, start: np.ndarray, max_iterations: int):
+# The crossover's proximal weight r starts at _PROX_START * c, for c the
+# mean of diag Q; an accepted trial divides it by ten, down to
+# _PROX_FLOOR * c, and a rejected one multiplies it by ten.  Each trial takes
+# at most _PROX_ITERATIONS Newton iterations.  On tests/solve_census.py a
+# floor of 1e-3 * c raised the largest iteration count from 30 to 70 (1e-6
+# and 1e-9 gave the same counts); without the cap on a trial's iterations,
+# 4 of 602 solves whose interior point stopped after 1-6 iterations ended
+# uncertified at 1000.
+_PROX_START = 1e-3
+_PROX_FLOOR = 1e-9
+_PROX_ITERATIONS = 10
+
+
+def _active_set(blocks, box: float, start: np.ndarray, max_iterations: int, rho: float, tol: float):
     """The primal-dual active-set method (Hintermueller, Ito and Kunisch,
     SIAM J. Optim. 2002; for box bounds, Kunisch and Rendl, SIAM J. Optim.
     2003) on min 0.5 alpha^T Q alpha - 1^T alpha over 0 <= alpha <= box,
     Q = F F^T for the features F of the constraint groups ``blocks`` of
     ``_blocks``, from the duals ``start`` (G, N).
 
-    An iteration predicts the bound sets from alpha - g/c, with gradient
-    g = Q alpha - 1 and c the mean of diag Q: a dual whose prediction is at
-    most 0 is pinned to 0, one at least the box to the box, and the free
-    duals (the set R) solve Q_RR alpha_R = 1 - box * Q_RU 1 (U the duals at
-    the box), by an LU solve (at N = 200 it takes half the time of NumPy's
+    An iteration on Q + r I with linear term 1 + r * centre (r = 0 is the
+    plain dual) predicts the bound sets from alpha - g/(c + r), with
+    gradient g = Q alpha - 1 + r (alpha - centre) and c the mean of diag Q:
+    a dual whose prediction is at most 0 is pinned to 0, one at least the
+    box to the box, and the free duals (the set R) solve
+    (Q_RR + r I) alpha_R = 1 + r centre_R - box * Q_RU 1 (U the duals at the
+    box), by an LU solve (at N = 200 it takes half the time of NumPy's
     Cholesky factor alone).  Where G * N is at most the solve's width it
-    forms Q once.  Otherwise it works in weight space: g is the margins at the
-    weights alpha implies (``_stationary_weights``) less 1, and Q_RR is
-    built from the free rows alone.
+    forms Q once.  Otherwise it works in weight space: g is the margins at
+    the weights alpha implies (``_stationary_weights``) less 1, and Q_RR is
+    built from the free rows A_R alone, or, when more duals are free than
+    there are weights, alpha_R = A_R y + e/r with e = 1 + r centre_R and
+    (A_R^T A_R + r I) y = -v_pin - A_R^T e/r for the pinned duals' weights
+    v_pin, which keeps the system within width^2 and solves the part of e
+    outside the range of A_R exactly.
 
-    It stops when the predicted sets are the last iteration's, where alpha
-    meets the optimality conditions up to roundoff, or an earlier one's (a
-    cycle); when more duals are free than the solve has weights (Q_RR is
-    then singular; stopping keeps its memory within width^2); when a solve
-    fails or is not finite, keeping the last iterate; or after
-    ``max_iterations`` iterations.
+    The iterations stop when the predicted sets are the last iteration's,
+    where alpha meets the optimality conditions up to roundoff, or an
+    earlier one's (a cycle); when a solve fails or is not finite, keeping
+    the last iterate; or at their cap.
 
-    Returns the last iterate (G, N) clipped to the box and the number of
-    iterations, one per Newton solve.
+    With ``rho`` = 0 (step 1 of ``_train``) it makes these iterations on
+    the plain dual from the start, up to ``max_iterations``, and also stops
+    when more duals are free than the solve has weights (Q_RR is then
+    singular).  With ``rho`` > 0 it is a proximal-point method (Rockafellar,
+    SIAM J. Control Optim. 1976), the crossover of step 3: r starts at
+    rho * c, and each trial makes at most ``_PROX_ITERATIONS`` iterations
+    on Q + r I centred at the last accepted duals, first the start.  A trial
+    whose certificate (``_box_objectives``) meets ``tol`` ends the run; one
+    that raises the dual objective or shrinks the gap is accepted, and r
+    falls tenfold to no less than ``_PROX_FLOOR * c``; another leaves the
+    centre, and r rises tenfold.
+
+    Returns the duals (G, N) in the box, the last iterate clipped to it or,
+    with ``rho`` > 0, the certified trial or else the last accepted centre,
+    and the number of iterations, one per Newton solve.
     """
     G, N = start.shape
     width = _width(blocks)
@@ -453,31 +353,52 @@ def _active_set(blocks, box: float, start: np.ndarray, max_iterations: int):
     else:
         c = sum(float(np.einsum("ij,ij->", F, F)) for _, F in blocks) / (G * N)
 
-        def margins(alpha):
-            v = _stationary_weights(blocks, alpha)
+        def lower(v):
             return np.array([F @ v[cols] for cols, F in blocks])
+
+        def margins(alpha):
+            return lower(_stationary_weights(blocks, alpha))
 
         def gram(free):
             A = _rows(blocks, free, width)
             return A @ A.T
 
-    alpha = start
-    seen = set()
-    iterations = 0
-    with np.errstate(all="ignore"):  # a breakdown keeps the last iterate, which is certified
-        while iterations < max_iterations:
-            guess = alpha - (margins(alpha) - 1.0) / c
+    def solve_free(pinned, free, r, e):
+        """The free duals' values alpha_R of an iteration, for the pinned
+        duals ``pinned`` and linear term ``e`` (G, N)."""
+        if free.sum() <= width:
+            M = gram(free)
+            M[np.diag_indices_from(M)] += r
+            return np.linalg.solve(M, (e - margins(pinned))[free])
+        # more free duals than weights: only at r > 0, and only in weight space
+        M = np.zeros((width, width))
+        M[np.diag_indices_from(M)] = r
+        for (cols, F), rows in zip(blocks, free):
+            F = F[rows]
+            M[np.ix_(cols, cols)] += F.T @ F
+        free_e = np.where(free, e, 0.0)
+        y = np.linalg.solve(M, -_stationary_weights(blocks, pinned) - _stationary_weights(blocks, free_e) / r)
+        return (lower(y) + e / r)[free]
+
+    def newton(centre, r, cap):
+        """Iterations on Q + r I with linear term 1 + r * centre, from
+        centre: the last iterate, clipped, and their number."""
+        alpha = centre
+        e = 1.0 + r * centre
+        seen = set()
+        iterations = 0
+        while iterations < cap:
+            guess = alpha - (margins(alpha) - 1.0 + r * (alpha - centre)) / (c + r)
             upper = guess >= box
             free = ~upper & (guess > 0.0)
             sets = upper.tobytes() + free.tobytes()
-            if sets in seen or free.sum() > width:
+            if sets in seen or (r == 0.0 and free.sum() > width):
                 break
             seen.add(sets)
             pinned = np.where(upper, box, 0.0)
             if free.any():
-                rhs = 1.0 - margins(pinned)[free]
                 try:
-                    x = np.linalg.solve(gram(free), rhs)
+                    x = solve_free(pinned, free, r, e)
                 except np.linalg.LinAlgError:
                     break
                 if not np.isfinite(x).all():
@@ -485,7 +406,29 @@ def _active_set(blocks, box: float, start: np.ndarray, max_iterations: int):
                 pinned[free] = x
             alpha = pinned
             iterations += 1
-    return np.clip(alpha, 0.0, box), iterations
+        return np.clip(alpha, 0.0, box), iterations
+
+    with np.errstate(all="ignore"):  # a breakdown keeps the last iterate, which is certified
+        if rho == 0.0:
+            return newton(start, 0.0, max_iterations)
+        r = rho * c
+        centre = start
+        _, primal, dual, _ = _box_objectives(blocks, box, centre)
+        iterations = 0
+        while iterations < max_iterations:
+            trial, more = newton(centre, r, min(_PROX_ITERATIONS, max_iterations - iterations))
+            if not more:
+                break
+            iterations += more
+            _, trial_primal, trial_dual, max_pg = _box_objectives(blocks, box, trial)
+            if trial_primal - trial_dual <= tol and max_pg <= tol:
+                return trial, iterations
+            if trial_dual > dual or trial_primal - trial_dual < primal - dual:
+                centre, primal, dual = trial, trial_primal, trial_dual
+                r = max(r / 10.0, _PROX_FLOOR * c)
+            else:
+                r *= 10.0
+        return centre, iterations
 
 
 # A problem leaves the interior point once its mean complementarity product
@@ -770,15 +713,10 @@ def _train(dataset: Dataset, graph: GraphSpec, config: TrainConfig, start: DualS
     1. the active set from the solve's start, where ``_route`` sends it;
     2. the interior point from the centre of the box, with the solve's
        epochs left, in stacks of at most ``_IP_STACK`` duals, or one solve;
-    3. the active set from the interior point's duals, a crossover, with at
-       most as many iterations as the solve has spent; its duals are kept
-       only if they certify;
-    4. coordinate descent, with the epochs left, from the interior point's
-       duals or the start, whichever has the higher dual objective.  Its
-       shuffle seed is (shuffle_seed, the solve's first node): (seed, i) for
-       directed node i, (seed, 0) for the joint solve.
+    3. the proximal active set from the interior point's duals, a
+       crossover, with the epochs left.
 
-    The iterations of steps 1-3 count as Newton iterations.
+    The solve records the duals of its last step, certified or not.
     """
     eta = _regularizer_multipliers(graph, config.eta0)
     n = dataset.n_instances
@@ -790,35 +728,23 @@ def _train(dataset: Dataset, graph: GraphSpec, config: TrainConfig, start: DualS
     reports = [None] * len(solves)
 
     def certificate(node, blocks, a, done):
-        """The weights ``a`` implies, its dual objective, and the report of a
-        solve that reached it in ``done`` Newton iterations."""
+        """The weights ``a`` implies and the report of a solve that reached
+        it in ``done`` Newton iterations."""
         v, primal, dual, max_pg = _box_objectives(blocks, box, a)
         gap = primal - dual
         certified = gap <= config.tolerance and max_pg <= config.tolerance
-        return v, dual, SolveReport(node, done, gap, max_pg, certified, done * a.size, gap / primal, done)
+        return v, SolveReport(node, done, gap, max_pg, certified, done * a.size, gap / primal, done)
 
     def certify(k, cliques, blocks, a, done):
         """Record solve k at the duals ``a`` that ``done`` Newton iterations
         reached if they certify or spent the epochs.  Otherwise run the
-        crossover from them (step 3) and record its duals if they certify,
-        or else coordinate descent's (step 4)."""
+        crossover from them (step 3), with the epochs left, and record the
+        duals it ends on: certified, or else its last accepted ones."""
         node, nodes = solves[k]
-        v, dual, report = certificate(node, blocks, a, done)
+        v, report = certificate(node, blocks, a, done)
         if not report.converged and done < config.max_epochs:
-            crossed, more = _active_set(blocks, box, a, min(done, config.max_epochs - done))
-            done += more
-            crossed_v, _, crossed_report = certificate(node, blocks, crossed, done)
-            if crossed_report.converged:
-                v, a, report = crossed_v, crossed, crossed_report
-            else:
-                report = replace(report, epochs=done, steps=done * a.size, newton_iterations=done)
-        if not report.converged and done < config.max_epochs:
-            if alpha[nodes].any() and _box_objectives(blocks, box, alpha[nodes])[2] > dual:
-                a = alpha[nodes]
-            rng = np.random.default_rng((config.shuffle_seed, nodes[0]))
-            v, a, report = _solve_dual(blocks, box, rng, config.max_epochs - done, config.tolerance, node, a)
-            report = replace(report, epochs=report.epochs + done, steps=report.steps + done * a.size,
-                             newton_iterations=done)
+            a, more = _active_set(blocks, box, a, config.max_epochs - done, _PROX_START, config.tolerance)
+            v, report = certificate(node, blocks, a, done + more)
         w[cliques], alpha[nodes], reports[k] = v / np.sqrt(eta[cliques]), a, report  # v = eta^(1/2) w
 
     interior = []
@@ -827,8 +753,8 @@ def _train(dataset: Dataset, graph: GraphSpec, config: TrainConfig, start: DualS
         done = 0
         if _route([len(g) for g in groups], n) == "active set":
             cliques, blocks = _blocks(graph, dataset, groups, eta)
-            a, done = _active_set(blocks, box, alpha[nodes], config.max_epochs)
-            if done == config.max_epochs or certificate(node, blocks, a, done)[2].converged:
+            a, done = _active_set(blocks, box, alpha[nodes], config.max_epochs, 0.0, config.tolerance)
+            if done == config.max_epochs or certificate(node, blocks, a, done)[1].converged:
                 certify(k, cliques, blocks, a, done)
                 continue
         interior.append((k, groups, done))

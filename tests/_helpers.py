@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -55,12 +56,19 @@ def coupled_graph(rng, topology, K, D, kind):
     return mg.GraphSpec(K, D, kind, base.order, tuple(cliques.values()))
 
 
-def coordinate_descent_only(mp):
-    """Make both Newton methods of training end after no iteration at zero
-    duals, which never certify, through a ``pytest.MonkeyPatch`` ``mp``: every
-    solve then runs coordinate descent alone, with all its epochs, from the
-    better of zero and its start."""
-    mp.setattr(training, "_active_set", lambda blocks, box, start, max_iterations: (np.zeros_like(start), 0))
+def interior_point_first(mp):
+    """Route every solve to the interior point, through a
+    ``pytest.MonkeyPatch`` ``mp``: no solve runs the active set of step 1,
+    and any that the interior point leaves uncertified take the crossover."""
+    mp.setattr(training, "_route", lambda widths, n: "interior point")
+
+
+def proximal_active_set_only(mp):
+    """Make every solve skip step 1 and its interior point end after no
+    iteration at zero duals, which never certify, through a
+    ``pytest.MonkeyPatch`` ``mp``: every solve then runs the crossover's
+    proximal active set alone, from zero, with all its epochs."""
+    interior_point_first(mp)
     mp.setattr(
         training,
         "_interior_point",
@@ -73,15 +81,15 @@ def coordinate_descent_only(mp):
 
 def record_newton_calls(mp):
     """A list that records, through a ``pytest.MonkeyPatch`` ``mp``, each
-    call of training's active set, as ("active set", warm, iterations, cap),
-    and of its interior point, as ("interior point", caps, iterations), in
-    the order training makes them."""
+    call of training's active set, as ("active set", warm, iterations, cap,
+    rho), and of its interior point, as ("interior point", caps,
+    iterations), in the order training makes them."""
     calls = []
     active_set, interior_point = training._active_set, training._interior_point
 
-    def recording_active_set(blocks, box, start, max_iterations):
-        alpha, iterations = active_set(blocks, box, start, max_iterations)
-        calls.append(("active set", bool(start.any()), iterations, max_iterations))
+    def recording_active_set(blocks, box, start, max_iterations, rho, tol):
+        alpha, iterations = active_set(blocks, box, start, max_iterations, rho, tol)
+        calls.append(("active set", bool(start.any()), iterations, max_iterations, rho))
         return alpha, iterations
 
     def recording_interior_point(blocks, width, box, max_iterations):
@@ -92,6 +100,63 @@ def record_newton_calls(mp):
     mp.setattr(training, "_active_set", recording_active_set)
     mp.setattr(training, "_interior_point", recording_interior_point)
     return calls
+
+
+def bound_pattern_optimum(Q, box):
+    """The optimum of the dual max 1^T a - 0.5 a^T Q a over 0 <= a <= box,
+    for at most 8 duals, by enumerating the 3^n bound patterns: each dual
+    at 0, free, or at the box.  For each set of free duals R whose block
+    Q_RR is nonsingular, one solve gives the free values of every 0/box
+    pattern of the rest; a pattern counts if its free values lie in the box
+    and its gradient Qa - 1 is 0 on R, at least 0 at 0 and at most 0 at the
+    box, up to roundoff.  An optimum always has such a pattern (at a vertex
+    of the optimal set the free rows are independent), so the best
+    objective over the patterns that count is the optimum."""
+    n = len(Q)
+    assert n <= 8
+    slack = 1e-9 * max(1.0, box) * max(1.0, float(np.abs(Q).max()))
+    best = -math.inf
+    for free in itertools.product([False, True], repeat=n):
+        free = np.array(free, dtype=bool)
+        R, P = np.flatnonzero(free), np.flatnonzero(~free)
+        if R.size and np.linalg.matrix_rank(Q[np.ix_(R, R)]) < R.size:
+            continue
+        # one column per 0/box pattern of the pinned duals
+        a = np.zeros((n, 2 ** P.size))
+        a[P] = np.array(list(itertools.product([0.0, box], repeat=P.size))).reshape(2**P.size, P.size).T
+        if R.size:
+            a[R] = np.linalg.solve(Q[np.ix_(R, R)], 1.0 - Q[np.ix_(R, P)] @ a[P])
+        g = Q @ a - 1.0
+        at_zero, at_box = (a[P] == 0.0), (a[P] == box)
+        ok = (
+            np.all((a[R] >= -slack) & (a[R] <= box + slack) & (np.abs(g[R]) <= slack), axis=0)
+            & np.all(~at_zero | (g[P] >= -slack), axis=0)
+            & np.all(~at_box | (g[P] <= slack), axis=0)
+        )
+        if ok.any():
+            dual = a.sum(axis=0) - 0.5 * np.einsum("ij,ij->j", a, Q @ a)
+            best = max(best, float(dual[ok].max()))
+    return best
+
+
+def enumerated_solve_duals(dataset, graph, config):
+    """Each solve's optimal dual objective by ``bound_pattern_optimum``, in
+    the order of ``solve_duals``: a directed node's over the cliques it owns,
+    or the joint solve's, with each feature of a multi-output undirected
+    clique scaled by (1 + eta0)^(-1/2)."""
+    F = training.clique_feature_matrix(graph, dataset)
+    box = 1.0 / (config.lam * dataset.n_instances)
+    if graph.kind == mg.DIRECTED:
+        return [bound_pattern_optimum(F[:, list(cols)] @ F[:, list(cols)].T, box) for cols in graph.contributing]
+    shared = np.array([len(c.outputs) >= 2 for c in graph.cliques], dtype=bool)
+    F = F / np.sqrt(np.where(shared, 1.0 + config.eta0, 1.0))
+    rows = []
+    for cols in graph.contributing:
+        A = np.zeros_like(F)
+        A[:, list(cols)] = F[:, list(cols)]
+        rows.append(A)
+    A = np.concatenate(rows)
+    return [bound_pattern_optimum(A @ A.T, box)]
 
 
 def solve_duals(result, dataset, config):

@@ -9,11 +9,10 @@ Seeds 1-3 each draw 1,000 trainings: a graph from ``_helpers.coupled_graph``
 K 1-6 labels, D 0-24 inputs and N 1-299 rows from ``random_dataset``, with
 the inputs scaled by 0.1 on half of them, lambda = 10^U(-4.5, 0) and
 eta0 0 or 1, at the default tolerance and epoch cap.  It prints one JSON
-object of four counts over every solve, in total and per model kind
-(directed node solves, undirected joint solves): all solves, those that
-fell back to coordinate descent (more epochs than Newton iterations), the
-fallbacks that certified, and the solves left uncertified.  Two trees that
-solve alike print the same counts.
+object of three counts over every solve, in total and per model kind
+(directed node solves, undirected joint solves): all solves, the solves
+left uncertified, and the largest number of Newton iterations a solve
+took.  Two trees that solve alike print the same counts.
 """
 
 from __future__ import annotations
@@ -54,19 +53,17 @@ def trainings(seed: int):
 
 def census() -> dict[str, dict[str, int]]:
     counts = {
-        group: dict.fromkeys(("solves", "fallbacks", "fallbacks_certified", "uncertified"), 0)
+        group: dict.fromkeys(("solves", "uncertified", "max_newton_iterations"), 0)
         for group in ("total", mg.DIRECTED, mg.UNDIRECTED)
     }
     for seed in SEEDS:
         for dataset, graph, config in trainings(seed):
             train = mg.train_lmsbn if graph.kind == mg.DIRECTED else mg.train_lmbm
             for r in train(dataset, graph, config).reports:
-                fallback = r.epochs > r.newton_iterations
-                for group in ("total", graph.kind):
-                    counts[group]["solves"] += 1
-                    counts[group]["fallbacks"] += fallback
-                    counts[group]["fallbacks_certified"] += fallback and r.converged
-                    counts[group]["uncertified"] += not r.converged
+                for group in (counts["total"], counts[graph.kind]):
+                    group["solves"] += 1
+                    group["uncertified"] += not r.converged
+                    group["max_newton_iterations"] = max(group["max_newton_iterations"], r.newton_iterations)
     return counts
 
 

@@ -49,7 +49,7 @@ def planted_problem():
     graph, planted = _strong_chain(15, 3, 42)
     train = mg.sample_sbn(SynthConfig(graph, planted, 800, seed=(42, 1)))
     test = mg.sample_sbn(SynthConfig(graph, planted, 2000, seed=(42, 2)))
-    fitted = mg.train_lmsbn(train, graph, TrainConfig(lam=0.003, shuffle_seed=42)).weights
+    fitted = mg.train_lmsbn(train, graph, TrainConfig(lam=0.003)).weights
     mean_loss = mg.mean_joint_loss(test, graph, fitted)
     return {"graph": graph, "weights": fitted, "test": test, "mean_loss": mean_loss}
 
@@ -247,7 +247,7 @@ def test_criterion_09_scene_coupled_model_beats_independent_baseline():
     started = time.perf_counter()
     train = parse_multilabel_svmlight(train_path, n_outputs=6, n_inputs=294)
     test = parse_multilabel_svmlight(test_path, n_outputs=6, n_inputs=294)
-    config = TrainConfig(lam=0.01, shuffle_seed=0)
+    config = TrainConfig(lam=0.01)
 
     strategy = mg.make_order_strategy("fscore", train, config)
     coupled = mg.build_full_graph(6, 294, mg.DIRECTED, order=strategy.order)

@@ -1,5 +1,6 @@
-"""The interior-point path of training: which solves take it, the crossover
-from its duals, and coordinate descent as its reference and last resort."""
+"""The interior-point path of training: which solves take it, the proximal
+active-set crossover from its duals, and that active set alone as its
+reference."""
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import margraph as mg
 from margraph import TrainConfig, training
 from margraph.training import duality_gap, dual_objective
 
-from _helpers import coordinate_descent_only, coupled_graph, random_dataset, record_newton_calls, solve_duals
+from _helpers import coupled_graph, proximal_active_set_only, random_dataset, record_newton_calls, solve_duals
 
 
 def _without_first_node(graph):
@@ -24,8 +25,9 @@ def _without_first_node(graph):
     return mg.GraphSpec(graph.n_outputs, graph.n_inputs, graph.kind, graph.order, kept)
 
 
-@settings(derandomize=True, deadline=None, max_examples=80)
-@given(
+# The cross-check's problems: chain or full graphs of either kind with
+# coupled cliques, optionally with a first node that has no clique
+_INTERIOR_POINT_PROBLEMS = dict(
     directed=st.booleans(),
     topology=st.sampled_from(["chain", "full"]),
     orphan=st.booleans(),
@@ -36,40 +38,68 @@ def _without_first_node(graph):
     eta0=st.sampled_from([0.0, 1.0]),
     seed=st.integers(0, 2**16),
 )
-# coordinate descent certifies this undirected full graph only with
-# shrinking: without it the gap is still 2e-3 after 100,000 epochs
-@example(directed=False, topology="full", orphan=False, K=4, D=2, N=20, lam=1e-3, eta0=0.0, seed=14561)
-def test_interior_point_and_coordinate_descent_certify_the_same_optimum(
-    directed, topology, orphan, K, D, N, lam, eta0, seed
-):
-    # each solver is the other's reference: both certify every solve, and
-    # each solve's dual objectives, both within the tolerance below the one
-    # optimum, agree within twice it
+
+
+def _interior_point_problem(directed, topology, orphan, K, D, N, lam, eta0, seed):
+    """(dataset, graph, train) of one draw of ``_INTERIOR_POINT_PROBLEMS``."""
     rng = np.random.default_rng(seed)
     kind = mg.DIRECTED if directed else mg.UNDIRECTED
     graph = coupled_graph(rng, topology, K, D, kind)
     if orphan:
         graph = _without_first_node(graph)
     dataset = random_dataset(rng, N, K, D)
-    config = TrainConfig(lam=lam, eta0=eta0, tolerance=1e-6, max_epochs=100_000, shuffle_seed=seed)
-    train = mg.train_lmsbn if directed else mg.train_lmbm
+    return dataset, graph, mg.train_lmsbn if directed else mg.train_lmbm
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(**_INTERIOR_POINT_PROBLEMS)
+# an undirected full graph of 80 duals that is hard for first-order
+# methods (dual coordinate descent took 14,170 to 43,144 epochs, with
+# shrinking, to certify it); the proximal active set takes 141 iterations
+@example(directed=False, topology="full", orphan=False, K=4, D=2, N=20, lam=1e-3, eta0=0.0, seed=14561)
+def test_interior_point_and_the_proximal_active_set_certify_the_same_optimum(
+    directed, topology, orphan, K, D, N, lam, eta0, seed
+):
+    # each solver is the other's reference: both certify every solve, and
+    # each solve's dual objectives, both within the tolerance below the one
+    # optimum, agree within twice it
+    dataset, graph, train = _interior_point_problem(directed, topology, orphan, K, D, N, lam, eta0, seed)
+    config = TrainConfig(lam=lam, eta0=eta0, tolerance=1e-6, max_epochs=100_000)
     interior = train(dataset, graph, config)
     with pytest.MonkeyPatch.context() as mp:
-        coordinate_descent_only(mp)
-        descent = train(dataset, graph, config)
-    assert interior.converged and descent.converged
+        proximal_active_set_only(mp)
+        proximal = train(dataset, graph, config)
+    assert interior.converged and proximal.converged
     assert all(r.newton_iterations >= 1 for r in interior.reports)
-    assert all(r.newton_iterations == 0 for r in descent.reports)
+    assert all(r.newton_iterations == r.epochs for r in interior.reports + proximal.reports)
     box = 1.0 / (lam * N)
-    for result in (interior, descent):
+    for result in (interior, proximal):
         alpha = result.state.alpha
         assert alpha.min() >= 0.0 and alpha.max() <= box
         assert abs(duality_gap(result.state, dataset, config) - result.gap) <= 1e-9 * max(1.0, box)
-    for a, b in zip(solve_duals(interior, dataset, config), solve_duals(descent, dataset, config)):
+    for a, b in zip(solve_duals(interior, dataset, config), solve_duals(proximal, dataset, config)):
         assert abs(a - b) <= 2 * config.tolerance
     if orphan and directed:
         # the first node's margins are 0 whatever the weights: every dual at the box
         assert np.all(interior.state.alpha[graph.order[0]] == box)
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(**_INTERIOR_POINT_PROBLEMS, cap=st.sampled_from([1, 3, 6]))
+def test_the_crossover_certifies_what_an_early_interior_point_leaves(
+    directed, topology, orphan, K, D, N, lam, eta0, seed, cap
+):
+    # the interior point stopped after 1, 3 or 6 iterations, far from its
+    # own stopping test: the crossover from its duals certifies every solve
+    dataset, graph, train = _interior_point_problem(directed, topology, orphan, K, D, N, lam, eta0, seed)
+    config = TrainConfig(lam=lam, eta0=eta0, tolerance=1e-6)
+    solve = training._interior_point
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(training, "_interior_point",
+                   lambda blocks, width, box, left: solve(blocks, width, box, np.minimum(left, cap)))
+        result = train(dataset, graph, config)
+    for r in result.reports:
+        assert r.converged and r.epochs == r.newton_iterations
 
 
 @pytest.mark.parametrize("widths, n, path", [
@@ -146,12 +176,11 @@ def test_a_fit_from_zero_steps_through_the_interior_point_alone(kind):
 
 
 @pytest.mark.parametrize("kind", [mg.DIRECTED, mg.UNDIRECTED])
-def test_duals_that_do_not_certify_fall_back_to_coordinate_descent(monkeypatch, kind):
+def test_duals_that_do_not_certify_take_the_proximal_crossover(monkeypatch, kind):
     # a snap of a quarter box moves duals far from the optimum, so the
-    # certificate fails; the crossover from the snapped duals, whose
-    # iterations count as Newton iterations, does not certify either, and
-    # coordinate descent continues from the snapped duals within the epochs
-    # left
+    # certificate fails; the proximal active set from the snapped duals,
+    # with the epochs left, certifies, and its iterations count as Newton
+    # iterations
     rng = np.random.default_rng(8)
     K, N = 3, 40
     graph = mg.build_chain_graph(K, 2, kind)
@@ -165,17 +194,17 @@ def test_duals_that_do_not_certify_fall_back_to_coordinate_descent(monkeypatch, 
     assert result.converged
     [(method, _, iterations), *crossovers] = calls
     assert method == "interior point" and iterations == [e.newton_iterations for e in exact.reports]
-    assert [(method, warm) for method, warm, _, _ in crossovers] == [("active set", True)] * len(exact.reports)
-    for r, e, (_, _, more, cap) in zip(result.reports, exact.reports, crossovers):
-        assert cap == e.newton_iterations
-        assert 1 <= r.newton_iterations == e.newton_iterations + more < r.epochs <= config.max_epochs
+    assert [call[:2] for call in crossovers] == [("active set", True)] * len(exact.reports)
+    for r, e, (_, _, more, cap, rho) in zip(result.reports, exact.reports, crossovers):
+        assert cap == config.max_epochs - e.newton_iterations and rho > 0.0
+        assert 1 <= more and r.newton_iterations == e.newton_iterations + more == r.epochs
         assert r.steps > e.steps
     assert abs(dual_objective(result.state, dataset, config) - dual_objective(exact.state, dataset, config)) <= (
         2 * config.tolerance * len(result.reports)
     )
 
 
-def test_a_factor_that_fails_falls_back_to_coordinate_descent(monkeypatch):
+def test_a_factor_that_fails_falls_back_to_the_crossover_from_the_box_centre(monkeypatch):
     def failing(blocks, D, width):
         return np.full((len(D), width, width), np.nan), np.ones(len(D), dtype=bool)
 
@@ -185,8 +214,9 @@ def test_a_factor_that_fails_falls_back_to_coordinate_descent(monkeypatch):
     dataset = random_dataset(rng, 40, 3, 2)
     config = TrainConfig(lam=0.05)
     result = mg.train_lmsbn(dataset, graph, config)
-    # the stack is left at the first factor, before any iteration
-    assert result.converged and all(r.newton_iterations == 0 and r.epochs >= 1 for r in result.reports)
+    # the stack is left at the first factor, before any iteration, at the
+    # centre of the box, and the crossover from there certifies
+    assert result.converged and all(r.newton_iterations == r.epochs >= 1 for r in result.reports)
 
 
 def test_the_epoch_cap_counts_interior_point_iterations():
@@ -221,10 +251,6 @@ def test_a_rising_dual_residual_ends_the_interior_point_at_a_large_box():
     config = TrainConfig(lam=1e-4, max_epochs=200)
     [report] = mg.train_lmsbn(dataset, graph, config).reports
     assert report.converged and 1 <= report.newton_iterations <= 20
-    with pytest.MonkeyPatch.context() as mp:
-        coordinate_descent_only(mp)
-        [descent] = mg.train_lmsbn(dataset, graph, config).reports
-    assert not descent.converged  # coordinate descent alone is far from done at the cap
 
 
 def test_cold_directed_solves_run_in_equal_stacks_of_bounded_duals(monkeypatch):
@@ -252,7 +278,7 @@ def test_cold_directed_solves_run_in_equal_stacks_of_bounded_duals(monkeypatch):
         assert abs(a - b) <= 2 * config.tolerance
 
 
-def _census_generator(state, inc, uinteger):
+def _census_generator(state, inc, uinteger, has_uint32=1):
     """The PCG64 generator of ``tests/solve_census.py`` at the state it
     reaches within one training's draw: after the family and the sizes,
     before the graph."""
@@ -260,7 +286,7 @@ def _census_generator(state, inc, uinteger):
     rng.bit_generator.state = {
         "bit_generator": "PCG64",
         "state": {"state": state, "inc": inc},
-        "has_uint32": 1,
+        "has_uint32": has_uint32,
         "uinteger": uinteger,
     }
     return rng
@@ -269,8 +295,7 @@ def _census_generator(state, inc, uinteger):
 def test_a_small_lambda_joint_solve_certifies_by_newton_alone():
     # the census's seed 1, draw 776: an undirected full graph of 6 labels
     # over 18 inputs (x 0.1) and 17 rows at lambda 1.41e-4, eta0 1, whose
-    # interior-point duals do not certify; coordinate descent from them
-    # stopped at the cap, uncertified, where the crossover certifies them
+    # interior-point duals do not certify; the crossover certifies them
     rng = _census_generator(
         122049099215725591330415584781661390509, 194290289479364712180083596243593368443, 4119403291
     )
@@ -279,8 +304,8 @@ def test_a_small_lambda_joint_solve_certifies_by_newton_alone():
     dataset = mg.Dataset(0.1 * dataset.X, dataset.Y)
     config = TrainConfig(lam=0.00014101100613509002, eta0=1.0)
     [report] = mg.train_lmbm(dataset, graph, config).reports
-    # as the census reads it: 8 interior-point iterations and 1 crossover one
-    assert report.converged and report.newton_iterations == report.epochs == 9
+    # as the census reads it: 8 interior-point iterations and 3 crossover ones
+    assert report.converged and report.newton_iterations == report.epochs == 11
 
 
 def test_a_small_lambda_node_solve_certifies_by_newton_alone():
@@ -299,3 +324,22 @@ def test_a_small_lambda_node_solve_certifies_by_newton_alone():
     # as the census reads them
     assert all(r.converged and r.newton_iterations == r.epochs for r in reports)
     assert [r.epochs for r in reports] == [7, 7, 15, 6, 14]
+
+
+def test_a_small_lambda_node_solve_with_more_free_duals_than_weights_certifies():
+    # the census's seed 2, draw 731: a directed full graph of 5 labels over
+    # 23 inputs and 137 rows at lambda 1.11e-4 (box 65.7).  Node 1's
+    # interior-point duals do not certify, and from them the plain active
+    # set would free 33 duals against 29 weights; coordinate descent left it
+    # at gap 0.011 after 1000 epochs, where the proximal crossover certifies
+    rng = _census_generator(
+        92936366115223429697573962465004232563, 121863417007658695389390353187995180015, 1957556379, has_uint32=0
+    )
+    graph = coupled_graph(rng, "full", 5, 23, mg.DIRECTED)
+    dataset = random_dataset(rng, 137, 5, 23)
+    config = TrainConfig(lam=0.00011103582541252099, eta0=1.0)
+    reports = mg.train_lmsbn(dataset, graph, config).reports
+    assert len(graph.contributing[1]) == 29
+    # as the census reads them
+    assert all(r.converged and r.newton_iterations == r.epochs for r in reports)
+    assert [r.epochs for r in reports] == [14, 18, 13, 12, 14]
