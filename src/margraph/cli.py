@@ -105,6 +105,11 @@ def _fail(msg: str) -> int:
     return 2
 
 
+# one solve's report line, a probe's or the model's: who, then the SolveReport r
+_REPORT = ("{}: epochs={r.epochs} gap={r.gap:.3e} rel_gap={r.rel_gap:.3e} "
+           "max_pg={r.max_projected_gradient:.3e} converged={r.converged}")
+
+
 def _cmd_train(args) -> int:
     dataset = parse_multilabel_svmlight(args.data)
     scale = (dataset.X.min(axis=0), dataset.X.max(axis=0)) if args.scale else None
@@ -120,28 +125,19 @@ def _cmd_train(args) -> int:
     strategy = make_order_strategy(args.order, dataset, config)
     probe = strategy.probe
     for r in probe.reports if probe else ():
-        print(
-            f"probe node {r.node}: epochs={r.epochs} newton_iters={r.newton_iterations} steps={r.steps} "
-            f"gap={r.gap:.3e} converged={r.converged}"
-        )
+        print(_REPORT.format(f"probe node {r.node}", r=r))
     kind = DIRECTED if args.model == "lmsbn" else UNDIRECTED
     graph = GRAPH_BUILDERS[args.graph](dataset.n_outputs, dataset.n_inputs, kind, order=strategy.order)
     trainer = train_lmsbn if kind == DIRECTED else train_lmbm
     # the probe's duals are feasible for every full problem over the same data: start there
     result = trainer(dataset, graph, config, start=probe.state if probe else None)
     for r in result.reports:
-        who = "joint" if r.node is None else f"node {r.node}"
-        print(
-            f"{who}: epochs={r.epochs} newton_iters={r.newton_iterations} steps={r.steps} gap={r.gap:.3e} "
-            f"rel_gap={r.rel_gap:.3e} max_pg={r.max_projected_gradient:.3e} converged={r.converged}"
-        )
-    capped = [r for r in result.reports if not r.converged]
-    if capped:
-        print(
-            f"margraph: warning: {len(capped)} of {len(result.reports)} solves hit the epoch cap "
-            f"(largest gap {max(r.gap for r in capped):.3e}); raise --epochs to run longer",
-            file=sys.stderr,
-        )
+        print(_REPORT.format("joint" if r.node is None else f"node {r.node}", r=r))
+    uncertified = [r for r in result.reports if not r.converged]
+    if uncertified:
+        advice = "; raise --epochs to run longer" if any(r.epochs == config.max_epochs for r in uncertified) else ""
+        print(f"margraph: warning: {len(uncertified)} of {len(result.reports)} solves did not certify "
+              f"(largest gap {max(r.gap for r in uncertified):.3e}){advice}", file=sys.stderr)
     model = ModelFile(
         graph=graph,
         weights=result.weights,

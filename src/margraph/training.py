@@ -25,7 +25,8 @@ the duality gap and the largest projected gradient at the weights its duals
 imply (``_box_objectives``), both at most the tolerance.
 
 Every solve takes one order of methods, each only while the solve has not
-certified and epochs are left (``_train``):
+certified and epochs are left (``_train``; each Newton iteration is an
+epoch):
 
 1. A solve of one constraint group with no more rows N than columns
    (``_route``) runs the primal-dual active-set method (``_active_set``)
@@ -44,9 +45,6 @@ certified and epochs are left (``_train``):
    subproblems (Rockafellar, SIAM J. Control Optim. 1976), whose free
    systems are positive definite however many duals are free, and the
    solve records the duals it ends on.
-
-Every Newton iteration counts as an epoch and as a visit to every dual of
-the solve.
 
 A solve starts from zero duals, or from given ones (``start=``, a
 ``DualState``), which the active set of step 1 uses and the interior point
@@ -110,10 +108,8 @@ class SolveReport:
     """Convergence record for one dual solve (one node, or None for joint).
 
     ``epochs`` counts Newton iterations (active-set, interior-point and
-    crossover), and ``newton_iterations`` is the same count (0 when every
-    Newton method broke down before its first iteration).  ``steps`` is
-    the iterations times the solve's dual variables, an iteration being a
-    visit to each; ``rel_gap`` is the gap divided by the box-scaled primal.
+    crossover; 0 when every Newton method broke down before its first
+    iteration); ``rel_gap`` is the gap divided by the box-scaled primal.
     """
 
     node: int | None
@@ -121,9 +117,7 @@ class SolveReport:
     gap: float
     max_projected_gradient: float
     converged: bool
-    steps: int
     rel_gap: float
-    newton_iterations: int = 0
 
 
 @dataclass(frozen=True)
@@ -200,11 +194,21 @@ def _regularizer_multipliers(graph: GraphSpec, eta0: float) -> np.ndarray:
     return eta
 
 
-def _blocks(graph: GraphSpec, dataset: Dataset, groups, eta: np.ndarray):
+# Over a solve's m = G * N constraint rows f_l, of squared mass S = sum |f_l|^2,
+# duals in [0, box] give |v| <= box * sum |f_l| <= box * sqrt(m S), margins
+# |f_l . v| <= box * sqrt(m) * S and Gram entries at most S.  So at reach =
+# box * m * max(1, S) <= _FEATURE_REACH, |v|^2 <= reach^2, sum(alpha) and each
+# margin <= reach, and box * hinge <= reach * (1 + reach): every term of the
+# certificate (``_box_objectives``) stays below ~1e300 < 2^1023.
+_FEATURE_REACH = 1e150
+
+
+def _blocks(graph: GraphSpec, dataset: Dataset, groups, eta: np.ndarray, box: float):
     """The cliques that constraint groups touch, sorted, which index the
     solve's weights; and per group, its columns among them with the features
     of its cliques times eta^(-1/2), one eta per clique of the graph (a group
-    whose eta is all 1 keeps them as built, as x * 1.0 == x)."""
+    whose eta is all 1 keeps them as built, as x * 1.0 == x).  A DataError
+    if duals in [0, box] could overflow the certificate (``_FEATURE_REACH``)."""
     cliques = sorted({j for g in groups for j in g})
     local = {j: k for k, j in enumerate(cliques)}
     blocks = []
@@ -213,6 +217,12 @@ def _blocks(graph: GraphSpec, dataset: Dataset, groups, eta: np.ndarray):
         if np.any(scale != 1.0):
             F *= 1.0 / np.sqrt(scale)
         blocks.append((np.array([local[j] for j in g], dtype=np.intp), F))
+    with np.errstate(over="ignore"):  # an overflow reads inf, which the rule refuses
+        mass = sum(float(np.einsum("ij,ij->", F, F)) for _, F in blocks)
+        reach = box * len(groups) * dataset.n_instances * max(1.0, mass)
+    if not reach <= _FEATURE_REACH:
+        raise DataError(f"the features make training overflow: box * rows * max(1, sum of squared features) "
+                        f"is {reach:.3e}, above {_FEATURE_REACH:.0e} (rescale the inputs)")
     return cliques, blocks
 
 
@@ -702,10 +712,7 @@ def _train(dataset: Dataset, graph: GraphSpec, config: TrainConfig, start: DualS
     joint solve over every node of an undirected graph.
 
     Every solve starts from the duals of its nodes in ``start.alpha`` (K,
-    N), or from zero without a start.  Any duals in the box [0, 1/(lam*N)]
-    are feasible for every problem over the same (node, instance)
-    constraints, such as those of a directed probe over the same data at the
-    same lambda, whatever cliques each node owns.
+    N), feasible as the module docstring says, or from zero without a start.
 
     Every solve takes one order, each step only while it has not certified
     and epochs are left:
@@ -716,7 +723,8 @@ def _train(dataset: Dataset, graph: GraphSpec, config: TrainConfig, start: DualS
     3. the proximal active set from the interior point's duals, a
        crossover, with the epochs left.
 
-    The solve records the duals of its last step, certified or not.
+    The solve records the duals of its last step, certified or not, with
+    the certificate that decided it: each step's duals are certified once.
     """
     eta = _regularizer_multipliers(graph, config.eta0)
     n = dataset.n_instances
@@ -727,35 +735,25 @@ def _train(dataset: Dataset, graph: GraphSpec, config: TrainConfig, start: DualS
     alpha = _start_alpha(start, (K, n), box)
     reports = [None] * len(solves)
 
-    def certificate(node, blocks, a, done):
-        """The weights ``a`` implies and the report of a solve that reached
-        it in ``done`` Newton iterations."""
+    def certify(k, cliques, blocks, a, done):
+        """Record solve k at the duals ``a`` that ``done`` Newton iterations
+        reached, with their certificate, and return whether it certified; a
+        later record of the solve replaces this one."""
         v, primal, dual, max_pg = _box_objectives(blocks, box, a)
         gap = primal - dual
         certified = gap <= config.tolerance and max_pg <= config.tolerance
-        return v, SolveReport(node, done, gap, max_pg, certified, done * a.size, gap / primal, done)
-
-    def certify(k, cliques, blocks, a, done):
-        """Record solve k at the duals ``a`` that ``done`` Newton iterations
-        reached if they certify or spent the epochs.  Otherwise run the
-        crossover from them (step 3), with the epochs left, and record the
-        duals it ends on: certified, or else its last accepted ones."""
-        node, nodes = solves[k]
-        v, report = certificate(node, blocks, a, done)
-        if not report.converged and done < config.max_epochs:
-            a, more = _active_set(blocks, box, a, config.max_epochs - done, _PROX_START, config.tolerance)
-            v, report = certificate(node, blocks, a, done + more)
-        w[cliques], alpha[nodes], reports[k] = v / np.sqrt(eta[cliques]), a, report  # v = eta^(1/2) w
+        w[cliques], alpha[solves[k][1]] = v / np.sqrt(eta[cliques]), a  # v = eta^(1/2) w
+        reports[k] = SolveReport(solves[k][0], done, gap, max_pg, certified, gap / primal)
+        return certified
 
     interior = []
     for k, (node, nodes) in enumerate(solves):
         groups = [graph.contributing[i] for i in nodes]
         done = 0
         if _route([len(g) for g in groups], n) == "active set":
-            cliques, blocks = _blocks(graph, dataset, groups, eta)
+            cliques, blocks = _blocks(graph, dataset, groups, eta, box)
             a, done = _active_set(blocks, box, alpha[nodes], config.max_epochs, 0.0, config.tolerance)
-            if done == config.max_epochs or certificate(node, blocks, a, done)[1].converged:
-                certify(k, cliques, blocks, a, done)
+            if certify(k, cliques, blocks, a, done) or done == config.max_epochs:
                 continue
         interior.append((k, groups, done))
     # the interior-point solves in equal stacks of at most _IP_STACK duals, or one solve
@@ -763,11 +761,15 @@ def _train(dataset: Dataset, graph: GraphSpec, config: TrainConfig, start: DualS
     stacks = math.ceil(len(interior) / per_stack)
     for j in range(stacks):
         stack = interior[j * len(interior) // stacks : (j + 1) * len(interior) // stacks]
-        problems = [_blocks(graph, dataset, groups, eta) for _, groups, _ in stack]
+        problems = [_blocks(graph, dataset, groups, eta, box) for _, groups, _ in stack]
         left = np.array([config.max_epochs - done for _, _, done in stack])
         ip_alpha, ip_iterations = _interior_point(*_stacked(problems, n), box, left)
         for (k, _, done), (cliques, blocks), a, more in zip(stack, problems, ip_alpha, ip_iterations.tolist()):
-            certify(k, cliques, blocks, a, done + more)
+            done += more
+            if not certify(k, cliques, blocks, a, done) and done < config.max_epochs:
+                # step 3, whose duals stand certified or not
+                a, more = _active_set(blocks, box, a, config.max_epochs - done, _PROX_START, config.tolerance)
+                certify(k, cliques, blocks, a, done + more)
     weights = WeightVector(values=w, lam=config.lam, eta0=config.eta0)
     return TrainResult(weights=weights, state=DualState(graph, alpha, weights), reports=tuple(reports))
 
@@ -802,8 +804,9 @@ def _state_objectives(state: DualState, dataset: Dataset, config: TrainConfig | 
     """The solver's box primal and dual at the state's alpha."""
     scale = config if config is not None else state.weights
     graph = state.graph
-    _, blocks = _blocks(graph, dataset, graph.contributing, _regularizer_multipliers(graph, scale.eta0))
-    return _box_objectives(blocks, _box_bound(scale.lam, dataset.n_instances), state.alpha)[1:3]
+    box = _box_bound(scale.lam, dataset.n_instances)
+    _, blocks = _blocks(graph, dataset, graph.contributing, _regularizer_multipliers(graph, scale.eta0), box)
+    return _box_objectives(blocks, box, state.alpha)[1:3]
 
 
 def box_primal_objective(

@@ -11,7 +11,7 @@ the inputs scaled by 0.1 on half of them, lambda = 10^U(-4.5, 0) and
 eta0 0 or 1, at the default tolerance and epoch cap.  It prints one JSON
 object of three counts over every solve, in total and per model kind
 (directed node solves, undirected joint solves): all solves, the solves
-left uncertified, and the largest number of Newton iterations a solve
+left uncertified, and the largest ``epochs`` (Newton iterations) a solve
 took.  Two trees that solve alike print the same counts.
 """
 
@@ -53,7 +53,7 @@ def trainings(seed: int):
 
 def census() -> dict[str, dict[str, int]]:
     counts = {
-        group: dict.fromkeys(("solves", "uncertified", "max_newton_iterations"), 0)
+        group: dict.fromkeys(("solves", "uncertified", "max_epochs"), 0)
         for group in ("total", mg.DIRECTED, mg.UNDIRECTED)
     }
     for seed in SEEDS:
@@ -63,7 +63,7 @@ def census() -> dict[str, dict[str, int]]:
                 for group in (counts["total"], counts[graph.kind]):
                     group["solves"] += 1
                     group["uncertified"] += not r.converged
-                    group["max_newton_iterations"] = max(group["max_newton_iterations"], r.newton_iterations)
+                    group["max_epochs"] = max(group["max_epochs"], r.epochs)
     return counts
 
 

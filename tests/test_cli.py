@@ -13,8 +13,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from margraph.cli import build_parser, main
-from margraph import planted_model
+from margraph import planted_model, training
 from margraph.dataio import ModelFile, load_model, read_predictions, save_model
+
+
+# every solve's report line, a probe's or the model's
+REPORT = re.compile(
+    r"(?P<who>probe node \d+|node \d+|joint): epochs=(?P<epochs>\d+) gap=(?P<gap>\S+) rel_gap=(?P<rel_gap>\S+) "
+    r"max_pg=(?P<max_pg>\S+) converged=(?P<converged>True|False)"
+)
+
+
+def _overflow_file(path, E):
+    """The 4-row, 2-input, 2-label file whose first input is E and -E on its
+    first two rows."""
+    path.write_text(f"1 1:{E} 2:1\n2 1:-{E} 2:2\n1,2 1:3 2:-1\n 1:1 2:5\n")
+    return path
 
 
 @pytest.fixture(scope="module")
@@ -48,20 +62,16 @@ def test_training_reports_and_order_are_printed(workdir, capsys):
     assert "order: 0 1 2 3" in out
 
 
-def test_report_lines_carry_steps_and_relative_gap(workdir, capsys):
+def test_report_lines_carry_epochs_and_relative_gap(workdir, capsys):
     assert main([
         "train", "--model", "lmsbn", "--graph", "chain",
         "--data", str(workdir / "data.sv"), "--out", str(workdir / "fields.model"),
     ]) == 0
     captured = capsys.readouterr()
-    reports = [line for line in captured.out.splitlines() if line.startswith("node ")]
+    reports = [REPORT.fullmatch(line) for line in captured.out.splitlines() if line.startswith("node ")]
     assert len(reports) == 4
-    for line in reports:
-        fields = dict(kv.split("=") for kv in line.split(": ", 1)[1].split())
-        assert int(fields["steps"]) >= int(fields["epochs"]) >= 1
-        # cold narrow node solves start by interior point; an iteration is an epoch
-        assert 1 <= int(fields["newton_iters"]) <= int(fields["epochs"])
-        assert float(fields["rel_gap"]) >= 0.0
+    for match in reports:
+        assert match and int(match["epochs"]) >= 1 and float(match["rel_gap"]) >= 0.0
     assert "warning" not in captured.err
 
 
@@ -75,7 +85,7 @@ def test_epoch_cap_warns_on_stderr_and_still_succeeds(workdir, capsys):
     lines = captured.err.splitlines()
     assert len(lines) == 1
     match = re.fullmatch(
-        r"margraph: warning: 4 of 4 solves hit the epoch cap \(largest gap (\S+)\); "
+        r"margraph: warning: 4 of 4 solves did not certify \(largest gap (\S+)\); "
         r"raise --epochs to run longer",
         lines[0],
     )
@@ -83,6 +93,26 @@ def test_epoch_cap_warns_on_stderr_and_still_succeeds(workdir, capsys):
     largest = float(match.group(1))
     assert largest > 1e-12
     assert load_model(workdir / "capped.model").epochs == 1
+
+
+def test_solves_that_stop_uncertified_before_the_cap_warn_without_naming_epochs(workdir, capsys, monkeypatch):
+    # the interior point stops after one iteration and the crossover makes
+    # none: every solve ends uncertified at 1 of 1000 epochs, so more epochs
+    # are not the remedy the warning names
+    solve = training._interior_point
+    monkeypatch.setattr(training, "_interior_point",
+                        lambda blocks, width, box, left: solve(blocks, width, box, np.minimum(left, 1)))
+    monkeypatch.setattr(training, "_active_set", lambda blocks, box, start, cap, rho, tol: (start, 0))
+    assert main([
+        "train", "--model", "lmsbn", "--graph", "chain",
+        "--data", str(workdir / "data.sv"), "--out", str(workdir / "stopped.model"),
+    ]) == 0
+    captured = capsys.readouterr()
+    reports = [REPORT.fullmatch(line) for line in captured.out.splitlines() if line.startswith("node ")]
+    assert [(m["epochs"], m["converged"]) for m in reports] == [("1", "False")] * 4
+    [line] = captured.err.splitlines()
+    match = re.fullmatch(r"margraph: warning: 4 of 4 solves did not certify \(largest gap (\S+)\)", line)
+    assert match and float(match.group(1)) == max(float(m["gap"]) for m in reports)
 
 
 def test_fscore_training_reports_the_probe_and_starts_from_its_duals(workdir, capsys):
@@ -96,24 +126,17 @@ def test_fscore_training_reports_the_probe_and_starts_from_its_duals(workdir, ca
     assert printed[0] == printed[1]
     lines = printed[0]
     order_at = next(k for k, line in enumerate(lines) if line.startswith("order: "))
-    probes = [line for line in lines[:order_at] if line.startswith("probe ")]
-    assert len(probes) == 4
-    for i, line in enumerate(probes):
-        # the probe's solves start cold: interior point alone, certified
-        match = re.fullmatch(rf"probe node {i}: epochs=(\d+) newton_iters=(\d+) steps=\d+ gap=\S+ converged=True", line)
-        assert match and match.group(1) == match.group(2)
-    # the model's solves start from the probe's duals, but narrow solves
-    # take the interior point, which starts at the centre of the box: each
-    # certifies by it alone, and the first node in order, which owns only
-    # its unary cliques, solves its probe problem again in as many iterations
-    reports = [line for line in lines[:order_at] if line.startswith("node ")]
-    assert len(reports) == 4
-    for i, line in enumerate(reports):
-        match = re.fullmatch(rf"node {i}: epochs=(\d+) newton_iters=(\d+) steps=\d+ gap=\S+ rel_gap=\S+ max_pg=\S+ "
-                             "converged=True", line)
-        assert match and match.group(1) == match.group(2)
+    # the probe's solves start cold and certify, and so do the model's,
+    # which start from the probe's duals; probe and model lines share one
+    # format.  The first node in order, which owns only its unary cliques,
+    # solves its probe problem again, from the centre of the box, in as many
+    # iterations
+    reports = [REPORT.fullmatch(line) for line in lines[:order_at]]
+    assert [m["who"] for m in reports] == [f"probe node {i}" for i in range(4)] + [f"node {i}" for i in range(4)]
+    assert all(m["converged"] == "True" for m in reports)
+    probes, model = reports[:4], reports[4:]
     first = int(lines[order_at].split()[1])
-    assert reports[first].split()[2] == probes[first].split()[3]
+    assert model[first]["epochs"] == probes[first]["epochs"]
 
 
 def test_a_probe_solve_at_the_epoch_cap_is_reported(workdir, capsys):
@@ -122,11 +145,38 @@ def test_a_probe_solve_at_the_epoch_cap_is_reported(workdir, capsys):
         "--tol", "1e-12", "--data", str(workdir / "data.sv"), "--out", str(workdir / "capped-probe.model"),
     ]) == 0
     captured = capsys.readouterr()
-    probes = [line for line in captured.out.splitlines() if line.startswith("probe node ")]
+    probes = [REPORT.fullmatch(line) for line in captured.out.splitlines() if line.startswith("probe node ")]
     assert len(probes) == 4
-    assert all(" epochs=1 " in line and line.endswith(" converged=False") for line in probes)
+    assert all(m["epochs"] == "1" and m["converged"] == "False" for m in probes)
     # the warning counts the model's solves, as before
-    assert captured.err.startswith("margraph: warning: 4 of 4 solves hit the epoch cap")
+    assert captured.err.startswith("margraph: warning: 4 of 4 solves did not certify")
+
+
+def test_training_refuses_features_that_overflow_with_one_line(tmp_path):
+    # inputs of 1e200 square to inf: the certificate cannot be finite, so
+    # training refuses them before any solve, without a NumPy warning
+    data = _overflow_file(tmp_path / "huge.sv", "1e200")
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "margraph", "train", "--model", "lmsbn", "--graph", "chain",
+         "--data", str(data), "--out", str(tmp_path / "huge.model")],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("margraph: error: the features make training overflow")
+    assert not (tmp_path / "huge.model").exists()
+
+
+def test_large_but_safe_features_still_train_and_certify(tmp_path):
+    data = _overflow_file(tmp_path / "large.sv", "1e6")
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "margraph", "train", "--model", "lmsbn", "--graph", "chain",
+         "--data", str(data), "--out", str(tmp_path / "large.model")],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+    reports = [REPORT.fullmatch(line) for line in proc.stdout.splitlines() if line.startswith("node ")]
+    assert [m["converged"] for m in reports] == ["True", "True"]
 
 
 def test_predictions_file_is_well_formed(workdir):

@@ -70,8 +70,7 @@ def test_interior_point_and_the_proximal_active_set_certify_the_same_optimum(
         proximal_active_set_only(mp)
         proximal = train(dataset, graph, config)
     assert interior.converged and proximal.converged
-    assert all(r.newton_iterations >= 1 for r in interior.reports)
-    assert all(r.newton_iterations == r.epochs for r in interior.reports + proximal.reports)
+    assert all(r.epochs >= 1 for r in interior.reports)
     box = 1.0 / (lam * N)
     for result in (interior, proximal):
         alpha = result.state.alpha
@@ -99,7 +98,7 @@ def test_the_crossover_certifies_what_an_early_interior_point_leaves(
                    lambda blocks, width, box, left: solve(blocks, width, box, np.minimum(left, cap)))
         result = train(dataset, graph, config)
     for r in result.reports:
-        assert r.converged and r.epochs == r.newton_iterations
+        assert r.converged
 
 
 @pytest.mark.parametrize("widths, n, path", [
@@ -134,7 +133,7 @@ def test_every_node_of_a_directed_model_takes_the_interior_point_from_any_start(
     cold = mg.train_lmsbn(dataset, graph, config)
     assert warm.reports == cold.reports
     for r in warm.reports:
-        assert r.converged and r.newton_iterations == r.epochs >= 1 and r.steps == 30 * r.epochs
+        assert r.converged and r.epochs >= 1
 
 
 def test_a_wide_node_with_more_rows_than_columns_takes_the_interior_point_cold_and_warm():
@@ -150,24 +149,21 @@ def test_a_wide_node_with_more_rows_than_columns_takes_the_interior_point_cold_a
     for result in (mg.train_lmsbn(dataset, graph, config), mg.train_lmsbn(dataset, graph, config, start=start)):
         for r, cols in zip(result.reports, graph.contributing):
             assert training._route([len(cols)], 60) == "interior point"
-            assert r.converged and 1 <= r.newton_iterations == r.epochs
+            assert r.converged and 1 <= r.epochs
 
 
 @pytest.mark.parametrize("kind", [mg.DIRECTED, mg.UNDIRECTED])
 def test_a_fit_from_zero_steps_through_the_interior_point_alone(kind):
-    # every cold solve certifies from its snapped duals: an iteration is an
-    # epoch and a visit to each of the solve's duals, and no dual lies
-    # within the snap distance of a bound without being on it
+    # every cold solve certifies from its snapped duals within 40 epochs,
+    # and no dual lies within the snap distance of a bound without being on it
     rng = np.random.default_rng(6)
     K, N = 4, 60
     graph = mg.build_full_graph(K, 2, kind)
     dataset = random_dataset(rng, N, K, 2)
     config = TrainConfig(lam=0.02, eta0=0.5)
     result = (mg.train_lmsbn if kind == mg.DIRECTED else mg.train_lmbm)(dataset, graph, config)
-    duals = N if kind == mg.DIRECTED else K * N
     for r in result.reports:
-        assert r.converged and 1 <= r.newton_iterations == r.epochs <= 40
-        assert r.steps == r.epochs * duals
+        assert r.converged and 1 <= r.epochs <= 40
     box = 1.0 / (config.lam * N)
     alpha = result.state.alpha
     near = ((alpha > 0.0) & (alpha <= training._SNAP * box)) | ((alpha < box) & (alpha >= box - training._SNAP * box))
@@ -193,12 +189,11 @@ def test_duals_that_do_not_certify_take_the_proximal_crossover(monkeypatch, kind
     result = train(dataset, graph, config)
     assert result.converged
     [(method, _, iterations), *crossovers] = calls
-    assert method == "interior point" and iterations == [e.newton_iterations for e in exact.reports]
+    assert method == "interior point" and iterations == [e.epochs for e in exact.reports]
     assert [call[:2] for call in crossovers] == [("active set", True)] * len(exact.reports)
     for r, e, (_, _, more, cap, rho) in zip(result.reports, exact.reports, crossovers):
-        assert cap == config.max_epochs - e.newton_iterations and rho > 0.0
-        assert 1 <= more and r.newton_iterations == e.newton_iterations + more == r.epochs
-        assert r.steps > e.steps
+        assert cap == config.max_epochs - e.epochs and rho > 0.0
+        assert 1 <= more and r.epochs == e.epochs + more
     assert abs(dual_objective(result.state, dataset, config) - dual_objective(exact.state, dataset, config)) <= (
         2 * config.tolerance * len(result.reports)
     )
@@ -216,7 +211,7 @@ def test_a_factor_that_fails_falls_back_to_the_crossover_from_the_box_centre(mon
     result = mg.train_lmsbn(dataset, graph, config)
     # the stack is left at the first factor, before any iteration, at the
     # centre of the box, and the crossover from there certifies
-    assert result.converged and all(r.newton_iterations == r.epochs >= 1 for r in result.reports)
+    assert result.converged and all(r.epochs >= 1 for r in result.reports)
 
 
 def test_the_epoch_cap_counts_interior_point_iterations():
@@ -226,7 +221,7 @@ def test_the_epoch_cap_counts_interior_point_iterations():
     graph = mg.build_full_graph(3, 2, mg.UNDIRECTED)
     dataset = random_dataset(rng, 50, 3, 2)
     [report] = mg.train_lmbm(dataset, graph, TrainConfig(lam=0.05, max_epochs=3)).reports
-    assert (report.epochs, report.newton_iterations, report.steps, report.converged) == (3, 3, 3 * 150, False)
+    assert (report.epochs, report.converged) == (3, False)
 
 
 @pytest.mark.parametrize("d", [1, 5, training._TRIANGLE_BLOCK, 2 * training._TRIANGLE_BLOCK + 3])
@@ -250,7 +245,7 @@ def test_a_rising_dual_residual_ends_the_interior_point_at_a_large_box():
     dataset = random_dataset(np.random.default_rng(20), 27, 1, 2)
     config = TrainConfig(lam=1e-4, max_epochs=200)
     [report] = mg.train_lmsbn(dataset, graph, config).reports
-    assert report.converged and 1 <= report.newton_iterations <= 20
+    assert report.converged and 1 <= report.epochs <= 20
 
 
 def test_cold_directed_solves_run_in_equal_stacks_of_bounded_duals(monkeypatch):
@@ -273,7 +268,6 @@ def test_cold_directed_solves_run_in_equal_stacks_of_bounded_duals(monkeypatch):
     stacked = mg.train_lmsbn(dataset, graph, config)
     assert sizes == [2, 3, 2, 3]
     assert stacked.converged and one_stack.converged
-    assert all(r.newton_iterations == r.epochs for r in stacked.reports)
     for a, b in zip(solve_duals(stacked, dataset, config), solve_duals(one_stack, dataset, config)):
         assert abs(a - b) <= 2 * config.tolerance
 
@@ -305,7 +299,7 @@ def test_a_small_lambda_joint_solve_certifies_by_newton_alone():
     config = TrainConfig(lam=0.00014101100613509002, eta0=1.0)
     [report] = mg.train_lmbm(dataset, graph, config).reports
     # as the census reads it: 8 interior-point iterations and 3 crossover ones
-    assert report.converged and report.newton_iterations == report.epochs == 11
+    assert report.converged and report.epochs == 11
 
 
 def test_a_small_lambda_node_solve_certifies_by_newton_alone():
@@ -322,7 +316,7 @@ def test_a_small_lambda_node_solve_certifies_by_newton_alone():
     config = TrainConfig(lam=0.0015525493868549052)
     reports = mg.train_lmsbn(dataset, graph, config).reports
     # as the census reads them
-    assert all(r.converged and r.newton_iterations == r.epochs for r in reports)
+    assert all(r.converged for r in reports)
     assert [r.epochs for r in reports] == [7, 7, 15, 6, 14]
 
 
@@ -341,5 +335,5 @@ def test_a_small_lambda_node_solve_with_more_free_duals_than_weights_certifies()
     reports = mg.train_lmsbn(dataset, graph, config).reports
     assert len(graph.contributing[1]) == 29
     # as the census reads them
-    assert all(r.converged and r.newton_iterations == r.epochs for r in reports)
+    assert all(r.converged for r in reports)
     assert [r.epochs for r in reports] == [14, 18, 13, 12, 14]

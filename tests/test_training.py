@@ -18,7 +18,7 @@ from margraph.training import (
     primal_objective,
 )
 
-from _helpers import coupled_graph, random_dataset, random_labels
+from _helpers import coupled_graph, random_dataset, random_labels, record_newton_calls
 
 
 def all_alpha_max_projected_gradient(graph, dataset, state, config):
@@ -174,7 +174,7 @@ def test_a_directed_node_that_owns_no_clique_reports_its_real_gap():
     assert result.converged
     assert abs(duality_gap(result.state, dataset, config) - result.gap) <= config.tolerance
     assert np.all(result.state.alpha[0] == 1.0 / (config.lam * 50))
-    assert result.reports[0].epochs >= 1 and result.reports[0].steps >= 50
+    assert result.reports[0].epochs >= 1
 
 
 def test_single_output_directed_and_undirected_agree_bit_for_bit():
@@ -395,7 +395,7 @@ def test_tolerance_certifies_each_directed_solve_not_the_summed_model_gap(monkey
     monkeypatch.setattr(training, "_interior_point",
                         lambda blocks, width, box, left: solve(blocks, width, box, np.minimum(left, 1)))
     result = mg.train_lmsbn(dataset, graph, config)
-    assert all(r.newton_iterations == r.epochs > 1 for r in result.reports)
+    assert all(r.epochs > 1 for r in result.reports)
     assert result.converged and all(r.converged for r in result.reports)
     assert all(r.gap <= config.tolerance for r in result.reports)
     assert result.gap == sum(r.gap for r in result.reports)
@@ -496,7 +496,7 @@ def test_the_first_node_in_fscore_order_ends_after_one_epoch():
     assert strategy.probe.reports[first].epochs > 1
     graph = mg.build_full_graph(4, 15, mg.DIRECTED, order=strategy.order)
     report = mg.train_lmsbn(dataset, graph, config, start=strategy.probe.state).reports[first]
-    assert (report.epochs, report.newton_iterations, report.steps, report.converged) == (1, 1, 14, True)
+    assert (report.epochs, report.converged) == (1, True)
 
 
 @pytest.mark.parametrize("kind", [mg.DIRECTED, mg.UNDIRECTED])
@@ -555,3 +555,74 @@ def test_starting_duals_that_cannot_start_a_solve_are_a_data_error(kind, make_al
     train = mg.train_lmsbn if kind == mg.DIRECTED else mg.train_lmbm
     with pytest.raises(DataError, match=message):
         train(dataset, graph, config, start=start)
+
+
+def _certificate_at_recorded_duals(result, dataset, config):
+    """Each solve's (gap, largest projected gradient), recomputed by
+    ``_box_objectives`` from that solve's recorded duals."""
+    graph = result.state.graph
+    eta = training._regularizer_multipliers(graph, config.eta0)
+    box = training._box_bound(config.lam, dataset.n_instances)
+    K = graph.n_outputs
+    solves = [[i] for i in range(K)] if graph.kind == mg.DIRECTED else [list(range(K))]
+    certificates = []
+    for nodes in solves:
+        _, blocks = training._blocks(graph, dataset, [graph.contributing[i] for i in nodes], eta, box)
+        _, primal, dual, max_pg = training._box_objectives(blocks, box, result.state.alpha[nodes])
+        certificates.append((primal - dual, max_pg))
+    return certificates
+
+
+def test_scene_shaped_reports_are_the_certificates_of_their_duals_bit_for_bit(monkeypatch):
+    # a planted full model of six labels over 294 inputs, 200 rows, in
+    # fscore order: step 1's active set certifies all twelve solves, and
+    # each report holds the one certificate that decided it
+    K, D, N = 6, 294, 200
+    graph, planted = mg.planted_model(K, D, kind=mg.DIRECTED, topology="full", seed=0, input_scale=0.1)
+    dataset = mg.sample_sbn(mg.SynthConfig(graph, planted, N, seed=(0, 1)))
+    config = TrainConfig(lam=0.01)
+    calls = record_newton_calls(monkeypatch)
+    strategy = mg.make_order_strategy("fscore", dataset, config)
+    full_graph = mg.build_full_graph(K, D, mg.DIRECTED, order=strategy.order)
+    full = mg.train_lmsbn(dataset, full_graph, config, start=strategy.probe.state)
+    assert [call[0] for call in calls] == ["active set"] * 12
+    for result in (strategy.probe, full):
+        assert result.converged
+        assert [(r.gap, r.max_projected_gradient) for r in result.reports] == (
+            _certificate_at_recorded_duals(result, dataset, config)
+        )
+
+
+@pytest.mark.parametrize("kind", [mg.DIRECTED, mg.UNDIRECTED])
+def test_interior_point_reports_are_the_certificates_of_their_duals_bit_for_bit(kind):
+    rng = np.random.default_rng(6)
+    graph = mg.build_full_graph(4, 2, kind)
+    dataset = random_dataset(rng, 60, 4, 2)
+    config = TrainConfig(lam=0.02, eta0=0.5)
+    result = (mg.train_lmsbn if kind == mg.DIRECTED else mg.train_lmbm)(dataset, graph, config)
+    assert result.converged
+    assert [(r.gap, r.max_projected_gradient) for r in result.reports] == (
+        _certificate_at_recorded_duals(result, dataset, config)
+    )
+
+
+@pytest.mark.parametrize("kind", [mg.DIRECTED, mg.UNDIRECTED])
+def test_features_that_could_overflow_the_certificate_are_a_data_error(kind):
+    # box 1/(0.01 * 3), over 3 rows per node solve or 6 of the joint one:
+    # inputs of 1e70 put the rule's reach near 1e142-1e143 and train with no
+    # floating-point warning; inputs of 1e80 reach 1e162-1e163, above
+    # _FEATURE_REACH, and are refused by every solve and by the objectives
+    # of a state
+    graph = mg.build_chain_graph(2, 1, kind)
+    labels = random_labels(np.random.default_rng(7), 3, 2)
+    train = mg.train_lmsbn if kind == mg.DIRECTED else mg.train_lmbm
+    config = TrainConfig(lam=0.01)
+    safe = Dataset(np.array([[1e70], [-1e70], [3e69]]), labels)
+    with np.errstate(all="raise"):
+        result = train(safe, graph, config)
+    assert np.isfinite([r.gap for r in result.reports]).all()
+    huge = Dataset(1e10 * safe.X, labels)
+    with pytest.raises(DataError, match="the features make training overflow"):
+        train(huge, graph, config)
+    with pytest.raises(DataError, match="the features make training overflow"):
+        duality_gap(result.state, huge, config)
