@@ -37,8 +37,8 @@ epoch):
    the centre of the box, with one Cholesky factor of a d x d matrix per
    iteration for d weights.  The directed nodes of one call run in
    lockstep, in stacks of at most ``_IP_STACK`` duals, each leaving its
-   stack once it converges.  Its duals are then snapped onto the bounds
-   they lie within 1e-6 * C of.
+   stack at mu below 1e-14 * C, a failed factor or its cap.  Its duals are
+   then snapped onto the bounds they lie within 1e-6 * C of.
 3. Interior-point duals that do not certify start the active set again, a
    crossover (Megiddo, ORSA J. Comput. 1991; Mehrotra and Ye, Math.
    Programming 1993), with the epochs left.  It runs on proximal-point
@@ -442,13 +442,12 @@ def _active_set(blocks, box: float, start: np.ndarray, max_iterations: int, rho:
 
 
 # A problem leaves the interior point once its mean complementarity product
-# mu (alpha times a gradient-scale multiplier) is below _IP_MU * box and its
-# residuals are within _IP_RESIDUAL (times the box for alpha + slack = box).
-# The Newton matrix spans about (box / mu)^2: one Scene-size node's factor
-# failed at mu = 2e-16 box, and a node at box = 93 stalled below mu = 1e-14
-# where the same mu at box = 0.17 certified.
+# mu (alpha times a gradient-scale multiplier) is below _IP_MU * box, which
+# scales with the box whatever the features' scale; the certificate judges
+# its duals.  The Newton matrix spans about (box / mu)^2: one Scene-size
+# node's factor failed at mu = 2e-16 box, and a node at box = 93 stalled
+# below mu = 1e-14 where the same mu at box = 0.17 certified.
 _IP_MU = 1e-14
-_IP_RESIDUAL = 1e-9
 # Fraction of the longest step to the boundary that an iteration takes.
 _IP_STEP = 0.995
 # Terminal duals within _SNAP * box of a bound are moved onto it.
@@ -503,7 +502,9 @@ def _lower(blocks, u) -> np.ndarray:
 def _factor(blocks, D, width: int):
     """Cholesky factors of I + G^T D^(-1) G for each problem of a stack,
     assembled group by group, and which ones failed (not positive definite,
-    or not finite)."""
+    or not finite).  When the stacked factor fails, each problem's factor is
+    written over its own matrix, all NaN where it fails, so the stack of
+    d x d matrices is held once."""
     M = np.zeros((len(D), width, width), dtype=np.float64)
     M[:, np.arange(width), np.arange(width)] = 1.0
     for (cols, F), d in zip(blocks, D.transpose(1, 0, 2)):
@@ -511,12 +512,12 @@ def _factor(blocks, D, width: int):
     try:
         L = np.linalg.cholesky(M)
     except np.linalg.LinAlgError:
-        L = np.full_like(M, np.nan)
-        for factor, m in zip(L, M):
+        for m in M:
             try:
-                factor[...] = np.linalg.cholesky(m)
+                m[...] = np.linalg.cholesky(m)
             except np.linalg.LinAlgError:
-                pass
+                m[...] = np.nan
+        L = M
     return L, ~np.isfinite(L).all(axis=(1, 2))
 
 
@@ -593,12 +594,10 @@ def _interior_point(blocks, width: int, box: float, max_iterations: np.ndarray):
     factor of I + G^T D^(-1) G (Ferris and Munson, SIAM J. Optim. 2002),
     assembled group by group; the predictor and the corrector share it.
     It starts at the centre of the box with unit multipliers.  Each problem
-    takes its own step lengths and mu, and leaves the stack once mu is below
-    ``_IP_MU * box`` and its residuals are within ``_IP_RESIDUAL``; when its
-    factor fails; when its dual residual rises above ``_IP_RESIDUAL`` (a
-    step of length t scales it by 1 - t, so a rise is roundoff taking over);
-    or after its own cap of iterations, ``max_iterations`` (B,).  A problem
-    that leaves takes its features out of ``blocks``.
+    takes its own step lengths and mu, and leaves the stack on one of three
+    conditions: mu below ``_IP_MU * box``, a failed factor, or its own cap
+    of iterations, ``max_iterations`` (B,).  A problem that leaves takes its
+    features out of ``blocks``.
 
     Returns the duals (B, groups, N) in [0, box], each within ``_SNAP * box``
     of a bound moved onto it, and each problem's iteration count.
@@ -615,7 +614,6 @@ def _interior_point(blocks, width: int, box: float, max_iterations: np.ndarray):
     final = np.empty_like(alpha)
     iterations = np.zeros(B, dtype=np.intp)
     live = np.arange(B)
-    last_residual = np.full(B, np.inf)
     with np.errstate(all="ignore"):  # a problem that breaks down leaves; its duals are certified
         while live.size:
             r_d = _lower(blocks, _lift(blocks, alpha, width)) - 1.0 - z + v
@@ -623,24 +621,16 @@ def _interior_point(blocks, width: int, box: float, max_iterations: np.ndarray):
             mu = ((alpha * z).sum(axis=(1, 2)) + (slack * v).sum(axis=(1, 2))) / pairs
             D = z / alpha + v / slack
             L, failed = _factor(blocks, D, width)
-            residual = np.abs(r_d).max(axis=(1, 2))
-            leave = (
-                failed
-                | (iterations[live] >= max_iterations[live])
-                | ((mu < _IP_MU * box) & (residual <= _IP_RESIDUAL)
-                   & (np.abs(r_p).max(axis=(1, 2)) <= _IP_RESIDUAL * box))
-                | ((residual > _IP_RESIDUAL) & (residual > last_residual))
-            )
+            leave = failed | (iterations[live] >= max_iterations[live]) | (mu < _IP_MU * box)
             if leave.any():
                 # the rest take this iteration again, without the leavers
                 final[live[leave]] = alpha[leave]
                 keep = ~leave
                 live = live[keep]
                 blocks[:] = [(cols, F[keep]) for cols, F in blocks]
-                alpha, slack, z, v, last_residual = (x[keep] for x in (alpha, slack, z, v, last_residual))
+                alpha, slack, z, v = (x[keep] for x in (alpha, slack, z, v))
                 continue
             iterations[live] += 1
-            last_residual = residual
             _mehrotra_step(blocks, width, L, D, alpha, slack, z, v, r_d, r_p, mu, pairs)
             del L  # d x d: the next factor need not meet this one
     final = np.clip(np.nan_to_num(final), 0.0, box)
@@ -707,9 +697,17 @@ def _start_alpha(start: DualState | None, shape: tuple[int, int], box: float) ->
     return alpha
 
 
+def _solves(graph: GraphSpec):
+    """The dual solves a graph decomposes into, in order, as (node, nodes,
+    constraint groups): one per directed node, or one joint solve (None)."""
+    K = graph.n_outputs
+    solves = [(i, [i]) for i in range(K)] if graph.kind == DIRECTED else [(None, list(range(K)))]
+    return [(node, nodes, [graph.contributing[i] for i in nodes]) for node, nodes in solves]
+
+
 def _train(dataset: Dataset, graph: GraphSpec, config: TrainConfig, start: DualState | None) -> TrainResult:
     """One dual solve per directed node over the cliques it owns, or one
-    joint solve over every node of an undirected graph.
+    joint solve over every node of an undirected graph (``_solves``).
 
     Every solve starts from the duals of its nodes in ``start.alpha`` (K,
     N), feasible as the module docstring says, or from zero without a start.
@@ -729,10 +727,9 @@ def _train(dataset: Dataset, graph: GraphSpec, config: TrainConfig, start: DualS
     eta = _regularizer_multipliers(graph, config.eta0)
     n = dataset.n_instances
     box = _box_bound(config.lam, n)
-    K = graph.n_outputs
-    solves = [(i, [i]) for i in range(K)] if graph.kind == DIRECTED else [(None, list(range(K)))]
+    solves = _solves(graph)
     w = np.zeros(graph.n_cliques, dtype=np.float64)
-    alpha = _start_alpha(start, (K, n), box)
+    alpha = _start_alpha(start, (graph.n_outputs, n), box)
     reports = [None] * len(solves)
 
     def certify(k, cliques, blocks, a, done):
@@ -747,8 +744,7 @@ def _train(dataset: Dataset, graph: GraphSpec, config: TrainConfig, start: DualS
         return certified
 
     interior = []
-    for k, (node, nodes) in enumerate(solves):
-        groups = [graph.contributing[i] for i in nodes]
+    for k, (_, nodes, groups) in enumerate(solves):
         done = 0
         if _route([len(g) for g in groups], n) == "active set":
             cliques, blocks = _blocks(graph, dataset, groups, eta, box)
@@ -801,12 +797,14 @@ def primal_objective(
 
 
 def _state_objectives(state: DualState, dataset: Dataset, config: TrainConfig | None):
-    """The solver's box primal and dual at the state's alpha."""
+    """The solver's box primal and dual at the state's alpha, per solve of
+    its graph in order (``_solves``), each as training certifies it."""
     scale = config if config is not None else state.weights
     graph = state.graph
     box = _box_bound(scale.lam, dataset.n_instances)
-    _, blocks = _blocks(graph, dataset, graph.contributing, _regularizer_multipliers(graph, scale.eta0), box)
-    return _box_objectives(blocks, box, state.alpha)[1:3]
+    eta = _regularizer_multipliers(graph, scale.eta0)
+    return [_box_objectives(_blocks(graph, dataset, groups, eta, box)[1], box, state.alpha[nodes])[1:3]
+            for _, nodes, groups in _solves(graph)]
 
 
 def box_primal_objective(
@@ -814,20 +812,20 @@ def box_primal_objective(
 ) -> float:
     """Primal value in the box scaling, 0.5*sum eta w^2 + C * total hinge, at
     the weights the state's alpha implies (a trained state's own weights)."""
-    return _state_objectives(state, dataset, config)[0]
+    return float(sum(primal for primal, _ in _state_objectives(state, dataset, config)))
 
 
 def dual_objective(state: DualState, dataset: Dataset, config: TrainConfig | None = None) -> float:
     """Dual value sum(alpha) - 0.5*sum eta w(alpha)^2 at the state's alpha."""
-    return _state_objectives(state, dataset, config)[1]
+    return float(sum(dual for _, dual in _state_objectives(state, dataset, config)))
 
 
 def duality_gap(state: DualState, dataset: Dataset, config: TrainConfig | None = None) -> float:
-    """Box-scaled primal minus dual at the state's alpha.
+    """Box-scaled primal minus dual at the state's alpha, summed over the
+    solves in order, so a trained state's gap is its ``TrainResult.gap``.
 
     Both sides are evaluated at the weights implied by alpha through the
     stationarity identity, so the gap is a pure function of alpha and is
     non-negative up to roundoff.
     """
-    primal, dual = _state_objectives(state, dataset, config)
-    return primal - dual
+    return float(sum(primal - dual for primal, dual in _state_objectives(state, dataset, config)))

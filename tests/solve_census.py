@@ -9,10 +9,13 @@ Seeds 1-3 each draw 1,000 trainings: a graph from ``_helpers.coupled_graph``
 K 1-6 labels, D 0-24 inputs and N 1-299 rows from ``random_dataset``, with
 the inputs scaled by 0.1 on half of them, lambda = 10^U(-4.5, 0) and
 eta0 0 or 1, at the default tolerance and epoch cap.  It prints one JSON
-object of three counts over every solve, in total and per model kind
+object of four counts over every solve, in total and per model kind
 (directed node solves, undirected joint solves): all solves, the solves
-left uncertified, and the largest ``epochs`` (Newton iterations) a solve
-took.  Two trees that solve alike print the same counts.
+left uncertified, the largest ``epochs`` (Newton iterations) a solve took,
+and the solves that reached the crossover (step 3 of ``training._train``,
+the active set run with a proximal weight), recorded through
+``_helpers.record_newton_calls``.  Two trees that solve alike print the
+same counts.
 """
 
 from __future__ import annotations
@@ -20,11 +23,12 @@ from __future__ import annotations
 import json
 
 import numpy as np
+import pytest
 
 import margraph as mg
 from margraph import TrainConfig
 
-from _helpers import coupled_graph, random_dataset
+from _helpers import coupled_graph, random_dataset, record_newton_calls
 
 SEEDS = (1, 2, 3)
 TRAININGS = 1000
@@ -53,17 +57,24 @@ def trainings(seed: int):
 
 def census() -> dict[str, dict[str, int]]:
     counts = {
-        group: dict.fromkeys(("solves", "uncertified", "max_epochs"), 0)
+        group: dict.fromkeys(("solves", "uncertified", "max_epochs", "crossovers"), 0)
         for group in ("total", mg.DIRECTED, mg.UNDIRECTED)
     }
-    for seed in SEEDS:
-        for dataset, graph, config in trainings(seed):
-            train = mg.train_lmsbn if graph.kind == mg.DIRECTED else mg.train_lmbm
-            for r in train(dataset, graph, config).reports:
+    with pytest.MonkeyPatch.context() as mp:
+        calls = record_newton_calls(mp)
+        for seed in SEEDS:
+            for dataset, graph, config in trainings(seed):
+                train = mg.train_lmsbn if graph.kind == mg.DIRECTED else mg.train_lmbm
+                calls.clear()
+                reports = train(dataset, graph, config).reports
+                # each solve runs the crossover at most once, as an active set with rho > 0
+                crossovers = sum(call[0] == "active set" and call[4] > 0.0 for call in calls)
                 for group in (counts["total"], counts[graph.kind]):
-                    group["solves"] += 1
-                    group["uncertified"] += not r.converged
-                    group["max_epochs"] = max(group["max_epochs"], r.epochs)
+                    group["crossovers"] += crossovers
+                    for r in reports:
+                        group["solves"] += 1
+                        group["uncertified"] += not r.converged
+                        group["max_epochs"] = max(group["max_epochs"], r.epochs)
     return counts
 
 

@@ -167,8 +167,11 @@ def test_training_refuses_features_that_overflow_with_one_line(tmp_path):
     assert not (tmp_path / "huge.model").exists()
 
 
-def test_large_but_safe_features_still_train_and_certify(tmp_path):
-    data = _overflow_file(tmp_path / "large.sv", "1e6")
+@pytest.mark.parametrize("scale", ["1e6", "1e8", "1e12"])
+def test_large_but_safe_features_still_train_and_certify(tmp_path, scale):
+    # far from unit scale, the interior point stops on mu relative to the
+    # box, and every node certifies
+    data = _overflow_file(tmp_path / "large.sv", scale)
     proc = subprocess.run(
         [sys.executable, "-W", "error", "-m", "margraph", "train", "--model", "lmsbn", "--graph", "chain",
          "--data", str(data), "--out", str(tmp_path / "large.model")],
