@@ -31,7 +31,9 @@ from .inference import (
     BBConfig,
     InferenceResult,
     bb_infer,
+    bb_infer_chunk,
     exhaustive_infer,
+    exhaustive_infer_chunk,
 )
 from .metrics import MetricReport, evaluate, per_label_f_scores
 from .model import (
@@ -109,7 +111,9 @@ __all__ = [
     "STATUS_BUDGET",
     "STATUS_FALLBACK",
     "bb_infer",
+    "bb_infer_chunk",
     "exhaustive_infer",
+    "exhaustive_infer_chunk",
     "OrderStrategy",
     "make_order_strategy",
     "MetricReport",

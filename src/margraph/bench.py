@@ -21,7 +21,7 @@ import numpy as np
 from .data import Dataset
 from .errors import GraphError
 from .graphs import DIRECTED, GraphSpec, _output_count
-from .inference import STATUS_OPTIMAL, BBConfig, _check_cutoff, bb_infer
+from .inference import STATUS_OPTIMAL, BBConfig, _check_cutoff, bb_infer_chunk
 from .model import WeightVector, _check_int, _check_seed, batch_scorer
 from .synth import SynthConfig, planted_model, sample_sbn
 from .training import TrainConfig, mean_joint_loss, train_lmsbn
@@ -111,15 +111,14 @@ def run_s_sweep(
         return []
     exact = BBConfig(cutoff=math.inf, cost_to_go=False)
     mean_loss = mean_joint_loss(dataset, graph, weights)
-    oracle = [bb_infer(graph, weights, x, exact).objective for x in dataset.X]
+    oracle = [res.objective for res in bb_infer_chunk(graph, weights, dataset.X, exact)]
     records = []
     for config in configs:
         hits = 0
         states = []
-        for l in range(dataset.n_instances):
-            res = bb_infer(graph, weights, dataset.X[l], config)
+        for res, best in zip(bb_infer_chunk(graph, weights, dataset.X, config), oracle):
             states.append(res.states_visited)
-            if res.status == STATUS_OPTIMAL and res.objective == oracle[l]:
+            if res.status == STATUS_OPTIMAL and res.objective == best:
                 hits += 1
         bound = min(1.0, max(0.0, 1.0 - mean_loss / config.cutoff))
         records.append(
@@ -177,7 +176,7 @@ def run_k_sweep(
         mean_abs = float(np.abs(raw_margins).mean())
         random_w = WeightVector(values=raw / mean_abs, lam=lam)
         trained_mean, random_mean = (
-            float(np.mean([bb_infer(graph, w, x, config).states_visited for x in test.X]))
+            float(np.mean([res.states_visited for res in bb_infer_chunk(graph, w, test.X, config)]))
             for w in (fitted, random_w)
         )
         records.append(KSweepRecord(K, trained_mean, random_mean, exhaustive_states=1 << K))

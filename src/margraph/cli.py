@@ -20,7 +20,7 @@ from .dataio import (
 )
 from .errors import MargraphError
 from .graphs import DIRECTED, GRAPH_BUILDERS, UNDIRECTED
-from .inference import BBConfig, bb_infer, exhaustive_infer
+from .inference import BBConfig, bb_infer_chunk, exhaustive_infer_chunk
 from .metrics import evaluate
 from .ordering import make_order_strategy
 from .bench import K_SWEEP_MAX_STATES, k_sweep_csv, run_k_sweep, run_s_sweep, s_sweep_csv
@@ -163,9 +163,9 @@ def _cmd_predict(args) -> int:
     graph, weights = model.graph, model.weights
     if args.infer == "bb":
         config = BBConfig(cutoff=args.cutoff, max_states=args.max_states, escalate=args.escalate)
-        results = [bb_infer(graph, weights, x, config) for x in dataset.X]
+        results = bb_infer_chunk(graph, weights, dataset.X, config)
     else:
-        results = [exhaustive_infer(graph, weights, x) for x in dataset.X]
+        results = exhaustive_infer_chunk(graph, weights, dataset.X)
     write_predictions(args.out, results)
     statuses = " ".join(f"{s}={n}" for s, n in Counter(r.status for r in results).items())
     states = sum(r.states_visited for r in results)

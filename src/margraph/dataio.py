@@ -444,10 +444,14 @@ def load_model(path) -> ModelFile:
 # prediction files: "+1 -1 ... loss=<float> states=<int> status=<word>"
 
 
+# how write_predictions spells each label
+_LABEL_TEXT = {1: "+1", -1: "-1"}
+
+
 def write_predictions(path, results) -> None:
     lines = []
     for res in results:
-        labels = " ".join(f"{int(v):+d}" for v in res.labels)
+        labels = " ".join(map(_LABEL_TEXT.__getitem__, res.labels.tolist()))
         lines.append(
             f"{labels} loss={float(res.objective)!r} states={res.states_visited} status={res.status}"
         )

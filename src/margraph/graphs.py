@@ -33,7 +33,9 @@ the search's cost-to-go tables (``GraphSpec.frontier_codes``), and every
 graph lists the score terms that each label completes
 (``GraphSpec.closing``), for the depth-first search over the labels in
 index order that decodes undirected graphs and opens the exhaustive
-oracle.
+oracle.  ``GraphSpec.search_terms`` holds the terms once more as the
+searches and their bound tables read them, by index into an input's flat
+list of term weights, so that no search builds per-input term tuples.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, combinations, compress, repeat
+from itertools import accumulate, chain, combinations, compress, repeat
 
 import numpy as np
 
@@ -55,6 +57,7 @@ __all__ = [
     "GraphSpec",
     "ScoreLayout",
     "FrontierCodes",
+    "SearchTerms",
     "build_independent_graph",
     "build_chain_graph",
     "build_full_graph",
@@ -239,6 +242,38 @@ class FrontierCodes:
 
 
 @dataclass(frozen=True)
+class SearchTerms:
+    """The coupled score terms as the searches read them, built once per
+    graph (``GraphSpec.search_terms``).
+
+    Node i's t-th coupled term, with partners ``layout.partners[i][t]``, is
+    entry j = (node i's first entry) + t of the layout's coupled arrays, and
+    of the flat list of one input's coupled w_eff (``model.compile_scorer``
+    sums them in the same order).  ``nodes[i]`` lists node i's terms as (j,
+    partners).  ``steps[k]`` lists as (i, j, partners) the terms that label
+    k closes, in ``GraphSpec.closing`` order, and ``checks[k]`` pairs each
+    node whose bound label k can change with c, the entry of its margin
+    bound in the flat list of every label's checks.
+
+    The arrays index the bound tables that ``inference._closing_table``
+    builds for many inputs at once; T (the coupled term count) stands for a
+    missing term.  Row i of ``term_slot`` lists node i's j in term order,
+    and row i of ``closing_slot`` in the order its terms close.
+    ``check_node`` and ``check_entry`` give each check's node and its entry
+    in the flattened (K, L + 1) open sums, L the widest row: node i's open
+    sum after label k is entry i (L + 1) + (its terms closed by then).
+    """
+
+    nodes: tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]
+    steps: tuple[tuple[tuple[int, int, tuple[int, ...]], ...], ...]
+    checks: tuple[tuple[tuple[int, int], ...], ...]
+    term_slot: np.ndarray
+    closing_slot: np.ndarray
+    check_node: np.ndarray
+    check_entry: np.ndarray
+
+
+@dataclass(frozen=True)
 class GraphSpec:
     """A label graph: dimensions, node order, cliques, and coupling kind.
 
@@ -404,6 +439,36 @@ class GraphSpec:
             for t, partners in enumerate(terms):
                 closed[max(partners)].append((i, t))
         return tuple((tuple(c), tuple(sorted({k, *(i for i, _ in c)}))) for k, c in enumerate(closed))
+
+    @cached_property
+    def search_terms(self) -> SearchTerms:
+        """The coupled terms by their index among all coupled terms, for the
+        searches and their bound tables (see ``SearchTerms``)."""
+        K = self.n_outputs
+        partners = self.layout.partners
+        counts = list(map(len, partners))
+        first = list(accumulate(counts, initial=0))
+        T, L = first[K], max(counts)
+        nodes = tuple(tuple(zip(range(first[i], first[i + 1]), terms)) for i, terms in enumerate(partners))
+        closed: list[list[int]] = [[] for _ in range(K)]  # each node's j in closing order
+        steps, checks, check_node, check_entry = [], [], [], []
+        for terms, touched in self.closing:
+            step = tuple((i, first[i] + t, partners[i][t]) for i, t in terms)
+            for i, j, _ in step:
+                closed[i].append(j)
+            steps.append(step)
+            checks.append(tuple(zip(touched, range(len(check_node), len(check_node) + len(touched)))))
+            check_node += touched
+            check_entry += [i * (L + 1) + len(closed[i]) for i in touched]
+        arrays = (
+            np.array([[*range(first[i], first[i + 1]), *[T] * (L - counts[i])] for i in range(K)], dtype=np.intp),
+            np.array([[*js, *[T] * (L - len(js))] for js in closed], dtype=np.intp),
+            np.array(check_node, dtype=np.intp),
+            np.array(check_entry, dtype=np.intp),
+        )
+        for arr in arrays:
+            arr.flags.writeable = False
+        return SearchTerms(nodes, tuple(steps), tuple(checks), *arrays)
 
 
 def _default_order(n_outputs, order) -> tuple:

@@ -31,19 +31,28 @@ static bound (the same monotone rounding), and the optimum's backward sum
 stays within the slack of its forward one, so the first minimizer in
 search order is never cut and labels, objectives and statuses stay those
 of the static search, which visits every state the tabled search visits.
-``bb_infer`` builds one bound table per instance, before its one pass,
-and the greedy fallback reads it too: the cost-to-go table
-(``_cost_to_go``) when ``GraphSpec.frontier_codes`` exists (every frontier
-at most a few labels wide), the static bound's width-0 table
-(``_static_table``) otherwise.
+Every row's bound table is built before its one pass, and the greedy
+fallback reads it too: the cost-to-go table (``_cost_to_go``) when
+``GraphSpec.frontier_codes`` exists (every frontier at most a few labels
+wide), the static bound's width-0 table (``_static_table``) otherwise.
 ``BBConfig(cost_to_go=False)`` keeps the static bound: the ``bench`` sweeps
 measure the search that the ``1 - loss/S`` guarantee and the
 trained-versus-random contrast are about, and exact tables make random
 models cheap too.
 
-Both searches compute each node score themselves, on plain Python lists
-and floats, from the tables of ``compile_scorer``.  The directed greedy
-fallback, the locally best label at every node, is the first all-left dive.
+A chunk of rows is decoded from one compile (``bb_infer_chunk``,
+``exhaustive_infer_chunk``; ``bb_infer`` and ``exhaustive_infer`` are the
+chunk of one row).  ``model._compile`` folds the chunk's inputs into a
+const (n, K) and a coupled w_eff (n, T) array, and the NumPy half of every
+row's table, the node costs of ``_cost_to_go`` and the margin bounds of
+``_closing_table``, is built for the whole chunk in one pass, from the
+graph's term structure (``GraphSpec.search_terms``) and the rows' weights,
+with the bits of the scalar build.  Each row is then searched on two plain
+Python lists, its const and its w_eff, the search reading w_eff[j] for the
+term at flat index j, so no search builds per-row term tuples; only a row
+that the exhaustive oracle enumerates gets a ``NodeScorer``.  The directed
+greedy fallback, the locally best label at every node, is the first
+all-left dive.
 
 On an undirected graph a node's score reads all its partners.  There
 ``_index_search`` sets the labels in index order and bounds each node's
@@ -94,12 +103,13 @@ from .errors import DataError
 from .graphs import DIRECTED, FrontierCodes, GraphSpec
 from .model import (
     ENUM_MAX_OUTPUTS,
-    NodeScorer,
     WeightVector,
+    _augmented,
     _check_enum_size,
     _check_int,
     _check_real,
-    compile_scorer,
+    _compile,
+    _row_scorer,
     signs_of_indices,
 )
 
@@ -110,7 +120,9 @@ __all__ = [
     "BBConfig",
     "InferenceResult",
     "bb_infer",
+    "bb_infer_chunk",
     "exhaustive_infer",
+    "exhaustive_infer_chunk",
 ]
 
 STATUS_OPTIMAL = "proven_optimal"
@@ -161,75 +173,82 @@ class InferenceResult:
     status: str
 
 
-def _cost_to_go(scorer: NodeScorer, codes: FrontierCodes) -> list[float]:
-    """h[2e]: the least cost of the positions from p on, given entry e's
-    labelling of position p's frontier (see ``GraphSpec.frontier_codes``).
+def _cost_to_go(codes: FrontierCodes, const: np.ndarray, coupled: np.ndarray) -> list[list[float]]:
+    """Each row's h, h[2e] the least cost of the positions from p on, given
+    entry e's labelling of position p's frontier (see
+    ``GraphSpec.frontier_codes``); const and coupled are ``_compile``'s.
 
-    A backward DP: h[2e] is the smaller over order[p]'s two labels of that
-    label's cost plus h at the entry it steps to, and position K's entry
-    holds 0.0.  Each node score adds ±w_eff to its constant in term order,
-    and each cost is the search's max(0, 1 - |s|) or 1 + |s|, so every
-    per-node cost has the bits the search gives it.
+    Every row's per-node costs come from one NumPy pass over the chunk:
+    each node score adds ±w_eff to its constant in term order, and each
+    cost is the search's max(0, 1 - |s|) or 1 + |s|, so every per-node cost
+    has the bits the search gives it.  Then a backward DP per row: h[2e] is
+    the smaller over order[p]'s two labels of that label's cost plus h at
+    the entry it steps to, and position K's entry holds 0.0.
     """
-    w = np.array([w_eff for node in scorer.terms for w_eff, _ in node] + [0.0])
-    s = scorer.const[codes.node]
+    w = np.concatenate((coupled, np.zeros((len(coupled), 1))), axis=1)
+    s = const[:, codes.node]
     for slot, sign in zip(codes.slot, codes.sign):
-        s = s + w[slot] * sign
+        s = s + w[:, slot] * sign
     a = np.abs(s)
     near = np.maximum(1.0 - a, 0.0)
     far = 1.0 + a
     up = s >= 0.0
-    cost = np.stack((np.where(up, near, far), np.where(up, far, near)), axis=1).ravel().tolist()
+    cost = np.stack((np.where(up, near, far), np.where(up, far, near)), axis=2)
+    costs = cost.reshape(len(s), 2 * s.shape[1]).tolist()
     step = codes.step
-    h = [0.0] * (len(cost) + 1)
-    for k in range(len(cost) - 2, -1, -2):
-        u = cost[k] + h[step[k]]
-        v = cost[k + 1] + h[step[k + 1]]
-        h[k] = u if u <= v else v
-    return h
+    tables = []
+    for cost in costs:
+        h = [0.0] * (len(cost) + 1)
+        for k in range(len(cost) - 2, -1, -2):
+            u = cost[k] + h[step[k]]
+            v = cost[k + 1] + h[step[k + 1]]
+            h[k] = u if u <= v else v
+        tables.append(h)
+    return tables
 
 
-def _static_table(scorer: NodeScorer) -> tuple[list[int], list[float]]:
-    """The width-0 table (step, bound): position p's one entry is entry p,
-    and bound[2p] = bound[2p + 1] is the sum over positions q > p of
-    max(0, 1 - M_q), where M_q bounds |s| of node order[q] whatever its
+def _static_table(graph: GraphSpec, const: list, w: list) -> tuple[list[int], list[float]]:
+    """The width-0 table (step, bound) of one row: position p's one entry is
+    entry p, and bound[2p] = bound[2p + 1] is the sum over positions q > p
+    of max(0, 1 - M_q), where M_q bounds |s| of node order[q] whatever its
     partners' labels (see the module docstring)."""
-    K = scorer.n_outputs
-    const = scorer.const.tolist()
+    K = graph.n_outputs
+    nodes = graph.search_terms.nodes
     bound = [0.0] * (2 * K)
     rest = 0.0
     for p in range(K - 1, 0, -1):
-        node = scorer.order[p]
+        node = graph.order[p]
         m = abs(const[node])
-        for w_eff, _ in scorer.terms[node]:
-            m += abs(w_eff)
+        for j, _ in nodes[node]:
+            m += abs(w[j])
         rest += 1.0 - m if m < 1.0 else 0.0
         bound[2 * p - 2] = bound[2 * p - 1] = rest
     return [2 * p + 2 for p in range(K) for _ in (0, 1)], bound
 
 
-def _search(scorer: NodeScorer, cutoff: float, budget, table):
-    """One depth-first pass.  Returns (incumbent or None, objective, states,
-    hit_budget).
+def _search(graph: GraphSpec, const: list, w: list, cutoff: float, budget, table):
+    """One depth-first pass over one row.  Returns (incumbent or None,
+    objective, states, hit_budget).
 
-    Entering position p adds node order[p]'s terms to its constant on plain
-    Python lists and floats, in the same order as ``NodeScorer.score_column``.
-    A branch is pruned when its partial sum reaches the upper bound, or when
+    Entering position p adds node order[p]'s terms (``SearchTerms.nodes``,
+    each w[j] of the row's coupled list) to its constant on plain Python
+    lists and floats, in the same order as ``NodeScorer.score_column``.  A
+    branch is pruned when its partial sum reaches the upper bound, or when
     that sum plus ``bound[key]``, a lower bound on the cost of the positions
     after p, reaches the upper bound times the rounding slack (see the
     module docstring); both limits drop with each new incumbent.
 
-    ``table`` = (step, bound), built by ``bb_infer`` once per instance:
-    key = 2e + b for entry e and order[p]'s label b (0 for +1, 1 for -1),
-    and ``step[key]`` is the next position's entry, doubled.  With an
-    infinite cutoff and a budget of K states the pass is the greedy
-    all-left dive and nothing more, which is the fallback ``bb_infer``
-    returns.
+    ``table`` = (step, bound), built once per chunk from the graph's term
+    structure and each row's weights: key = 2e + b for entry e and
+    order[p]'s label b (0 for +1, 1 for -1), and ``step[key]`` is the next
+    position's entry, doubled.  With an infinite cutoff and a budget of K
+    states the pass is the greedy all-left dive and nothing more, which is
+    the fallback ``bb_infer`` returns.
     """
-    K = scorer.n_outputs
-    order = scorer.order
-    const = scorer.const.tolist()
-    terms = [scorer.terms[node] for node in order]
+    K = graph.n_outputs
+    order = graph.order
+    nodes = graph.search_terms.nodes
+    terms = [nodes[node] for node in order]
     step, bound = table
     slack = 1.0 + 4 * K * 2.0**-52
     y = [0] * K
@@ -249,12 +268,12 @@ def _search(scorer: NodeScorer, cutoff: float, budget, table):
     while True:
         # enter position p: score its node given the labels above it
         s = const[order[p]]
-        for w_eff, others in terms[p]:
+        for j, others in terms[p]:
             parity = 1
             for k in others:
                 if y[k] < 0:
                     parity = -parity
-            s += w_eff if parity > 0 else -w_eff
+            s += w[j] if parity > 0 else -w[j]
         if s >= 0.0:
             left_label[p] = 1
             left_key[p] = base
@@ -303,39 +322,62 @@ def _search(scorer: NodeScorer, cutoff: float, budget, table):
 
 
 def bb_infer(graph: GraphSpec, weights: WeightVector, x, config: BBConfig | None = None) -> InferenceResult:
-    """Branch-and-bound minimizer of the joint hinge loss.
+    """Branch-and-bound minimizer of the joint hinge loss for one input: the
+    chunk of one row of ``bb_infer_chunk``.
 
     With a large enough cutoff the result is the exact minimizer.  A
     directed graph is searched in graph order (``_search``), where the
     ``branch_budget`` and ``1 - loss/S`` bounds hold, an undirected one in
     index order (``_index_search``), where the cutoff is only a starting
-    bound; either way in one pass, on a table built once before it (see
-    the module docstring).  ``escalate`` searches with no cutoff.  If no
+    bound; either way in one pass, on a table built before it (see the
+    module docstring).  ``escalate`` searches with no cutoff.  If no
     assignment has loss under the cutoff, the greedy assignment (the first
     dive) is returned (status no_solution_under_S_fallback).  If the state
     budget runs out first, the best assignment seen so far (or the greedy
     one) is returned with status budget_exceeded.
     """
+    return _bb_chunk(graph, weights, _augmented(graph, weights, x, 1)[None], config)[0]
+
+
+def bb_infer_chunk(
+    graph: GraphSpec, weights: WeightVector, X, config: BBConfig | None = None
+) -> list[InferenceResult]:
+    """``bb_infer`` on every row of the (n, D) inputs X, with the same
+    labels, objectives, states and statuses, bit for bit.
+
+    The chunk is compiled once (``model._compile``) and the NumPy half of
+    every row's bound table is built for the whole chunk; each row then
+    runs the scalar search on its own const and w_eff lists.
+    """
+    return _bb_chunk(graph, weights, _augmented(graph, weights, X, 2), config)
+
+
+def _bb_chunk(graph: GraphSpec, weights: WeightVector, Xa: np.ndarray, config: BBConfig | None):
     config = config or BBConfig()
-    scorer = compile_scorer(graph, weights, x)
+    const, coupled, rows = _compile(graph, weights, Xa)
     if graph.kind == DIRECTED:
         search = _search
         codes = graph.frontier_codes if config.cost_to_go else None
         if codes is None:
-            table = _static_table(scorer)
+            tables = [_static_table(graph, c, w) for c, w in rows]
         else:
-            h = _cost_to_go(scorer, codes)
-            table = codes.step, [h[k] for k in codes.step]
+            step = codes.step
+            tables = [(step, [h[k] for k in step]) for h in _cost_to_go(codes, const, coupled)]
     else:
         search = _index_search
-        table = _closing_table(scorer, graph.closing, greedy=True)
+        tables = [(needs, True) for needs in _closing_table(graph, const, coupled)]
     cutoff = math.inf if config.escalate else float(config.cutoff)
-    y, obj, states, hit_budget = search(scorer, cutoff, config.max_states, table)
-    if y is not None:
-        return InferenceResult(y, obj, states, STATUS_BUDGET if hit_budget else STATUS_OPTIMAL)
-    # the greedy fallback: with no cutoff and K states, the first dive
-    y, obj, _, _ = search(scorer, math.inf, graph.n_outputs, table)
-    return InferenceResult(y, obj, states, STATUS_BUDGET if hit_budget else STATUS_FALLBACK)
+    results = []
+    for (c, w), table in zip(rows, tables):
+        y, obj, states, hit_budget = search(graph, c, w, cutoff, config.max_states, table)
+        if y is not None:
+            status = STATUS_BUDGET if hit_budget else STATUS_OPTIMAL
+        else:
+            # the greedy fallback: with no cutoff and K states, the first dive
+            y, obj, _, _ = search(graph, c, w, math.inf, graph.n_outputs, table)
+            status = STATUS_BUDGET if hit_budget else STATUS_FALLBACK
+        results.append(InferenceResult(y, obj, states, status))
+    return results
 
 
 def _pass_budget(K: int) -> int:
@@ -343,56 +385,50 @@ def _pass_budget(K: int) -> int:
     return max(2 * K, (1 << K) >> 5)
 
 
-def _closing_table(scorer: NodeScorer, closing, greedy: bool):
-    """The index-order search's table (const, steps, checks, greedy).
+def _closing_table(graph: GraphSpec, const: np.ndarray, coupled: np.ndarray) -> list[list[float]]:
+    """Each row's margin bounds for the index-order search, from
+    ``_compile``'s const and coupled: entry c of a row's list, for the
+    check (i, c) in ``SearchTerms.checks[k]``, is the bound node i's margin
+    needs once label k is set, 1 - slack_i - R_i, with R_i summing |w_eff|
+    over the terms still open then (see the module docstring).
 
-    ``closing`` is ``GraphSpec.closing``.  steps[k] lists (i, w_eff,
-    partners) for each term that setting label k closes, and checks[k]
-    pairs each node whose bound that can change with the margin bound it
-    needs, 1 - slack_i - R_i, R_i summing |w_eff| over the terms still open
-    once label k is set (see the module docstring).  ``greedy`` tries the sign
-    of A_k first at label k, and +1 first otherwise.
+    Built for the chunk in one NumPy pass, in the scalar loop's order: R_i
+    sums |w_eff| from 0.0 in term order, and each open sum is a cumsum from
+    R_i then -|w_eff| in closing order, so every bound keeps its bits.
     """
-    const = scorer.const.tolist()
-    terms = scorer.terms
-    open_sum = []
-    floor = []
-    for i in range(scorer.n_outputs):
-        r = 0.0
-        for w_eff, _ in terms[i]:
-            r += abs(w_eff)
-        m = abs(const[i]) + r
-        open_sum.append(r)
-        floor.append(1.0 - 4 * (len(terms[i]) + 1) * max(m, 1.0) * 2.0**-52)
-    steps = []
-    checks = []
-    for closed, nodes in closing:
-        step = []
-        for i, t in closed:
-            w_eff, partners = terms[i][t]
-            open_sum[i] -= abs(w_eff)
-            step.append((i, w_eff, partners))
-        steps.append(step)
-        checks.append([(i, floor[i] - open_sum[i]) for i in nodes])
-    return const, steps, checks, greedy
+    terms = graph.search_terms
+    n, K = const.shape
+    a = np.abs(np.concatenate((coupled, np.zeros((n, 1))), axis=1))
+    r = np.zeros((n, K))
+    for slot in terms.term_slot.T:
+        r = r + a[:, slot]
+    counts = np.array(list(map(len, terms.nodes)))
+    floor = 1.0 - 4 * (counts + 1) * np.maximum(np.abs(const) + r, 1.0) * 2.0**-52
+    open_sums = np.cumsum(np.concatenate((r[:, :, None], -a[:, terms.closing_slot]), axis=2), axis=2)
+    open_sums = open_sums.reshape(n, K * open_sums.shape[2])
+    return (floor[:, terms.check_node] - open_sums[:, terms.check_entry]).tolist()
 
 
-def _index_search(scorer: NodeScorer, cutoff: float, budget, table):
-    """One depth-first pass over the labels in index order.  Returns
+def _index_search(graph: GraphSpec, const: list, w: list, cutoff: float, budget, table):
+    """One depth-first pass over one row's labels in index order.  Returns
     (incumbent or None, objective, states, hit_budget).
 
-    ``table`` is ``_closing_table``'s.  Setting label k adds the terms it
-    closes to the A_i, then rechecks the bounds of the nodes in
-    ``checks[k]`` (see the module docstring); one bound reaching the limit
-    prunes at once, as their sum would.  ``states`` counts every label set,
-    pruned or not, up to ``budget``.  With an infinite cutoff and a budget
-    of K states the pass is the first dive and nothing more, which is the
-    fallback ``bb_infer`` returns.
+    ``table`` = (needs, greedy): the row's list from ``_closing_table``,
+    and whether label k tries the sign of A_k first (+1 first otherwise).
+    Setting label k adds the terms it closes (``SearchTerms.steps[k]``,
+    each w[j] of the row's coupled list) to the A_i, then rechecks the
+    bounds of the nodes in ``SearchTerms.checks[k]`` (see the module
+    docstring); one bound reaching the limit prunes at once, as their sum
+    would.  ``states`` counts every label set, pruned or not, up to
+    ``budget``.  With an infinite cutoff and a budget of K states the pass
+    is the first dive and nothing more, which is the fallback ``bb_infer``
+    returns.
     """
-    K = scorer.n_outputs
-    order = scorer.order
-    terms = scorer.terms
-    const, steps, checks, greedy = table
+    K = graph.n_outputs
+    order = graph.order
+    terms = graph.search_terms
+    nodes, steps, checks = terms.nodes, terms.steps, terms.checks
+    needs, greedy = table
     scale = 1.0 - 4 * K * 2.0**-52
     upper = float(cutoff)
     limit = upper / scale
@@ -422,14 +458,15 @@ def _index_search(scorer: NodeScorer, cutoff: float, budget, table):
         tried[k] = t + 1
         y[k] = first[k] if t == 0 else -y[k]
         a = sums[k][:]
-        for i, w_eff, partners in steps[k]:
+        for i, j, partners in steps[k]:
             parity = 1
-            for j in partners:
-                if y[j] < 0:
+            for q in partners:
+                if y[q] < 0:
                     parity = -parity
-            a[i] += w_eff if parity > 0 else -w_eff
+            a[i] += w[j] if parity > 0 else -w[j]
         lb = parent = bounds[k]
-        for i, need in checks[k]:
+        for i, c in checks[k]:
+            need = needs[c]
             v = a[i]
             if y[i] < 0 or (y[i] == 0 and v < 0.0):
                 v = -v
@@ -456,7 +493,7 @@ def _index_search(scorer: NodeScorer, cutoff: float, budget, table):
                 continue
             loss = 0.0
             for i in order:
-                loss += _node_loss(const, terms, y, i)
+                loss += _node_loss(const, w, nodes, y, i)
                 if loss >= upper:
                     break
             else:
@@ -471,7 +508,7 @@ def _index_search(scorer: NodeScorer, cutoff: float, budget, table):
 
 def exhaustive_infer(graph: GraphSpec, weights: WeightVector, x) -> InferenceResult:
     """Return the first minimizer in enumeration order, stopping early at a
-    zero-loss assignment.
+    zero-loss assignment: the chunk of one row of ``exhaustive_infer_chunk``.
 
     Enumeration order is lexicographic with +1 before -1, so ties go to the
     assignment whose first differing label is +1.  The index-order search
@@ -484,32 +521,49 @@ def exhaustive_infer(graph: GraphSpec, weights: WeightVector, x) -> InferenceRes
     arrays for every K.  ``states_visited`` is the pass's label settings,
     plus 2^K when the row was enumerated.
     """
+    _check_enum_size(graph.n_outputs, ENUM_MAX_OUTPUTS, "exhaustive search")
+    return _exhaustive_chunk(graph, weights, _augmented(graph, weights, x, 1)[None])[0]
+
+
+def exhaustive_infer_chunk(graph: GraphSpec, weights: WeightVector, X) -> list[InferenceResult]:
+    """``exhaustive_infer`` on every row of the (n, D) inputs X, with the
+    same labels, objectives and states, bit for bit: one compile and one
+    ``_closing_table`` for the chunk, and a ``NodeScorer`` only for a row
+    whose zero-loss pass fails and which is enumerated."""
+    _check_enum_size(graph.n_outputs, ENUM_MAX_OUTPUTS, "exhaustive search")
+    return _exhaustive_chunk(graph, weights, _augmented(graph, weights, X, 2))
+
+
+def _exhaustive_chunk(graph: GraphSpec, weights: WeightVector, Xa: np.ndarray):
     K = graph.n_outputs
-    _check_enum_size(K, ENUM_MAX_OUTPUTS, "exhaustive search")
-    scorer = compile_scorer(graph, weights, x)
-    table = _closing_table(scorer, graph.closing, greedy=False)
-    labels, obj, states, _ = _index_search(scorer, math.ulp(0.0), _pass_budget(K), table)
-    if labels is not None:
-        return InferenceResult(labels, obj, states, STATUS_OPTIMAL)
-    best_obj = np.inf
-    best_idx = 0
-    for start, totals in scorer.grid_sums():
-        i = int(np.argmin(totals))
-        if totals[i] < best_obj:
-            best_obj = float(totals[i])
-            best_idx = start + i
-    return InferenceResult(signs_of_indices(K, [best_idx])[0], best_obj, states + (1 << K), STATUS_OPTIMAL)
+    const, coupled, rows = _compile(graph, weights, Xa)
+    results = []
+    for r, ((c, w), needs) in enumerate(zip(rows, _closing_table(graph, const, coupled))):
+        labels, obj, states, _ = _index_search(graph, c, w, math.ulp(0.0), _pass_budget(K), (needs, False))
+        if labels is None:
+            obj = np.inf
+            best = 0
+            for start, totals in _row_scorer(graph, const[r], w).grid_sums():
+                i = int(np.argmin(totals))
+                if totals[i] < obj:
+                    obj = float(totals[i])
+                    best = start + i
+            labels = signs_of_indices(K, [best])[0]
+            states += 1 << K
+        results.append(InferenceResult(labels, obj, states, STATUS_OPTIMAL))
+    return results
 
 
-def _node_loss(const: list, terms, y: list, i: int) -> float:
+def _node_loss(const: list, w: list, nodes, y: list, i: int) -> float:
     """Node i's hinge loss max(0, 1 - y_i * s_i) on Python floats, s_i summed
-    term by term as in the search and ``NodeScorer.total_loss_column``."""
+    term by term (``SearchTerms.nodes``) as in the search and
+    ``NodeScorer.total_loss_column``."""
     s = const[i]
-    for w_eff, others in terms[i]:
+    for j, others in nodes[i]:
         parity = 1
         for k in others:
             if y[k] < 0:
                 parity = -parity
-        s += w_eff if parity > 0 else -w_eff
+        s += w[j] if parity > 0 else -w[j]
     c = 1.0 - s if y[i] > 0 else 1.0 + s
     return c if c > 0.0 else 0.0

@@ -11,6 +11,8 @@ input into a ``NodeScorer`` whose columns and the search's scalar score add
 terms in the same order, so search and enumeration objectives agree to the
 bit; ``batch_scorer`` folds many inputs so that each row's scores have the
 bits of that row's ``compile_scorer`` (sampling, training losses, probes).
+Both fold through ``_fold``, as the decoders do a whole chunk of inputs
+(``_compile``), so one input folds to the same bits on every path.
 
 Only this module maps assignment indices to labels (``signs_of_indices``).
 ``NodeScorer.grid_sums`` walks all 2^K assignments in index order, up to
@@ -77,6 +79,12 @@ _GRID_CHUNK = 1 << 16
 # the index ends in a.  L < 8 low labels read the last L rows, 2^L columns.
 _LOW_SIGNS = 1.0 - 2.0 * ((np.arange(256) >> np.arange(7, -1, -1)[:, None]) & 1)
 _LOW_SIGNS.flags.writeable = False
+# _fold sums unary terms by bincount below this many rows, in blocks of at
+# most _FOLD_ENTRIES terms (128 KB per array), and by one vector step per
+# term from there on: the per-term loop's fixed cost matched bincount's
+# per-entry cost at 200-400 rows on K = 6, 12 and 40 graphs (2 vCPUs).
+_FOLD_LOOP_ROWS = 256
+_FOLD_ENTRIES = 1 << 14
 # compile_scorer's limit on the sum over nodes of |const_i| + sum |w_eff|:
 # half the largest double, so no score, cost or joint loss can overflow.
 _SCORE_REACH = 2.0**1023
@@ -272,52 +280,88 @@ def _augmented(graph: GraphSpec, weights: WeightVector, X, ndim: int) -> np.ndar
     return np.concatenate((np.ones(X.shape[:-1] + (1,)), X), axis=-1)
 
 
+def _fold(graph: GraphSpec, weights: WeightVector, Xa: np.ndarray):
+    """Fold the (n, D + 1) augmented inputs Xa into score tables: const
+    (n, K) and the coupled w_eff (n, T), T in layout order.
+
+    Each row's const sums its unary terms in layout order from 0.0, so
+    every row gets the bits a one-row fold gives it, by either of two
+    loops.  Under ``_FOLD_LOOP_ROWS`` rows, one ``np.bincount`` over (row,
+    node) bins per block of at most ``_FOLD_ENTRIES`` terms, which adds
+    each bin's entries in input order; from there on, one vector step per
+    unary term over all rows.  Each w_eff is one product, so the same.
+    Nothing is checked; see ``_compile``.
+    """
+    layout = graph.layout
+    w = weights.values
+    n, K = len(Xa), graph.n_outputs
+    with np.errstate(all="ignore"):
+        if n < _FOLD_LOOP_ROWS:
+            const = np.zeros((n, K))
+            step = max(1, _FOLD_ENTRIES // max(len(layout.unary_node), 1))
+            bins = ((np.arange(min(step, n)) * K)[:, None] + layout.unary_node).ravel()
+            for a in range(0, n, step):
+                block = Xa[a : a + step, layout.unary_column] * w[layout.unary_clique]
+                rows = len(block)
+                const[a : a + rows] = np.bincount(bins[: block.size], block.ravel(), rows * K).reshape(rows, K)
+        else:
+            const = np.zeros((K, n))
+            rows = list(const)  # one view per node, not a fresh const[i] view per term
+            unary = zip(layout.unary_clique.tolist(), layout.unary_column.tolist(), layout.unary_node.tolist())
+            for j, col, i in unary:
+                rows[i] += w[j] * Xa[:, col]
+            const = const.T
+        coupled = Xa[:, layout.coupled_column] * w[layout.coupled_clique]
+    return const, coupled
+
+
+def _compile(graph: GraphSpec, weights: WeightVector, Xa: np.ndarray):
+    """``_fold``'s (const, coupled), and each row's (const, w_eff) as Python
+    lists, the form the searches read.
+
+    Raises DataError at the first row whose scores could overflow: node
+    i's |s_i| is at most M_i = |const_i| + sum |w_eff| over its terms, and
+    every hinge cost is at most 1 + M_i, so while the sum of all M_i stays
+    under 2^1023 every score, cost and joint loss is finite.  The sum is
+    taken on Python floats: a handful of values per row, where NumPy's
+    per-call cost would dominate.
+    """
+    const, coupled = _fold(graph, weights, Xa)
+    rows = list(zip(const.tolist(), coupled.tolist()))
+    for c, w in rows:
+        reach = sum(map(abs, c)) + sum(map(abs, w))
+        if not reach <= _SCORE_REACH:
+            raise DataError(
+                f"the input makes the scores overflow: |const| + sum |w_eff| summed over the nodes is {reach}"
+            )
+    return const, coupled, rows
+
+
+def _row_scorer(graph: GraphSpec, const: np.ndarray, coupled) -> NodeScorer:
+    """The ``NodeScorer`` of a const and its coupled w_eff, one per term in
+    layout order: one row's, or a batch's, one (n,) array per node and term."""
+    values = iter(coupled)
+    terms = tuple(tuple((next(values), others) for others in node) for node in graph.layout.partners)
+    return NodeScorer(const=const, terms=terms, order=graph.order)
+
+
 def compile_scorer(graph: GraphSpec, weights: WeightVector, x: np.ndarray) -> NodeScorer:
     """Fold one input vector into per-node score tables.
 
-    Raises DataError when the input makes the scores too large to sum:
-    node i's |s_i| is at most M_i = |const_i| + sum |w_eff| over its terms,
-    and every hinge cost is at most 1 + M_i, so while the sum of all M_i
-    stays under 2^1023 every score, cost and joint loss is finite.
+    Raises DataError when the input makes the scores too large to sum (see
+    ``_compile``).
     """
-    xa = _augmented(graph, weights, x, 1)
-    w = weights.values
-    layout = graph.layout
-    with np.errstate(all="ignore"):
-        # bincount returns int64 zeros when no clique is unary
-        const = np.bincount(
-            layout.unary_node,
-            weights=w[layout.unary_clique] * xa[layout.unary_column],
-            minlength=graph.n_outputs,
-        ).astype(np.float64, copy=False)
-        coupled = (w[layout.coupled_clique] * xa[layout.coupled_column]).tolist()
-    # summed on Python floats: a handful of values, where NumPy's per-call
-    # cost would dominate
-    reach = sum(map(abs, const.tolist())) + sum(map(abs, coupled))
-    if not reach <= _SCORE_REACH:
-        raise DataError(
-            f"the input makes the scores overflow: |const| + sum |w_eff| summed over the nodes is {reach}"
-        )
-    values = iter(coupled)
-    terms = tuple(tuple((next(values), others) for others in node) for node in layout.partners)
-    return NodeScorer(const=const, terms=terms, order=graph.order)
+    const, _, [(_, coupled)] = _compile(graph, weights, _augmented(graph, weights, x, 1)[None])
+    return _row_scorer(graph, const[0], coupled)
 
 
 def batch_scorer(graph: GraphSpec, weights: WeightVector, X: np.ndarray) -> NodeScorer:
-    """Fold the (n, D) inputs X into batch tables, each entry summed as
-    ``compile_scorer`` sums it for one row (unary terms in layout order from
-    0.0, like its ``bincount``), so every row's scores have the same bits."""
-    Xa = _augmented(graph, weights, X, 2)
-    w = weights.values
-    layout = graph.layout
-    const = np.zeros((graph.n_outputs, len(Xa)))
-    rows = list(const)  # one view per node, not a fresh const[i] view per term
-    unary = zip(layout.unary_clique.tolist(), layout.unary_column.tolist(), layout.unary_node.tolist())
-    for j, col, i in unary:
-        rows[i] += w[j] * Xa[:, col]
-    values = iter(w[layout.coupled_clique, None] * Xa.T[layout.coupled_column])
-    terms = tuple(tuple((next(values), others) for others in node) for node in layout.partners)
-    return NodeScorer(const=const, terms=terms, order=graph.order)
+    """Fold the (n, D) inputs X into batch tables with ``_fold``, which
+    sums every row's unary terms in layout order from 0.0 (by
+    ``np.bincount`` on few rows), as ``compile_scorer`` sums them for one
+    row, so every row's scores have the same bits."""
+    const, coupled = _fold(graph, weights, _augmented(graph, weights, X, 2))
+    return _row_scorer(graph, const.T, coupled.T)
 
 
 def node_margin(graph: GraphSpec, weights: WeightVector, x, y, i: int) -> float:

@@ -14,7 +14,7 @@ from margraph import training
 from margraph.dataio import MODEL_FORMAT_VERSION, ModelFile, _numbered_lines
 from margraph.errors import DataError, GraphError, ModelFormatError
 from margraph.graphs import GRAPH_BUILDERS
-from margraph.model import compile_scorer, signs_of_indices
+from margraph.model import _augmented, _compile, compile_scorer, signs_of_indices
 
 BUILDERS = GRAPH_BUILDERS
 
@@ -28,6 +28,12 @@ def random_model(rng, kind, max_outputs=10, max_inputs=5, min_outputs=1, scale=1
     weights = mg.WeightVector(rng.normal(0.0, scale, graph.n_cliques), lam=1.0)
     x = rng.standard_normal(n_inputs)
     return graph, weights, x
+
+
+def compiled_chunk(graph, weights, X):
+    """The decoders' compile of the (n, D) inputs X: const (n, K), coupled
+    (n, T) and each row's (const, w_eff) lists."""
+    return _compile(graph, weights, _augmented(graph, weights, X, 2))
 
 
 def random_labels(rng, n_instances, n_outputs):

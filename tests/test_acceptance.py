@@ -21,7 +21,7 @@ from margraph.dataio import ModelFile, load_model, parse_multilabel_svmlight, sa
 from margraph.model import compile_scorer, surrogate_bound_check
 from margraph.training import clique_feature_matrix
 
-from _helpers import assignment_signs, random_dataset, random_model
+from _helpers import assignment_signs, compiled_chunk, random_dataset, random_model
 
 
 # ---------------------------------------------------------------------------
@@ -213,10 +213,11 @@ def test_criterion_08_trained_search_grows_slowly_random_search_does_not():
                                      max_outputs=8, min_outputs=8)
     above = mg.exhaustive_infer(graph, weights, x)
     assert above.objective > 0.0
-    scorer = compile_scorer(graph, weights, x)
-    table = inference._closing_table(scorer, graph.closing, greedy=False)
-    labels, _, passed, _ = inference._index_search(scorer, math.ulp(0.0), inference._pass_budget(8), table)
-    assert labels is None and 0 < passed <= inference._pass_budget(8)
+    const, coupled, [(c, w)] = compiled_chunk(graph, weights, x[None])
+    [needs] = inference._closing_table(graph, const, coupled)
+    budget = inference._pass_budget(8)
+    labels, _, passed, _ = inference._index_search(graph, c, w, math.ulp(0.0), budget, (needs, False))
+    assert labels is None and 0 < passed <= budget
     assert above.states_visited == passed + 256
     # the builders' first 8 cliques are the biases: at 100 every label is
     # +1 at a margin above 1, whatever the other terms add

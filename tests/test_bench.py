@@ -46,7 +46,7 @@ def test_size_sweep_checks_its_knobs_before_it_trains(monkeypatch, kwargs, messa
 @pytest.fixture
 def no_search(monkeypatch):
     """Make the cutoff sweep's oracle and mean-loss passes fail if they run."""
-    monkeypatch.setattr(bench, "bb_infer", _never("bb_infer"))
+    monkeypatch.setattr(bench, "bb_infer_chunk", _never("bb_infer_chunk"))
     monkeypatch.setattr(bench, "mean_joint_loss", _never("mean_joint_loss"))
 
 

@@ -341,7 +341,7 @@ def _never(*args, **kwargs):
     (["--S-list", "1,2", "--max-states", "0"], "max_states must be at least 1, got 0"),
 ])
 def test_bench_refuses_a_bad_knob_before_it_trains_or_searches(workdir, capsys, monkeypatch, argv, message):
-    for name in ("train_lmsbn", "bb_infer", "mean_joint_loss"):
+    for name in ("train_lmsbn", "bb_infer_chunk", "mean_joint_loss"):
         monkeypatch.setattr(f"margraph.bench.{name}", _never)
     data = ["--model-file", str(workdir / "sbn.model"), "--data", str(workdir / "data.sv")]
     assert main(["bench", *argv, *(data if "--S-list" in argv else [])]) == 1

@@ -601,6 +601,24 @@ def test_prediction_roundtrip(tmp_path):
     assert "loss=" in first and "states=" in first and "status=" in first
 
 
+def test_prediction_lines_keep_their_bytes(tmp_path):
+    # one label, then forty: each label "+1" or "-1", space-separated, then
+    # the loss's repr, the state count and the status
+    path = tmp_path / "preds.txt"
+    write_predictions(path, [
+        InferenceResult(np.array([1], dtype=np.int8), 0.0, 1, STATUS_OPTIMAL),
+        InferenceResult(np.array([-1], dtype=np.int8), 1.5, 2, STATUS_FALLBACK),
+    ])
+    assert path.read_bytes() == (b"+1 loss=0.0 states=1 status=proven_optimal\n"
+                                 b"-1 loss=1.5 states=2 status=no_solution_under_S_fallback\n")
+    bits = "1011" * 10
+    labels = signs_of_indices(40, [int(bits, 2)])[0]
+    write_predictions(path, [InferenceResult(labels, 0.1 + 0.2, 12345, STATUS_BUDGET)])
+    signs = " ".join("-1" if b == "1" else "+1" for b in bits)
+    assert path.read_bytes() == f"{signs} loss=0.30000000000000004 states=12345 status=budget_exceeded\n".encode()
+    assert path.read_text().startswith("-1 +1 -1 -1 -1 +1 ")
+
+
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(data=st.data(), K=st.integers(1, 30))
 def test_prediction_write_then_read_round_trips(tmp_path_factory, data, K):

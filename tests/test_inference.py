@@ -19,11 +19,14 @@ from margraph.inference import (
     STATUS_FALLBACK,
     STATUS_OPTIMAL,
     bb_infer,
+    bb_infer_chunk,
     exhaustive_infer,
+    exhaustive_infer_chunk,
 )
 from margraph.model import compile_scorer, signs_of_indices
 
 from _helpers import (
+    compiled_chunk,
     coupled_graph,
     random_labels,
     random_model,
@@ -529,7 +532,7 @@ def test_cost_to_go_tables_bound_the_static_suffix_and_the_optimum(topology, K, 
     x = rng.standard_normal(D)
     scorer = compile_scorer(graph, weights, x)
     codes = graph.frontier_codes
-    h = inference._cost_to_go(scorer, codes)
+    [h] = inference._cost_to_go(codes, *compiled_chunk(graph, weights, x[None])[:2])
     suffix = reference_suffix(scorer, graph.order)
     frontiers = reference_frontiers(scorer, graph.order)
     # entries run by position, then by frontier code, so a wrong frontier
@@ -562,8 +565,8 @@ def test_cost_to_go_slack_absorbs_the_backward_rounding():
     x = np.zeros(0)
     cutoff = 1 + 2**-52
     scorer = compile_scorer(graph, weights, x)
-    h = inference._cost_to_go(scorer, graph.frontier_codes)
     codes = graph.frontier_codes
+    [h] = inference._cost_to_go(codes, *compiled_chunk(graph, weights, x[None])[:2])
     below_root = h[codes.step[0]]  # position 1 after labelling node 0 +1
     assert 1.0 + below_root == cutoff
     assert 1.0 + reference_suffix(scorer, graph.order)[1] < cutoff
@@ -581,6 +584,8 @@ def test_cost_to_go_slack_absorbs_the_backward_rounding():
     (False, [2.0, math.inf], STATUS_FALLBACK),
 ])
 def test_bb_infer_builds_the_tables_once_per_call(monkeypatch, cost_to_go, escalate, cutoffs, status):
+    # bb_infer is a chunk of one row: one cost-to-go build for the chunk,
+    # or one static table for its row
     # static bounds of 0 and every completion of a root label costing at
     # least 1 (see the budget test above): the table is built before the
     # pass.  Under cutoff 2 the pass finds nothing and the greedy fallback
@@ -599,7 +604,7 @@ def test_bb_infer_builds_the_tables_once_per_call(monkeypatch, cost_to_go, escal
         monkeypatch.setattr(inference, name, counted(name))
     search = inference._search
     passes = []
-    monkeypatch.setattr(inference, "_search", lambda *a: passes.append(a[1]) or tables.append(a[3]) or search(*a))
+    monkeypatch.setattr(inference, "_search", lambda *a: passes.append(a[3]) or tables.append(a[5]) or search(*a))
     config = BBConfig(cutoff=2, escalate=escalate, cost_to_go=cost_to_go)
     res = bb_infer(graph, weights, np.zeros(0), config)
     assert res.status == status
@@ -614,7 +619,7 @@ def test_bb_infer_builds_the_tables_once_per_call(monkeypatch, cost_to_go, escal
     assert len(built["_cost_to_go"]) == int(cost_to_go)
     assert len(built["_static_table"]) == int(not cost_to_go)
     if cost_to_go:
-        [h] = built["_cost_to_go"]
+        [[h]] = built["_cost_to_go"]
         assert tables[0] == (graph.frontier_codes.step, [h[k] for k in graph.frontier_codes.step])
     else:
         assert tables[0] is built["_static_table"][0]
@@ -877,13 +882,15 @@ def test_undirected_bb_builds_the_table_once_per_call(monkeypatch, escalate, cut
         monkeypatch.setattr(inference, name, counted(name))
     search = inference._index_search
     passes = []
-    monkeypatch.setattr(inference, "_index_search", lambda *a: passes.append(a[1]) or tables.append(a[3]) or search(*a))
+    monkeypatch.setattr(inference, "_index_search",
+                        lambda *a: passes.append(a[3]) or tables.append(a[5]) or search(*a))
     res = bb_infer(graph, weights, x, BBConfig(cutoff=2, escalate=escalate))
     assert res.status == status
     assert res.objective == 3.0
     assert passes == cutoffs
     assert all(table is tables[0] for table in tables)
-    assert len(built["_closing_table"]) == 1 and tables[0] is built["_closing_table"][0]
+    assert len(built["_closing_table"]) == 1 and tables[0] == (built["_closing_table"][0][0], True)
+    assert tables[0][0] is built["_closing_table"][0][0]
     assert built["_cost_to_go"] == [] and built["_static_table"] == []
 
 
@@ -938,3 +945,121 @@ def test_exhaustive_memory_is_bounded_per_chunk(kind):
     finally:
         tracemalloc.stop()
     assert peak < 11 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# Chunk decoding against per-row calls, and the chunk's bound tables against
+# the scalar builds they replaced, kept here as references.
+
+
+def reference_cost_to_go_table(scorer, codes):
+    """h[2e] for one row by the scalar build: node scores from
+    ``compile_scorer``'s tables on one row's arrays, then the backward DP."""
+    w = np.array([w_eff for node in scorer.terms for w_eff, _ in node] + [0.0])
+    s = scorer.const[codes.node]
+    for slot, sign in zip(codes.slot, codes.sign):
+        s = s + w[slot] * sign
+    a = np.abs(s)
+    near = np.maximum(1.0 - a, 0.0)
+    far = 1.0 + a
+    up = s >= 0.0
+    cost = np.stack((np.where(up, near, far), np.where(up, far, near)), axis=1).ravel().tolist()
+    step = codes.step
+    h = [0.0] * (len(cost) + 1)
+    for k in range(len(cost) - 2, -1, -2):
+        u = cost[k] + h[step[k]]
+        v = cost[k + 1] + h[step[k + 1]]
+        h[k] = u if u <= v else v
+    return h
+
+
+def reference_closing_needs(scorer, closing):
+    """Every label's checks for one row by the scalar loop, flattened label
+    by label: node i's margin bound 1 - slack_i - R_i, R_i its open |w_eff|
+    once the label's terms are closed."""
+    const = scorer.const.tolist()
+    terms = scorer.terms
+    open_sum = []
+    floor = []
+    for i in range(scorer.n_outputs):
+        r = 0.0
+        for w_eff, _ in terms[i]:
+            r += abs(w_eff)
+        m = abs(const[i]) + r
+        open_sum.append(r)
+        floor.append(1.0 - 4 * (len(terms[i]) + 1) * max(m, 1.0) * 2.0**-52)
+    needs = []
+    for closed, nodes in closing:
+        for i, t in closed:
+            open_sum[i] -= abs(terms[i][t][0])
+        needs += [floor[i] - open_sum[i] for i in nodes]
+    return needs
+
+
+def outcome(res):
+    return res.labels.dtype, res.labels.tolist(), res.objective, res.states_visited, res.status
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(
+    kind=st.sampled_from([mg.DIRECTED, mg.UNDIRECTED]),
+    topology=st.sampled_from(["independent", "chain", "full"]),
+    K=st.integers(1, 9),
+    D=st.integers(0, 3),
+    n=st.sampled_from([1, 2, 9]),
+    scale=st.sampled_from([0.3, 1.0, 3.0]),
+    tilt=st.sampled_from([0.0, 4.0]),
+    zeroed=st.sampled_from([0.0, 0.5]),
+    seed=st.integers(0, 2**16),
+)
+def test_a_chunk_decodes_as_its_rows(kind, topology, K, D, n, scale, tilt, zeroed, seed):
+    """Every decoder on a chunk gives each row's per-row result, bit for
+    bit: the directed search with and without cost-to-go tables, cutoff 1
+    (below any coupled optimum at scale 0.3, so the greedy fallback), a
+    budget of one state, escalation, undirected bb, and the exhaustive
+    oracle, whose rows stop in the zero-loss pass (tilted biases) or are
+    enumerated.  The chunk's tables equal the scalar builds entry by entry."""
+    rng = np.random.default_rng(seed)
+    if topology == "independent":
+        graph = mg.build_independent_graph(K, D, kind)
+    else:
+        graph = coupled_graph(rng, topology, K, D, kind)
+    w = rng.normal(0.0, scale, graph.n_cliques)
+    w = np.where(rng.random(graph.n_cliques) < zeroed, 0.0, w)
+    w[:K] += tilt * np.where(rng.random(K) < 0.5, 1.0, -1.0)
+    weights = WeightVector(w, lam=1.0)
+    X = rng.standard_normal((n, D))
+    configs = [BBConfig(), BBConfig(cutoff=1.0), BBConfig(max_states=1), BBConfig(cutoff=1.0, escalate=True)]
+    configs += [dataclasses.replace(c, cost_to_go=False) for c in configs]
+    for config in configs:
+        chunk = bb_infer_chunk(graph, weights, X, config)
+        assert list(map(outcome, chunk)) == [outcome(bb_infer(graph, weights, x, config)) for x in X]
+    chunk = exhaustive_infer_chunk(graph, weights, X)
+    assert list(map(outcome, chunk)) == [outcome(exhaustive_infer(graph, weights, x)) for x in X]
+
+    const, coupled, rows = compiled_chunk(graph, weights, X)
+    needs = inference._closing_table(graph, const, coupled)
+    codes = graph.frontier_codes if kind == mg.DIRECTED else None
+    h = inference._cost_to_go(codes, const, coupled) if codes is not None else None
+    for r, x in enumerate(X):
+        scorer = compile_scorer(graph, weights, x)
+        assert const[r].tolist() == rows[r][0] == scorer.const.tolist()
+        assert rows[r][1] == [w_eff for node in scorer.terms for w_eff, _ in node]
+        assert needs[r] == reference_closing_needs(scorer, graph.closing)
+        if h is not None:
+            assert h[r] == reference_cost_to_go_table(scorer, codes)
+
+
+def test_the_chunk_compile_refuses_the_first_row_that_overflows():
+    # row 1's input makes node 0's score reach past 2^1023: the chunk is
+    # refused with compile_scorer's error for that row, before any search
+    graph = mg.build_chain_graph(2, 1, mg.DIRECTED)
+    weights = WeightVector(np.ones(graph.n_cliques), lam=1.0)
+    X = np.array([[1.0], [1e308], [1e308]])
+    with pytest.raises(DataError) as expected:
+        compile_scorer(graph, weights, X[1])
+    for decode in (bb_infer_chunk, exhaustive_infer_chunk):
+        with pytest.raises(DataError) as got:
+            decode(graph, weights, X)
+        assert str(got.value) == str(expected.value)
+    assert bb_infer_chunk(graph, weights, X[:0]) == []

@@ -243,13 +243,16 @@ def test_compiled_scores_match_the_per_clique_reference_on_arbitrary_graphs():
     kind=st.sampled_from([mg.DIRECTED, mg.UNDIRECTED]),
     K=st.integers(2, 7),
     D=st.integers(0, 3),
-    rows=st.integers(1, 6),
+    rows=st.sampled_from([1, 2, 6, model._FOLD_LOOP_ROWS]),
+    entries=st.sampled_from([1, 7, model._FOLD_ENTRIES]),
     seed=st.integers(0, 2**16),
 )
-def test_batch_margins_are_the_per_row_margins_bit_for_bit(topology, kind, K, D, rows, seed):
+def test_batch_margins_are_the_per_row_margins_bit_for_bit(topology, kind, K, D, rows, entries, seed):
     # coupled cliques come first, so a sum from 0.0 in clique order would
     # add them before the unary constant; every row must still read the bits
-    # its own compiled scorer gives
+    # its own compiled scorer gives, whether the batch is summed by the
+    # per-term loop (from _FOLD_LOOP_ROWS rows) or by bincount in blocks of
+    # one row, of a few rows, or of all of them
     rng = np.random.default_rng(seed)
     base = coupled_graph(rng, topology, K, D, kind)
     cliques = sorted(base.cliques, key=lambda c: len(c.outputs) == 1)
@@ -257,7 +260,9 @@ def test_batch_margins_are_the_per_row_margins_bit_for_bit(topology, kind, K, D,
     weights = WeightVector(rng.normal(0.0, 1.0, graph.n_cliques), lam=1.0)
     X = rng.standard_normal((rows, D))
     Y = random_labels(rng, rows, K)
-    batch = mg.batch_scorer(graph, weights, X).margin_block(Y)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model, "_FOLD_ENTRIES", entries)
+        batch = mg.batch_scorer(graph, weights, X).margin_block(Y)
     for x, y, z in zip(X, Y, batch):
         single = compile_scorer(graph, weights, x).margin_block(y[None])[0]
         assert z.view(np.int64).tolist() == single.view(np.int64).tolist()

@@ -301,7 +301,7 @@ def test_a_dataset_of_other_dims_than_the_graph_is_refused(monkeypatch, measure,
     def no_search(*args):
         raise AssertionError("searched before checking the dataset")
 
-    monkeypatch.setattr(bench, "bb_infer", no_search)
+    monkeypatch.setattr(bench, "bb_infer_chunk", no_search)
     graph = mg.build_chain_graph(2, 2, mg.DIRECTED)
     dataset = random_dataset(np.random.default_rng(3), 4, n_outputs, n_inputs)
     weights = WeightVector(np.ones(graph.n_cliques), lam=1.0)
